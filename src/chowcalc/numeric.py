@@ -4,6 +4,14 @@ stability check for reduced power operations.
 
 Pairings are computed exactly over the integers first and reduced mod p, so
 one report serves every prime.
+
+Ideal membership (``rational_in_rowspan``, ``modp_in_rowspan``) runs on one
+sparse echelon kernel: rows are ``{column: int}`` dicts, reduced fraction-free
+over Z and divided by their content, or reduced over F_p.  A vector is reduced
+against the pivot rows in increasing column order, so its residual is zero on
+every pivot column; the pivot columns depend only on the row span, so the
+residual is canonical (the same as a reduction against the reduced row
+echelon form would give).
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .rings import GradedClass, RingError
@@ -65,42 +74,83 @@ def modp_kernel(matrix: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
+# Ideal membership: one sparse echelon routine (see the module docstring).
+
+_Row = dict[int, int]
+
+
+def _sparse(row: Sequence[int], p: int) -> _Row:
+    if p:
+        return {j: v % p for j, v in enumerate(row) if v % p}
+    return {j: v for j, v in enumerate(row) if v}
+
+
+def _eliminate(r: _Row, piv: _Row, c: int, p: int) -> tuple[_Row, int]:
+    """Clear column c of r with the pivot row for c; returns the new row and
+    the factor r was scaled by (1 over F_p)."""
+    a, b = 1, r[c]
+    if not p:
+        g = gcd(piv[c], b)
+        a, b = piv[c] // g, b // g
+    out = {j: a * v for j, v in r.items()} if a != 1 else dict(r)
+    for j, v in piv.items():
+        w = out.get(j, 0) - b * v
+        if p:
+            w %= p
+        if w:
+            out[j] = w
+        else:
+            out.pop(j, None)
+    return out, a
+
+
+def _echelon(rows: Sequence[Sequence[int]], p: int) -> dict[int, _Row]:
+    """Pivot rows of the row span keyed by leading column: primitive with a
+    positive lead over Z, monic over F_p."""
+    pivots: dict[int, _Row] = {}
+    for row in rows:
+        r = _sparse(row, p)
+        while r:
+            c = min(r)
+            piv = pivots.get(c)
+            if piv is None:
+                if p:
+                    inv = pow(r[c], -1, p)
+                    pivots[c] = {j: v * inv % p for j, v in r.items()}
+                else:
+                    g = gcd(*r.values())
+                    g = -g if r[c] < 0 else g
+                    pivots[c] = {j: v // g for j, v in r.items()}
+                break
+            r, _ = _eliminate(r, piv, c, p)
+    return pivots
+
+
+def _residual(
+    rows: Sequence[Sequence[int]], vec: Sequence[int], p: int
+) -> tuple[list[int], int]:
+    """(res, scale): res / scale is vec minus a row-span element, zero on
+    every pivot column, as a dense list of len(vec) integers."""
+    pivots = _echelon(rows, p)
+    res = _sparse(vec, p)
+    scale = 1
+    for c in sorted(pivots):
+        if res.get(c):
+            res, a = _eliminate(res, pivots[c], c, p)
+            scale *= a
+    return [res.get(j, 0) for j in range(len(vec))], scale
+
+
 def modp_in_rowspan(rows: list[list[int]], vec: list[int], p: int) -> tuple[bool, list[int]]:
     """Membership of vec in the row span over F_p; returns (ok, residual)."""
-    vec = [v % p for v in vec]
-    if not rows:
-        return all(v == 0 for v in vec), vec
-    rref, pivots = modp_rref(rows, p)
-    res = list(vec)
-    for r, pc in enumerate(pivots):
-        if res[pc]:
-            f = res[pc]
-            res = [(a - f * b) % p for a, b in zip(res, rref[r])]
-    return all(v == 0 for v in res), res
+    res, _ = _residual(rows, vec, p)
+    return not any(res), res
 
 
 def rational_in_rowspan(rows: list[list[int]], vec: list[int]) -> tuple[bool, list[Fraction]]:
     """Membership of vec in the rational row span; returns (ok, residual)."""
-    work = [[Fraction(v) for v in row] for row in rows]
-    res = [Fraction(v) for v in vec]
-    ncols = len(res)
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        if res[col]:
-            f = res[col]
-            res = [a - f * b for a, b in zip(res, work[rank])]
-        rank += 1
-    return all(v == 0 for v in res), res
+    res, scale = _residual(rows, vec, 0)
+    return not any(res), [Fraction(v, scale) for v in res]
 
 
 def integer_determinant(matrix: list[list[int]]) -> int:

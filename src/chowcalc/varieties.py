@@ -480,6 +480,16 @@ def enumerate_basis(ring: RingContext) -> list[tuple[Monomial, ...]]:
     return [tuple(_irreducible_monomials(ring, d)) for d in range(ring.dimension + 1)]
 
 
+def _truncated_leads(X: ChowPresentation) -> list[Monomial]:
+    """The minimal monomials in X's generators that no rule of X reduces and
+    whose codegree exceeds dim X.  X's truncation kills them; a ring of
+    higher dimension that copies X's rules needs a rule m -> 0 for each."""
+    top = X.dim + max(X.ring.codegrees, default=0)
+    high = [m for d in range(X.dim + 1, top + 1) for m in _irreducible_monomials(X.ring, d)]
+    minimal = minimal_monomials(high)
+    return [m for m in high if m in minimal]
+
+
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
@@ -527,7 +537,10 @@ def _unique_names(a: Sequence[str], b: Sequence[str]) -> tuple[dict, dict]:
 
 
 def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None) -> ChowPresentation:
-    """X x Y with the monomial product basis and multiplied degree/tangent."""
+    """X x Y with the monomial product basis and multiplied degree/tangent.
+
+    The rules are those of X and Y, plus m -> 0 for each factor's minimal
+    irreducible monomials above its dimension (see _truncated_leads)."""
     if X.ring.modulus != Y.ring.modulus:
         raise ContextMismatch("factors have different coefficient rings")
     ra, rb = _unique_names(X.ring.names, Y.ring.names)
@@ -543,6 +556,8 @@ def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None
         rules.append((lift_mono(r.lead, 0), {lift_mono(m, 0): c for m, c in r.replacement}))
     for r in Y.ring.rules:
         rules.append((lift_mono(r.lead, shift), {lift_mono(m, shift): c for m, c in r.replacement}))
+    rules += [(lift_mono(m, 0), {}) for m in _truncated_leads(X)]
+    rules += [(lift_mono(m, shift), {}) for m in _truncated_leads(Y)]
     dim = X.dim + Y.dim
     ring = RingContext(names, codegrees, modulus=X.ring.modulus, dimension=dim, rules=rules)
 
@@ -600,7 +615,11 @@ def projective_bundle(
     fiber_gen: str = "xi",
     name: Optional[str] = None,
 ) -> ChowPresentation:
-    """P(E) -> X for E with the given Chern roots (all signs +, rank >= 1)."""
+    """P(E) -> X for E with the given Chern roots (all signs +, rank >= 1).
+
+    The rules are those of X, plus m -> 0 for X's minimal irreducible
+    monomials above dim X (see _truncated_leads), plus the Grothendieck
+    relation for xi^r."""
     if roots.ring is not X.ring:
         raise ContextMismatch("roots must live on the base presentation")
     if any(s != 1 for s, _ in roots.entries):
@@ -618,6 +637,7 @@ def projective_bundle(
     dim = X.dim + r - 1
 
     rules = [(rule.lead, dict(rule.replacement)) for rule in X.ring.rules]
+    rules += [(m, {}) for m in _truncated_leads(X)]
     grothendieck: dict[Monomial, int] = {}
     for i in range(1, r + 1):
         ci = elementary_symmetric(root_classes, i)
@@ -716,11 +736,12 @@ def blow_up(
         raise CoverageError("center codimension exceeds the ambient dimension")
 
     # Restriction as a ring endomorphism of the ambient presentation.
+    gens = {gname: X.gen(gname) for gname in X.ring.names}
     res_images: dict[str, GradedClass] = {}
     for gname in X.ring.names:
         img = center.restriction.get(gname)
         if img is None:
-            res_images[gname] = X.gen(gname)
+            res_images[gname] = gens[gname]
         else:
             if img.ring is not X.ring:
                 raise ContextMismatch(f"restriction image of {gname!r} lives elsewhere")
@@ -737,8 +758,10 @@ def blow_up(
                 f"restriction map is not idempotent on generator {gname!r}"
             )
 
-    def res_fixed_mono(m: Monomial) -> bool:
-        return all(res_images[X.ring.names[i]] == X.gen(X.ring.names[i]) for i, _ in m.exps)
+    # indices of the generators the restriction fixes
+    fixed = {
+        i for i, gname in enumerate(X.ring.names) if res_images[gname] == gens[gname]
+    }
 
     while exceptional_gen in X.ring.names:
         exceptional_gen += "'"
@@ -751,17 +774,17 @@ def blow_up(
         (rule.lead, dict(rule.replacement)) for rule in X.ring.rules
     ]
     # restriction rules
-    for gname in X.ring.names:
-        img = res_images[gname]
-        if img == X.gen(gname):
+    for gi, gname in enumerate(X.ring.names):
+        if gi in fixed:
             continue
-        gi = X.ring.gen_index(gname)
+        img = res_images[gname]
         lead = e_mono.mul(Monomial([(gi, 1)]))
         repl = {e_mono.mul(m): c for m, c in img.table.items()}
         rules.append((lead, repl))
     # dimension-kill rules, minimal ones only: the rest are their multiples
     killed = [
-        m for d in range(dim_z + 1, X.dim + 1) for m in X.basis_of(d) if res_fixed_mono(m)
+        m for d in range(dim_z + 1, X.dim + 1) for m in X.basis_of(d)
+        if all(i in fixed for i, _ in m.exps)
     ]
     minimal = minimal_monomials(killed)
     for m in killed:

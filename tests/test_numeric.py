@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,11 +10,13 @@ from chowcalc.numeric import (
     gamma_quotient,
     integer_determinant,
     kernel_is_ideal,
+    modp_in_rowspan,
     modp_kernel,
     modp_rank,
     numerical_kernel,
     pairing_matrix,
     pairing_report,
+    rational_in_rowspan,
 )
 from chowcalc.rings import Monomial
 from chowcalc.varieties import (
@@ -53,6 +56,104 @@ class TestLinearAlgebra:
         assert integer_determinant([[0, 1], [1, 0]]) == -1
         assert integer_determinant([[2, 0], [0, 2]]) == 4
         assert integer_determinant([]) == 1
+
+
+def dense_residual(rows, vec, p=0):
+    """Reference: vec reduced by the dense reduced row echelon form of rows,
+    over Q (p == 0, as Fractions) or over F_p."""
+
+    def norm(v):
+        return v % p if p else Fraction(v)
+
+    work = [[norm(v) for v in row] for row in rows]
+    res = [norm(v) for v in vec]
+    rank = 0
+    for col in range(len(vec)):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col], -1, p) if p else 1 / work[rank][col]
+        work[rank] = [norm(v * inv) for v in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [norm(a - f * b) for a, b in zip(work[r], work[rank])]
+        if res[col]:
+            f = res[col]
+            res = [norm(a - f * b) for a, b in zip(res, work[rank])]
+        rank += 1
+    return res
+
+
+def membership_cases():
+    """Fixed edge cases, then seeded random small integer matrices: zero
+    rows, negative and non-unit pivots, rank-deficient rows, and vectors
+    inside and outside the span."""
+    cases = [
+        ([], []),
+        ([], [0]),
+        ([], [3]),
+        ([], [0, -2, 0]),
+        ([[]], []),
+        ([[0]], [0]),
+        ([[0]], [5]),
+        ([[-3]], [2]),
+        ([[0, 0], [0, 0]], [1, 0]),
+        ([[2, 4], [1, 2]], [3, 6]),
+        ([[2, 4], [1, 2]], [3, 5]),
+        ([[-2, 3, 0], [0, 6, -4]], [-2, 9, -4]),
+        ([[3, 0, 1], [0, -5, 2], [3, -5, 3]], [1, 1, 1]),
+    ]
+    rng = random.Random(20231)
+    entries = [0, 0, 0, 1, -1, 2, -2, 3, -6, 5]
+    for _ in range(300):
+        ncols = rng.randrange(0, 7)
+        rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(rng.randrange(0, 6))]
+        if rows and rng.random() < 0.4:
+            coeffs = [rng.randint(-3, 3) for _ in rows]
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)])
+        if rng.random() < 0.2:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+        if rows and rng.random() < 0.5:
+            coeffs = [rng.randint(-4, 4) for _ in rows]
+            vec = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
+        else:
+            vec = [rng.choice(entries) for _ in range(ncols)]
+        cases.append((rows, vec))
+    return cases
+
+
+class TestMembership:
+    def test_rational_matches_dense_reference(self):
+        for rows, vec in membership_cases():
+            ok, res = rational_in_rowspan(rows, vec)
+            want = dense_residual(rows, vec)
+            assert res == want, (rows, vec)
+            assert all(type(v) is Fraction for v in res)
+            assert ok == (not any(want))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_modp_matches_dense_reference(self, p):
+        for rows, vec in membership_cases():
+            ok, res = modp_in_rowspan(rows, vec, p)
+            want = dense_residual(rows, vec, p)
+            assert res == want, (rows, vec)
+            assert ok == (not any(want))
+
+    def test_span_members_and_witnesses(self):
+        rows = [[2, 4, 0], [0, 3, -3]]
+        assert rational_in_rowspan(rows, [1, 5, -3]) == (True, [Fraction(0)] * 3)
+        # over Q the residual of e_2 is zero on both pivot columns
+        assert rational_in_rowspan(rows, [0, 0, 1]) == (
+            False, [Fraction(0), Fraction(0), Fraction(1)]
+        )
+        assert rational_in_rowspan(rows, [0, 1, 0]) == (
+            False, [Fraction(0), Fraction(0), Fraction(1)]
+        )
+        # mod 2 the rows are (0 0 0) and (0 1 1)
+        assert modp_in_rowspan(rows, [1, 0, 0], 2) == (False, [1, 0, 0])
+        assert modp_in_rowspan(rows, [0, 1, 1], 2) == (True, [0, 0, 0])
 
 
 class TestPairings:

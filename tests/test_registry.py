@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from chowcalc import registry
+from chowcalc.cli import main
 from chowcalc.report import emit_report
 from chowcalc.script import parse_script
 
@@ -59,3 +62,11 @@ def test_run_all_merges():
     rep = registry.run_all()
     assert rep.ok
     assert rep.counts["passed"] >= 60
+
+
+def test_lemmas_all_json_is_pinned(capsysbinary):
+    # the bytes of `chowcalc lemmas --all --format json --seed 0`, pinned so
+    # that a change meant to keep the output must keep it byte for byte
+    pinned = Path(__file__).parent / "data" / "lemmas_all_seed0.json"
+    assert main(["lemmas", "--all", "--format", "json", "--seed", "0"]) == 0
+    assert capsysbinary.readouterr().out == pinned.read_bytes()

@@ -73,6 +73,17 @@ class TestProduct:
         h = P2.gen("h")
         assert Q.pullback_from_factor(1, h) == Q.gen("h_2")
 
+    def test_factor_truncation_survives(self):
+        # x*y vanishes on the curve base by truncation alone; the product
+        # has room above dim 1 and must kill it by rule
+        X = generic_context([("x", 1), ("y", 1)], 1)
+        Q = product(X, projective_space(1))
+        x, y = Q.gen("x"), Q.gen("y")
+        assert (x * y).is_zero()
+        assert (x * x).is_zero() and (y * y).is_zero()
+        assert Q.coordinates(x * y, 2) == [0, 0]
+        assert Q.coordinates(x * Q.gen("h"), 2) == [1, 0]
+
 
 class TestProjectiveBundle:
     def test_trivial_bundle_over_point(self):
@@ -121,6 +132,19 @@ class TestProjectiveBundle:
         P2 = projective_space(2)
         B = projective_bundle(P2, BundleRoots.plus([P2.zero(), P2.gen("h")]))
         assert sum(len(B.basis_of(d)) for d in range(B.dim + 1)) == 2 * 3
+
+    def test_base_truncation_survives(self):
+        X = generic_context([("x", 1), ("y", 1)], 1)
+        B = projective_bundle(X, BundleRoots.plus([X.zero(), X.zero()]))
+        x, y, xi = B.gen("x"), B.gen("y"), B.gen("xi")
+        assert (x * y).is_zero()
+        assert B.coordinates(x * y, 2) == [0, 0]
+        assert B.coordinates(x * xi, 2) == [1, 0]
+
+    def test_no_truncation_rules_when_rules_kill_the_top(self):
+        P2 = projective_space(2)
+        B = projective_bundle(P2, BundleRoots.plus([P2.zero(), P2.gen("h")]))
+        assert len(B.ring.rules) == len(P2.ring.rules) + 1
 
 
 class TestBlowUp:
