@@ -3,7 +3,7 @@
 Library layout:
 
 * rings: sparse graded classes, rewrite rules, normal forms, symmetric
-  function expansion, confluence smoke checks;
+  function expansion, the critical-pair confluence check;
 * varieties: Chow presentations of projective spaces, products, projective
   bundles, blow-ups; pullback/pushforward/degree; JSON catalogs;
 * characteristic: Chern/Segre classes and mod-p reduced power operations;
@@ -25,7 +25,7 @@ from .rings import (
     RewriteRule,
     RingContext,
     RingError,
-    confluence_smoke_check,
+    confluence_check,
     evaluate,
     inverse_series,
     normal_form,

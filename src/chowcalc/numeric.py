@@ -5,13 +5,17 @@ stability check for reduced power operations.
 Pairings are computed exactly over the integers first and reduced mod p, so
 one report serves every prime.
 
-Ideal membership (``rational_in_rowspan``, ``modp_in_rowspan``) runs on one
-sparse echelon kernel: rows are ``{column: int}`` dicts, reduced fraction-free
-over Z and divided by their content, or reduced over F_p.  A vector is reduced
-against the pivot rows in increasing column order, so its residual is zero on
-every pivot column; the pivot columns depend only on the row span, so the
+All elimination runs on one sparse echelon kernel (``_echelon``, with
+``_eliminate`` clearing one column): rows are ``{column: int}`` dicts,
+reduced fraction-free over Z and divided by their content, or made monic
+over F_p.  Ideal membership (``rational_in_rowspan``, ``modp_in_rowspan``)
+and the quotient map ``GammaQuotient.project`` reduce a vector against the
+pivot rows in increasing column order (``_reduce``), so its residual is zero
+on every pivot column; the pivot columns depend only on the row span, so the
 residual is canonical (the same as a reduction against the reduced row
-echelon form would give).
+echelon form would give).  ``modp_rank`` counts the pivot rows,
+``modp_rref`` back-substitutes them, and ``modp_kernel`` reads its basis off
+the reduced rows.  Only the Bareiss determinant keeps its own loop.
 """
 
 from __future__ import annotations
@@ -23,58 +27,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .rings import GradedClass, RingError
+from .rings import GradedClass, Monomial, RingError
 from .varieties import ChowPresentation, CoverageError, TangentUnavailable
 
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra
 # ---------------------------------------------------------------------------
-
-def modp_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p; returns (rref rows, pivot columns)."""
-    m = [[v % p for v in row] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] % p), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(v * inv) % p for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    return m[:rank], pivots
-
-
-def modp_rank(rows: list[list[int]], p: int) -> int:
-    return len(modp_rref(rows, p)[0])
-
-
-def modp_kernel(matrix: list[list[int]], p: int) -> list[list[int]]:
-    """Right kernel basis of the matrix over F_p (vectors of length ncols)."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    rref, pivots = modp_rref(matrix, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rref[r][fc]) % p
-        basis.append(v)
-    return basis
-
-
-# Ideal membership: one sparse echelon routine (see the module docstring).
 
 _Row = dict[int, int]
 
@@ -126,12 +85,9 @@ def _echelon(rows: Sequence[Sequence[int]], p: int) -> dict[int, _Row]:
     return pivots
 
 
-def _residual(
-    rows: Sequence[Sequence[int]], vec: Sequence[int], p: int
-) -> tuple[list[int], int]:
+def _reduce(pivots: dict[int, _Row], vec: Sequence[int], p: int) -> tuple[list[int], int]:
     """(res, scale): res / scale is vec minus a row-span element, zero on
     every pivot column, as a dense list of len(vec) integers."""
-    pivots = _echelon(rows, p)
     res = _sparse(vec, p)
     scale = 1
     for c in sorted(pivots):
@@ -141,15 +97,49 @@ def _residual(
     return [res.get(j, 0) for j in range(len(vec))], scale
 
 
+def modp_rref(rows: list[list[int]], p: int) -> dict[int, _Row]:
+    """Reduced row echelon form over F_p: {pivot column: monic row that is
+    zero on every other pivot column}."""
+    pivots = _echelon(rows, p)
+    for c in sorted(pivots, reverse=True):
+        r = pivots[c]
+        # the pivot rows right of c are already reduced, so clearing one of
+        # their columns leaves the other pivot columns of r alone
+        for k in sorted(j for j in r if j > c and j in pivots):
+            r, _ = _eliminate(r, pivots[k], k, p)
+        pivots[c] = r
+    return pivots
+
+
+def modp_rank(rows: list[list[int]], p: int) -> int:
+    return len(_echelon(rows, p))
+
+
+def modp_kernel(matrix: list[list[int]], p: int) -> list[list[int]]:
+    """Right kernel basis of the matrix over F_p (vectors of length ncols)."""
+    ncols = len(matrix[0]) if matrix else 0
+    rref = modp_rref(matrix, p)
+    basis = []
+    for fc in range(ncols):
+        if fc in rref:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for pc, row in rref.items():
+            v[pc] = -row.get(fc, 0) % p
+        basis.append(v)
+    return basis
+
+
 def modp_in_rowspan(rows: list[list[int]], vec: list[int], p: int) -> tuple[bool, list[int]]:
     """Membership of vec in the row span over F_p; returns (ok, residual)."""
-    res, _ = _residual(rows, vec, p)
+    res, _ = _reduce(_echelon(rows, p), vec, p)
     return not any(res), res
 
 
 def rational_in_rowspan(rows: list[list[int]], vec: list[int]) -> tuple[bool, list[Fraction]]:
     """Membership of vec in the rational row span; returns (ok, residual)."""
-    res, scale = _residual(rows, vec, 0)
+    res, scale = _reduce(_echelon(rows, 0), vec, 0)
     return not any(res), [Fraction(v, scale) for v in res]
 
 
@@ -250,8 +240,6 @@ def pairing_report(X: ChowPresentation, p: int) -> PairingReport:
         # kernel of the pairing on Ch^r is the LEFT kernel of M
         transposed = [list(col) for col in zip(*modp)] if modp and modp[0] else []
         kern = modp_kernel(transposed, p) if transposed else []
-        if not modp:
-            kern = []
         rep.codegrees[r] = CodegreePairing(
             codegree=r,
             basis=[X.ring.monomial_str(m) for m in X.basis_of(r)],
@@ -264,19 +252,20 @@ def pairing_report(X: ChowPresentation, p: int) -> PairingReport:
     return rep
 
 
+def _class_of(
+    Xp: ChowPresentation, vec: Sequence[int], basis: Sequence[Monomial]
+) -> GradedClass:
+    """The class with coordinates vec in the given basis monomials of Xp."""
+    return Xp.ring.from_table({m: c for c, m in zip(vec, basis) if c})
+
+
 def numerical_kernel(X: ChowPresentation, r: int, p: int) -> tuple[list[GradedClass], int]:
     """Kernel basis of the degree pairing in codegree r, and the dimension of
     Ch^r modulo numerical equivalence."""
     rep = pairing_report(X, p)
     entry = rep.codegrees[r]
     Xp = X.with_coefficients(p)
-    classes = []
-    for vec in entry.kernel:
-        c = Xp.zero()
-        for coeff, m in zip(vec, X.basis_of(r)):
-            if coeff:
-                c = c + Xp.ring.from_table({m: coeff})
-        classes.append(c)
+    classes = [_class_of(Xp, vec, X.basis_of(r)) for vec in entry.kernel]
     return classes, entry.num_dimension
 
 
@@ -288,10 +277,7 @@ def kernel_is_ideal(X: ChowPresentation, p: int) -> bool:
     Xp = X.with_coefficients(p)
     for r, entry in rep.codegrees.items():
         for vec in entry.kernel:
-            u = Xp.zero()
-            for coeff, m in zip(vec, X.basis_of(r)):
-                if coeff:
-                    u = u + Xp.ring.from_table({m: coeff})
+            u = _class_of(Xp, vec, X.basis_of(r))
             for d in range(0, n - r + 1):
                 for b in Xp.basis_classes(d):
                     prod = u * b
@@ -329,23 +315,15 @@ class GammaQuotient:
     variety: str
     prime: int
     dimensions: tuple[int, ...]
-    _rrefs: list[tuple[list[list[int]], list[int]]]
+    _pivots: list[dict[int, _Row]]
     _pres: ChowPresentation
 
     def project(self, c: GradedClass) -> dict[int, list[int]]:
         """Image of a class under the canonical surjection: per codegree, the
         residual coordinates after reduction modulo the ideal."""
-        p = self.prime
         out = {}
         for d in sorted(c.codegrees()):
-            coords = self._pres.coordinates(c, d)
-            rref, pivots = self._rrefs[d]
-            res = [v % p for v in coords]
-            for r, pc in enumerate(pivots):
-                if res[pc]:
-                    f = res[pc]
-                    res = [(a - f * b) % p for a, b in zip(res, rref[r])]
-            out[d] = res
+            out[d], _ = _reduce(self._pivots[d], self._pres.coordinates(c, d), self.prime)
         return out
 
 
@@ -357,15 +335,14 @@ def gamma_quotient(
     Xp = X.with_coefficients(p) if X.ring.modulus != p else X
     gens_p = [Xp.ring.from_table(dict(g.table)) for g in gens]
     dims = []
-    rrefs = []
+    pivots = []
     for d in range(Xp.dim + 1):
         rows = ideal_span_rows(Xp, gens_p, d)
-        rref, pivots = modp_rref(rows, p) if rows else ([], [])
-        rank = len(rref)
-        dims.append(len(Xp.basis_of(d)) - rank)
-        rrefs.append((rref, pivots))
+        rref = modp_rref(rows, p) if rows else {}
+        dims.append(len(Xp.basis_of(d)) - len(rref))
+        pivots.append(rref)
     return GammaQuotient(
-        variety=X.name, prime=p, dimensions=tuple(dims), _rrefs=rrefs, _pres=Xp
+        variety=X.name, prime=p, dimensions=tuple(dims), _pivots=pivots, _pres=Xp
     )
 
 
@@ -425,10 +402,7 @@ def ab1_check(
             if any(combo):
                 vecs.append(combo)
         for vec in vecs:
-            u = Xp.zero()
-            for coeff, m in zip(vec, X.basis_of(r)):
-                if coeff:
-                    u = u + Xp.ring.from_table({m: coeff})
+            u = _class_of(Xp, vec, X.basis_of(r))
             i = 1
             while r + i * (p - 1) <= n:
                 img = reduced_power(Xp, u, i)

@@ -83,9 +83,6 @@ class BundleRoots:
     def rank(self) -> int:
         return sum(s for s, _ in self.entries)
 
-    def negate(self) -> "BundleRoots":
-        return BundleRoots(self.ring, tuple((-s, c) for s, c in self.entries))
-
     def union(self, other: "BundleRoots") -> "BundleRoots":
         if other.ring is not self.ring:
             raise ContextMismatch("roots in different rings")

@@ -8,11 +8,13 @@ from helpers import random_tower
 from chowcalc.numeric import (
     ab1_check,
     gamma_quotient,
+    ideal_span_rows,
     integer_determinant,
     kernel_is_ideal,
     modp_in_rowspan,
     modp_kernel,
     modp_rank,
+    modp_rref,
     numerical_kernel,
     pairing_matrix,
     pairing_report,
@@ -317,3 +319,108 @@ class TestGammaQuotient:
         rep = pairing_report(X, 2)
         for r, entry in rep.codegrees.items():
             assert gq.dimensions[r] >= entry.num_dimension
+
+
+def dense_rref(rows, p):
+    """Reference: dense reduced row echelon form over F_p, as
+    (reduced rows, pivot columns)."""
+    m = [[v % p for v in row] for row in rows]
+    pivots = []
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [(v * inv) % p for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+    return m[:rank], pivots
+
+
+def dense_kernel(matrix, p):
+    """Reference right kernel over F_p, one vector per free column."""
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    rref, pivots = dense_rref(matrix, p)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-rref[r][fc]) % p
+        basis.append(v)
+    return basis
+
+
+def matrix_cases():
+    """Empty, zero, full-rank, wide and tall matrices, then seeded random
+    rectangular ones (some with dependent rows)."""
+    cases = [
+        [],
+        [[]],
+        [[0]],
+        [[0, 0, 0], [0, 0, 0]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[2, 1], [1, 1]],
+        [[1, 2, 3, 4, 5], [0, 0, 1, 6, -1]],
+        [[1, 2], [3, 4], [5, 6], [7, 8], [0, 1]],
+        [[4, -2, 6], [2, -1, 3], [0, 0, 0], [6, 3, -9]],
+    ]
+    rng = random.Random(4077)
+    entries = [0, 0, 0, 1, -1, 2, -2, 3, 4, -5]
+    for _ in range(300):
+        nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 8)
+        rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.4:
+            coeffs = [rng.randint(-3, 3) for _ in rows]
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)])
+        cases.append(rows)
+    return cases
+
+
+class TestModpKernelMatchesDense:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_rref_rank_kernel(self, p):
+        for rows in matrix_cases():
+            want_rows, want_pivots = dense_rref(rows, p)
+            rref = modp_rref(rows, p)
+            ncols = len(rows[0]) if rows else 0
+            assert sorted(rref) == want_pivots, rows
+            assert [[rref[c].get(j, 0) for j in range(ncols)] for c in sorted(rref)] == want_rows
+            assert modp_rank(rows, p) == len(want_pivots)
+            assert modp_kernel(rows, p) == dense_kernel(rows, p), rows
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_gamma_quotient(self, p):
+        rng = random.Random(p)
+        degenerate = TestEngineeredKernels().degenerate_context()
+        spaces = [bl_point_plane(), degenerate] + [random_tower(rng, max_dim=4) for _ in range(4)]
+        for X in spaces:
+            Xp = X.with_coefficients(p)
+            gen_sets = [[], [Xp.gen(n) for n in Xp.ring.names[:1]]]
+            gen_sets.append([Xp.gen(n) ** 2 + Xp.gen(Xp.ring.names[-1]) for n in Xp.ring.names])
+            for gens in gen_sets:
+                gq = gamma_quotient(Xp, p, gens)
+                refs = []
+                for d in range(Xp.dim + 1):
+                    refs.append(dense_rref(ideal_span_rows(Xp, gens, d), p))
+                    assert gq.dimensions[d] == len(Xp.basis_of(d)) - len(refs[d][1])
+                for c in [Xp.gen(n) for n in Xp.ring.names] + [Xp.one()] + gens:
+                    for d, res in gq.project(c).items():
+                        want = [v % p for v in Xp.coordinates(c, d)]
+                        rref, pivots = refs[d]
+                        for r, pc in enumerate(pivots):
+                            if want[pc]:
+                                f = want[pc]
+                                want = [(a - f * b) % p for a, b in zip(want, rref[r])]
+                        assert res == want, (X.name, d, str(c))

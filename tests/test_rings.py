@@ -7,7 +7,7 @@ from chowcalc.rings import (
     ReductionBudgetExceeded,
     RingContext,
     chern_generator_context,
-    confluence_smoke_check,
+    confluence_check,
     evaluate,
     inverse_series,
     normal_form,
@@ -184,7 +184,7 @@ class TestInverseSeries:
 
 class TestConfluenceSmoke:
     def test_single_rule_system_passes(self):
-        assert confluence_smoke_check(pspace_ring(4), trials=40, seed=0).passed
+        assert confluence_check(pspace_ring(4)).passed
 
     def test_blown_up_plane_passes(self):
         from chowcalc.varieties import BundleRoots, CenterData, blow_up, projective_space
@@ -196,7 +196,7 @@ class TestConfluenceSmoke:
             restriction={"h": P2.zero()},
         )
         Bl = blow_up(P2, center)
-        assert confluence_smoke_check(Bl.ring, trials=100, seed=1).passed
+        assert confluence_check(Bl.ring).passed
 
     def test_inconsistent_rules_reported(self):
         D = RingContext(
@@ -206,9 +206,69 @@ class TestConfluenceSmoke:
                 (Monomial([(0, 1)]), {Monomial([(2, 1)]): 1}),
             ],
         )
-        rep = confluence_smoke_check(D, trials=40, seed=2)
+        rep = confluence_check(D)
         assert not rep.passed
         assert rep.divergences[0]["expected"] != rep.divergences[0]["got"]
+
+    def test_coprime_and_truncated_pairs_skipped(self):
+        x2, y2, z2 = (Monomial([(i, 2)]) for i in range(3))
+        coprime = RingContext(
+            ["x", "y", "z"], [1, 1, 1], dimension=4,
+            rules=[(x2, {}), (y2, {}), (z2, {Monomial([(0, 1), (1, 1)]): 1})],
+        )
+        rep = confluence_check(coprime)
+        assert (rep.pairs, rep.passed) == (0, True)
+        # x^2 and x*y share x, but their lcm x^2*y lies above the dimension
+        above = RingContext(
+            ["x", "y"], [1, 1], dimension=2,
+            rules=[(x2, {}), (Monomial([(0, 1), (1, 1)]), {y2: 1})],
+        )
+        rep = confluence_check(above)
+        assert (rep.pairs, rep.passed) == (0, True)
+
+    def test_registry_rings(self, monkeypatch):
+        # A20-L2 declares a*r -> 0, a^2 -> -(p-1)q and r^2 -> q in B2, B3
+        # and B5: a^2*r and a*r^2 reduce to 0 by the first rule, and to r*q
+        # and a*q by the others.  Every other registry ring is confluent.
+        from chowcalc import registry
+
+        built = []
+        init = RingContext.__init__
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(RingContext, "__init__", record)
+        registry.run_all(seed=0)
+        monkeypatch.undo()
+        rings = {}
+        for R in built:
+            rings.setdefault((R.names, R.codegrees, R.modulus, R.dimension, R.rules), R)
+        divergent = []
+        for R in rings.values():
+            rep = confluence_check(R)
+            if not rep.passed:
+                divergent.append((R.names, R.modulus, rep.divergences))
+        assert divergent == [
+            (("a", "r", "q"), p, [
+                {"input": "a^2*r", "expected": "0", "got": "r*q"},
+                {"input": "a*r^2", "expected": "0", "got": "a*q"},
+            ])
+            for p in (2, 3, 5)
+        ]
+        assert len(rings) > len(divergent)
+
+    def test_step_budget_reported(self):
+        # the pair x*y, y^2 joins at x^3, but x^2*y needs a second step
+        x2, xy, y2 = Monomial([(0, 2)]), Monomial([(0, 1), (1, 1)]), Monomial([(1, 2)])
+        R = RingContext(["x", "y"], [1, 1], dimension=3, rules=[(xy, {x2: 1}), (y2, {x2: 1})])
+        assert confluence_check(R).passed
+        R.step_budget = 0
+        rep = confluence_check(R)
+        assert not rep.passed
+        assert rep.divergences[0]["input"] == "x*y^2"
+        assert "exceeded 0 steps" in rep.divergences[0]["got"]
 
 
 class TestMinimalLeads:
@@ -255,7 +315,7 @@ class TestMinimalLeads:
             rules=[(x, {y: 1}), (x.mul(z), {z.mul(z): 1})],
         )
         assert [r.lead for r in R.rules] == [x, x.mul(z)]
-        assert not confluence_smoke_check(R, trials=40, seed=2).passed
+        assert not confluence_check(R).passed
 
     def test_catalog_with_redundant_rules_loads(self):
         import json
