@@ -508,14 +508,6 @@ class PeriodicModule:
         return q_apply(i, e)
 
 
-def combined_model_words(
-    ring: MilnorRing, k_min: int, k_max: int
-) -> list[Word]:
-    """Basis words of the combined object: the ring part (k >= 0) together
-    with the periodic module part (k < 0), restricted to a k-window."""
-    return ring.basis_words(k_max=k_max, k_min=k_min)
-
-
 def q_homology_dimensions(
     ring: MilnorRing, i: int, k_min: int, k_max: int
 ) -> dict[BiDegree, int]:
@@ -526,7 +518,9 @@ def q_homology_dimensions(
     """
     from .numeric import modp_rank
 
-    words = combined_model_words(ring, k_min, k_max)
+    # the combined object: the ring part (k >= 0) together with the
+    # periodic module part (k < 0), restricted to the k-window
+    words = ring.basis_words(k_max=k_max, k_min=k_min)
     by_deg: dict[BiDegree, list[Word]] = {}
     for w in words:
         by_deg.setdefault(ring.word_bidegree(w), []).append(w)

@@ -332,7 +332,7 @@ def gamma_quotient(
 ) -> GammaQuotient:
     """Per-codegree dimensions of Ch*(X)/<gens> over F_p, with the canonical
     surjection evaluable on any class."""
-    Xp = X.with_coefficients(p) if X.ring.modulus != p else X
+    Xp = X.with_coefficients(p)
     gens_p = [Xp.ring.from_table(dict(g.table)) for g in gens]
     dims = []
     pivots = []

@@ -43,17 +43,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import characteristic as chops
 from . import milnor as miln
 from .numeric import (
+    ideal_span_rows,
     modp_in_rowspan,
     pairing_report,
     rational_in_rowspan,
 )
 from .report import ERROR, FAIL, PASS, AssertionResult, Report
-from .rings import GradedClass, RingContext
+from .rings import GradedClass, Monomial, RingContext
 from .varieties import (
     BundleRoots,
     CenterData,
@@ -428,13 +431,62 @@ def eval_expr(env: Env, node, report: Report):
 # Identity verification modulo declared rules/ideals
 # ---------------------------------------------------------------------------
 
-def _extended_context(ctx: RingContext, extra_rules) -> RingContext:
-    rules = [(r.lead, dict(r.replacement)) for r in ctx.rules]
-    rules.extend((lead, dict(repl)) for lead, repl in extra_rules)
-    return RingContext(
-        ctx.names, ctx.codegrees, modulus=ctx.modulus,
-        dimension=ctx.dimension, rules=rules, step_budget=ctx.step_budget,
+def _reduction(
+    env: Env, lhs: GradedClass, rhs: GradedClass, modulo
+) -> tuple[ChowPresentation, list[GradedClass], GradedClass]:
+    """The presentation to reduce in, the declared ideal generators and
+    lhs - rhs, the last two in its ring.  With declared rules that is a
+    copy of lhs's presentation (same basis) whose ring also carries them."""
+    if lhs.ring is not rhs.ring:
+        raise EvalError("identity sides live in different contexts")
+    ctx = lhs.ring
+    gens: list[GradedClass] = []
+    extra = []
+    for decl in modulo:
+        if isinstance(decl, _IdealDecl):
+            gens.extend(decl.gens)
+        elif isinstance(decl, _RulesDecl):
+            extra.extend(decl.rules)
+        else:
+            raise EvalError("modulo clause names must refer to declared sets")
+    if any(g.ring is not ctx for g in gens):
+        raise EvalError("ideal generators live in a different context")
+    pres = env.presentation_of(lhs)
+    if not extra:
+        return pres, gens, lhs - rhs
+    ring = RingContext(
+        ctx.names, ctx.codegrees, modulus=ctx.modulus, dimension=ctx.dimension,
+        rules=[(r.lead, dict(r.replacement)) for r in ctx.rules] + extra,
+        step_budget=ctx.step_budget,
     )
+    pres = ChowPresentation(
+        pres.kind, ring, pres.roles, pres.basis,
+        degree_table=None, degree_total=False, tangent=None, name=pres.name,
+    )
+    return pres, [ring.from_table(g.table) for g in gens], ring.from_table((lhs - rhs).table)
+
+
+def _residual(
+    pres: ChowPresentation, rows: Optional[list], c: GradedClass, d: int
+) -> dict[Monomial, Fraction]:
+    """The codegree-d part of c minus its projection to the span of rows
+    (None: no ideal), as an exact {basis monomial: coefficient} table;
+    empty iff the part lies in the span."""
+    part = c.homogeneous_part(d)
+    if rows is None or part.is_zero():
+        return dict(part.table)
+    vec = pres.coordinates(part, d)
+    p = pres.ring.modulus
+    _, res = modp_in_rowspan(rows, vec, p) if p else rational_in_rowspan(rows, vec)
+    return {m: v for m, v in zip(pres.basis_of(d), res) if v}
+
+
+def _witness(ring: RingContext, residual: dict[Monomial, Fraction]) -> str:
+    """An integral residual as its class, a fractional one as
+    (den * residual)/den with den the least common denominator."""
+    den = lcm(*(Fraction(v).denominator for v in residual.values()))
+    text = str(GradedClass(ring, {m: int(v * den) for m, v in residual.items()}))
+    return text if den == 1 else f"({text})/{den}"
 
 
 def verify_identity(
@@ -442,68 +494,19 @@ def verify_identity(
     lhs: GradedClass,
     rhs: GradedClass,
     modulo: list = (),
-) -> tuple[bool, Optional[GradedClass]]:
+) -> tuple[bool, Optional[str]]:
     """Pass iff lhs - rhs reduces to zero modulo the declared oriented rules
-    and ideal generators; on failure the irreducible remainder is returned
-    as the witness."""
-    if lhs.ring is not rhs.ring:
-        raise EvalError("identity sides live in different contexts")
-    ctx = lhs.ring
-    ideals: list[GradedClass] = []
-    extra_rules = []
-    for decl in modulo:
-        if isinstance(decl, _IdealDecl):
-            ideals.extend(decl.gens)
-        elif isinstance(decl, _RulesDecl):
-            extra_rules.extend(decl.rules)
-        else:
-            raise EvalError("modulo clause names must refer to declared sets")
-    work_ctx = _extended_context(ctx, extra_rules) if extra_rules else ctx
-
-    def reduce(c: GradedClass) -> GradedClass:
-        if work_ctx is ctx:
-            return c
-        return GradedClass(ctx, work_ctx._nf(c.table))
-
-    diff = reduce(lhs - rhs)
-    if diff.is_zero():
-        return True, None
-    if not ideals:
-        return False, diff
-    pres = env.presentation_of(lhs)
-    gens = [reduce(g) for g in ideals if g.ring is ctx]
-    if len(gens) != len(ideals):
-        raise EvalError("ideal generators live in a different context")
-    p = ctx.modulus
-    residual_parts = []
+    and ideal generators.  On failure the witness is the exact residual:
+    the difference after the rules, minus its projection to the ideal's
+    span in each codegree (over Q, or F_p in a mod-p context), printed as
+    a class, or as (den * residual)/den when its coefficients are not
+    integers."""
+    pres, gens, diff = _reduction(env, lhs, rhs, modulo)
+    residual: dict[Monomial, Fraction] = {}
     for d in sorted(diff.codegrees()):
-        part = diff.homogeneous_part(d)
-        rows = []
-        for g in gens:
-            for gd in sorted(g.codegrees()):
-                gp = g.homogeneous_part(gd)
-                if gd > d:
-                    continue
-                for m in pres.basis_classes(d - gd):
-                    rows.append(pres.coordinates(reduce(gp * m), d))
-        vec = pres.coordinates(part, d)
-        if p:
-            ok, res = modp_in_rowspan(rows, vec, p)
-        else:
-            ok, res = rational_in_rowspan(rows, vec)
-        if not ok:
-            residual = pres.zero()
-            for coeff, m in zip(res, pres.basis_of(d)):
-                num = coeff if isinstance(coeff, int) else coeff.numerator
-                if num and (isinstance(coeff, int) or coeff.denominator == 1):
-                    residual = residual + ctx.from_table({m: int(num)})
-            residual_parts.append(residual if not residual.is_zero() else part)
-    if residual_parts:
-        witness = residual_parts[0]
-        for extra in residual_parts[1:]:
-            witness = witness + extra
-        return False, witness
-    return True, None
+        rows = ideal_span_rows(pres, gens, d) if gens else None
+        residual.update(_residual(pres, rows, diff, d))
+    return not residual, _witness(pres.ring, residual) if residual else None
 
 
 def verify_numerical(
@@ -515,21 +518,22 @@ def verify_numerical(
     """Pass iff lhs - rhs pairs to zero against every basis class of
     complementary codegree, modulo the declared sets: the products
     (lhs - rhs) * w must land in the declared ideal span at top codegree.
+    The witness is the exact residual of the first product that does not,
+    in the text form of ``verify_identity``, followed by
+    "(pairing against w)".
 
     This is the right notion for identities claimed only up to numerical
     equivalence below the top codegree.
     """
-    if lhs.ring is not rhs.ring:
-        raise EvalError("identity sides live in different contexts")
-    pres = env.presentation_of(lhs)
+    pres, gens, diff = _reduction(env, lhs, rhs, modulo)
     n = pres.dim
-    diff = lhs - rhs
+    rows = ideal_span_rows(pres, gens, n) if gens else None
     for d in sorted(diff.codegrees()):
         part = diff.homogeneous_part(d)
         for w in pres.basis_classes(n - d):
-            ok, witness = verify_identity(env, part * w, lhs.ring.zero(), modulo)
-            if not ok:
-                return False, f"{witness} (pairing against {w})"
+            residual = _residual(pres, rows, part * w, n)
+            if residual:
+                return False, f"{_witness(pres.ring, residual)} (pairing against {w})"
     return True, None
 
 
@@ -630,7 +634,7 @@ def _eval_context_form(env: Env, form: list, report: Report) -> None:
         finally:
             env.current = saved
         center = CenterData(fundamental=fundamental, roots=roots, restriction=restriction, name=f"Z({name})")
-        pres = blow_up(base, center, exceptional_gen=egen, extra_rules=[], name=name)
+        pres = blow_up(base, center, exceptional_gen=egen, name=name)
         if clauses.get("rules"):
             # declared rules mention the new exceptional generator, so they are
             # evaluated on the freshly built presentation and the ring rebuilt
@@ -639,14 +643,7 @@ def _eval_context_form(env: Env, form: list, report: Report) -> None:
                 extra = _eval_rule_pairs(env, clauses["rules"][0], report)
             finally:
                 env.current = saved
-            pres = blow_up(
-                base, center, exceptional_gen=egen,
-                extra_rules=[
-                    (GradedClass(pres.ring, {lead: 1}), GradedClass(pres.ring, dict(repl)))
-                    for lead, repl in extra
-                ],
-                name=name,
-            )
+            pres = blow_up(base, center, exceptional_gen=egen, extra_rules=extra, name=name)
         env.define(name, pres)
         env.current = pres
         return
@@ -722,7 +719,7 @@ def _eval_assertion(env: Env, form: list, report: Report, aid: str) -> Assertion
 
     if head == "assert-zero":
         rest = form[2:]
-        mod = _mod_clause(env, [c for c in rest[1:] if isinstance(c, list) and c and c[0] == "modulo"])
+        mod = _mod_clause(env, rest[1:])
         value = eval_expr(env, rest[0], report)
         if isinstance(value, miln.MilnorElement):
             ok = value.is_zero()
@@ -731,10 +728,10 @@ def _eval_assertion(env: Env, form: list, report: Report, aid: str) -> Assertion
         c = _as_class(env, value)
         ok, witness = verify_identity(env, c, c.ring.zero(), mod)
         return done(PASS if ok else FAIL, detail="class does not vanish" if not ok else "",
-                    witness=None if ok else str(witness))
+                    witness=witness)
     if head == "assert-equal":
         rest = form[2:]
-        mod = _mod_clause(env, [c for c in rest[2:] if isinstance(c, list) and c and c[0] == "modulo"])
+        mod = _mod_clause(env, rest[2:])
         a = eval_expr(env, rest[0], report)
         b = eval_expr(env, rest[1], report)
         if isinstance(a, miln.MilnorElement) or isinstance(b, miln.MilnorElement):
@@ -744,18 +741,16 @@ def _eval_assertion(env: Env, form: list, report: Report, aid: str) -> Assertion
         a = _as_class(env, a)
         b = _as_class(env, b)
         ok, witness = verify_identity(env, a, b, mod)
-        return done(PASS if ok else FAIL, detail="" if ok else "sides differ",
-                    witness=None if ok else str(witness))
+        return done(PASS if ok else FAIL, detail="" if ok else "sides differ", witness=witness)
     if head in ("assert-numzero", "assert-numequal"):
         rest = form[2:]
         split = 1 if head == "assert-numzero" else 2
-        mod = _mod_clause(env, [c for c in rest[split:] if isinstance(c, list) and c and c[0] == "modulo"])
+        mod = _mod_clause(env, rest[split:])
         a = _as_class(env, eval_expr(env, rest[0], report))
         b = a.ring.zero() if head == "assert-numzero" else _as_class(env, eval_expr(env, rest[1], report))
         ok, witness = verify_numerical(env, a, b, mod)
-        return done(PASS if ok else FAIL,
-                    detail="" if ok else "sides differ numerically",
-                    witness=None if ok else witness)
+        return done(PASS if ok else FAIL, detail="" if ok else "sides differ numerically",
+                    witness=witness)
     if head == "assert-deg":
         _expect(len(form) == 4 and isinstance(form[3], int), "(assert-deg TAG expr INT)")
         c = _as_class(env, eval_expr(env, form[2], report))

@@ -705,7 +705,7 @@ def blow_up(
     center: CenterData,
     exceptional_gen: str = "e",
     tangent: Optional[GradedClass] = None,
-    extra_rules: Iterable[tuple[GradedClass, GradedClass]] = (),
+    extra_rules: Iterable[tuple[Monomial, Mapping[Monomial, int]]] = (),
     name: Optional[str] = None,
 ) -> ChowPresentation:
     """Blow-up of X along a center satisfying the coverage requirement.
@@ -717,7 +717,9 @@ def blow_up(
       codegree above dim Z (classes of the center vanish above its
       dimension); e*m for any other such m is a multiple of one of these;
     * e^r -> (-1)^{r-1} [Z] + sum_{j=1}^{r-1} (-1)^{j+r-1} c_{r-j}(N) e^j,
-      which folds the top fiber power back into the ambient component.
+      which folds the top fiber power back into the ambient component;
+    * then ``extra_rules``, (lead monomial, {monomial: coefficient}) pairs
+      as ``generic_context(raw_rules=)`` takes them.
     """
     if center.fundamental.ring is not X.ring:
         raise ContextMismatch("center data must live on the ambient presentation")
@@ -802,14 +804,7 @@ def blow_up(
             fold[t] = fold.get(t, 0) + sgn * c
     rules.append((Monomial([(e_idx, r)]), fold))
     # scenario-declared extra rules
-    for lead_cls, repl_cls in extra_rules:
-        if isinstance(lead_cls, GradedClass):
-            if len(lead_cls.table) != 1 or set(lead_cls.table.values()) != {1}:
-                raise CoverageError("extra rule lead must be a single monic monomial")
-            lead = next(iter(lead_cls.table))
-        else:
-            lead = lead_cls
-        rules.append((lead, dict(repl_cls.table)))
+    rules.extend((lead, dict(repl)) for lead, repl in extra_rules)
 
     ring = RingContext(
         names, codegrees, modulus=X.ring.modulus, dimension=X.dim, rules=rules

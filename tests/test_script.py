@@ -152,9 +152,23 @@ class TestEvaluator:
         ))
         assert rep.ok
 
+    def test_malformed_trailing_clauses_are_errors(self):
+        rep = run_scenario(parse_script(
+            "(generic X 2 (gens (x 1) (y 1)))"
+            "(declare-ideal J (mul x y))"
+            "(assert-zero (trivial) (mul x y) (modolu J))"
+            "(assert-equal (trivial) (mul x y) 0 (modulo J) junk)"
+            "(assert-numzero (trivial) (mul x y) junk)"
+        ))
+        assert [(r.verdict, r.detail) for r in rep.results] == [
+            (ERROR, "EvalError: expected (modulo NAME ...)")] * 3
+
     def test_unknown_form_is_error(self):
         rep = run_scenario(parse_script("(frobnicate 1 2)"))
         assert rep.results[0].verdict == ERROR
+
+
+J_2X_PLUS_Y = "(declare-ideal J (add (scale 2 x) y))"
 
 
 class TestVerifyIdentity:
@@ -170,7 +184,31 @@ class TestVerifyIdentity:
         assert ok and witness is None
         ok, witness = verify_identity(env, x * x * x, X.zero(), [_IdealDecl([x * y])])
         assert not ok
-        assert witness is not None and not witness.is_zero()
+        assert witness == "x^3"
+
+    # J = 2x + y: over Q, x + z is z - y/2 modulo J, so the exact residual
+    # has a denominator; a witness of z alone would not be in the class.
+    @pytest.mark.parametrize("src, witness", [
+        ("(generic X 2 (gens (x 1) (y 1) (z 1)))" + J_2X_PLUS_Y
+         + "(assert-zero (trivial) (add x z) (modulo J))",
+         "(-y + 2*z)/2"),
+        # (x + z) * x = x^2 + x*z is y^2/4 - y*z/2 modulo J*x, J*y, J*z
+        ("(generic X 2 (gens (x 1) (y 1) (z 1)))" + J_2X_PLUS_Y
+         + "(assert-numzero (trivial) (add x z) (modulo J))",
+         "(y^2 - 2*y*z)/4 (pairing against x)"),
+        # x*y - x*z is z^2 - x*z under R, and y*z/2 + z^2 modulo J
+        ("(generic X 3 (gens (x 1) (y 1) (z 1)))" + J_2X_PLUS_Y
+         + "(declare-rules R ((mul x y) (mul z z)))"
+         "(assert-equal (trivial) (mul x y) (mul x z) (modulo R J))",
+         "(y*z + 2*z^2)/2"),
+        # over F_3, 2 is invertible: x + z - 2*(2x + y) = y + z
+        ("(generic X 2 (mod 3) (gens (x 1) (y 1) (z 1)))" + J_2X_PLUS_Y
+         + "(assert-zero (trivial) (add x z) (modulo J))",
+         "y + z"),
+    ], ids=["fractional", "numerical", "rules-then-ideal", "mod-3"])
+    def test_exact_residual_witness(self, src, witness):
+        rep = run_scenario(parse_script(src))
+        assert [(r.verdict, r.witness) for r in rep.results] == [(FAIL, witness)]
 
 
 class TestReports:

@@ -168,6 +168,15 @@ class TestBlowUp:
         Bl = blow_up(Pn, center)
         assert Bl.degree(Bl.gen("e") ** n) == (-1) ** (n - 1)
 
+    def test_extra_rules_are_monomial_pairs(self):
+        P3 = projective_space(3)
+        h = P3.gen("h")
+        center = CenterData.complete_intersection([h, h], name="line")
+        h3 = Monomial([(0, 3)])
+        assert not blow_up(P3, center).ring.from_table({h3: 1}).is_zero()
+        Bl = blow_up(P3, center, extra_rules=[(h3, {})])
+        assert Bl.ring.from_table({h3: 1}).is_zero()
+
     def test_pullback_of_center_class_decomposes(self):
         # codim-2 center: [Z] = c_1(N) e - e^2 is the fold rule rearranged
         P3 = projective_space(3)
