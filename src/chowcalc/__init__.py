@@ -80,7 +80,6 @@ from .numeric import (
     integer_determinant,
     kernel_is_ideal,
     numerical_kernel,
-    pairing_matrix,
     pairing_report,
 )
 from .report import Report, emit_report

@@ -14,10 +14,15 @@ of square-free indices and s a coefficient-algebra basis element.  Every
 word carries a bidegree (a)[b]: r_i sits in (-d_i)[-2d_i - 1] with
 d_i = 2^i - 1, and a coefficient element of weight t sits in (t)[t].
 
+An index set I is the binary number 2^I = sum of 2^i over i in I, so a
+product r_I * r_J is the binary sum 2^I + 2^J: each carry costs one factor
+rho, and a carry out of the top square-free index raises the eta power.
+
 The differentials act by Q_i(r_j) = delta_ij, extended as derivations on
 words; on products of elements the composite operations satisfy the
 comultiplication rule with rho-correction terms, which ``comult_check``
-verifies by exhaustive enumeration of the carry decompositions.
+verifies term by term: each 2^I in 0..2^K forces 2^J = 2^K - 2^I, and the
+term carries rho^c with c the carry count |I| + |J| - |K| of that sum.
 
 The periodic quotient module attaches words with negative eta exponents;
 the ring acts with products landing back in the ring part quotiented away.
@@ -26,7 +31,6 @@ the ring acts with products landing back in the ring part quotiented away.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Sequence
 
@@ -195,47 +199,25 @@ class MilnorRing:
     # -- word algebra ----------------------------------------------------
 
     def word_bidegree(self, w: Word) -> BiDegree:
-        a = 0
-        b = 0
-        for i in w.I:
-            d = 2**i - 1
-            a += -d
-            b += -2 * d - 1
-        if w.k:
-            d = 2**self.n_sq - 1
-            a += w.k * (-d)
-            b += w.k * (-2 * d - 1)
+        # r_i sits in (1 - 2^i)[1 - 2^(i+1)] and eta in the same with i = n_sq
+        n = len(w.I) + w.k
+        s = _power_sum(w.I) + (w.k << self.n_sq)
         t = self.ia.weights[w.s]
-        return BiDegree(a + t, b + t)
+        return BiDegree(n - s + t, n - 2 * s + t)
 
     def _mul_words(self, w1: Word, w2: Word) -> frozenset[Word]:
-        k = w1.k + w2.k
-        I = set(w1.I ^ w2.I)
-        carries = sorted(w1.I & w2.I)
-        rho_pow = 0
-        while carries:
-            c = carries.pop(0)
-            target = c + 1
-            rho_pow += 1
-            if self.has_eta and target == self.n_sq:
-                k += 1
-            elif target >= self.n_sq and not self.has_eta:
-                # square beyond the exterior range: rho = 0 kills it anyway
-                pass
-            elif target in I:
-                I.discard(target)
-                carries = sorted(set(carries) | {target})
-            else:
-                I.add(target)
-        if rho_pow and self.ia.rho is None:
+        a = _power_sum(w1.I)
+        b = _power_sum(w2.I)
+        carries = a.bit_count() + b.bit_count() - (a + b).bit_count()
+        if carries and self.ia.rho is None:
             return frozenset()
         s_set = self.ia.mul(w1.s, w2.s)
-        for _ in range(rho_pow):
-            acc: set[int] = set()
-            for s in s_set:
-                acc ^= self.ia.mul(s, self.ia.rho)
-            s_set = frozenset(acc)
-        return frozenset(Word(k, frozenset(I), s) for s in s_set)
+        for _ in range(carries):
+            s_set = self.ia._mul_set(s_set, self.ia.rho)
+        # bits below n_sq are the new index set; a carry out of r_{n_sq-1} is eta
+        top, low = divmod(a + b, 1 << self.n_sq)
+        I = frozenset(_bits(low))
+        return frozenset(Word(w1.k + w2.k + top, I, s) for s in s_set)
 
     # -- enumeration --------------------------------------------------------
 
@@ -279,19 +261,15 @@ class MilnorRing:
             "q_action": {
                 str(i): {
                     wname(w): [wname(v) for v in sorted(
-                        q_apply(i, self.element([w])).words,
-                        key=lambda v: (v.k, sorted(v.I), v.s),
+                        img.words, key=lambda v: (v.k, sorted(v.I), v.s),
                     )]
                     for w in words
-                    if not q_apply(i, self.element([w])).is_zero()
+                    if not (img := q_apply(i, self.element([w]))).is_zero()
                 }
                 for i in self.q_indices
             },
         }
         return doc
-
-    def dump_json(self, k_max: int = 2) -> str:
-        return json.dumps(self.to_json(k_max=k_max), sort_keys=True)
 
     def __repr__(self):
         return f"<MilnorRing {self.name}>"
@@ -408,35 +386,32 @@ def q_composite(indices: Iterable[int], e: MilnorElement) -> MilnorElement:
 
 
 def _power_sum(I: Iterable[int]) -> int:
-    return sum(2**i for i in I)
+    return sum(1 << i for i in I)
+
+
+def _bits(a: int) -> list[int]:
+    return [i for i in range(a.bit_length()) if a >> i & 1]
 
 
 def comult_check(K: Iterable[int], x: MilnorElement, y: MilnorElement) -> bool:
-    """Q_K(x*y) = sum over 2^I + 2^J = 2^K of Q_I(x) * Q_J(y) * rho^(|I|+|J|-|K|),
-    with the sum enumerated exhaustively over index subsets."""
+    """Q_K(x*y) = sum over 2^I + 2^J = 2^K of Q_I(x) * Q_J(y) * rho^(|I|+|J|-|K|).
+
+    Every 2^I in 0..2^K is an index set and forces 2^J = 2^K - 2^I, so one
+    pass over those integers visits each term exactly once."""
     ring = x.ring
     if y.ring is not ring:
         raise MilnorError("elements of different rings")
     K = frozenset(K)
     lhs = q_composite(K, x * y)
-    target = _power_sum(K)
+    sK = _power_sum(K)
+    rho = ring.rho_elem()
     rhs = ring.zero()
-    idxs = list(ring.q_indices)
-    for rI in range(len(idxs) + 1):
-        for I in itertools.combinations(idxs, rI):
-            sI = _power_sum(I)
-            if sI > target:
-                continue
-            for rJ in range(len(idxs) + 1):
-                for J in itertools.combinations(idxs, rJ):
-                    if sI + _power_sum(J) != target:
-                        continue
-                    corr = len(I) + len(J) - len(K)
-                    term = q_composite(I, x) * q_composite(J, y)
-                    rho = ring.rho_elem()
-                    for _ in range(corr):
-                        term = term * rho
-                    rhs = rhs + term
+    for sI in range(sK + 1):
+        sJ = sK - sI
+        term = q_composite(_bits(sI), x) * q_composite(_bits(sJ), y)
+        for _ in range(sI.bit_count() + sJ.bit_count() - len(K)):
+            term = term * rho
+        rhs = rhs + term
     return lhs == rhs
 
 
@@ -503,9 +478,6 @@ class PeriodicModule:
     def act(self, ring_elem: MilnorElement, mod_elem: MilnorElement) -> MilnorElement:
         raw = ring_elem * mod_elem
         return self.ring.element(w for w in raw.words if w.k < 0)
-
-    def q_apply(self, i: int, e: MilnorElement) -> MilnorElement:
-        return q_apply(i, e)
 
 
 def q_homology_dimensions(

@@ -222,14 +222,6 @@ def _integer_pairing(X: ChowPresentation, r: int) -> list[list[int]]:
     return rows
 
 
-def pairing_matrix(X: ChowPresentation, r: int, p: int) -> list[list[int]]:
-    """M[i][j] = deg(b_i * bdual_j) mod p for the stored bases of Ch^r and
-    Ch^{dim-r}."""
-    if not (0 <= r <= X.dim):
-        raise ValueError("codegree out of range")
-    return [[v % p for v in row] for row in _integer_pairing(X, r)]
-
-
 def pairing_report(X: ChowPresentation, p: int) -> PairingReport:
     rep = PairingReport(variety=X.name, prime=p)
     n = X.dim

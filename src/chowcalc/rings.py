@@ -448,8 +448,13 @@ class GradedClass:
         if k < 0:
             raise ValueError("negative power")
         acc = self.ring.one()
-        for _ in range(k):
-            acc = acc * self
+        square = self
+        while k:
+            if k & 1:
+                acc = acc * square
+            k >>= 1
+            if k:
+                square = square * square
         return acc
 
     def homogeneous_part(self, d: int) -> "GradedClass":

@@ -247,6 +247,8 @@ class Env:
 
     def presentation_of(self, c: GradedClass) -> ChowPresentation:
         pres = self.pres_by_ring.get(id(c.ring))
+        if pres is None and isinstance(self.current, ChowPresentation) and self.current.ring is c.ring:
+            pres = self.current  # a context form's presentation, not yet bound
         if pres is None:
             raise EvalError("class does not belong to a known presentation")
         return pres
@@ -658,26 +660,31 @@ def _eval_context_form(env: Env, form: list, report: Report) -> None:
             _expect(isinstance(g, list) and len(g) == 2, "(gens (NAME CODEG) ...)")
             gens.append((g[0], g[1]))
         pres = generic_context([(n, d) for n, d in gens], dim, modulus=mod, name=name)
-        env.define(name, pres)
+        # the clauses are read on the rule-free presentation, which stays
+        # unbound: a clause that fails leaves the environment as it was
+        saved = env.current
         env.current = pres
-        raw_rules = []
-        if "rules" in clauses:
-            raw_rules = _eval_rule_pairs(env, clauses["rules"][0], report)
-        degrees = {}
-        if "degrees" in clauses:
-            for entry in clauses["degrees"][0]:
-                _expect(isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int), "(degrees (MONO INT) ...)")
-                mono_cls = _as_class(env, eval_expr(env, entry[0], report))
-                _expect(len(mono_cls.table) == 1 and set(mono_cls.table.values()) == {1}, "degree entries need monic monomials")
-                degrees[next(iter(mono_cls.table))] = entry[1]
-        tangent_tbl = None
-        if "tangent" in clauses:
-            t = _as_class(env, eval_expr(env, clauses["tangent"][0][0], report))
-            tangent_tbl = dict(t.table)
-        if raw_rules or degrees or tangent_tbl is not None:
+        try:
+            rules = []
+            if "rules" in clauses:
+                rules = _eval_rule_pairs(env, clauses["rules"][0], report)
+            degrees = {}
+            if "degrees" in clauses:
+                for entry in clauses["degrees"][0]:
+                    _expect(isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int), "(degrees (MONO INT) ...)")
+                    mono_cls = _as_class(env, eval_expr(env, entry[0], report))
+                    _expect(len(mono_cls.table) == 1 and set(mono_cls.table.values()) == {1}, "degree entries need monic monomials")
+                    degrees[next(iter(mono_cls.table))] = entry[1]
+            tangent_tbl = None
+            if "tangent" in clauses:
+                t = _as_class(env, eval_expr(env, clauses["tangent"][0][0], report))
+                tangent_tbl = dict(t.table)
+        finally:
+            env.current = saved
+        if rules or degrees or tangent_tbl is not None:
             pres = generic_context(
                 [(n, d) for n, d in gens], dim, modulus=mod, name=name,
-                raw_rules=raw_rules, degrees=degrees or None, tangent_table=tangent_tbl,
+                rules=rules, degrees=degrees or None, tangent_table=tangent_tbl,
             )
         env.define(name, pres)
         env.current = pres

@@ -155,8 +155,6 @@ class ChowPresentation:
         degree_total: bool,
         tangent: Optional[GradedClass],
         base: Optional["ChowPresentation"] = None,
-        factors: Optional[tuple["ChowPresentation", "ChowPresentation"]] = None,
-        renames: Optional[tuple[dict, dict]] = None,
         center: Optional[CenterData] = None,
         provenance: Optional[dict] = None,
         name: Optional[str] = None,
@@ -169,8 +167,6 @@ class ChowPresentation:
         self.degree_total = degree_total
         self.tangent = tangent
         self.base = base
-        self.factors = factors
-        self.renames = renames
         self.center = center
         self.provenance = provenance or {"constructor": kind}
         self.name = name or kind
@@ -254,16 +250,6 @@ class ChowPresentation:
         table = {m: coeff for m, coeff in c.table.items()}
         return self.ring.from_table(table)
 
-    def pullback_from_factor(self, i: int, c: GradedClass) -> GradedClass:
-        if self.factors is None:
-            raise CoverageError(f"presentation {self.name!r} is not a product")
-        factor = self.factors[i]
-        if c.ring is not factor.ring:
-            raise ContextMismatch("class does not live on the chosen factor")
-        rename = self.renames[i]
-        images = {old: self.gen(new) for old, new in rename.items()}
-        return evaluate(c, images, self.ring)
-
     def pushforward(self, c: GradedClass) -> GradedClass:
         """Pushforward along the constructor edge (this presentation -> base)."""
         if self.base is None:
@@ -324,8 +310,6 @@ class ChowPresentation:
             degree_total=self.degree_total,
             tangent=ring.from_table(self.tangent.table) if self.tangent is not None else None,
             base=self.base.with_coefficients(p) if self.base is not None else None,
-            factors=tuple(f.with_coefficients(p) for f in self.factors) if self.factors else None,
-            renames=self.renames,
             center=self.center,
             provenance=dict(self.provenance),
             name=self.name,
@@ -595,8 +579,6 @@ def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None
         degree_table=degree_table,
         degree_total=degree_total,
         tangent=tangent,
-        factors=(X, Y),
-        renames=(ra, rb),
         provenance={
             "constructor": "product",
             "factors": [X.name, Y.name],
@@ -719,7 +701,7 @@ def blow_up(
     * e^r -> (-1)^{r-1} [Z] + sum_{j=1}^{r-1} (-1)^{j+r-1} c_{r-j}(N) e^j,
       which folds the top fiber power back into the ambient component;
     * then ``extra_rules``, (lead monomial, {monomial: coefficient}) pairs
-      as ``generic_context(raw_rules=)`` takes them.
+      as ``generic_context(rules=)`` takes them.
     """
     if center.fundamental.ring is not X.ring:
         raise ContextMismatch("center data must live on the ambient presentation")
@@ -862,23 +844,18 @@ def blow_up(
 def generic_context(
     generators: Sequence[tuple[str, int]],
     dimension: int,
-    rules: Iterable[tuple[GradedClass, GradedClass]] = (),
+    rules: Iterable[tuple[Monomial, Mapping[Monomial, int]]] = (),
     modulus: int = 0,
     degrees: Optional[Mapping[Monomial, int]] = None,
     tangent_table: Optional[Mapping[Monomial, int]] = None,
     name: Optional[str] = None,
-    raw_rules: Iterable[tuple[Monomial, Mapping[Monomial, int]]] = (),
 ) -> ChowPresentation:
-    """A presentation with declared generators and oriented rules, a partial
-    (or absent) degree functional, and truncation above the dimension."""
+    """A presentation with declared generators and oriented rules, given as
+    (lead monomial, {monomial: coefficient}) pairs, a partial (or absent)
+    degree functional, and truncation above the dimension."""
     names = [n for n, _ in generators]
     codegs = [d for _, d in generators]
-    staged = list(raw_rules)
-    for lead_cls, repl_cls in rules:
-        if len(lead_cls.table) != 1 or set(lead_cls.table.values()) != {1}:
-            raise ValueError("generic rule lead must be a single monic monomial")
-        staged.append((next(iter(lead_cls.table)), dict(repl_cls.table)))
-    ring = RingContext(names, codegs, modulus=modulus, dimension=dimension, rules=staged)
+    ring = RingContext(names, codegs, modulus=modulus, dimension=dimension, rules=rules)
     basis = enumerate_basis(ring)
     tangent = None
     if tangent_table is not None:

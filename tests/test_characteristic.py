@@ -17,7 +17,7 @@ from chowcalc.characteristic import (
     steenrod_embedded,
     steenrod_total,
 )
-from chowcalc.rings import random_class
+from chowcalc.rings import Monomial, random_class
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
@@ -122,13 +122,11 @@ class TestSteenrodTotal:
             steenrod_total(P2, P2.gen("h"))
 
     def test_closure_check_rejects_bad_rules(self):
-        X = generic_context([("x", 1), ("y", 1), ("z", 1)], 4, modulus=2)
-        x, y, z = X.gen("x"), X.gen("y"), X.gen("z")
         # x^2 -> yz is not stable under x -> x + x^2: the obstruction
         # y z^2 + y^2 z survives reduction
         bad = generic_context(
             [("x", 1), ("y", 1), ("z", 1)], 4, modulus=2,
-            rules=[(x * x, y * z)],
+            rules=[(Monomial([(0, 2)]), {Monomial([(1, 1), (2, 1)]): 1})],
         )
         with pytest.raises(NotSteenrodClosed):
             steenrod_total(bad, bad.gen("x"))

@@ -1,8 +1,10 @@
 import itertools
 import json
+import random
 
 import pytest
 
+from chowcalc import milnor
 from chowcalc.milnor import (
     BiDegree,
     MilnorError,
@@ -18,6 +20,74 @@ from chowcalc.milnor import (
     trivial_ia,
     truncated_symbol_ia,
 )
+
+
+# References for the word arithmetic: the carry loop, the enumeration of all
+# pairs of index subsets, and the bidegree summed generator by generator.
+
+def ref_mul_words(R, w1, w2):
+    k = w1.k + w2.k
+    I = set(w1.I ^ w2.I)
+    carries = sorted(w1.I & w2.I)
+    rho_pow = 0
+    while carries:
+        c = carries.pop(0)
+        target = c + 1
+        rho_pow += 1
+        if R.has_eta and target == R.n_sq:
+            k += 1
+        elif target >= R.n_sq and not R.has_eta:
+            pass
+        elif target in I:
+            I.discard(target)
+            carries = sorted(set(carries) | {target})
+        else:
+            I.add(target)
+    if rho_pow and R.ia.rho is None:
+        return frozenset()
+    s_set = R.ia.mul(w1.s, w2.s)
+    for _ in range(rho_pow):
+        acc = set()
+        for s in s_set:
+            acc ^= R.ia.mul(s, R.ia.rho)
+        s_set = frozenset(acc)
+    return frozenset(Word(k, frozenset(I), s) for s in s_set)
+
+
+def ref_comult_pairs(indices, K):
+    subsets = [
+        frozenset(I) for r in range(len(indices) + 1)
+        for I in itertools.combinations(indices, r)
+    ]
+    target = sum(2**i for i in K)
+    return {
+        (I, J) for I in subsets for J in subsets
+        if sum(2**i for i in I) + sum(2**j for j in J) == target
+    }
+
+
+def ref_comult_rhs(K, x, y):
+    R = x.ring
+    rhs = R.zero()
+    for I, J in ref_comult_pairs(list(R.q_indices), K):
+        term = q_composite(I, x) * q_composite(J, y)
+        for _ in range(len(I) + len(J) - len(K)):
+            term = term * R.rho_elem()
+        rhs = rhs + term
+    return rhs
+
+
+def ref_bidegree(R, w):
+    a = b = 0
+    for i in w.I:
+        d = 2**i - 1
+        a += -d
+        b += -2 * d - 1
+    d = 2**R.n_sq - 1
+    a += w.k * (-d)
+    b += w.k * (-2 * d - 1)
+    t = R.ia.weights[w.s]
+    return BiDegree(a + t, b + t)
 
 
 def symbol_rings(ms=(2, 3, 4), heights=(1, 3)):
@@ -171,6 +241,66 @@ class TestComultiplication:
                     assert comult_check(K, R.element([w1]), R.element([w2]))
 
 
+class TestWordArithmeticMatchesReference:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_symbol_ring_products_and_bidegrees(self, m, h):
+        R = make_ring(m, truncated_symbol_ia(h))
+        M = PeriodicModule(R)
+        words = R.basis_words(k_max=2)
+        module_words = R.basis_words(k_max=-1, k_min=-2)
+        for w in words + module_words:
+            assert R.word_bidegree(w) == ref_bidegree(R, w)
+        for w1 in words:
+            for w2 in words + module_words:
+                expected = ref_mul_words(R, w1, w2)
+                assert R._mul_words(w1, w2) == expected
+                assert R._mul_words(w2, w1) == expected
+            for w2 in module_words:
+                got = M.act(R.element([w1]), M.element([w2]))
+                assert got.words == {w for w in ref_mul_words(R, w1, w2) if w.k < 0}
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_flexible_products_and_bidegrees(self, n):
+        F = flexible_cohomology(n)
+        words = F.basis_words()
+        for w1 in words:
+            assert F.word_bidegree(w1) == ref_bidegree(F, w1)
+            for w2 in words:
+                assert F._mul_words(w1, w2) == ref_mul_words(F, w1, w2)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_comult_terms_are_complements(self, n):
+        indices = list(range(n))
+        for r in range(n + 1):
+            for K in itertools.combinations(indices, r):
+                sK = sum(2**i for i in K)
+                terms = [
+                    (frozenset(milnor._bits(sI)), frozenset(milnor._bits(sK - sI)))
+                    for sI in range(sK + 1)
+                ]
+                assert len(set(terms)) == len(terms)
+                assert set(terms) == ref_comult_pairs(indices, K)
+
+    @pytest.mark.parametrize(
+        "R",
+        [make_ring(3, truncated_symbol_ia(3)), make_ring(4, truncated_symbol_ia(2)),
+         flexible_cohomology(3)],
+        ids=["m3h3", "m4h2", "flex3"],
+    )
+    def test_comult_every_K_on_sampled_pairs(self, R):
+        rng = random.Random(7)
+        words = R.basis_words(k_max=2 if R.has_eta else 0)
+        idxs = list(R.q_indices)
+        Ks = [K for r in range(1, len(idxs) + 1) for K in itertools.combinations(idxs, r)]
+        for _ in range(30):
+            x = R.element([rng.choice(words)])
+            y = R.element([rng.choice(words)])
+            for K in Ks:
+                assert comult_check(K, x, y)
+                assert ref_comult_rhs(K, x, y) == q_composite(K, x * y)
+
+
 class TestRestriction:
     def proj(self, src, tgt):
         # coefficient projection: rho^k -> rho^k when present in the target
@@ -225,8 +355,8 @@ class TestPeriodicModule:
     def test_eta_derivative(self):
         R = make_ring(3, trivial_ia())
         M = PeriodicModule(R)
-        assert M.q_apply(R.top_index, M.generator(1)) == M.generator(2)
-        assert M.q_apply(R.top_index, M.generator(2)).is_zero()
+        assert q_apply(R.top_index, M.generator(1)) == M.generator(2)
+        assert q_apply(R.top_index, M.generator(2)).is_zero()
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_exactness_on_combined_model(self, m):
@@ -240,7 +370,7 @@ class TestPeriodicModule:
 class TestJsonDump:
     def test_dump_structure(self):
         R = make_ring(3, truncated_symbol_ia(2))
-        doc = json.loads(R.dump_json(k_max=1))
+        doc = json.loads(json.dumps(R.to_json(k_max=1), sort_keys=True))
         assert doc["square_free_generators"] == 2
         assert doc["polynomial_top"] is True
         assert any(b["word"] == "r{0}" for b in doc["basis"])

@@ -16,7 +16,6 @@ from chowcalc.numeric import (
     modp_rank,
     modp_rref,
     numerical_kernel,
-    pairing_matrix,
     pairing_report,
     rational_in_rowspan,
 )
@@ -160,18 +159,17 @@ class TestMembership:
 
 class TestPairings:
     def test_plane(self):
-        assert pairing_matrix(projective_space(2), 1, 5) == [[1]]
+        assert pairing_report(projective_space(2), 5).codegrees[1].matrix == [[1]]
 
     def test_quadric_surface(self):
         P1 = projective_space(1)
         Q = product(P1, P1)
-        assert pairing_matrix(Q, 1, 2) == [[0, 1], [1, 0]]
+        assert pairing_report(Q, 2).codegrees[1].matrix == [[0, 1], [1, 0]]
 
     def test_blown_up_plane(self):
         Bl = bl_point_plane()
         rep = pairing_report(Bl, 3)
         assert rep.codegrees[1].matrix == [[1, 0], [0, -1]]
-        assert pairing_matrix(Bl, 1, 3) == [[1, 0], [0, 2]]
 
     @pytest.mark.parametrize("n,p", [(1, 2), (3, 3), (4, 5)])
     def test_projective_space_kernels(self, n, p):
@@ -208,9 +206,9 @@ class TestPairings:
             name="partial",
         )
         with pytest.raises(CoverageError):
-            pairing_matrix(X, 1, 2)
+            pairing_report(X, 2)
         with pytest.raises(CoverageError):
-            pairing_matrix(generic_context([("x", 1)], 2, name="nodeg"), 1, 2)
+            pairing_report(generic_context([("x", 1)], 2, name="nodeg"), 2)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_towers_unimodular(self, seed):

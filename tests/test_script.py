@@ -92,6 +92,18 @@ class TestEvaluator:
         ))
         assert rep.ok
 
+    def test_context_clauses_see_their_presentation(self):
+        # clauses run before the context is bound, yet operations that need
+        # the presentation (here the total Steenrod square) still find it
+        rep = run_scenario(parse_script(
+            "(generic X 3 (mod 2) (gens (x 1)) (tangent (steenrod x)))"
+            "(assert-equal (trivial) (tangent X) (add x (mul x x)))"
+            "(pspace P 3 (mod 2))"
+            "(blowup B P e (class (mul h h)) (roots 0 h) (rules ((mul e (steenrod h)) 0)))"
+            "(assert-zero (trivial) (mul e h))"
+        ))
+        assert rep.ok, [(r.verdict, r.detail) for r in rep.results]
+
     def test_empty_script(self):
         rep = run_scenario(parse_script(""))
         assert rep.ok
