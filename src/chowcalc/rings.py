@@ -24,6 +24,16 @@ result depends on that strategy is decided on demand by
 (Buchberger's criterion).  Reduction carries a step budget so that an
 ill-founded rule set raises instead of spinning.
 
+Products go through a memo on the ring: the normal form of m1*m2 for two
+monomials is computed once and stored, and a product of classes adds up
+c1*c2 times the stored tables.  This is sound for every terminating rule
+set, confluent or not.  The strategy above rewrites each monomial m by
+one fixed rule, so m has one fixed normal form f(m), and every rewriting
+step keeps the sum of c*f(m) over the pending terms unchanged; hence the
+normal form of a table is the sum of c*f(m) over its terms.  Truncation
+and reduction mod p are linear too.  In a ring with a finite basis the
+memo is in effect the table of structure constants.
+
 No floating point is used anywhere; everything is exact.
 """
 
@@ -157,6 +167,13 @@ class RingContext:
     rule whose lead is a proper multiple of another rule's lead and which
     is a consequence of the kept rules (checked without truncation, so the
     drop stays valid in rings of higher dimension that copy these rules).
+
+    ``_products`` memoises the normal form of each product of two monomials,
+    keyed by their exponent tuples; ``gen`` and class products read it, and
+    its size is ``len(ring._products)``.  It needs no confluence: the fixed
+    reduction strategy makes the normal form linear (see the module
+    docstring).  A product whose reduction exceeds the step budget raises and
+    stores nothing, so the budget counts steps per monomial product.
     """
 
     def __init__(
@@ -184,6 +201,7 @@ class RingContext:
         self._index = {n: i for i, n in enumerate(self.names)}
         self.rules: tuple[RewriteRule, ...] = ()
         self._install_rules(rules)
+        self._products: dict[tuple, tuple[tuple[Monomial, int], ...]] = {}
 
     # -- construction -------------------------------------------------
 
@@ -304,7 +322,7 @@ class RingContext:
 
     def gen(self, name: str) -> "GradedClass":
         m = Monomial([(self.gen_index(name), 1)])
-        return GradedClass(self, self._nf({m: 1}))
+        return GradedClass(self, dict(self._product(MONOMIAL_ONE, m)))
 
     def from_table(self, table: Mapping[Monomial, int]) -> "GradedClass":
         return GradedClass(self, self._nf(table))
@@ -312,10 +330,22 @@ class RingContext:
     # -- reduction -------------------------------------------------------
 
     def _matching_rule(self, m: Monomial) -> Optional[RewriteRule]:
+        have = dict(m.exps).get
         for rule in self.rules:
-            if rule.lead.divides(m):
+            for i, e in rule.lead.exps:
+                if have(i, 0) < e:
+                    break
+            else:
                 return rule
         return None
+
+    def _product(self, m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, int], ...]:
+        """The normal form of m1*m2 as (monomial, coefficient) pairs, memoised."""
+        key = (m1.exps, m2.exps)
+        nf = self._products.get(key)
+        if nf is None:
+            nf = self._products[key] = tuple(self._nf({m1.mul(m2): 1}).items())
+        return nf
 
     def _nf(
         self, table: Mapping[Monomial, int], truncate: bool = True
@@ -426,12 +456,21 @@ class GradedClass:
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        raw: dict[Monomial, int] = {}
+        ring = self.ring
+        product = ring._product
+        acc: dict[Monomial, int] = {}
         for m1, c1 in self.table.items():
             for m2, c2 in other.table.items():
-                t = m1.mul(m2)
-                raw[t] = raw.get(t, 0) + c1 * c2
-        return GradedClass(self.ring, self.ring._nf(raw))
+                c = c1 * c2
+                for m, k in product(m1, m2):
+                    acc[m] = acc.get(m, 0) + c * k
+        red = ring._red
+        out = {}
+        for m, c in acc.items():
+            c = red(c)
+            if c:
+                out[m] = c
+        return GradedClass(ring, out)
 
     __rmul__ = __mul__
 
@@ -447,6 +486,10 @@ class GradedClass:
     def __pow__(self, k: int) -> "GradedClass":
         if k < 0:
             raise ValueError("negative power")
+        dim = self.ring.dimension
+        if dim is not None and k > max(dim, 0) and not self.constant_term():
+            # every term has codegree >= 1, so the power lies above the dimension
+            return self.ring.zero()
         acc = self.ring.one()
         square = self
         while k:

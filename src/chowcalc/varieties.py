@@ -377,8 +377,25 @@ class ChowPresentation:
 
 
 def presentation_from_json(doc: dict) -> ChowPresentation:
+    """The presentation a ``to_json`` document describes.
+
+    A document of the wrong shape (not an object, a field missing or of the
+    wrong type, or rules the ring rejects) raises ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("a presentation must be a JSON object")
     if doc.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported presentation schema version {doc.get('version')}")
+    dim = doc.get("dimension")
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"presentation dimension must be a non-negative integer, not {dim!r}")
+    try:
+        return _presentation_from_doc(doc)
+    except (AttributeError, KeyError, TypeError, RingError) as exc:
+        raise ValueError(f"malformed presentation: {type(exc).__name__}: {exc}") from exc
+
+
+def _presentation_from_doc(doc: dict) -> ChowPresentation:
     names = [g["name"] for g in doc["generators"]]
     codegrees = [g["codegree"] for g in doc["generators"]]
     ring = RingContext(names, codegrees, modulus=doc["modulus"], dimension=doc["dimension"])

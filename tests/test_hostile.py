@@ -1,10 +1,15 @@
 """Hostile and ill-defined scripts: each ends in a verdict, within a time
 bound, and an error never leaves a half-built context behind."""
 
+import json
 import time
 
+import pytest
+
+from chowcalc.cli import main
 from chowcalc.report import ERROR, PASS
 from chowcalc.script import parse_script, run_scenario
+from chowcalc.varieties import projective_space
 
 
 def verdicts(text: str, bound_s: float = 2.0) -> list:
@@ -38,3 +43,34 @@ def test_failed_generic_form_keeps_current_context():
         "(assert-zero (trivial) (pow h 3))"
     )
     assert [r.verdict for r in results] == [ERROR, PASS]
+
+
+def test_power_past_dimension_is_zero_at_once():
+    P3 = projective_space(3)
+    h = P3.gen("h")
+    start = time.perf_counter()
+    assert (h ** 10**100000).is_zero()
+    assert ((h + h * h) ** 4).is_zero()
+    assert time.perf_counter() - start < 2.0
+    assert str(h**3) == "h^3"
+    # a constant term keeps high powers alive
+    assert str((P3.one() + h) ** 5) == "1 + 5*h + 10*h^2 + 10*h^3"
+
+
+def _plane_with(**fields) -> dict:
+    doc = projective_space(2).to_json()
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"version": 1, "generators": [1]},
+    _plane_with(dimension="two"),
+    _plane_with(dimension=-1),
+], ids=["list", "generator-not-object", "dimension-not-int", "dimension-negative"])
+def test_malformed_catalog_is_a_load_error(tmp_path, capsys, doc):
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "(mul h h)", "--context", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot load context: ")

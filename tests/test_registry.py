@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import chowcalc
 from chowcalc import registry
 from chowcalc.cli import main
 from chowcalc.report import emit_report
@@ -70,3 +74,16 @@ def test_lemmas_all_json_is_pinned(capsysbinary):
     pinned = Path(__file__).parent / "data" / "lemmas_all_seed0.json"
     assert main(["lemmas", "--all", "--format", "json", "--seed", "0"]) == 0
     assert capsysbinary.readouterr().out == pinned.read_bytes()
+
+
+def test_python_m_chowcalc_matches_pin():
+    src = str(Path(chowcalc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "chowcalc", "lemmas", "--all", "--format", "json", "--seed", "0"],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    pinned = Path(__file__).parent / "data" / "lemmas_all_seed0.json"
+    assert run.stdout == pinned.read_bytes()

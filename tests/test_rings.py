@@ -24,6 +24,27 @@ def pspace_ring(n):
     return RingContext(["h"], [1], dimension=n, rules=[(Monomial([(0, n + 1)]), {})])
 
 
+def registry_rings(monkeypatch):
+    """One ring per distinct (names, codegrees, modulus, dimension, rules)
+    among the rings ``registry.run_all(seed=0)`` builds."""
+    from chowcalc import registry
+
+    built = []
+    init = RingContext.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(RingContext, "__init__", record)
+    registry.run_all(seed=0)
+    monkeypatch.undo()
+    rings = {}
+    for R in built:
+        rings.setdefault((R.names, R.codegrees, R.modulus, R.dimension, R.rules), R)
+    return list(rings.values())
+
+
 class TestNormalForm:
     def test_defining_relation_kills_top_power(self):
         R = pspace_ring(3)
@@ -113,6 +134,95 @@ class TestMultiplication:
         assert ct.homogeneous_part(1) == x + y
         assert ct.homogeneous_part(2) == x * y
         assert ct.homogeneous_part(5).is_zero()
+
+
+def whole_table(a, b):
+    """Reference product: ``_nf`` of the whole raw product table."""
+    raw = {}
+    for m1, c1 in a.table.items():
+        for m2, c2 in b.table.items():
+            t = m1.mul(m2)
+            raw[t] = raw.get(t, 0) + c1 * c2
+    return a.ring._nf(raw)
+
+
+class TestProductMemo:
+    @staticmethod
+    def assert_random_products(R, seed, count=40, max_codegree=None):
+        rng = random.Random(seed)
+        for _ in range(count):
+            a = random_class(R, rng, max_codegree=max_codegree)
+            b = random_class(R, rng, max_codegree=max_codegree)
+            assert (a * b).table == whole_table(a, b)
+
+    def test_registry_rings(self, monkeypatch):
+        rings = registry_rings(monkeypatch)
+        assert len(rings) > 30
+        for k, R in enumerate(rings):
+            gens = [R.gen(n) for n in R.names]
+            for a in gens:
+                for b in gens:
+                    assert (a * b).table == whole_table(a, b)
+            self.assert_random_products(R, seed=k, count=10)
+
+    def test_non_confluent_rings_above_codegree_two(self, monkeypatch):
+        # In A20-L2's B2, B3 and B5 the normal form of a^2*r and a*r^2
+        # depends on the rule applied; the memo reproduces the fixed strategy.
+        rings = [
+            R for R in registry_rings(monkeypatch) if R.names == ("a", "r", "q") and R.rules
+        ]
+        assert sorted(R.modulus for R in rings) == [2, 3, 5]
+        for R in rings:
+            assert not confluence_check(R).passed
+            a, r, q = (R.gen(n) for n in R.names)
+            low = [a, r, q, a + r, a * a, r * r, a + r * r, q + r * r]
+            for u in low:
+                for v in low:
+                    if max(u.codegrees(), default=0) + max(v.codegrees(), default=0) >= 3:
+                        assert (u * v).table == whole_table(u, v)
+            assert (a * a) * r != a * (a * r)
+            self.assert_random_products(R, seed=R.modulus, count=200)
+
+    @pytest.mark.parametrize("modulus", [2, 3])
+    def test_truncated_ring_mod_p(self, modulus):
+        x2, y2 = Monomial([(0, 2)]), Monomial([(1, 2)])
+        R = RingContext(
+            ["x", "y", "z"], [1, 1, 2], modulus=modulus, dimension=4,
+            rules=[(x2, {y2: 1, Monomial([(2, 1)]): -1})],
+        )
+        self.assert_random_products(R, seed=modulus, count=200)
+
+    def test_rule_free_ring_without_dimension(self):
+        R = RingContext(["x", "y"], [1, 2])
+        assert R.dimension is None
+        self.assert_random_products(R, seed=5, count=100, max_codegree=6)
+        x = R.gen("x")
+        assert str(x**10) == "x^10"
+
+    def test_memo_tables_are_not_shared(self):
+        R = pspace_ring(3)
+        h = R.gen("h")
+        h2 = h * h
+        h2.table.clear()
+        R.gen("h").table.clear()
+        assert str(h * h) == "h^2"
+        assert str(R.gen("h")) == "h"
+
+    def test_cycling_rules_raise_every_time(self):
+        # x*z -> y*z and y^2 -> x*y are each irreducible under the other,
+        # so the ring builds, but x*y*z rewrites to y^2*z and back forever
+        xz, y2 = Monomial([(0, 1), (2, 1)]), Monomial([(1, 2)])
+        R = RingContext(
+            ["x", "y", "z"], [1, 1, 1], dimension=3,
+            rules=[(xz, {Monomial([(1, 1), (2, 1)]): 1}), (y2, {Monomial([(0, 1), (1, 1)]): 1})],
+            step_budget=1000,
+        )
+        xy, z = R.gen("x") * R.gen("y"), R.gen("z")
+        stored = len(R._products)
+        for _ in range(2):
+            with pytest.raises(ReductionBudgetExceeded):
+                xy * z
+        assert len(R._products) == stored
 
 
 class TestSymmetricExpand:
@@ -230,23 +340,9 @@ class TestConfluenceSmoke:
         # A20-L2 declares a*r -> 0, a^2 -> -(p-1)q and r^2 -> q in B2, B3
         # and B5: a^2*r and a*r^2 reduce to 0 by the first rule, and to r*q
         # and a*q by the others.  Every other registry ring is confluent.
-        from chowcalc import registry
-
-        built = []
-        init = RingContext.__init__
-
-        def record(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            built.append(self)
-
-        monkeypatch.setattr(RingContext, "__init__", record)
-        registry.run_all(seed=0)
-        monkeypatch.undo()
-        rings = {}
-        for R in built:
-            rings.setdefault((R.names, R.codegrees, R.modulus, R.dimension, R.rules), R)
+        rings = registry_rings(monkeypatch)
         divergent = []
-        for R in rings.values():
+        for R in rings:
             rep = confluence_check(R)
             if not rep.passed:
                 divergent.append((R.names, R.modulus, rep.divergences))
