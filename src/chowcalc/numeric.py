@@ -3,7 +3,10 @@ quotients by user-declared correspondence-image classes, and the kernel-
 stability check for reduced power operations.
 
 Pairings are computed exactly over the integers first and reduced mod p, so
-one report serves every prime.
+one integer matrix serves every prime: each presentation computes the matrix
+of codegree r once, for r <= n - r, and keeps it (``_integer_pairing``);
+codegree n - r is its transpose, since ``b * bd`` and ``bd * b`` reduce the
+same monomial.  Every report and every caller gets fresh lists.
 
 All elimination runs on one sparse echelon kernel (``_echelon``, with
 ``_eliminate`` clearing one column): rows are ``{column: int}`` dicts,
@@ -208,18 +211,22 @@ class PairingReport:
 
 
 def _integer_pairing(X: ChowPresentation, r: int) -> list[list[int]]:
+    """The |B_r| x |B_{n-r}| matrix of degrees X.degree(b * bd), as fresh
+    lists; the matrix of min(r, n - r) is computed once per presentation."""
     if X.ring.modulus != 0:
         raise CoverageError("pairing is computed on an integral presentation")
     if X.degree_table is None or not X.degree_total:
         raise CoverageError("pairing needs a total degree functional")
-    n = X.dim
-    rows = []
-    for b in X.basis_classes(r):
-        row = []
-        for bd in X.basis_classes(n - r):
-            row.append(X.degree(b * bd))
-        rows.append(row)
-    return rows
+    s = min(r, X.dim - r)
+    mat = X._pairings.get(s)
+    if mat is None:
+        duals = X.basis_classes(X.dim - s)
+        mat = tuple(tuple(X.degree(b * bd) for bd in duals) for b in X.basis_classes(s))
+        X._pairings[s] = mat
+    if s == r:
+        return [list(row) for row in mat]
+    # one row per class of B_r, also when B_{n-r} is empty
+    return [[row[j] for row in mat] for j in range(len(X.basis_of(r)))]
 
 
 def pairing_report(X: ChowPresentation, p: int) -> PairingReport:
@@ -229,9 +236,13 @@ def pairing_report(X: ChowPresentation, p: int) -> PairingReport:
         mat = _integer_pairing(X, r)
         modp = [[v % p for v in row] for row in mat]
         rank = modp_rank(modp, p)
-        # kernel of the pairing on Ch^r is the LEFT kernel of M
-        transposed = [list(col) for col in zip(*modp)] if modp and modp[0] else []
-        kern = modp_kernel(transposed, p) if transposed else []
+        # kernel of the pairing on Ch^r is the LEFT kernel of M; with no
+        # dual classes every class of Ch^r pairs to zero
+        transposed = [list(col) for col in zip(*modp)]
+        if transposed:
+            kern = modp_kernel(transposed, p)
+        else:
+            kern = [[int(i == j) for j in range(len(mat))] for i in range(len(mat))]
         rep.codegrees[r] = CodegreePairing(
             codegree=r,
             basis=[X.ring.monomial_str(m) for m in X.basis_of(r)],

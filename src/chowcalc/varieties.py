@@ -143,7 +143,14 @@ class CenterData:
 
 
 class ChowPresentation:
-    """A finite Chow-ring presentation: ring + basis + degree + tangent."""
+    """A finite Chow-ring presentation: ring + basis + degree + tangent.
+
+    A presentation is immutable once built, so it keeps three caches of
+    tables derived from it: ``_mod_cache`` (the presentation mod p, per p),
+    ``_pairings`` (the integer degree-pairing matrix of codegree r, for
+    r <= dim - r, filled by ``numeric``) and ``_coord_index`` (basis
+    monomial -> index, per codegree, for ``coordinates``).
+    """
 
     def __init__(
         self,
@@ -171,6 +178,8 @@ class ChowPresentation:
         self.provenance = provenance or {"constructor": kind}
         self.name = name or kind
         self._mod_cache: dict[int, "ChowPresentation"] = {}
+        self._pairings: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._coord_index: dict[int, dict[Monomial, int]] = {}
 
     # -- basics -------------------------------------------------------
 
@@ -202,7 +211,9 @@ class ChowPresentation:
     def coordinates(self, c: GradedClass, d: int) -> list[int]:
         """Coordinates of the codegree-d part of c in the stored basis."""
         part = c.homogeneous_part(d)
-        idx = {m: i for i, m in enumerate(self.basis_of(d))}
+        idx = self._coord_index.get(d)
+        if idx is None:
+            idx = self._coord_index[d] = {m: i for i, m in enumerate(self.basis_of(d))}
         coords = [0] * len(idx)
         for m, coeff in part.table.items():
             if m not in idx:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,8 @@ from chowcalc.rings import Monomial
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
+    ChowPresentation,
+    CoverageError,
     TangentUnavailable,
     blow_up,
     generic_context,
@@ -198,17 +201,18 @@ class TestPairings:
         assert '"prime": 2' in doc
 
     def test_partial_degree_functional_rejected(self):
-        from chowcalc.varieties import CoverageError
-
         X = generic_context(
             [("x", 1), ("y", 1)], 2,
             degrees={Monomial([(0, 2)]): 1},  # misses x*y and y^2
             name="partial",
         )
-        with pytest.raises(CoverageError):
-            pairing_report(X, 2)
-        with pytest.raises(CoverageError):
-            pairing_report(generic_context([("x", 1)], 2, name="nodeg"), 2)
+        nodeg = generic_context([("x", 1)], 2, name="nodeg")
+        # the checks run on every call, not only on the one that fills the cache
+        for _ in range(2):
+            with pytest.raises(CoverageError):
+                pairing_report(X, 2)
+            with pytest.raises(CoverageError):
+                pairing_report(nodeg, 2)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_towers_unimodular(self, seed):
@@ -219,6 +223,111 @@ class TestPairings:
             assert len(entry.basis) == len(entry.dual_basis)
             assert integer_determinant(entry.matrix) in (1, -1)
             assert entry.kernel == []
+
+
+def empty_top_context():
+    """x^2 = 0 in dimension 2: Ch^2 is zero, so Ch^0 has no dual classes."""
+    return generic_context([("x", 1)], 2, rules=[(Monomial([(0, 2)]), {})], degrees={})
+
+
+def gap_context():
+    """One generator of codegree 2 in dimension 3: Ch^1 and Ch^3 are zero,
+    so codegree 2 transposes a matrix with no rows."""
+    return generic_context([("y", 2)], 3, degrees={}, name="gap")
+
+
+def reference_pairing(X, r):
+    """The full double loop of degrees, in both orders of codegree."""
+    return [[X.degree(b * bd) for bd in X.basis_classes(X.dim - r)] for b in X.basis_classes(r)]
+
+
+def pairing_contexts():
+    P1 = projective_space(1)
+    named = [
+        pytest.param(bl_point_plane, id="bl-point-plane"),
+        pytest.param(lambda: product(P1, P1), id="P1xP1"),
+        pytest.param(lambda: TestEngineeredKernels().degenerate_context(), id="degenerate"),
+        pytest.param(empty_top_context, id="empty-top"),
+        pytest.param(gap_context, id="gap"),
+    ]
+    towers = [pytest.param(lambda s=s: random_tower(random.Random(s)), id=f"tower-{s}")
+              for s in range(30)]
+    return named + towers
+
+
+class TestPairingCache:
+    @pytest.mark.parametrize("build", pairing_contexts())
+    def test_matrix_matches_full_double_loop(self, build):
+        X = build()
+        for p in (2, 3):
+            rep = pairing_report(X, p)
+            assert sorted(rep.codegrees) == list(range(X.dim + 1))
+            for r, entry in rep.codegrees.items():
+                assert entry.matrix == reference_pairing(X, r), (X.name, r)
+
+    def test_empty_dual_basis_kernel_is_everything(self):
+        X = empty_top_context()
+        kernel, dim = numerical_kernel(X, 0, 2)
+        assert [str(k) for k in kernel] == ["1"] and dim == 0
+        assert pairing_report(X, 2).codegrees[0].matrix == [[]]
+        assert pairing_report(gap_context(), 2).codegrees[2].kernel == [[1]]
+        for Y in (X, gap_context(), TestEngineeredKernels().degenerate_context()):
+            for r, entry in pairing_report(Y, 2).codegrees.items():
+                assert len(entry.kernel) + entry.num_dimension == len(entry.basis), (Y.name, r)
+
+    def test_mutated_report_does_not_leak(self):
+        X = random_tower(random.Random(0))
+        first = pairing_report(X, 2)
+        want = pairing_report(X, 3).to_json()["codegrees"]
+        for entry in first.codegrees.values():
+            for row in entry.matrix:
+                row[:] = [v + 7 for v in row]
+            entry.matrix.append([1])
+        again = pairing_report(X, 3).to_json()["codegrees"]
+        assert again == want
+        assert all(again[str(r)]["matrix"] == reference_pairing(X, r) for r in range(X.dim + 1))
+
+    def test_modp_presentation_rejected(self):
+        X = projective_space(2)
+        Xp = X.with_coefficients(2)
+        with pytest.raises(CoverageError, match="integral presentation"):
+            pairing_report(Xp, 2)
+        pairing_report(X, 2)
+        with pytest.raises(CoverageError, match="integral presentation"):
+            pairing_report(Xp, 2)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_degree_calls_once_per_presentation(self, seed, monkeypatch):
+        # one degree per entry with r <= n - r, however many primes and
+        # callers read the pairing
+        X = random_tower(random.Random(seed))
+        n = X.dim
+        sizes = [len(X.basis_of(r)) for r in range(n + 1)]
+        want = sum(sizes[r] * sizes[n - r] for r in range(n + 1) if r <= n - r)
+        calls = []
+        degree = ChowPresentation.degree
+
+        def counted(self, c):
+            calls.append(self)
+            return degree(self, c)
+
+        monkeypatch.setattr(ChowPresentation, "degree", counted)
+        for p in (2, 3):
+            rep = pairing_report(X, p)
+            assert all(entry.kernel == [] for entry in rep.codegrees.values())
+        assert kernel_is_ideal(X, 2)
+        assert len(calls) == want
+        assert want < sum(a * b for a, b in zip(sizes, reversed(sizes)))
+
+    def test_reports_are_pinned(self):
+        # pairing_report(X, p).dumps() for p = 2, 3 over random_tower seeds
+        # 0-29, one report a line, as computed before the pairing cache
+        lines = []
+        for seed in range(30):
+            X = random_tower(random.Random(seed))
+            lines += [pairing_report(X, p).dumps() for p in (2, 3)]
+        pinned = Path(__file__).parent / "data" / "pairings_seed0.json"
+        assert ("\n".join(lines) + "\n").encode() == pinned.read_bytes()
 
 
 class TestEngineeredKernels:

@@ -7,6 +7,7 @@ from chowcalc.rings import Monomial, random_class
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
+    ChowPresentation,
     CoverageError,
     blow_up,
     generic_context,
@@ -280,6 +281,20 @@ class TestGenericContext:
         assert X.degree(3 * X.gen("pt")) == 3
         with pytest.raises(CoverageError):
             X.degree(X.gen("x") ** 2)
+
+    def test_coordinates_against_a_partial_basis(self):
+        # a basis that leaves y untracked; the index built by the first call
+        # serves the later ones, with the same coordinates and errors
+        X = generic_context([("x", 1), ("y", 1)], 2)
+        x, y = X.gen("x"), X.gen("y")
+        partial = [X.basis_of(0), [m for m in X.basis_of(1) if X.ring.monomial_str(m) == "x"],
+                   X.basis_of(2)]
+        Y = ChowPresentation("generic", X.ring, X.roles, partial, None, False, None)
+        for _ in range(2):
+            assert Y.coordinates(3 * x + x * y, 1) == [3]
+            assert Y.coordinates(x * y, 2) == X.coordinates(x * y, 2)
+            with pytest.raises(CoverageError, match="monomial y is not a tracked basis monomial"):
+                Y.coordinates(x + y, 1)
 
 
 class TestSerialization:
