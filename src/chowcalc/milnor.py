@@ -23,6 +23,15 @@ words; on products of elements the composite operations satisfy the
 comultiplication rule with rho-correction terms, which ``comult_check``
 verifies term by term: each 2^I in 0..2^K forces 2^J = 2^K - 2^I, and the
 term carries rho^c with c the carry count |I| + |J| - |K| of that sum.
+The factors Q_I(x) and Q_J(y) come from one table per element over
+2^I in 0..2^K, each entry built by one ``q_apply`` from the entry with the
+lowest bit of 2^I cleared; zero entries stay zero with no further call,
+and terms with a zero factor are skipped.
+
+An element checks that its words share one bidegree only when it has two
+or more words; the coefficient algebras ``trivial_ia()`` and
+``truncated_symbol_ia(h)`` are frozen values built once per height, while
+every ring built over them stays a distinct object.
 
 The periodic quotient module attaches words with negative eta exponents;
 the ring acts with products landing back in the ring part quotiented away.
@@ -30,6 +39,7 @@ the ring acts with products landing back in the ring part quotiented away.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Sequence
@@ -100,14 +110,17 @@ class IaAlgebra:
         return self.table[i][j]
 
 
+@functools.cache
 def trivial_ia() -> IaAlgebra:
-    """Ia = F_2 in weight 0, rho = 0."""
+    """Ia = F_2 in weight 0, rho = 0.  Built once: the value is frozen."""
     return IaAlgebra(("1",), (0,), 0, None, ((frozenset({0}),),))
 
 
+@functools.lru_cache(maxsize=16, typed=True)
 def truncated_symbol_ia(height: int) -> IaAlgebra:
     """F_2[rho]/(rho^height): the smallest coefficient algebras with a
-    nonzero rho, used as truncations in tests.  height=1 gives rho = 0."""
+    nonzero rho, used as truncations in tests.  height=1 gives rho = 0.
+    Each height is built and validated once; rings over it stay distinct."""
     if height < 1:
         raise MilnorError("height must be >= 1")
     if height == 1:
@@ -283,9 +296,10 @@ class MilnorElement:
     def __init__(self, ring: MilnorRing, words: frozenset[Word]):
         self.ring = ring
         self.words = words
-        degs = {ring.word_bidegree(w) for w in words}
-        if len(degs) > 1:
-            raise MilnorError(f"words of mixed bidegree: {sorted(str(d) for d in degs)}")
+        if len(words) > 1:  # fewer words cannot mix bidegrees
+            degs = {ring.word_bidegree(w) for w in words}
+            if len(degs) > 1:
+                raise MilnorError(f"words of mixed bidegree: {sorted(str(d) for d in degs)}")
 
     def is_zero(self) -> bool:
         return not self.words
@@ -397,22 +411,40 @@ def comult_check(K: Iterable[int], x: MilnorElement, y: MilnorElement) -> bool:
     """Q_K(x*y) = sum over 2^I + 2^J = 2^K of Q_I(x) * Q_J(y) * rho^(|I|+|J|-|K|).
 
     Every 2^I in 0..2^K is an index set and forces 2^J = 2^K - 2^I, so one
-    pass over those integers visits each term exactly once."""
+    pass over those integers visits each term exactly once.  Both factors
+    come from tables of Q_I(x) and Q_I(y) over 2^I in 0..2^K, each entry one
+    ``q_apply`` of its lowest index to the entry without that bit (the order
+    of ``q_composite``: largest index first); a zero entry stays zero with
+    no call, and a term with a zero factor is skipped."""
     ring = x.ring
     if y.ring is not ring:
         raise MilnorError("elements of different rings")
     K = frozenset(K)
-    lhs = q_composite(K, x * y)
+    lhs = q_composite(K, x * y)  # raises first on an out-of-range index
     sK = _power_sum(K)
+    qx, qy = _q_table(sK, x), _q_table(sK, y)
     rho = ring.rho_elem()
     rhs = ring.zero()
     for sI in range(sK + 1):
         sJ = sK - sI
-        term = q_composite(_bits(sI), x) * q_composite(_bits(sJ), y)
+        a, b = qx[sI], qy[sJ]
+        if a.is_zero() or b.is_zero():
+            continue
+        term = a * b
         for _ in range(sI.bit_count() + sJ.bit_count() - len(K)):
             term = term * rho
         rhs = rhs + term
     return lhs == rhs
+
+
+def _q_table(top: int, e: MilnorElement) -> list[MilnorElement]:
+    """Q_I(e) for every 2^I = s in 0..top, by Q[s] = Q_low(Q[s & (s - 1)])
+    with low the lowest index in I."""
+    table = [e]
+    for s in range(1, top + 1):
+        rest = table[s & (s - 1)]
+        table.append(rest if rest.is_zero() else q_apply((s & -s).bit_length() - 1, rest))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +460,8 @@ def restrict_symbol(
     """Restriction from the weight-m symbol ring to the weight-(m+1) ring:
     r_I maps to r_I, the source eta becomes the square-free r_{m-1} of the
     target (higher eta powers reduce through r_{m-1}^2 = eta' * rho'), and
-    coefficients map through the given projection."""
+    coefficients map through the given projection.  Periodic-module words
+    (negative eta powers) are rejected."""
     if not (source.has_eta and target.has_eta):
         raise MilnorError("restriction runs between symbol rings")
     if target.n_sq != source.n_sq + 1:
@@ -437,6 +470,8 @@ def restrict_symbol(
         raise MilnorError("projection table must cover every coefficient basis element")
     if e.ring is not source:
         raise MilnorError("element does not live in the source ring")
+    if any(w.k < 0 for w in e.words):
+        raise MilnorError("restriction is defined on ring words, not periodic-module words")
     out = target.zero()
     r_top = target.r(source.n_sq)  # square-free in the target
     for w in e.words:

@@ -1,13 +1,16 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
 from chowcalc import milnor
 from chowcalc.milnor import (
     BiDegree,
+    IaAlgebra,
     MilnorError,
+    MilnorRing,
     PeriodicModule,
     Word,
     comult_check,
@@ -20,6 +23,7 @@ from chowcalc.milnor import (
     trivial_ia,
     truncated_symbol_ia,
 )
+from chowcalc.script import parse_script, run_scenario
 
 
 # References for the word arithmetic: the carry loop, the enumeration of all
@@ -90,6 +94,24 @@ def ref_bidegree(R, w):
     return BiDegree(a + t, b + t)
 
 
+def two_weight_one_classes(with_rho):
+    """F_2 with two weight-1 classes u, v and one weight-2 class w, where
+    u^2 = uv = w and v^2 = 0; u is rho when with_rho.  Words differing only
+    in u/v share a bidegree, so elements with two words exist."""
+    z, one = frozenset(), lambda i: frozenset({i})
+    table = (
+        (one(0), one(1), one(2), one(3)),
+        (one(1), one(3), one(3), z),
+        (one(2), one(3), z, z),
+        (one(3), z, z, z),
+    )
+    return IaAlgebra(("1", "u", "v", "w"), (0, 1, 1, 2), 0, 1 if with_rho else None, table)
+
+
+# 1 in (0)[0] and eta in (-1)[-3] in make_ring(2, trivial_ia())
+MIXED_MESSAGE = "words of mixed bidegree: ['(-1)[-3]', '(0)[0]']"
+
+
 def symbol_rings(ms=(2, 3, 4), heights=(1, 3)):
     for m in ms:
         for h in heights:
@@ -125,7 +147,7 @@ class TestRingStructure:
 
     def test_mixed_bidegree_rejected(self):
         R = make_ring(2, trivial_ia())
-        with pytest.raises(MilnorError):
+        with pytest.raises(MilnorError, match=re.escape(MIXED_MESSAGE)):
             R.element([Word(0, frozenset(), 0), Word(1, frozenset(), 0)])
 
     def test_bidegree_additivity(self):
@@ -232,13 +254,130 @@ class TestComultiplication:
                 for y in gens:
                     assert comult_check(K, x, y)
 
-    def test_exhaustive_basis_pairs_small(self):
-        R = make_ring(3, truncated_symbol_ia(2))
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_operations_shape_matches_reference(self, m):
+        # every pair of basis words with k <= 1 at height 2, each single K
+        R = make_ring(m, truncated_symbol_ia(2))
         words = R.basis_words(k_max=1)
-        for K in [frozenset({0}), frozenset({1}), frozenset({2})]:
+        for K in [[i] for i in R.q_indices]:
             for w1 in words:
                 for w2 in words:
-                    assert comult_check(K, R.element([w1]), R.element([w2]))
+                    x, y = R.element([w1]), R.element([w2])
+                    assert comult_check(K, x, y)
+                    assert ref_comult_rhs(K, x, y) == q_composite(K, x * y)
+
+    @pytest.mark.parametrize(
+        "R", [make_ring(3, truncated_symbol_ia(3)), flexible_cohomology(3)],
+        ids=["m3h3", "flex3"],
+    )
+    def test_composite_K_on_words(self, R):
+        # here a bidegree holds one word (a - b = 2^I + k 2^n_sq fixes I and k,
+        # and each weight one coefficient), so every element has at most one
+        # word; take x, y from the words and K with several indices
+        words = R.basis_words(k_max=1 if R.has_eta else 0)
+        assert len({R.word_bidegree(w) for w in words}) == len(words)
+        rng = random.Random(11)
+        elems = [R.element([w]) for w in words]
+        self._check_composite_K(R, [(rng.choice(elems), rng.choice(elems)) for _ in range(40)])
+
+    @pytest.mark.parametrize("has_eta", [True, False], ids=["symbol", "exterior"])
+    def test_two_word_elements_and_composite_K(self, has_eta):
+        R = MilnorRing(2, has_eta, two_weight_one_classes(has_eta))
+        by_deg = {}
+        for w in R.basis_words(k_max=1 if has_eta else 0):
+            by_deg.setdefault(R.word_bidegree(w), []).append(w)
+        pairs = [
+            R.element(ws) for deg in sorted(by_deg, key=lambda d: (d.a, d.b))
+            for ws in itertools.combinations(by_deg[deg], 2)
+        ]
+        assert pairs and all(len(e.words) == 2 for e in pairs)
+        self._check_composite_K(R, list(itertools.product(pairs, repeat=2)))
+
+    @staticmethod
+    def _check_composite_K(R, xy_pairs):
+        idxs = list(R.q_indices)
+        Ks = [K for r in range(2, len(idxs) + 1) for K in itertools.combinations(idxs, r)]
+        assert Ks
+        for x, y in xy_pairs:
+            for K in Ks:
+                assert comult_check(K, x, y)
+                assert ref_comult_rhs(K, x, y) == q_composite(K, x * y)
+
+    @pytest.mark.parametrize("K", [[3], [0, 3], [-1], [0, -1]])
+    def test_out_of_range_K_raises(self, K):
+        R = make_ring(3, truncated_symbol_ia(2))
+        with pytest.raises(MilnorError):
+            comult_check(K, R.r(0), R.r(1))
+        with pytest.raises(MilnorError):
+            comult_check(K, R.zero(), R.r(1))
+
+
+class TestMixedBidegree:
+    def test_sum_rejects_two_bidegrees(self):
+        R = make_ring(2, trivial_ia())
+        with pytest.raises(MilnorError, match=re.escape(MIXED_MESSAGE)):
+            R.one() + R.eta()
+
+    def test_module_element_rejects_two_bidegrees(self):
+        M = PeriodicModule(make_ring(2, trivial_ia()))
+        with pytest.raises(MilnorError, match=re.escape("words of mixed bidegree: ['(1)[3]', '(2)[6]']")):
+            M.element([Word(-1, frozenset(), 0), Word(-2, frozenset(), 0)])
+
+    def test_zero_and_single_words_construct(self):
+        R = make_ring(3, truncated_symbol_ia(3))
+        assert R.element([]).is_zero()
+        assert R.element([Word(0, frozenset(), 0), Word(0, frozenset(), 0)]).is_zero()
+        for w in R.basis_words(k_max=2, k_min=-2):
+            e = R.element([w])
+            assert e.words == {w} and e.bidegree == ref_bidegree(R, w)
+
+
+class TestSharedCoefficientAlgebras:
+    def test_algebras_are_built_once(self):
+        assert trivial_ia() is trivial_ia()
+        assert truncated_symbol_ia(1) is trivial_ia()
+        for h in (2, 3, 4):
+            assert truncated_symbol_ia(h) is truncated_symbol_ia(h)
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_rings_stay_distinct(self, h):
+        R, S = make_ring(3, truncated_symbol_ia(h)), make_ring(3, truncated_symbol_ia(h))
+        assert R is not S and R.ia is S.ia
+        assert R.r(0) != S.r(0)
+        with pytest.raises(MilnorError, match="elements of different rings"):
+            R.r(0) * S.r(0)
+        with pytest.raises(MilnorError, match="elements of different rings"):
+            comult_check([0], R.r(0), S.r(0))
+
+    def test_bad_height_still_raises(self):
+        for h in (0, -2):
+            with pytest.raises(MilnorError, match="height must be >= 1"):
+                truncated_symbol_ia(h)
+
+    def test_dsl_verdicts(self):
+        src = (
+            "(milnor R 3 (rho-height 2))"
+            "(assert-equal (trivial) (mul r0 r0) (mul r1 rho))"
+            "(assert-zero (trivial) (mul r1 rho rho))"
+            "(assert-comult (trivial) {1} r0 r0)"
+            "(assert-comult (trivial) {0 1} (mul r0 r1) r1)"
+            "(milnor S 3 (rho-height 2))"
+            "(assert-comult (trivial) {2} (mul r0 eta) eta)"
+            "(milnor B 3 (rho-height 0))"
+            "(assert-zero (trivial) (mul r0 r0))"
+        )
+        expected = [
+            ("script#1", "pass", ""), ("script#2", "pass", ""),
+            ("script#3", "pass", ""), ("script#4", "pass", ""),
+            ("script#5", "pass", ""),
+            ("script#form7", "error",
+             "MilnorError: height must be >= 1 in (milnor B 3 (rho-height 0))"),
+            # the failed context form leaves S current, where r0^2 = r1 * rho
+            ("script#6", "fail", "element does not vanish"),
+        ]
+        for _ in range(2):
+            rep = run_scenario(parse_script(src))
+            assert [(r.id, r.verdict, r.detail) for r in rep.results] == expected
 
 
 class TestWordArithmeticMatchesReference:
@@ -343,6 +482,16 @@ class TestRestriction:
                 lhs = restrict_symbol(S, T, proj, q_apply(i, e))
                 rhs = q_apply(i, restrict_symbol(S, T, proj, e))
                 assert lhs == rhs
+
+    def test_module_words_rejected(self):
+        # words with a negative eta power have no image in the target ring
+        S = make_ring(2, trivial_ia())
+        T = make_ring(3, trivial_ia())
+        proj = self.proj(S, T)
+        M = PeriodicModule(S)
+        for e in (M.generator(1), M.element([Word(-3, frozenset({0}), 0)])):
+            with pytest.raises(MilnorError, match="periodic-module words"):
+                restrict_symbol(S, T, proj, e)
 
 
 class TestPeriodicModule:
