@@ -3,6 +3,9 @@ operations: the total cohomological operation, the operation on embedded
 fundamental classes, the tangential d-class linking cohomological and
 homological operations, and the homological operations themselves.
 
+Chern, Segre and d-classes and the embedded operation truncate at their
+ring's dimension, and raise ``ValueError`` on a ring without one.
+
 Convention: the d-class of a line root x is 1 + x^{p-1}, so that the total
 d-class of a bundle is the total Chern class when p = 2 and the degree
 bookkeeping of P^i = sum_l d_l(T) . P_{i-l} is consistent.  Reports emitted
@@ -10,8 +13,6 @@ by the scenario runner flag this convention whenever d-classes are used.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .rings import (
     GradedClass,
@@ -38,11 +39,9 @@ def _check_total(c: GradedClass, what: str) -> GradedClass:
     return c
 
 
-def _product_over_roots(roots: BundleRoots, power: int, bound: Optional[int]) -> GradedClass:
+def _product_over_roots(roots: BundleRoots, power: int) -> GradedClass:
     ring = roots.ring
-    if bound is None:
-        bound = ring.dimension
-    if bound is None:
+    if ring.dimension is None:
         raise ValueError("need a truncation bound (ring has no dimension)")
     acc = ring.one()
     for sign, c in roots.entries:
@@ -50,24 +49,23 @@ def _product_over_roots(roots: BundleRoots, power: int, bound: Optional[int]) ->
         if sign == 1:
             acc = acc * factor
         else:
-            acc = acc * inverse_series(factor, up_to=bound)
+            acc = acc * inverse_series(factor)
     return acc
 
 
-def chern_total(roots: BundleRoots, up_to: Optional[int] = None) -> GradedClass:
+def chern_total(roots: BundleRoots) -> GradedClass:
     """Total Chern class: prod over + roots of (1+x), divided by the same
     product over - roots, truncated at the ambient dimension."""
-    return _product_over_roots(roots, 1, up_to)
+    return _product_over_roots(roots, 1)
 
 
-def chern_class(roots: BundleRoots, j: int, up_to: Optional[int] = None) -> GradedClass:
-    return chern_total(roots, up_to).homogeneous_part(j)
+def chern_class(roots: BundleRoots, j: int) -> GradedClass:
+    return chern_total(roots).homogeneous_part(j)
 
 
-def segre_total(roots: BundleRoots, up_to: Optional[int] = None) -> GradedClass:
+def segre_total(roots: BundleRoots) -> GradedClass:
     """Inverse of the total Chern class (chern_total * segre_total = 1)."""
-    bound = up_to if up_to is not None else roots.ring.dimension
-    return inverse_series(chern_total(roots, bound), up_to=bound)
+    return inverse_series(chern_total(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +108,18 @@ def _verify_closure(X: ChowPresentation, images) -> None:
             )
 
 
-def steenrod_total(X: ChowPresentation, c: GradedClass, check_closure: Optional[bool] = None) -> GradedClass:
+def steenrod_total(X: ChowPresentation, c: GradedClass) -> GradedClass:
     """The total reduced power operation: the ring endomorphism sending every
-    codegree-1 generator x to x + x^p.  Requires F_p coefficients."""
+    codegree-1 generator x to x + x^p.  Requires F_p coefficients.  On a
+    presentation that is not cellular, every rule is first checked to be
+    stable under the operation."""
     p = X.ring.modulus
     if not p:
         raise RingError("total Steenrod operation needs F_p coefficients")
     if c.ring is not X.ring:
         raise RingError("class does not live on the given presentation")
     images = _steenrod_images(X)
-    if check_closure is None:
-        check_closure = not X.is_cellular()
-    if check_closure:
+    if not X.is_cellular():
         _verify_closure(X, images)
     return evaluate(c, images, X.ring)
 
@@ -144,7 +142,6 @@ def steenrod_embedded(
     X: ChowPresentation,
     fundamental: GradedClass,
     normal: BundleRoots,
-    up_to: Optional[int] = None,
 ) -> GradedClass:
     """Total operation on an embedded fundamental class:
     [S] * prod over normal roots of (1 + x^{p-1}); for p = 2 this is
@@ -154,7 +151,7 @@ def steenrod_embedded(
         raise RingError("embedded Steenrod operation needs F_p coefficients")
     if fundamental.ring is not X.ring or normal.ring is not X.ring:
         raise RingError("fundamental class and roots must live on X")
-    return fundamental * _product_over_roots(normal, p - 1, up_to)
+    return fundamental * _product_over_roots(normal, p - 1)
 
 
 def embedded_power(
@@ -171,24 +168,22 @@ def embedded_power(
 # d-classes and homological operations
 # ---------------------------------------------------------------------------
 
-def d_class_from_roots(roots: BundleRoots, p: int, up_to: Optional[int] = None) -> GradedClass:
+def d_class_from_roots(roots: BundleRoots, p: int) -> GradedClass:
     """d(T) = prod over roots of (1 + x^{p-1}), truncated."""
-    return _product_over_roots(roots, p - 1, up_to)
+    return _product_over_roots(roots, p - 1)
 
 
-def d_class_from_total(total: GradedClass, p: int, up_to: Optional[int] = None) -> GradedClass:
+def d_class_from_total(total: GradedClass, p: int) -> GradedClass:
     """d(T) computed from the total Chern class alone, through the universal
     symmetric expansion of prod (1 + x^{p-1}) in elementary symmetric terms."""
     _check_total(total, "total Chern class")
     ring = total.ring
-    bound = up_to if up_to is not None else ring.dimension
+    bound = ring.dimension
     if bound is None:
         raise ValueError("need a truncation bound")
     if p == 2:
         # d = total Chern class on the nose
-        return sum(
-            (total.homogeneous_part(d) for d in range(1, bound + 1)), ring.one()
-        )
+        return total
     rank = max(bound, 1)
     universal = symmetric_expand(p - 1, rank, bound)
     images = {
@@ -197,11 +192,11 @@ def d_class_from_total(total: GradedClass, p: int, up_to: Optional[int] = None) 
     return evaluate(universal, images, ring)
 
 
-def d_class(T, p: int, up_to: Optional[int] = None) -> GradedClass:
+def d_class(T, p: int) -> GradedClass:
     """Dispatch on root data (BundleRoots) or a total Chern class."""
     if isinstance(T, BundleRoots):
-        return d_class_from_roots(T, p, up_to)
-    return d_class_from_total(T, p, up_to)
+        return d_class_from_roots(T, p)
+    return d_class_from_total(T, p)
 
 
 def homological_power(X: ChowPresentation, c: GradedClass, i: int) -> GradedClass:
@@ -212,7 +207,7 @@ def homological_power(X: ChowPresentation, c: GradedClass, i: int) -> GradedClas
         raise RingError("homological operation needs F_p coefficients")
     tangent = X.tangent_class()
     d_T = d_class_from_total(tangent, p)
-    d_minus_T = inverse_series(d_T, up_to=X.dim)
+    d_minus_T = inverse_series(d_T)
     out = X.zero()
     for m in range(0, i + 1):
         dm = d_minus_T.homogeneous_part(m * (p - 1))

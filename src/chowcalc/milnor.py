@@ -45,6 +45,11 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Sequence
 
 
+# Largest height of truncated_symbol_ia: validating the table of height h
+# takes O(h^3) steps.
+MAX_RHO_HEIGHT = 64
+
+
 class MilnorError(Exception):
     pass
 
@@ -123,6 +128,8 @@ def truncated_symbol_ia(height: int) -> IaAlgebra:
     Each height is built and validated once; rings over it stay distinct."""
     if height < 1:
         raise MilnorError("height must be >= 1")
+    if height > MAX_RHO_HEIGHT:
+        raise MilnorError(f"height must be <= {MAX_RHO_HEIGHT}")
     if height == 1:
         return trivial_ia()
     labels = tuple("1" if k == 0 else f"rho^{k}" if k > 1 else "rho" for k in range(height))

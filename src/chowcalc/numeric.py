@@ -24,7 +24,6 @@ the reduced rows.  Only the Bareiss determinant keeps its own loop.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -376,35 +375,21 @@ class KernelStabilityReport:
         return not self.checks
 
 
-def ab1_check(
-    X: ChowPresentation, p: int, trials: int = 0, seed: int = 0
-) -> KernelStabilityReport:
-    """For every kernel element u of the degree pairing and every i with
-    i(p-1) + codegree(u) <= dim, verify that P^i(u) stays in the kernel.
-
-    ``trials`` adds that many random kernel combinations per codegree.
-    """
+def ab1_check(X: ChowPresentation, p: int) -> KernelStabilityReport:
+    """For every basis vector u of the mod-p kernel of the degree pairing and
+    every i with i(p-1) + codegree(u) <= dim, verify that P^i(u) stays in the
+    kernel.  P^i and the pairing are linear, so the basis decides every
+    element of the kernel."""
     from .characteristic import reduced_power
 
     if X.tangent is None:
         raise TangentUnavailable("kernel-stability check needs tangent data")
     rep = pairing_report(X, p)
     Xp = X.with_coefficients(p)
-    rng = random.Random(seed)
     checks: list[KernelStabilityEntry] = []
     n = X.dim
     for r, entry in rep.codegrees.items():
-        vecs = [list(v) for v in entry.kernel]
-        for _ in range(trials):
-            if not entry.kernel:
-                break
-            combo = [0] * len(X.basis_of(r))
-            for v in entry.kernel:
-                c = rng.randrange(p)
-                combo = [(a + c * b) % p for a, b in zip(combo, v)]
-            if any(combo):
-                vecs.append(combo)
-        for vec in vecs:
+        for vec in entry.kernel:
             u = _class_of(Xp, vec, X.basis_of(r))
             i = 1
             while r + i * (p - 1) <= n:

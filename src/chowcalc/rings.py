@@ -424,9 +424,6 @@ class GradedClass:
     def codegrees(self) -> set[int]:
         return {self.ring.monomial_codegree(m) for m in self.table}
 
-    def coefficient(self, m: Monomial) -> int:
-        return self.table.get(m, 0)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "GradedClass") -> None:
@@ -597,13 +594,11 @@ def random_class(
 _Poly = dict  # {exponent tuple: int} over the root variables x_1..x_r
 
 
-def _poly_mul(a: _Poly, b: _Poly, max_deg: Optional[int] = None) -> _Poly:
+def _poly_mul(a: _Poly, b: _Poly) -> _Poly:
     out: _Poly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            if max_deg is not None and sum(e) > max_deg:
-                continue
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
@@ -653,29 +648,24 @@ def _to_elementary(f: _Poly, r: int) -> dict[tuple[int, ...], int]:
     return {e: c for e, c in out.items() if c}
 
 
-def chern_generator_context(rank: int, up_to: int, modulus: int = 0, prefix: str = "c") -> RingContext:
-    """Free ring on Chern-class generators c_1..c_rank with c_i in codegree i."""
-    names = [f"{prefix}{i}" for i in range(1, rank + 1)]
-    return RingContext(names, list(range(1, rank + 1)), modulus=modulus, dimension=up_to)
+def chern_generator_context(rank: int, up_to: int) -> RingContext:
+    """Free integral ring on Chern-class generators c_1..c_rank with c_i in
+    codegree i, truncated above codegree up_to."""
+    names = [f"c{i}" for i in range(1, rank + 1)]
+    return RingContext(names, list(range(1, rank + 1)), dimension=up_to)
 
 
-def symmetric_expand(
-    power: int,
-    roots_rank: int,
-    up_to: int,
-    ctx: Optional[RingContext] = None,
-    prefix: str = "c",
-) -> GradedClass:
+def symmetric_expand(power: int, roots_rank: int, up_to: int) -> GradedClass:
     """Expand prod_i (1 + x_i^power) over roots x_1..x_r in terms of the
-    elementary symmetric classes c_1..c_r, truncated at the given codegree.
+    elementary symmetric classes c_1..c_r of an integral ring, truncated at
+    the given codegree.
 
     Substituting actual Chern roots for the c_i reproduces the product; the
     answer is stable in r once r >= up_to.
     """
     if power < 1 or roots_rank < 1:
         raise ValueError("power and roots_rank must be >= 1")
-    if ctx is None:
-        ctx = chern_generator_context(roots_rank, up_to, prefix=prefix)
+    ctx = chern_generator_context(roots_rank, up_to)
     r = roots_rank
     table: dict[Monomial, int] = {MONOMIAL_ONE: 1}
     for j in range(1, r + 1):
@@ -690,17 +680,17 @@ def symmetric_expand(
             exps = {}
             for i, a in enumerate(epows, start=1):
                 if a:
-                    exps[ctx.gen_index(f"{prefix}{i}")] = a
+                    exps[ctx.gen_index(f"c{i}")] = a
             m = Monomial(exps.items())
             table[m] = table.get(m, 0) + c
     return ctx.from_table(table)
 
 
-def inverse_series(c: GradedClass, up_to: Optional[int] = None) -> GradedClass:
+def inverse_series(c: GradedClass) -> GradedClass:
     """Multiplicative inverse of a class with constant term 1 (or -1),
-    truncated at the context dimension (or up_to)."""
+    truncated at the context dimension."""
     ring = c.ring
-    bound = up_to if up_to is not None else ring.dimension
+    bound = ring.dimension
     if bound is None:
         raise ValueError("need a truncation bound to invert a series")
     c0 = c.constant_term()

@@ -69,6 +69,11 @@ from .varieties import (
 )
 
 
+# An integer (pow a n) with |a| > 1 is refused before it is computed when
+# n * bit_length(a), a bound on the bit length of the result, exceeds this.
+MAX_POW_BITS = 4096
+
+
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} at line {line}, column {col}")
@@ -348,6 +353,12 @@ def eval_expr(env: Env, node, report: Report):
         _expect(len(args) == 2 and isinstance(args[1], int), "(pow a n)")
         base = ev(args[0])
         if isinstance(base, int):
+            # ValueError, not EvalError: report-value prints the literal form
+            # when evaluation raises EvalError
+            if args[1] < 0:
+                raise ValueError("negative power")
+            if abs(base) > 1 and args[1] * abs(base).bit_length() > MAX_POW_BITS:
+                raise ValueError(f"integer power exceeds {MAX_POW_BITS} bits")
             return base ** args[1]
         return _as_class(env, base) ** args[1]
     if head == "scale":

@@ -504,22 +504,22 @@ def _truncated_leads(X: ChowPresentation) -> list[Monomial]:
 # ---------------------------------------------------------------------------
 
 def projective_space(
-    n: int, gen: str = "h", modulus: int = 0, name: Optional[str] = None
+    n: int, modulus: int = 0, name: Optional[str] = None
 ) -> ChowPresentation:
     """P^n: one hyperplane generator h with h^{n+1} = 0 and deg(h^n) = 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
     ring = RingContext(
-        [gen], [1], modulus=modulus, dimension=n,
+        ["h"], [1], modulus=modulus, dimension=n,
         rules=[(Monomial([(0, n + 1)]), {})],
     )
-    h = ring.gen(gen)
+    h = ring.gen("h")
     basis = [(Monomial([(0, d)]) if d else MONOMIAL_ONE,) for d in range(n + 1)]
     tangent = (ring.one() + h) ** (n + 1)
     return ChowPresentation(
         kind="pspace",
         ring=ring,
-        roles={gen: ROLE_HYPERPLANE},
+        roles={"h": ROLE_HYPERPLANE},
         basis=basis,
         degree_table={Monomial([(0, n)]) if n else MONOMIAL_ONE: 1},
         degree_total=True,
@@ -668,7 +668,7 @@ def projective_bundle(
     ctotal = X.ring.one()
     for c in root_classes:
         ctotal = ctotal * (X.ring.one() + c)
-    sseries = inverse_series(ctotal, up_to=X.dim)
+    sseries = inverse_series(ctotal)
     segre = [sseries.homogeneous_part(k) for k in range(X.dim + 1)]
 
     degree_table = None
@@ -714,7 +714,6 @@ def blow_up(
     X: ChowPresentation,
     center: CenterData,
     exceptional_gen: str = "e",
-    tangent: Optional[GradedClass] = None,
     extra_rules: Iterable[tuple[Monomial, Mapping[Monomial, int]]] = (),
     name: Optional[str] = None,
 ) -> ChowPresentation:
@@ -730,6 +729,8 @@ def blow_up(
       which folds the top fiber power back into the ambient component;
     * then ``extra_rules``, (lead monomial, {monomial: coefficient}) pairs
       as ``generic_context(rules=)`` takes them.
+
+    The blow-up carries no tangent class.
     """
     if center.fundamental.ring is not X.ring:
         raise ContextMismatch("center data must live on the ambient presentation")
@@ -854,7 +855,7 @@ def blow_up(
         basis=basis,
         degree_table=degree_table,
         degree_total=X.degree_total,
-        tangent=tangent,
+        tangent=None,
         base=X,
         center=center,
         provenance={

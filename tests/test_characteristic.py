@@ -5,6 +5,8 @@ import pytest
 
 from chowcalc.characteristic import (
     NotSteenrodClosed,
+    _steenrod_images,
+    _verify_closure,
     chern_class,
     chern_total,
     d_class,
@@ -17,7 +19,7 @@ from chowcalc.characteristic import (
     steenrod_embedded,
     steenrod_total,
 )
-from chowcalc.rings import Monomial, random_class
+from chowcalc.rings import Monomial, RingContext, random_class
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
@@ -82,6 +84,18 @@ class TestChernSegre:
             roots = rand_roots(G.ring, rng, 3, signed=True)
             assert chern_total(roots) * segre_total(roots) == G.one()
 
+    def test_dimensionless_ring_raises(self):
+        # every series truncates at the ring's dimension, so a ring without
+        # one cannot carry them, even for positive roots alone
+        R = RingContext(["x", "y"], [1, 1])
+        roots = BundleRoots.plus([R.gen("x"), R.gen("y")])
+        for op in (chern_total, segre_total):
+            with pytest.raises(ValueError, match="truncation bound"):
+                op(roots)
+        for p in (2, 3):
+            with pytest.raises(ValueError, match="truncation bound"):
+                d_class_from_total(R.one() + R.gen("x"), p)
+
     def test_zero_roots(self):
         G = generic_context([("x", 1)], 3)
         roots = BundleRoots.plus([G.zero()] * 3, ring=G.ring)
@@ -139,9 +153,10 @@ class TestSteenrodTotal:
             restriction={"h": P2.zero()},
         )
         Bl = blow_up(P2, center).with_coefficients(2)
-        # force the closure check even though constructor builds are exempt
+        # run the closure check directly: constructor builds are exempt
+        _verify_closure(Bl, _steenrod_images(Bl))
         h = Bl.gen("h")
-        assert steenrod_total(Bl, h, check_closure=True) == h + h * h
+        assert steenrod_total(Bl, h) == h + h * h
 
 
 class TestSteenrodEmbedded:
@@ -197,6 +212,14 @@ class TestDClass:
         c1 = X.gen("x") + X.gen("y")
         c2 = X.gen("x") * X.gen("y")
         assert d.homogeneous_part(2) == c1 * c1 + c2  # == c1^2 - 2 c2 mod 3
+
+    def test_p2_returns_the_total(self):
+        X = generic_context([("x", 1), ("y", 1)], 3)
+        x, y = X.gen("x"), X.gen("y")
+        c = X.one() + 3 * x - y + x * y + 2 * y**3
+        assert d_class_from_total(c, 2) == c
+        with pytest.raises(ValueError, match="constant term 1"):
+            d_class_from_total(c + X.one(), 2)
 
     def test_rank_zero(self):
         X = generic_context([("x", 1)], 3)

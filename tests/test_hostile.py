@@ -7,8 +7,9 @@ import time
 import pytest
 
 from chowcalc.cli import main
+from chowcalc.milnor import MAX_RHO_HEIGHT
 from chowcalc.report import ERROR, PASS
-from chowcalc.script import parse_script, run_scenario
+from chowcalc.script import MAX_POW_BITS, parse_script, run_scenario
 from chowcalc.varieties import projective_space
 
 
@@ -74,3 +75,30 @@ def test_malformed_catalog_is_a_load_error(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert main(["eval", "(mul h h)", "--context", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot load context: ")
+
+
+def test_negative_integer_power_is_an_error():
+    report = run_scenario(parse_script(
+        "(report-value v (pow 2 -1)) (report-value w (pow -3 3)) (report-value z (pow 5 -0))"
+    ), "hostile")
+    assert [r.verdict for r in report.results] == [ERROR]
+    assert "negative power" in report.results[0].detail
+    assert report.values == {"w": "-27", "z": "1"}
+
+
+def test_huge_integer_power_is_refused():
+    start = time.perf_counter()
+    report = run_scenario(parse_script(
+        f"(report-value v (pow 7 3000000)) (report-value w (pow -2 {MAX_POW_BITS // 2 - 1}))"
+        "(report-value u (pow -1 1000000000000))"
+    ), "hostile")
+    assert time.perf_counter() - start < 2.0
+    assert [r.verdict for r in report.results] == [ERROR]
+    assert f"exceeds {MAX_POW_BITS} bits" in report.results[0].detail
+    assert report.values == {"w": str(-(2 ** (MAX_POW_BITS // 2 - 1))), "u": "1"}
+
+
+def test_rho_height_above_the_cap_is_an_error():
+    results = verdicts(f"(milnor R 3 (rho-height 1000)) (milnor S 3 (rho-height {MAX_RHO_HEIGHT}))")
+    assert [r.verdict for r in results] == [ERROR]
+    assert f"height must be <= {MAX_RHO_HEIGHT}" in results[0].detail

@@ -6,7 +6,6 @@ from chowcalc.rings import (
     Monomial,
     ReductionBudgetExceeded,
     RingContext,
-    chern_generator_context,
     confluence_check,
     evaluate,
     inverse_series,
@@ -238,9 +237,13 @@ class TestSymmetricExpand:
         assert se == ctx.one() + ctx.gen("c1") ** 2
 
     def test_mod_three_rank_two(self):
-        ctx = chern_generator_context(2, 2, modulus=3)
-        se = symmetric_expand(2, 2, 2, ctx=ctx)
-        assert se == ctx.one() + ctx.gen("c1") ** 2 + ctx.gen("c2")
+        # x1^2 + x2^2 = c1^2 - 2 c2, and -2 = 1 mod 3
+        se = symmetric_expand(2, 2, 2)
+        ctx = se.ring
+        assert ctx.modulus == 0
+        assert se == ctx.one() + ctx.gen("c1") ** 2 - 2 * ctx.gen("c2")
+        mod3 = {ctx.monomial_str(m): c % 3 for m, c in se.table.items() if c % 3}
+        assert mod3 == {"1": 1, "c1^2": 1, "c2": 1}
 
     @pytest.mark.parametrize("k,r,bound", [(1, 2, 4), (2, 2, 4), (2, 3, 6), (3, 2, 6), (4, 2, 4)])
     def test_substitution_oracle(self, k, r, bound):
@@ -281,6 +284,11 @@ class TestInverseSeries:
         t = R.gen("t")
         inv = inverse_series(R.one() + t)
         assert inv == R.one() - t + t**2 - t**3 + t**4
+
+    def test_dimensionless_ring_raises(self):
+        R = RingContext(["t"], [1])
+        with pytest.raises(ValueError, match="truncation bound"):
+            inverse_series(R.one() + R.gen("t"))
 
     def test_random_units(self):
         R = free_ring(["x", "y"], 4)
