@@ -22,6 +22,7 @@ from .rings import (
     GradedClass,
     Monomial,
     ReductionBudgetExceeded,
+    RewriteCycle,
     RewriteRule,
     RingContext,
     RingError,
@@ -29,7 +30,6 @@ from .rings import (
     evaluate,
     inverse_series,
     normal_form,
-    random_class,
     symmetric_expand,
 )
 from .varieties import (

@@ -17,22 +17,29 @@ Rules with equal leads are all kept.  Dropping a rule leaves the set of
 irreducible monomials, and so every basis, unchanged.
 
 Rules are oriented by their constructors, and a normal form is computed by
-one deterministic strategy: the largest term in the monomial order is
-rewritten by the first stored rule whose lead divides it.  Whether the
-result depends on that strategy is decided on demand by
-``confluence_check``, which joins every critical pair of the rules
-(Buchberger's criterion).  Reduction carries a step budget so that an
-ill-founded rule set raises instead of spinning.
+one deterministic strategy: a reducible monomial m is rewritten by the
+first stored rule whose lead divides it, so m has one fixed normal form
+f(m), and the normal form of a table is the sum of c*f(m) over its terms
+(rewriting one monomial leaves the sum of c*f over the others unchanged,
+and truncation and reduction mod p are linear too).  Whether f depends on
+the rule order is decided on demand by ``confluence_check``, which joins
+every critical pair of the rules (Buchberger's criterion).
 
-Products go through a memo on the ring: the normal form of m1*m2 for two
-monomials is computed once and stored, and a product of classes adds up
-c1*c2 times the stored tables.  This is sound for every terminating rule
-set, confluent or not.  The strategy above rewrites each monomial m by
-one fixed rule, so m has one fixed normal form f(m), and every rewriting
-step keeps the sum of c*f(m) over the pending terms unchanged; hence the
-normal form of a table is the sum of c*f(m) over its terms.  Truncation
-and reduction mod p are linear too.  In a ring with a finite basis the
-memo is in effect the table of structure constants.
+Each ring keeps f(m) in a memo, filled by walking the rewrite chain of m
+with an explicit stack.  Rules are homogeneous and codegrees are positive,
+so the chain of m stays among the finitely many monomials of its codegree:
+the strategy fails to terminate on m exactly when the walk reaches a
+monomial still on its stack, which raises ``RewriteCycle`` naming that
+monomial.  For the same reason a monomial at or below the dimension never
+meets truncation, so one memo serves truncated and untruncated reduction;
+above the dimension the truncated normal form is 0.  A step budget bounds
+the rewriting steps of each fill of the memo.
+
+Products go through a second memo on the ring: the normal form of m1*m2
+for two monomials is looked up once per pair, and a product of classes
+adds up c1*c2 times the stored tables.  Both memos are sound for every
+terminating rule set, confluent or not.  In a ring with a finite basis the
+product memo is in effect the table of structure constants.
 
 No floating point is used anywhere; everything is exact.
 """
@@ -40,7 +47,6 @@ No floating point is used anywhere; everything is exact.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -55,6 +61,14 @@ class ContextMismatch(RingError):
 
 class ReductionBudgetExceeded(RingError):
     """normal_form exceeded its step budget (ill-founded rule set?)."""
+
+
+class RewriteCycle(ReductionBudgetExceeded):
+    """Rewriting a monomial returns to it: the rule set does not terminate."""
+
+    def __init__(self, monomial: str):
+        super().__init__(f"rewrite cycle through {monomial}; rule set does not terminate")
+        self.monomial = monomial
 
 
 class InvalidRule(RingError):
@@ -168,12 +182,16 @@ class RingContext:
     is a consequence of the kept rules (checked without truncation, so the
     drop stays valid in rings of higher dimension that copy these rules).
 
-    ``_products`` memoises the normal form of each product of two monomials,
-    keyed by their exponent tuples; ``gen`` and class products read it, and
-    its size is ``len(ring._products)``.  It needs no confluence: the fixed
-    reduction strategy makes the normal form linear (see the module
-    docstring).  A product whose reduction exceeds the step budget raises and
-    stores nothing, so the budget counts steps per monomial product.
+    ``_normal_forms`` memoises f(m), the normal form of one monomial without
+    truncation, as a tuple of (monomial, coefficient) pairs; it is emptied
+    whenever the stored rules change.  ``_products`` memoises the truncated
+    normal form of each product of two monomials, keyed by their exponent
+    tuples; ``gen`` and class products read it, and its size is
+    ``len(ring._products)``.  Neither needs confluence (see the module
+    docstring).  Rules that cycle raise ``RewriteCycle``; a fill of
+    ``_normal_forms`` that takes more than ``step_budget`` rewriting steps
+    raises ``ReductionBudgetExceeded``.  A product that raises stores
+    nothing in ``_products``.
     """
 
     def __init__(
@@ -245,6 +263,7 @@ class RingContext:
                 RewriteRule(lead, tuple(sorted(t.items(), key=lambda kv: kv[0].exps)), k)
                 for k, lead, t in rules
             )
+            self._normal_forms: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
             changed = False
             for j, (k, lead, table) in enumerate(rules):
                 reduced = self._nf(table)
@@ -344,49 +363,87 @@ class RingContext:
         key = (m1.exps, m2.exps)
         nf = self._products.get(key)
         if nf is None:
-            nf = self._products[key] = tuple(self._nf({m1.mul(m2): 1}).items())
+            nf = self._products[key] = self._f(m1.mul(m2), self._normal_forms, self.dimension)
         return nf
 
     def _nf(
         self, table: Mapping[Monomial, int], truncate: bool = True
     ) -> dict[Monomial, int]:
-        dim = self.dimension if truncate else None
-        steps = 0
-        work: dict[Monomial, int] = {}
+        return self._reduce(table, self._normal_forms, self.dimension if truncate else None)
+
+    def _reduce(self, table: Mapping[Monomial, int], memo: dict, dim: Optional[int]) -> dict[Monomial, int]:
+        """The sum of c*f(m) over the table, truncated above dim when set."""
+        acc: dict[Monomial, int] = {}
         for m, c in table.items():
-            c = self._red(c)
+            if not self._red(c):
+                continue
+            for u, k in self._f(m, memo, dim):
+                acc[u] = acc.get(u, 0) + c * k
+        return self._reduced(acc)
+
+    def _reduced(self, acc: dict[Monomial, int]) -> dict[Monomial, int]:
+        red = self._red
+        out = {}
+        for u, c in acc.items():
+            c = red(c)
             if c:
-                work[m] = self._red(work.get(m, 0) + c)
-        out: dict[Monomial, int] = {}
-        while work:
-            m = max(work, key=self._mkey)
-            c = work.pop(m)
-            if c == 0:
-                continue
-            if dim is not None and self.monomial_codegree(m) > dim:
-                continue
-            rule = self._matching_rule(m)
+                out[u] = c
+        return out
+
+    def _f(self, m: Monomial, memo: dict, dim: Optional[int]) -> tuple[tuple[Monomial, int], ...]:
+        """f(m) from memo, computing it and every monomial its rewrite chain
+        reaches into memo on a miss; () above dim when set.
+
+        A frame of the stack holds a monomial being rewritten, its
+        coefficient in the frame below, the terms of its rewrite not yet
+        visited, and the sum of c*f(t) over the terms visited.
+        """
+        if dim is not None and self.monomial_codegree(m) > dim:
+            return ()
+        nf = memo.get(m)
+        if nf is not None:
+            return nf
+        match = self._matching_rule
+        steps = 0
+        on_stack: set[Monomial] = set()
+        frames: list = []
+        t, c = m, 1
+        while True:
+            # t is missing from memo and enters the top frame with coefficient c
+            rule = match(t)
             if rule is None:
-                v = self._red(out.get(m, 0) + c)
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-                continue
-            steps += 1
-            if steps > self.step_budget:
-                raise ReductionBudgetExceeded(
-                    f"reduction exceeded {self.step_budget} steps; rule set may not terminate"
-                )
-            q = m.div(rule.lead)
-            for rm, rc in rule.replacement:
-                t = rm.mul(q)
-                v = self._red(work.get(t, 0) + c * rc)
-                if v:
-                    work[t] = v
-                elif t in work:
-                    del work[t]
-        return {m: c for m, c in out.items() if c}
+                nf = memo[t] = ((t, 1),)
+            else:
+                steps += 1
+                if steps > self.step_budget:
+                    raise ReductionBudgetExceeded(
+                        f"reduction exceeded {self.step_budget} steps; rule set may not terminate"
+                    )
+                q = t.div(rule.lead)
+                on_stack.add(t)
+                frames.append((t, c, iter([(rm.mul(q), rc) for rm, rc in rule.replacement]), {}))
+                nf = ()
+            # credit c*nf to the top frame and take its next term, until a
+            # term is missing from memo or f(m) is complete
+            while frames:
+                top, top_c, pending, acc = frames[-1]
+                for u, k in nf:
+                    acc[u] = acc.get(u, 0) + c * k
+                term = next(pending, None)
+                if term is None:
+                    frames.pop()
+                    on_stack.remove(top)
+                    nf = memo[top] = tuple(self._reduced(acc).items())
+                    c = top_c
+                    continue
+                t, c = term
+                nf = memo.get(t)
+                if nf is None:
+                    if t in on_stack:
+                        raise RewriteCycle(self.monomial_str(t))
+                    break
+            else:
+                return nf
 
 
 class GradedClass:
@@ -461,13 +518,7 @@ class GradedClass:
                 c = c1 * c2
                 for m, k in product(m1, m2):
                     acc[m] = acc.get(m, 0) + c * k
-        red = ring._red
-        out = {}
-        for m, c in acc.items():
-            c = red(c)
-            if c:
-                out[m] = c
-        return GradedClass(ring, out)
+        return GradedClass(ring, ring._reduced(acc))
 
     __rmul__ = __mul__
 
@@ -557,34 +608,6 @@ def evaluate(
             term = term * (img**e)
         out = out + term
     return out
-
-
-def random_class(
-    ctx: RingContext,
-    rng: random.Random,
-    max_codegree: Optional[int] = None,
-    terms: int = 3,
-    coeff_range: int = 5,
-) -> GradedClass:
-    """Random sparse class, for property tests."""
-    hi = max_codegree
-    if hi is None:
-        hi = ctx.dimension if ctx.dimension is not None else 4
-    table: dict[Monomial, int] = {}
-    for _ in range(terms):
-        budget = rng.randint(0, hi)
-        exps: dict[int, int] = {}
-        while budget > 0:
-            i = rng.randrange(len(ctx.names))
-            d = ctx.codegrees[i]
-            if d > budget:
-                break
-            exps[i] = exps.get(i, 0) + 1
-            budget -= d
-        m = Monomial(exps.items())
-        c = rng.randint(-coeff_range, coeff_range)
-        table[m] = table.get(m, 0) + c
-    return ctx.from_table(table)
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +760,11 @@ def confluence_check(ctx: RingContext) -> ConfluenceReport:
     compared (Buchberger's criterion; coprime leads always join).  Rules are
     homogeneous, so a pair with L above the dimension vanishes under
     truncation and is skipped.  A pair whose normal forms differ, or whose
-    reduction exceeds the step budget, is reported, not raised.
+    reduction cycles or exceeds the step budget, is reported, not raised.
+    The pairs reduce through a memo of their own, so the certificate does
+    not rest on normal forms the ring has cached.
     """
+    memo: dict = {}
     divergences = []
     pairs = 0
     for r1, r2 in itertools.combinations(ctx.rules, 2):
@@ -751,7 +777,7 @@ def confluence_check(ctx: RingContext) -> ConfluenceReport:
         pairs += 1
         try:
             left, right = (
-                ctx._nf({m.mul(lcm.div(r.lead)): c for m, c in r.replacement})
+                ctx._reduce({m.mul(lcm.div(r.lead)): c for m, c in r.replacement}, memo, ctx.dimension)
                 for r in (r1, r2)
             )
             if left == right:

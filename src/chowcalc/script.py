@@ -23,7 +23,9 @@ Grammar (informal):
                | (assert-deg TAG expr INT)
                | (assert-kernel-dim TAG CTX CODEG PRIME INT)
                | (assert-comult TAG SET expr expr)
-    report    := (report-value NAME expr)
+    report    := (report-value NAME expr) | (report-value NAME LITERAL)
+    LITERAL   := a parenthesized list of integers and such lists,
+                 e.g. the matrix ((20 -2) (5 1)), reported as written
     TAG       := (lemma ID) | (trivial) | (derived)
 
     The num- variants check the identity against every basis class of
@@ -206,6 +208,11 @@ def _print_node(node) -> str:
     return str(node)
 
 
+def _is_literal(node) -> bool:
+    """Whether node is a list of integers and such lists, e.g. a matrix."""
+    return isinstance(node, list) and all(isinstance(x, int) or _is_literal(x) for x in node)
+
+
 def print_script(script: Script) -> str:
     return "\n".join(_print_node(f) for f in script.forms) + "\n"
 
@@ -353,8 +360,6 @@ def eval_expr(env: Env, node, report: Report):
         _expect(len(args) == 2 and isinstance(args[1], int), "(pow a n)")
         base = ev(args[0])
         if isinstance(base, int):
-            # ValueError, not EvalError: report-value prints the literal form
-            # when evaluation raises EvalError
             if args[1] < 0:
                 raise ValueError("negative power")
             if abs(base) > 1 and args[1] * abs(base).bit_length() > MAX_POW_BITS:
@@ -841,11 +846,10 @@ def run_scenario(script: Script, script_id: str = "script", seed: Optional[int] 
                 env.define(form[1], _RulesDecl(_eval_rule_pairs(env, form[2:], report)))
             elif head == "report-value":
                 _expect(len(form) == 3 and isinstance(form[1], str), "(report-value NAME expr)")
-                try:
-                    val = str(eval_expr(env, form[2], report))
-                except EvalError:
-                    val = _print_node(form[2])  # literal payload, e.g. a matrix
-                report.values[form[1]] = val
+                if _is_literal(form[2]):
+                    report.values[form[1]] = _print_node(form[2])
+                else:
+                    report.values[form[1]] = str(eval_expr(env, form[2], report))
             else:
                 raise EvalError(f"unknown form head {head!r}")
         except Exception as exc:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -513,9 +514,9 @@ def projective_space(
         ["h"], [1], modulus=modulus, dimension=n,
         rules=[(Monomial([(0, n + 1)]), {})],
     )
-    h = ring.gen("h")
     basis = [(Monomial([(0, d)]) if d else MONOMIAL_ONE,) for d in range(n + 1)]
-    tangent = (ring.one() + h) ** (n + 1)
+    # (1 + h)^(n+1) with h^(n+1) = 0, term by term
+    tangent = ring.from_table({m: math.comb(n + 1, d) for d, (m,) in enumerate(basis)})
     return ChowPresentation(
         kind="pspace",
         ring=ring,

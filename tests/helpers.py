@@ -1,7 +1,9 @@
 """Shared builders for the test suite."""
 
 import random
+from typing import Optional
 
+from chowcalc.rings import GradedClass, Monomial, RingContext
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
@@ -10,6 +12,72 @@ from chowcalc.varieties import (
     projective_bundle,
     projective_space,
 )
+
+
+def random_class(
+    ctx: RingContext,
+    rng: random.Random,
+    max_codegree: Optional[int] = None,
+    terms: int = 3,
+    coeff_range: int = 5,
+) -> GradedClass:
+    """Random sparse class, for property tests."""
+    hi = max_codegree
+    if hi is None:
+        hi = ctx.dimension if ctx.dimension is not None else 4
+    table: dict[Monomial, int] = {}
+    for _ in range(terms):
+        budget = rng.randint(0, hi)
+        exps: dict[int, int] = {}
+        while budget > 0:
+            i = rng.randrange(len(ctx.names))
+            d = ctx.codegrees[i]
+            if d > budget:
+                break
+            exps[i] = exps.get(i, 0) + 1
+            budget -= d
+        m = Monomial(exps.items())
+        c = rng.randint(-coeff_range, coeff_range)
+        table[m] = table.get(m, 0) + c
+    return ctx.from_table(table)
+
+
+def worklist_nf(ring: RingContext, table, truncate: bool = True) -> dict:
+    """Reference normal form by a work loop over the pending terms: the
+    largest term in ``ring._mkey`` order is rewritten by the first rule
+    whose lead divides it, until no term is reducible."""
+    dim = ring.dimension if truncate else None
+    red = ring._red
+    work: dict[Monomial, int] = {}
+    for m, c in table.items():
+        c = red(c)
+        if c:
+            work[m] = red(work.get(m, 0) + c)
+    out: dict[Monomial, int] = {}
+    while work:
+        m = max(work, key=ring._mkey)
+        c = work.pop(m)
+        if c == 0:
+            continue
+        if dim is not None and ring.monomial_codegree(m) > dim:
+            continue
+        rule = ring._matching_rule(m)
+        if rule is None:
+            v = red(out.get(m, 0) + c)
+            if v:
+                out[m] = v
+            elif m in out:
+                del out[m]
+            continue
+        q = m.div(rule.lead)
+        for rm, rc in rule.replacement:
+            t = rm.mul(q)
+            v = red(work.get(t, 0) + c * rc)
+            if v:
+                work[t] = v
+            elif t in work:
+                del work[t]
+    return {m: c for m, c in out.items() if c}
 
 
 def bl_point_plane():

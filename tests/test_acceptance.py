@@ -5,7 +5,7 @@ import itertools
 import random
 import time
 
-from helpers import bl_point_plane, random_expression, random_tower
+from helpers import bl_point_plane, random_class, random_expression, random_tower
 
 from chowcalc import registry
 from chowcalc.characteristic import (
@@ -32,7 +32,7 @@ from chowcalc.numeric import (
     integer_determinant,
     pairing_report,
 )
-from chowcalc.rings import Monomial, confluence_check, random_class
+from chowcalc.rings import Monomial, confluence_check
 from chowcalc.script import Script, parse_script, print_script
 from chowcalc.varieties import (
     BundleRoots,

@@ -19,7 +19,7 @@ from chowcalc.characteristic import (
     steenrod_embedded,
     steenrod_total,
 )
-from chowcalc.rings import Monomial, RingContext, random_class
+from chowcalc.rings import Monomial, RingContext
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
@@ -30,6 +30,7 @@ from chowcalc.varieties import (
     projective_bundle,
     projective_space,
 )
+from helpers import random_class
 
 
 def rand_roots(ring, rng, count, signed=False):

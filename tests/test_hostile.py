@@ -9,6 +9,7 @@ import pytest
 from chowcalc.cli import main
 from chowcalc.milnor import MAX_RHO_HEIGHT
 from chowcalc.report import ERROR, PASS
+from chowcalc.rings import Monomial
 from chowcalc.script import MAX_POW_BITS, parse_script, run_scenario
 from chowcalc.varieties import projective_space
 
@@ -102,3 +103,30 @@ def test_rho_height_above_the_cap_is_an_error():
     results = verdicts(f"(milnor R 3 (rho-height 1000)) (milnor S 3 (rho-height {MAX_RHO_HEIGHT}))")
     assert [r.verdict for r in results] == [ERROR]
     assert f"height must be <= {MAX_RHO_HEIGHT}" in results[0].detail
+
+
+def test_cycling_rules_end_at_once():
+    # x*y -> y^2 and y^2 -> x*y rewrite each other's replacement forever
+    results = verdicts(
+        "(generic X 3 (gens (x 1) (y 1)) (rules ((mul x y) (mul y y)) ((mul y y) (mul x y))))"
+        "(assert-zero (trivial) (mul x y))",
+        bound_s=1.0,
+    )
+    assert [r.verdict for r in results] == [ERROR, ERROR]
+    assert "RewriteCycle: rewrite cycle through y^2" in results[0].detail
+
+
+def test_large_projective_space_builds_quickly():
+    results = verdicts("(pspace P 800) (assert-deg (trivial) (pow h 800) 1)", bound_s=1.0)
+    assert [r.verdict for r in results] == [PASS]
+    assert projective_space(800).tangent.table[Monomial([(0, 800)])] == 801
+
+
+def test_report_value_keeps_evaluation_errors():
+    report = run_scenario(parse_script(
+        "(pspace P 2) (report-value v (mul h undefined_name))"
+        "(report-value m ((20 -2) (5 1))) (report-value w (mul h h))"
+    ), "hostile")
+    assert [r.verdict for r in report.results] == [ERROR]
+    assert "undefined identifier 'undefined_name'" in report.results[0].detail
+    assert report.values == {"m": "((20 -2) (5 1))", "w": "h^2"}

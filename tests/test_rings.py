@@ -1,18 +1,20 @@
 import random
+import sys
 
 import pytest
 
 from chowcalc.rings import (
     Monomial,
     ReductionBudgetExceeded,
+    RewriteCycle,
     RingContext,
     confluence_check,
     evaluate,
     inverse_series,
     normal_form,
-    random_class,
     symmetric_expand,
 )
+from helpers import random_class, worklist_nf
 
 
 def free_ring(names, dim, modulus=0):
@@ -222,6 +224,73 @@ class TestProductMemo:
             with pytest.raises(ReductionBudgetExceeded):
                 xy * z
         assert len(R._products) == stored
+
+
+def random_table(R, rng, terms=4):
+    """Random monomials up to one codegree above the dimension, with
+    coefficients that may vanish mod p."""
+    top = (R.dimension if R.dimension is not None else 4) + 1
+    table = {}
+    for _ in range(terms):
+        exps, budget = {}, rng.randint(0, top)
+        while True:
+            fits = [i for i, d in enumerate(R.codegrees) if d <= budget]
+            if not fits:
+                break
+            i = rng.choice(fits)
+            exps[i] = exps.get(i, 0) + 1
+            budget -= R.codegrees[i]
+        table[Monomial(exps.items())] = rng.randint(-6, 6)
+    return table
+
+
+class TestMonomialMemo:
+    @staticmethod
+    def assert_matches_worklist(R, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            table = random_table(R, rng)
+            for truncate in (True, False):
+                expected = worklist_nf(R, table, truncate)
+                assert R._nf(table, truncate) == expected
+                # again from an empty memo, so every chain is walked afresh
+                R._normal_forms.clear()
+                assert R._nf(table, truncate) == expected
+
+    def test_registry_rings(self, monkeypatch):
+        rings = registry_rings(monkeypatch)
+        assert sum(R.names == ("a", "r", "q") and bool(R.rules) for R in rings) == 3
+        for k, R in enumerate(rings):
+            self.assert_matches_worklist(R, seed=k, count=30)
+
+    @pytest.mark.parametrize("modulus", [2, 3])
+    def test_truncated_ring_mod_p(self, modulus):
+        x2, y2 = Monomial([(0, 2)]), Monomial([(1, 2)])
+        R = RingContext(
+            ["x", "y", "z"], [1, 1, 2], modulus=modulus, dimension=4,
+            rules=[(x2, {y2: 1, Monomial([(2, 1)]): -1})],
+        )
+        self.assert_matches_worklist(R, seed=modulus, count=200)
+
+    def test_chain_longer_than_the_recursion_limit(self):
+        x, y2 = Monomial([(0, 1)]), Monomial([(1, 2)])
+        R = RingContext(["x", "y"], [1, 1], rules=[(y2, {x.mul(Monomial([(1, 1)])): 1})])
+        n = 3000
+        assert n > sys.getrecursionlimit()
+        c = R.from_table({Monomial([(1, n)]): 1})
+        assert c.table == {Monomial([(0, n - 1), (1, 1)]): 1}
+
+    def test_cycle_names_its_monomial(self):
+        xz, y2 = Monomial([(0, 1), (2, 1)]), Monomial([(1, 2)])
+        R = RingContext(
+            ["x", "y", "z"], [1, 1, 1], dimension=3,
+            rules=[(xz, {Monomial([(1, 1), (2, 1)]): 1}), (y2, {Monomial([(0, 1), (1, 1)]): 1})],
+        )
+        with pytest.raises(RewriteCycle) as err:
+            R.from_table({Monomial([(0, 1), (1, 1), (2, 1)]): 1})
+        assert err.value.monomial in ("x*y*z", "y^2*z")
+        # the same monomial above the dimension truncates before any rewriting
+        assert R.from_table({Monomial([(0, 2), (1, 1), (2, 1)]): 1}).is_zero()
 
 
 class TestSymmetricExpand:

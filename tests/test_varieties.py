@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chowcalc.rings import Monomial, random_class
+from chowcalc.rings import Monomial
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
@@ -16,6 +16,7 @@ from chowcalc.varieties import (
     projective_bundle,
     projective_space,
 )
+from helpers import random_class
 
 
 def bl_point_plane():
