@@ -23,12 +23,10 @@ from .rings import (
     Monomial,
     ReductionBudgetExceeded,
     RewriteCycle,
-    RewriteRule,
     RingContext,
     RingError,
     confluence_check,
     evaluate,
-    inverse_series,
     normal_form,
     symmetric_expand,
 )
@@ -40,8 +38,6 @@ from .varieties import (
     TangentUnavailable,
     blow_up,
     generic_context,
-    load_presentation,
-    presentation_from_json,
     product,
     projective_bundle,
     projective_space,
@@ -59,7 +55,6 @@ from .characteristic import (
     steenrod_total,
 )
 from .milnor import (
-    IaAlgebra,
     MilnorElement,
     MilnorRing,
     PeriodicModule,
@@ -73,8 +68,6 @@ from .milnor import (
     truncated_symbol_ia,
 )
 from .numeric import (
-    GammaQuotient,
-    PairingReport,
     ab1_check,
     gamma_quotient,
     integer_determinant,

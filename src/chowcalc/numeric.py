@@ -211,7 +211,11 @@ class PairingReport:
 
 def _integer_pairing(X: ChowPresentation, r: int) -> list[list[int]]:
     """The |B_r| x |B_{n-r}| matrix of degrees X.degree(b * bd), as fresh
-    lists; the matrix of min(r, n - r) is computed once per presentation."""
+    lists; the matrix of min(r, n - r) is computed once per presentation.
+
+    b and bd are basis monomials, so b * bd is read straight from the ring's
+    product memo (``RingContext._product``) as one table per entry, without
+    building and multiplying two one-term classes."""
     if X.ring.modulus != 0:
         raise CoverageError("pairing is computed on an integral presentation")
     if X.degree_table is None or not X.degree_total:
@@ -219,13 +223,27 @@ def _integer_pairing(X: ChowPresentation, r: int) -> list[list[int]]:
     s = min(r, X.dim - r)
     mat = X._pairings.get(s)
     if mat is None:
-        duals = X.basis_classes(X.dim - s)
-        mat = tuple(tuple(X.degree(b * bd) for bd in duals) for b in X.basis_classes(s))
+        ring = X.ring
+        product = ring._product
+        duals = X.basis_of(X.dim - s)
+        mat = tuple(
+            tuple(X.degree(GradedClass(ring, dict(product(b, bd)))) for bd in duals)
+            for b in X.basis_of(s)
+        )
         X._pairings[s] = mat
     if s == r:
         return [list(row) for row in mat]
     # one row per class of B_r, also when B_{n-r} is empty
     return [[row[j] for row in mat] for j in range(len(X.basis_of(r)))]
+
+
+def _basis_labels(X: ChowPresentation, r: int) -> list[str]:
+    """The printed basis monomials of codegree r, as a fresh list; computed
+    once per presentation and codegree."""
+    labels = X._basis_labels.get(r)
+    if labels is None:
+        labels = X._basis_labels[r] = tuple(X.ring.monomial_str(m) for m in X.basis_of(r))
+    return list(labels)
 
 
 def pairing_report(X: ChowPresentation, p: int) -> PairingReport:
@@ -244,8 +262,8 @@ def pairing_report(X: ChowPresentation, p: int) -> PairingReport:
             kern = [[int(i == j) for j in range(len(mat))] for i in range(len(mat))]
         rep.codegrees[r] = CodegreePairing(
             codegree=r,
-            basis=[X.ring.monomial_str(m) for m in X.basis_of(r)],
-            dual_basis=[X.ring.monomial_str(m) for m in X.basis_of(n - r)],
+            basis=_basis_labels(X, r),
+            dual_basis=_basis_labels(X, n - r),
             matrix=mat,
             rank=rank,
             kernel=kern,

@@ -41,6 +41,13 @@ adds up c1*c2 times the stored tables.  Both memos are sound for every
 terminating rule set, confluent or not.  In a ring with a finite basis the
 product memo is in effect the table of structure constants.
 
+A monomial is a tuple of (generator index, exponent) pairs sorted by index,
+with each index once and every exponent positive, so equal monomials have
+equal tuples.  Its hash is computed once, when it is built, and kept:
+monomials are the keys of every class table and memo.  Products and
+quotients merge two sorted tuples and skip the checks of the public
+constructor, whose inputs may be unsorted, repeat an index or hold zeros.
+
 No floating point is used anywhere; everything is exact.
 """
 
@@ -91,24 +98,34 @@ def _is_prime(n: int) -> bool:
 
 
 class Monomial:
-    """Sparse exponent vector: a sorted tuple of (generator index, exponent).
+    """Sparse exponent vector: a tuple of (generator index, exponent) pairs.
 
-    Zero exponents are never stored; the empty tuple is the unit monomial.
+    ``exps`` is sorted by index, each index occurs once and every exponent
+    is positive; the empty tuple is the unit monomial.  The public
+    constructor establishes this from any pairs: it adds up the exponents of
+    a repeated index, then drops zero exponents and refuses negative ones.
+    ``mul`` and ``div`` keep it by merging two sorted tuples and build their
+    result through ``_monomial``, which takes pairs already in this form.
+    A monomial is immutable, and its hash is computed once and kept.
     """
 
-    __slots__ = ("exps",)
+    __slots__ = ("exps", "_hash")
 
     def __init__(self, exps: Iterable[tuple[int, int]] = ()):
-        pairs = tuple(sorted((i, e) for i, e in exps if e != 0))
+        acc: dict[int, int] = {}
+        for i, e in exps:
+            acc[i] = acc.get(i, 0) + e
+        pairs = tuple(sorted((i, e) for i, e in acc.items() if e != 0))
         if any(e < 0 for _, e in pairs):
             raise ValueError("negative exponent in monomial")
         self.exps = pairs
+        self._hash = hash(pairs)
 
     def __hash__(self) -> int:
-        return hash(self.exps)
+        return self._hash
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
+        return self is other or (isinstance(other, Monomial) and self.exps == other.exps)
 
     def __repr__(self) -> str:
         return f"Monomial({self.exps!r})"
@@ -127,20 +144,73 @@ class Monomial:
         return sum(e for _, e in self.exps)
 
     def mul(self, other: "Monomial") -> "Monomial":
-        acc = dict(self.exps)
-        for i, e in other.exps:
-            acc[i] = acc.get(i, 0) + e
-        return Monomial(acc.items())
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        la, lb = len(a), len(b)
+        while i < la and j < lb:
+            x, y = a[i], b[j]
+            if x[0] < y[0]:
+                out.append(x)
+                i += 1
+            elif y[0] < x[0]:
+                out.append(y)
+                j += 1
+            else:
+                out.append((x[0], x[1] + y[1]))
+                i += 1
+                j += 1
+        if i < la:
+            out.extend(a[i:])
+        elif j < lb:
+            out.extend(b[j:])
+        return _monomial(tuple(out))
 
     def divides(self, other: "Monomial") -> bool:
-        it = dict(other.exps)
-        return all(it.get(i, 0) >= e for i, e in self.exps)
+        b = other.exps
+        j, lb = 0, len(b)
+        for i, e in self.exps:
+            while j < lb and b[j][0] < i:
+                j += 1
+            if j == lb or b[j][0] != i or b[j][1] < e:
+                return False
+            j += 1
+        return True
 
     def div(self, other: "Monomial") -> "Monomial":
-        acc = dict(self.exps)
-        for i, e in other.exps:
-            acc[i] = acc.get(i, 0) - e
-        return Monomial(acc.items())
+        """self / other; ``ValueError`` when other does not divide self."""
+        b = other.exps
+        if not b:
+            return self
+        out = []
+        j, lb = 0, len(b)
+        for x in self.exps:
+            if j < lb and b[j][0] == x[0]:
+                e = x[1] - b[j][1]
+                j += 1
+                if e > 0:
+                    out.append((x[0], e))
+                elif e < 0:
+                    raise ValueError("negative exponent in monomial")
+            else:
+                out.append(x)
+        if j < lb:
+            # b[j] names a generator absent from self
+            raise ValueError("negative exponent in monomial")
+        return _monomial(tuple(out))
+
+
+def _monomial(pairs: tuple[tuple[int, int], ...]) -> Monomial:
+    """The monomial of pairs already sorted by index, with distinct indices
+    and positive exponents (unchecked)."""
+    m = object.__new__(Monomial)
+    m.exps = pairs
+    m._hash = hash(pairs)
+    return m
 
 
 MONOMIAL_ONE = Monomial()
@@ -185,10 +255,14 @@ class RingContext:
     ``_normal_forms`` memoises f(m), the normal form of one monomial without
     truncation, as a tuple of (monomial, coefficient) pairs; it is emptied
     whenever the stored rules change.  ``_products`` memoises the truncated
-    normal form of each product of two monomials, keyed by their exponent
-    tuples; ``gen`` and class products read it, and its size is
-    ``len(ring._products)``.  Neither needs confluence (see the module
-    docstring).  Rules that cycle raise ``RewriteCycle``; a fill of
+    normal form of each product of two monomials, keyed by the pair of
+    monomials; ``gen``, class products and the degree pairing read it, and
+    its size is ``len(ring._products)``.  Both memos, like every class
+    table, are keyed by monomials: each keeps its hash, and equal monomials
+    built apart have equal sorted pairs, so they find the same entry.
+    ``monomial_codegree`` is computed each time, not memoised.  Neither
+    memo needs confluence (see the module docstring).  Rules that cycle
+    raise ``RewriteCycle``; a fill of
     ``_normal_forms`` that takes more than ``step_budget`` rewriting steps
     raises ``ReductionBudgetExceeded``.  A product that raises stores
     nothing in ``_products``.
@@ -219,7 +293,7 @@ class RingContext:
         self._index = {n: i for i, n in enumerate(self.names)}
         self.rules: tuple[RewriteRule, ...] = ()
         self._install_rules(rules)
-        self._products: dict[tuple, tuple[tuple[Monomial, int], ...]] = {}
+        self._products: dict[tuple[Monomial, Monomial], tuple[tuple[Monomial, int], ...]] = {}
 
     # -- construction -------------------------------------------------
 
@@ -297,12 +371,22 @@ class RingContext:
             raise KeyError(f"unknown generator {name!r}") from None
 
     def monomial_codegree(self, m: Monomial) -> int:
-        return sum(self.codegrees[i] * e for i, e in m.exps)
+        # not memoised: most monomials asked about are fresh products, and
+        # a memo lookup measured no cheaper than this loop
+        cd = self.codegrees
+        d = 0
+        for i, e in m.exps:
+            d += cd[i] * e
+        return d
 
     def _mkey(self, m: Monomial):
         # Reverse-index lexicographic order: later generators weigh more.
         # All constructor-emitted rules strictly decrease in this order.
-        return tuple(m.exp_of(i) for i in range(len(self.names) - 1, -1, -1))
+        v = [0] * len(self.names)
+        for i, e in m.exps:
+            v[i] = e
+        v.reverse()
+        return tuple(v)
 
     def monomial_str(self, m: Monomial) -> str:
         if m.is_one:
@@ -360,7 +444,7 @@ class RingContext:
 
     def _product(self, m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, int], ...]:
         """The normal form of m1*m2 as (monomial, coefficient) pairs, memoised."""
-        key = (m1.exps, m2.exps)
+        key = (m1, m2)
         nf = self._products.get(key)
         if nf is None:
             nf = self._products[key] = self._f(m1.mul(m2), self._normal_forms, self.dimension)

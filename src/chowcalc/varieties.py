@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -36,6 +35,7 @@ from .rings import (
     Monomial,
     RingContext,
     RingError,
+    _monomial,
     evaluate,
     minimal_monomials,
 )
@@ -146,10 +146,11 @@ class CenterData:
 class ChowPresentation:
     """A finite Chow-ring presentation: ring + basis + degree + tangent.
 
-    A presentation is immutable once built, so it keeps three caches of
+    A presentation is immutable once built, so it keeps four caches of
     tables derived from it: ``_mod_cache`` (the presentation mod p, per p),
     ``_pairings`` (the integer degree-pairing matrix of codegree r, for
-    r <= dim - r, filled by ``numeric``) and ``_coord_index`` (basis
+    r <= dim - r) and ``_basis_labels`` (the printed basis monomials, per
+    codegree), both filled by ``numeric``, and ``_coord_index`` (basis
     monomial -> index, per codegree, for ``coordinates``).
     """
 
@@ -180,6 +181,7 @@ class ChowPresentation:
         self.name = name or kind
         self._mod_cache: dict[int, "ChowPresentation"] = {}
         self._pairings: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._basis_labels: dict[int, tuple[str, ...]] = {}
         self._coord_index: dict[int, dict[Monomial, int]] = {}
 
     # -- basics -------------------------------------------------------
@@ -461,8 +463,10 @@ def _irreducible_monomials(ring: RingContext, d: int) -> list[Monomial]:
     n = len(ring.names)
 
     def rec(i: int, remaining: int, acc: dict[int, int]):
+        # acc holds positive exponents only, inserted in increasing index
+        # order, so its items are a monomial's sorted pairs
         if remaining == 0:
-            m = Monomial(acc.items())
+            m = _monomial(tuple(acc.items()))
             if ring._matching_rule(m) is None:
                 out.append(m)
             return
@@ -474,7 +478,7 @@ def _irreducible_monomials(ring: RingContext, d: int) -> list[Monomial]:
             if e:
                 acc[i] = e
                 # prune: a reducible prefix only gets worse
-                if ring._matching_rule(Monomial(acc.items())) is not None:
+                if ring._matching_rule(_monomial(tuple(acc.items()))) is not None:
                     del acc[i]
                     continue
             rec(i + 1, remaining - e * cd, acc)
@@ -515,8 +519,14 @@ def projective_space(
         rules=[(Monomial([(0, n + 1)]), {})],
     )
     basis = [(Monomial([(0, d)]) if d else MONOMIAL_ONE,) for d in range(n + 1)]
-    # (1 + h)^(n+1) with h^(n+1) = 0, term by term
-    tangent = ring.from_table({m: math.comb(n + 1, d) for d, (m,) in enumerate(basis)})
+    # (1 + h)^(n+1) with h^(n+1) = 0, term by term; binom(n+1, d+1) is
+    # binom(n+1, d) * (n+1-d) / (d+1), exactly
+    table = {}
+    c = 1
+    for d, (m,) in enumerate(basis):
+        table[m] = c
+        c = c * (n + 1 - d) // (d + 1)
+    tangent = ring.from_table(table)
     return ChowPresentation(
         kind="pspace",
         ring=ring,
@@ -559,7 +569,8 @@ def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None
     shift = len(X.ring.names)
 
     def lift_mono(m: Monomial, offset: int) -> Monomial:
-        return Monomial([(i + offset, e) for i, e in m.exps])
+        # shifting every index keeps the pairs sorted
+        return _monomial(tuple([(i + offset, e) for i, e in m.exps])) if offset else m
 
     rules = []
     for r in X.ring.rules:

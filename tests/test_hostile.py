@@ -122,6 +122,12 @@ def test_large_projective_space_builds_quickly():
     assert projective_space(800).tangent.table[Monomial([(0, 800)])] == 801
 
 
+def test_huge_projective_space_builds_quickly():
+    # the tangent's 20,001 binomial coefficients come from one recurrence
+    results = verdicts("(pspace P 20000) (assert-deg (trivial) (pow h 20000) 1)", bound_s=2.0)
+    assert [r.verdict for r in results] == [PASS]
+
+
 def test_report_value_keeps_evaluation_errors():
     report = run_scenario(parse_script(
         "(pspace P 2) (report-value v (mul h undefined_name))"

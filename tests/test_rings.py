@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from chowcalc.rings import (
+    MONOMIAL_ONE,
     Monomial,
     ReductionBudgetExceeded,
     RewriteCycle,
@@ -44,6 +45,60 @@ def registry_rings(monkeypatch):
     for R in built:
         rings.setdefault((R.names, R.codegrees, R.modulus, R.dimension, R.rules), R)
     return list(rings.values())
+
+
+def random_pairs(rng, ngens=6, top=3):
+    """Sparse (index, exponent) pairs in random order, zeros included."""
+    pairs = [(i, rng.randint(0, top)) for i in rng.sample(range(ngens), rng.randint(0, ngens))]
+    rng.shuffle(pairs)
+    return pairs
+
+
+class TestMonomial:
+    def test_repeated_indices_are_merged(self):
+        m = Monomial([(0, 1), (1, 1), (0, 2)])
+        assert m.exps == ((0, 3), (1, 1))
+        assert m == Monomial([(1, 1), (0, 3)])
+        assert hash(m) == hash(Monomial([(1, 1), (0, 3)]))
+        assert Monomial([(0, 2), (1, 1), (0, -2)]) == Monomial([(1, 1)])
+        with pytest.raises(ValueError):
+            Monomial([(0, 1), (0, -2)])
+
+    def test_repeated_indices_in_a_table(self):
+        R = free_ring(["x"], 4)
+        x_x2, x3 = Monomial([(0, 1), (0, 2)]), Monomial([(0, 3)])
+        assert R.from_table({x_x2: 1}) == R.gen("x") ** 3
+        table = {}
+        for m in (x_x2, x3):
+            table[m] = table.get(m, 0) + 1
+        assert R.from_table(table).table == {x3: 2}
+
+    def test_fast_paths_match_the_public_constructor(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            a, b = Monomial(random_pairs(rng)), Monomial(random_pairs(rng))
+            ab = a.mul(b)
+            expected = Monomial(list(a.exps) + list(b.exps))
+            assert ab.exps == expected.exps and hash(ab) == hash(expected) and ab == expected
+            for num, den in ((ab, a), (ab, b), (a, b)):
+                have = dict(num.exps)
+                divides = all(have.get(i, 0) >= e for i, e in den.exps)
+                assert den.divides(num) == divides
+                if divides:
+                    q = num.div(den)
+                    expected = Monomial(list(num.exps) + [(i, -e) for i, e in den.exps])
+                    assert q.exps == expected.exps and hash(q) == hash(expected) and q == expected
+                else:
+                    with pytest.raises(ValueError):
+                        num.div(den)
+
+    def test_unit_and_non_divisors(self):
+        m = Monomial([(0, 2), (3, 1)])
+        assert m.mul(MONOMIAL_ONE) == m and MONOMIAL_ONE.mul(m) == m
+        assert m.div(MONOMIAL_ONE) == m and m.div(m) == MONOMIAL_ONE
+        for other in ([(0, 3)], [(1, 1)], [(4, 1)], [(0, 1), (2, 1)]):
+            with pytest.raises(ValueError):
+                m.div(Monomial(other))
 
 
 class TestNormalForm:
@@ -199,6 +254,18 @@ class TestProductMemo:
         self.assert_random_products(R, seed=5, count=100, max_codegree=6)
         x = R.gen("x")
         assert str(x**10) == "x^10"
+
+    def test_memo_is_keyed_by_equal_monomials(self):
+        # equal monomials built apart share one entry of the memo
+        R = free_ring(["x", "y", "z"], 4, modulus=3)
+        rng = random.Random(4)
+        for _ in range(100):
+            random_class(R, rng) * random_class(R, rng)
+        stored = len(R._products)
+        assert stored == len({(m1.exps, m2.exps) for m1, m2 in R._products})
+        for m1, m2 in list(R._products):
+            R._product(Monomial(m1.exps), Monomial(m2.exps))
+        assert len(R._products) == stored
 
     def test_memo_tables_are_not_shared(self):
         R = pspace_ring(3)
