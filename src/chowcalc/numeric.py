@@ -2,19 +2,30 @@
 quotients by user-declared correspondence-image classes, and the kernel-
 stability check for reduced power operations.
 
-Pairings are computed exactly over the integers first and reduced mod p, so
-one integer matrix serves every prime: each presentation computes the matrix
-of codegree r once, for r <= n - r, and keeps it (``_integer_pairing``);
-codegree n - r is its transpose, since ``b * bd`` and ``bd * b`` reduce the
-same monomial.  Every report and every caller gets fresh lists.
+Each presentation pays for its pairing once, and keeps it:
+
+- the integer pairing (``_integer_pairings``): the matrix M_r of codegree r
+  for every r <= n - r, filled in one pass.  Every product b * bd of basis
+  monomials lies in codegree n, so one {monomial: degree} memo serves every
+  codegree and ``X.degree`` runs once per distinct product.  Codegree
+  n - r is the transpose of M_r, since ``b * bd`` and ``bd * b`` are the
+  same monomial.
+- the mod-p report, per prime (``_modp_pairing``): the rank and the kernel
+  of each codegree.  M_{n-r} is the transpose of M_r, so the rank of
+  codegree n - r is read from codegree r.  ``pairing_report``,
+  ``numerical_kernel``, ``kernel_is_ideal`` and ``ab1_check`` all read it.
+
+Both are stored as tuples on the presentation; every report and every
+caller gets fresh lists.
 
 All elimination runs on one sparse echelon kernel (``_echelon``, with
 ``_eliminate`` clearing one column): rows are ``{column: int}`` dicts,
 reduced fraction-free over Z and divided by their content, or made monic
-over F_p.  Ideal membership (``rational_in_rowspan``, ``modp_in_rowspan``)
-and the quotient map ``GammaQuotient.project`` reduce a vector against the
-pivot rows in increasing column order (``_reduce``), so its residual is zero
-on every pivot column; the pivot columns depend only on the row span, so the
+over F_p.  Ideal membership (``rational_in_rowspan``, ``modp_in_rowspan``,
+or ``rowspan_residuals`` for many vectors against one echelon form) and the
+quotient map ``GammaQuotient.project`` reduce a vector against the pivot
+rows in increasing column order (``_reduce``), so its residual is zero on
+every pivot column; the pivot columns depend only on the row span, so the
 residual is canonical (the same as a reduction against the reduced row
 echelon form would give).  ``modp_rank`` counts the pivot rows,
 ``modp_rref`` back-substitutes them, and ``modp_kernel`` reads its basis off
@@ -27,7 +38,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .rings import GradedClass, Monomial, RingError
 from .varieties import ChowPresentation, CoverageError, TangentUnavailable
@@ -99,7 +110,7 @@ def _reduce(pivots: dict[int, _Row], vec: Sequence[int], p: int) -> tuple[list[i
     return [res.get(j, 0) for j in range(len(vec))], scale
 
 
-def modp_rref(rows: list[list[int]], p: int) -> dict[int, _Row]:
+def modp_rref(rows: Sequence[Sequence[int]], p: int) -> dict[int, _Row]:
     """Reduced row echelon form over F_p: {pivot column: monic row that is
     zero on every other pivot column}."""
     pivots = _echelon(rows, p)
@@ -113,11 +124,11 @@ def modp_rref(rows: list[list[int]], p: int) -> dict[int, _Row]:
     return pivots
 
 
-def modp_rank(rows: list[list[int]], p: int) -> int:
+def modp_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(_echelon(rows, p))
 
 
-def modp_kernel(matrix: list[list[int]], p: int) -> list[list[int]]:
+def modp_kernel(matrix: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     """Right kernel basis of the matrix over F_p (vectors of length ncols)."""
     ncols = len(matrix[0]) if matrix else 0
     rref = modp_rref(matrix, p)
@@ -133,16 +144,29 @@ def modp_kernel(matrix: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
+def rowspan_residuals(rows: list[list[int]], p: int) -> Callable[[list[int]], list]:
+    """Echelon rows once, over Q for p = 0 and over F_p otherwise; returns
+    the map from a vector to its residual modulo the row span, as
+    ``rational_in_rowspan`` (Fractions) or ``modp_in_rowspan`` (ints) give it."""
+    pivots = _echelon(rows, p)
+
+    def residual(vec: list[int]) -> list:
+        res, scale = _reduce(pivots, vec, p)
+        return res if p else [Fraction(v, scale) for v in res]
+
+    return residual
+
+
 def modp_in_rowspan(rows: list[list[int]], vec: list[int], p: int) -> tuple[bool, list[int]]:
     """Membership of vec in the row span over F_p; returns (ok, residual)."""
-    res, _ = _reduce(_echelon(rows, p), vec, p)
+    res = rowspan_residuals(rows, p)(vec)
     return not any(res), res
 
 
 def rational_in_rowspan(rows: list[list[int]], vec: list[int]) -> tuple[bool, list[Fraction]]:
     """Membership of vec in the rational row span; returns (ok, residual)."""
-    res, scale = _reduce(_echelon(rows, 0), vec, 0)
-    return not any(res), [Fraction(v, scale) for v in res]
+    res = rowspan_residuals(rows, 0)(vec)
+    return not any(res), res
 
 
 def integer_determinant(matrix: list[list[int]]) -> int:
@@ -209,32 +233,77 @@ class PairingReport:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _integer_pairing(X: ChowPresentation, r: int) -> list[list[int]]:
-    """The |B_r| x |B_{n-r}| matrix of degrees X.degree(b * bd), as fresh
-    lists; the matrix of min(r, n - r) is computed once per presentation.
+def _integer_pairings(X: ChowPresentation) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """The matrices M_s = (X.degree(b * bd)) for b in B_s, bd in B_{n-s} and
+    s <= n - s, kept on the presentation and filled in one pass.
 
-    b and bd are basis monomials, so b * bd is read straight from the ring's
-    product memo (``RingContext._product``) as one table per entry, without
-    building and multiplying two one-term classes."""
+    Every b * bd lies in codegree n, so one {monomial: degree} memo serves
+    every s: each distinct product gets its normal form from the ring's
+    memo (``RingContext._f``) and its degree from ``X.degree``, once."""
     if X.ring.modulus != 0:
         raise CoverageError("pairing is computed on an integral presentation")
     if X.degree_table is None or not X.degree_total:
         raise CoverageError("pairing needs a total degree functional")
-    s = min(r, X.dim - r)
-    mat = X._pairings.get(s)
-    if mat is None:
+    if not X._pairings:
         ring = X.ring
-        product = ring._product
-        duals = X.basis_of(X.dim - s)
-        mat = tuple(
-            tuple(X.degree(GradedClass(ring, dict(product(b, bd)))) for bd in duals)
-            for b in X.basis_of(s)
-        )
-        X._pairings[s] = mat
+        f, normal_forms, n = ring._f, ring._normal_forms, X.dim
+        degrees: dict[Monomial, int] = {}
+        pairings = {}
+        for s in range(n // 2 + 1):
+            rows = []
+            for b in X.basis_of(s):
+                row = []
+                for bd in X.basis_of(n - s):
+                    m = b.mul(bd)
+                    d = degrees.get(m)
+                    if d is None:
+                        d = degrees[m] = X.degree(GradedClass(ring, dict(f(m, normal_forms, n))))
+                    row.append(d)
+                rows.append(tuple(row))
+            pairings[s] = tuple(rows)
+        # kept only when complete: a degree that raises leaves nothing behind
+        X._pairings.update(pairings)
+    return X._pairings
+
+
+def _integer_pairing(X: ChowPresentation, r: int) -> list[list[int]]:
+    """The |B_r| x |B_{n-r}| matrix of degrees X.degree(b * bd), as fresh
+    lists; codegree n - r > r is the transpose of the kept M_r."""
+    s = min(r, X.dim - r)
+    mat = _integer_pairings(X)[s]
     if s == r:
         return [list(row) for row in mat]
     # one row per class of B_r, also when B_{n-r} is empty
     return [[row[j] for row in mat] for j in range(len(X.basis_of(r)))]
+
+
+def _left_kernel(cols: Sequence[Sequence[int]], nrows: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Left kernel mod p of the nrows-row matrix with the given columns; with
+    no columns (no dual classes) every row pairs to zero."""
+    if not cols:
+        return tuple(tuple(int(i == j) for j in range(nrows)) for i in range(nrows))
+    return tuple(tuple(v) for v in modp_kernel(cols, p))
+
+
+def _modp_pairing(X: ChowPresentation, p: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """Per codegree r, the rank mod p of the pairing and the basis of its
+    left kernel, as tuples; computed once per presentation and prime.
+
+    The kernel of codegree r is the right kernel of M_r^T, and M_{n-r} is
+    M_r^T, so codegree n - r > r takes the kept M_r as it stands, and its
+    rank is the rank of M_r."""
+    pairings = _integer_pairings(X)
+    kept = X._modp_pairings.get(p)
+    if kept is None:
+        n = X.dim
+        out: list = [None] * (n + 1)
+        for s, mat in pairings.items():
+            rank = modp_rank(mat, p)
+            out[s] = (rank, _left_kernel(list(zip(*mat)), len(mat), p))
+            if n - s != s:
+                out[n - s] = (rank, _left_kernel(mat, len(X.basis_of(n - s)), p))
+        kept = X._modp_pairings[p] = tuple(out)
+    return kept
 
 
 def _basis_labels(X: ChowPresentation, r: int) -> list[str]:
@@ -248,25 +317,14 @@ def _basis_labels(X: ChowPresentation, r: int) -> list[str]:
 
 def pairing_report(X: ChowPresentation, p: int) -> PairingReport:
     rep = PairingReport(variety=X.name, prime=p)
-    n = X.dim
-    for r in range(n + 1):
-        mat = _integer_pairing(X, r)
-        modp = [[v % p for v in row] for row in mat]
-        rank = modp_rank(modp, p)
-        # kernel of the pairing on Ch^r is the LEFT kernel of M; with no
-        # dual classes every class of Ch^r pairs to zero
-        transposed = [list(col) for col in zip(*modp)]
-        if transposed:
-            kern = modp_kernel(transposed, p)
-        else:
-            kern = [[int(i == j) for j in range(len(mat))] for i in range(len(mat))]
+    for r, (rank, kernel) in enumerate(_modp_pairing(X, p)):
         rep.codegrees[r] = CodegreePairing(
             codegree=r,
             basis=_basis_labels(X, r),
-            dual_basis=_basis_labels(X, n - r),
-            matrix=mat,
+            dual_basis=_basis_labels(X, X.dim - r),
+            matrix=_integer_pairing(X, r),
             rank=rank,
-            kernel=kern,
+            kernel=[list(v) for v in kernel],
             num_dimension=rank,
         )
     return rep
@@ -282,21 +340,19 @@ def _class_of(
 def numerical_kernel(X: ChowPresentation, r: int, p: int) -> tuple[list[GradedClass], int]:
     """Kernel basis of the degree pairing in codegree r, and the dimension of
     Ch^r modulo numerical equivalence."""
-    rep = pairing_report(X, p)
-    entry = rep.codegrees[r]
+    rank, kernel = _modp_pairing(X, p)[r]
     Xp = X.with_coefficients(p)
-    classes = [_class_of(Xp, vec, X.basis_of(r)) for vec in entry.kernel]
-    return classes, entry.num_dimension
+    classes = [_class_of(Xp, vec, X.basis_of(r)) for vec in kernel]
+    return classes, rank
 
 
 def kernel_is_ideal(X: ChowPresentation, p: int) -> bool:
     """The union of pairing kernels over all codegrees is an ideal: kernel
     elements stay in the kernel after multiplication by any basis class."""
-    rep = pairing_report(X, p)
     n = X.dim
     Xp = X.with_coefficients(p)
-    for r, entry in rep.codegrees.items():
-        for vec in entry.kernel:
+    for r, (_, kernel) in enumerate(_modp_pairing(X, p)):
+        for vec in kernel:
             u = _class_of(Xp, vec, X.basis_of(r))
             for d in range(0, n - r + 1):
                 for b in Xp.basis_classes(d):
@@ -402,12 +458,11 @@ def ab1_check(X: ChowPresentation, p: int) -> KernelStabilityReport:
 
     if X.tangent is None:
         raise TangentUnavailable("kernel-stability check needs tangent data")
-    rep = pairing_report(X, p)
     Xp = X.with_coefficients(p)
     checks: list[KernelStabilityEntry] = []
     n = X.dim
-    for r, entry in rep.codegrees.items():
-        for vec in entry.kernel:
+    for r, (_, kernel) in enumerate(_modp_pairing(X, p)):
+        for vec in kernel:
             u = _class_of(Xp, vec, X.basis_of(r))
             i = 1
             while r + i * (p - 1) <= n:

@@ -220,13 +220,34 @@ def minimal_monomials(monomials: Iterable[Monomial]) -> set[Monomial]:
     """The monomials that no other monomial of the input properly divides.
 
     A proper divisor has a smaller total degree, so it suffices to test each
-    monomial, in order of total degree, against the minimal ones found so far.
+    monomial, in order of total degree, against the minimal ones found so
+    far; and only against those whose first generator is in its support,
+    since a divisor's generators all are.  The unit monomial divides every
+    monomial, so it is then the only minimal one.
     """
-    minimal: list[Monomial] = []
-    for m in sorted(set(monomials), key=Monomial.total_degree):
-        if not any(k.divides(m) for k in minimal):
-            minimal.append(m)
-    return set(minimal)
+    distinct = set(monomials)
+    if MONOMIAL_ONE in distinct:
+        return {MONOMIAL_ONE}
+    by_first: dict[int, list[Monomial]] = {}
+    minimal: set[Monomial] = set()
+    for m in sorted(distinct, key=Monomial.total_degree):
+        have = dict(m.exps)
+        divisible = False
+        for i in have:
+            for k in by_first.get(i, ()):
+                # k divides m (inlined: one dict per m, not one walk per pair)
+                for j, e in k.exps:
+                    if have.get(j, 0) < e:
+                        break
+                else:
+                    divisible = True
+                    break
+            if divisible:
+                break
+        if not divisible:
+            by_first.setdefault(m.exps[0][0], []).append(m)
+            minimal.add(m)
+    return minimal
 
 
 @dataclass(frozen=True)

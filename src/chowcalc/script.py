@@ -47,7 +47,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import Callable, Optional
 
 from . import characteristic as chops
 from . import milnor as miln
@@ -56,6 +56,7 @@ from .numeric import (
     modp_in_rowspan,
     pairing_report,
     rational_in_rowspan,
+    rowspan_residuals,
 )
 from .report import ERROR, FAIL, PASS, AssertionResult, Report
 from .rings import GradedClass, Monomial, RingContext
@@ -485,17 +486,15 @@ def _reduction(
 
 
 def _residual(
-    pres: ChowPresentation, rows: Optional[list], c: GradedClass, d: int
+    pres: ChowPresentation, span: Optional[Callable[[list[int]], list]], c: GradedClass, d: int
 ) -> dict[Monomial, Fraction]:
-    """The codegree-d part of c minus its projection to the span of rows
-    (None: no ideal), as an exact {basis monomial: coefficient} table;
-    empty iff the part lies in the span."""
+    """The codegree-d part of c minus its projection to the ideal's span, as
+    an exact {basis monomial: coefficient} table; empty iff the part lies in
+    the span.  span maps coordinates to their residual (None: no ideal)."""
     part = c.homogeneous_part(d)
-    if rows is None or part.is_zero():
+    if span is None or part.is_zero():
         return dict(part.table)
-    vec = pres.coordinates(part, d)
-    p = pres.ring.modulus
-    _, res = modp_in_rowspan(rows, vec, p) if p else rational_in_rowspan(rows, vec)
+    res = span(pres.coordinates(part, d))
     return {m: v for m, v in zip(pres.basis_of(d), res) if v}
 
 
@@ -520,10 +519,17 @@ def verify_identity(
     a class, or as (den * residual)/den when its coefficients are not
     integers."""
     pres, gens, diff = _reduction(env, lhs, rhs, modulo)
+    p = pres.ring.modulus
     residual: dict[Monomial, Fraction] = {}
     for d in sorted(diff.codegrees()):
-        rows = ideal_span_rows(pres, gens, d) if gens else None
-        residual.update(_residual(pres, rows, diff, d))
+        span = None
+        if gens:
+            # one vector per codegree, so one membership test each
+            rows = ideal_span_rows(pres, gens, d)
+            span = lambda vec, rows=rows: (
+                modp_in_rowspan(rows, vec, p) if p else rational_in_rowspan(rows, vec)
+            )[1]
+        residual.update(_residual(pres, span, diff, d))
     return not residual, _witness(pres.ring, residual) if residual else None
 
 
@@ -545,11 +551,12 @@ def verify_numerical(
     """
     pres, gens, diff = _reduction(env, lhs, rhs, modulo)
     n = pres.dim
-    rows = ideal_span_rows(pres, gens, n) if gens else None
+    # the top-codegree rows are echeloned once, for every product below
+    span = rowspan_residuals(ideal_span_rows(pres, gens, n), pres.ring.modulus) if gens else None
     for d in sorted(diff.codegrees()):
         part = diff.homogeneous_part(d)
         for w in pres.basis_classes(n - d):
-            residual = _residual(pres, rows, part * w, n)
+            residual = _residual(pres, span, part * w, n)
             if residual:
                 return False, f"{_witness(pres.ring, residual)} (pairing against {w})"
     return True, None

@@ -23,7 +23,6 @@ the center is multiplication by the fundamental class.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -93,19 +92,18 @@ class BundleRoots:
         return [c for s, c in self.entries if s == 1]
 
 
-def elementary_symmetric(classes: Sequence[GradedClass], j: int) -> GradedClass:
+def elementary_symmetric(classes: Sequence[GradedClass], top: int) -> list[GradedClass]:
+    """[e_0, ..., e_top] of the classes, by the recurrence e_t += e_{t-1} * c
+    run once per class: about len(classes) * top products, where the
+    sum over j-subsets takes C(len(classes), j) for each e_j."""
     if not classes:
         raise ValueError("need at least one class")
     ring = classes[0].ring
-    if j == 0:
-        return ring.one()
-    acc = ring.zero()
-    for comb in itertools.combinations(classes, j):
-        term = ring.one()
-        for c in comb:
-            term = term * c
-        acc = acc + term
-    return acc
+    e = [ring.one()] + [ring.zero()] * top
+    for k, c in enumerate(classes, 1):
+        for t in range(min(k, top), 0, -1):
+            e[t] = e[t] + e[t - 1] * c
+    return e
 
 
 @dataclass
@@ -146,12 +144,14 @@ class CenterData:
 class ChowPresentation:
     """A finite Chow-ring presentation: ring + basis + degree + tangent.
 
-    A presentation is immutable once built, so it keeps four caches of
-    tables derived from it: ``_mod_cache`` (the presentation mod p, per p),
-    ``_pairings`` (the integer degree-pairing matrix of codegree r, for
-    r <= dim - r) and ``_basis_labels`` (the printed basis monomials, per
-    codegree), both filled by ``numeric``, and ``_coord_index`` (basis
-    monomial -> index, per codegree, for ``coordinates``).
+    A presentation is immutable once built, so it keeps caches of tables
+    derived from it: ``_mod_cache`` (the presentation mod p, per p),
+    ``_coord_index`` (basis monomial -> index, per codegree, for
+    ``coordinates``), and three filled by ``numeric``: ``_pairings`` (the
+    integer degree-pairing matrix of codegree r, for r <= dim - r, all
+    filled at once), ``_modp_pairings`` (per prime p, the rank mod p and
+    the kernel basis of the pairing in each codegree) and ``_basis_labels``
+    (the printed basis monomials, per codegree).
     """
 
     def __init__(
@@ -181,6 +181,7 @@ class ChowPresentation:
         self.name = name or kind
         self._mod_cache: dict[int, "ChowPresentation"] = {}
         self._pairings: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._modp_pairings: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]] = {}
         self._basis_labels: dict[int, tuple[str, ...]] = {}
         self._coord_index: dict[int, dict[Monomial, int]] = {}
 
@@ -658,9 +659,9 @@ def projective_bundle(
     rules = [(rule.lead, dict(rule.replacement)) for rule in X.ring.rules]
     rules += [(m, {}) for m in _truncated_leads(X)]
     grothendieck: dict[Monomial, int] = {}
+    chern = elementary_symmetric(root_classes, r)
     for i in range(1, r + 1):
-        ci = elementary_symmetric(root_classes, i)
-        for m, c in ci.table.items():
+        for m, c in chern[i].table.items():
             t = m.mul(Monomial([(xi_idx, r - i)]))
             grothendieck[t] = grothendieck.get(t, 0) - c
     rules.append((Monomial([(xi_idx, r)]), grothendieck))
@@ -818,11 +819,11 @@ def blow_up(
     sign_z = 1 if (r - 1) % 2 == 0 else -1
     for m, c in center.fundamental.table.items():
         fold[m] = fold.get(m, 0) + sign_z * c
+    chern = elementary_symmetric(restricted_roots, r - 1) if r > 1 else []
     for j in range(1, r):
-        cj = elementary_symmetric(restricted_roots, r - j)
         sgn = 1 if (j + r - 1) % 2 == 0 else -1
         ej = Monomial([(e_idx, j)])
-        for m, c in cj.table.items():
+        for m, c in chern[r - j].table.items():
             t = m.mul(ej)
             fold[t] = fold.get(t, 0) + sgn * c
     rules.append((Monomial([(e_idx, r)]), fold))

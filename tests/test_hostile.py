@@ -128,6 +128,19 @@ def test_huge_projective_space_builds_quickly():
     assert [r.verdict for r in results] == [PASS]
 
 
+@pytest.mark.parametrize("n", [20, 40])
+def test_bundle_with_many_roots_builds_quickly(n):
+    # rank n + 1 over P^n: the Chern classes of the roots come from one
+    # recurrence, not from a sum over the 2^(n+1) subsets of the roots
+    roots = " ".join(["0"] + ["h"] * n)
+    results = verdicts(
+        f"(pspace P {n}) (pbundle B P xi (roots {roots}))"
+        f"(assert-deg (trivial) (mul (pow h {n}) (pow xi {n})) 1)",
+        bound_s=2.0,
+    )
+    assert [r.verdict for r in results] == [PASS]
+
+
 def test_report_value_keeps_evaluation_errors():
     report = run_scenario(parse_script(
         "(pspace P 2) (report-value v (mul h undefined_name))"

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -236,6 +237,15 @@ def gap_context():
     return generic_context([("y", 2)], 3, degrees={}, name="gap")
 
 
+def asymmetric_context():
+    """Two generators in dimension 3: M_1 is 2 x 3, and mod 2 codegree 2
+    has a kernel while codegree 1 has none."""
+    x3, x2y, xy2, y3 = (Monomial([(0, 3 - k), (1, k)]) for k in range(4))
+    return generic_context(
+        [("x", 1), ("y", 1)], 3, degrees={x3: 2, x2y: 1, xy2: 0, y3: 2}, name="asymmetric"
+    )
+
+
 def reference_pairing(X, r):
     """The full double loop of degrees, in both orders of codegree."""
     return [[X.degree(b * bd) for bd in X.basis_classes(X.dim - r)] for b in X.basis_classes(r)]
@@ -249,6 +259,7 @@ def pairing_contexts():
         pytest.param(lambda: TestEngineeredKernels().degenerate_context(), id="degenerate"),
         pytest.param(empty_top_context, id="empty-top"),
         pytest.param(gap_context, id="gap"),
+        pytest.param(asymmetric_context, id="asymmetric"),
     ]
     towers = [pytest.param(lambda s=s: random_tower(random.Random(s)), id=f"tower-{s}")
               for s in range(30)]
@@ -264,6 +275,31 @@ class TestPairingCache:
             assert sorted(rep.codegrees) == list(range(X.dim + 1))
             for r, entry in rep.codegrees.items():
                 assert entry.matrix == reference_pairing(X, r), (X.name, r)
+
+    @pytest.mark.parametrize("build", pairing_contexts())
+    def test_rank_and_kernel_match_dense_reference(self, build):
+        # the left kernel of M_r is the right kernel of M_r^T; with no dual
+        # classes it is all of Ch^r
+        X = build()
+        for p in (2, 3):
+            rep = pairing_report(X, p)
+            for r, entry in rep.codegrees.items():
+                mat = reference_pairing(X, r)
+                if X.basis_of(X.dim - r):
+                    want = dense_kernel([list(col) for col in zip(*mat)], p)
+                else:
+                    want = [[int(i == j) for j in range(len(mat))] for i in range(len(mat))]
+                assert entry.kernel == want, (X.name, p, r)
+                assert entry.rank == entry.num_dimension == len(dense_rref(mat, p)[1])
+
+    def test_asymmetric_kernel(self):
+        rep = pairing_report(asymmetric_context(), 2)
+        # x^3 and y^3 have even degree and x*y^2 degree 0, so mod 2 only
+        # x^2*y pairs nontrivially in codegree 3
+        assert [rep.codegrees[r].kernel for r in range(4)] == [
+            [], [], [[0, 0, 1]], [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        ]
+        assert [rep.codegrees[r].rank for r in range(4)] == [1, 2, 2, 1]
 
     def test_empty_dual_basis_kernel_is_everything(self):
         X = empty_top_context()
@@ -298,12 +334,16 @@ class TestPairingCache:
 
     @pytest.mark.parametrize("seed", [0, 11])
     def test_degree_calls_once_per_presentation(self, seed, monkeypatch):
-        # one degree per entry with r <= n - r, however many primes and
-        # callers read the pairing
+        # one degree per distinct product b * bd with r <= n - r, however
+        # many entries share it and however many primes and callers read
+        # the pairing
         X = random_tower(random.Random(seed))
         n = X.dim
         sizes = [len(X.basis_of(r)) for r in range(n + 1)]
-        want = sum(sizes[r] * sizes[n - r] for r in range(n + 1) if r <= n - r)
+        entries = sum(sizes[r] * sizes[n - r] for r in range(n + 1) if r <= n - r)
+        want = len({b.mul(bd) for r in range(n // 2 + 1)
+                    for b in X.basis_of(r) for bd in X.basis_of(n - r)})
+        assert want < entries
         calls = []
         degree = ChowPresentation.degree
 
@@ -392,6 +432,38 @@ class TestEngineeredKernels:
                 )
         rep = ab1_check(X, 2)
         assert rep.passed
+
+    def test_modp_report_computed_once_per_prime(self, monkeypatch):
+        # every codegree has a kernel mod 2 and none mod 3; the report, the
+        # kernel checks and ab1_check all read one kept report per prime
+        import chowcalc.numeric as nu
+
+        X = self.degenerate_context()
+        calls = []
+        kernel = nu.modp_kernel
+
+        def counted(matrix, p):
+            calls.append(p)
+            return kernel(matrix, p)
+
+        monkeypatch.setattr(nu, "modp_kernel", counted)
+        for p in (2, 3):
+            first = pairing_report(X, p)
+            want = first.dumps()
+            for entry in first.codegrees.values():
+                entry.kernel.append([5] * len(entry.basis))
+                for vec in entry.kernel:
+                    vec[0] += 1
+                entry.rank += 1
+            assert pairing_report(X, p).dumps() == want
+            assert kernel_is_ideal(X, p)
+            for r in range(X.dim + 1):
+                classes, dim = numerical_kernel(X, r, p)
+                entry = json.loads(want)["codegrees"][str(r)]
+                assert dim == entry["rank"] == entry["num_dimension"]
+                assert len(classes) == len(entry["kernel"]) == (1 if p == 2 else 0)
+            assert ab1_check(X, p).passed
+        assert calls == [2] * (X.dim + 1) + [3] * (X.dim + 1)
 
 
 class TestGammaQuotient:

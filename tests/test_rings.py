@@ -12,6 +12,7 @@ from chowcalc.rings import (
     confluence_check,
     evaluate,
     inverse_series,
+    minimal_monomials,
     normal_form,
     symmetric_expand,
 )
@@ -512,6 +513,22 @@ class TestConfluenceSmoke:
 
 
 class TestMinimalLeads:
+    def test_minimal_monomials_match_all_pairs(self):
+        # reference: compare every monomial with every other one
+        def quadratic(ms):
+            ms = set(ms)
+            return {m for m in ms if not any(k != m and k.divides(m) for k in ms)}
+
+        rng = random.Random(29)
+        for trial in range(400):
+            ms = [Monomial(random_pairs(rng, ngens=5)) for _ in range(rng.randint(0, 12))]
+            ms += rng.sample(ms, min(len(ms), 3))  # duplicates
+            if trial % 10 == 0:
+                ms.append(MONOMIAL_ONE)
+            assert minimal_monomials(iter(ms)) == quadratic(ms), ms
+        assert minimal_monomials([Monomial([(2, 1)]), MONOMIAL_ONE, MONOMIAL_ONE]) == {MONOMIAL_ONE}
+        assert minimal_monomials([]) == set()
+
     @staticmethod
     def redundant_ring():
         x2, x3 = Monomial([(0, 2)]), Monomial([(0, 3)])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -10,6 +11,7 @@ from chowcalc.varieties import (
     ChowPresentation,
     CoverageError,
     blow_up,
+    elementary_symmetric,
     generic_context,
     presentation_from_json,
     product,
@@ -140,6 +142,45 @@ class TestProjectiveBundle:
         P2 = projective_space(2)
         B = projective_bundle(P2, BundleRoots.plus([P2.zero(), P2.gen("h")]))
         assert len(B.ring.rules) == len(P2.ring.rules) + 1
+
+
+def subset_elementary_symmetric(classes, j):
+    """Reference: e_j as the sum over j-subsets of the products."""
+    acc = classes[0].ring.zero()
+    for comb in itertools.combinations(classes, j):
+        term = classes[0].ring.one()
+        for c in comb:
+            term = term * c
+        acc = acc + term
+    return acc
+
+
+class TestElementarySymmetric:
+    @pytest.mark.parametrize("build", [
+        lambda: projective_space(4),
+        lambda: projective_space(3, modulus=3),
+        lambda: product(projective_space(2), projective_space(2)),
+        lambda: bl_point_plane()[1],
+    ], ids=["P4", "P3-mod3", "P2xP2", "bl-point-plane"])
+    def test_recurrence_matches_subset_sums(self, build):
+        X = build()
+        gens = [X.gen(g) for g, d in zip(X.ring.names, X.ring.codegrees) if d == 1]
+        rng = random.Random(5)
+        for _ in range(40):
+            roots = []
+            for _ in range(rng.randint(1, 6)):
+                c = X.zero()
+                for g in gens:
+                    c = c + rng.randint(-3, 3) * g
+                roots.append(c)
+            top = rng.randint(0, len(roots) + 1)
+            e = elementary_symmetric(roots, top)
+            assert len(e) == top + 1
+            assert e == [subset_elementary_symmetric(roots, j) for j in range(top + 1)]
+
+    def test_no_classes_rejected(self):
+        with pytest.raises(ValueError):
+            elementary_symmetric([], 1)
 
 
 class TestBlowUp:
