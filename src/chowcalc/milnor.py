@@ -14,24 +14,30 @@ of square-free indices and s a coefficient-algebra basis element.  Every
 word carries a bidegree (a)[b]: r_i sits in (-d_i)[-2d_i - 1] with
 d_i = 2^i - 1, and a coefficient element of weight t sits in (t)[t].
 
-An index set I is the binary number 2^I = sum of 2^i over i in I, so a
-product r_I * r_J is the binary sum 2^I + 2^J: each carry costs one factor
-rho, and a carry out of the top square-free index raises the eta power.
+A word keeps its index set I as the binary number 2^I = sum of 2^i over i
+in I, so a product r_I * r_J is the binary sum 2^I + 2^J: each carry costs
+one factor rho, and a carry out of the top square-free index raises the
+eta power.
 
 The differentials act by Q_i(r_j) = delta_ij, extended as derivations on
-words; on products of elements the composite operations satisfy the
+words: Q_i clears bit i of 2^I, and on eta^k it lowers an odd k by one.
+On products of elements the composite operations satisfy the
 comultiplication rule with rho-correction terms, which ``comult_check``
-verifies term by term: each 2^I in 0..2^K forces 2^J = 2^K - 2^I, and the
-term carries rho^c with c the carry count |I| + |J| - |K| of that sum.
-The factors Q_I(x) and Q_J(y) come from one table per element over
-2^I in 0..2^K, each entry built by one ``q_apply`` from the entry with the
-lowest bit of 2^I cleared; zero entries stay zero with no further call,
-and terms with a zero factor are skipped.
+verifies term by term: a term pairs 2^I with 2^J = 2^K - 2^I and carries
+rho^c with c the carry count |I| + |J| - |K| of that sum.  Q_I(x) is zero
+unless I lies in the support of x (the union of its index sets, plus the
+eta index when some word has an odd eta power), so the factors come from
+one table per element over the subsets of its support up to 2^K, each
+entry built from the entry with the lowest bit of 2^I cleared.  The work
+grows with the size of the supports, not with the largest index in K.
 
-An element checks that its words share one bidegree only when it has two
-or more words; the coefficient algebras ``trivial_ia()`` and
-``truncated_symbol_ia(h)`` are frozen values built once per height, while
-every ring built over them stays a distinct object.
+``MilnorRing.element`` refuses a word that names no basis element of its
+ring: an index past the square-free ones, a coefficient outside the
+algebra, or an eta power in a ring without eta.  An element checks that
+its words share one bidegree only when it has two or more words; the
+coefficient algebras ``trivial_ia()`` and ``truncated_symbol_ia(h)`` are
+frozen values built once per height, while every ring built over them
+stays a distinct object.
 
 The periodic quotient module attaches words with negative eta exponents;
 the ring acts with products landing back in the ring part quotiented away.
@@ -144,13 +150,51 @@ def truncated_symbol_ia(height: int) -> IaAlgebra:
     return IaAlgebra(labels, weights, 0, 1, table)
 
 
-@dataclass(frozen=True)
 class Word:
-    """Basis word eta^k * r_I * s."""
+    """Basis word eta^k * r_I * s, with the index set I kept as the integer
+    ``mask`` = 2^I; the property ``I`` reads it back as a frozenset.
 
-    k: int
-    I: FrozenSet[int]
-    s: int
+    The public constructor takes any iterable of non-negative int indices
+    (a repeated index counts once); internal results are built from a mask
+    through ``_word`` (unchecked).  A word is immutable, and its hash is
+    computed once and kept.
+    """
+
+    __slots__ = ("k", "mask", "s", "_hash")
+
+    def __init__(self, k: int, I: Iterable[int], s: int):
+        mask = 0
+        for i in I:
+            if not isinstance(i, int) or i < 0:
+                raise MilnorError(f"word index {i!r} is not a non-negative int")
+            mask |= 1 << i
+        self.k, self.mask, self.s = k, mask, s
+        self._hash = hash((k, mask, s))
+
+    @property
+    def I(self) -> FrozenSet[int]:
+        m = self.mask
+        return frozenset(i for i in range(m.bit_length()) if m >> i & 1)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, Word)
+            and self.mask == other.mask and self.k == other.k and self.s == other.s
+        )
+
+    def __repr__(self) -> str:
+        return f"Word(k={self.k!r}, I={self.I!r}, s={self.s!r})"
+
+
+def _word(k: int, mask: int, s: int) -> Word:
+    """The word eta^k * r_I * s with 2^I = mask (unchecked)."""
+    w = object.__new__(Word)
+    w.k, w.mask, w.s = k, mask, s
+    w._hash = hash((k, mask, s))
+    return w
 
 
 class MilnorRing:
@@ -181,26 +225,38 @@ class MilnorRing:
     def element(self, words: Iterable[Word]) -> "MilnorElement":
         acc: set[Word] = set()
         for w in words:
+            self._check_word(w)
             acc ^= {w}
         return MilnorElement(self, frozenset(acc))
+
+    def _check_word(self, w: Word) -> None:
+        if w.mask >> self.n_sq:
+            raise MilnorError(
+                f"index {w.mask.bit_length() - 1} out of range: "
+                f"{self.name} has square-free indices 0..{self.n_sq - 1}"
+            )
+        if w.s not in range(len(self.ia.labels)):
+            raise MilnorError(f"coefficient {w.s!r} out of range for {self.name}")
+        if w.k != 0 and not self.has_eta:
+            raise MilnorError(f"{self.name} has no eta, but the word has eta^{w.k}")
 
     def zero(self) -> "MilnorElement":
         return MilnorElement(self, frozenset())
 
     def one(self) -> "MilnorElement":
-        return MilnorElement(self, frozenset({Word(0, frozenset(), self.ia.unit)}))
+        return MilnorElement(self, frozenset({_word(0, 0, self.ia.unit)}))
 
     def r(self, i: int) -> "MilnorElement":
         if not (0 <= i <= self.top_index):
             raise MilnorError(f"generator index {i} out of range")
         if self.has_eta and i == self.n_sq:
             return self.eta()
-        return MilnorElement(self, frozenset({Word(0, frozenset({i}), self.ia.unit)}))
+        return MilnorElement(self, frozenset({_word(0, 1 << i, self.ia.unit)}))
 
     def eta(self) -> "MilnorElement":
         if not self.has_eta:
             raise MilnorError("this ring has no polynomial top generator")
-        return MilnorElement(self, frozenset({Word(1, frozenset(), self.ia.unit)}))
+        return MilnorElement(self, frozenset({_word(1, 0, self.ia.unit)}))
 
     def r_set(self, I: Iterable[int]) -> "MilnorElement":
         acc = self.one()
@@ -209,7 +265,7 @@ class MilnorRing:
         return acc
 
     def ia_elem(self, idx: int) -> "MilnorElement":
-        return MilnorElement(self, frozenset({Word(0, frozenset(), idx)}))
+        return self.element([_word(0, 0, idx)])
 
     def rho_elem(self) -> "MilnorElement":
         if self.ia.rho is None:
@@ -220,24 +276,33 @@ class MilnorRing:
 
     def word_bidegree(self, w: Word) -> BiDegree:
         # r_i sits in (1 - 2^i)[1 - 2^(i+1)] and eta in the same with i = n_sq
-        n = len(w.I) + w.k
-        s = _power_sum(w.I) + (w.k << self.n_sq)
+        n = w.mask.bit_count() + w.k
+        s = w.mask + (w.k << self.n_sq)
         t = self.ia.weights[w.s]
         return BiDegree(n - s + t, n - 2 * s + t)
 
-    def _mul_words(self, w1: Word, w2: Word) -> frozenset[Word]:
-        a = _power_sum(w1.I)
-        b = _power_sum(w2.I)
-        carries = a.bit_count() + b.bit_count() - (a + b).bit_count()
+    def _mul_words(self, w1: Word, w2: Word, rhos: int = 0) -> frozenset[Word]:
+        """w1 * w2 * rho^rhos."""
+        a, b = w1.mask, w2.mask
+        total = a + b
+        carries = rhos + a.bit_count() + b.bit_count() - total.bit_count()
         if carries and self.ia.rho is None:
             return frozenset()
         s_set = self.ia.mul(w1.s, w2.s)
         for _ in range(carries):
             s_set = self.ia._mul_set(s_set, self.ia.rho)
         # bits below n_sq are the new index set; a carry out of r_{n_sq-1} is eta
-        top, low = divmod(a + b, 1 << self.n_sq)
-        I = frozenset(_bits(low))
-        return frozenset(Word(w1.k + w2.k + top, I, s) for s in s_set)
+        k = w1.k + w2.k + (total >> self.n_sq)
+        low = total & ((1 << self.n_sq) - 1)
+        return frozenset(_word(k, low, s) for s in s_set)
+
+    def _q_words(self, i: int, words: Iterable[Word]) -> frozenset[Word]:
+        """Q_i on a sum of words, for a valid index i.  Q_i sends a word to
+        one word or to zero, and no two words to the same word."""
+        if i < self.n_sq:
+            bit = 1 << i
+            return frozenset(_word(w.k, w.mask ^ bit, w.s) for w in words if w.mask & bit)
+        return frozenset(_word(w.k - 1, w.mask, w.s) for w in words if w.k & 1)
 
     # -- enumeration --------------------------------------------------------
 
@@ -391,13 +456,7 @@ def q_apply(i: int, e: MilnorElement) -> MilnorElement:
     ring = e.ring
     if i not in ring.q_indices:
         raise MilnorError(f"Q-index {i} out of range for {ring.name}")
-    acc: set[Word] = set()
-    for w in e.words:
-        if i < ring.n_sq and i in w.I:
-            acc ^= {Word(w.k, w.I - {i}, w.s)}
-        elif ring.has_eta and i == ring.n_sq and w.k % 2 != 0:
-            acc ^= {Word(w.k - 1, w.I, w.s)}
-    return MilnorElement(ring, frozenset(acc))
+    return MilnorElement(ring, ring._q_words(i, e.words))
 
 
 def q_composite(indices: Iterable[int], e: MilnorElement) -> MilnorElement:
@@ -406,52 +465,57 @@ def q_composite(indices: Iterable[int], e: MilnorElement) -> MilnorElement:
     return e
 
 
-def _power_sum(I: Iterable[int]) -> int:
-    return sum(1 << i for i in I)
-
-
-def _bits(a: int) -> list[int]:
-    return [i for i in range(a.bit_length()) if a >> i & 1]
-
-
 def comult_check(K: Iterable[int], x: MilnorElement, y: MilnorElement) -> bool:
     """Q_K(x*y) = sum over 2^I + 2^J = 2^K of Q_I(x) * Q_J(y) * rho^(|I|+|J|-|K|).
 
-    Every 2^I in 0..2^K is an index set and forces 2^J = 2^K - 2^I, so one
-    pass over those integers visits each term exactly once.  Both factors
-    come from tables of Q_I(x) and Q_I(y) over 2^I in 0..2^K, each entry one
-    ``q_apply`` of its lowest index to the entry without that bit (the order
-    of ``q_composite``: largest index first); a zero entry stays zero with
-    no call, and a term with a zero factor is skipped."""
+    A term pairs the index set 2^I with 2^J = 2^K - 2^I, and it is nonzero
+    only when both factors are: the pass runs over the nonzero entries of
+    the table of x and looks up the complement in the table of y."""
     ring = x.ring
     if y.ring is not ring:
         raise MilnorError("elements of different rings")
     K = frozenset(K)
     lhs = q_composite(K, x * y)  # raises first on an out-of-range index
-    sK = _power_sum(K)
-    qx, qy = _q_table(sK, x), _q_table(sK, y)
-    rho = ring.rho_elem()
-    rhs = ring.zero()
-    for sI in range(sK + 1):
+    sK = sum(1 << i for i in K)
+    qx, qy = _q_table(ring, sK, x.words), _q_table(ring, sK, y.words)
+    rhs: set[Word] = set()
+    for sI, a in qx.items():
         sJ = sK - sI
-        a, b = qx[sI], qy[sJ]
-        if a.is_zero() or b.is_zero():
+        b = qy.get(sJ)
+        if b is None:
             continue
-        term = a * b
-        for _ in range(sI.bit_count() + sJ.bit_count() - len(K)):
-            term = term * rho
-        rhs = rhs + term
-    return lhs == rhs
+        rhos = sI.bit_count() + sJ.bit_count() - len(K)
+        for w1 in a:
+            for w2 in b:
+                rhs ^= ring._mul_words(w1, w2, rhos)
+    return lhs.words == rhs
 
 
-def _q_table(top: int, e: MilnorElement) -> list[MilnorElement]:
-    """Q_I(e) for every 2^I = s in 0..top, by Q[s] = Q_low(Q[s & (s - 1)])
-    with low the lowest index in I."""
-    table = [e]
-    for s in range(1, top + 1):
-        rest = table[s & (s - 1)]
-        table.append(rest if rest.is_zero() else q_apply((s & -s).bit_length() - 1, rest))
-    return table
+def _q_table(ring: MilnorRing, top: int, words: frozenset[Word]) -> dict[int, frozenset[Word]]:
+    """The nonzero Q_I(words) for 2^I <= top, keyed by 2^I.
+
+    Q_i clears bit i of a word's index set, or lowers an odd eta power to
+    an even one, so Q_I(words) is zero unless 2^I is a subset of the
+    support: the union of the index sets, plus the eta bit when some word
+    has an odd eta power.  The subsets come in increasing order, and each
+    entry is Q_low(Q[2^I with bit low cleared]) for the lowest index low in
+    I: the lowest index is applied last, as in ``q_composite``."""
+    supp = 0
+    for w in words:
+        supp |= w.mask
+        if w.k & 1:
+            supp |= 1 << ring.n_sq
+    table = {0: words} if words else {}
+    s = 0
+    while True:
+        s = (s - supp) & supp  # the next subset of supp
+        if not s or s > top:
+            return table
+        rest = table.get(s & (s - 1))
+        if rest:
+            img = ring._q_words((s & -s).bit_length() - 1, rest)
+            if img:
+                table[s] = img
 
 
 # ---------------------------------------------------------------------------

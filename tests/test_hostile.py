@@ -1,11 +1,21 @@
 """Hostile and ill-defined scripts: each ends in a verdict, within a time
-bound, and an error never leaves a half-built context behind."""
+bound, and an error never leaves a half-built context behind.
+
+``verdicts`` runs each script in a child process that caps its own address
+space, and kills the child after a timeout, so that a regression fails the
+test instead of hanging the suite or exhausting the machine's memory."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import chowcalc
 from chowcalc.cli import main
 from chowcalc.milnor import MAX_RHO_HEIGHT
 from chowcalc.report import ERROR, PASS
@@ -13,12 +23,38 @@ from chowcalc.rings import Monomial
 from chowcalc.script import MAX_POW_BITS, parse_script, run_scenario
 from chowcalc.varieties import projective_space
 
+CHILD_ADDRESS_SPACE = 1 << 30  # bytes
+CHILD_TIMEOUT_S = 30.0  # on top of the bound: interpreter start and import
+
+# Reads the script on stdin; writes the time of run_scenario and each
+# result's verdict, detail and witness as one JSON object.
+CHILD = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))
+from chowcalc.script import parse_script, run_scenario
+text = sys.stdin.read()
+start = time.perf_counter()
+report = run_scenario(parse_script(text), "hostile")
+seconds = time.perf_counter() - start
+print(json.dumps({{"seconds": seconds, "results": [
+    {{"verdict": r.verdict, "detail": r.detail, "witness": r.witness}}
+    for r in report.results]}}))
+"""
+
 
 def verdicts(text: str, bound_s: float = 2.0) -> list:
-    start = time.perf_counter()
-    report = run_scenario(parse_script(text), "hostile")
-    assert time.perf_counter() - start < bound_s
-    return report.results
+    """Run a script in one child process; its results, once run_scenario
+    has ended within ``bound_s`` seconds."""
+    src = str(Path(chowcalc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD.format(cap=CHILD_ADDRESS_SPACE)],
+        input=text, capture_output=True, text=True, timeout=bound_s + CHILD_TIMEOUT_S,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["seconds"] < bound_s
+    return [SimpleNamespace(**r) for r in out["results"]]
 
 
 def test_huge_exponent():
@@ -114,6 +150,14 @@ def test_cycling_rules_end_at_once():
     )
     assert [r.verdict for r in results] == [ERROR, ERROR]
     assert "RewriteCycle: rewrite cycle through y^2" in results[0].detail
+
+
+def test_comult_on_a_high_index_is_quick():
+    # the tables of Q_I(x) run over the index sets x carries, not over 0..2^62
+    results = verdicts(
+        "(milnor R 64) (assert-comult (trivial) {62} (rset {0}) (rset {1}))", bound_s=1.0
+    )
+    assert [r.verdict for r in results] == [PASS]
 
 
 def test_large_projective_space_builds_quickly():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -79,6 +80,32 @@ def ref_comult_rhs(K, x, y):
             term = term * R.rho_elem()
         rhs = rhs + term
     return rhs
+
+
+def ref_comult_check(K, x, y, q=q_composite):
+    """comult_check as a loop over every 2^I in 0..2^K: Q_I(x) and Q_J(y)
+    by q_composite (or a memo of it), products of elements, and rho^c as c
+    products by rho."""
+    R = x.ring
+    K = frozenset(K)
+    lhs = q_composite(K, x * y)
+    sK = sum(2**i for i in K)
+    rho = R.rho_elem()
+    rhs = R.zero()
+    for sI in range(sK + 1):
+        sJ = sK - sI
+        I = [i for i in range(sI.bit_length()) if sI >> i & 1]
+        J = [j for j in range(sJ.bit_length()) if sJ >> j & 1]
+        term = q(tuple(I), x) * q(tuple(J), y)
+        for _ in range(len(I) + len(J) - len(K)):
+            term = term * rho
+        rhs = rhs + term
+    return lhs == rhs
+
+
+def nonempty_subsets(indices):
+    indices = list(indices)
+    return [K for r in range(1, len(indices) + 1) for K in itertools.combinations(indices, r)]
 
 
 def ref_bidegree(R, w):
@@ -415,7 +442,7 @@ class TestWordArithmeticMatchesReference:
             for K in itertools.combinations(indices, r):
                 sK = sum(2**i for i in K)
                 terms = [
-                    (frozenset(milnor._bits(sI)), frozenset(milnor._bits(sK - sI)))
+                    (milnor._word(0, sI, 0).I, milnor._word(0, sK - sI, 0).I)
                     for sI in range(sK + 1)
                 ]
                 assert len(set(terms)) == len(terms)
@@ -438,6 +465,133 @@ class TestWordArithmeticMatchesReference:
             for K in Ks:
                 assert comult_check(K, x, y)
                 assert ref_comult_rhs(K, x, y) == q_composite(K, x * y)
+
+
+class TestComultMatchesFullLoop:
+    """comult_check against the loop over all of 0..2^K, on every pair of
+    elements and every nonempty K."""
+
+    @staticmethod
+    def _check(R, elems):
+        Ks = nonempty_subsets(R.q_indices)
+        q = functools.cache(q_composite)
+        for x in elems:
+            for y in elems:
+                for K in Ks:
+                    assert comult_check(K, x, y) == ref_comult_check(K, x, y, q), (x, y, K)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_symbol_ring_words(self, m, h):
+        R = make_ring(m, truncated_symbol_ia(h))
+        self._check(R, [R.element([w]) for w in R.basis_words(k_max=1)])
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_flexible_words(self, n):
+        F = flexible_cohomology(n)
+        self._check(F, [F.element([w]) for w in F.basis_words()])
+
+    @pytest.mark.parametrize("has_eta", [True, False], ids=["symbol", "exterior"])
+    def test_two_word_elements(self, has_eta):
+        R = MilnorRing(2, has_eta, two_weight_one_classes(has_eta))
+        by_deg = {}
+        for w in R.basis_words(k_max=1 if has_eta else 0):
+            by_deg.setdefault(R.word_bidegree(w), []).append(w)
+        elems = [R.element(ws) for ws in by_deg.values() if len(ws) == 2]
+        assert elems
+        self._check(R, elems)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_periodic_module_words(self, m):
+        R = make_ring(m, truncated_symbol_ia(2))
+        words = R.basis_words(k_max=1, k_min=-3)
+        assert any(w.k < 0 for w in words)
+        self._check(R, [R.element([w]) for w in words])
+
+    @pytest.mark.parametrize(
+        "R", [make_ring(3, truncated_symbol_ia(2)), make_ring(4, trivial_ia()),
+              flexible_cohomology(3)],
+        ids=["m3h2", "m4h1", "flex3"],
+    )
+    def test_table_entries_are_composites(self, R):
+        # every nonzero Q_I(x) for 2^I up to 2^K is in the table, under 2^I
+        top = sum(2**i for i in R.q_indices)
+        for w in R.basis_words(k_max=3 if R.has_eta else 0, k_min=-3 if R.has_eta else 0):
+            x = R.element([w])
+            table = milnor._q_table(R, top, x.words)
+            for sI in range(top + 1):
+                I = [i for i in range(sI.bit_length()) if sI >> i & 1]
+                assert table.get(sI, frozenset()) == q_composite(I, x).words
+            assert all(table.values())
+
+    def test_high_index_needs_no_long_loop(self):
+        R = make_ring(64, trivial_ia())
+        assert comult_check([62], R.r(0), R.r(1))
+        assert comult_check([62, 63], R.r(62) * R.eta(), R.r(0))
+        assert not milnor._q_table(R, 2**62, R.r(0).words).keys() - {0, 1}
+
+
+class TestWordApi:
+    def test_any_iterable_of_indices(self):
+        words = [
+            Word(1, frozenset({0, 2}), 0), Word(1, [2, 0], 0), Word(1, range(0, 3, 2), 0),
+            Word(1, (0, 2, 2, 0), 0), Word(1, iter([2, 0]), 0),
+        ]
+        assert all(w == words[0] and hash(w) == hash(words[0]) for w in words)
+        assert len(set(words)) == 1
+        assert words[0].mask == 0b101
+        assert Word(1, [0], 0) != words[0] != Word(2, [0, 2], 0)
+        assert words[0] != Word(1, [0, 2], 1)
+
+    def test_index_set_reads_back(self):
+        w = Word(0, [3, 0], 1)
+        assert type(w.I) is frozenset and w.I == frozenset({0, 3})
+        assert Word(0, [], 0).I == frozenset()
+
+    def test_repr(self):
+        assert repr(Word(2, frozenset({0, 3}), 1)) == "Word(k=2, I=frozenset({0, 3}), s=1)"
+        assert repr(Word(-1, [], 0)) == "Word(k=-1, I=frozenset(), s=0)"
+
+    @pytest.mark.parametrize("I", [[-1], [0, -3], ["a"], [1.0], [None]])
+    def test_bad_index_is_refused(self, I):
+        with pytest.raises(MilnorError, match="is not a non-negative int"):
+            Word(0, I, 0)
+
+
+class TestWordValidation:
+    def test_index_past_the_square_free_ones(self):
+        R = make_ring(3, truncated_symbol_ia(2))
+        for i in (2, 5):  # r2 is eta, which a word carries as its power k
+            with pytest.raises(MilnorError, match=f"index {i} out of range"):
+                R.element([Word(0, frozenset({i}), 0)])
+        with pytest.raises(MilnorError, match="index 3 out of range"):
+            flexible_cohomology(2).element([Word(0, [0, 3], 0)])
+
+    @pytest.mark.parametrize("s", [2, 7, -1, "1"])
+    def test_coefficient_outside_the_algebra(self, s):
+        R = make_ring(3, truncated_symbol_ia(2))
+        with pytest.raises(MilnorError, match="coefficient .* out of range"):
+            R.element([Word(0, [], s)])
+
+    @pytest.mark.parametrize("k", [1, 2, -1])
+    def test_eta_power_without_eta(self, k):
+        F = flexible_cohomology(2)
+        with pytest.raises(MilnorError, match="has no eta"):
+            F.element([Word(k, [0], 0)])
+
+    def test_periodic_module_words_stay_valid(self):
+        R = make_ring(3, truncated_symbol_ia(2))
+        M = PeriodicModule(R)
+        w = Word(-2, [0, 1], 1)
+        assert R.element([w]).words == {w}
+        assert M.element([w]).words == {w}
+        with pytest.raises(MilnorError, match="coefficient"):
+            M.element([Word(-1, [], 2)])
+
+    def test_projection_outside_the_target_algebra(self):
+        S, T = make_ring(2, truncated_symbol_ia(2)), make_ring(3, truncated_symbol_ia(2))
+        with pytest.raises(MilnorError, match="coefficient 5 out of range"):
+            restrict_symbol(S, T, [frozenset({0}), frozenset({5})], S.rho_elem())
 
 
 class TestRestriction:
