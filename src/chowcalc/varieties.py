@@ -4,9 +4,12 @@ along centers whose tracked classes restrict from the ambient variety.
 
 A presentation bundles a ring context with a finite monomial basis per
 codegree, a degree functional on the top codegree, optional total tangent
-Chern class, and provenance.  Constructors flatten everything into rewrite
+Chern class, and provenance.  Constructors flatten the ring into rewrite
 rules at build time, so towers of constructions compose and equality of
-classes is decidable.
+classes is decidable.  Data that only some callers read (the tangent
+class, a bundle's Segre classes, the base of a mod-p copy) is computed on
+its first read, so a tower whose pairing is all that is asked for pays
+for none of it.
 
 Sign conventions are fixed once and for all:
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 from .rings import (
     ContextMismatch,
@@ -36,10 +39,20 @@ from .rings import (
     RingError,
     _monomial,
     evaluate,
+    inverse_series,
     minimal_monomials,
 )
 
 SCHEMA_VERSION = 1
+
+T = TypeVar("T")
+# a slot holds its value, None, or a function computing the value
+Lazy = Union[T, Callable[[], T], None]
+
+
+def _force(v: Lazy[T]) -> Optional[T]:
+    """The value a slot holds or computes (without storing it anywhere)."""
+    return v() if callable(v) else v
 
 
 class CoverageError(RingError):
@@ -144,6 +157,14 @@ class CenterData:
 class ChowPresentation:
     """A finite Chow-ring presentation: ring + basis + degree + tangent.
 
+    ``tangent`` and ``base`` are read-only properties over the slots
+    ``_tangent`` and ``_base``; a bundle keeps its Segre classes in
+    ``_segre``.  A slot holds a value, None, or a zero-argument function:
+    the function runs on the first read and its result replaces it (if it
+    raises, nothing is stored).  Constructors leave functions for the
+    tangent and the Segre classes, and ``with_coefficients`` for the mod-p
+    tangent, Segre classes and base, so none is computed unless read.
+
     A presentation is immutable once built, so it keeps caches of tables
     derived from it: ``_mod_cache`` (the presentation mod p, per p),
     ``_coord_index`` (basis monomial -> index, per codegree, for
@@ -162,8 +183,8 @@ class ChowPresentation:
         basis: Sequence[Sequence[Monomial]],
         degree_table: Optional[dict[Monomial, int]],
         degree_total: bool,
-        tangent: Optional[GradedClass],
-        base: Optional["ChowPresentation"] = None,
+        tangent: Lazy[GradedClass],
+        base: Lazy["ChowPresentation"] = None,
         center: Optional[CenterData] = None,
         provenance: Optional[dict] = None,
         name: Optional[str] = None,
@@ -174,8 +195,9 @@ class ChowPresentation:
         self.basis = tuple(tuple(b) for b in basis)
         self.degree_table = degree_table
         self.degree_total = degree_total
-        self.tangent = tangent
-        self.base = base
+        self._tangent = tangent
+        self._base = base
+        self._segre: Lazy[list[GradedClass]] = None
         self.center = center
         self.provenance = provenance or {"constructor": kind}
         self.name = name or kind
@@ -184,6 +206,25 @@ class ChowPresentation:
         self._modp_pairings: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]] = {}
         self._basis_labels: dict[int, tuple[str, ...]] = {}
         self._coord_index: dict[int, dict[Monomial, int]] = {}
+
+    # -- slots filled on first read ---------------------------------------
+
+    def _filled(self, slot: str):
+        v = getattr(self, slot)
+        if callable(v):
+            v = v()
+            setattr(self, slot, v)
+        return v
+
+    @property
+    def tangent(self) -> Optional[GradedClass]:
+        """The total tangent Chern class, or None when not carried."""
+        return self._filled("_tangent")
+
+    @property
+    def base(self) -> Optional["ChowPresentation"]:
+        """The presentation below this one's constructor edge, or None."""
+        return self._filled("_base")
 
     # -- basics -------------------------------------------------------
 
@@ -244,14 +285,17 @@ class ChowPresentation:
             raise CoverageError(
                 f"presentation {self.name!r} has no degree functional"
             )
-        top = c.homogeneous_part(self.dim)
+        table, dim, cd = self.degree_table, self.dim, self.ring.monomial_codegree
         total = 0
-        for m, coeff in top.table.items():
-            if m not in self.degree_table:
+        for m, coeff in c.table.items():
+            if cd(m) != dim:
+                continue
+            v = table.get(m)
+            if v is None:
                 raise CoverageError(
                     f"degree of monomial {self.ring.monomial_str(m)} is not declared"
                 )
-            total += coeff * self.degree_table[m]
+            total += coeff * v
         return self.ring._red(total)
 
     # -- constructor edges ----------------------------------------------
@@ -281,15 +325,16 @@ class ChowPresentation:
         xi = self.provenance["fiber_generator"]
         xi_idx = self.ring.gen_index(xi)
         r = self.provenance["rank"]
-        segre = self.provenance["_segre"]  # list of base classes s_0, s_1, ...
-        out = self.base.ring.zero()
+        segre = self._filled("_segre")  # list of base classes s_0, s_1, ...
+        base_ring = self.base.ring
+        out = base_ring.zero()
         for m, coeff in c.table.items():
             k = m.exp_of(xi_idx)
             rest = m.div(Monomial([(xi_idx, k)]) if k else MONOMIAL_ONE)
             s_index = k - (r - 1)
             if s_index < 0:
                 continue
-            base_mono = self.base.ring.from_table({rest: coeff})
+            base_mono = base_ring.from_table({rest: coeff})
             out = out + base_mono * segre[s_index]
         return out
 
@@ -303,9 +348,17 @@ class ChowPresentation:
     # -- coefficient change ----------------------------------------------
 
     def with_coefficients(self, p: int) -> "ChowPresentation":
-        """The same presentation with coefficients reduced mod p."""
+        """The same presentation with coefficients reduced mod p; only an
+        integral presentation changes its coefficients.  The copy's tangent,
+        Segre classes and base are copied on their first read, and its base
+        is ``self.base.with_coefficients(p)``."""
         if p == self.ring.modulus:
             return self
+        if self.ring.modulus:
+            raise CoverageError(
+                f"presentation {self.name!r} has coefficients mod {self.ring.modulus}, "
+                f"so it has no copy with coefficients mod {p}"
+            )
         if p in self._mod_cache:
             return self._mod_cache[p]
         ring = RingContext(
@@ -323,15 +376,21 @@ class ChowPresentation:
             basis=self.basis,
             degree_table=dict(self.degree_table) if self.degree_table is not None else None,
             degree_total=self.degree_total,
-            tangent=ring.from_table(self.tangent.table) if self.tangent is not None else None,
-            base=self.base.with_coefficients(p) if self.base is not None else None,
+            tangent=None,
             center=self.center,
             provenance=dict(self.provenance),
             name=self.name,
         )
-        if self.kind == "bundle":
-            new.provenance["_segre"] = [
-                new.base.ring.from_table(s.table) for s in self.provenance["_segre"]
+        # the functions hold this presentation's slots and base, never the
+        # presentation itself: its _mod_cache holds the copy
+        tangent, segre, base = self._tangent, self._segre, self.base
+        if tangent is not None:
+            new._tangent = lambda: ring.from_table(_force(tangent).table)
+        if base is not None:
+            new._base = lambda: base.with_coefficients(p)
+        if segre is not None:
+            new._segre = lambda: [
+                base.with_coefficients(p).ring.from_table(s.table) for s in _force(segre)
             ]
         self._mod_cache[p] = new
         return new
@@ -520,14 +579,17 @@ def projective_space(
         rules=[(Monomial([(0, n + 1)]), {})],
     )
     basis = [(Monomial([(0, d)]) if d else MONOMIAL_ONE,) for d in range(n + 1)]
-    # (1 + h)^(n+1) with h^(n+1) = 0, term by term; binom(n+1, d+1) is
-    # binom(n+1, d) * (n+1-d) / (d+1), exactly
-    table = {}
-    c = 1
-    for d, (m,) in enumerate(basis):
-        table[m] = c
-        c = c * (n + 1 - d) // (d + 1)
-    tangent = ring.from_table(table)
+
+    def tangent() -> GradedClass:
+        # (1 + h)^(n+1) with h^(n+1) = 0, term by term; binom(n+1, d+1) is
+        # binom(n+1, d) * (n+1-d) / (d+1), exactly
+        table = {}
+        c = 1
+        for d, (m,) in enumerate(basis):
+            table[m] = c
+            c = c * (n + 1 - d) // (d + 1)
+        return ring.from_table(table)
+
     return ChowPresentation(
         kind="pspace",
         ring=ring,
@@ -604,11 +666,13 @@ def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None
                 degree_table[lift_mono(mx, 0).mul(lift_mono(my, shift))] = vx * vy
         degree_total = X.degree_total and Y.degree_total
 
-    tangent = None
-    if X.tangent is not None and Y.tangent is not None:
-        tx = ring.from_table({lift_mono(m, 0): c for m, c in X.tangent.table.items()})
-        ty = ring.from_table({lift_mono(m, shift): c for m, c in Y.tangent.table.items()})
-        tangent = tx * ty
+    # the factors' slots, not the factors: nothing else keeps them alive
+    tx_slot, ty_slot = X._tangent, Y._tangent
+
+    def tangent() -> GradedClass:
+        tx = ring.from_table({lift_mono(m, 0): c for m, c in _force(tx_slot).table.items()})
+        ty = ring.from_table({lift_mono(m, shift): c for m, c in _force(ty_slot).table.items()})
+        return tx * ty
 
     roles = {ra[n]: X.roles.get(n, ROLE_AMBIENT) for n in X.ring.names}
     roles.update({rb[n]: Y.roles.get(n, ROLE_AMBIENT) for n in Y.ring.names})
@@ -619,7 +683,7 @@ def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None
         basis=basis,
         degree_table=degree_table,
         degree_total=degree_total,
-        tangent=tangent,
+        tangent=tangent if tx_slot is not None and ty_slot is not None else None,
         provenance={
             "constructor": "product",
             "factors": [X.name, Y.name],
@@ -675,29 +739,27 @@ def projective_bundle(
                 here.append(m.mul(Monomial([(xi_idx, k)])) if k else m)
         basis.append(tuple(sorted(here, key=ring._mkey)))
 
-    # Segre classes of the bundle on the base: s(E) = 1/c(E).
-    from .rings import inverse_series
-
-    ctotal = X.ring.one()
-    for c in root_classes:
-        ctotal = ctotal * (X.ring.one() + c)
-    sseries = inverse_series(ctotal)
-    segre = [sseries.homogeneous_part(k) for k in range(X.dim + 1)]
-
     degree_table = None
     if X.degree_table is not None:
         degree_table = {}
         for m, v in X.degree_table.items():
             degree_table[m.mul(Monomial([(xi_idx, r - 1)])) if r > 1 else m] = v
 
-    tangent = None
-    if X.tangent is not None:
+    def tangent() -> GradedClass:
         t = ring.from_table(dict(X.tangent.table))
         xi = ring.gen(fiber_gen)
         rel = ring.one()
         for c in root_classes:
             rel = rel * (ring.one() + xi + ring.from_table(dict(c.table)))
-        tangent = t * rel
+        return t * rel
+
+    def segre() -> list[GradedClass]:
+        # Segre classes of the bundle on the base: s(E) = 1/c(E)
+        ctotal = X.ring.one()
+        for c in root_classes:
+            ctotal = ctotal * (X.ring.one() + c)
+        sseries = inverse_series(ctotal)
+        return [sseries.homogeneous_part(k) for k in range(X.dim + 1)]
 
     roles = dict(X.roles)
     roles[fiber_gen] = ROLE_HYPERPLANE
@@ -708,7 +770,7 @@ def projective_bundle(
         basis=basis,
         degree_table=degree_table,
         degree_total=X.degree_total,
-        tangent=tangent,
+        tangent=tangent if X._tangent is not None else None,
         base=X,
         provenance={
             "constructor": "projective_bundle",
@@ -716,10 +778,10 @@ def projective_bundle(
             "rank": r,
             "fiber_generator": fiber_gen,
             "cellular": X.is_cellular(),
-            "_segre": segre,
         },
         name=name or f"P({X.name};r{r})",
     )
+    pres._segre = segre
     return pres
 
 

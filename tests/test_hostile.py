@@ -167,22 +167,30 @@ def test_large_projective_space_builds_quickly():
 
 
 def test_huge_projective_space_builds_quickly():
-    # the tangent's 20,001 binomial coefficients come from one recurrence
-    results = verdicts("(pspace P 20000) (assert-deg (trivial) (pow h 20000) 1)", bound_s=2.0)
-    assert [r.verdict for r in results] == [PASS]
+    # the tangent, computed when read, takes its 20,001 binomial
+    # coefficients from one recurrence; its degree is chi(P^n) = n + 1
+    results = verdicts(
+        "(pspace P 20000) (assert-deg (trivial) (pow h 20000) 1)"
+        "(assert-deg (trivial) (tangent P) 20001)",
+        bound_s=2.0,
+    )
+    assert [r.verdict for r in results] == [PASS, PASS]
 
 
 @pytest.mark.parametrize("n", [20, 40])
 def test_bundle_with_many_roots_builds_quickly(n):
     # rank n + 1 over P^n: the Chern classes of the roots come from one
-    # recurrence, not from a sum over the 2^(n+1) subsets of the roots
+    # recurrence, not from a sum over the 2^(n+1) subsets of the roots; the
+    # tangent is computed only when read, and its degree is the Euler
+    # characteristic chi(P^n) * (n + 1)
     roots = " ".join(["0"] + ["h"] * n)
     results = verdicts(
         f"(pspace P {n}) (pbundle B P xi (roots {roots}))"
-        f"(assert-deg (trivial) (mul (pow h {n}) (pow xi {n})) 1)",
+        f"(assert-deg (trivial) (mul (pow h {n}) (pow xi {n})) 1)"
+        f"(assert-deg (trivial) (tangent B) {(n + 1) ** 2})",
         bound_s=2.0,
     )
-    assert [r.verdict for r in results] == [PASS]
+    assert [r.verdict for r in results] == [PASS, PASS]
 
 
 def test_report_value_keeps_evaluation_errors():

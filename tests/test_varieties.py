@@ -1,9 +1,11 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from chowcalc.numeric import gamma_quotient, kernel_is_ideal, pairing_report
 from chowcalc.rings import Monomial
 from chowcalc.varieties import (
     BundleRoots,
@@ -18,7 +20,7 @@ from chowcalc.varieties import (
     projective_bundle,
     projective_space,
 )
-from helpers import random_class
+from helpers import random_class, random_tower
 
 
 def bl_point_plane():
@@ -324,6 +326,19 @@ class TestGenericContext:
         with pytest.raises(CoverageError):
             X.degree(X.gen("x") ** 2)
 
+    def test_degree_reads_the_top_part_only(self):
+        # parts below the top push to zero, declared or not; a declared
+        # value off the top codegree is never read; mod p the sum is reduced
+        for modulus in (0, 3):
+            X = generic_context(
+                [("x", 1), ("pt", 2)], 2, modulus=modulus,
+                degrees={Monomial([(1, 1)]): 2, Monomial([(0, 1)]): 7},
+            )
+            x, pt = X.gen("x"), X.gen("pt")
+            assert X.degree(X.one() + 5 * x + 4 * pt) == 8 % (modulus or 9)
+            with pytest.raises(CoverageError, match="degree of monomial x\\^2 is not declared"):
+                X.degree(x + pt + x**2)
+
     def test_coordinates_against_a_partial_basis(self):
         # a basis that leaves y untracked; the index built by the first call
         # serves the later ones, with the same coordinates and errors
@@ -358,3 +373,137 @@ class TestSerialization:
         back = presentation_from_json(json.loads(json.dumps(B.to_json())))
         xi = back.gen("xi")
         assert back.degree(xi * xi) == -1
+
+
+def tower_pin_line(seed):
+    """One JSON line for random_tower(seed): every presentation of its
+    chain (the tower, then base after base) mod 0, 2 and 3 as ``to_json``
+    gives it, with the pushforward of xi^k, k = 0..dim, at each bundle."""
+    X = random_tower(random.Random(seed))
+    doc = {"seed": seed}
+    for p in (0, 2, 3):
+        chain = []
+        Y = X.with_coefficients(p)
+        while Y is not None:
+            entry = {"presentation": Y.to_json()}
+            if Y.kind == "bundle":
+                xi = Y.gen(Y.provenance["fiber_generator"])
+                entry["pushforwards"] = [
+                    {Y.base.ring.monomial_str(m): c for m, c in Y.pushforward(xi**k).table.items()}
+                    for k in range(Y.dim + 1)
+                ]
+            chain.append(entry)
+            Y = Y.base
+        doc[f"mod {p}"] = chain
+    return json.dumps(doc, sort_keys=True)
+
+
+def test_towers_are_pinned():
+    # tests/data/towers_seed0.json holds one line per seed 0-29 (the towers
+    # behind pairings_seed0.json), as computed when every tangent, Segre
+    # class and mod-p base was still built with its presentation
+    lines = [tower_pin_line(seed) for seed in range(30)]
+    pinned = Path(__file__).parent / "data" / "towers_seed0.json"
+    assert ("\n".join(lines) + "\n").encode() == pinned.read_bytes()
+
+
+def lazy_towers():
+    """Three-move towers: bundle, product, bundle over P^1, and bundle,
+    bundle, blow-up at a point over P^2."""
+    P1 = projective_space(1)
+    B = projective_bundle(P1, BundleRoots.plus([P1.zero(), P1.gen("h")]))
+    Q = product(B, projective_space(1))
+    yield projective_bundle(Q, BundleRoots.plus([Q.gen("xi"), Q.gen("h_2")]))
+    P2 = projective_space(2)
+    B1 = projective_bundle(P2, BundleRoots.plus([P2.zero(), P2.gen("h")]))
+    B2 = projective_bundle(B1, BundleRoots.plus([B1.gen("h"), B1.gen("xi")]))
+    tops = [m for m in B2.basis_of(B2.dim) if B2.degree_table.get(m) == 1]
+    yield blow_up(B2, CenterData(
+        fundamental=B2.ring.from_table({tops[0]: 1}),
+        roots=BundleRoots.plus([B2.zero()] * B2.dim, ring=B2.ring),
+        restriction={g: B2.zero() for g in B2.ring.names},
+        name="pt",
+    ), exceptional_gen="e")
+
+
+def chain(X, read=False):
+    """X and the presentations below it, through the base slots as they
+    stand or, with ``read``, through the ``base`` property."""
+    out = []
+    while X is not None:
+        out.append(X)
+        X = X.base if read else X._base
+    return out
+
+
+class TestFilledOnFirstRead:
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_pairing_and_quotient_fill_nothing_below_the_top(self, index):
+        X = list(lazy_towers())[index]
+        for p in (2, 3):
+            pairing_report(X, p)
+            assert gamma_quotient(X, p, [X.gen(X.ring.names[0])]).dimensions[0] == 1
+            assert kernel_is_ideal(X, p)
+        levels = chain(X)
+        assert len(levels) >= 2
+        for Y in levels:
+            assert Y._tangent is None or callable(Y._tangent)
+            assert Y._segre is None or callable(Y._segre)
+            assert (Y._segre is not None) == (Y.kind == "bundle")
+        for Y in levels[1:]:
+            assert Y._mod_cache == {}
+        assert sorted(X._mod_cache) == [2, 3]
+        for Xp in X._mod_cache.values():
+            assert callable(Xp._base) and callable(Xp._tangent) == (X._tangent is not None)
+
+    def test_second_read_is_the_first_value(self):
+        for X in lazy_towers():
+            Xp = X.with_coefficients(2)
+            for Y in chain(X) + [Xp]:
+                assert Y.base is Y.base and Y.tangent is Y.tangent
+            assert Xp.base is X.base.with_coefficients(2)
+            for Y in chain(X) + chain(Xp, read=True):
+                if Y.kind == "bundle":
+                    xi = Y.gen(Y.provenance["fiber_generator"])
+                    Y.pushforward(xi)
+                    segre = Y._segre
+                    assert isinstance(segre, list)
+                    Y.pushforward(xi**2)
+                    assert Y._segre is segre
+
+    def test_tangent_of_a_tower_is_computed_when_read(self):
+        # the Euler characteristic of a cellular tower is its number of
+        # cells; built with the tower, no tangent was computed at any level
+        X = next(lazy_towers())
+        assert [Y._tangent is None or callable(Y._tangent) for Y in chain(X)] == [True, True]
+        assert X.degree(X.tangent) == sum(len(b) for b in X.basis) == 16
+        Xp = X.with_coefficients(3)
+        assert Xp.tangent == Xp.ring.from_table(X.tangent.table)
+        assert Xp.degree(Xp.tangent) == 16 % 3
+
+    def test_raising_tangent_stores_nothing(self):
+        calls = []
+
+        def tangent():
+            calls.append(1)
+            raise ValueError("no tangent yet")
+
+        P1 = projective_space(1)
+        X = ChowPresentation("generic", P1.ring, P1.roles, P1.basis, P1.degree_table, True, tangent)
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="no tangent yet"):
+                X.tangent
+            assert X._tangent is tangent and len(calls) == n
+
+
+class TestCoefficientChange:
+    @pytest.mark.parametrize("modulus, other", [(2, 3), (2, 0), (3, 2), (3, 0)])
+    def test_no_copy_across_moduli(self, modulus, other):
+        X = projective_space(2, modulus=modulus)
+        assert X.with_coefficients(modulus) is X
+        with pytest.raises(CoverageError, match=f"mod {modulus}"):
+            X.with_coefficients(other)
+        with pytest.raises(CoverageError):
+            gamma_quotient(X, other, [X.gen("h")])
+        assert X._mod_cache == {}
+
