@@ -13,10 +13,18 @@ Each presentation pays for its pairing once, and keeps it:
 - the mod-p report, per prime (``_modp_pairing``): the rank and the kernel
   of each codegree.  M_{n-r} is the transpose of M_r, so the rank of
   codegree n - r is read from codegree r.  ``pairing_report``,
-  ``numerical_kernel``, ``kernel_is_ideal`` and ``ab1_check`` all read it.
+  ``numerical_kernel``, ``kernel_is_ideal`` and ``ab1_check`` all read it,
+  and take their kernel classes from one walk (``_kernel_classes``).
 
 Both are stored as tuples on the presentation; every report and every
-caller gets fresh lists.
+caller gets fresh lists.  Kernel membership is read from the same
+matrices (``_in_kernel``): a class c of codegree s is in the mod-p kernel
+exactly when coords(c) . M_s = 0 mod p, which reads only the rows of M_s
+at the nonzero coordinates of c.  ``kernel_is_ideal`` tests u * b and
+``ab1_check`` tests P^i(u) this way, so neither calls ``X.degree`` once
+the pairing is kept, and neither can disagree with the kernel it tests.
+A modulus that is not prime, or a codegree outside 0..dim, raises
+ValueError.
 
 All elimination runs on one sparse echelon kernel (``_echelon``, with
 ``_eliminate`` clearing one column): rows are ``{column: int}`` dicts,
@@ -38,9 +46,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Sequence
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
-from .rings import GradedClass, Monomial, RingError
+from .rings import GradedClass, Monomial, RingError, _is_prime
 from .varieties import ChowPresentation, CoverageError, TangentUnavailable
 
 
@@ -295,6 +304,8 @@ def _modp_pairing(X: ChowPresentation, p: int) -> tuple[tuple[int, tuple[tuple[i
     pairings = _integer_pairings(X)
     kept = X._modp_pairings.get(p)
     if kept is None:
+        if not _is_prime(p):
+            raise ValueError(f"pairing modulus {p} is not prime")
         n = X.dim
         out: list = [None] * (n + 1)
         for s, mat in pairings.items():
@@ -330,37 +341,60 @@ def pairing_report(X: ChowPresentation, p: int) -> PairingReport:
     return rep
 
 
-def _class_of(
-    Xp: ChowPresentation, vec: Sequence[int], basis: Sequence[Monomial]
-) -> GradedClass:
-    """The class with coordinates vec in the given basis monomials of Xp."""
-    return Xp.ring.from_table({m: c for c, m in zip(vec, basis) if c})
+def _kernel_classes(
+    X: ChowPresentation, p: int, codegrees: Iterable[int]
+) -> tuple[ChowPresentation, list[tuple[int, GradedClass]]]:
+    """X mod p, and (r, u) for each vector u of the mod-p kernel basis of each
+    given codegree r, as a class of X mod p."""
+    kept, Xp = _modp_pairing(X, p), X.with_coefficients(p)
+    return Xp, [(r, Xp.ring.from_table({m: c for c, m in zip(vec, X.basis_of(r)) if c}))
+                for r in codegrees for vec in kept[r][1]]
+
+
+def _in_kernel(X: ChowPresentation, c: GradedClass, s: int, p: int) -> bool:
+    """Whether the codegree-s part of c, a class of X mod p, pairs to zero
+    mod p with every class of codegree n - s: coords(c) . M_s = 0 mod p.
+
+    M_s is the kept M_s, or for s > n - s the transpose of the kept
+    M_{n-s}.  The product is bilinear, so this is the degree test
+    deg(c * bd) = 0 for every dual basis class bd; it reads only the rows of
+    M_s at the nonzero coordinates of c."""
+    terms = X._sparse_coordinates(c, s)
+    mats, n = _integer_pairings(X), X.dim
+    if s <= n - s:
+        cols = zip(*(mats[s][i] for i, _ in terms))
+    else:
+        cols = ([row[i] for i, _ in terms] for row in mats[n - s])
+    weights = [v for _, v in terms]
+    return not any(sum(map(mul, weights, col)) % p for col in cols)
 
 
 def numerical_kernel(X: ChowPresentation, r: int, p: int) -> tuple[list[GradedClass], int]:
     """Kernel basis of the degree pairing in codegree r, and the dimension of
     Ch^r modulo numerical equivalence."""
-    rank, kernel = _modp_pairing(X, p)[r]
-    Xp = X.with_coefficients(p)
-    classes = [_class_of(Xp, vec, X.basis_of(r)) for vec in kernel]
-    return classes, rank
+    if not 0 <= r <= X.dim:
+        raise ValueError(f"codegree {r} is outside 0..{X.dim}")
+    _, kernel = _kernel_classes(X, p, [r])
+    return [u for _, u in kernel], _modp_pairing(X, p)[r][0]
 
 
 def kernel_is_ideal(X: ChowPresentation, p: int) -> bool:
     """The union of pairing kernels over all codegrees is an ideal: kernel
-    elements stay in the kernel after multiplication by any basis class."""
+    elements stay in the kernel after multiplication by any basis class.
+
+    In an associative ring this always holds, since deg((u*b)*w) =
+    deg(u*(b*w)); so False means the engine's product is not associative, as
+    under rules that are not confluent (``nonassociative_context`` in the
+    tests: mod 2 its kernel in codegree 1 is y, and y*y = x^2 pairs with x
+    to 3)."""
     n = X.dim
-    Xp = X.with_coefficients(p)
-    for r, (_, kernel) in enumerate(_modp_pairing(X, p)):
-        for vec in kernel:
-            u = _class_of(Xp, vec, X.basis_of(r))
-            for d in range(0, n - r + 1):
-                for b in Xp.basis_classes(d):
-                    prod = u * b
-                    for bd in Xp.basis_classes(n - r - d):
-                        if Xp.degree(prod * bd) % p != 0:
-                            return False
-    return True
+    Xp, kernel = _kernel_classes(X, p, range(n + 1))
+    return all(
+        _in_kernel(X, u * b, r + d, p)
+        for r, u in kernel
+        for d in range(n - r + 1)
+        for b in Xp.basis_classes(d)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -456,29 +490,14 @@ def ab1_check(X: ChowPresentation, p: int) -> KernelStabilityReport:
     element of the kernel."""
     from .characteristic import reduced_power
 
-    if X.tangent is None:
+    if not X.has_tangent:
         raise TangentUnavailable("kernel-stability check needs tangent data")
-    Xp = X.with_coefficients(p)
-    checks: list[KernelStabilityEntry] = []
     n = X.dim
-    for r, (_, kernel) in enumerate(_modp_pairing(X, p)):
-        for vec in kernel:
-            u = _class_of(Xp, vec, X.basis_of(r))
-            i = 1
-            while r + i * (p - 1) <= n:
-                img = reduced_power(Xp, u, i)
-                ok = True
-                for bd in Xp.basis_classes(n - r - i * (p - 1)):
-                    if Xp.degree(img * bd) % p != 0:
-                        ok = False
-                        break
-                checks.append(
-                    KernelStabilityEntry(
-                        codegree=r,
-                        element=str(u),
-                        operation=i,
-                        in_kernel=ok,
-                    )
-                )
-                i += 1
+    Xp, kernel = _kernel_classes(X, p, range(n + 1))
+    checks = [
+        KernelStabilityEntry(codegree=r, element=str(u), operation=i,
+                             in_kernel=_in_kernel(X, reduced_power(Xp, u, i), r + i * (p - 1), p))
+        for r, u in kernel
+        for i in range(1, (n - r) // (p - 1) + 1)
+    ]
     return KernelStabilityReport(variety=X.name, prime=p, checks=checks)

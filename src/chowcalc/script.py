@@ -54,7 +54,7 @@ from . import milnor as miln
 from .numeric import (
     ideal_span_rows,
     modp_in_rowspan,
-    pairing_report,
+    numerical_kernel,
     rational_in_rowspan,
     rowspan_residuals,
 )
@@ -794,13 +794,11 @@ def _eval_assertion(env: Env, form: list, report: Report, aid: str) -> Assertion
         _expect(len(form) == 6, "(assert-kernel-dim TAG CTX CODEG PRIME INT)")
         pres = env.lookup(form[2])
         _expect(isinstance(pres, ChowPresentation), "kernel check needs a presentation")
-        rep = pairing_report(pres, form[4])
-        entry = rep.codegrees[form[3]]
-        kdim = len(entry.kernel)
-        ok = kdim == form[5]
+        kernel, _ = numerical_kernel(pres, form[3], form[4])
+        ok = len(kernel) == form[5]
         return done(PASS if ok else FAIL,
-                    detail="" if ok else f"kernel dimension {kdim}, wanted {form[5]}",
-                    witness=None if ok else str(entry.kernel))
+                    detail="" if ok else f"kernel dimension {len(kernel)}, wanted {form[5]}",
+                    witness=None if ok else ", ".join(map(str, kernel)))
     if head == "assert-comult":
         _expect(len(form) == 5 and isinstance(form[2], frozenset), "(assert-comult TAG SET x y)")
         x = eval_expr(env, form[3], report)

@@ -168,11 +168,12 @@ class ChowPresentation:
     A presentation is immutable once built, so it keeps caches of tables
     derived from it: ``_mod_cache`` (the presentation mod p, per p),
     ``_coord_index`` (basis monomial -> index, per codegree, for
-    ``coordinates``), and three filled by ``numeric``: ``_pairings`` (the
-    integer degree-pairing matrix of codegree r, for r <= dim - r, all
-    filled at once), ``_modp_pairings`` (per prime p, the rank mod p and
-    the kernel basis of the pairing in each codegree) and ``_basis_labels``
-    (the printed basis monomials, per codegree).
+    ``coordinates`` and ``_sparse_coordinates``), and three filled by
+    ``numeric``: ``_pairings`` (the integer degree-pairing matrix of
+    codegree r, for r <= dim - r, all filled at once), ``_modp_pairings``
+    (per prime p, the rank mod p and the kernel basis of the pairing in
+    each codegree) and ``_basis_labels`` (the printed basis monomials, per
+    codegree).
     """
 
     def __init__(
@@ -222,6 +223,11 @@ class ChowPresentation:
         return self._filled("_tangent")
 
     @property
+    def has_tangent(self) -> bool:
+        """Whether a tangent is carried; reads the slot and computes nothing."""
+        return self._tangent is not None
+
+    @property
     def base(self) -> Optional["ChowPresentation"]:
         """The presentation below this one's constructor edge, or None."""
         return self._filled("_base")
@@ -255,18 +261,28 @@ class ChowPresentation:
 
     def coordinates(self, c: GradedClass, d: int) -> list[int]:
         """Coordinates of the codegree-d part of c in the stored basis."""
-        part = c.homogeneous_part(d)
+        coords = [0] * len(self.basis_of(d))
+        for i, coeff in self._sparse_coordinates(c, d):
+            coords[i] = coeff
+        return coords
+
+    def _sparse_coordinates(self, c: GradedClass, d: int) -> list[tuple[int, int]]:
+        """(basis position, coefficient) for each monomial of c of codegree d."""
         idx = self._coord_index.get(d)
         if idx is None:
             idx = self._coord_index[d] = {m: i for i, m in enumerate(self.basis_of(d))}
-        coords = [0] * len(idx)
-        for m, coeff in part.table.items():
-            if m not in idx:
+        cd = self.ring.monomial_codegree
+        out = []
+        for m, coeff in c.table.items():
+            if cd(m) != d:
+                continue
+            i = idx.get(m)
+            if i is None:
                 raise CoverageError(
                     f"monomial {self.ring.monomial_str(m)} is not a tracked basis monomial"
                 )
-            coords[idx[m]] = coeff
-        return coords
+            out.append((i, coeff))
+        return out
 
     def tangent_class(self) -> GradedClass:
         if self.tangent is None:

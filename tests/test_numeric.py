@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,8 @@ from chowcalc.numeric import (
     pairing_report,
     rational_in_rowspan,
 )
-from chowcalc.rings import Monomial
+from chowcalc.characteristic import reduced_power
+from chowcalc.rings import Monomial, confluence_check
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
@@ -464,6 +466,164 @@ class TestEngineeredKernels:
                 assert len(classes) == len(entry["kernel"]) == (1 if p == 2 else 0)
             assert ab1_check(X, p).passed
         assert calls == [2] * (X.dim + 1) + [3] * (X.dim + 1)
+
+
+def quadric(n):
+    """A quadric-like n-fold: x^(n+1) = 0, deg x^n = 2 and tangent
+    (1+x)^(n+2) / (1+2x), so mod 2 every codegree is all kernel."""
+    binom = [comb(n + 2, k) for k in range(n + 1)]
+    tangent = [sum(binom[j] * (-2) ** (k - j) for j in range(k + 1)) for k in range(n + 1)]
+    return generic_context(
+        [("x", 1)], n,
+        rules=[(Monomial([(0, n + 1)]), {})],
+        degrees={Monomial([(0, n)]): 2},
+        tangent_table={Monomial([(0, k)] if k else []): c for k, c in enumerate(tangent)},
+        name=f"Q{n}",
+    )
+
+
+def nonassociative_context():
+    """x, y of codegree 1 in dimension 3 with x*y -> 0, x*y^2 -> -2*x^3,
+    y^2 -> -3*x^2 - 3*x*y and deg x^3 = 3.  The rules are not confluent at
+    x*y^2, so the product is not associative: mod 2 the kernel of codegree
+    1 is y, and y * y = x^2 pairs with x to 3."""
+    x2, x3, xy = Monomial([(0, 2)]), Monomial([(0, 3)]), Monomial([(0, 1), (1, 1)])
+    return generic_context(
+        [("x", 1), ("y", 1)], 3,
+        rules=[
+            (xy, {}),
+            (Monomial([(0, 1), (1, 2)]), {x3: -2}),
+            (Monomial([(1, 2)]), {x2: -3, xy: -3}),
+        ],
+        degrees={x3: 3},
+        name="nonassociative",
+    )
+
+
+def reference_kernel_is_ideal(X, p):
+    """kernel_is_ideal by the degree loop: every kernel class times every
+    basis class, paired by X.degree with every dual basis class."""
+    n = X.dim
+    Xp = X.with_coefficients(p)
+    for r in range(n + 1):
+        for u in numerical_kernel(X, r, p)[0]:
+            for d in range(0, n - r + 1):
+                for b in Xp.basis_classes(d):
+                    prod = u * b
+                    for bd in Xp.basis_classes(n - r - d):
+                        if Xp.degree(prod * bd) % p != 0:
+                            return False
+    return True
+
+
+def reference_ab1_entries(X, p):
+    """ab1_check's entries by the degree loop, as (codegree, element,
+    operation, in_kernel)."""
+    n = X.dim
+    Xp = X.with_coefficients(p)
+    out = []
+    for r in range(n + 1):
+        for u in numerical_kernel(X, r, p)[0]:
+            i = 1
+            while r + i * (p - 1) <= n:
+                img = reduced_power(Xp, u, i)
+                ok = all(Xp.degree(img * bd) % p == 0
+                         for bd in Xp.basis_classes(n - r - i * (p - 1)))
+                out.append((r, str(u), i, ok))
+                i += 1
+    return out
+
+
+def membership_contexts():
+    return pairing_contexts() + [
+        pytest.param(lambda: product(quadric(2), projective_space(1)), id="Q2xP1"),
+        pytest.param(lambda: product(quadric(3), quadric(2)), id="Q3xQ2"),
+        pytest.param(nonassociative_context, id="nonassociative"),
+    ]
+
+
+class TestKernelMembership:
+    """kernel_is_ideal and ab1_check test membership as coords . M_s = 0
+    mod p on the kept pairing; the degree loops above are the reference."""
+
+    @pytest.mark.parametrize("build", membership_contexts())
+    def test_matches_degree_loops(self, build):
+        X = build()
+        for p in (2, 3, 5):
+            assert kernel_is_ideal(X, p) == reference_kernel_is_ideal(X, p), (X.name, p)
+            if not X.has_tangent:
+                with pytest.raises(TangentUnavailable):
+                    ab1_check(X, p)
+                continue
+            got = [(e.codegree, e.element, e.operation, e.in_kernel)
+                   for e in ab1_check(X, p).checks]
+            assert got == reference_ab1_entries(X, p), (X.name, p)
+
+    def test_quadric_products_are_all_kernel_mod_2(self):
+        X = product(quadric(3), quadric(2))
+        rep = pairing_report(X, 2)
+        assert all(len(e.kernel) == len(e.basis) for e in rep.codegrees.values())
+        assert kernel_is_ideal(X, 2)
+        # |B_r| = 1, 2, 3, 3, 2, 1 and a class of codegree r has 5 - r checks
+        stable = ab1_check(X, 2)
+        assert len(stable.checks) == 5 + 2 * 4 + 3 * 3 + 3 * 2 + 2 * 1 and stable.passed
+        assert not any(e.kernel for e in pairing_report(X, 3).codegrees.values())
+
+    def test_nonassociative_kernel_is_not_an_ideal(self):
+        X = nonassociative_context()
+        kernel, rank = numerical_kernel(X, 1, 2)
+        assert [str(u) for u in kernel] == ["y"] and rank == 1
+        Xp = X.with_coefficients(2)
+        assert str(Xp.gen("y") * Xp.gen("y")) == "x^2"
+        assert Xp.degree(Xp.gen("x") ** 3) == 1
+        assert kernel_is_ideal(X, 2) is False
+        assert [d["input"] for d in confluence_check(X.ring).divergences] == ["x*y^2"] * 3
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: product(quadric(3), quadric(2)), id="Q3xQ2"),
+        pytest.param(lambda: TestEngineeredKernels().degenerate_context(), id="degenerate"),
+        pytest.param(nonassociative_context, id="nonassociative"),
+    ])
+    def test_no_degree_call_once_the_pairing_is_kept(self, build, monkeypatch):
+        X = build()
+        pairing_report(X, 2)
+
+        def refused(self, c):
+            raise AssertionError("degree called after the pairing was kept")
+
+        monkeypatch.setattr(ChowPresentation, "degree", refused)
+        kernel_is_ideal(X, 2)
+        if X.has_tangent:
+            assert ab1_check(X, 2).checks
+
+    @pytest.mark.parametrize("p", [4, 9, 1, 0, -2])
+    def test_non_prime_modulus_rejected(self, p):
+        X = product(projective_space(2), projective_space(2))
+        for check in (pairing_report, kernel_is_ideal, ab1_check,
+                      lambda X, p: numerical_kernel(X, 1, p)):
+            with pytest.raises(ValueError, match=f"pairing modulus {p} is not prime"):
+                check(X, p)
+        assert X._modp_pairings == {}
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: TestEngineeredKernels().degenerate_context(), id="degenerate"),
+        pytest.param(lambda: product(projective_space(2), projective_space(2)), id="P2xP2"),
+    ])
+    def test_codegree_out_of_range(self, build):
+        X = build()
+        for r in (-1, X.dim + 1, 7):
+            with pytest.raises(ValueError, match=rf"codegree {r} is outside 0\.\.{X.dim}"):
+                numerical_kernel(X, r, 2)
+
+    def test_tangent_slot_stays_unread(self):
+        P3 = projective_space(3)
+        h = P3.gen("h")
+        X = product(projective_bundle(P3, BundleRoots.plus([P3.zero(), h, h], ring=P3.ring)),
+                    projective_space(2))
+        assert X.has_tangent and callable(X._tangent)
+        ab1_check(X, 2)
+        assert callable(X._tangent)
+        assert not generic_context([("x", 1)], 2, degrees={}).has_tangent
 
 
 class TestGammaQuotient:

@@ -137,6 +137,31 @@ class TestEvaluator:
         ))
         assert rep.ok
 
+    def test_assert_kernel_dim_witness_names_the_kernel(self):
+        rep = run_scenario(parse_script(
+            "(generic X 3 (gens (x 1)) (degrees ((pow x 3) 2)))"
+            "(assert-kernel-dim (trivial) X 1 2 0)"
+        ))
+        (res,) = rep.results
+        assert (res.verdict, res.detail, res.witness) == (FAIL, "kernel dimension 1, wanted 0", "x")
+
+    def test_assert_kernel_dim_errors(self):
+        # a modulus that is not prime, or a codegree outside 0..dim, is an
+        # error verdict, not a report
+        rep = run_scenario(parse_script(
+            "(pspace P 2) (pspace R 2) (product Q P R)"
+            "(assert-kernel-dim (trivial) Q 1 4 0)"
+            "(assert-kernel-dim (trivial) Q 1 9 0)"
+            "(assert-kernel-dim (trivial) Q 1 1 0)"
+            "(assert-kernel-dim (trivial) Q 1 0 0)"
+            "(assert-kernel-dim (trivial) Q 1 -2 0)"
+            "(assert-kernel-dim (trivial) Q 7 2 0)"
+            "(assert-kernel-dim (trivial) Q -1 2 0)"
+        ))
+        assert [(r.verdict, r.detail) for r in rep.results] == [
+            (ERROR, f"ValueError: pairing modulus {p} is not prime") for p in (4, 9, 1, 0, -2)
+        ] + [(ERROR, f"ValueError: codegree {r} is outside 0..4") for r in (7, -1)]
+
     def test_milnor_forms(self):
         rep = run_scenario(parse_script(
             "(milnor R 3 (rho-height 3))"
