@@ -3,7 +3,8 @@
 Library layout:
 
 * rings: sparse graded classes, rewrite rules, normal forms, symmetric
-  function expansion, the critical-pair confluence check;
+  function expansion by Newton's identities, the critical-pair confluence
+  check;
 * varieties: Chow presentations of projective spaces, products, projective
   bundles, blow-ups; pullback/pushforward/degree; JSON catalogs;
 * characteristic: Chern/Segre classes and mod-p reduced power operations;

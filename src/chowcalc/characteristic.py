@@ -175,7 +175,9 @@ def d_class_from_roots(roots: BundleRoots, p: int) -> GradedClass:
 
 def d_class_from_total(total: GradedClass, p: int) -> GradedClass:
     """d(T) computed from the total Chern class alone, through the universal
-    symmetric expansion of prod (1 + x^{p-1}) in elementary symmetric terms."""
+    expansion of prod (1 + x^{p-1}) in elementary symmetric terms, which
+    ``symmetric_expand`` builds by Newton's identities in time polynomial
+    in the dimension."""
     _check_total(total, "total Chern class")
     ring = total.ring
     bound = ring.dimension

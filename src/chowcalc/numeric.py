@@ -487,17 +487,21 @@ def ab1_check(X: ChowPresentation, p: int) -> KernelStabilityReport:
     """For every basis vector u of the mod-p kernel of the degree pairing and
     every i with i(p-1) + codegree(u) <= dim, verify that P^i(u) stays in the
     kernel.  P^i and the pairing are linear, so the basis decides every
-    element of the kernel."""
-    from .characteristic import reduced_power
+    element of the kernel.  Every P^i(u) is a homogeneous part of one total
+    operation on u, computed only when some i fits."""
+    from .characteristic import steenrod_total
 
     if not X.has_tangent:
         raise TangentUnavailable("kernel-stability check needs tangent data")
     n = X.dim
     Xp, kernel = _kernel_classes(X, p, range(n + 1))
-    checks = [
-        KernelStabilityEntry(codegree=r, element=str(u), operation=i,
-                             in_kernel=_in_kernel(X, reduced_power(Xp, u, i), r + i * (p - 1), p))
-        for r, u in kernel
-        for i in range(1, (n - r) // (p - 1) + 1)
-    ]
+    checks = []
+    for r, u in kernel:
+        ops = range(1, (n - r) // (p - 1) + 1)
+        total = steenrod_total(Xp, u) if ops else None
+        for i in ops:
+            s = r + i * (p - 1)
+            checks.append(KernelStabilityEntry(
+                codegree=r, element=str(u), operation=i,
+                in_kernel=_in_kernel(X, total.homogeneous_part(s), s, p)))
     return KernelStabilityReport(variety=X.name, prime=p, checks=checks)

@@ -48,6 +48,12 @@ monomials are the keys of every class table and memo.  Products and
 quotients merge two sorted tuples and skip the checks of the public
 constructor, whose inputs may be unsorted, repeat an index or hold zeros.
 
+``symmetric_expand`` writes prod (1 + x_i^k) over r formal roots in the
+elementary symmetric classes c_1..c_r by Newton's identities: the power
+sums of the roots come from the c_i, and the elementary symmetric
+functions of the k-th powers from those power sums.  Its cost is
+polynomial in the truncation bound.
+
 No floating point is used anywhere; everything is exact.
 """
 
@@ -716,102 +722,40 @@ def evaluate(
 
 
 # ---------------------------------------------------------------------------
-# Symmetric function utilities
+# Symmetric functions by Newton's identities
 # ---------------------------------------------------------------------------
-
-_Poly = dict  # {exponent tuple: int} over the root variables x_1..x_r
-
-
-def _poly_mul(a: _Poly, b: _Poly) -> _Poly:
-    out: _Poly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-def _elementary_poly(j: int, r: int) -> _Poly:
-    out: _Poly = {}
-    for comb in itertools.combinations(range(r), j):
-        e = [0] * r
-        for i in comb:
-            e[i] = 1
-        out[tuple(e)] = 1
-    return out
-
-
-def _to_elementary(f: _Poly, r: int) -> dict[tuple[int, ...], int]:
-    """Rewrite a symmetric polynomial in x_1..x_r as a polynomial in the
-    elementary symmetric functions e_1..e_r (classical leading-term descent).
-
-    Returns {(a_1..a_r): coeff} meaning coeff * e_1^a_1 * ... * e_r^a_r.
-    """
-    out: dict[tuple[int, ...], int] = {}
-    work = dict(f)
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 100000:
-            raise RingError("symmetric reduction failed to terminate")
-        lam = max(work)  # lex max; for symmetric f its exponents are non-increasing
-        if list(lam) != sorted(lam, reverse=True):
-            raise RingError("polynomial is not symmetric")
-        c = work[lam]
-        epows = tuple(
-            lam[i] - (lam[i + 1] if i + 1 < r else 0) for i in range(r)
-        )
-        out[epows] = out.get(epows, 0) + c
-        prod: _Poly = {tuple([0] * r): 1}
-        for j, a in enumerate(epows, start=1):
-            ej = _elementary_poly(j, r)
-            for _ in range(a):
-                prod = _poly_mul(prod, ej)
-        for e, pc in prod.items():
-            v = work.get(e, 0) - c * pc
-            if v:
-                work[e] = v
-            elif e in work:
-                del work[e]
-    return {e: c for e, c in out.items() if c}
-
-
-def chern_generator_context(rank: int, up_to: int) -> RingContext:
-    """Free integral ring on Chern-class generators c_1..c_rank with c_i in
-    codegree i, truncated above codegree up_to."""
-    names = [f"c{i}" for i in range(1, rank + 1)]
-    return RingContext(names, list(range(1, rank + 1)), dimension=up_to)
-
 
 def symmetric_expand(power: int, roots_rank: int, up_to: int) -> GradedClass:
     """Expand prod_i (1 + x_i^power) over roots x_1..x_r in terms of the
     elementary symmetric classes c_1..c_r of an integral ring, truncated at
     the given codegree.
 
-    Substituting actual Chern roots for the c_i reproduces the product; the
-    answer is stable in r once r >= up_to.
+    Newton's identities give the power sums p_j of the roots from the c_i,
+    then the elementary symmetric functions e_m of the power-th powers from
+    the p_{power*i}; every division is exact over Z, and the work is
+    polynomial in up_to.  Substituting actual Chern roots for the c_i
+    reproduces the product; the answer is stable in r once r >= up_to.
     """
     if power < 1 or roots_rank < 1:
         raise ValueError("power and roots_rank must be >= 1")
-    ctx = chern_generator_context(roots_rank, up_to)
-    r = roots_rank
-    table: dict[Monomial, int] = {MONOMIAL_ONE: 1}
-    for j in range(1, r + 1):
-        deg = j * power
-        if deg > up_to:
-            break
-        # e_j of the power-th powers of the roots, then rewrite in e's of the roots.
-        ej_pows: _Poly = {}
-        for e, c in _elementary_poly(j, r).items():
-            ej_pows[tuple(x * power for x in e)] = c
-        for epows, c in _to_elementary(ej_pows, r).items():
-            exps = {}
-            for i, a in enumerate(epows, start=1):
-                if a:
-                    exps[ctx.gen_index(f"c{i}")] = a
-            m = Monomial(exps.items())
-            table[m] = table.get(m, 0) + c
-    return ctx.from_table(table)
+    names = [f"c{i}" for i in range(1, roots_rank + 1)]
+    ctx = RingContext(names, list(range(1, roots_rank + 1)), dimension=up_to)
+    c = [ctx.one()] + [ctx.gen(n) for n in names]
+    # p_j = sum_{i<j} (-1)^(i-1) c_i p_{j-i} + (-1)^(j-1) j c_j, c_j = 0 for j > r
+    p = [ctx.zero()]
+    for j in range(1, up_to + 1):
+        pj = c[j].scale((-1) ** (j - 1) * j) if j <= roots_rank else ctx.zero()
+        for i in range(1, min(j, roots_rank + 1)):
+            pj = pj + (c[i] * p[j - i]).scale((-1) ** (i - 1))
+        p.append(pj)
+    # m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_{power*i}, e_m = 0 for m > r
+    e = [ctx.one()]
+    for m in range(1, min(roots_rank, up_to // power) + 1):
+        me = ctx.zero()
+        for i in range(1, m + 1):
+            me = me + (e[m - i] * p[power * i]).scale((-1) ** (i - 1))
+        e.append(GradedClass(ctx, {mon: k // m for mon, k in me.table.items()}))
+    return sum(e, ctx.zero())
 
 
 def inverse_series(c: GradedClass) -> GradedClass:

@@ -770,11 +770,8 @@ def projective_bundle(
         return t * rel
 
     def segre() -> list[GradedClass]:
-        # Segre classes of the bundle on the base: s(E) = 1/c(E)
-        ctotal = X.ring.one()
-        for c in root_classes:
-            ctotal = ctotal * (X.ring.one() + c)
-        sseries = inverse_series(ctotal)
+        # Segre classes of the bundle on the base: s(E) = 1/c(E), c(E) = sum of the e_t
+        sseries = inverse_series(sum(chern[1:], chern[0]))
         return [sseries.homogeneous_part(k) for k in range(X.dim + 1)]
 
     roles = dict(X.roles)

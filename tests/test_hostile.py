@@ -193,6 +193,20 @@ def test_bundle_with_many_roots_builds_quickly(n):
     assert [r.verdict for r in results] == [PASS, PASS]
 
 
+@pytest.mark.parametrize("n, p, k", [(12, 3, 2), (16, 5, 3)])
+def test_homological_power_mod_odd_prime_is_quick(n, p, k):
+    # d(T) for p > 2 expands prod (1 + x^(p-1)) over n roots by Newton's
+    # identities, in time polynomial in n; on P^n, P_1(h^k) = (k - (n + 1))
+    # h^(k + p - 1), which is h^(k + p - 1) for these n, p and k
+    results = verdicts(
+        f"(pspace P {n} (mod {p}))"
+        f"(assert-deg (trivial) (homological 1 (pow h {n - p + 1})) 0)"
+        f"(assert-deg (trivial) (mul (homological 1 (pow h {k})) (pow h {n - k - p + 1})) 1)",
+        bound_s=2.0,
+    )
+    assert [r.verdict for r in results] == [PASS, PASS]
+
+
 def test_report_value_keeps_evaluation_errors():
     report = run_scenario(parse_script(
         "(pspace P 2) (report-value v (mul h undefined_name))"

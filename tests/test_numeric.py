@@ -22,6 +22,7 @@ from chowcalc.numeric import (
     pairing_report,
     rational_in_rowspan,
 )
+from chowcalc import characteristic
 from chowcalc.characteristic import reduced_power
 from chowcalc.rings import Monomial, confluence_check
 from chowcalc.varieties import (
@@ -595,6 +596,21 @@ class TestKernelMembership:
         kernel_is_ideal(X, 2)
         if X.has_tangent:
             assert ab1_check(X, 2).checks
+
+    def test_one_steenrod_total_per_kernel_class(self, monkeypatch):
+        # |B_r| = 1, 2, 3, 3, 2, 1: every class below the top codegree has
+        # at least one check and pays for one total operation
+        X = product(quadric(3), quadric(2))
+        calls = []
+        total = characteristic.steenrod_total
+
+        def counted(X, c):
+            calls.append(c)
+            return total(X, c)
+
+        monkeypatch.setattr(characteristic, "steenrod_total", counted)
+        assert len(ab1_check(X, 2).checks) == 30
+        assert len(calls) == 1 + 2 + 3 + 3 + 2
 
     @pytest.mark.parametrize("p", [4, 9, 1, 0, -2])
     def test_non_prime_modulus_rejected(self, p):

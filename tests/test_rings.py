@@ -382,7 +382,15 @@ class TestSymmetricExpand:
         mod3 = {ctx.monomial_str(m): c % 3 for m, c in se.table.items() if c % 3}
         assert mod3 == {"1": 1, "c1^2": 1, "c2": 1}
 
-    @pytest.mark.parametrize("k,r,bound", [(1, 2, 4), (2, 2, 4), (2, 3, 6), (3, 2, 6), (4, 2, 4)])
+    @pytest.mark.parametrize("k,r,bound", [
+        (1, 2, 4), (2, 2, 4), (2, 3, 6), (3, 2, 6), (4, 2, 4),
+        # rank below the bound
+        (1, 3, 8), (2, 4, 8), (3, 3, 7), (4, 3, 8), (5, 2, 8), (5, 1, 5),
+        # rank above the bound
+        (1, 7, 3), (2, 8, 5), (3, 6, 4), (5, 7, 6), (1, 9, 1),
+        # bound 0
+        (1, 1, 0), (2, 5, 0), (5, 3, 0),
+    ])
     def test_substitution_oracle(self, k, r, bound):
         # independent oracle: substitute formal roots x_i for the c_i and
         # compare against the direct product expansion of prod (1 + x_i^k)
