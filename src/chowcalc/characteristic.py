@@ -15,7 +15,9 @@ by the scenario runner flag this convention whenever d-classes are used.
 from __future__ import annotations
 
 from .rings import (
+    MONOMIAL_ONE,
     GradedClass,
+    Monomial,
     RingError,
     evaluate,
     inverse_series,
@@ -108,20 +110,53 @@ def _verify_closure(X: ChowPresentation, images) -> None:
             )
 
 
+def _steenrod_memo(X: ChowPresentation) -> dict[Monomial, GradedClass]:
+    """X's map from monomial to the image of that monomial under the total
+    operation.  The first call computes the generator images and, on a
+    presentation that is not cellular, checks every rule against them; the
+    map is seeded with 1 and the generators only once the check passes, so
+    a failure raises again on every call."""
+    memo = X._steenrod
+    if not memo:
+        images = _steenrod_images(X)
+        if not X.is_cellular():
+            _verify_closure(X, images)
+        ring = X.ring
+        memo[MONOMIAL_ONE] = ring.one()
+        for name, img in images.items():
+            memo[Monomial([(ring.gen_index(name), 1)])] = img
+    return memo
+
+
 def steenrod_total(X: ChowPresentation, c: GradedClass) -> GradedClass:
     """The total reduced power operation: the ring endomorphism sending every
     codegree-1 generator x to x + x^p.  Requires F_p coefficients.  On a
     presentation that is not cellular, every rule is first checked to be
-    stable under the operation."""
+    stable under the operation.
+
+    The operation is linear: the image of c is the sum of c_m times the
+    image of each monomial m, reduced once.  Each monomial's image is
+    computed once per presentation, as ``evaluate`` computes the term of m
+    (1 times each generator image to its exponent, in the order of m's
+    factors), so the result equals ``evaluate(c, _steenrod_images(X))``."""
     p = X.ring.modulus
     if not p:
         raise RingError("total Steenrod operation needs F_p coefficients")
     if c.ring is not X.ring:
         raise RingError("class does not live on the given presentation")
-    images = _steenrod_images(X)
-    if not X.is_cellular():
-        _verify_closure(X, images)
-    return evaluate(c, images, X.ring)
+    ring = X.ring
+    memo = _steenrod_memo(X)
+    acc: dict[Monomial, int] = {}
+    for m, coeff in c.table.items():
+        img = memo.get(m)
+        if img is None:
+            img = ring.one()
+            for i, e in m.exps:
+                img = img * memo[Monomial([(i, 1)])] ** e
+            memo[m] = img
+        for u, k in img.table.items():
+            acc[u] = acc.get(u, 0) + coeff * k
+    return GradedClass(ring, ring._reduced(acc))
 
 
 def reduced_power(X: ChowPresentation, c: GradedClass, i: int) -> GradedClass:
@@ -203,13 +238,18 @@ def d_class(T, p: int) -> GradedClass:
 
 def homological_power(X: ChowPresentation, c: GradedClass, i: int) -> GradedClass:
     """P_i(c) = sum_m d_m(-T_X) . P^{i-m}(c), so that
-    sum_l d_l(T_X) . P_{i-l} = P^i holds identically."""
+    sum_l d_l(T_X) . P_{i-l} = P^i holds identically.
+
+    d(-T_X) = inverse_series(d(T_X)) is computed on the first call and kept
+    on X (``ChowPresentation._d_minus_tangent``; a presentation has one
+    modulus); a presentation without a tangent raises and keeps nothing."""
     p = X.ring.modulus
     if not p:
         raise RingError("homological operation needs F_p coefficients")
-    tangent = X.tangent_class()
-    d_T = d_class_from_total(tangent, p)
-    d_minus_T = inverse_series(d_T)
+    d_minus_T = X._d_minus_tangent
+    if d_minus_T is None:
+        d_minus_T = inverse_series(d_class_from_total(X.tangent_class(), p))
+        X._d_minus_tangent = d_minus_T
     out = X.zero()
     for m in range(0, i + 1):
         dm = d_minus_T.homogeneous_part(m * (p - 1))

@@ -168,12 +168,17 @@ class ChowPresentation:
     A presentation is immutable once built, so it keeps caches of tables
     derived from it: ``_mod_cache`` (the presentation mod p, per p),
     ``_coord_index`` (basis monomial -> index, per codegree, for
-    ``coordinates`` and ``_sparse_coordinates``), and three filled by
+    ``coordinates`` and ``_sparse_coordinates``), three filled by
     ``numeric``: ``_pairings`` (the integer degree-pairing matrix of
     codegree r, for r <= dim - r, all filled at once), ``_modp_pairings``
     (per prime p, the rank mod p and the kernel basis of the pairing in
     each codegree) and ``_basis_labels`` (the printed basis monomials, per
-    codegree).
+    codegree), and two filled by ``characteristic``: ``_steenrod``
+    (monomial -> its image under the total reduced power operation, seeded
+    with 1 and the generators once the closure check passes) and
+    ``_d_minus_tangent`` (d(-T) at the ring's modulus, or None until a
+    ``homological_power`` call computes it).  A computation that raises
+    stores nothing in either.
     """
 
     def __init__(
@@ -207,6 +212,8 @@ class ChowPresentation:
         self._modp_pairings: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]] = {}
         self._basis_labels: dict[int, tuple[str, ...]] = {}
         self._coord_index: dict[int, dict[Monomial, int]] = {}
+        self._steenrod: dict[Monomial, GradedClass] = {}
+        self._d_minus_tangent: Optional[GradedClass] = None
 
     # -- slots filled on first read ---------------------------------------
 

@@ -19,7 +19,14 @@ from chowcalc.characteristic import (
     steenrod_embedded,
     steenrod_total,
 )
-from chowcalc.rings import Monomial, RingContext
+from chowcalc.rings import (
+    GradedClass,
+    Monomial,
+    RingContext,
+    RingError,
+    evaluate,
+    inverse_series,
+)
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
@@ -30,7 +37,7 @@ from chowcalc.varieties import (
     projective_bundle,
     projective_space,
 )
-from helpers import random_class
+from helpers import bl_point_plane, random_class, random_tower
 
 
 def rand_roots(ring, rng, count, signed=False):
@@ -133,8 +140,12 @@ class TestSteenrodTotal:
 
     def test_requires_finite_coefficients(self):
         P2 = projective_space(2)
-        with pytest.raises(Exception):
+        with pytest.raises(RingError, match="F_p"):
             steenrod_total(P2, P2.gen("h"))
+        with pytest.raises(RingError, match="F_p"):
+            homological_power(P2, P2.gen("h"), 1)
+        # raised before either cache is read
+        assert P2._steenrod == {} and P2._d_minus_tangent is None
 
     def test_closure_check_rejects_bad_rules(self):
         # x^2 -> yz is not stable under x -> x + x^2: the obstruction
@@ -143,8 +154,11 @@ class TestSteenrodTotal:
             [("x", 1), ("y", 1), ("z", 1)], 4, modulus=2,
             rules=[(Monomial([(0, 2)]), {Monomial([(1, 1), (2, 1)]): 1})],
         )
-        with pytest.raises(NotSteenrodClosed):
-            steenrod_total(bad, bad.gen("x"))
+        # a failed check is not kept: every call checks and raises again
+        for _ in range(2):
+            with pytest.raises(NotSteenrodClosed):
+                steenrod_total(bad, bad.gen("x"))
+        assert bad._steenrod == {}
 
     def test_blowup_rules_are_closed(self):
         P2 = projective_space(2)
@@ -158,6 +172,73 @@ class TestSteenrodTotal:
         _verify_closure(Bl, _steenrod_images(Bl))
         h = Bl.gen("h")
         assert steenrod_total(Bl, h) == h + h * h
+
+
+def declared_copy(X, p):
+    """X's ring declared afresh, with its rules, as a generic context mod p:
+    not cellular, so the total operation checks every rule first."""
+    ring = X.ring
+    return generic_context(
+        list(zip(ring.names, ring.codegrees)), X.dim, modulus=p,
+        rules=[(r.lead, dict(r.replacement)) for r in ring.rules],
+    )
+
+
+def memo_presentations():
+    """Builders of random towers mod 2, 3 and 5, rule-free generic rings,
+    and a point blow-up of P^2 declared with its rules."""
+    out = []
+    for seed in range(0, 40, 4):
+        for p in (2, 3, 5):
+            out.append(pytest.param(
+                lambda s=seed, p=p: random_tower(random.Random(s)).with_coefficients(p),
+                id=f"tower-{seed}-mod{p}"))
+    for p in (2, 3, 5):
+        out.append(pytest.param(
+            lambda p=p: generic_context([("x", 1), ("y", 1), ("z", 1)], 5, modulus=p),
+            id=f"generic-mod{p}"))
+        out.append(pytest.param(
+            lambda p=p: declared_copy(bl_point_plane()[1], p), id=f"blowup-mod{p}"))
+    return out
+
+
+class TestSteenrodMemo:
+    """The total operation memoised on monomials equals the ring map applied
+    by ``evaluate`` to the generator images, term by term."""
+
+    @pytest.mark.parametrize("build", memo_presentations())
+    def test_equals_evaluate(self, build):
+        X = build()
+        rng = random.Random(X.dim * 10 + X.ring.modulus)
+        for k in range(12):
+            # mixed codegrees, then a single codegree
+            c = random_class(X.ring, rng, terms=4)
+            if k % 2:
+                c = c.homogeneous_part(rng.choice(sorted(c.codegrees() or {0})))
+            reference = evaluate(c, _steenrod_images(X), X.ring)
+            total = steenrod_total(X, c)
+            assert total.table == reference.table
+            assert str(total) == str(reference)
+
+    def test_memoised_monomials_need_no_products(self, monkeypatch):
+        X = declared_copy(bl_point_plane()[1], 3)
+        rng = random.Random(5)
+        classes = [random_class(X.ring, rng, terms=4) for _ in range(10)]
+        first = [steenrod_total(X, c) for c in classes]
+        calls = []
+        mul = GradedClass.__mul__
+        monkeypatch.setattr(GradedClass, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        assert [steenrod_total(X, c) for c in classes] == first
+        assert calls == []
+
+    def test_class_of_another_ring_after_fill(self):
+        X = generic_context([("x", 1), ("y", 1)], 4, modulus=2)
+        Y = generic_context([("x", 1), ("y", 1)], 4, modulus=2)
+        x = X.gen("x")
+        assert steenrod_total(X, x) == x + x * x
+        assert X._steenrod
+        with pytest.raises(RingError, match="does not live"):
+            steenrod_total(X, Y.gen("x"))
 
 
 class TestSteenrodEmbedded:
@@ -315,5 +396,90 @@ class TestHomological:
 
     def test_tangent_required(self):
         X = generic_context([("x", 1)], 3, modulus=2)
-        with pytest.raises(TangentUnavailable):
-            homological_power(X, X.gen("x"), 1)
+        for _ in range(2):
+            with pytest.raises(TangentUnavailable):
+                homological_power(X, X.gen("x"), 1)
+        assert X._d_minus_tangent is None
+
+    def test_d_minus_tangent_computed_once(self, monkeypatch):
+        import chowcalc.characteristic as ch
+
+        calls = []
+        d_from_total = ch.d_class_from_total
+
+        def counted(total, p):
+            calls.append(p)
+            return d_from_total(total, p)
+
+        monkeypatch.setattr(ch, "d_class_from_total", counted)
+        X = projective_space(4).with_coefficients(3)
+        h = X.gen("h")
+        first = homological_power(X, h, 1)
+        assert homological_power(X, h, 1) == first
+        assert calls == [3]
+        assert X._d_minus_tangent == inverse_series(d_from_total(X.tangent_class(), 3))
+
+
+def homological_from(X, T, z, i):
+    """P_i(z) by the formula of ``homological_power`` with T in place of the
+    tangent of X."""
+    p = X.ring.modulus
+    d_minus = inverse_series(d_class_from_total(T, p))
+    out = X.zero()
+    for m in range(i + 1):
+        out = out + d_minus.homogeneous_part(m * (p - 1)) * reduced_power(X, z, i - m)
+    return out
+
+
+def srr_failures(X, homological):
+    """Basis classes z of codegree n - i(p-1), i >= 1, whose P_i(z) has
+    degree nonzero mod p.  Steenrod-Riemann-Roch: homological operations
+    commute with pushforward to a point, where every P_i with i >= 1 is 0."""
+    p, n = X.ring.modulus, X.dim
+    out = []
+    for i in range(1, n // (p - 1) + 1):
+        for z in X.basis_classes(n - i * (p - 1)):
+            if X.degree(homological(z, i)) % p:
+                out.append((i, str(z)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def towers_with_tangent():
+    towers = [random_tower(random.Random(seed)) for seed in range(60)]
+    return [X for X in towers if X.has_tangent]
+
+
+class TestTangentOracles:
+    """Tangents checked against facts not taken from the engine: SRR and the
+    Euler characteristic of a cellular variety, over random towers."""
+
+    def test_tower_sample(self, towers_with_tangent):
+        assert len(towers_with_tangent) == 37
+        checks = 0
+        for X in towers_with_tangent:
+            for p in (2, 3, 5):
+                checks += sum(len(X.basis_of(X.dim - i * (p - 1)))
+                              for i in range(1, X.dim // (p - 1) + 1))
+        assert checks == 544
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_steenrod_riemann_roch(self, p, towers_with_tangent):
+        for X0 in towers_with_tangent:
+            X = X0.with_coefficients(p)
+            assert srr_failures(X, lambda z, i: homological_power(X, z, i)) == [], X.name
+
+    def test_euler_characteristic(self, towers_with_tangent):
+        for X in towers_with_tangent:
+            top = X.tangent_class().homogeneous_part(X.dim)
+            assert X.degree(top) == sum(len(X.basis_of(d)) for d in range(X.dim + 1)), X.name
+
+    def test_wrong_tangent_fails_srr(self, towers_with_tangent):
+        # T * (1 + last generator) is not the tangent: SRR flags each tower
+        for X0 in towers_with_tangent:
+            flagged = []
+            for p in (2, 3, 5):
+                X = X0.with_coefficients(p)
+                wrong = X.tangent_class() * (X.one() + X.gen(X.ring.names[-1]))
+                flagged += srr_failures(X, lambda z, i: homological_from(X, wrong, z, i))
+            assert flagged, X0.name
