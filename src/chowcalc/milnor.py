@@ -15,21 +15,18 @@ word carries a bidegree (a)[b]: r_i sits in (-d_i)[-2d_i - 1] with
 d_i = 2^i - 1, and a coefficient element of weight t sits in (t)[t].
 
 A word keeps its index set I as the binary number 2^I = sum of 2^i over i
-in I, so a product r_I * r_J is the binary sum 2^I + 2^J: each carry costs
-one factor rho, and a carry out of the top square-free index raises the
-eta power.
-
-The differentials act by Q_i(r_j) = delta_ij, extended as derivations on
-words: Q_i clears bit i of 2^I, and on eta^k it lowers an odd k by one.
-On products of elements the composite operations satisfy the
-comultiplication rule with rho-correction terms, which ``comult_check``
-verifies term by term: a term pairs 2^I with 2^J = 2^K - 2^I and carries
-rho^c with c the carry count |I| + |J| - |K| of that sum.  Q_I(x) is zero
-unless I lies in the support of x (the union of its index sets, plus the
-eta index when some word has an odd eta power), so the factors come from
-one table per element over the subsets of its support up to 2^K, each
-entry built from the entry with the lowest bit of 2^I cleared.  The work
-grows with the size of the supports, not with the largest index in K.
+in I, and its ring reads eta^k * r_I * s through the key k * 2^n + 2^I,
+n = n_sq.  A product adds the keys: each carry among the low n bits costs
+one factor rho, and a carry out of them raises the eta power.  The
+differentials act by Q_i(r_j) = delta_ij, extended as derivations, so the
+composite Q_I sends key w to w ^ 2^I when w & 2^I == 2^I, and to zero
+otherwise; on eta^k (negative k read in two's complement) that lowers an
+odd k by one.  ``comult_check`` verifies the comultiplication rule with
+rho-correction terms: a term pairs 2^I with 2^J = 2^K - 2^I and carries
+rho^c, c = |I| + |J| - |K| the carry count of that sum.  It walks the word
+pairs of the two elements once, and its work grows with the words'
+supports, not with the largest index in K.  Keys are as wide as the ring
+has generators, at most ``MAX_GENERATORS``.
 
 ``MilnorRing.element`` refuses a word that names no basis element of its
 ring: an index past the square-free ones, a coefficient outside the
@@ -54,6 +51,9 @@ from typing import FrozenSet, Iterable, Optional, Sequence
 # Largest height of truncated_symbol_ia: validating the table of height h
 # takes O(h^3) steps.
 MAX_RHO_HEIGHT = 64
+
+# Most generators of a MilnorRing: a word's key is about that many bits wide.
+MAX_GENERATORS = 1024
 
 
 class MilnorError(Exception):
@@ -116,9 +116,6 @@ class IaAlgebra:
         for i in s:
             out ^= self.table[i][j]
         return frozenset(out)
-
-    def mul(self, i: int, j: int) -> FrozenSet[int]:
-        return self.table[i][j]
 
 
 @functools.cache
@@ -206,19 +203,18 @@ class MilnorRing:
             raise MilnorError("need at least one square-free generator")
         if not has_eta and ia.rho is not None:
             raise MilnorError("without a top polynomial generator rho must be 0")
+        if n_sq + has_eta > MAX_GENERATORS:
+            raise MilnorError(f"a Milnor ring has at most {MAX_GENERATORS} generators")
         self.n_sq = n_sq
         self.has_eta = has_eta
         self.ia = ia
         self.name = name or ("flexible" if not has_eta else f"symbol-ring(m={n_sq+1})")
+        self.q_indices = range(n_sq + has_eta)  # generators r_0 .. r_{top_index}
+        self._low = (1 << n_sq) - 1  # the bits of 2^I in a key
 
-    # generators r_0 .. r_{top_index}
     @property
     def top_index(self) -> int:
-        return self.n_sq if self.has_eta else self.n_sq - 1
-
-    @property
-    def q_indices(self) -> range:
-        return range(self.top_index + 1)
+        return self.q_indices[-1]
 
     # -- elements -----------------------------------------------------
 
@@ -274,35 +270,56 @@ class MilnorRing:
 
     # -- word algebra ----------------------------------------------------
 
+    def _key(self, w: Word) -> int:
+        """k * 2^n + 2^I for w = eta^k * r_I * s, with n = n_sq."""
+        return (w.k << self.n_sq) + w.mask
+
     def word_bidegree(self, w: Word) -> BiDegree:
         # r_i sits in (1 - 2^i)[1 - 2^(i+1)] and eta in the same with i = n_sq
         n = w.mask.bit_count() + w.k
-        s = w.mask + (w.k << self.n_sq)
+        s = self._key(w)
         t = self.ia.weights[w.s]
         return BiDegree(n - s + t, n - 2 * s + t)
 
+    def _mul_keys(self, a: int, s1: int, b: int, s2: int, rhos: int = 0) -> tuple[int, FrozenSet[int]]:
+        """The product of the words with keys a, b and coefficients s1, s2,
+        times rho^rhos: its key a + b and its set of coefficients.  Each
+        carry among the low n_sq bits costs one factor rho; a carry out of
+        them is plain integer addition into the eta power."""
+        a_low, b_low = a & self._low, b & self._low
+        carries = rhos + a_low.bit_count() + b_low.bit_count() - (a_low + b_low).bit_count()
+        ia = self.ia
+        s_set = ia.table[s1][s2]
+        for _ in range(carries):
+            if ia.rho is None:
+                return a + b, frozenset()
+            s_set = ia._mul_set(s_set, ia.rho)
+        return a + b, s_set
+
     def _mul_words(self, w1: Word, w2: Word, rhos: int = 0) -> frozenset[Word]:
         """w1 * w2 * rho^rhos."""
-        a, b = w1.mask, w2.mask
-        total = a + b
-        carries = rhos + a.bit_count() + b.bit_count() - total.bit_count()
-        if carries and self.ia.rho is None:
-            return frozenset()
-        s_set = self.ia.mul(w1.s, w2.s)
-        for _ in range(carries):
-            s_set = self.ia._mul_set(s_set, self.ia.rho)
-        # bits below n_sq are the new index set; a carry out of r_{n_sq-1} is eta
-        k = w1.k + w2.k + (total >> self.n_sq)
-        low = total & ((1 << self.n_sq) - 1)
-        return frozenset(_word(k, low, s) for s in s_set)
+        key, s_set = self._mul_keys(self._key(w1), w1.s, self._key(w2), w2.s, rhos)
+        k, mask = key >> self.n_sq, key & self._low
+        return frozenset([_word(k, mask, s) for s in s_set])
 
-    def _q_words(self, i: int, words: Iterable[Word]) -> frozenset[Word]:
-        """Q_i on a sum of words, for a valid index i.  Q_i sends a word to
-        one word or to zero, and no two words to the same word."""
-        if i < self.n_sq:
-            bit = 1 << i
-            return frozenset(_word(w.k, w.mask ^ bit, w.s) for w in words if w.mask & bit)
-        return frozenset(_word(w.k - 1, w.mask, w.s) for w in words if w.k & 1)
+    def _q_bit(self, i: int) -> int:
+        """2^i, or MilnorError when i is not a Q-index of this ring."""
+        if i not in self.q_indices:
+            raise MilnorError(f"Q-index {i} out of range for {self.name}")
+        return 1 << i
+
+    def _q_words(self, bits: int, words: Iterable[Word]) -> frozenset[Word]:
+        """Q_I on a sum of words, for 2^I = bits over valid Q-indices.  Q_I
+        sends the word with key w to the word with key w ^ 2^I when
+        w & 2^I == 2^I, and to zero otherwise; no two words share an image."""
+        n, low = self.n_sq, self._low
+        out = []
+        for w in words:
+            key = self._key(w)
+            if key & bits == bits:
+                key ^= bits
+                out.append(_word(key >> n, key & low, w.s))
+        return frozenset(out)
 
     # -- enumeration --------------------------------------------------------
 
@@ -454,9 +471,7 @@ def q_apply(i: int, e: MilnorElement) -> MilnorElement:
     """Q_i: strips r_i from words containing it; on the polynomial generator
     eta^k it acts by k * eta^{k-1} (mod 2), including negative k."""
     ring = e.ring
-    if i not in ring.q_indices:
-        raise MilnorError(f"Q-index {i} out of range for {ring.name}")
-    return MilnorElement(ring, ring._q_words(i, e.words))
+    return MilnorElement(ring, ring._q_words(ring._q_bit(i), e.words))
 
 
 def q_composite(indices: Iterable[int], e: MilnorElement) -> MilnorElement:
@@ -468,54 +483,37 @@ def q_composite(indices: Iterable[int], e: MilnorElement) -> MilnorElement:
 def comult_check(K: Iterable[int], x: MilnorElement, y: MilnorElement) -> bool:
     """Q_K(x*y) = sum over 2^I + 2^J = 2^K of Q_I(x) * Q_J(y) * rho^(|I|+|J|-|K|).
 
-    A term pairs the index set 2^I with 2^J = 2^K - 2^I, and it is nonzero
-    only when both factors are: the pass runs over the nonzero entries of
-    the table of x and looks up the complement in the table of y."""
+    Each word pair (w1, w2) of x and y adds Q_K(w1*w2) to the left side, and
+    to the right one term for each 2^I <= 2^K among the bits of w1 whose
+    complement 2^J = 2^K - 2^I lies in the bits of w2.  Only the two sums
+    are compared, since words of x*y may cancel."""
     ring = x.ring
     if y.ring is not ring:
         raise MilnorError("elements of different rings")
-    K = frozenset(K)
-    lhs = q_composite(K, x * y)  # raises first on an out-of-range index
-    sK = sum(1 << i for i in K)
-    qx, qy = _q_table(ring, sK, x.words), _q_table(ring, sK, y.words)
-    rhs: set[Word] = set()
-    for sI, a in qx.items():
-        sJ = sK - sI
-        b = qy.get(sJ)
-        if b is None:
-            continue
-        rhos = sI.bit_count() + sJ.bit_count() - len(K)
-        for w1 in a:
-            for w2 in b:
-                rhs ^= ring._mul_words(w1, w2, rhos)
-    return lhs.words == rhs
-
-
-def _q_table(ring: MilnorRing, top: int, words: frozenset[Word]) -> dict[int, frozenset[Word]]:
-    """The nonzero Q_I(words) for 2^I <= top, keyed by 2^I.
-
-    Q_i clears bit i of a word's index set, or lowers an odd eta power to
-    an even one, so Q_I(words) is zero unless 2^I is a subset of the
-    support: the union of the index sets, plus the eta bit when some word
-    has an odd eta power.  The subsets come in increasing order, and each
-    entry is Q_low(Q[2^I with bit low cleared]) for the lowest index low in
-    I: the lowest index is applied last, as in ``q_composite``."""
-    supp = 0
-    for w in words:
-        supp |= w.mask
-        if w.k & 1:
-            supp |= 1 << ring.n_sq
-    table = {0: words} if words else {}
-    s = 0
-    while True:
-        s = (s - supp) & supp  # the next subset of supp
-        if not s or s > top:
-            return table
-        rest = table.get(s & (s - 1))
-        if rest:
-            img = ring._q_words((s & -s).bit_length() - 1, rest)
-            if img:
-                table[s] = img
+    sK = sum(ring._q_bit(i) for i in sorted(frozenset(K), reverse=True))
+    nK = sK.bit_count()
+    q_bits = (1 << len(ring.q_indices)) - 1
+    lhs: set[tuple[int, int]] = set()  # (key, coefficient) pairs
+    rhs: set[tuple[int, int]] = set()
+    for w1 in x.words:
+        a, s1 = ring._key(w1), w1.s
+        supp = a & q_bits
+        for w2 in y.words:
+            b, s2 = ring._key(w2), w2.s
+            key, s_set = ring._mul_keys(a, s1, b, s2)
+            if key & sK == sK:
+                lhs ^= {(key ^ sK, s) for s in s_set}
+            sI = 0
+            while True:
+                sJ = sK - sI
+                if b & sJ == sJ:
+                    rhos = sI.bit_count() + sJ.bit_count() - nK
+                    key, s_set = ring._mul_keys(a ^ sI, s1, b ^ sJ, s2, rhos)
+                    rhs ^= {(key, s) for s in s_set}
+                sI = (sI - supp) & supp  # the next subset of supp
+                if not sI or sI > sK:
+                    break
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 
 import chowcalc
 from chowcalc.cli import main
-from chowcalc.milnor import MAX_RHO_HEIGHT
+from chowcalc.milnor import MAX_GENERATORS, MAX_RHO_HEIGHT
 from chowcalc.report import ERROR, PASS
 from chowcalc.rings import Monomial
 from chowcalc.script import MAX_POW_BITS, parse_script, run_scenario
@@ -141,6 +141,18 @@ def test_rho_height_above_the_cap_is_an_error():
     assert f"height must be <= {MAX_RHO_HEIGHT}" in results[0].detail
 
 
+def test_milnor_ring_above_the_generator_cap_is_an_error():
+    # m generators in a symbol ring, n + 1 in the exterior algebra on r0..rn
+    results = verdicts(
+        f"(milnor S {MAX_GENERATORS}) (assert-comult (trivial) {{1}} (rset {{0}}) (rset {{0}}))"
+        f"(milnor R 100000000) (flexible F {MAX_GENERATORS})",
+        bound_s=1.0,
+    )
+    assert [r.verdict for r in results] == [PASS, ERROR, ERROR]
+    for r in results[1:]:
+        assert f"at most {MAX_GENERATORS} generators" in r.detail
+
+
 def test_cycling_rules_end_at_once():
     # x*y -> y^2 and y^2 -> x*y rewrite each other's replacement forever
     results = verdicts(
@@ -153,7 +165,8 @@ def test_cycling_rules_end_at_once():
 
 
 def test_comult_on_a_high_index_is_quick():
-    # the tables of Q_I(x) run over the index sets x carries, not over 0..2^62
+    # the walk over word pairs visits the subsets of the words' index sets,
+    # not the 2^62 index sets below {62}
     results = verdicts(
         "(milnor R 64) (assert-comult (trivial) {62} (rset {0}) (rset {1}))", bound_s=1.0
     )

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -50,11 +51,11 @@ def ref_mul_words(R, w1, w2):
             I.add(target)
     if rho_pow and R.ia.rho is None:
         return frozenset()
-    s_set = R.ia.mul(w1.s, w2.s)
+    s_set = R.ia.table[w1.s][w2.s]
     for _ in range(rho_pow):
         acc = set()
         for s in s_set:
-            acc ^= R.ia.mul(s, R.ia.rho)
+            acc ^= R.ia.table[s][R.ia.rho]
         s_set = frozenset(acc)
     return frozenset(Word(k, frozenset(I), s) for s in s_set)
 
@@ -513,22 +514,43 @@ class TestComultMatchesFullLoop:
               flexible_cohomology(3)],
         ids=["m3h2", "m4h1", "flex3"],
     )
-    def test_table_entries_are_composites(self, R):
-        # every nonzero Q_I(x) for 2^I up to 2^K is in the table, under 2^I
+    def test_key_composites_are_composites(self, R):
+        # Q_I on the key, w ^ 2^I when w & 2^I == 2^I, is q_composite(I, .)
+        # on every word, periodic words with odd and even eta powers included
         top = sum(2**i for i in R.q_indices)
-        for w in R.basis_words(k_max=3 if R.has_eta else 0, k_min=-3 if R.has_eta else 0):
+        words = R.basis_words(k_max=3 if R.has_eta else 0, k_min=-3 if R.has_eta else 0)
+        assert {w.k for w in words} >= ({-3, -2, -1} if R.has_eta else {0})
+        for w in words:
             x = R.element([w])
-            table = milnor._q_table(R, top, x.words)
             for sI in range(top + 1):
                 I = [i for i in range(sI.bit_length()) if sI >> i & 1]
-                assert table.get(sI, frozenset()) == q_composite(I, x).words
-            assert all(table.values())
+                assert R._q_words(sI, [w]) == q_composite(I, x).words
 
     def test_high_index_needs_no_long_loop(self):
         R = make_ring(64, trivial_ia())
         assert comult_check([62], R.r(0), R.r(1))
         assert comult_check([62, 63], R.r(62) * R.eta(), R.r(0))
-        assert not milnor._q_table(R, 2**62, R.r(0).words).keys() - {0, 1}
+        # a loop over 0..2^190 could not end: the walk follows the supports
+        S = make_ring(200, trivial_ia())
+        assert comult_check([190], S.r(0), S.r(1))
+        assert comult_check([190], S.r(190) * S.r(3), S.r(3) * S.eta())
+        assert comult_check([190, 199], S.r(190), S.eta())
+
+    def test_comult_fails_without_rho_correction(self, monkeypatch):
+        # a negative control: with the key product blind to its rho^c
+        # argument, Q_1(r0 * r0) = rho while Q_0(r0) * Q_0(r0) gives 1
+        R = make_ring(3, truncated_symbol_ia(3))
+        assert comult_check([1], R.r(0), R.r(0))
+        mul_keys = MilnorRing._mul_keys
+        monkeypatch.setattr(
+            MilnorRing, "_mul_keys", lambda ring, a, s1, b, s2, rhos=0: mul_keys(ring, a, s1, b, s2),
+        )
+        assert not comult_check([1], R.r(0), R.r(0))
+        words = R.basis_words(k_max=1)
+        assert not all(
+            comult_check(K, R.element([w1]), R.element([w2]))
+            for K in nonempty_subsets(R.q_indices) for w1 in words for w2 in words
+        )
 
 
 class TestWordApi:
@@ -680,3 +702,30 @@ class TestJsonDump:
         assert "0" in doc["q_action"]
         # the action table actually reflects the module rule
         assert doc["q_action"]["0"]["r{0}"] == ["1"]
+
+
+def milnor_pin_lines():
+    """to_json(k_max=2) of three rings, then, per symbol ring, the word
+    products over all pairs of basis and periodic words with |k| <= 2."""
+    lines = [
+        json.dumps(R.to_json(k_max=2), sort_keys=True)
+        for R in (make_ring(3, truncated_symbol_ia(3)), make_ring(4, truncated_symbol_ia(2)),
+                  flexible_cohomology(3))
+    ]
+    def code(w):
+        return [w.k, sorted(w.I), w.s]
+    for R in (make_ring(3, truncated_symbol_ia(3)), make_ring(4, truncated_symbol_ia(2))):
+        words = R.basis_words(k_max=2, k_min=-2)
+        products = [
+            [sorted(code(v) for v in R._mul_words(w1, w2)) for w2 in words] for w1 in words
+        ]
+        doc = {"ring": R.name, "words": [code(w) for w in words], "products": products}
+        lines.append(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    return lines
+
+
+def test_milnor_outputs_are_pinned():
+    # tests/data/milnor_seed0.json, as computed when comult_check still
+    # tabulated Q_I(x) and products read the index masks alone
+    pinned = Path(__file__).parent / "data" / "milnor_seed0.json"
+    assert ("\n".join(milnor_pin_lines()) + "\n").encode() == pinned.read_bytes()
