@@ -2,9 +2,8 @@
 
 Library layout:
 
-* rings: sparse graded classes, rewrite rules, normal forms, symmetric
-  function expansion by Newton's identities, the critical-pair confluence
-  check;
+* rings: sparse graded classes, rewrite rules, normal forms, the
+  critical-pair confluence check;
 * varieties: Chow presentations of projective spaces, products, projective
   bundles, blow-ups; pullback/pushforward/degree; JSON catalogs;
 * characteristic: Chern/Segre classes and mod-p reduced power operations;
@@ -29,7 +28,6 @@ from .rings import (
     confluence_check,
     evaluate,
     normal_form,
-    symmetric_expand,
 )
 from .varieties import (
     BundleRoots,

@@ -10,6 +10,10 @@ Convention: the d-class of a line root x is 1 + x^{p-1}, so that the total
 d-class of a bundle is the total Chern class when p = 2 and the degree
 bookkeeping of P^i = sum_l d_l(T) . P_{i-l} is consistent.  Reports emitted
 by the scenario runner flag this convention whenever d-classes are used.
+
+From a total Chern class T alone, d(T) for p > 2 needs F_p coefficients: it
+is T * prod_{a=2}^{p-1} c_a(T), with c_a(T) = sum_j a^j c_j(T), signed by
+(-1)^k in codegree k(p-1), since prod_{a=1}^{p-1} (1 + a x) = 1 - x^{p-1}.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .rings import (
     RingError,
     evaluate,
     inverse_series,
-    symmetric_expand,
 )
 from .varieties import BundleRoots, ChowPresentation
 
@@ -209,24 +212,31 @@ def d_class_from_roots(roots: BundleRoots, p: int) -> GradedClass:
 
 
 def d_class_from_total(total: GradedClass, p: int) -> GradedClass:
-    """d(T) computed from the total Chern class alone, through the universal
-    expansion of prod (1 + x^{p-1}) in elementary symmetric terms, which
-    ``symmetric_expand`` builds by Newton's identities in time polynomial
-    in the dimension."""
+    """d(T) computed from the total Chern class alone, in T's own ring.
+
+    Over F_p, t^{p-1} - 1 = prod over a in F_p^* of (t - a), so
+    prod_{a=1}^{p-1} (1 + a x) = 1 - x^{p-1} for every root x.  With
+    c_a(T) = sum_j a^j c_j(T), so c_1(T) = T, the product
+    P = T * prod_{a=2}^{p-1} c_a(T) is prod_i (1 - x_i^{p-1}), and d(T) is P
+    with its codegree k(p-1) part multiplied by (-1)^k.  Both sides are
+    symmetric in the roots, so this is an identity in F_p[c_1..c_r] and
+    holds for every total class with constant term 1 and F_p coefficients
+    (``RingError`` otherwise).  For p = 2, d(T) is T itself, on any ring."""
     _check_total(total, "total Chern class")
     ring = total.ring
-    bound = ring.dimension
-    if bound is None:
+    if ring.dimension is None:
         raise ValueError("need a truncation bound")
     if p == 2:
-        # d = total Chern class on the nose
         return total
-    rank = max(bound, 1)
-    universal = symmetric_expand(p - 1, rank, bound)
-    images = {
-        f"c{i}": total.homogeneous_part(i) for i in range(1, rank + 1)
-    }
-    return evaluate(universal, images, ring)
+    if ring.modulus != p:
+        raise RingError(f"d-class for p = {p} needs a total with F_{p} coefficients")
+    cd = ring.monomial_codegree
+    P = total
+    for a in range(2, p):
+        P = P * GradedClass(ring, {m: c * pow(a, cd(m), p) % p for m, c in total.table.items()})
+    return GradedClass(
+        ring, {m: (-c) % p if cd(m) // (p - 1) % 2 else c for m, c in P.table.items()}
+    )
 
 
 def d_class(T, p: int) -> GradedClass:

@@ -603,21 +603,19 @@ def q_homology_dimensions(
     d = 2**i - 1
     shift = BiDegree(d, 2 * d + 1)
 
-    def q_matrix(src: BiDegree) -> Optional[list[list[int]]]:
-        dst = src + shift
-        src_words = by_deg.get(src, [])
-        dst_words = by_deg.get(dst, [])
-        didx = {w: j for j, w in enumerate(dst_words)}
+    @functools.cache
+    def q_rank(src: BiDegree) -> Optional[int]:
+        """Rank of Q_i out of src, or None when an image escapes the window."""
+        didx = {w: j for j, w in enumerate(by_deg.get(src + shift, []))}
         rows = []
-        for w in src_words:
-            img = q_apply(i, ring.element([w]))
-            row = [0] * len(dst_words)
-            for v in img.words:
+        for w in by_deg.get(src, []):
+            row = [0] * len(didx)
+            for v in q_apply(i, ring.element([w])).words:
                 if v not in didx:
-                    return None  # image escapes the window
+                    return None
                 row[didx[v]] = 1
             rows.append(row)
-        return rows
+        return modp_rank(rows, 2)
 
     out: dict[BiDegree, int] = {}
     interior = {
@@ -626,14 +624,10 @@ def q_homology_dimensions(
         if all(k_min < w.k < k_max for w in ws)
     }
     for deg in interior:
-        mat_out = q_matrix(deg)
-        prev = deg + BiDegree(-shift.a, -shift.b)
-        mat_in = q_matrix(prev) if prev in by_deg else []
-        if mat_out is None or mat_in is None:
+        rank_out = q_rank(deg)
+        rank_in = q_rank(deg + BiDegree(-shift.a, -shift.b))
+        if rank_out is None or rank_in is None:
             continue
-        n_here = len(by_deg[deg])
-        rank_out = modp_rank(mat_out, 2)
-        rank_in = modp_rank(mat_in, 2)
-        kernel_dim = n_here - rank_out
-        out[deg] = kernel_dim - rank_in
+        # kernel dimension minus the incoming image
+        out[deg] = len(by_deg[deg]) - rank_out - rank_in
     return out

@@ -48,12 +48,6 @@ monomials are the keys of every class table and memo.  Products and
 quotients merge two sorted tuples and skip the checks of the public
 constructor, whose inputs may be unsorted, repeat an index or hold zeros.
 
-``symmetric_expand`` writes prod (1 + x_i^k) over r formal roots in the
-elementary symmetric classes c_1..c_r by Newton's identities: the power
-sums of the roots come from the c_i, and the elementary symmetric
-functions of the k-th powers from those power sums.  Its cost is
-polynomial in the truncation bound.
-
 No floating point is used anywhere; everything is exact.
 """
 
@@ -719,43 +713,6 @@ def evaluate(
             term = term * (img**e)
         out = out + term
     return out
-
-
-# ---------------------------------------------------------------------------
-# Symmetric functions by Newton's identities
-# ---------------------------------------------------------------------------
-
-def symmetric_expand(power: int, roots_rank: int, up_to: int) -> GradedClass:
-    """Expand prod_i (1 + x_i^power) over roots x_1..x_r in terms of the
-    elementary symmetric classes c_1..c_r of an integral ring, truncated at
-    the given codegree.
-
-    Newton's identities give the power sums p_j of the roots from the c_i,
-    then the elementary symmetric functions e_m of the power-th powers from
-    the p_{power*i}; every division is exact over Z, and the work is
-    polynomial in up_to.  Substituting actual Chern roots for the c_i
-    reproduces the product; the answer is stable in r once r >= up_to.
-    """
-    if power < 1 or roots_rank < 1:
-        raise ValueError("power and roots_rank must be >= 1")
-    names = [f"c{i}" for i in range(1, roots_rank + 1)]
-    ctx = RingContext(names, list(range(1, roots_rank + 1)), dimension=up_to)
-    c = [ctx.one()] + [ctx.gen(n) for n in names]
-    # p_j = sum_{i<j} (-1)^(i-1) c_i p_{j-i} + (-1)^(j-1) j c_j, c_j = 0 for j > r
-    p = [ctx.zero()]
-    for j in range(1, up_to + 1):
-        pj = c[j].scale((-1) ** (j - 1) * j) if j <= roots_rank else ctx.zero()
-        for i in range(1, min(j, roots_rank + 1)):
-            pj = pj + (c[i] * p[j - i]).scale((-1) ** (i - 1))
-        p.append(pj)
-    # m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_{power*i}, e_m = 0 for m > r
-    e = [ctx.one()]
-    for m in range(1, min(roots_rank, up_to // power) + 1):
-        me = ctx.zero()
-        for i in range(1, m + 1):
-            me = me + (e[m - i] * p[power * i]).scale((-1) ** (i - 1))
-        e.append(GradedClass(ctx, {mon: k // m for mon, k in me.table.items()}))
-    return sum(e, ctx.zero())
 
 
 def inverse_series(c: GradedClass) -> GradedClass:

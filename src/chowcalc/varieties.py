@@ -926,8 +926,8 @@ def blow_up(
                 if m in seen:
                     continue
                 seen.add(m)
-                lifted = ring.from_table({e_mono.mul(m): 1})
-                if list(lifted.table.keys()) == [e_mono.mul(m)]:
+                # e*m has codegree d + 1 < dim X, so truncation never applies
+                if ring._matching_rule(e_mono.mul(m)) is None:
                     center_basis[d].append(m)
 
     basis: list[tuple[Monomial, ...]] = []

@@ -80,6 +80,36 @@ def worklist_nf(ring: RingContext, table, truncate: bool = True) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
+def symmetric_expand(power: int, roots_rank: int, up_to: int) -> GradedClass:
+    """Reference expansion of prod_i (1 + x_i^power) over roots x_1..x_r in
+    the elementary symmetric classes c_1..c_r of a free integral ring,
+    truncated at codegree up_to, by Newton's identities: the power sums p_j
+    of the roots from the c_i, then the elementary symmetric functions e_m
+    of the power-th powers from the p_{power*i} (every division is exact
+    over Z).  Substituting actual Chern roots for the c_i reproduces the
+    product; the answer is stable in r once r >= up_to."""
+    if power < 1 or roots_rank < 1:
+        raise ValueError("power and roots_rank must be >= 1")
+    names = [f"c{i}" for i in range(1, roots_rank + 1)]
+    ctx = RingContext(names, list(range(1, roots_rank + 1)), dimension=up_to)
+    c = [ctx.one()] + [ctx.gen(n) for n in names]
+    # p_j = sum_{i<j} (-1)^(i-1) c_i p_{j-i} + (-1)^(j-1) j c_j, c_j = 0 for j > r
+    p = [ctx.zero()]
+    for j in range(1, up_to + 1):
+        pj = c[j].scale((-1) ** (j - 1) * j) if j <= roots_rank else ctx.zero()
+        for i in range(1, min(j, roots_rank + 1)):
+            pj = pj + (c[i] * p[j - i]).scale((-1) ** (i - 1))
+        p.append(pj)
+    # m e_m = sum_{i=1..m} (-1)^(i-1) e_{m-i} p_{power*i}, e_m = 0 for m > r
+    e = [ctx.one()]
+    for m in range(1, min(roots_rank, up_to // power) + 1):
+        me = ctx.zero()
+        for i in range(1, m + 1):
+            me = me + (e[m - i] * p[power * i]).scale((-1) ** (i - 1))
+        e.append(GradedClass(ctx, {mon: k // m for mon, k in me.table.items()}))
+    return sum(e, ctx.zero())
+
+
 def bl_point_plane():
     P2 = projective_space(2)
     center = CenterData(

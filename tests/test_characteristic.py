@@ -37,7 +37,7 @@ from chowcalc.varieties import (
     projective_bundle,
     projective_space,
 )
-from helpers import bl_point_plane, random_class, random_tower
+from helpers import bl_point_plane, random_class, random_tower, symmetric_expand
 
 
 def rand_roots(ring, rng, count, signed=False):
@@ -316,6 +316,65 @@ class TestDClass:
             roots = rand_roots(X.ring, rng, 3)
             total = chern_total(roots)
             assert d_class_from_roots(roots, p) == d_class_from_total(total, p)
+
+
+def newton_d_class(total, p):
+    """d(T) by the Newton reference: the universal expansion of
+    prod (1 + x^(p-1)) in c_1..c_r, evaluated at the parts of T."""
+    ring = total.ring
+    rank = max(ring.dimension, 1)
+    universal = symmetric_expand(p - 1, rank, ring.dimension)
+    return evaluate(universal, {f"c{i}": total.homogeneous_part(i) for i in range(1, rank + 1)}, ring)
+
+
+def untwisted_d_class(total, p):
+    """T * prod_{a=2}^{p-1} c_a(T) with c_a(T) = sum_j a^j c_j(T): the
+    product of d_class_from_total before its sign twist."""
+    out = total
+    for a in range(2, p):
+        c_a = total.ring.zero()
+        for j in total.codegrees():
+            c_a = c_a + total.homogeneous_part(j).scale(a**j)
+        out = out * c_a
+    return out
+
+
+class TestDClassFromTotal:
+    """d_class_from_total against the Newton reference, on totals that are
+    not built from roots and on the tangents of random towers."""
+
+    @staticmethod
+    def totals(p, towers):
+        rng = random.Random(100 + p)
+        for gens in ([("x", 1), ("y", 1)], [("x", 1), ("u", 2)]):
+            for dim in range(1, 9):
+                G = generic_context(gens, dim, modulus=p)
+                for _ in range(2):
+                    c = random_class(G.ring, rng, terms=4)
+                    yield G.one() + c - c.homogeneous_part(0)
+        for X in towers:
+            yield X.with_coefficients(p).tangent_class()
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_newton_reference(self, p, towers_with_tangent):
+        untwisted_differs = False
+        for T in self.totals(p, towers_with_tangent):
+            ref = newton_d_class(T, p)
+            assert d_class_from_total(T, p) == ref
+            P = untwisted_d_class(T, p)
+            assert all(d % (p - 1) == 0 for d in P.codegrees())
+            untwisted_differs |= P != ref
+        # negative control: the sign twist is needed
+        assert untwisted_differs
+
+    def test_coefficients_must_be_mod_p(self):
+        for modulus in (0, 5):
+            G = generic_context([("x", 1)], 3, modulus=modulus)
+            with pytest.raises(RingError, match="F_3"):
+                d_class_from_total(G.one() + G.gen("x"), 3)
+        G = generic_context([("x", 1)], 3)
+        T = G.one() + G.gen("x")
+        assert d_class_from_total(T, 2) is T
 
 
 class TestHomological:

@@ -206,11 +206,12 @@ def test_bundle_with_many_roots_builds_quickly(n):
     assert [r.verdict for r in results] == [PASS, PASS]
 
 
-@pytest.mark.parametrize("n, p, k", [(12, 3, 2), (16, 5, 3)])
+@pytest.mark.parametrize("n, p, k", [(12, 3, 2), (16, 5, 3), (40, 7, 7)])
 def test_homological_power_mod_odd_prime_is_quick(n, p, k):
-    # d(T) for p > 2 expands prod (1 + x^(p-1)) over n roots by Newton's
-    # identities, in time polynomial in n; on P^n, P_1(h^k) = (k - (n + 1))
-    # h^(k + p - 1), which is h^(k + p - 1) for these n, p and k
+    # d(T) for p > 2 is T * prod_{a=2}^{p-1} c_a(T) with its codegree k(p-1)
+    # part signed by (-1)^k: p - 2 products in P^n's own ring, with no table
+    # over the partitions of n; on P^n, P_1(h^k) = (k - (n + 1)) h^(k + p - 1),
+    # which is h^(k + p - 1) for these n, p and k
     results = verdicts(
         f"(pspace P {n} (mod {p}))"
         f"(assert-deg (trivial) (homological 1 (pow h {n - p + 1})) 0)"

@@ -14,9 +14,8 @@ from chowcalc.rings import (
     inverse_series,
     minimal_monomials,
     normal_form,
-    symmetric_expand,
 )
-from helpers import random_class, worklist_nf
+from helpers import random_class, symmetric_expand, worklist_nf
 
 
 def free_ring(names, dim, modulus=0):
@@ -362,6 +361,9 @@ class TestMonomialMemo:
 
 
 class TestSymmetricExpand:
+    """The Newton reference (``helpers.symmetric_expand``) that
+    ``d_class_from_total`` is tested against."""
+
     def test_power_one_is_total_chern(self):
         se = symmetric_expand(1, 3, 3)
         ctx = se.ring
