@@ -15,7 +15,7 @@ import sys
 
 from . import registry
 from .report import Report, emit_report
-from .script import Env, EvalError, ParseError, eval_expr, parse_script, run_scenario
+from .script import Env, ParseError, eval_expr, parse_script, run_scenario
 from .varieties import load_presentation
 
 
@@ -109,8 +109,8 @@ def main(argv=None) -> int:
         report = Report()
         try:
             value = eval_expr(env, script.forms[0], report)
-        except EvalError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except Exception as exc:  # an evaluation error is a message, not a traceback
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
         print(str(value))
         return 0

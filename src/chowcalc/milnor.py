@@ -211,6 +211,7 @@ class MilnorRing:
         self.name = name or ("flexible" if not has_eta else f"symbol-ring(m={n_sq+1})")
         self.q_indices = range(n_sq + has_eta)  # generators r_0 .. r_{top_index}
         self._low = (1 << n_sq) - 1  # the bits of 2^I in a key
+        self._coefficients = range(len(ia.labels))  # the valid word coefficients s
 
     @property
     def top_index(self) -> int:
@@ -222,7 +223,10 @@ class MilnorRing:
         acc: set[Word] = set()
         for w in words:
             self._check_word(w)
-            acc ^= {w}
+            if w in acc:
+                acc.remove(w)
+            else:
+                acc.add(w)
         return MilnorElement(self, frozenset(acc))
 
     def _check_word(self, w: Word) -> None:
@@ -231,7 +235,7 @@ class MilnorRing:
                 f"index {w.mask.bit_length() - 1} out of range: "
                 f"{self.name} has square-free indices 0..{self.n_sq - 1}"
             )
-        if w.s not in range(len(self.ia.labels)):
+        if w.s not in self._coefficients:
             raise MilnorError(f"coefficient {w.s!r} out of range for {self.name}")
         if w.k != 0 and not self.has_eta:
             raise MilnorError(f"{self.name} has no eta, but the word has eta^{w.k}")

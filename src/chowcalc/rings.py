@@ -352,25 +352,21 @@ class RingContext:
 
     def _interreduce(self, rules: list[tuple[int, Monomial, dict]]) -> None:
         """Store the (declaration index, lead, table) rules, with every
-        replacement in normal form under all of them."""
-        for _round in range(64):
-            self.rules = tuple(
-                RewriteRule(lead, tuple(sorted(t.items(), key=lambda kv: kv[0].exps)), k)
-                for k, lead, t in rules
-            )
-            self._normal_forms: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
-            changed = False
-            for j, (k, lead, table) in enumerate(rules):
-                reduced = self._nf(table)
-                if any(lead.divides(m) for m in reduced):
-                    raise InvalidRule("rule lead divides its own replacement")
-                if reduced != table:
-                    rules[j] = (k, lead, reduced)
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise InvalidRule("rule replacements failed to stabilize")
+        replacement in normal form under all of them.  One pass suffices:
+        a normal form is irreducible under every lead, and reducing the
+        replacements leaves the leads as they are.  A replacement that holds
+        its own lead raises RewriteCycle."""
+        self._store(rules)
+        reduced = [(k, lead, self._nf(table)) for k, lead, table in rules]
+        if reduced != rules:
+            self._store(reduced)
+
+    def _store(self, rules: list[tuple[int, Monomial, dict]]) -> None:
+        self.rules = tuple(
+            RewriteRule(lead, tuple(sorted(t.items(), key=lambda kv: kv[0].exps)), k)
+            for k, lead, t in rules
+        )
+        self._normal_forms: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
 
     def _implied(self, lead: Monomial, table: Mapping[Monomial, int]) -> bool:
         """Whether lead -> table follows from the stored rules: both sides

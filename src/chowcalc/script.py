@@ -43,7 +43,9 @@ parsed script reparses to an equal Script.
 
 from __future__ import annotations
 
+import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -92,53 +94,22 @@ class EvalError(Exception):
 # Tokenizer / reader / printer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    col: int
+# a newline, a comment, a bracket or an atom; spaces, tabs, '\r' and ',' separate
+_TOKEN = re.compile(r"\n|;[^\n]*|[(){}]|[^ \t\r\n,(){};]+")
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, int, int]]:
+    """The brackets and atoms of text, each as (text, line, column)."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r,":
-            col += 1
-            i += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "(){}":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-            continue
-        j = i
-        while j < n and text[j] not in " \t\r\n,(){};":
-            j += 1
-        tokens.append(_Token(text[i:j], line, col))
-        col += j - i
-        i = j
+            line_start = m.end()
+        elif tok[0] != ";":
+            tokens.append((tok, line, m.start() - line_start + 1))
     return tokens
-
-
-def _atom(tok: _Token):
-    t = tok.text
-    try:
-        return int(t)
-    except ValueError:
-        return t
 
 
 @dataclass
@@ -150,50 +121,43 @@ class Script:
         return isinstance(other, Script) and self.forms == other.forms
 
 
+_CLOSING = {"(": ")", "{": "}"}
+
+
 def parse_script(text: str) -> Script:
     """Total parse: returns a Script or raises ParseError with a position."""
     tokens = _tokenize(text)
+    end = len(tokens)
     pos = 0
 
-    def peek() -> Optional[_Token]:
-        return tokens[pos] if pos < len(tokens) else None
-
     def read():
+        # only called with pos < end
         nonlocal pos
-        tok = peek()
-        if tok is None:
-            last = tokens[-1] if tokens else _Token("", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
+        tok, line, col = tokens[pos]
         pos += 1
-        if tok.text == "(":
-            items = []
-            while True:
-                nxt = peek()
-                if nxt is None:
-                    raise ParseError("unbalanced '(': missing ')'", tok.line, tok.col)
-                if nxt.text == ")":
-                    pos += 1
-                    return items
-                items.append(read())
-        if tok.text == "{":
-            items = []
-            while True:
-                nxt = peek()
-                if nxt is None:
-                    raise ParseError("unbalanced '{': missing '}'", tok.line, tok.col)
-                if nxt.text == "}":
-                    pos += 1
-                    return frozenset(items)
-                v = read()
-                if not isinstance(v, int):
-                    raise ParseError("subset literals hold integers", nxt.line, nxt.col)
-                items.append(v)
-        if tok.text in (")", "}"):
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
-        return _atom(tok)
+        close = _CLOSING.get(tok)
+        if close is None:
+            if tok in (")", "}"):
+                raise ParseError(f"unexpected {tok!r}", line, col)
+            try:
+                return int(tok)
+            except ValueError:
+                return tok
+        items = []
+        while True:
+            if pos == end:
+                raise ParseError(f"unbalanced {tok!r}: missing {close!r}", line, col)
+            nxt, nline, ncol = tokens[pos]
+            if nxt == close:
+                pos += 1
+                return items if close == ")" else frozenset(items)
+            v = read()
+            if close == "}" and not isinstance(v, int):
+                raise ParseError("subset literals hold integers", nline, ncol)
+            items.append(v)
 
     forms = []
-    while peek() is not None:
+    while pos < end:
         form = read()
         if not isinstance(form, list):
             raise ParseError("top-level forms must be parenthesized", 1, 1)
@@ -257,6 +221,16 @@ class Env:
             if name.startswith("r") and name[1:].isdigit():
                 return cur.r(int(name[1:]))
         raise EvalError(f"undefined identifier {name!r}")
+
+    @contextmanager
+    def within(self, context):
+        """Evaluate with context as the current one, restored afterwards."""
+        saved = self.current
+        self.current = context
+        try:
+            yield
+        finally:
+            self.current = saved
 
     def presentation_of(self, c: GradedClass) -> ChowPresentation:
         pres = self.pres_by_ring.get(id(c.ring))
@@ -615,39 +589,26 @@ def _eval_context_form(env: Env, form: list, report: Report) -> None:
             name, n, rest = args[0], args[1], args[2:]
         clauses = _clauses(rest)
         mod = clauses.get("mod", [[0]])[0][0]
-        pres = projective_space(n, modulus=mod, name=name)
-        env.define(pres.name, pres)
-        env.current = pres
-        return
-    if head == "product":
+        value = projective_space(n, modulus=mod, name=name)
+        name = value.name
+    elif head == "product":
         _expect(len(args) == 3, "(product NAME X Y)")
+        name = args[0]
         X = env.lookup(args[1])
         Y = env.lookup(args[2])
-        pres = product(X, Y, name=args[0])
-        env.define(args[0], pres)
-        env.current = pres
-        return
-    if head == "pbundle":
+        value = product(X, Y, name=name)
+    elif head == "pbundle":
         _expect(len(args) >= 4, "(pbundle NAME BASE XI (roots ...))")
         name, base_name, xi = args[0], args[1], args[2]
         base = env.lookup(base_name)
-        saved = env.current
-        env.current = base
-        try:
+        with env.within(base):
             roots = _eval_roots(env, args[3], report)
-        finally:
-            env.current = saved
-        pres = projective_bundle(base, roots, fiber_gen=xi, name=name)
-        env.define(name, pres)
-        env.current = pres
-        return
-    if head == "blowup":
+        value = projective_bundle(base, roots, fiber_gen=xi, name=name)
+    elif head == "blowup":
         _expect(len(args) >= 5, "(blowup NAME BASE E (class ...) (roots ...) ...)")
         name, base_name, egen = args[0], args[1], args[2]
         base = env.lookup(base_name)
-        saved = env.current
-        env.current = base
-        try:
+        with env.within(base):
             clauses = _clauses(args[3:])
             _expect("class" in clauses and "roots" in clauses, "blowup needs (class ...) and (roots ...)")
             fundamental = _as_class(env, eval_expr(env, clauses["class"][0][0], report))
@@ -656,23 +617,15 @@ def _eval_context_form(env: Env, form: list, report: Report) -> None:
             for entry in clauses.get("restrict", [[]])[0]:
                 _expect(isinstance(entry, list) and len(entry) == 2, "(restrict (GEN expr) ...)")
                 restriction[entry[0]] = _as_class(env, eval_expr(env, entry[1], report))
-        finally:
-            env.current = saved
         center = CenterData(fundamental=fundamental, roots=roots, restriction=restriction, name=f"Z({name})")
-        pres = blow_up(base, center, exceptional_gen=egen, name=name)
+        value = blow_up(base, center, exceptional_gen=egen, name=name)
         if clauses.get("rules"):
             # declared rules mention the new exceptional generator, so they are
             # evaluated on the freshly built presentation and the ring rebuilt
-            env.current = pres
-            try:
+            with env.within(value):
                 extra = _eval_rule_pairs(env, clauses["rules"][0], report)
-            finally:
-                env.current = saved
-            pres = blow_up(base, center, exceptional_gen=egen, extra_rules=extra, name=name)
-        env.define(name, pres)
-        env.current = pres
-        return
-    if head == "generic":
+            value = blow_up(base, center, exceptional_gen=egen, extra_rules=extra, name=name)
+    elif head == "generic":
         _expect(len(args) >= 2 and isinstance(args[0], str) and isinstance(args[1], int), "(generic NAME DIM ...)")
         name, dim = args[0], args[1]
         clauses = _clauses(args[2:])
@@ -682,12 +635,10 @@ def _eval_context_form(env: Env, form: list, report: Report) -> None:
         for g in clauses["gens"][0]:
             _expect(isinstance(g, list) and len(g) == 2, "(gens (NAME CODEG) ...)")
             gens.append((g[0], g[1]))
-        pres = generic_context([(n, d) for n, d in gens], dim, modulus=mod, name=name)
+        value = generic_context(gens, dim, modulus=mod, name=name)
         # the clauses are read on the rule-free presentation, which stays
         # unbound: a clause that fails leaves the environment as it was
-        saved = env.current
-        env.current = pres
-        try:
+        with env.within(value):
             rules = []
             if "rules" in clauses:
                 rules = _eval_rule_pairs(env, clauses["rules"][0], report)
@@ -702,33 +653,26 @@ def _eval_context_form(env: Env, form: list, report: Report) -> None:
             if "tangent" in clauses:
                 t = _as_class(env, eval_expr(env, clauses["tangent"][0][0], report))
                 tangent_tbl = dict(t.table)
-        finally:
-            env.current = saved
         if rules or degrees or tangent_tbl is not None:
-            pres = generic_context(
-                [(n, d) for n, d in gens], dim, modulus=mod, name=name,
+            value = generic_context(
+                gens, dim, modulus=mod, name=name,
                 rules=rules, degrees=degrees or None, tangent_table=tangent_tbl,
             )
-        env.define(name, pres)
-        env.current = pres
-        return
-    if head == "milnor":
+    elif head == "milnor":
         _expect(len(args) >= 2 and isinstance(args[1], int), "(milnor NAME M ...)")
+        name = args[0]
         clauses = _clauses(args[2:])
         height = clauses.get("rho-height", [[1]])[0][0]
-        ia = miln.truncated_symbol_ia(height)
-        ring = miln.make_ring(args[1], ia, name=args[0])
-        env.define(args[0], ring)
-        env.current = ring
-        return
-    if head == "flexible":
+        value = miln.make_ring(args[1], miln.truncated_symbol_ia(height), name=name)
+    elif head == "flexible":
         _expect(len(args) == 2 and isinstance(args[1], int), "(flexible NAME N)")
-        ring = miln.flexible_cohomology(args[1])
-        ring.name = args[0]
-        env.define(args[0], ring)
-        env.current = ring
-        return
-    raise EvalError(f"unknown context form {head!r}")
+        name = args[0]
+        value = miln.flexible_cohomology(args[1])
+        value.name = name
+    else:
+        raise EvalError(f"unknown context form {head!r}")
+    env.define(name, value)
+    env.current = value
 
 
 _CONTEXT_HEADS = {"pspace", "product", "pbundle", "blowup", "generic", "milnor", "flexible"}
@@ -743,35 +687,30 @@ def _eval_assertion(env: Env, form: list, report: Report, aid: str) -> Assertion
     tag = _parse_tag(form[1])
     start = time.perf_counter()
 
-    def done(verdict: str, detail: str = "", witness: Optional[str] = None) -> AssertionResult:
+    def done(ok: bool, detail: str, witness: Optional[str] = None) -> AssertionResult:
         ms = int((time.perf_counter() - start) * 1000)
-        return AssertionResult(id=aid, verdict=verdict, tag=tag, detail=detail, witness=witness, millis=ms)
+        if ok:
+            detail, witness = "", None
+        return AssertionResult(id=aid, verdict=PASS if ok else FAIL, tag=tag, detail=detail, witness=witness, millis=ms)
 
     if head == "assert-zero":
         rest = form[2:]
         mod = _mod_clause(env, rest[1:])
         value = eval_expr(env, rest[0], report)
         if isinstance(value, miln.MilnorElement):
-            ok = value.is_zero()
-            return done(PASS if ok else FAIL, detail="" if ok else "element does not vanish",
-                        witness=None if ok else str(value))
+            return done(value.is_zero(), "element does not vanish", str(value))
         c = _as_class(env, value)
         ok, witness = verify_identity(env, c, c.ring.zero(), mod)
-        return done(PASS if ok else FAIL, detail="class does not vanish" if not ok else "",
-                    witness=witness)
+        return done(ok, "class does not vanish", witness)
     if head == "assert-equal":
         rest = form[2:]
         mod = _mod_clause(env, rest[2:])
         a = eval_expr(env, rest[0], report)
         b = eval_expr(env, rest[1], report)
         if isinstance(a, miln.MilnorElement) or isinstance(b, miln.MilnorElement):
-            ok = a == b
-            return done(PASS if ok else FAIL, detail="" if ok else "elements differ",
-                        witness=None if ok else f"{a} != {b}")
-        a = _as_class(env, a)
-        b = _as_class(env, b)
-        ok, witness = verify_identity(env, a, b, mod)
-        return done(PASS if ok else FAIL, detail="" if ok else "sides differ", witness=witness)
+            return done(a == b, "elements differ", f"{a} != {b}")
+        ok, witness = verify_identity(env, _as_class(env, a), _as_class(env, b), mod)
+        return done(ok, "sides differ", witness)
     if head in ("assert-numzero", "assert-numequal"):
         rest = form[2:]
         split = 1 if head == "assert-numzero" else 2
@@ -779,34 +718,28 @@ def _eval_assertion(env: Env, form: list, report: Report, aid: str) -> Assertion
         a = _as_class(env, eval_expr(env, rest[0], report))
         b = a.ring.zero() if head == "assert-numzero" else _as_class(env, eval_expr(env, rest[1], report))
         ok, witness = verify_numerical(env, a, b, mod)
-        return done(PASS if ok else FAIL, detail="" if ok else "sides differ numerically",
-                    witness=witness)
+        return done(ok, "sides differ numerically", witness)
     if head == "assert-deg":
         _expect(len(form) == 4 and isinstance(form[3], int), "(assert-deg TAG expr INT)")
         c = _as_class(env, eval_expr(env, form[2], report))
         pres = env.presentation_of(c)
         got = pres.degree(c)
         want = form[3] % pres.ring.modulus if pres.ring.modulus else form[3]
-        ok = got == want
-        return done(PASS if ok else FAIL, detail="" if ok else f"degree {got}, wanted {want}",
-                    witness=None if ok else str(got))
+        return done(got == want, f"degree {got}, wanted {want}", str(got))
     if head == "assert-kernel-dim":
         _expect(len(form) == 6, "(assert-kernel-dim TAG CTX CODEG PRIME INT)")
         pres = env.lookup(form[2])
         _expect(isinstance(pres, ChowPresentation), "kernel check needs a presentation")
         kernel, _ = numerical_kernel(pres, form[3], form[4])
-        ok = len(kernel) == form[5]
-        return done(PASS if ok else FAIL,
-                    detail="" if ok else f"kernel dimension {len(kernel)}, wanted {form[5]}",
-                    witness=None if ok else ", ".join(map(str, kernel)))
+        return done(len(kernel) == form[5], f"kernel dimension {len(kernel)}, wanted {form[5]}",
+                    ", ".join(map(str, kernel)))
     if head == "assert-comult":
         _expect(len(form) == 5 and isinstance(form[2], frozenset), "(assert-comult TAG SET x y)")
         x = eval_expr(env, form[3], report)
         y = eval_expr(env, form[4], report)
         _expect(isinstance(x, miln.MilnorElement) and isinstance(y, miln.MilnorElement),
                 "(assert-comult) needs Milnor elements")
-        ok = miln.comult_check(sorted(form[2]), x, y)
-        return done(PASS if ok else FAIL, detail="" if ok else "comultiplication identity fails")
+        return done(miln.comult_check(sorted(form[2]), x, y), "comultiplication identity fails")
     raise EvalError(f"unknown assertion {head!r}")
 
 

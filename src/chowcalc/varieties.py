@@ -910,26 +910,24 @@ def blow_up(
             fold[t] = fold.get(t, 0) + sgn * c
     rules.append((Monomial([(e_idx, r)]), fold))
     # scenario-declared extra rules
-    rules.extend((lead, dict(repl)) for lead, repl in extra_rules)
+    extra = [(lead, dict(repl)) for lead, repl in extra_rules]
+    rules.extend(extra)
 
     ring = RingContext(
         names, codegrees, modulus=X.ring.modulus, dimension=X.dim, rules=rules
     )
 
-    # Center-side basis: monomials spanning the restricted image, per codegree.
-    center_basis: list[list[Monomial]] = [[] for _ in range(dim_z + 1)]
-    seen: set[Monomial] = set()
-    for d in range(dim_z + 1):
-        for b in X.basis_of(d):
-            img = res(GradedClass(X.ring, {b: 1}))
-            for m in img.table:
-                if m in seen:
-                    continue
-                seen.add(m)
-                # e*m has codegree d + 1 < dim X, so truncation never applies
-                if ring._matching_rule(e_mono.mul(m)) is None:
-                    center_basis[d].append(m)
+    # Center-side basis: X's basis monomials in the fixed generators, which
+    # the restriction leaves as they are, whose product with e no rule
+    # reduces (e*m has codegree d + 1 < dim X, so truncation never applies).
+    center_basis = [
+        [m for m in X.basis_of(d)
+         if all(i in fixed for i, _ in m.exps) and ring._matching_rule(e_mono.mul(m)) is None]
+        for d in range(dim_z + 1)
+    ]
 
+    # Only a declared extra rule can reduce X's basis monomials or their
+    # products with e^k, 0 < k < r.
     basis: list[tuple[Monomial, ...]] = []
     for d in range(X.dim + 1):
         here = list(X.basis_of(d))
@@ -937,6 +935,7 @@ def blow_up(
             if 0 <= d - k <= dim_z:
                 for m in center_basis[d - k]:
                     here.append(m.mul(Monomial([(e_idx, k)])))
+        here = [m for m in here if not any(lead.divides(m) for lead, _ in extra)]
         basis.append(tuple(sorted(here, key=ring._mkey)))
 
     degree_table = dict(X.degree_table) if X.degree_table is not None else None

@@ -181,3 +181,40 @@ def random_expression(rng, depth=0):
     head = rng.choice(heads)
     n = {"add": 2, "mul": 3, "sub": 2, "neg": 1, "pow": 2, "scale": 2, "part": 2}[head]
     return [head] + [random_expression(rng, depth + 1) for _ in range(n)]
+
+
+def reference_tokenize(text: str) -> list[tuple[str, int, int]]:
+    """Reference DSL tokenizer, a character loop: the brackets and atoms of
+    text as (text, line, column), skipping spaces, tabs, '\\r', ',' and
+    comments from ';' to the end of the line."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r,":
+            col += 1
+            i += 1
+            continue
+        if ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in "(){}":
+            tokens.append((ch, line, col))
+            col += 1
+            i += 1
+            continue
+        j = i
+        while j < n and text[j] not in " \t\r\n,(){};":
+            j += 1
+        tokens.append((text[i:j], line, col))
+        col += j - i
+        i = j
+    return tokens

@@ -359,6 +359,22 @@ class TestMonomialMemo:
         # the same monomial above the dimension truncates before any rewriting
         assert R.from_table({Monomial([(0, 2), (1, 1), (2, 1)]): 1}).is_zero()
 
+    @pytest.mark.parametrize("repl", [[(0, 1), (1, 1)], [(0, 2)]], ids=["x+y", "2x"])
+    def test_replacement_holding_its_lead_is_a_cycle(self, repl):
+        # x -> x + y and x -> 2x over Z: reducing the replacement rewrites x forever
+        gens = [Monomial([(0, 1)]), Monomial([(1, 1)])]
+        with pytest.raises(RewriteCycle):
+            RingContext(["x", "y"], [1, 1], rules=[(gens[0], {gens[i]: c for i, c in repl})])
+
+    def test_replacements_reduced_in_one_pass(self):
+        # x0 -> x1 -> x2 -> x3, declared in both orders: every stored
+        # replacement is x3, irreducible under every lead
+        x = [Monomial([(i, 1)]) for i in range(4)]
+        chain = [(x[i], {x[i + 1]: 1}) for i in range(3)]
+        for rules in (chain, chain[::-1]):
+            R = RingContext(["x0", "x1", "x2", "x3"], [1] * 4, rules=rules)
+            assert [r.replacement for r in R.rules] == [((x[3], 1),)] * 3
+
 
 class TestSymmetricExpand:
     """The Newton reference (``helpers.symmetric_expand``) that

@@ -7,12 +7,14 @@ from chowcalc.script import (
     Env,
     ParseError,
     Script,
+    _tokenize,
     parse_script,
     print_script,
     run_scenario,
     verify_identity,
 )
 from chowcalc.varieties import generic_context
+from helpers import reference_tokenize
 
 
 class TestParser:
@@ -51,6 +53,26 @@ class TestParser:
     def test_top_level_atom_rejected(self):
         with pytest.raises(ParseError):
             parse_script("42")
+
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("{1 x}", "subset literals hold integers", 1, 4),
+        ("(let s {1 2", "unbalanced '{': missing '}'", 1, 8),
+        ("{1 (a)}", "subset literals hold integers", 1, 4),
+        ("}", "unexpected '}'", 1, 1),
+        ("(let u 1)\n  }", "unexpected '}'", 2, 3),
+    ])
+    def test_brace_errors(self, text, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_script(text)
+        assert str(err.value) == f"{message} at line {line}, column {col}"
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_tokenizer_matches_reference(self):
+        rng = random.Random(0)
+        alphabet = "(){} \t\r\n,;\x0bxyz019-"
+        for _ in range(10_000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+            assert _tokenize(text) == reference_tokenize(text), repr(text)
 
 
 def random_form(rng, depth=0):
@@ -314,3 +336,19 @@ class TestCli:
         assert capsys.readouterr().out.strip() == "0"
         assert main(["eval", "(mul h h)", "--context", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "h^2"
+
+    @pytest.mark.parametrize("expression, error", [
+        ("(pow h -1)", "error: ValueError: "),
+        ("(steenrod h)", "error: RingError: "),
+        ("(add nope 1)", "error: EvalError: undefined identifier 'nope'"),
+    ])
+    def test_eval_errors_exit_2(self, tmp_path, capsys, expression, error):
+        from chowcalc.cli import main
+        from chowcalc.varieties import projective_space
+
+        path = tmp_path / "p2.json"
+        projective_space(2).save(path)
+        assert main(["eval", expression, "--context", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(error)

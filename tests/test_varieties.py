@@ -185,6 +185,12 @@ class TestElementarySymmetric:
             elementary_symmetric([], 1)
 
 
+def assert_basis_irreducible(X):
+    for d in range(X.dim + 1):
+        for m in X.basis_of(d):
+            assert X.ring._matching_rule(m) is None, (X.name, m)
+
+
 class TestBlowUp:
     def test_plane_at_point(self):
         P2, Bl = bl_point_plane()
@@ -214,6 +220,30 @@ class TestBlowUp:
         assert not blow_up(P3, center).ring.from_table({h3: 1}).is_zero()
         Bl = blow_up(P3, center, extra_rules=[(h3, {})])
         assert Bl.ring.from_table({h3: 1}).is_zero()
+        # the basis keeps no monomial the declared rule reduces
+        assert Bl.basis_of(3) == ()
+        assert_basis_irreducible(Bl)
+
+    def test_basis_monomials_are_irreducible(self, monkeypatch):
+        import helpers
+        from chowcalc import registry, script
+
+        built = []
+
+        def record(*args, **kwargs):
+            built.append(blow_up(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(script, "blow_up", record)
+        registry.run_all(seed=0)
+        registry_count = len(built)
+        assert registry_count > 0
+        monkeypatch.setattr(helpers, "blow_up", record)
+        for seed in range(60):
+            random_tower(random.Random(seed))
+        assert len(built) > registry_count
+        for Bl in built:
+            assert_basis_irreducible(Bl)
 
     def test_pullback_of_center_class_decomposes(self):
         # codim-2 center: [Z] = c_1(N) e - e^2 is the fold rule rearranged
