@@ -48,6 +48,13 @@ monomials are the keys of every class table and memo.  Products and
 quotients merge two sorted tuples and skip the checks of the public
 constructor, whose inputs may be unsorted, repeat an index or hold zeros.
 
+A monomial also keeps its support, the set of its generators, as the
+bitmask of their indices; a product's support is the OR of its factors'.
+A lead can divide a monomial only if its support lies inside the
+monomial's, so rule matching and ``minimal_monomials`` test that one
+integer condition first and read exponents only for the leads that pass
+it.  The scan order, and so the rule that matches, is unchanged.
+
 No floating point is used anywhere; everything is exact.
 """
 
@@ -106,10 +113,12 @@ class Monomial:
     a repeated index, then drops zero exponents and refuses negative ones.
     ``mul`` and ``div`` keep it by merging two sorted tuples and build their
     result through ``_monomial``, which takes pairs already in this form.
-    A monomial is immutable, and its hash is computed once and kept.
+    A monomial is immutable, and its hash is computed once and kept, as is
+    ``support``, the sum of 2^i over its generator indices i: k can divide m
+    only if ``k.support & ~m.support == 0``.
     """
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ("exps", "_hash", "support")
 
     def __init__(self, exps: Iterable[tuple[int, int]] = ()):
         acc: dict[int, int] = {}
@@ -118,8 +127,12 @@ class Monomial:
         pairs = tuple(sorted((i, e) for i, e in acc.items() if e != 0))
         if any(e < 0 for _, e in pairs):
             raise ValueError("negative exponent in monomial")
+        support = 0
+        for i, _ in pairs:
+            support |= 1 << i
         self.exps = pairs
         self._hash = hash(pairs)
+        self.support = support
 
     def __hash__(self) -> int:
         return self._hash
@@ -168,7 +181,7 @@ class Monomial:
             out.extend(a[i:])
         elif j < lb:
             out.extend(b[j:])
-        return _monomial(tuple(out))
+        return _monomial(tuple(out), self.support | other.support)
 
     def divides(self, other: "Monomial") -> bool:
         b = other.exps
@@ -187,6 +200,7 @@ class Monomial:
         if not b:
             return self
         out = []
+        support = self.support
         j, lb = 0, len(b)
         for x in self.exps:
             if j < lb and b[j][0] == x[0]:
@@ -196,20 +210,23 @@ class Monomial:
                     out.append((x[0], e))
                 elif e < 0:
                     raise ValueError("negative exponent in monomial")
+                else:
+                    support ^= 1 << x[0]
             else:
                 out.append(x)
         if j < lb:
             # b[j] names a generator absent from self
             raise ValueError("negative exponent in monomial")
-        return _monomial(tuple(out))
+        return _monomial(tuple(out), support)
 
 
-def _monomial(pairs: tuple[tuple[int, int], ...]) -> Monomial:
+def _monomial(pairs: tuple[tuple[int, int], ...], support: int) -> Monomial:
     """The monomial of pairs already sorted by index, with distinct indices
-    and positive exponents (unchecked)."""
+    and positive exponents, whose support mask is given (unchecked)."""
     m = object.__new__(Monomial)
     m.exps = pairs
     m._hash = hash(pairs)
+    m.support = support
     return m
 
 
@@ -221,23 +238,29 @@ def minimal_monomials(monomials: Iterable[Monomial]) -> set[Monomial]:
 
     A proper divisor has a smaller total degree, so it suffices to test each
     monomial, in order of total degree, against the minimal ones found so
-    far; and only against those whose first generator is in its support,
-    since a divisor's generators all are.  The unit monomial divides every
-    monomial, so it is then the only minimal one.
+    far; and only against those whose support lies inside its own, since a
+    divisor's generators all are.  The minimal ones are grouped by support,
+    so one mask test passes or skips a whole group.  The unit monomial
+    divides every monomial, so it is then the only minimal one.
     """
     distinct = set(monomials)
     if MONOMIAL_ONE in distinct:
         return {MONOMIAL_ONE}
-    by_first: dict[int, list[Monomial]] = {}
+    by_support: dict[int, list[Monomial]] = {}
     minimal: set[Monomial] = set()
     for m in sorted(distinct, key=Monomial.total_degree):
-        have = dict(m.exps)
+        outside = ~m.support
+        have = None
         divisible = False
-        for i in have:
-            for k in by_first.get(i, ()):
+        for s, group in by_support.items():
+            if s & outside:
+                continue
+            if have is None:
+                have = dict(m.exps)
+            for k in group:
                 # k divides m (inlined: one dict per m, not one walk per pair)
                 for j, e in k.exps:
-                    if have.get(j, 0) < e:
+                    if have[j] < e:
                         break
                 else:
                     divisible = True
@@ -245,7 +268,7 @@ def minimal_monomials(monomials: Iterable[Monomial]) -> set[Monomial]:
             if divisible:
                 break
         if not divisible:
-            by_first.setdefault(m.exps[0][0], []).append(m)
+            by_support.setdefault(m.support, []).append(m)
             minimal.add(m)
     return minimal
 
@@ -273,6 +296,8 @@ class RingContext:
     is a consequence of the kept rules (checked without truncation, so the
     drop stays valid in rings of higher dimension that copy these rules).
 
+    ``_lead_supports`` pairs each stored rule with its lead's support, in
+    the order of ``rules``, for ``_matching_rule``.
     ``_normal_forms`` memoises f(m), the normal form of one monomial without
     truncation, as a tuple of (monomial, coefficient) pairs; it is emptied
     whenever the stored rules change.  ``_products`` memoises the truncated
@@ -366,6 +391,7 @@ class RingContext:
             RewriteRule(lead, tuple(sorted(t.items(), key=lambda kv: kv[0].exps)), k)
             for k, lead, t in rules
         )
+        self._lead_supports = tuple((r.lead.support, r) for r in self.rules)
         self._normal_forms: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
 
     def _implied(self, lead: Monomial, table: Mapping[Monomial, int]) -> bool:
@@ -450,10 +476,17 @@ class RingContext:
     # -- reduction -------------------------------------------------------
 
     def _matching_rule(self, m: Monomial) -> Optional[RewriteRule]:
-        have = dict(m.exps).get
-        for rule in self.rules:
+        """The first stored rule whose lead divides m, or None.  Exponents are
+        read only for the leads whose support lies inside m's."""
+        outside = ~m.support
+        have = None
+        for s, rule in self._lead_supports:
+            if s & outside:
+                continue
+            if have is None:
+                have = dict(m.exps)
             for i, e in rule.lead.exps:
-                if have(i, 0) < e:
+                if have[i] < e:
                     break
             else:
                 return rule

@@ -37,8 +37,9 @@ Grammar (informal):
 
 Atoms are integers, identifiers, and subset literals like {0 1 2}.
 Comments run from ';' to end of line.  Parsing is total: it either returns
-a Script or raises ParseError with a line/column position, and printing a
-parsed script reparses to an equal Script.
+a Script or raises ParseError with a line/column position (also for
+brackets nested deeper than ``MAX_DEPTH``), and printing a parsed script
+reparses to an equal Script.
 """
 
 from __future__ import annotations
@@ -77,6 +78,12 @@ from .varieties import (
 # An integer (pow a n) with |a| > 1 is refused before it is computed when
 # n * bit_length(a), a bound on the bit length of the result, exceeds this.
 MAX_POW_BITS = 4096
+
+# Brackets nest at most this deep; a deeper one is a ParseError.  The
+# reader, eval_expr and the printer recurse once per level, eval_expr with
+# up to three frames a level, so this depth stays well inside Python's
+# default limit of 1,000 frames.
+MAX_DEPTH = 200
 
 
 class ParseError(Exception):
@@ -130,8 +137,8 @@ def parse_script(text: str) -> Script:
     end = len(tokens)
     pos = 0
 
-    def read():
-        # only called with pos < end
+    def read(depth):
+        # only called with pos < end; depth brackets are open around the token
         nonlocal pos
         tok, line, col = tokens[pos]
         pos += 1
@@ -143,6 +150,8 @@ def parse_script(text: str) -> Script:
                 return int(tok)
             except ValueError:
                 return tok
+        if depth == MAX_DEPTH:
+            raise ParseError(f"brackets nest deeper than {MAX_DEPTH}", line, col)
         items = []
         while True:
             if pos == end:
@@ -151,14 +160,14 @@ def parse_script(text: str) -> Script:
             if nxt == close:
                 pos += 1
                 return items if close == ")" else frozenset(items)
-            v = read()
+            v = read(depth + 1)
             if close == "}" and not isinstance(v, int):
                 raise ParseError("subset literals hold integers", nline, ncol)
             items.append(v)
 
     forms = []
     while pos < end:
-        form = read()
+        form = read(0)
         if not isinstance(form, list):
             raise ParseError("top-level forms must be parenthesized", 1, 1)
         forms.append(form)
@@ -525,8 +534,16 @@ def verify_numerical(
     """
     pres, gens, diff = _reduction(env, lhs, rhs, modulo)
     n = pres.dim
-    # the top-codegree rows are echeloned once, for every product below
-    span = rowspan_residuals(ideal_span_rows(pres, gens, n), pres.ring.modulus) if gens else None
+    # the top-codegree rows are echeloned once per presentation and ideal,
+    # for every product below and every later assertion modulo the ideal
+    span = None
+    if gens:
+        key = tuple(frozenset(g.table.items()) for g in gens)
+        span = pres._ideal_spans.get(key)
+        if span is None:
+            span = pres._ideal_spans[key] = rowspan_residuals(
+                ideal_span_rows(pres, gens, n), pres.ring.modulus
+            )
     for d in sorted(diff.codegrees()):
         part = diff.homogeneous_part(d)
         for w in pres.basis_classes(n - d):

@@ -178,7 +178,10 @@ class ChowPresentation:
     with 1 and the generators once the closure check passes) and
     ``_d_minus_tangent`` (d(-T) at the ring's modulus, or None until a
     ``homological_power`` call computes it).  A computation that raises
-    stores nothing in either.
+    stores nothing in either.  ``script.verify_numerical`` keeps
+    ``_ideal_spans``: per declared ideal, keyed by its generators' tables,
+    the map from top-codegree coordinates to their residual modulo the
+    ideal's span, echeloned once.
     """
 
     def __init__(
@@ -214,6 +217,7 @@ class ChowPresentation:
         self._coord_index: dict[int, dict[Monomial, int]] = {}
         self._steenrod: dict[Monomial, GradedClass] = {}
         self._d_minus_tangent: Optional[GradedClass] = None
+        self._ideal_spans: dict[tuple, Callable[[list[int]], list]] = {}
 
     # -- slots filled on first read ---------------------------------------
 
@@ -545,11 +549,12 @@ def _irreducible_monomials(ring: RingContext, d: int) -> list[Monomial]:
     out: list[Monomial] = []
     n = len(ring.names)
 
-    def rec(i: int, remaining: int, acc: dict[int, int]):
+    def rec(i: int, remaining: int, acc: dict[int, int], support: int):
         # acc holds positive exponents only, inserted in increasing index
-        # order, so its items are a monomial's sorted pairs
+        # order, so its items are a monomial's sorted pairs; support is the
+        # mask of its keys
         if remaining == 0:
-            m = _monomial(tuple(acc.items()))
+            m = _monomial(tuple(acc.items()), support)
             if ring._matching_rule(m) is None:
                 out.append(m)
             return
@@ -558,17 +563,19 @@ def _irreducible_monomials(ring: RingContext, d: int) -> list[Monomial]:
         cd = ring.codegrees[i]
         max_e = remaining // cd
         for e in range(max_e, -1, -1):
+            mask = support
             if e:
                 acc[i] = e
+                mask |= 1 << i
                 # prune: a reducible prefix only gets worse
-                if ring._matching_rule(_monomial(tuple(acc.items()))) is not None:
+                if ring._matching_rule(_monomial(tuple(acc.items()), mask)) is not None:
                     del acc[i]
                     continue
-            rec(i + 1, remaining - e * cd, acc)
+            rec(i + 1, remaining - e * cd, acc, mask)
             if e:
                 del acc[i]
 
-    rec(0, d, {})
+    rec(0, d, {}, 0)
     return sorted(out, key=ring._mkey)
 
 
@@ -656,7 +663,9 @@ def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None
 
     def lift_mono(m: Monomial, offset: int) -> Monomial:
         # shifting every index keeps the pairs sorted
-        return _monomial(tuple([(i + offset, e) for i, e in m.exps])) if offset else m
+        if not offset:
+            return m
+        return _monomial(tuple([(i + offset, e) for i, e in m.exps]), m.support << offset)
 
     rules = []
     for r in X.ring.rules:
@@ -918,16 +927,18 @@ def blow_up(
     )
 
     # Center-side basis: X's basis monomials in the fixed generators, which
-    # the restriction leaves as they are, whose product with e no rule
-    # reduces (e*m has codegree d + 1 < dim X, so truncation never applies).
+    # the restriction leaves as they are, of codegree at most dim Z.
     center_basis = [
-        [m for m in X.basis_of(d)
-         if all(i in fixed for i, _ in m.exps) and ring._matching_rule(e_mono.mul(m)) is None]
+        [m for m in X.basis_of(d) if all(i in fixed for i, _ in m.exps)]
         for d in range(dim_z + 1)
     ]
 
-    # Only a declared extra rule can reduce X's basis monomials or their
-    # products with e^k, 0 < k < r.
+    # Only a declared extra lead can reduce an X-basis monomial m or e^k*m,
+    # 0 < k < r, m in the center basis (below the dimension, so truncation
+    # never applies): X's leads hold no e and m is X-irreducible, a kill lead
+    # e*m' has codegree(m') > dim Z, a restriction lead e*g has g not fixed,
+    # and the fold lead is e^r.
+    extra_leads = [(lead.support, lead) for lead, _ in extra]
     basis: list[tuple[Monomial, ...]] = []
     for d in range(X.dim + 1):
         here = list(X.basis_of(d))
@@ -935,7 +946,10 @@ def blow_up(
             if 0 <= d - k <= dim_z:
                 for m in center_basis[d - k]:
                     here.append(m.mul(Monomial([(e_idx, k)])))
-        here = [m for m in here if not any(lead.divides(m) for lead, _ in extra)]
+        here = [
+            m for m in here
+            if not any(not s & ~m.support and lead.divides(m) for s, lead in extra_leads)
+        ]
         basis.append(tuple(sorted(here, key=ring._mkey)))
 
     degree_table = dict(X.degree_table) if X.degree_table is not None else None

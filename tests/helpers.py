@@ -3,7 +3,7 @@
 import random
 from typing import Optional
 
-from chowcalc.rings import GradedClass, Monomial, RingContext
+from chowcalc.rings import MONOMIAL_ONE, GradedClass, Monomial, RingContext
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
@@ -78,6 +78,98 @@ def worklist_nf(ring: RingContext, table, truncate: bool = True) -> dict:
             elif t in work:
                 del work[t]
     return {m: c for m, c in out.items() if c}
+
+
+def reference_matching_rule(ring: RingContext, m: Monomial):
+    """Reference rule matching, a scan of every stored rule in order that
+    reads each lead's exponents: the first rule whose lead divides m."""
+    have = dict(m.exps).get
+    for rule in ring.rules:
+        for i, e in rule.lead.exps:
+            if have(i, 0) < e:
+                break
+        else:
+            return rule
+    return None
+
+
+def reference_minimal_monomials(monomials) -> set:
+    """Reference minimal monomials: each monomial, in order of total degree,
+    against the minimal ones found so far whose first generator is in its
+    support."""
+    distinct = set(monomials)
+    if MONOMIAL_ONE in distinct:
+        return {MONOMIAL_ONE}
+    by_first: dict[int, list[Monomial]] = {}
+    minimal = set()
+    for m in sorted(distinct, key=Monomial.total_degree):
+        have = dict(m.exps)
+        divisible = False
+        for i in have:
+            for k in by_first.get(i, ()):
+                for j, e in k.exps:
+                    if have.get(j, 0) < e:
+                        break
+                else:
+                    divisible = True
+                    break
+            if divisible:
+                break
+        if not divisible:
+            by_first.setdefault(m.exps[0][0], []).append(m)
+            minimal.add(m)
+    return minimal
+
+
+def monomials_of_codegree(ring: RingContext, d: int) -> list[Monomial]:
+    """Every monomial in the ring's generators of codegree d, reducible or
+    not."""
+    out = []
+
+    def rec(i: int, remaining: int, pairs: list):
+        if remaining == 0:
+            out.append(Monomial(pairs))
+            return
+        if i == len(ring.names):
+            return
+        cd = ring.codegrees[i]
+        for e in range(remaining // cd + 1):
+            rec(i + 1, remaining - e * cd, pairs + [(i, e)])
+
+    rec(0, d, [])
+    return out
+
+
+def reference_blow_up_basis(X, center, Bl, extra_rules=()) -> tuple:
+    """Reference basis of Bl = blow_up(X, center, extra_rules=...), with its
+    center basis by a scan of every rule of Bl's ring: X's basis monomials
+    and e^k * m for 0 < k < r, where m runs over X's basis monomials in the
+    generators the restriction fixes, of codegree at most dim X - r, whose
+    product with e no stored rule reduces; minus every monomial that a
+    declared extra lead divides."""
+    ring = Bl.ring
+    r = center.codim
+    dim_z = X.dim - r
+    e_idx = len(X.ring.names)
+    fixed = {
+        i for i, name in enumerate(X.ring.names)
+        if center.restriction.get(name, X.gen(name)) == X.gen(name)
+    }
+    e = Monomial([(e_idx, 1)])
+    center_basis = [
+        [m for m in X.basis_of(d)
+         if all(i in fixed for i, _ in m.exps) and reference_matching_rule(ring, e.mul(m)) is None]
+        for d in range(dim_z + 1)
+    ]
+    basis = []
+    for d in range(X.dim + 1):
+        here = list(X.basis_of(d))
+        for k in range(1, r):
+            if 0 <= d - k <= dim_z:
+                here += [m.mul(Monomial([(e_idx, k)])) for m in center_basis[d - k]]
+        here = [m for m in here if not any(lead.divides(m) for lead, _ in extra_rules)]
+        basis.append(tuple(sorted(here, key=ring._mkey)))
+    return tuple(basis)
 
 
 def symmetric_expand(power: int, roots_rank: int, up_to: int) -> GradedClass:

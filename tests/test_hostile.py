@@ -18,9 +18,18 @@ import pytest
 import chowcalc
 from chowcalc.cli import main
 from chowcalc.milnor import MAX_GENERATORS, MAX_RHO_HEIGHT
-from chowcalc.report import ERROR, PASS
+from chowcalc.report import ERROR, PASS, Report
 from chowcalc.rings import Monomial
-from chowcalc.script import MAX_POW_BITS, parse_script, run_scenario
+from chowcalc.script import (
+    MAX_DEPTH,
+    MAX_POW_BITS,
+    Env,
+    ParseError,
+    eval_expr,
+    parse_script,
+    print_script,
+    run_scenario,
+)
 from chowcalc.varieties import projective_space
 
 CHILD_ADDRESS_SPACE = 1 << 30  # bytes
@@ -229,3 +238,25 @@ def test_report_value_keeps_evaluation_errors():
     assert [r.verdict for r in report.results] == [ERROR]
     assert "undefined identifier 'undefined_name'" in report.results[0].detail
     assert report.values == {"m": "((20 -2) (5 1))", "w": "h^2"}
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_script("(" * 1000 + ")" * 1000)
+    # at the first bracket past the bound
+    assert (err.value.line, err.value.col) == (1, MAX_DEPTH + 1)
+    assert f"deeper than {MAX_DEPTH}" in str(err.value)
+
+
+def test_run_on_a_deeply_nested_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.chow"
+    path.write_text("(" * 2000 + ")" * 2000)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def test_nesting_at_the_bound_evaluates_and_prints():
+    text = "(add " * MAX_DEPTH + "1" + ")" * MAX_DEPTH
+    script = parse_script(text)
+    assert eval_expr(Env(), script.forms[0], Report()) == 1
+    assert parse_script(print_script(script)) == script

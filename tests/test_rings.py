@@ -15,7 +15,16 @@ from chowcalc.rings import (
     minimal_monomials,
     normal_form,
 )
-from helpers import random_class, symmetric_expand, worklist_nf
+from chowcalc.varieties import enumerate_basis
+from helpers import (
+    monomials_of_codegree,
+    random_class,
+    random_tower,
+    reference_matching_rule,
+    reference_minimal_monomials,
+    symmetric_expand,
+    worklist_nf,
+)
 
 
 def free_ring(names, dim, modulus=0):
@@ -26,11 +35,8 @@ def pspace_ring(n):
     return RingContext(["h"], [1], dimension=n, rules=[(Monomial([(0, n + 1)]), {})])
 
 
-def registry_rings(monkeypatch):
-    """One ring per distinct (names, codegrees, modulus, dimension, rules)
-    among the rings ``registry.run_all(seed=0)`` builds."""
-    from chowcalc import registry
-
+def built_rings(monkeypatch, run) -> list:
+    """Every ring that run() builds, in order."""
     built = []
     init = RingContext.__init__
 
@@ -39,10 +45,26 @@ def registry_rings(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(RingContext, "__init__", record)
-    registry.run_all(seed=0)
+    run()
     monkeypatch.undo()
+    return built
+
+
+def tower_rings(monkeypatch) -> list:
+    """Every ring that ``random_tower`` builds on seeds 0-59, and each
+    tower's ring mod 2."""
+    return built_rings(monkeypatch, lambda: [
+        random_tower(random.Random(seed)).with_coefficients(2) for seed in range(60)
+    ])
+
+
+def registry_rings(monkeypatch):
+    """One ring per distinct (names, codegrees, modulus, dimension, rules)
+    among the rings ``registry.run_all(seed=0)`` builds."""
+    from chowcalc import registry
+
     rings = {}
-    for R in built:
+    for R in built_rings(monkeypatch, lambda: registry.run_all(seed=0)):
         rings.setdefault((R.names, R.codegrees, R.modulus, R.dimension, R.rules), R)
     return list(rings.values())
 
@@ -630,3 +652,61 @@ class TestMinimalLeads:
         assert back.basis == Bl.basis
         e = back.gen("e")
         assert back.degree(e**3) == Bl.degree(Bl.gen("e") ** 3)
+
+
+class TestSupport:
+    """Leads are tested by generator support first; the answers are those of
+    the linear scans kept in ``helpers``."""
+
+    @staticmethod
+    def mask(m):
+        return sum(1 << i for i, _ in m.exps)
+
+    def test_matching_rule_is_the_scan(self, monkeypatch):
+        rings = registry_rings(monkeypatch) + tower_rings(monkeypatch)
+        assert len(rings) > 150
+        assert any(R.modulus == 2 for R in rings[-60:])
+        for R in rings:
+            basis = [m for ms in enumerate_basis(R) for m in ms]
+            probes = basis + [r.lead for r in R.rules] + monomials_of_codegree(R, R.dimension + 1)
+            for m in probes:
+                assert R._matching_rule(m) is reference_matching_rule(R, m), (R.names, m)
+
+    def test_minimal_monomials_are_the_scan(self):
+        rng = random.Random(41)
+        for trial in range(400):
+            # few generators, so that many monomials share a support
+            ms = [Monomial(random_pairs(rng, ngens=3)) for _ in range(rng.randint(0, 12))]
+            ms += rng.sample(ms, min(len(ms), 3))  # repeats
+            if trial % 10 == 0:
+                ms.append(MONOMIAL_ONE)
+            assert minimal_monomials(ms) == reference_minimal_monomials(ms), ms
+        x2y, xy2, x2y2, xy3 = (Monomial([(0, a), (1, b)]) for a, b in [(2, 1), (1, 2), (2, 2), (1, 3)])
+        assert minimal_monomials([x2y2, xy3, x2y, xy2]) == {x2y, xy2}
+
+    def test_support_is_kept_by_every_constructor(self, monkeypatch):
+        from chowcalc import registry
+
+        # registry rings fill their memos through mul and div; product
+        # towers shift the indices of their factors' monomials
+        rings = built_rings(monkeypatch, lambda: registry.run_all(seed=0)) + tower_rings(monkeypatch)
+        seen = 0
+        for R in rings:
+            basis = [m for ms in enumerate_basis(R) for m in ms]
+            for i in range(len(R.names)):
+                for b in basis:
+                    R._product(Monomial([(i, 1)]), b)
+            monomials = list(R._normal_forms) + [m for m, _ in R._products]
+            for nf in list(R._normal_forms.values()) + list(R._products.values()):
+                monomials += [m for m, _ in nf]
+            monomials += [r.lead for r in R.rules] + basis
+            for m in monomials:
+                assert m.support == self.mask(m), m
+            seen += len(monomials)
+        assert seen > 10_000
+        rng = random.Random(43)
+        for _ in range(200):
+            a, b = Monomial(random_pairs(rng)), Monomial(random_pairs(rng))
+            ab = a.mul(b)
+            for m in (a, b, ab, ab.div(a), ab.div(b), ab.div(ab)):
+                assert m.support == self.mask(m), m

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chowcalc.report import ERROR, FAIL, Report, emit_report
+from chowcalc.report import ERROR, FAIL, PASS, Report, emit_report
 from chowcalc.script import (
     Env,
     ParseError,
@@ -12,6 +12,7 @@ from chowcalc.script import (
     print_script,
     run_scenario,
     verify_identity,
+    verify_numerical,
 )
 from chowcalc.varieties import generic_context
 from helpers import reference_tokenize
@@ -268,6 +269,54 @@ class TestVerifyIdentity:
     def test_exact_residual_witness(self, src, witness):
         rep = run_scenario(parse_script(src))
         assert [(r.verdict, r.witness) for r in rep.results] == [(FAIL, witness)]
+
+
+class TestVerifyNumerical:
+    """Each presentation echelons the top-codegree span of an ideal once;
+    the verdicts and witnesses are those of an echelon per assertion."""
+
+    @pytest.mark.parametrize("src, expected", [
+        # J and (J, K) are two ideals of one presentation
+        ("(generic X 3 (gens (x 1) (y 1) (z 1)))" + J_2X_PLUS_Y + "(declare-ideal K (mul x z))"
+         "(assert-numzero (trivial) (mul (add (scale 2 x) y) z) (modulo J))"
+         "(assert-numequal (trivial) (mul x y) (scale -2 (mul x x)) (modulo J K))"
+         "(assert-numequal (trivial) (mul x y z) (scale -2 (mul x x z)) (modulo J))"
+         "(assert-numzero (trivial) (mul z z) (modulo J K))",
+         [(PASS, None), (PASS, None), (PASS, None), (FAIL, "z^3 (pairing against z)")]),
+        ("(generic X 2 (gens (x 1) (y 1) (z 1)))" + J_2X_PLUS_Y
+         + "(assert-numzero (trivial) (add (scale 2 x) y) (modulo J))"
+         "(assert-numzero (trivial) (add x z) (modulo J))"
+         "(assert-numzero (trivial) (scale 4 x) (modulo J))",
+         [(PASS, None), (FAIL, "(y^2 - 2*y*z)/4 (pairing against x)"),
+          (FAIL, "y^2 (pairing against x)")]),
+        # declared rules build a fresh presentation for each assertion
+        ("(generic X 3 (gens (x 1) (y 1) (z 1)))" + J_2X_PLUS_Y
+         + "(declare-rules R ((mul x y) (mul z z)))"
+         "(assert-numequal (trivial) (mul x y) (mul z z) (modulo R J))"
+         "(assert-numzero (trivial) (mul x z) (modulo R J))"
+         "(assert-numzero (trivial) (mul (add (scale 2 x) y) z) (modulo R J))",
+         [(PASS, None), (FAIL, "(-z^3)/2 (pairing against x)"), (PASS, None)]),
+    ], ids=["shared-ideal", "fail-after-pass", "rules-then-ideal"])
+    def test_verdicts_and_witnesses(self, src, expected):
+        rep = run_scenario(parse_script(src))
+        assert [(r.verdict, r.witness) for r in rep.results] == expected
+
+    def test_one_span_per_ideal(self):
+        from chowcalc.script import _IdealDecl
+
+        X = generic_context([("x", 1), ("y", 1)], 2)
+        env = Env()
+        env.define("X", X)
+        env.current = X
+        x, y = X.gen("x"), X.gen("y")
+        J = _IdealDecl([x * y])
+        assert verify_numerical(env, x * y, X.zero(), [J]) == (True, None)
+        assert verify_numerical(env, x, X.zero(), [J]) == (False, "x^2 (pairing against x)")
+        # the same generators, built again, find the same span
+        assert verify_numerical(env, y * x, X.zero(), [_IdealDecl([y * x])]) == (True, None)
+        assert len(X._ideal_spans) == 1
+        assert verify_numerical(env, x, X.zero(), [_IdealDecl([x * x])]) == (False, "x*y (pairing against y)")
+        assert len(X._ideal_spans) == 2
 
 
 class TestReports:

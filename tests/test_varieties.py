@@ -20,7 +20,7 @@ from chowcalc.varieties import (
     projective_bundle,
     projective_space,
 )
-from helpers import random_class, random_tower
+from helpers import random_class, random_tower, reference_blow_up_basis
 
 
 def bl_point_plane():
@@ -191,6 +191,30 @@ def assert_basis_irreducible(X):
             assert X.ring._matching_rule(m) is None, (X.name, m)
 
 
+def recorded_blow_ups(monkeypatch) -> list:
+    """(X, center, extra rules, blow-up) for every blow-up that the registry
+    makes, then for every one that ``random_tower`` makes on seeds 0-59."""
+    import helpers
+    from chowcalc import registry, script
+
+    built = []
+
+    def record(X, center, exceptional_gen="e", extra_rules=(), name=None):
+        extra = list(extra_rules)
+        built.append((X, center, extra, blow_up(X, center, exceptional_gen, extra, name)))
+        return built[-1][-1]
+
+    monkeypatch.setattr(script, "blow_up", record)
+    registry.run_all(seed=0)
+    registry_count = len(built)
+    assert registry_count > 0
+    monkeypatch.setattr(helpers, "blow_up", record)
+    for seed in range(60):
+        random_tower(random.Random(seed))
+    assert len(built) > registry_count
+    return built
+
+
 class TestBlowUp:
     def test_plane_at_point(self):
         P2, Bl = bl_point_plane()
@@ -225,25 +249,21 @@ class TestBlowUp:
         assert_basis_irreducible(Bl)
 
     def test_basis_monomials_are_irreducible(self, monkeypatch):
-        import helpers
-        from chowcalc import registry, script
-
-        built = []
-
-        def record(*args, **kwargs):
-            built.append(blow_up(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(script, "blow_up", record)
-        registry.run_all(seed=0)
-        registry_count = len(built)
-        assert registry_count > 0
-        monkeypatch.setattr(helpers, "blow_up", record)
-        for seed in range(60):
-            random_tower(random.Random(seed))
-        assert len(built) > registry_count
-        for Bl in built:
+        for _, _, _, Bl in recorded_blow_ups(monkeypatch):
             assert_basis_irreducible(Bl)
+
+    def test_basis_is_the_rule_scan(self, monkeypatch):
+        # the center basis is tested against the declared extra leads only
+        P3 = projective_space(3)
+        line = CenterData.complete_intersection([P3.gen("h")] * 2, name="line")
+        h3, eh = Monomial([(0, 3)]), Monomial([(0, 1), (1, 1)])
+        cases = [(P3, line, extra, blow_up(P3, line, extra_rules=extra)) for extra in (
+            [(h3, {})],
+            [(eh, {})],  # e*h leaves the center basis
+        )]
+        assert Monomial([(0, 1), (1, 1)]) not in cases[1][3].basis_of(2)
+        for X, center, extra, Bl in cases + recorded_blow_ups(monkeypatch):
+            assert Bl.basis == reference_blow_up_basis(X, center, Bl, extra), Bl.name
 
     def test_pullback_of_center_class_decomposes(self):
         # codim-2 center: [Z] = c_1(N) e - e^2 is the fold rule rearranged
