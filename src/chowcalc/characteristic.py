@@ -115,19 +115,21 @@ def _verify_closure(X: ChowPresentation, images) -> None:
 
 def _steenrod_memo(X: ChowPresentation) -> dict[Monomial, GradedClass]:
     """X's map from monomial to the image of that monomial under the total
-    operation.  The first call computes the generator images and, on a
-    presentation that is not cellular, checks every rule against them; the
-    map is seeded with 1 and the generators only once the check passes, so
-    a failure raises again on every call."""
-    memo = X._steenrod
-    if not memo:
-        images = _steenrod_images(X)
-        if not X.is_cellular():
-            _verify_closure(X, images)
-        ring = X.ring
-        memo[MONOMIAL_ONE] = ring.one()
-        for name, img in images.items():
-            memo[Monomial([(ring.gen_index(name), 1)])] = img
+    operation, kept as ``("steenrod",)``.  The first call computes the
+    generator images and, on a presentation that is not cellular, checks
+    every rule against them; the map is kept, seeded with 1 and the
+    generators, only once the check passes, so a failure raises again."""
+    return X.kept(("steenrod",), _seeded_memo, X)
+
+
+def _seeded_memo(X: ChowPresentation) -> dict[Monomial, GradedClass]:
+    images = _steenrod_images(X)
+    if not X.is_cellular():
+        _verify_closure(X, images)
+    ring = X.ring
+    memo = {MONOMIAL_ONE: ring.one()}
+    for name, img in images.items():
+        memo[Monomial([(ring.gen_index(name), 1)])] = img
     return memo
 
 
@@ -251,15 +253,13 @@ def homological_power(X: ChowPresentation, c: GradedClass, i: int) -> GradedClas
     sum_l d_l(T_X) . P_{i-l} = P^i holds identically.
 
     d(-T_X) = inverse_series(d(T_X)) is computed on the first call and kept
-    on X (``ChowPresentation._d_minus_tangent``; a presentation has one
-    modulus); a presentation without a tangent raises and keeps nothing."""
+    on X as ``("d-minus-tangent",)`` (a presentation has one modulus); a
+    presentation without a tangent raises and keeps nothing."""
     p = X.ring.modulus
     if not p:
         raise RingError("homological operation needs F_p coefficients")
-    d_minus_T = X._d_minus_tangent
-    if d_minus_T is None:
-        d_minus_T = inverse_series(d_class_from_total(X.tangent_class(), p))
-        X._d_minus_tangent = d_minus_T
+    d_minus_T = X.kept(("d-minus-tangent",),
+                       lambda: inverse_series(d_class_from_total(X.tangent_class(), p)))
     out = X.zero()
     for m in range(0, i + 1):
         dm = d_minus_T.homogeneous_part(m * (p - 1))

@@ -106,9 +106,8 @@ def main(argv=None) -> int:
         env = Env()
         env.define(pres.name, pres)
         env.current = pres
-        report = Report()
         try:
-            value = eval_expr(env, script.forms[0], report)
+            value = eval_expr(env, script.forms[0])
         except Exception as exc:  # an evaluation error is a message, not a traceback
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2

@@ -2,25 +2,26 @@
 quotients by user-declared correspondence-image classes, and the kernel-
 stability check for reduced power operations.
 
-Each presentation pays for its pairing once, and keeps it:
+Each presentation pays for its pairing once, and keeps it (``X.kept``):
 
-- the integer pairing (``_integer_pairings``): the matrix M_r of codegree r
-  for every r <= n - r, filled in one pass.  Every product b * bd of basis
-  monomials lies in codegree n, so one {monomial: degree} memo serves every
-  codegree and ``X.degree`` runs once per distinct product.  Codegree
-  n - r is the transpose of M_r, since ``b * bd`` and ``bd * b`` are the
-  same monomial.
-- the mod-p report, per prime (``_modp_pairing``): the rank and the kernel
-  of each codegree.  M_{n-r} is the transpose of M_r, so the rank of
-  codegree n - r is read from codegree r.  ``pairing_report``,
+- ``("pairings",)``, the integer pairing (``_integer_pairings``): the
+  matrix M_r of codegree r for every r <= n - r, filled in one pass.  Every
+  product b * bd of basis monomials lies in codegree n, so one
+  {monomial: degree} memo serves every codegree and ``X.degree`` runs once
+  per distinct product.  Codegree n - r is the transpose of M_r, since
+  ``b * bd`` and ``bd * b`` are the same monomial.
+- ``("modp-pairing", p)``, the mod-p report (``_modp_pairing``): the rank
+  and the kernel of each codegree.  M_{n-r} is the transpose of M_r, so the
+  rank of codegree n - r is read from codegree r.  ``pairing_report``,
   ``numerical_kernel``, ``kernel_is_ideal`` and ``ab1_check`` all read it,
   and take their kernel classes from one walk (``_kernel_classes``).
+- ``("labels", r)``, the printed basis monomials of codegree r.
 
-Both are stored as tuples on the presentation; every report and every
-caller gets fresh lists.  Kernel membership is read from the same
-matrices (``_in_kernel``): a class c of codegree s is in the mod-p kernel
-exactly when coords(c) . M_s = 0 mod p, which reads only the rows of M_s
-at the nonzero coordinates of c.  ``kernel_is_ideal`` tests u * b and
+All are stored as tuples; every report and every caller gets fresh
+lists.  Kernel membership is read from the same matrices (``_in_kernel``):
+a class c of codegree s is in the mod-p kernel exactly when
+coords(c) . M_s = 0 mod p, which reads only the rows of M_s at the nonzero
+coordinates of c.  ``kernel_is_ideal`` tests u * b and
 ``ab1_check`` tests P^i(u) this way, so neither calls ``X.degree`` once
 the pairing is kept, and neither can disagree with the kernel it tests.
 A modulus that is not prime, or a codegree outside 0..dim, raises
@@ -179,8 +180,11 @@ def rational_in_rowspan(rows: list[list[int]], vec: list[int]) -> tuple[bool, li
 
 
 def integer_determinant(matrix: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
+    """Fraction-free Bareiss determinant of a square integer matrix; any
+    other shape raises ValueError."""
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError(f"determinant needs a square matrix, not rows of lengths {[len(r) for r in matrix]}")
     if n == 0:
         return 1
     m = [row[:] for row in matrix]
@@ -253,26 +257,27 @@ def _integer_pairings(X: ChowPresentation) -> dict[int, tuple[tuple[int, ...], .
         raise CoverageError("pairing is computed on an integral presentation")
     if X.degree_table is None or not X.degree_total:
         raise CoverageError("pairing needs a total degree functional")
-    if not X._pairings:
-        ring = X.ring
-        f, normal_forms, n = ring._f, ring._normal_forms, X.dim
-        degrees: dict[Monomial, int] = {}
-        pairings = {}
-        for s in range(n // 2 + 1):
-            rows = []
-            for b in X.basis_of(s):
-                row = []
-                for bd in X.basis_of(n - s):
-                    m = b.mul(bd)
-                    d = degrees.get(m)
-                    if d is None:
-                        d = degrees[m] = X.degree(GradedClass(ring, dict(f(m, normal_forms, n))))
-                    row.append(d)
-                rows.append(tuple(row))
-            pairings[s] = tuple(rows)
-        # kept only when complete: a degree that raises leaves nothing behind
-        X._pairings.update(pairings)
-    return X._pairings
+    return X.kept(("pairings",), _fill_pairings, X)
+
+
+def _fill_pairings(X: ChowPresentation) -> dict[int, tuple[tuple[int, ...], ...]]:
+    ring = X.ring
+    f, normal_forms, n = ring._f, ring._normal_forms, X.dim
+    degrees: dict[Monomial, int] = {}
+    pairings = {}
+    for s in range(n // 2 + 1):
+        rows = []
+        for b in X.basis_of(s):
+            row = []
+            for bd in X.basis_of(n - s):
+                m = b.mul(bd)
+                d = degrees.get(m)
+                if d is None:
+                    d = degrees[m] = X.degree(GradedClass(ring, dict(f(m, normal_forms, n))))
+                row.append(d)
+            rows.append(tuple(row))
+        pairings[s] = tuple(rows)
+    return pairings
 
 
 def _integer_pairing(X: ChowPresentation, r: int) -> list[list[int]]:
@@ -301,29 +306,27 @@ def _modp_pairing(X: ChowPresentation, p: int) -> tuple[tuple[int, tuple[tuple[i
     The kernel of codegree r is the right kernel of M_r^T, and M_{n-r} is
     M_r^T, so codegree n - r > r takes the kept M_r as it stands, and its
     rank is the rank of M_r."""
+    return X.kept(("modp-pairing", p), _fill_modp_pairing, X, p)
+
+
+def _fill_modp_pairing(X: ChowPresentation, p: int) -> tuple:
     pairings = _integer_pairings(X)
-    kept = X._modp_pairings.get(p)
-    if kept is None:
-        if not _is_prime(p):
-            raise ValueError(f"pairing modulus {p} is not prime")
-        n = X.dim
-        out: list = [None] * (n + 1)
-        for s, mat in pairings.items():
-            rank = modp_rank(mat, p)
-            out[s] = (rank, _left_kernel(list(zip(*mat)), len(mat), p))
-            if n - s != s:
-                out[n - s] = (rank, _left_kernel(mat, len(X.basis_of(n - s)), p))
-        kept = X._modp_pairings[p] = tuple(out)
-    return kept
+    if not _is_prime(p):
+        raise ValueError(f"pairing modulus {p} is not prime")
+    n = X.dim
+    out: list = [None] * (n + 1)
+    for s, mat in pairings.items():
+        rank = modp_rank(mat, p)
+        out[s] = (rank, _left_kernel(list(zip(*mat)), len(mat), p))
+        if n - s != s:
+            out[n - s] = (rank, _left_kernel(mat, len(X.basis_of(n - s)), p))
+    return tuple(out)
 
 
 def _basis_labels(X: ChowPresentation, r: int) -> list[str]:
     """The printed basis monomials of codegree r, as a fresh list; computed
     once per presentation and codegree."""
-    labels = X._basis_labels.get(r)
-    if labels is None:
-        labels = X._basis_labels[r] = tuple(X.ring.monomial_str(m) for m in X.basis_of(r))
-    return list(labels)
+    return list(X.kept(("labels", r), lambda: tuple(map(X.ring.monomial_str, X.basis_of(r)))))
 
 
 def pairing_report(X: ChowPresentation, p: int) -> PairingReport:

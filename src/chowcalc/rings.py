@@ -720,7 +720,7 @@ def normal_form(c: GradedClass) -> GradedClass:
 def evaluate(
     c: GradedClass,
     images: Mapping[str, GradedClass],
-    target: Optional[RingContext] = None,
+    target: RingContext,
 ) -> GradedClass:
     """Apply the ring map sending each generator to its image.
 
@@ -728,9 +728,6 @@ def evaluate(
     in the target context.  The result is reduced in the target.
     """
     src = c.ring
-    if target is None:
-        some = next(iter(images.values()), None)
-        target = some.ring if some is not None else src
     out = target.zero()
     for m, coeff in c.table.items():
         term = target.scalar(coeff)

@@ -210,6 +210,7 @@ class Env:
     bindings: dict = field(default_factory=dict)
     current: object = None
     pres_by_ring: dict = field(default_factory=dict)
+    notes: dict = field(default_factory=dict)  # report notes as keys, first seen first
 
     def define(self, name: str, value) -> None:
         self.bindings[name] = value
@@ -282,15 +283,15 @@ def _as_class(env: Env, value) -> GradedClass:
     raise EvalError(f"expected a class, got {type(value).__name__}")
 
 
-def _eval_roots(env: Env, form, report: Report) -> BundleRoots:
+def _eval_roots(env: Env, form) -> BundleRoots:
     _expect(isinstance(form, list) and form and form[0] == "roots", "expected (roots ...)")
     cur = env.current
     _expect(isinstance(cur, ChowPresentation), "roots need a ring context")
-    classes = [_as_class(env, eval_expr(env, a, report)) for a in form[1:]]
+    classes = [_as_class(env, eval_expr(env, a)) for a in form[1:]]
     return BundleRoots.plus(classes, ring=cur.ring)
 
 
-def eval_expr(env: Env, node, report: Report):
+def eval_expr(env: Env, node):
     if isinstance(node, int):
         return node
     if isinstance(node, frozenset):
@@ -302,7 +303,7 @@ def eval_expr(env: Env, node, report: Report):
     args = node[1:]
 
     def ev(x):
-        return eval_expr(env, x, report)
+        return eval_expr(env, x)
 
     if head == "add":
         vals = [ev(a) for a in args]
@@ -359,16 +360,16 @@ def eval_expr(env: Env, node, report: Report):
         _expect(len(args) == 2 and isinstance(args[0], int), "(part d a)")
         return _as_class(env, ev(args[1])).homogeneous_part(args[0])
     if head == "roots":
-        return _eval_roots(env, node, report)
+        return _eval_roots(env, node)
     if head == "chern-total":
         _expect(len(args) == 1, "(chern-total (roots ...))")
-        return chops.chern_total(_eval_roots(env, args[0], report))
+        return chops.chern_total(_eval_roots(env, args[0]))
     if head == "chern":
         _expect(len(args) == 2 and isinstance(args[0], int), "(chern j (roots ...))")
-        return chops.chern_class(_eval_roots(env, args[1], report), args[0])
+        return chops.chern_class(_eval_roots(env, args[1]), args[0])
     if head == "segre-total":
         _expect(len(args) == 1, "(segre-total (roots ...))")
-        return chops.segre_total(_eval_roots(env, args[0], report))
+        return chops.segre_total(_eval_roots(env, args[0]))
     if head == "steenrod":
         _expect(len(args) == 1, "(steenrod a)")
         c = _as_class(env, ev(args[0]))
@@ -380,20 +381,20 @@ def eval_expr(env: Env, node, report: Report):
     if head == "embedded":
         _expect(len(args) == 3 and isinstance(args[0], int), "(embedded i S (roots ...))")
         s = _as_class(env, ev(args[1]))
-        roots = _eval_roots(env, args[2], report)
+        roots = _eval_roots(env, args[2])
         return chops.embedded_power(env.presentation_of(s), s, roots, args[0])
     if head == "embedded-total":
         _expect(len(args) == 2, "(embedded-total S (roots ...))")
         s = _as_class(env, ev(args[0]))
-        roots = _eval_roots(env, args[1], report)
+        roots = _eval_roots(env, args[1])
         return chops.steenrod_embedded(env.presentation_of(s), s, roots)
     if head == "dclass":
         _expect(len(args) == 2 and isinstance(args[0], int), "(dclass p (roots ...))")
-        report.note(chops.D_CLASS_CONVENTION_NOTE)
-        return chops.d_class(_eval_roots(env, args[1], report), args[0])
+        env.notes[chops.D_CLASS_CONVENTION_NOTE] = None
+        return chops.d_class(_eval_roots(env, args[1]), args[0])
     if head == "homological":
         _expect(len(args) == 2 and isinstance(args[0], int), "(homological i a)")
-        report.note(chops.D_CLASS_CONVENTION_NOTE)
+        env.notes[chops.D_CLASS_CONVENTION_NOTE] = None
         c = _as_class(env, ev(args[1]))
         return chops.homological_power(env.presentation_of(c), c, args[0])
     if head == "tangent":
@@ -531,19 +532,17 @@ def verify_numerical(
 
     This is the right notion for identities claimed only up to numerical
     equivalence below the top codegree.
+
+    The ideal's top-codegree span is echeloned once per presentation and
+    ideal, and kept as ``("ideal-span", *tables)``, one frozenset of
+    (monomial, coefficient) items per generator of the ideal.
     """
     pres, gens, diff = _reduction(env, lhs, rhs, modulo)
     n = pres.dim
-    # the top-codegree rows are echeloned once per presentation and ideal,
-    # for every product below and every later assertion modulo the ideal
     span = None
     if gens:
-        key = tuple(frozenset(g.table.items()) for g in gens)
-        span = pres._ideal_spans.get(key)
-        if span is None:
-            span = pres._ideal_spans[key] = rowspan_residuals(
-                ideal_span_rows(pres, gens, n), pres.ring.modulus
-            )
+        key = ("ideal-span", *(frozenset(g.table.items()) for g in gens))
+        span = pres.kept(key, lambda: rowspan_residuals(ideal_span_rows(pres, gens, n), pres.ring.modulus))
     for d in sorted(diff.codegrees()):
         part = diff.homogeneous_part(d)
         for w in pres.basis_classes(n - d):
@@ -579,12 +578,12 @@ def _mod_clause(env: Env, clauses: list) -> list:
     return decls
 
 
-def _eval_rule_pairs(env: Env, pairs, report: Report):
+def _eval_rule_pairs(env: Env, pairs):
     rules = []
     for pair in pairs:
         _expect(isinstance(pair, list) and len(pair) == 2, "rule clause entries are (LEAD REPL)")
-        lead_c = _as_class(env, eval_expr(env, pair[0], report))
-        repl_c = _as_class(env, eval_expr(env, pair[1], report))
+        lead_c = _as_class(env, eval_expr(env, pair[0]))
+        repl_c = _as_class(env, eval_expr(env, pair[1]))
         _expect(
             len(lead_c.table) == 1 and set(lead_c.table.values()) == {1},
             "rule lead must be a single monic monomial",
@@ -593,7 +592,7 @@ def _eval_rule_pairs(env: Env, pairs, report: Report):
     return rules
 
 
-def _eval_context_form(env: Env, form: list, report: Report) -> None:
+def _eval_context_form(env: Env, form: list) -> None:
     head = _head(form)
     args = form[1:]
     if head == "pspace":
@@ -619,7 +618,7 @@ def _eval_context_form(env: Env, form: list, report: Report) -> None:
         name, base_name, xi = args[0], args[1], args[2]
         base = env.lookup(base_name)
         with env.within(base):
-            roots = _eval_roots(env, args[3], report)
+            roots = _eval_roots(env, args[3])
         value = projective_bundle(base, roots, fiber_gen=xi, name=name)
     elif head == "blowup":
         _expect(len(args) >= 5, "(blowup NAME BASE E (class ...) (roots ...) ...)")
@@ -628,19 +627,19 @@ def _eval_context_form(env: Env, form: list, report: Report) -> None:
         with env.within(base):
             clauses = _clauses(args[3:])
             _expect("class" in clauses and "roots" in clauses, "blowup needs (class ...) and (roots ...)")
-            fundamental = _as_class(env, eval_expr(env, clauses["class"][0][0], report))
-            roots = _eval_roots(env, ["roots", *clauses["roots"][0]], report)
+            fundamental = _as_class(env, eval_expr(env, clauses["class"][0][0]))
+            roots = _eval_roots(env, ["roots", *clauses["roots"][0]])
             restriction = {}
             for entry in clauses.get("restrict", [[]])[0]:
                 _expect(isinstance(entry, list) and len(entry) == 2, "(restrict (GEN expr) ...)")
-                restriction[entry[0]] = _as_class(env, eval_expr(env, entry[1], report))
+                restriction[entry[0]] = _as_class(env, eval_expr(env, entry[1]))
         center = CenterData(fundamental=fundamental, roots=roots, restriction=restriction, name=f"Z({name})")
         value = blow_up(base, center, exceptional_gen=egen, name=name)
         if clauses.get("rules"):
             # declared rules mention the new exceptional generator, so they are
             # evaluated on the freshly built presentation and the ring rebuilt
             with env.within(value):
-                extra = _eval_rule_pairs(env, clauses["rules"][0], report)
+                extra = _eval_rule_pairs(env, clauses["rules"][0])
             value = blow_up(base, center, exceptional_gen=egen, extra_rules=extra, name=name)
     elif head == "generic":
         _expect(len(args) >= 2 and isinstance(args[0], str) and isinstance(args[1], int), "(generic NAME DIM ...)")
@@ -658,17 +657,17 @@ def _eval_context_form(env: Env, form: list, report: Report) -> None:
         with env.within(value):
             rules = []
             if "rules" in clauses:
-                rules = _eval_rule_pairs(env, clauses["rules"][0], report)
+                rules = _eval_rule_pairs(env, clauses["rules"][0])
             degrees = {}
             if "degrees" in clauses:
                 for entry in clauses["degrees"][0]:
                     _expect(isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int), "(degrees (MONO INT) ...)")
-                    mono_cls = _as_class(env, eval_expr(env, entry[0], report))
+                    mono_cls = _as_class(env, eval_expr(env, entry[0]))
                     _expect(len(mono_cls.table) == 1 and set(mono_cls.table.values()) == {1}, "degree entries need monic monomials")
                     degrees[next(iter(mono_cls.table))] = entry[1]
             tangent_tbl = None
             if "tangent" in clauses:
-                t = _as_class(env, eval_expr(env, clauses["tangent"][0][0], report))
+                t = _as_class(env, eval_expr(env, clauses["tangent"][0][0]))
                 tangent_tbl = dict(t.table)
         if rules or degrees or tangent_tbl is not None:
             value = generic_context(
@@ -699,7 +698,7 @@ _ASSERT_HEADS = {
 }
 
 
-def _eval_assertion(env: Env, form: list, report: Report, aid: str) -> AssertionResult:
+def _eval_assertion(env: Env, form: list, aid: str) -> AssertionResult:
     head = form[0]
     tag = _parse_tag(form[1])
     start = time.perf_counter()
@@ -713,7 +712,7 @@ def _eval_assertion(env: Env, form: list, report: Report, aid: str) -> Assertion
     if head == "assert-zero":
         rest = form[2:]
         mod = _mod_clause(env, rest[1:])
-        value = eval_expr(env, rest[0], report)
+        value = eval_expr(env, rest[0])
         if isinstance(value, miln.MilnorElement):
             return done(value.is_zero(), "element does not vanish", str(value))
         c = _as_class(env, value)
@@ -722,8 +721,8 @@ def _eval_assertion(env: Env, form: list, report: Report, aid: str) -> Assertion
     if head == "assert-equal":
         rest = form[2:]
         mod = _mod_clause(env, rest[2:])
-        a = eval_expr(env, rest[0], report)
-        b = eval_expr(env, rest[1], report)
+        a = eval_expr(env, rest[0])
+        b = eval_expr(env, rest[1])
         if isinstance(a, miln.MilnorElement) or isinstance(b, miln.MilnorElement):
             return done(a == b, "elements differ", f"{a} != {b}")
         ok, witness = verify_identity(env, _as_class(env, a), _as_class(env, b), mod)
@@ -732,13 +731,13 @@ def _eval_assertion(env: Env, form: list, report: Report, aid: str) -> Assertion
         rest = form[2:]
         split = 1 if head == "assert-numzero" else 2
         mod = _mod_clause(env, rest[split:])
-        a = _as_class(env, eval_expr(env, rest[0], report))
-        b = a.ring.zero() if head == "assert-numzero" else _as_class(env, eval_expr(env, rest[1], report))
+        a = _as_class(env, eval_expr(env, rest[0]))
+        b = a.ring.zero() if head == "assert-numzero" else _as_class(env, eval_expr(env, rest[1]))
         ok, witness = verify_numerical(env, a, b, mod)
         return done(ok, "sides differ numerically", witness)
     if head == "assert-deg":
         _expect(len(form) == 4 and isinstance(form[3], int), "(assert-deg TAG expr INT)")
-        c = _as_class(env, eval_expr(env, form[2], report))
+        c = _as_class(env, eval_expr(env, form[2]))
         pres = env.presentation_of(c)
         got = pres.degree(c)
         want = form[3] % pres.ring.modulus if pres.ring.modulus else form[3]
@@ -752,8 +751,8 @@ def _eval_assertion(env: Env, form: list, report: Report, aid: str) -> Assertion
                     ", ".join(map(str, kernel)))
     if head == "assert-comult":
         _expect(len(form) == 5 and isinstance(form[2], frozenset), "(assert-comult TAG SET x y)")
-        x = eval_expr(env, form[3], report)
-        y = eval_expr(env, form[4], report)
+        x = eval_expr(env, form[3])
+        y = eval_expr(env, form[4])
         _expect(isinstance(x, miln.MilnorElement) and isinstance(y, miln.MilnorElement),
                 "(assert-comult) needs Milnor elements")
         return done(miln.comult_check(sorted(form[2]), x, y), "comultiplication identity fails")
@@ -779,32 +778,32 @@ def run_scenario(script: Script, script_id: str = "script", seed: Optional[int] 
             counter += 1
             aid = f"{script_id}#{counter}"
             try:
-                report.add(_eval_assertion(env, form, report, aid))
+                report.add(_eval_assertion(env, form, aid))
             except Exception as exc:  # per-assertion error verdict, not a crash
                 report.add(AssertionResult(id=aid, verdict=ERROR, tag="", detail=f"{type(exc).__name__}: {exc}"))
             continue
         try:
             if head in _CONTEXT_HEADS:
-                _eval_context_form(env, form, report)
+                _eval_context_form(env, form)
             elif head == "let":
                 _expect(len(form) == 3 and isinstance(form[1], str), "(let NAME expr)")
-                env.define(form[1], eval_expr(env, form[2], report))
+                env.define(form[1], eval_expr(env, form[2]))
             elif head == "in-context":
                 _expect(len(form) == 2 and isinstance(form[1], str), "(in-context NAME)")
                 env.current = env.lookup(form[1])
             elif head == "declare-ideal":
                 _expect(len(form) >= 3 and isinstance(form[1], str), "(declare-ideal NAME expr ...)")
-                gens = [_as_class(env, eval_expr(env, a, report)) for a in form[2:]]
+                gens = [_as_class(env, eval_expr(env, a)) for a in form[2:]]
                 env.define(form[1], _IdealDecl(gens))
             elif head == "declare-rules":
                 _expect(len(form) >= 3 and isinstance(form[1], str), "(declare-rules NAME (LEAD REPL) ...)")
-                env.define(form[1], _RulesDecl(_eval_rule_pairs(env, form[2:], report)))
+                env.define(form[1], _RulesDecl(_eval_rule_pairs(env, form[2:])))
             elif head == "report-value":
                 _expect(len(form) == 3 and isinstance(form[1], str), "(report-value NAME expr)")
                 if _is_literal(form[2]):
                     report.values[form[1]] = _print_node(form[2])
                 else:
-                    report.values[form[1]] = str(eval_expr(env, form[2], report))
+                    report.values[form[1]] = str(eval_expr(env, form[2]))
             else:
                 raise EvalError(f"unknown form head {head!r}")
         except Exception as exc:
@@ -812,4 +811,5 @@ def run_scenario(script: Script, script_id: str = "script", seed: Optional[int] 
                 id=f"{script_id}#form{idx}", verdict=ERROR,
                 detail=f"{type(exc).__name__}: {exc} in {_print_node(form)[:120]}",
             ))
+    report.notes = list(env.notes)
     return report

@@ -55,6 +55,10 @@ def _force(v: Lazy[T]) -> Optional[T]:
     return v() if callable(v) else v
 
 
+def _positions(monomials: Sequence[Monomial]) -> dict[Monomial, int]:
+    return {m: i for i, m in enumerate(monomials)}
+
+
 class CoverageError(RingError):
     """A class or center datum is not expressible in tracked generators."""
 
@@ -165,23 +169,14 @@ class ChowPresentation:
     tangent and the Segre classes, and ``with_coefficients`` for the mod-p
     tangent, Segre classes and base, so none is computed unless read.
 
-    A presentation is immutable once built, so it keeps caches of tables
-    derived from it: ``_mod_cache`` (the presentation mod p, per p),
-    ``_coord_index`` (basis monomial -> index, per codegree, for
-    ``coordinates`` and ``_sparse_coordinates``), three filled by
-    ``numeric``: ``_pairings`` (the integer degree-pairing matrix of
-    codegree r, for r <= dim - r, all filled at once), ``_modp_pairings``
-    (per prime p, the rank mod p and the kernel basis of the pairing in
-    each codegree) and ``_basis_labels`` (the printed basis monomials, per
-    codegree), and two filled by ``characteristic``: ``_steenrod``
-    (monomial -> its image under the total reduced power operation, seeded
-    with 1 and the generators once the closure check passes) and
-    ``_d_minus_tangent`` (d(-T) at the ring's modulus, or None until a
-    ``homological_power`` call computes it).  A computation that raises
-    stores nothing in either.  ``script.verify_numerical`` keeps
-    ``_ideal_spans``: per declared ideal, keyed by its generators' tables,
-    the map from top-codegree coordinates to their residual modulo the
-    ideal's span, echeloned once.
+    A presentation is immutable once built, so whatever is derived from it
+    is kept in one map, through ``kept(key, make, *args)``; a computation
+    that raises keeps nothing.  A key is a tuple ``(tag, *args)``, and the
+    module that reads a tag documents it; this one keeps ``("mod", p)``,
+    the copy mod p, and ``("coords", d)``, basis monomial -> index in
+    codegree d.  The three slots stay outside the map: ``with_coefficients``
+    and ``product`` read them without holding the presentation, so a copy
+    never keeps its parent alive.
     """
 
     def __init__(
@@ -210,16 +205,20 @@ class ChowPresentation:
         self.center = center
         self.provenance = provenance or {"constructor": kind}
         self.name = name or kind
-        self._mod_cache: dict[int, "ChowPresentation"] = {}
-        self._pairings: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._modp_pairings: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]] = {}
-        self._basis_labels: dict[int, tuple[str, ...]] = {}
-        self._coord_index: dict[int, dict[Monomial, int]] = {}
-        self._steenrod: dict[Monomial, GradedClass] = {}
-        self._d_minus_tangent: Optional[GradedClass] = None
-        self._ideal_spans: dict[tuple, Callable[[list[int]], list]] = {}
+        self._derived: dict[tuple, object] = {}
 
-    # -- slots filled on first read ---------------------------------------
+    # -- derived values and slots filled on first read -------------------
+
+    def kept(self, key: tuple, make: Callable[..., T], *args) -> T:
+        """The value kept under key, or else make(*args), kept under key and
+        returned; when make raises, nothing is kept.  Hot callers pass the
+        maker and its arguments, so a hit allocates no closure."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            pass
+        value = self._derived[key] = make(*args)
+        return value
 
     def _filled(self, slot: str):
         v = getattr(self, slot)
@@ -279,9 +278,7 @@ class ChowPresentation:
 
     def _sparse_coordinates(self, c: GradedClass, d: int) -> list[tuple[int, int]]:
         """(basis position, coefficient) for each monomial of c of codegree d."""
-        idx = self._coord_index.get(d)
-        if idx is None:
-            idx = self._coord_index[d] = {m: i for i, m in enumerate(self.basis_of(d))}
+        idx = self.kept(("coords", d), _positions, self.basis_of(d))
         cd = self.ring.monomial_codegree
         out = []
         for m, coeff in c.table.items():
@@ -386,8 +383,9 @@ class ChowPresentation:
                 f"presentation {self.name!r} has coefficients mod {self.ring.modulus}, "
                 f"so it has no copy with coefficients mod {p}"
             )
-        if p in self._mod_cache:
-            return self._mod_cache[p]
+        return self.kept(("mod", p), self._reduced_copy, p)
+
+    def _reduced_copy(self, p: int) -> "ChowPresentation":
         ring = RingContext(
             self.ring.names,
             self.ring.codegrees,
@@ -409,7 +407,7 @@ class ChowPresentation:
             name=self.name,
         )
         # the functions hold this presentation's slots and base, never the
-        # presentation itself: its _mod_cache holds the copy
+        # presentation itself: its map of derived values holds the copy
         tangent, segre, base = self._tangent, self._segre, self.base
         if tangent is not None:
             new._tangent = lambda: ring.from_table(_force(tangent).table)
@@ -419,7 +417,6 @@ class ChowPresentation:
             new._segre = lambda: [
                 base.with_coefficients(p).ring.from_table(s.table) for s in _force(segre)
             ]
-        self._mod_cache[p] = new
         return new
 
     # -- serialization ----------------------------------------------------

@@ -14,6 +14,11 @@ from chowcalc.varieties import (
 )
 
 
+def kept_under(X, tag: str) -> dict:
+    """What presentation X keeps under tag, keyed by the rest of each key."""
+    return {key[1:]: value for key, value in X._derived.items() if key[0] == tag}
+
+
 def random_class(
     ctx: RingContext,
     rng: random.Random,

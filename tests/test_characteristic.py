@@ -37,7 +37,7 @@ from chowcalc.varieties import (
     projective_bundle,
     projective_space,
 )
-from helpers import bl_point_plane, random_class, random_tower, symmetric_expand
+from helpers import bl_point_plane, kept_under, random_class, random_tower, symmetric_expand
 
 
 def rand_roots(ring, rng, count, signed=False):
@@ -145,7 +145,7 @@ class TestSteenrodTotal:
         with pytest.raises(RingError, match="F_p"):
             homological_power(P2, P2.gen("h"), 1)
         # raised before either cache is read
-        assert P2._steenrod == {} and P2._d_minus_tangent is None
+        assert kept_under(P2, "steenrod") == {} == kept_under(P2, "d-minus-tangent")
 
     def test_closure_check_rejects_bad_rules(self):
         # x^2 -> yz is not stable under x -> x + x^2: the obstruction
@@ -158,7 +158,7 @@ class TestSteenrodTotal:
         for _ in range(2):
             with pytest.raises(NotSteenrodClosed):
                 steenrod_total(bad, bad.gen("x"))
-        assert bad._steenrod == {}
+        assert kept_under(bad, "steenrod") == {}
 
     def test_blowup_rules_are_closed(self):
         P2 = projective_space(2)
@@ -236,7 +236,7 @@ class TestSteenrodMemo:
         Y = generic_context([("x", 1), ("y", 1)], 4, modulus=2)
         x = X.gen("x")
         assert steenrod_total(X, x) == x + x * x
-        assert X._steenrod
+        assert kept_under(X, "steenrod")[()]
         with pytest.raises(RingError, match="does not live"):
             steenrod_total(X, Y.gen("x"))
 
@@ -458,7 +458,7 @@ class TestHomological:
         for _ in range(2):
             with pytest.raises(TangentUnavailable):
                 homological_power(X, X.gen("x"), 1)
-        assert X._d_minus_tangent is None
+        assert kept_under(X, "d-minus-tangent") == {}
 
     def test_d_minus_tangent_computed_once(self, monkeypatch):
         import chowcalc.characteristic as ch
@@ -476,7 +476,7 @@ class TestHomological:
         first = homological_power(X, h, 1)
         assert homological_power(X, h, 1) == first
         assert calls == [3]
-        assert X._d_minus_tangent == inverse_series(d_from_total(X.tangent_class(), 3))
+        assert kept_under(X, "d-minus-tangent")[()] == inverse_series(d_from_total(X.tangent_class(), 3))
 
 
 def homological_from(X, T, z, i):

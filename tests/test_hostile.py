@@ -18,7 +18,7 @@ import pytest
 import chowcalc
 from chowcalc.cli import main
 from chowcalc.milnor import MAX_GENERATORS, MAX_RHO_HEIGHT
-from chowcalc.report import ERROR, PASS, Report
+from chowcalc.report import ERROR, PASS
 from chowcalc.rings import Monomial
 from chowcalc.script import (
     MAX_DEPTH,
@@ -258,5 +258,5 @@ def test_run_on_a_deeply_nested_file_exits_2(tmp_path, capsys):
 def test_nesting_at_the_bound_evaluates_and_prints():
     text = "(add " * MAX_DEPTH + "1" + ")" * MAX_DEPTH
     script = parse_script(text)
-    assert eval_expr(Env(), script.forms[0], Report()) == 1
+    assert eval_expr(Env(), script.forms[0]) == 1
     assert parse_script(print_script(script)) == script

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_tower
+from helpers import kept_under, random_tower
 
 from chowcalc.numeric import (
     ab1_check,
@@ -64,6 +64,12 @@ class TestLinearAlgebra:
         assert integer_determinant([[0, 1], [1, 0]]) == -1
         assert integer_determinant([[2, 0], [0, 2]]) == 4
         assert integer_determinant([]) == 1
+        for matrix, lengths in [([[1, 2, 3], [4, 5, 6]], "[3, 3]"),
+                                ([[1, 2], [3, 4], [5, 6]], "[2, 2, 2]"),
+                                ([[1, 2], [3]], "[2, 1]")]:
+            with pytest.raises(ValueError) as info:
+                integer_determinant(matrix)
+            assert str(info.value) == f"determinant needs a square matrix, not rows of lengths {lengths}"
 
 
 def dense_residual(rows, vec, p=0):
@@ -619,7 +625,7 @@ class TestKernelMembership:
                       lambda X, p: numerical_kernel(X, 1, p)):
             with pytest.raises(ValueError, match=f"pairing modulus {p} is not prime"):
                 check(X, p)
-        assert X._modp_pairings == {}
+        assert kept_under(X, "modp-pairing") == {}
 
     @pytest.mark.parametrize("build", [
         pytest.param(lambda: TestEngineeredKernels().degenerate_context(), id="degenerate"),

@@ -76,9 +76,12 @@ def test_lemmas_all_json_is_pinned(capsysbinary):
     assert capsysbinary.readouterr().out == pinned.read_bytes()
 
 
-def test_python_m_chowcalc_matches_pin():
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_python_m_chowcalc_matches_pin(hash_seed):
+    # ideal spans are kept under keys of frozensets, whose iteration order
+    # follows the hash seed; the emitted bytes must not
     src = str(Path(chowcalc.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-m", "chowcalc", "lemmas", "--all", "--format", "json", "--seed", "0"],

@@ -15,7 +15,7 @@ from chowcalc.script import (
     verify_numerical,
 )
 from chowcalc.varieties import generic_context
-from helpers import reference_tokenize
+from helpers import kept_under, reference_tokenize
 
 
 class TestParser:
@@ -314,15 +314,26 @@ class TestVerifyNumerical:
         assert verify_numerical(env, x, X.zero(), [J]) == (False, "x^2 (pairing against x)")
         # the same generators, built again, find the same span
         assert verify_numerical(env, y * x, X.zero(), [_IdealDecl([y * x])]) == (True, None)
-        assert len(X._ideal_spans) == 1
+        assert len(kept_under(X, "ideal-span")) == 1
         assert verify_numerical(env, x, X.zero(), [_IdealDecl([x * x])]) == (False, "x*y (pairing against y)")
-        assert len(X._ideal_spans) == 2
+        assert len(kept_under(X, "ideal-span")) == 2
 
 
 class TestReports:
     def test_empty_report_summary(self):
         out = emit_report(Report(), "json").decode()
         assert out.strip().splitlines()[-1] == '{"errors": 0, "failed": 0, "passed": 0}'
+
+    def test_d_class_note_once_also_from_a_failed_form(self):
+        from chowcalc.characteristic import D_CLASS_CONVENTION_NOTE
+
+        assert run_scenario(parse_script("(pspace P 2 (mod 2))(let a h)")).notes == []
+        rep = run_scenario(parse_script(
+            "(pspace P 2 (mod 2))(let a (dclass 2 (roots undefined)))"
+            "(let b (homological 1 h))(let c (dclass 2 (roots h)))"
+        ))
+        assert [r.verdict for r in rep.results] == [ERROR]
+        assert rep.notes == [D_CLASS_CONVENTION_NOTE]
 
     def test_json_single_pass(self):
         rep = run_scenario(parse_script("(pspace P 1)(assert-deg (trivial) h 1)"))

@@ -20,7 +20,7 @@ from chowcalc.varieties import (
     projective_bundle,
     projective_space,
 )
-from helpers import random_class, random_tower, reference_blow_up_basis
+from helpers import kept_under, random_class, random_tower, reference_blow_up_basis
 
 
 def bl_point_plane():
@@ -501,9 +501,9 @@ class TestFilledOnFirstRead:
             assert Y._segre is None or callable(Y._segre)
             assert (Y._segre is not None) == (Y.kind == "bundle")
         for Y in levels[1:]:
-            assert Y._mod_cache == {}
-        assert sorted(X._mod_cache) == [2, 3]
-        for Xp in X._mod_cache.values():
+            assert kept_under(Y, "mod") == {}
+        assert sorted(kept_under(X, "mod")) == [(2,), (3,)]
+        for Xp in kept_under(X, "mod").values():
             assert callable(Xp._base) and callable(Xp._tangent) == (X._tangent is not None)
 
     def test_second_read_is_the_first_value(self):
@@ -531,6 +531,27 @@ class TestFilledOnFirstRead:
         assert Xp.tangent == Xp.ring.from_table(X.tangent.table)
         assert Xp.degree(Xp.tangent) == 16 % 3
 
+    def test_kept_makes_once_and_keeps_nothing_on_raise(self):
+        X = projective_space(1)
+        calls = []
+
+        def make(value):
+            calls.append(value)
+            if value == "raise":
+                raise ValueError("not kept")
+            return value
+
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not kept"):
+                X.kept(("test", "raise"), make, "raise")
+        assert kept_under(X, "test") == {}
+        # a kept None, 0 or empty value is a hit, not a miss
+        for i, value in enumerate([None, 0, {}]):
+            assert X.kept(("test", i), make, value) == value
+            assert X.kept(("test", i), make, "other") == value
+        assert calls == ["raise", "raise", None, 0, {}]
+        assert kept_under(X, "test") == {(0,): None, (1,): 0, (2,): {}}
+
     def test_raising_tangent_stores_nothing(self):
         calls = []
 
@@ -555,5 +576,5 @@ class TestCoefficientChange:
             X.with_coefficients(other)
         with pytest.raises(CoverageError):
             gamma_quotient(X, other, [X.gen("h")])
-        assert X._mod_cache == {}
+        assert kept_under(X, "mod") == {}
 
