@@ -40,7 +40,6 @@ from .rings import (
     _monomial,
     evaluate,
     inverse_series,
-    minimal_monomials,
 )
 
 SCHEMA_VERSION = 1
@@ -168,6 +167,11 @@ class ChowPresentation:
     raises, nothing is stored).  Constructors leave functions for the
     tangent and the Segre classes, and ``with_coefficients`` for the mod-p
     tangent, Segre classes and base, so none is computed unless read.
+
+    ``basis[d]`` is the ring's irreducible monomials of codegree d in
+    ``ring._mkey`` order, as ``enumerate_basis`` lists them, on whatever the
+    constructors and ``presentation_from_json`` build; so it is closed under
+    division, which ``_truncated_leads`` and ``blow_up`` rely on.
 
     A presentation is immutable once built, so whatever is derived from it
     is kept in one map, through ``kept(key, make, *args)``; a computation
@@ -478,7 +482,8 @@ def presentation_from_json(doc: dict) -> ChowPresentation:
     """The presentation a ``to_json`` document describes.
 
     A document of the wrong shape (not an object, a field missing or of the
-    wrong type, or rules the ring rejects) raises ValueError.
+    wrong type, or rules the ring rejects) raises ValueError, and so does a
+    basis that is not ``enumerate_basis`` of the document's ring.
     """
     if not isinstance(doc, dict):
         raise ValueError("a presentation must be a JSON object")
@@ -509,6 +514,10 @@ def _presentation_from_doc(doc: dict) -> ChowPresentation:
         tuple(ring.monomial_from_str(s) for s in doc["basis"][str(d)])
         for d in range(doc["dimension"] + 1)
     ]
+    for d, (listed, irreducible) in enumerate(zip(basis, enumerate_basis(ring))):
+        if listed != irreducible:
+            names = [[ring.monomial_str(m) for m in b] for b in (listed, irreducible)]
+            raise ValueError(f"basis of codegree {d} lists {names[0]}, not {names[1]}")
     degree_table = None
     if doc["degree"] is not None:
         degree_table = {
@@ -584,11 +593,21 @@ def enumerate_basis(ring: RingContext) -> list[tuple[Monomial, ...]]:
 def _truncated_leads(X: ChowPresentation) -> list[Monomial]:
     """The minimal monomials in X's generators that no rule of X reduces and
     whose codegree exceeds dim X.  X's truncation kills them; a ring of
-    higher dimension that copies X's rules needs a rule m -> 0 for each."""
-    top = X.dim + max(X.ring.codegrees, default=0)
-    high = [m for d in range(X.dim + 1, top + 1) for m in _irreducible_monomials(X.ring, d)]
-    minimal = minimal_monomials(high)
-    return [m for m in high if m in minimal]
+    higher dimension that copies X's rules needs a rule m -> 0 for each.
+    Irreducible monomials are closed under division, so m is minimal
+    exactly when codeg(m) - min codeg(x_i), i in supp(m), is at most dim X."""
+    cds = X.ring.codegrees
+    return [
+        m
+        for d in range(X.dim + 1, X.dim + max(cds, default=0) + 1)
+        for m in _irreducible_monomials(X.ring, d)
+        if d - min(cds[i] for i, _ in m.exps) <= X.dim
+    ]
+
+
+def _times_last(m: Monomial, idx: int, k: int) -> Monomial:
+    """m * x_idx^k for k > 0 and an index above every index of m."""
+    return _monomial(m.exps + ((idx, k),), m.support | 1 << idx)
 
 
 # ---------------------------------------------------------------------------
@@ -760,19 +779,20 @@ def projective_bundle(
     rules.append((Monomial([(xi_idx, r)]), grothendieck))
     ring = RingContext(names, codegrees, modulus=X.ring.modulus, dimension=dim, rules=rules)
 
-    basis: list[tuple[Monomial, ...]] = []
+    # xi is the last generator, the most significant in ring._mkey, so the
+    # blocks xi^k * X.basis_of(d - k), k = 0, 1, ..., are in order
+    basis: list[list[Monomial]] = []
     for d in range(dim + 1):
-        here = []
-        for k in range(0, min(r - 1, d) + 1):
-            for m in X.basis_of(d - k):
-                here.append(m.mul(Monomial([(xi_idx, k)])) if k else m)
-        basis.append(tuple(sorted(here, key=ring._mkey)))
+        here = list(X.basis_of(d))
+        for k in range(1, min(r - 1, d) + 1):
+            here += [_times_last(m, xi_idx, k) for m in X.basis_of(d - k)]
+        basis.append(here)
 
     degree_table = None
     if X.degree_table is not None:
         degree_table = {}
         for m, v in X.degree_table.items():
-            degree_table[m.mul(Monomial([(xi_idx, r - 1)])) if r > 1 else m] = v
+            degree_table[_times_last(m, xi_idx, r - 1) if r > 1 else m] = v
 
     def tangent() -> GradedClass:
         t = ring.from_table(dict(X.tangent.table))
@@ -831,6 +851,12 @@ def blow_up(
     * then ``extra_rules``, (lead monomial, {monomial: coefficient}) pairs
       as ``generic_context(rules=)`` takes them.
 
+    X's basis is closed under division (see ``ChowPresentation``), so a
+    fixed m above dim Z is minimal exactly when codeg(m) - min codeg(x_i),
+    i in supp(m), is at most dim Z.  e is the last generator, the most
+    significant in ``ring._mkey``, so X.basis_of(d), e * center[d-1],
+    e^2 * center[d-2], ... is each codegree's basis in order.
+
     The blow-up carries no tangent class.
     """
     if center.fundamental.ring is not X.ring:
@@ -869,38 +895,32 @@ def blow_up(
                 f"restriction map is not idempotent on generator {gname!r}"
             )
 
-    # indices of the generators the restriction fixes
-    fixed = {
-        i for i, gname in enumerate(X.ring.names) if res_images[gname] == gens[gname]
-    }
+    # mask of the generators the restriction fixes
+    fixed = sum(1 << i for i, g in enumerate(X.ring.names) if res_images[g] == gens[g])
 
     while exceptional_gen in X.ring.names:
         exceptional_gen += "'"
     names = list(X.ring.names) + [exceptional_gen]
     codegrees = list(X.ring.codegrees) + [1]
     e_idx = len(X.ring.names)
-    e_mono = Monomial([(e_idx, 1)])
 
     rules: list[tuple[Monomial, dict[Monomial, int]]] = [
         (rule.lead, dict(rule.replacement)) for rule in X.ring.rules
     ]
     # restriction rules
     for gi, gname in enumerate(X.ring.names):
-        if gi in fixed:
+        if fixed >> gi & 1:
             continue
         img = res_images[gname]
-        lead = e_mono.mul(Monomial([(gi, 1)]))
-        repl = {e_mono.mul(m): c for m, c in img.table.items()}
+        lead = Monomial([(gi, 1), (e_idx, 1)])
+        repl = {_times_last(m, e_idx, 1): c for m, c in img.table.items()}
         rules.append((lead, repl))
     # dimension-kill rules, minimal ones only: the rest are their multiples
-    killed = [
-        m for d in range(dim_z + 1, X.dim + 1) for m in X.basis_of(d)
-        if all(i in fixed for i, _ in m.exps)
-    ]
-    minimal = minimal_monomials(killed)
-    for m in killed:
-        if m in minimal:
-            rules.append((e_mono.mul(m), {}))
+    cds = X.ring.codegrees
+    for d in range(dim_z + 1, min(X.dim, dim_z + max(cds, default=0)) + 1):
+        for m in X.basis_of(d):
+            if not m.support & ~fixed and d - min(cds[i] for i, _ in m.exps) <= dim_z:
+                rules.append((_times_last(m, e_idx, 1), {}))
     # fold rule for e^r
     restricted_roots = [res(c) for c in center.roots.positive_classes()]
     fold: dict[Monomial, int] = {}
@@ -926,8 +946,7 @@ def blow_up(
     # Center-side basis: X's basis monomials in the fixed generators, which
     # the restriction leaves as they are, of codegree at most dim Z.
     center_basis = [
-        [m for m in X.basis_of(d) if all(i in fixed for i, _ in m.exps)]
-        for d in range(dim_z + 1)
+        [m for m in X.basis_of(d) if not m.support & ~fixed] for d in range(dim_z + 1)
     ]
 
     # Only a declared extra lead can reduce an X-basis monomial m or e^k*m,
@@ -936,18 +955,17 @@ def blow_up(
     # e*m' has codegree(m') > dim Z, a restriction lead e*g has g not fixed,
     # and the fold lead is e^r.
     extra_leads = [(lead.support, lead) for lead, _ in extra]
-    basis: list[tuple[Monomial, ...]] = []
+    basis: list[list[Monomial]] = []
     for d in range(X.dim + 1):
         here = list(X.basis_of(d))
-        for k in range(1, r):
-            if 0 <= d - k <= dim_z:
-                for m in center_basis[d - k]:
-                    here.append(m.mul(Monomial([(e_idx, k)])))
-        here = [
-            m for m in here
-            if not any(not s & ~m.support and lead.divides(m) for s, lead in extra_leads)
-        ]
-        basis.append(tuple(sorted(here, key=ring._mkey)))
+        for k in range(max(1, d - dim_z), min(r - 1, d) + 1):
+            here += [_times_last(m, e_idx, k) for m in center_basis[d - k]]
+        if extra_leads:
+            here = [
+                m for m in here
+                if not any(not s & ~m.support and lead.divides(m) for s, lead in extra_leads)
+            ]
+        basis.append(here)
 
     degree_table = dict(X.degree_table) if X.degree_table is not None else None
 

@@ -3,7 +3,7 @@
 import random
 from typing import Optional
 
-from chowcalc.rings import MONOMIAL_ONE, GradedClass, Monomial, RingContext
+from chowcalc.rings import MONOMIAL_ONE, GradedClass, Monomial, RingContext, minimal_monomials
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
@@ -145,6 +145,44 @@ def monomials_of_codegree(ring: RingContext, d: int) -> list[Monomial]:
     return out
 
 
+def restriction_fixed(X, center) -> set:
+    """Indices of X's generators that the center's restriction fixes."""
+    return {
+        i for i, name in enumerate(X.ring.names)
+        if center.restriction.get(name, X.gen(name)) == X.gen(name)
+    }
+
+
+def reference_kill_leads(X, center) -> list:
+    """Reference monomials m of the rules e*m -> 0 of blow_up(X, center), by
+    a minimality test over all candidates: X's basis monomials in the
+    generators the restriction fixes, of codegree dim X - r + 1 to dim X,
+    that no other of them divides, by codegree, then in basis order."""
+    fixed = restriction_fixed(X, center)
+    killed = [
+        m for d in range(X.dim - center.codim + 1, X.dim + 1) for m in X.basis_of(d)
+        if all(i in fixed for i, _ in m.exps)
+    ]
+    minimal = minimal_monomials(killed)
+    return [m for m in killed if m in minimal]
+
+
+def reference_truncated_leads(X) -> list:
+    """Reference truncated leads of X, by a minimality test over every
+    monomial that no rule of X reduces, of codegree dim X + 1 to dim X plus
+    the largest generator codegree: those that no other of them divides, by
+    codegree, then in ``ring._mkey`` order."""
+    ring = X.ring
+    high = [
+        m
+        for d in range(X.dim + 1, X.dim + max(ring.codegrees, default=0) + 1)
+        for m in sorted(monomials_of_codegree(ring, d), key=ring._mkey)
+        if reference_matching_rule(ring, m) is None
+    ]
+    minimal = minimal_monomials(high)
+    return [m for m in high if m in minimal]
+
+
 def reference_blow_up_basis(X, center, Bl, extra_rules=()) -> tuple:
     """Reference basis of Bl = blow_up(X, center, extra_rules=...), with its
     center basis by a scan of every rule of Bl's ring: X's basis monomials
@@ -156,10 +194,7 @@ def reference_blow_up_basis(X, center, Bl, extra_rules=()) -> tuple:
     r = center.codim
     dim_z = X.dim - r
     e_idx = len(X.ring.names)
-    fixed = {
-        i for i, name in enumerate(X.ring.names)
-        if center.restriction.get(name, X.gen(name)) == X.gen(name)
-    }
+    fixed = restriction_fixed(X, center)
     e = Monomial([(e_idx, 1)])
     center_basis = [
         [m for m in X.basis_of(d)

@@ -31,6 +31,7 @@ from chowcalc.script import (
     run_scenario,
 )
 from chowcalc.varieties import projective_space
+from helpers import bl_point_plane
 
 CHILD_ADDRESS_SPACE = 1 << 30  # bytes
 CHILD_TIMEOUT_S = 30.0  # on top of the bound: interpreter start and import
@@ -110,12 +111,22 @@ def _plane_with(**fields) -> dict:
     return doc
 
 
+def _blown_up_plane_with_codegree_1(listed) -> dict:
+    doc = bl_point_plane()[1].to_json()
+    doc["basis"]["1"] = listed
+    return doc
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2],
     {"version": 1, "generators": [1]},
     _plane_with(dimension="two"),
     _plane_with(dimension=-1),
-], ids=["list", "generator-not-object", "dimension-not-int", "dimension-negative"])
+    _plane_with(basis={"0": ["1"], "1": ["h^2"], "2": ["h^2"]}),
+    _plane_with(basis={"0": ["1"], "1": [], "2": ["h^2"]}),
+    _blown_up_plane_with_codegree_1(["e", "h"]),
+], ids=["list", "generator-not-object", "dimension-not-int", "dimension-negative",
+        "basis-wrong-codegree", "basis-missing", "basis-swapped"])
 def test_malformed_catalog_is_a_load_error(tmp_path, capsys, doc):
     path = tmp_path / "F.json"
     path.write_text(json.dumps(doc))

@@ -12,15 +12,25 @@ from chowcalc.varieties import (
     CenterData,
     ChowPresentation,
     CoverageError,
+    _truncated_leads,
     blow_up,
     elementary_symmetric,
+    enumerate_basis,
     generic_context,
     presentation_from_json,
     product,
     projective_bundle,
     projective_space,
 )
-from helpers import kept_under, random_class, random_tower, reference_blow_up_basis
+from helpers import (
+    kept_under,
+    random_class,
+    random_tower,
+    reference_blow_up_basis,
+    reference_kill_leads,
+    reference_truncated_leads,
+    restriction_fixed,
+)
 
 
 def bl_point_plane():
@@ -215,6 +225,47 @@ def recorded_blow_ups(monkeypatch) -> list:
     return built
 
 
+def built_by(monkeypatch, run) -> list:
+    """Every presentation constructed while run() runs, in order."""
+    built = []
+    init = ChowPresentation.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(ChowPresentation, "__init__", record)
+    run()
+    return built
+
+
+def build_towers():
+    for seed in range(60):
+        random_tower(random.Random(seed))
+
+
+def test_every_basis_is_the_irreducible_monomials_in_order(monkeypatch):
+    # the invariant that blow_up, projective_bundle and _truncated_leads
+    # read their kill leads and bases by: every presentation the registry
+    # and the towers build, the presentations below each and the copies of
+    # each mod 2 and mod 3 (the list grows while it is walked)
+    from chowcalc import registry
+
+    def run():
+        registry.run_all(seed=0)
+        build_towers()
+
+    built = built_by(monkeypatch, run)
+    for X in built:
+        X.base
+        if not X.ring.modulus:
+            for p in (2, 3):
+                X.with_coefficients(p)
+    assert {0, 2, 3} <= {X.ring.modulus for X in built}
+    for X in built:
+        assert [tuple(b) for b in X.basis] == enumerate_basis(X.ring), X.name
+
+
 class TestBlowUp:
     def test_plane_at_point(self):
         P2, Bl = bl_point_plane()
@@ -264,6 +315,31 @@ class TestBlowUp:
         assert Monomial([(0, 1), (1, 1)]) not in cases[1][3].basis_of(2)
         for X, center, extra, Bl in cases + recorded_blow_ups(monkeypatch):
             assert Bl.basis == reference_blow_up_basis(X, center, Bl, extra), Bl.name
+
+    def test_kill_rules_are_the_minimal_fixed_monomials(self, monkeypatch):
+        # declared in order: X's rules, one e*g -> e*res(g) per generator
+        # that the restriction moves, the kill rules, the fold e^r, then the
+        # extra rules; the ring may drop a kill rule that an extra one implies
+        for X, center, extra, Bl in recorded_blow_ups(monkeypatch):
+            e_idx = len(X.ring.names)
+            start = len(X.ring.rules) + len(X.ring.names) - len(restriction_fixed(X, center))
+            want = [
+                (Monomial(m.exps + ((e_idx, 1),)), (), start + j)
+                for j, m in enumerate(reference_kill_leads(X, center))
+            ]
+            end = start + len(want)
+            got = [(r.lead, r.replacement, r.index) for r in Bl.ring.rules if start <= r.index < end]
+            want = [
+                w for w in want
+                if w in got or not any(lead.divides(w[0]) for lead, _ in extra)
+            ]
+            fold = [r.lead for r in Bl.ring.rules if r.index == end]
+            assert got == want and fold == [Monomial([(e_idx, center.codim)])], Bl.name
+
+    def test_truncated_leads_are_the_minimal_irreducible_monomials(self, monkeypatch):
+        for X, _, _, Bl in recorded_blow_ups(monkeypatch):
+            for Y in (X, Bl):
+                assert _truncated_leads(Y) == reference_truncated_leads(Y), Y.name
 
     def test_pullback_of_center_class_decomposes(self):
         # codim-2 center: [Z] = c_1(N) e - e^2 is the fold rule rearranged
@@ -344,6 +420,43 @@ class TestBlowUp:
                     restriction={"h": h + P2.one() * 0 + h},  # h -> 2h, not idempotent-fixed
                 ),
             )
+
+
+def projection_formula_failures(F) -> int:
+    """The pairs (u, w), u a basis class of F and w one of its base Y, of
+    complementary codegree, with deg_F(u * f^*w) != deg_Y(f_*u * w) for
+    the constructor edge f: F -> Y."""
+    Y = F.base
+    failures = 0
+    for d in range(F.dim + 1):
+        for u in F.basis_classes(d):
+            pushed = F.pushforward(u)
+            for w in Y.basis_classes(F.dim - d):
+                failures += F.degree(u * F.pullback(w)) != Y.degree(pushed * w)
+    return failures
+
+
+class TestProjectionFormula:
+    """deg_X(u * f^*w) = deg_Y(f_*u * w) on every bundle and blow-up edge
+    f: X -> Y that the towers build."""
+
+    def edges(self, monkeypatch) -> list:
+        built = built_by(monkeypatch, build_towers)
+        return [F for F in built if F.kind in ("bundle", "blowup")]
+
+    def test_every_tower_edge(self, monkeypatch):
+        edges = self.edges(monkeypatch)
+        assert {F.kind for F in edges} == {"bundle", "blowup"}
+        for F in edges:
+            assert projection_formula_failures(F) == 0, F.name
+
+    def test_shifted_segre_index_fails(self, monkeypatch):
+        # pushing xi^(r-1+k) to s_(k-1) in place of s_k breaks every bundle
+        bundles = [F for F in self.edges(monkeypatch) if F.kind == "bundle"]
+        assert bundles
+        for F in bundles:
+            F._segre = [F.base.zero()] + F._filled("_segre")
+            assert projection_formula_failures(F) > 0, F.name
 
 
 class TestGenericContext:
