@@ -35,10 +35,6 @@ class Report:
     def add(self, result: AssertionResult) -> None:
         self.results.append(result)
 
-    def note(self, text: str) -> None:
-        if text not in self.notes:
-            self.notes.append(text)
-
     @property
     def counts(self) -> dict[str, int]:
         c = {"passed": 0, "failed": 0, "errors": 0}

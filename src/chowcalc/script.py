@@ -438,8 +438,8 @@ def _reduction(
     env: Env, lhs: GradedClass, rhs: GradedClass, modulo
 ) -> tuple[ChowPresentation, list[GradedClass], GradedClass]:
     """The presentation to reduce in, the declared ideal generators and
-    lhs - rhs, the last two in its ring.  With declared rules that is a
-    copy of lhs's presentation (same basis) whose ring also carries them."""
+    lhs - rhs, the last two in its ring.  With declared rules that is
+    lhs's presentation ``with_rules`` them."""
     if lhs.ring is not rhs.ring:
         raise EvalError("identity sides live in different contexts")
     ctx = lhs.ring
@@ -457,15 +457,8 @@ def _reduction(
     pres = env.presentation_of(lhs)
     if not extra:
         return pres, gens, lhs - rhs
-    ring = RingContext(
-        ctx.names, ctx.codegrees, modulus=ctx.modulus, dimension=ctx.dimension,
-        rules=[(r.lead, dict(r.replacement)) for r in ctx.rules] + extra,
-        step_budget=ctx.step_budget,
-    )
-    pres = ChowPresentation(
-        pres.kind, ring, pres.roles, pres.basis,
-        degree_table=None, degree_total=False, tangent=None, name=pres.name,
-    )
+    pres = pres.with_rules(extra)
+    ring = pres.ring
     return pres, [ring.from_table(g.table) for g in gens], ring.from_table((lhs - rhs).table)
 
 
@@ -637,10 +630,10 @@ def _eval_context_form(env: Env, form: list) -> None:
         value = blow_up(base, center, exceptional_gen=egen, name=name)
         if clauses.get("rules"):
             # declared rules mention the new exceptional generator, so they are
-            # evaluated on the freshly built presentation and the ring rebuilt
+            # evaluated on the freshly built presentation and added to it
             with env.within(value):
                 extra = _eval_rule_pairs(env, clauses["rules"][0])
-            value = blow_up(base, center, exceptional_gen=egen, extra_rules=extra, name=name)
+            value = value.with_rules(extra)
     elif head == "generic":
         _expect(len(args) >= 2 and isinstance(args[0], str) and isinstance(args[1], int), "(generic NAME DIM ...)")
         name, dim = args[0], args[1]

@@ -6,10 +6,12 @@ A presentation bundles a ring context with a finite monomial basis per
 codegree, a degree functional on the top codegree, optional total tangent
 Chern class, and provenance.  Constructors flatten the ring into rewrite
 rules at build time, so towers of constructions compose and equality of
-classes is decidable.  Data that only some callers read (the tangent
-class, a bundle's Segre classes, the base of a mod-p copy) is computed on
-its first read, so a tower whose pairing is all that is asked for pays
-for none of it.
+classes is decidable.  Each basis grows from one already built: a
+codegree from the ones below it, a bundle's or blow-up's from its base's,
+and ``with_rules`` drops what the added leads divide.  Data that only some
+callers read (the tangent class, a bundle's Segre classes, the base of a
+mod-p copy) is computed on its first read, so a tower whose pairing is
+all that is asked for pays for none of it.
 
 Sign conventions are fixed once and for all:
 
@@ -170,8 +172,9 @@ class ChowPresentation:
 
     ``basis[d]`` is the ring's irreducible monomials of codegree d in
     ``ring._mkey`` order, as ``enumerate_basis`` lists them, on whatever the
-    constructors and ``presentation_from_json`` build; so it is closed under
-    division, which ``_truncated_leads`` and ``blow_up`` rely on.
+    constructors, the copies (``with_coefficients``, ``with_rules``) and
+    ``presentation_from_json`` build; so it is closed under division, which
+    ``enumerate_basis``, ``_truncated_leads`` and ``blow_up`` rely on.
 
     A presentation is immutable once built, so whatever is derived from it
     is kept in one map, through ``kept(key, make, *args)``; a computation
@@ -373,7 +376,7 @@ class ChowPresentation:
         }
         return self.base.ring.from_table(out_table)
 
-    # -- coefficient change ----------------------------------------------
+    # -- copies: coefficients mod p, declared rules ----------------------
 
     def with_coefficients(self, p: int) -> "ChowPresentation":
         """The same presentation with coefficients reduced mod p; only an
@@ -390,37 +393,57 @@ class ChowPresentation:
         return self.kept(("mod", p), self._reduced_copy, p)
 
     def _reduced_copy(self, p: int) -> "ChowPresentation":
-        ring = RingContext(
-            self.ring.names,
-            self.ring.codegrees,
-            modulus=p,
-            dimension=self.ring.dimension,
-            rules=[(r.lead, dict(r.replacement)) for r in self.ring.rules],
-            step_budget=self.ring.step_budget,
-        )
-        new = ChowPresentation(
-            kind=self.kind,
-            ring=ring,
-            roles=dict(self.roles),
-            basis=self.basis,
-            degree_table=dict(self.degree_table) if self.degree_table is not None else None,
-            degree_total=self.degree_total,
-            tangent=None,
-            center=self.center,
-            provenance=dict(self.provenance),
-            name=self.name,
-        )
         # the functions hold this presentation's slots and base, never the
         # presentation itself: its map of derived values holds the copy
-        tangent, segre, base = self._tangent, self._segre, self.base
-        if tangent is not None:
-            new._tangent = lambda: ring.from_table(_force(tangent).table)
-        if base is not None:
-            new._base = lambda: base.with_coefficients(p)
+        segre, base = self._segre, self.base
+        lazy_base = None if base is None else lambda: base.with_coefficients(p)
+        new = self._copy(p, [], self.basis, lazy_base)
         if segre is not None:
             new._segre = lambda: [
                 base.with_coefficients(p).ring.from_table(s.table) for s in _force(segre)
             ]
+        return new
+
+    def with_rules(
+        self, rules: Iterable[tuple[Monomial, Mapping[Monomial, int]]]
+    ) -> "ChowPresentation":
+        """This presentation with rules, (lead monomial, {monomial:
+        coefficient}) pairs as ``generic_context(rules=)`` takes them,
+        declared after its ring's stored rules.  The copy's basis is this
+        basis minus every monomial that a given lead divides, which is
+        ``enumerate_basis`` of its ring; its base, center, Segre classes and
+        degree table are this presentation's."""
+        rules = list(rules)
+        leads = [(lead.support, lead) for lead, _ in rules]
+        basis = [
+            [m for m in b if not any(not s & ~m.support and lead.divides(m) for s, lead in leads)]
+            for b in self.basis
+        ]
+        new = self._copy(self.ring.modulus, rules, basis, self._base)
+        new._segre = self._segre
+        return new
+
+    def _copy(
+        self, modulus: int, rules: list, basis, base: Lazy["ChowPresentation"]
+    ) -> "ChowPresentation":
+        """This presentation, with the given basis and base, over a ring mod
+        modulus whose rules are this ring's stored rules followed by rules;
+        the tangent is copied into that ring on its first read."""
+        old = self.ring
+        ring = RingContext(
+            old.names, old.codegrees, modulus=modulus, dimension=old.dimension,
+            rules=[(r.lead, dict(r.replacement)) for r in old.rules] + rules,
+            step_budget=old.step_budget,
+        )
+        new = ChowPresentation(
+            self.kind, ring, dict(self.roles), basis,
+            dict(self.degree_table) if self.degree_table is not None else None,
+            self.degree_total, tangent=None, base=base, center=self.center,
+            provenance=dict(self.provenance), name=self.name,
+        )
+        tangent = self._tangent
+        if tangent is not None:
+            new._tangent = lambda: ring.from_table(_force(tangent).table)
         return new
 
     # -- serialization ----------------------------------------------------
@@ -550,44 +573,33 @@ def load_presentation(path) -> ChowPresentation:
 # Basis enumeration
 # ---------------------------------------------------------------------------
 
-def _irreducible_monomials(ring: RingContext, d: int) -> list[Monomial]:
-    """All normal-form monomials of codegree d (finite: codegrees positive)."""
+def _grown(ring: RingContext, basis: Sequence[Sequence[Monomial]], d: int) -> list[Monomial]:
+    """The monomials m * x_i of codegree d that no rule of ring reduces, for
+    each i in turn and each m of basis[d - codeg(x_i)] (if listed) whose
+    indices are all at most i.  When each basis[c], c < d, is the
+    irreducible monomials of codegree c in ``ring._mkey`` order, that is
+    those of codegree d in that order, each once: each is m * x_i for its
+    last index i and its divisor m, and ``_mkey`` weighs later indices
+    more, which also puts the m whose indices are at most i first."""
     out: list[Monomial] = []
-    n = len(ring.names)
-
-    def rec(i: int, remaining: int, acc: dict[int, int], support: int):
-        # acc holds positive exponents only, inserted in increasing index
-        # order, so its items are a monomial's sorted pairs; support is the
-        # mask of its keys
-        if remaining == 0:
-            m = _monomial(tuple(acc.items()), support)
-            if ring._matching_rule(m) is None:
-                out.append(m)
-            return
-        if i >= n:
-            return
-        cd = ring.codegrees[i]
-        max_e = remaining // cd
-        for e in range(max_e, -1, -1):
-            mask = support
-            if e:
-                acc[i] = e
-                mask |= 1 << i
-                # prune: a reducible prefix only gets worse
-                if ring._matching_rule(_monomial(tuple(acc.items()), mask)) is not None:
-                    del acc[i]
-                    continue
-            rec(i + 1, remaining - e * cd, acc, mask)
-            if e:
-                del acc[i]
-
-    rec(0, d, {}, 0)
-    return sorted(out, key=ring._mkey)
+    for i, cd in enumerate(ring.codegrees):
+        for m in basis[d - cd] if 0 <= d - cd < len(basis) else ():
+            if m.support >> i > 1:
+                break
+            mi = _times_last(m, i, 1)
+            if ring._matching_rule(mi) is None:
+                out.append(mi)
+    return out
 
 
 def enumerate_basis(ring: RingContext) -> list[tuple[Monomial, ...]]:
+    """The ring's irreducible monomials of each codegree 0..dimension, in
+    ``ring._mkey`` order, each codegree grown from the ones below it."""
     assert ring.dimension is not None
-    return [tuple(_irreducible_monomials(ring, d)) for d in range(ring.dimension + 1)]
+    basis = [(MONOMIAL_ONE,)]
+    for d in range(1, ring.dimension + 1):
+        basis.append(tuple(_grown(ring, basis, d)))
+    return basis
 
 
 def _truncated_leads(X: ChowPresentation) -> list[Monomial]:
@@ -595,18 +607,21 @@ def _truncated_leads(X: ChowPresentation) -> list[Monomial]:
     whose codegree exceeds dim X.  X's truncation kills them; a ring of
     higher dimension that copies X's rules needs a rule m -> 0 for each.
     Irreducible monomials are closed under division, so m is minimal
-    exactly when codeg(m) - min codeg(x_i), i in supp(m), is at most dim X."""
+    exactly when codeg(m) - min codeg(x_i), i in supp(m), is at most dim X;
+    then m over its last generator lies in X.basis, which ``_grown`` reads."""
     cds = X.ring.codegrees
     return [
         m
         for d in range(X.dim + 1, X.dim + max(cds, default=0) + 1)
-        for m in _irreducible_monomials(X.ring, d)
+        for m in _grown(X.ring, X.basis, d)
         if d - min(cds[i] for i, _ in m.exps) <= X.dim
     ]
 
 
 def _times_last(m: Monomial, idx: int, k: int) -> Monomial:
-    """m * x_idx^k for k > 0 and an index above every index of m."""
+    """m * x_idx^k for k > 0 and an index at least every index of m."""
+    if m.support >> idx:
+        return _monomial(m.exps[:-1] + ((idx, m.exps[-1][1] + k),), m.support)
     return _monomial(m.exps + ((idx, k),), m.support | 1 << idx)
 
 
@@ -835,7 +850,6 @@ def blow_up(
     X: ChowPresentation,
     center: CenterData,
     exceptional_gen: str = "e",
-    extra_rules: Iterable[tuple[Monomial, Mapping[Monomial, int]]] = (),
     name: Optional[str] = None,
 ) -> ChowPresentation:
     """Blow-up of X along a center satisfying the coverage requirement.
@@ -847,9 +861,9 @@ def blow_up(
       codegree above dim Z (classes of the center vanish above its
       dimension); e*m for any other such m is a multiple of one of these;
     * e^r -> (-1)^{r-1} [Z] + sum_{j=1}^{r-1} (-1)^{j+r-1} c_{r-j}(N) e^j,
-      which folds the top fiber power back into the ambient component;
-    * then ``extra_rules``, (lead monomial, {monomial: coefficient}) pairs
-      as ``generic_context(rules=)`` takes them.
+      which folds the top fiber power back into the ambient component.
+
+    Rules declared on top of these are added by ``with_rules``.
 
     X's basis is closed under division (see ``ChowPresentation``), so a
     fixed m above dim Z is minimal exactly when codeg(m) - min codeg(x_i),
@@ -935,9 +949,6 @@ def blow_up(
             t = m.mul(ej)
             fold[t] = fold.get(t, 0) + sgn * c
     rules.append((Monomial([(e_idx, r)]), fold))
-    # scenario-declared extra rules
-    extra = [(lead, dict(repl)) for lead, repl in extra_rules]
-    rules.extend(extra)
 
     ring = RingContext(
         names, codegrees, modulus=X.ring.modulus, dimension=X.dim, rules=rules
@@ -949,22 +960,16 @@ def blow_up(
         [m for m in X.basis_of(d) if not m.support & ~fixed] for d in range(dim_z + 1)
     ]
 
-    # Only a declared extra lead can reduce an X-basis monomial m or e^k*m,
-    # 0 < k < r, m in the center basis (below the dimension, so truncation
-    # never applies): X's leads hold no e and m is X-irreducible, a kill lead
-    # e*m' has codegree(m') > dim Z, a restriction lead e*g has g not fixed,
-    # and the fold lead is e^r.
-    extra_leads = [(lead.support, lead) for lead, _ in extra]
+    # No rule reduces an X-basis monomial m or e^k*m, 0 < k < r, m in the
+    # center basis (below the dimension, so truncation never applies): X's
+    # leads hold no e and m is X-irreducible, a kill lead e*m' has
+    # codegree(m') > dim Z, a restriction lead e*g has g not fixed, and the
+    # fold lead is e^r.
     basis: list[list[Monomial]] = []
     for d in range(X.dim + 1):
         here = list(X.basis_of(d))
         for k in range(max(1, d - dim_z), min(r - 1, d) + 1):
             here += [_times_last(m, e_idx, k) for m in center_basis[d - k]]
-        if extra_leads:
-            here = [
-                m for m in here
-                if not any(not s & ~m.support and lead.divides(m) for s, lead in extra_leads)
-            ]
         basis.append(here)
 
     degree_table = dict(X.degree_table) if X.degree_table is not None else None

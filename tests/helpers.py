@@ -3,7 +3,14 @@
 import random
 from typing import Optional
 
-from chowcalc.rings import MONOMIAL_ONE, GradedClass, Monomial, RingContext, minimal_monomials
+from chowcalc.rings import (
+    MONOMIAL_ONE,
+    GradedClass,
+    Monomial,
+    RingContext,
+    _monomial,
+    minimal_monomials,
+)
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
@@ -145,6 +152,42 @@ def monomials_of_codegree(ring: RingContext, d: int) -> list[Monomial]:
     return out
 
 
+def reference_irreducible_monomials(ring: RingContext, d: int) -> list[Monomial]:
+    """Reference irreducible monomials of codegree d, by a recursion over
+    the generators in index order, each exponent from the largest down,
+    that drops a prefix some rule reduces; sorted in ``ring._mkey`` order."""
+    out: list[Monomial] = []
+    n = len(ring.names)
+
+    def rec(i: int, remaining: int, acc: dict[int, int], support: int):
+        # acc holds positive exponents only, inserted in increasing index
+        # order, so its items are a monomial's sorted pairs; support is the
+        # mask of its keys
+        if remaining == 0:
+            m = _monomial(tuple(acc.items()), support)
+            if ring._matching_rule(m) is None:
+                out.append(m)
+            return
+        if i >= n:
+            return
+        cd = ring.codegrees[i]
+        for e in range(remaining // cd, -1, -1):
+            mask = support
+            if e:
+                acc[i] = e
+                mask |= 1 << i
+                # prune: a reducible prefix only gets worse
+                if ring._matching_rule(_monomial(tuple(acc.items()), mask)) is not None:
+                    del acc[i]
+                    continue
+            rec(i + 1, remaining - e * cd, acc, mask)
+            if e:
+                del acc[i]
+
+    rec(0, d, {}, 0)
+    return sorted(out, key=ring._mkey)
+
+
 def restriction_fixed(X, center) -> set:
     """Indices of X's generators that the center's restriction fixes."""
     return {
@@ -183,13 +226,13 @@ def reference_truncated_leads(X) -> list:
     return [m for m in high if m in minimal]
 
 
-def reference_blow_up_basis(X, center, Bl, extra_rules=()) -> tuple:
-    """Reference basis of Bl = blow_up(X, center, extra_rules=...), with its
-    center basis by a scan of every rule of Bl's ring: X's basis monomials
-    and e^k * m for 0 < k < r, where m runs over X's basis monomials in the
-    generators the restriction fixes, of codegree at most dim X - r, whose
-    product with e no stored rule reduces; minus every monomial that a
-    declared extra lead divides."""
+def reference_blow_up_basis(X, center, Bl, rules=()) -> tuple:
+    """Reference basis of Bl = blow_up(X, center).with_rules(rules), with
+    its center basis by a scan of every rule of Bl's ring: X's basis
+    monomials and e^k * m for 0 < k < r, where m runs over X's basis
+    monomials in the generators the restriction fixes, of codegree at most
+    dim X - r, whose product with e no stored rule reduces; minus every
+    monomial that a lead of rules divides."""
     ring = Bl.ring
     r = center.codim
     dim_z = X.dim - r
@@ -207,7 +250,7 @@ def reference_blow_up_basis(X, center, Bl, extra_rules=()) -> tuple:
         for k in range(1, r):
             if 0 <= d - k <= dim_z:
                 here += [m.mul(Monomial([(e_idx, k)])) for m in center_basis[d - k]]
-        here = [m for m in here if not any(lead.divides(m) for lead, _ in extra_rules)]
+        here = [m for m in here if not any(lead.divides(m) for lead, _ in rules)]
         basis.append(tuple(sorted(here, key=ring._mkey)))
     return tuple(basis)
 

@@ -14,7 +14,7 @@ from chowcalc.script import (
     verify_identity,
     verify_numerical,
 )
-from chowcalc.varieties import generic_context
+from chowcalc.varieties import blow_up, generic_context
 from helpers import kept_under, reference_tokenize
 
 
@@ -126,6 +126,23 @@ class TestEvaluator:
             "(assert-zero (trivial) (mul e h))"
         ))
         assert rep.ok, [(r.verdict, r.detail) for r in rep.results]
+
+    def test_blowup_rules_are_added_to_one_blow_up(self, monkeypatch):
+        from chowcalc import script
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return blow_up(*args, **kwargs)
+
+        monkeypatch.setattr(script, "blow_up", counted)
+        rep = run_scenario(parse_script(
+            "(pspace P 3)"
+            "(blowup B P e (class (mul h h)) (roots h h) (rules ((pow h 3) 0)))"
+            "(assert-zero (trivial) (pow h 3))"
+        ))
+        assert rep.ok and len(calls) == 1
 
     def test_empty_script(self):
         rep = run_scenario(parse_script(""))
@@ -296,7 +313,13 @@ class TestVerifyNumerical:
          "(assert-numzero (trivial) (mul x z) (modulo R J))"
          "(assert-numzero (trivial) (mul (add (scale 2 x) y) z) (modulo R J))",
          [(PASS, None), (FAIL, "(-z^3)/2 (pairing against x)"), (PASS, None)]),
-    ], ids=["shared-ideal", "fail-after-pass", "rules-then-ideal"])
+        # x^2 -> y^2 leaves x*y and y^2 in codegree 2: the dual classes are
+        # the copy's basis, never x^2, which the declared rule rewrites
+        ("(generic X 2 (gens (x 1) (y 1)))"
+         "(declare-rules R ((pow x 2) (pow y 2)))"
+         "(assert-numzero (trivial) 1 (modulo R))",
+         [(FAIL, "x*y (pairing against x*y)")]),
+    ], ids=["shared-ideal", "fail-after-pass", "rules-then-ideal", "rules-shrink-the-basis"])
     def test_verdicts_and_witnesses(self, src, expected):
         rep = run_scenario(parse_script(src))
         assert [(r.verdict, r.witness) for r in rep.results] == expected

@@ -27,6 +27,7 @@ from helpers import (
     random_class,
     random_tower,
     reference_blow_up_basis,
+    reference_irreducible_monomials,
     reference_kill_leads,
     reference_truncated_leads,
     restriction_fixed,
@@ -202,19 +203,31 @@ def assert_basis_irreducible(X):
 
 
 def recorded_blow_ups(monkeypatch) -> list:
-    """(X, center, extra rules, blow-up) for every blow-up that the registry
-    makes, then for every one that ``random_tower`` makes on seeds 0-59."""
+    """(X, center, declared rules, blow-up) for every blow-up that the
+    registry makes, with no rules, and for each copy ``with_rules`` makes of
+    one, with the rules it adds; then for every blow-up that
+    ``random_tower`` makes on seeds 0-59."""
     import helpers
     from chowcalc import registry, script
 
     built = []
+    with_rules = ChowPresentation.with_rules
 
-    def record(X, center, exceptional_gen="e", extra_rules=(), name=None):
-        extra = list(extra_rules)
-        built.append((X, center, extra, blow_up(X, center, exceptional_gen, extra, name)))
+    def record(X, center, exceptional_gen="e", name=None):
+        built.append((X, center, [], blow_up(X, center, exceptional_gen, name)))
         return built[-1][-1]
 
+    def record_rules(self, rules):
+        rules = list(rules)
+        copy = with_rules(self, rules)
+        for X, center, _, Bl in built:
+            if Bl is self:
+                built.append((X, center, rules, copy))
+                break
+        return copy
+
     monkeypatch.setattr(script, "blow_up", record)
+    monkeypatch.setattr(ChowPresentation, "with_rules", record_rules)
     registry.run_all(seed=0)
     registry_count = len(built)
     assert registry_count > 0
@@ -263,7 +276,35 @@ def test_every_basis_is_the_irreducible_monomials_in_order(monkeypatch):
                 X.with_coefficients(p)
     assert {0, 2, 3} <= {X.ring.modulus for X in built}
     for X in built:
-        assert [tuple(b) for b in X.basis] == enumerate_basis(X.ring), X.name
+        want = [tuple(reference_irreducible_monomials(X.ring, d)) for d in range(X.dim + 1)]
+        assert [tuple(b) for b in X.basis] == enumerate_basis(X.ring) == want, X.name
+
+
+def test_enumerate_basis_is_the_recursive_enumeration():
+    # random rule sets on up to four generators of codegree 1-3, in
+    # dimensions 0-7; a lead reduces to monomials below it in ring._mkey,
+    # so no rule set cycles
+    rng = random.Random(7)
+    above_dim = 0
+    for _ in range(240):
+        dim = rng.randint(0, 7)
+        gens = [(f"x{i}", rng.randint(1, 3)) for i in range(rng.randint(1, 4))]
+        above_dim += any(cd > dim for _, cd in gens)
+        free = generic_context(gens, dim + 2)
+        rules = []
+        for _ in range(rng.randint(0, 4)):
+            d = rng.randint(1, dim + 2)
+            monos = free.basis_of(d)  # every monomial of codegree d, in order
+            if not monos:
+                continue
+            k = rng.randrange(len(monos))
+            lower = monos[:k]
+            repl = {m: rng.randint(-2, 2) for m in rng.sample(lower, min(len(lower), 2))}
+            rules.append((monos[k], repl))
+        X = generic_context(gens, dim, rules=rules)
+        want = [tuple(reference_irreducible_monomials(X.ring, d)) for d in range(dim + 1)]
+        assert enumerate_basis(X.ring) == want == [tuple(b) for b in X.basis], (gens, dim, rules)
+    assert above_dim >= 20
 
 
 class TestBlowUp:
@@ -293,7 +334,7 @@ class TestBlowUp:
         center = CenterData.complete_intersection([h, h], name="line")
         h3 = Monomial([(0, 3)])
         assert not blow_up(P3, center).ring.from_table({h3: 1}).is_zero()
-        Bl = blow_up(P3, center, extra_rules=[(h3, {})])
+        Bl = blow_up(P3, center).with_rules([(h3, {})])
         assert Bl.ring.from_table({h3: 1}).is_zero()
         # the basis keeps no monomial the declared rule reduces
         assert Bl.basis_of(3) == ()
@@ -304,11 +345,11 @@ class TestBlowUp:
             assert_basis_irreducible(Bl)
 
     def test_basis_is_the_rule_scan(self, monkeypatch):
-        # the center basis is tested against the declared extra leads only
+        # a declared lead removes what it divides from the blow-up's basis
         P3 = projective_space(3)
         line = CenterData.complete_intersection([P3.gen("h")] * 2, name="line")
         h3, eh = Monomial([(0, 3)]), Monomial([(0, 1), (1, 1)])
-        cases = [(P3, line, extra, blow_up(P3, line, extra_rules=extra)) for extra in (
+        cases = [(P3, line, extra, blow_up(P3, line).with_rules(extra)) for extra in (
             [(h3, {})],
             [(eh, {})],  # e*h leaves the center basis
         )]
@@ -316,10 +357,27 @@ class TestBlowUp:
         for X, center, extra, Bl in cases + recorded_blow_ups(monkeypatch):
             assert Bl.basis == reference_blow_up_basis(X, center, Bl, extra), Bl.name
 
+    def test_with_rules_basis_is_enumerate_basis(self, monkeypatch):
+        P3 = projective_space(3)
+        line = CenterData.complete_intersection([P3.gen("h")] * 2, name="line")
+        Bl = blow_up(P3, line)
+        leads = [Monomial([(0, 3)]), Monomial([(0, 1), (1, 1)])]
+        copies = [Bl.with_rules([(lead, {})]) for lead in leads]
+        for lead, copy in zip(leads, copies):
+            assert copy.ring.names == Bl.ring.names and copy.ring.rules[-1].lead == lead
+            assert (copy.base, copy.center, copy.roles, copy.degree_table, copy.name) == (
+                Bl.base, Bl.center, Bl.roles, Bl.degree_table, Bl.name)
+        # the two registry blow-ups that declare rules, both named Xt
+        declared = [copy for _, _, rules, copy in recorded_blow_ups(monkeypatch) if rules]
+        assert [X.name for X in declared] == ["Xt", "Xt"]
+        for X in copies + declared:
+            assert [tuple(b) for b in X.basis] == enumerate_basis(X.ring), X.name
+
     def test_kill_rules_are_the_minimal_fixed_monomials(self, monkeypatch):
         # declared in order: X's rules, one e*g -> e*res(g) per generator
         # that the restriction moves, the kill rules, the fold e^r, then the
-        # extra rules; the ring may drop a kill rule that an extra one implies
+        # rules with_rules adds; its ring may drop a kill rule that an added
+        # rule implies
         for X, center, extra, Bl in recorded_blow_ups(monkeypatch):
             e_idx = len(X.ring.names)
             start = len(X.ring.rules) + len(X.ring.names) - len(restriction_fixed(X, center))
