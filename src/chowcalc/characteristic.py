@@ -21,9 +21,10 @@ from __future__ import annotations
 from .rings import (
     MONOMIAL_ONE,
     GradedClass,
-    Monomial,
     RingError,
     evaluate,
+    exponents,
+    generator_power,
     inverse_series,
 )
 from .varieties import BundleRoots, ChowPresentation
@@ -102,7 +103,7 @@ def _verify_closure(X: ChowPresentation, images) -> None:
         # build the image of the raw lead monomial: from_table would rewrite
         # the lead away before the endomorphism is applied
         lead_img = ring.one()
-        for i, e in rule.lead.exps:
+        for i, e in exponents(rule.lead):
             lead_img = lead_img * (images[ring.names[i]] ** e)
         repl = ring.from_table(dict(rule.replacement))
         diff = lead_img - evaluate(repl, images, ring)
@@ -113,7 +114,7 @@ def _verify_closure(X: ChowPresentation, images) -> None:
             )
 
 
-def _steenrod_memo(X: ChowPresentation) -> dict[Monomial, GradedClass]:
+def _steenrod_memo(X: ChowPresentation) -> dict[int, GradedClass]:
     """X's map from monomial to the image of that monomial under the total
     operation, kept as ``("steenrod",)``.  The first call computes the
     generator images and, on a presentation that is not cellular, checks
@@ -122,14 +123,14 @@ def _steenrod_memo(X: ChowPresentation) -> dict[Monomial, GradedClass]:
     return X.kept(("steenrod",), _seeded_memo, X)
 
 
-def _seeded_memo(X: ChowPresentation) -> dict[Monomial, GradedClass]:
+def _seeded_memo(X: ChowPresentation) -> dict[int, GradedClass]:
     images = _steenrod_images(X)
     if not X.is_cellular():
         _verify_closure(X, images)
     ring = X.ring
     memo = {MONOMIAL_ONE: ring.one()}
     for name, img in images.items():
-        memo[Monomial([(ring.gen_index(name), 1)])] = img
+        memo[generator_power(ring.gen_index(name))] = img
     return memo
 
 
@@ -151,13 +152,13 @@ def steenrod_total(X: ChowPresentation, c: GradedClass) -> GradedClass:
         raise RingError("class does not live on the given presentation")
     ring = X.ring
     memo = _steenrod_memo(X)
-    acc: dict[Monomial, int] = {}
+    acc: dict[int, int] = {}
     for m, coeff in c.table.items():
         img = memo.get(m)
         if img is None:
             img = ring.one()
-            for i, e in m.exps:
-                img = img * memo[Monomial([(i, 1)])] ** e
+            for i, e in exponents(m):
+                img = img * memo[generator_power(i)] ** e
             memo[m] = img
         for u, k in img.table.items():
             acc[u] = acc.get(u, 0) + coeff * k

@@ -50,7 +50,7 @@ from math import gcd
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .rings import GradedClass, Monomial, RingError, _is_prime
+from .rings import GradedClass, RingError, _is_prime
 from .varieties import ChowPresentation, CoverageError, TangentUnavailable
 
 
@@ -250,9 +250,11 @@ def _integer_pairings(X: ChowPresentation) -> dict[int, tuple[tuple[int, ...], .
     """The matrices M_s = (X.degree(b * bd)) for b in B_s, bd in B_{n-s} and
     s <= n - s, kept on the presentation and filled in one pass.
 
-    Every b * bd lies in codegree n, so one {monomial: degree} memo serves
-    every s: each distinct product gets its normal form from the ring's
-    memo (``RingContext._f``) and its degree from ``X.degree``, once."""
+    Every b * bd lies in codegree n, so its key is the sum b + bd (no
+    exponent exceeds n, which fits in a field), and one {monomial: degree}
+    memo serves every s: each distinct product gets its normal form from
+    the ring's memo (``RingContext._f``) and its degree from ``X.degree``,
+    once."""
     if X.ring.modulus != 0:
         raise CoverageError("pairing is computed on an integral presentation")
     if X.degree_table is None or not X.degree_total:
@@ -263,14 +265,14 @@ def _integer_pairings(X: ChowPresentation) -> dict[int, tuple[tuple[int, ...], .
 def _fill_pairings(X: ChowPresentation) -> dict[int, tuple[tuple[int, ...], ...]]:
     ring = X.ring
     f, normal_forms, n = ring._f, ring._normal_forms, X.dim
-    degrees: dict[Monomial, int] = {}
+    degrees: dict[int, int] = {}
     pairings = {}
     for s in range(n // 2 + 1):
         rows = []
         for b in X.basis_of(s):
             row = []
             for bd in X.basis_of(n - s):
-                m = b.mul(bd)
+                m = b + bd
                 d = degrees.get(m)
                 if d is None:
                     d = degrees[m] = X.degree(GradedClass(ring, dict(f(m, normal_forms, n))))

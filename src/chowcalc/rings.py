@@ -25,35 +25,52 @@ and truncation and reduction mod p are linear too).  Whether f depends on
 the rule order is decided on demand by ``confluence_check``, which joins
 every critical pair of the rules (Buchberger's criterion).
 
-Each ring keeps f(m) in a memo, filled by walking the rewrite chain of m
-with an explicit stack.  Rules are homogeneous and codegrees are positive,
-so the chain of m stays among the finitely many monomials of its codegree:
-the strategy fails to terminate on m exactly when the walk reaches a
-monomial still on its stack, which raises ``RewriteCycle`` naming that
-monomial.  For the same reason a monomial at or below the dimension never
-meets truncation, so one memo serves truncated and untruncated reduction;
-above the dimension the truncated normal form is 0.  A step budget bounds
-the rewriting steps of each fill of the memo.
+Each ring keeps, in one memo, the truncated normal form of every
+monomial it has met: () above the dimension, else f(m), filled by walking
+the rewrite chain of m with an explicit stack.  Rules are homogeneous and
+codegrees are positive, so the chain of m stays among the finitely many
+monomials of its codegree: the strategy fails to terminate on m exactly
+when the walk reaches a monomial still on its stack, which raises
+``RewriteCycle`` naming that monomial.  For the same reason a monomial at
+or below the dimension never meets truncation on its chain.  A step
+budget bounds the rewriting steps of each fill of the memo.  Reduction
+without truncation, which only tests whether a declared rule is implied,
+walks into a fresh memo each time.
 
-Products go through a second memo on the ring: the normal form of m1*m2
-for two monomials is looked up once per pair, and a product of classes
-adds up c1*c2 times the stored tables.  Both memos are sound for every
-terminating rule set, confluent or not.  In a ring with a finite basis the
-product memo is in effect the table of structure constants.
+A product of classes adds up c1*c2 times the memo's entry for each
+product monomial m1*m2, so the memo is sound for every terminating rule
+set, confluent or not; in a ring with a finite basis it holds in effect
+the table of structure constants.
 
-A monomial is a tuple of (generator index, exponent) pairs sorted by index,
-with each index once and every exponent positive, so equal monomials have
-equal tuples.  Its hash is computed once, when it is built, and kept:
-monomials are the keys of every class table and memo.  Products and
-quotients merge two sorted tuples and skip the checks of the public
-constructor, whose inputs may be unsorted, repeat an index or hold zeros.
+A monomial is one Python int, its key.  The exponent of generator i
+sits in field i, the ``FIELD_BITS`` bits from bit FIELD_BITS * i up, and
+the top bit of each field is a guard bit that every key keeps clear, so an
+exponent is at most ``MAX_EXPONENT`` = 2^(FIELD_BITS - 1) - 1.  The unit
+monomial is 0, and equal monomials have equal keys, so the int's own hash
+and equality key every class table and memo.  Let G be the guard bits of
+a ring's fields:
 
-A monomial also keeps its support, the set of its generators, as the
-bitmask of their indices; a product's support is the OR of its factors'.
-A lead can divide a monomial only if its support lies inside the
-monomial's, so rule matching and ``minimal_monomials`` test that one
-integer condition first and read exponents only for the leads that pass
-it.  The scan order, and so the rule that matches, is unchanged.
+* a product is the sum of two keys: fields add without carrying into the
+  next one, and a field whose sum exceeds ``MAX_EXPONENT`` sets its guard
+  bit, which raises ``RingError`` instead of carrying;
+* k divides m exactly when ((m | G) - k) & G == G: each field subtracts
+  k's exponent from m's plus the guard bit, borrowing nothing from the
+  next field, and keeps its guard bit exactly when m's exponent is at
+  least k's; the quotient is m - k;
+* later generators sit in more significant fields, so keys compare as
+  integers in reverse-index lexicographic order (the last generator's
+  exponent first), the order in which constructor rules decrease and
+  bases are listed.
+
+A ring refuses a dimension above ``MAX_EXPONENT // 2``, so the product of
+two monomials at or below the dimension, and every monomial on the
+rewrite chain of a monomial at or below it, keeps each exponent in its
+field.  A product whose lookup misses the memo is checked all the same,
+and so is every rewriting step without a dimension.
+``Monomial(pairs)`` is the public constructor, from (generator index,
+exponent) pairs in any order; it returns an int subclass whose ``exps``
+and ``support`` decode the key.  Tables and memos hold plain ints, which
+find the same entries, and ``exponents`` decodes any key.
 
 No floating point is used anywhere; everything is exact.
 """
@@ -104,171 +121,161 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Monomial:
-    """Sparse exponent vector: a tuple of (generator index, exponent) pairs.
+FIELD_BITS = 17
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
-    ``exps`` is sorted by index, each index occurs once and every exponent
-    is positive; the empty tuple is the unit monomial.  The public
-    constructor establishes this from any pairs: it adds up the exponents of
-    a repeated index, then drops zero exponents and refuses negative ones.
-    ``mul`` and ``div`` keep it by merging two sorted tuples and build their
-    result through ``_monomial``, which takes pairs already in this form.
-    A monomial is immutable, and its hash is computed once and kept, as is
-    ``support``, the sum of 2^i over its generator indices i: k can divide m
-    only if ``k.support & ~m.support == 0``.
+
+def _guards(n: int) -> int:
+    """The guard bits of fields 0..n-1: the top bit of each."""
+    return ((1 << (FIELD_BITS * n)) - 1) // _FIELD_MASK << (FIELD_BITS - 1)
+
+
+def _fields(m: int) -> int:
+    """The number of fields up to m's last nonzero one."""
+    return -(-m.bit_length() // FIELD_BITS)
+
+
+def _overflow(m: int) -> RingError:
+    """The error for a sum of keys whose guard bits are set: each field
+    holds the sum of two exponents, so m decodes to the true exponents."""
+    return RingError(f"monomial {exponents(m)} has an exponent above MAX_EXPONENT = {MAX_EXPONENT}")
+
+
+def exponents(m: int) -> tuple[tuple[int, int], ...]:
+    """The (generator index, exponent) pairs of the key m, by index, each
+    exponent positive; () for the unit monomial."""
+    out = []
+    i = 0
+    while m:
+        e = m & _FIELD_MASK
+        if e:
+            out.append((i, e))
+        m >>= FIELD_BITS
+        i += 1
+    return tuple(out)
+
+
+def exponent(m: int, i: int) -> int:
+    """The exponent of generator i in the key m."""
+    return m >> (FIELD_BITS * i) & _FIELD_MASK
+
+
+def generator_power(i: int, e: int = 1) -> int:
+    """The key of x_i^e, for 0 <= e <= MAX_EXPONENT (unchecked); with e =
+    MAX_EXPONENT, the mask of generator i's field."""
+    return e << (FIELD_BITS * i)
+
+
+def shifted(m: int, k: int) -> int:
+    """The key m with every generator index raised by k."""
+    return m << (FIELD_BITS * k)
+
+
+def mono_mul(a: int, b: int) -> int:
+    """The key of the product a*b; ``RingError`` when an exponent would
+    exceed MAX_EXPONENT."""
+    m = a + b
+    if m & _guards(_fields(m)):
+        raise _overflow(m)
+    return m
+
+
+def mono_divides(k: int, m: int) -> bool:
+    """Whether k divides m: every exponent of m is at least k's."""
+    g = _guards(_fields(k))
+    return (m | g) - k & g == g
+
+
+def mono_div(m: int, k: int) -> int:
+    """The key of m / k; ``ValueError`` when k does not divide m."""
+    if not mono_divides(k, m):
+        raise ValueError("negative exponent in monomial")
+    return m - k
+
+
+class Monomial(int):
+    """The key of a monomial, built from (generator index, exponent) pairs.
+
+    The constructor takes pairs in any order: it adds up the exponents of a
+    repeated index, refuses a negative index or total exponent with
+    ``ValueError`` and an exponent above ``MAX_EXPONENT`` with
+    ``RingError``, and returns the key (see the module docstring) as this
+    int subclass, whose ``exps`` (the pairs with positive exponents, by
+    index) and ``support`` (the sum of 2^i over them) decode it.  It keeps
+    int's hash and equality, so a plain int key finds its entries; sums and
+    differences of keys are plain ints.
     """
 
-    __slots__ = ("exps", "_hash", "support")
+    __slots__ = ()
 
-    def __init__(self, exps: Iterable[tuple[int, int]] = ()):
+    def __new__(cls, exps: Iterable[tuple[int, int]] = ()):
         acc: dict[int, int] = {}
         for i, e in exps:
             acc[i] = acc.get(i, 0) + e
-        pairs = tuple(sorted((i, e) for i, e in acc.items() if e != 0))
-        if any(e < 0 for _, e in pairs):
-            raise ValueError("negative exponent in monomial")
-        support = 0
-        for i, _ in pairs:
-            support |= 1 << i
-        self.exps = pairs
-        self._hash = hash(pairs)
-        self.support = support
+        key = 0
+        for i, e in acc.items():
+            if i < 0 or e < 0:
+                raise ValueError(f"negative {'index' if i < 0 else 'exponent'} in monomial")
+            if e > MAX_EXPONENT:
+                raise RingError(f"exponent {e} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+            key += e << (FIELD_BITS * i)
+        return int.__new__(cls, key)
 
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def exps(self) -> tuple[tuple[int, int], ...]:
+        return exponents(self)
 
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Monomial) and self.exps == other.exps)
+    @property
+    def support(self) -> int:
+        return sum(1 << i for i, _ in exponents(self))
 
     def __repr__(self) -> str:
         return f"Monomial({self.exps!r})"
 
-    @property
-    def is_one(self) -> bool:
-        return not self.exps
 
-    def exp_of(self, idx: int) -> int:
-        for i, e in self.exps:
-            if i == idx:
-                return e
-        return 0
-
-    def total_degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        a, b = self.exps, other.exps
-        if not b:
-            return self
-        if not a:
-            return other
-        out = []
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            x, y = a[i], b[j]
-            if x[0] < y[0]:
-                out.append(x)
-                i += 1
-            elif y[0] < x[0]:
-                out.append(y)
-                j += 1
-            else:
-                out.append((x[0], x[1] + y[1]))
-                i += 1
-                j += 1
-        if i < la:
-            out.extend(a[i:])
-        elif j < lb:
-            out.extend(b[j:])
-        return _monomial(tuple(out), self.support | other.support)
-
-    def divides(self, other: "Monomial") -> bool:
-        b = other.exps
-        j, lb = 0, len(b)
-        for i, e in self.exps:
-            while j < lb and b[j][0] < i:
-                j += 1
-            if j == lb or b[j][0] != i or b[j][1] < e:
-                return False
-            j += 1
-        return True
-
-    def div(self, other: "Monomial") -> "Monomial":
-        """self / other; ``ValueError`` when other does not divide self."""
-        b = other.exps
-        if not b:
-            return self
-        out = []
-        support = self.support
-        j, lb = 0, len(b)
-        for x in self.exps:
-            if j < lb and b[j][0] == x[0]:
-                e = x[1] - b[j][1]
-                j += 1
-                if e > 0:
-                    out.append((x[0], e))
-                elif e < 0:
-                    raise ValueError("negative exponent in monomial")
-                else:
-                    support ^= 1 << x[0]
-            else:
-                out.append(x)
-        if j < lb:
-            # b[j] names a generator absent from self
-            raise ValueError("negative exponent in monomial")
-        return _monomial(tuple(out), support)
-
-
-def _monomial(pairs: tuple[tuple[int, int], ...], support: int) -> Monomial:
-    """The monomial of pairs already sorted by index, with distinct indices
-    and positive exponents, whose support mask is given (unchecked)."""
-    m = object.__new__(Monomial)
-    m.exps = pairs
-    m._hash = hash(pairs)
-    m.support = support
-    return m
+def _as_monomial(m: int) -> Monomial:
+    """The key m as a ``Monomial`` (no check)."""
+    return m if type(m) is Monomial else int.__new__(Monomial, m)
 
 
 MONOMIAL_ONE = Monomial()
 
 
-def minimal_monomials(monomials: Iterable[Monomial]) -> set[Monomial]:
+def minimal_monomials(monomials: Iterable[int]) -> set[int]:
     """The monomials that no other monomial of the input properly divides.
 
-    A proper divisor has a smaller total degree, so it suffices to test each
-    monomial, in order of total degree, against the minimal ones found so
-    far; and only against those whose support lies inside its own, since a
-    divisor's generators all are.  The minimal ones are grouped by support,
-    so one mask test passes or skips a whole group.  The unit monomial
-    divides every monomial, so it is then the only minimal one.
+    A proper divisor of m is a smaller key, so it suffices to test each
+    monomial, in key order, against the minimal ones found so far; and only
+    against those whose support lies inside its own, since a divisor's
+    generators all are.  The minimal ones are grouped by support, held as
+    the guard bits of their nonzero fields, so one mask test passes or
+    skips a whole group.  The unit monomial 0 divides every monomial, so
+    it is then the only minimal one.
     """
-    distinct = set(monomials)
-    if MONOMIAL_ONE in distinct:
-        return {MONOMIAL_ONE}
-    by_support: dict[int, list[Monomial]] = {}
-    minimal: set[Monomial] = set()
-    for m in sorted(distinct, key=Monomial.total_degree):
-        outside = ~m.support
-        have = None
+    distinct = sorted(set(monomials))
+    if not distinct or distinct[0] == 0:
+        return set(distinct[:1])
+    g = _guards(_fields(distinct[-1]))
+    low = g - (g >> (FIELD_BITS - 1))
+    by_support: dict[int, list[int]] = {}
+    minimal: set[int] = set()
+    for m in distinct:
+        s = (m + low) & g
+        outside = ~s
+        mg = m | g
         divisible = False
-        for s, group in by_support.items():
-            if s & outside:
+        for t, group in by_support.items():
+            if t & outside:
                 continue
-            if have is None:
-                have = dict(m.exps)
             for k in group:
-                # k divides m (inlined: one dict per m, not one walk per pair)
-                for j, e in k.exps:
-                    if have[j] < e:
-                        break
-                else:
+                if (mg - k) & g == g:
                     divisible = True
                     break
             if divisible:
                 break
         if not divisible:
-            by_support.setdefault(m.support, []).append(m)
+            by_support.setdefault(s, []).append(m)
             minimal.add(m)
     return minimal
 
@@ -278,11 +285,12 @@ class RewriteRule:
     """Oriented rule: the leading monomial rewrites to the replacement table.
 
     The leading monomial must not divide any monomial of the replacement,
-    and the replacement must be homogeneous of the same codegree.
+    and the replacement must be homogeneous of the same codegree.  The
+    replacement lists its (key, coefficient) pairs in key order.
     """
 
     lead: Monomial
-    replacement: tuple[tuple[Monomial, int], ...]
+    replacement: tuple[tuple[int, int], ...]
     index: int = 0
 
 
@@ -290,28 +298,31 @@ class RingContext:
     """Immutable graded polynomial ring with rewrite rules.
 
     modulus 0 means integer coefficients; a positive modulus must be prime.
-    dimension, when set, truncates every class above that codegree.
+    dimension, when set, truncates every class above that codegree; it is
+    at most ``MAX_EXPONENT // 2`` (see the module docstring).
     ``rules`` keeps the declared rules in declaration order, minus every
     rule whose lead is a proper multiple of another rule's lead and which
     is a consequence of the kept rules (checked without truncation, so the
     drop stays valid in rings of higher dimension that copy these rules).
 
-    ``_lead_supports`` pairs each stored rule with its lead's support, in
-    the order of ``rules``, for ``_matching_rule``.
-    ``_normal_forms`` memoises f(m), the normal form of one monomial without
-    truncation, as a tuple of (monomial, coefficient) pairs; it is emptied
-    whenever the stored rules change.  ``_products`` memoises the truncated
-    normal form of each product of two monomials, keyed by the pair of
-    monomials; ``gen``, class products and the degree pairing read it, and
-    its size is ``len(ring._products)``.  Both memos, like every class
-    table, are keyed by monomials: each keeps its hash, and equal monomials
-    built apart have equal sorted pairs, so they find the same entry.
-    ``monomial_codegree`` is computed each time, not memoised.  Neither
-    memo needs confluence (see the module docstring).  Rules that cycle
-    raise ``RewriteCycle``; a fill of
+    ``_guard`` holds the guard bits of the ring's fields and ``_low`` the
+    bits below each guard bit, so (m + _low) & _guard, the support of m,
+    holds the guard bits of m's nonzero fields.  ``_leads`` lists each
+    stored rule's lead support, its lead as a plain int, and the rule, in
+    the order of ``rules``; ``_leads_within`` memoises, for each support
+    met, the (lead, rule) pairs of the rules whose lead support lies inside
+    it, in that order, for ``_matching_rule``.
+    ``_normal_forms`` memoises the normal form of each monomial met,
+    truncated above the dimension, as a tuple of (monomial, coefficient)
+    pairs; it is emptied whenever the stored rules change.  ``gen``,
+    ``from_table``, class products and the degree pairing read it, and its
+    size is ``len(ring._normal_forms)``.  ``monomial_codegree`` is computed
+    on each miss, not memoised.  The memo needs no confluence (see the
+    module docstring).  Rules that cycle raise ``RewriteCycle``; a fill of
     ``_normal_forms`` that takes more than ``step_budget`` rewriting steps
-    raises ``ReductionBudgetExceeded``.  A product that raises stores
-    nothing in ``_products``.
+    raises ``ReductionBudgetExceeded``, and a product whose exponents
+    leave their fields raises ``RingError``; either stores nothing for the
+    monomial asked about.
     """
 
     def __init__(
@@ -320,7 +331,7 @@ class RingContext:
         codegrees: Sequence[int],
         modulus: int = 0,
         dimension: Optional[int] = None,
-        rules: Iterable[tuple[Monomial, Mapping[Monomial, int]]] = (),
+        rules: Iterable[tuple[int, Mapping[int, int]]] = (),
         step_budget: int = 10**6,
     ):
         if len(names) != len(set(names)):
@@ -331,22 +342,25 @@ class RingContext:
             raise ValueError("generator codegrees must be positive")
         if modulus and not _is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not prime")
+        if dimension is not None and dimension > MAX_EXPONENT // 2:
+            raise RingError(f"dimension {dimension} exceeds MAX_EXPONENT // 2 = {MAX_EXPONENT // 2}")
         self.names = tuple(names)
         self.codegrees = tuple(codegrees)
         self.modulus = modulus
         self.dimension = dimension
         self.step_budget = step_budget
         self._index = {n: i for i, n in enumerate(self.names)}
+        self._guard = _guards(len(self.names))
+        self._low = self._guard - (self._guard >> (FIELD_BITS - 1))
         self.rules: tuple[RewriteRule, ...] = ()
         self._install_rules(rules)
-        self._products: dict[tuple[Monomial, Monomial], tuple[tuple[Monomial, int], ...]] = {}
 
     # -- construction -------------------------------------------------
 
     def _install_rules(self, raw) -> None:
         staged = []
         for lead, repl in raw:
-            if lead.is_one:
+            if lead == 0:
                 raise InvalidRule("unit monomial cannot be a rule lead")
             table = {m: self._red(c) for m, c in repl.items()}
             table = {m: c for m, c in table.items() if c != 0}
@@ -375,7 +389,7 @@ class RingContext:
             for k in missing:
                 keep[k] = True
 
-    def _interreduce(self, rules: list[tuple[int, Monomial, dict]]) -> None:
+    def _interreduce(self, rules: list[tuple[int, int, dict]]) -> None:
         """Store the (declaration index, lead, table) rules, with every
         replacement in normal form under all of them.  One pass suffices:
         a normal form is irreducible under every lead, and reducing the
@@ -386,15 +400,15 @@ class RingContext:
         if reduced != rules:
             self._store(reduced)
 
-    def _store(self, rules: list[tuple[int, Monomial, dict]]) -> None:
+    def _store(self, rules: list[tuple[int, int, dict]]) -> None:
         self.rules = tuple(
-            RewriteRule(lead, tuple(sorted(t.items(), key=lambda kv: kv[0].exps)), k)
-            for k, lead, t in rules
+            RewriteRule(_as_monomial(lead), tuple(sorted(t.items())), k) for k, lead, t in rules
         )
-        self._lead_supports = tuple((r.lead.support, r) for r in self.rules)
-        self._normal_forms: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
+        self._leads = tuple(((r.lead + self._low) & self._guard, int(r.lead), r) for r in self.rules)
+        self._leads_within: dict[int, list[tuple[int, RewriteRule]]] = {}
+        self._normal_forms: dict[int, tuple[tuple[int, int], ...]] = {}
 
-    def _implied(self, lead: Monomial, table: Mapping[Monomial, int]) -> bool:
+    def _implied(self, lead: int, table: Mapping[int, int]) -> bool:
         """Whether lead -> table follows from the stored rules: both sides
         have the same normal form, computed without dimension truncation."""
         try:
@@ -413,31 +427,23 @@ class RingContext:
         except KeyError:
             raise KeyError(f"unknown generator {name!r}") from None
 
-    def monomial_codegree(self, m: Monomial) -> int:
-        # not memoised: most monomials asked about are fresh products, and
-        # a memo lookup measured no cheaper than this loop
-        cd = self.codegrees
+    def monomial_codegree(self, m: int) -> int:
+        # not memoised: most monomials asked about are fresh products
         d = 0
-        for i, e in m.exps:
-            d += cd[i] * e
+        for c in self.codegrees:
+            if not m:
+                return d
+            d += c * (m & _FIELD_MASK)
+            m >>= FIELD_BITS
+        if m:
+            raise RingError(f"monomial names a generator past the ring's {len(self.names)}")
         return d
 
-    def _mkey(self, m: Monomial):
-        # Reverse-index lexicographic order: later generators weigh more.
-        # All constructor-emitted rules strictly decrease in this order.
-        v = [0] * len(self.names)
-        for i, e in m.exps:
-            v[i] = e
-        v.reverse()
-        return tuple(v)
-
-    def monomial_str(self, m: Monomial) -> str:
-        if m.is_one:
+    def monomial_str(self, m: int) -> str:
+        if m == 0:
             return "1"
-        parts = []
-        for i, e in m.exps:
-            parts.append(self.names[i] if e == 1 else f"{self.names[i]}^{e}")
-        return "*".join(parts)
+        names = self.names
+        return "*".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in exponents(m))
 
     def monomial_from_str(self, text: str) -> Monomial:
         text = text.strip()
@@ -467,47 +473,47 @@ class RingContext:
         return GradedClass(self, {MONOMIAL_ONE: c} if c else {})
 
     def gen(self, name: str) -> "GradedClass":
-        m = Monomial([(self.gen_index(name), 1)])
-        return GradedClass(self, dict(self._product(MONOMIAL_ONE, m)))
+        return GradedClass(self, dict(self._product(generator_power(self.gen_index(name)))))
 
-    def from_table(self, table: Mapping[Monomial, int]) -> "GradedClass":
+    def from_table(self, table: Mapping[int, int]) -> "GradedClass":
         return GradedClass(self, self._nf(table))
 
     # -- reduction -------------------------------------------------------
 
-    def _matching_rule(self, m: Monomial) -> Optional[RewriteRule]:
-        """The first stored rule whose lead divides m, or None.  Exponents are
-        read only for the leads whose support lies inside m's."""
-        outside = ~m.support
-        have = None
-        for s, rule in self._lead_supports:
-            if s & outside:
-                continue
-            if have is None:
-                have = dict(m.exps)
-            for i, e in rule.lead.exps:
-                if have[i] < e:
-                    break
-            else:
+    def _matching_rule(self, m: int) -> Optional[RewriteRule]:
+        """The first stored rule whose lead divides m, or None.  A lead can
+        divide m only if its support lies inside m's, so only those leads,
+        listed once per support, get the divisibility test."""
+        g = self._guard
+        s = (m + self._low) & g
+        leads = self._leads_within.get(s)
+        if leads is None:
+            outside = ~s
+            leads = self._leads_within[s] = [(k, r) for t, k, r in self._leads if not t & outside]
+        mg = m | g
+        for k, rule in leads:
+            if (mg - k) & g == g:
                 return rule
         return None
 
-    def _product(self, m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, int], ...]:
-        """The normal form of m1*m2 as (monomial, coefficient) pairs, memoised."""
-        key = (m1, m2)
-        nf = self._products.get(key)
-        if nf is None:
-            nf = self._products[key] = self._f(m1.mul(m2), self._normal_forms, self.dimension)
-        return nf
+    def _product(self, m: int) -> tuple[tuple[int, int], ...]:
+        """The memoised normal form of m, a sum of two keys, truncated above
+        the dimension.  A sum whose guard bits are set is never stored, so
+        a product whose lookup misses comes here and raises ``RingError``."""
+        if m & self._guard:
+            raise _overflow(m)
+        return self._f(m, self._normal_forms, self.dimension)
 
     def _nf(
-        self, table: Mapping[Monomial, int], truncate: bool = True
-    ) -> dict[Monomial, int]:
-        return self._reduce(table, self._normal_forms, self.dimension if truncate else None)
+        self, table: Mapping[int, int], truncate: bool = True
+    ) -> dict[int, int]:
+        if truncate:
+            return self._reduce(table, self._normal_forms, self.dimension)
+        return self._reduce(table, {}, None)
 
-    def _reduce(self, table: Mapping[Monomial, int], memo: dict, dim: Optional[int]) -> dict[Monomial, int]:
+    def _reduce(self, table: Mapping[int, int], memo: dict, dim: Optional[int]) -> dict[int, int]:
         """The sum of c*f(m) over the table, truncated above dim when set."""
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
         for m, c in table.items():
             if not self._red(c):
                 continue
@@ -515,7 +521,7 @@ class RingContext:
                 acc[u] = acc.get(u, 0) + c * k
         return self._reduced(acc)
 
-    def _reduced(self, acc: dict[Monomial, int]) -> dict[Monomial, int]:
+    def _reduced(self, acc: dict[int, int]) -> dict[int, int]:
         red = self._red
         out = {}
         for u, c in acc.items():
@@ -524,22 +530,28 @@ class RingContext:
                 out[u] = c
         return out
 
-    def _f(self, m: Monomial, memo: dict, dim: Optional[int]) -> tuple[tuple[Monomial, int], ...]:
-        """f(m) from memo, computing it and every monomial its rewrite chain
-        reaches into memo on a miss; () above dim when set.
+    def _f(self, m: int, memo: dict, dim: Optional[int]) -> tuple[tuple[int, int], ...]:
+        """The normal form of m, truncated above dim when set, from memo;
+        on a miss, () above dim, else f(m), computed with every monomial
+        its rewrite chain reaches into memo.  Every caller of one memo
+        passes one dim.
 
         A frame of the stack holds a monomial being rewritten, its
         coefficient in the frame below, the terms of its rewrite not yet
-        visited, and the sum of c*f(t) over the terms visited.
+        visited, and the sum of c*f(t) over the terms visited.  Every
+        monomial on the chain has m's codegree, so below a dimension no
+        exponent can leave its field; without one, each rewritten term is
+        checked.
         """
-        if dim is not None and self.monomial_codegree(m) > dim:
-            return ()
         nf = memo.get(m)
         if nf is not None:
             return nf
+        if dim is not None and self.monomial_codegree(m) > dim:
+            nf = memo[m] = ()
+            return nf
         match = self._matching_rule
         steps = 0
-        on_stack: set[Monomial] = set()
+        on_stack: set[int] = set()
         frames: list = []
         t, c = m, 1
         while True:
@@ -553,9 +565,14 @@ class RingContext:
                     raise ReductionBudgetExceeded(
                         f"reduction exceeded {self.step_budget} steps; rule set may not terminate"
                     )
-                q = t.div(rule.lead)
+                q = t - rule.lead
+                terms = [(rm + q, rc) for rm, rc in rule.replacement]
+                if dim is None:
+                    for u, _ in terms:
+                        if u & self._guard:
+                            raise _overflow(u)
                 on_stack.add(t)
-                frames.append((t, c, iter([(rm.mul(q), rc) for rm, rc in rule.replacement]), {}))
+                frames.append((t, c, iter(terms), {}))
                 nf = ()
             # credit c*nf to the top frame and take its next term, until a
             # term is missing from memo or f(m) is complete
@@ -585,7 +602,7 @@ class GradedClass:
 
     __slots__ = ("ring", "table")
 
-    def __init__(self, ring: RingContext, table: dict[Monomial, int]):
+    def __init__(self, ring: RingContext, table: dict[int, int]):
         self.ring = ring
         self.table = table
 
@@ -599,7 +616,7 @@ class GradedClass:
         return self.table == other.table
 
     def __hash__(self):
-        return hash((id(self.ring), tuple(sorted(self.table.items(), key=lambda kv: kv[0].exps))))
+        return hash((id(self.ring), tuple(sorted(self.table.items()))))
 
     def is_zero(self) -> bool:
         return not self.table
@@ -645,12 +662,15 @@ class GradedClass:
             return self.scale(other)
         self._check(other)
         ring = self.ring
-        product = ring._product
-        acc: dict[Monomial, int] = {}
+        memo, product = ring._normal_forms, ring._product
+        acc: dict[int, int] = {}
         for m1, c1 in self.table.items():
             for m2, c2 in other.table.items():
+                nf = memo.get(m1 + m2)
+                if nf is None:
+                    nf = product(m1 + m2)
                 c = c1 * c2
-                for m, k in product(m1, m2):
+                for m, k in nf:
                     acc[m] = acc.get(m, 0) + c * k
         return GradedClass(ring, ring._reduced(acc))
 
@@ -687,7 +707,7 @@ class GradedClass:
         return GradedClass(self.ring, {m: c for m, c in self.table.items() if cd(m) == d})
 
     def constant_term(self) -> int:
-        return self.table.get(MONOMIAL_ONE, 0)
+        return self.table.get(0, 0)
 
     def __repr__(self) -> str:
         return f"<class {self}>"
@@ -695,11 +715,11 @@ class GradedClass:
     def __str__(self) -> str:
         if not self.table:
             return "0"
-        items = sorted(self.table.items(), key=lambda kv: (self.ring.monomial_codegree(kv[0]), self.ring._mkey(kv[0])))
+        cd = self.ring.monomial_codegree
         parts = []
-        for m, c in items:
+        for m, c in sorted(self.table.items(), key=lambda kv: (cd(kv[0]), kv[0])):
             ms = self.ring.monomial_str(m)
-            if m.is_one:
+            if m == 0:
                 parts.append(f"{c}")
             elif c == 1:
                 parts.append(ms)
@@ -731,7 +751,7 @@ def evaluate(
     out = target.zero()
     for m, coeff in c.table.items():
         term = target.scalar(coeff)
-        for i, e in m.exps:
+        for i, e in exponents(m):
             name = src.names[i]
             img = images.get(name)
             if img is None:
@@ -803,13 +823,13 @@ def confluence_check(ctx: RingContext) -> ConfluenceReport:
         e1, e2 = dict(r1.lead.exps), dict(r2.lead.exps)
         if not e1.keys() & e2.keys():
             continue
-        lcm = Monomial((i, max(e1.get(i, 0), e2.get(i, 0))) for i in e1.keys() | e2.keys())
+        lcm = sum(generator_power(i, max(e1.get(i, 0), e2.get(i, 0))) for i in e1.keys() | e2.keys())
         if ctx.dimension is not None and ctx.monomial_codegree(lcm) > ctx.dimension:
             continue
         pairs += 1
         try:
             left, right = (
-                ctx._reduce({m.mul(lcm.div(r.lead)): c for m, c in r.replacement}, memo, ctx.dimension)
+                ctx._reduce({mono_mul(m, lcm - r.lead): c for m, c in r.replacement}, memo, ctx.dimension)
                 for r in (r1, r2)
             )
             if left == right:

@@ -62,7 +62,7 @@ from .numeric import (
     rowspan_residuals,
 )
 from .report import ERROR, FAIL, PASS, AssertionResult, Report
-from .rings import GradedClass, Monomial, RingContext
+from .rings import GradedClass, RingContext
 from .varieties import (
     BundleRoots,
     CenterData,
@@ -202,7 +202,7 @@ class _IdealDecl:
 
 @dataclass
 class _RulesDecl:
-    rules: list  # (lead Monomial, replacement table)
+    rules: list  # (lead monomial, replacement table)
 
 
 @dataclass
@@ -439,7 +439,10 @@ def _reduction(
 ) -> tuple[ChowPresentation, list[GradedClass], GradedClass]:
     """The presentation to reduce in, the declared ideal generators and
     lhs - rhs, the last two in its ring.  With declared rules that is
-    lhs's presentation ``with_rules`` them."""
+    lhs's presentation ``with_rules`` them, kept on it as ``("with-rules",
+    rules)``, the rules as (lead, sorted replacement items) in declaration
+    order, so every assertion modulo the same rules reads one copy and what
+    is kept on it."""
     if lhs.ring is not rhs.ring:
         raise EvalError("identity sides live in different contexts")
     ctx = lhs.ring
@@ -457,14 +460,15 @@ def _reduction(
     pres = env.presentation_of(lhs)
     if not extra:
         return pres, gens, lhs - rhs
-    pres = pres.with_rules(extra)
+    key = tuple((lead, tuple(sorted(table.items()))) for lead, table in extra)
+    pres = pres.kept(("with-rules", key), pres.with_rules, extra)
     ring = pres.ring
     return pres, [ring.from_table(g.table) for g in gens], ring.from_table((lhs - rhs).table)
 
 
 def _residual(
     pres: ChowPresentation, span: Optional[Callable[[list[int]], list]], c: GradedClass, d: int
-) -> dict[Monomial, Fraction]:
+) -> dict[int, Fraction]:
     """The codegree-d part of c minus its projection to the ideal's span, as
     an exact {basis monomial: coefficient} table; empty iff the part lies in
     the span.  span maps coordinates to their residual (None: no ideal)."""
@@ -475,7 +479,7 @@ def _residual(
     return {m: v for m, v in zip(pres.basis_of(d), res) if v}
 
 
-def _witness(ring: RingContext, residual: dict[Monomial, Fraction]) -> str:
+def _witness(ring: RingContext, residual: dict[int, Fraction]) -> str:
     """An integral residual as its class, a fractional one as
     (den * residual)/den with den the least common denominator."""
     den = lcm(*(Fraction(v).denominator for v in residual.values()))
@@ -497,7 +501,7 @@ def verify_identity(
     integers."""
     pres, gens, diff = _reduction(env, lhs, rhs, modulo)
     p = pres.ring.modulus
-    residual: dict[Monomial, Fraction] = {}
+    residual: dict[int, Fraction] = {}
     for d in sorted(diff.codegrees()):
         span = None
         if gens:

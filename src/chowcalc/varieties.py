@@ -33,15 +33,19 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 from .rings import (
+    MAX_EXPONENT,
     ContextMismatch,
     GradedClass,
     MONOMIAL_ONE,
     Monomial,
     RingContext,
     RingError,
-    _monomial,
     evaluate,
+    exponent,
+    exponents,
+    generator_power,
     inverse_series,
+    shifted,
 )
 
 SCHEMA_VERSION = 1
@@ -56,7 +60,7 @@ def _force(v: Lazy[T]) -> Optional[T]:
     return v() if callable(v) else v
 
 
-def _positions(monomials: Sequence[Monomial]) -> dict[Monomial, int]:
+def _positions(monomials: Sequence[int]) -> dict[int, int]:
     return {m: i for i, m in enumerate(monomials)}
 
 
@@ -170,8 +174,8 @@ class ChowPresentation:
     tangent and the Segre classes, and ``with_coefficients`` for the mod-p
     tangent, Segre classes and base, so none is computed unless read.
 
-    ``basis[d]`` is the ring's irreducible monomials of codegree d in
-    ``ring._mkey`` order, as ``enumerate_basis`` lists them, on whatever the
+    ``basis[d]`` is the ring's irreducible monomials of codegree d in key
+    order, as ``enumerate_basis`` lists them, on whatever the
     constructors, the copies (``with_coefficients``, ``with_rules``) and
     ``presentation_from_json`` build; so it is closed under division, which
     ``enumerate_basis``, ``_truncated_leads`` and ``blow_up`` rely on.
@@ -191,8 +195,8 @@ class ChowPresentation:
         kind: str,
         ring: RingContext,
         roles: dict[str, str],
-        basis: Sequence[Sequence[Monomial]],
-        degree_table: Optional[dict[Monomial, int]],
+        basis: Sequence[Sequence[int]],
+        degree_table: Optional[dict[int, int]],
         degree_total: bool,
         tangent: Lazy[GradedClass],
         base: Lazy["ChowPresentation"] = None,
@@ -268,7 +272,7 @@ class ChowPresentation:
     def one(self) -> GradedClass:
         return self.ring.one()
 
-    def basis_of(self, d: int) -> tuple[Monomial, ...]:
+    def basis_of(self, d: int) -> tuple[int, ...]:
         if d < 0 or d > self.dim:
             return ()
         return self.basis[d]
@@ -289,10 +293,10 @@ class ChowPresentation:
         cd = self.ring.monomial_codegree
         out = []
         for m, coeff in c.table.items():
-            if cd(m) != d:
-                continue
             i = idx.get(m)
             if i is None:
+                if cd(m) != d:
+                    continue
                 raise CoverageError(
                     f"monomial {self.ring.monomial_str(m)} is not a tracked basis monomial"
                 )
@@ -360,8 +364,8 @@ class ChowPresentation:
         base_ring = self.base.ring
         out = base_ring.zero()
         for m, coeff in c.table.items():
-            k = m.exp_of(xi_idx)
-            rest = m.div(Monomial([(xi_idx, k)]) if k else MONOMIAL_ONE)
+            k = exponent(m, xi_idx)
+            rest = m - generator_power(xi_idx, k)
             s_index = k - (r - 1)
             if s_index < 0:
                 continue
@@ -372,7 +376,7 @@ class ChowPresentation:
     def _blowup_pushforward(self, c: GradedClass) -> GradedClass:
         e_idx = self.ring.gen_index(self.provenance["exceptional_generator"])
         out_table = {
-            m: coeff for m, coeff in c.table.items() if m.exp_of(e_idx) == 0
+            m: coeff for m, coeff in c.table.items() if exponent(m, e_idx) == 0
         }
         return self.base.ring.from_table(out_table)
 
@@ -405,7 +409,7 @@ class ChowPresentation:
         return new
 
     def with_rules(
-        self, rules: Iterable[tuple[Monomial, Mapping[Monomial, int]]]
+        self, rules: Iterable[tuple[int, Mapping[int, int]]]
     ) -> "ChowPresentation":
         """This presentation with rules, (lead monomial, {monomial:
         coefficient}) pairs as ``generic_context(rules=)`` takes them,
@@ -414,10 +418,10 @@ class ChowPresentation:
         ``enumerate_basis`` of its ring; its base, center, Segre classes and
         degree table are this presentation's."""
         rules = list(rules)
-        leads = [(lead.support, lead) for lead, _ in rules]
+        g = self.ring._guard
+        leads = [lead for lead, _ in rules]
         basis = [
-            [m for m in b if not any(not s & ~m.support and lead.divides(m) for s, lead in leads)]
-            for b in self.basis
+            [m for m in b if not any((m | g) - lead & g == g for lead in leads)] for b in self.basis
         ]
         new = self._copy(self.ring.modulus, rules, basis, self._base)
         new._segre = self._segre
@@ -476,7 +480,7 @@ class ChowPresentation:
             if self.degree_table is None
             else {
                 self.ring.monomial_str(m): v for m, v in sorted(
-                    self.degree_table.items(), key=lambda kv: kv[0].exps
+                    self.degree_table.items(), key=lambda kv: exponents(kv[0])
                 )
             },
             "degree_total": self.degree_total,
@@ -573,28 +577,29 @@ def load_presentation(path) -> ChowPresentation:
 # Basis enumeration
 # ---------------------------------------------------------------------------
 
-def _grown(ring: RingContext, basis: Sequence[Sequence[Monomial]], d: int) -> list[Monomial]:
+def _grown(ring: RingContext, basis: Sequence[Sequence[int]], d: int) -> list[int]:
     """The monomials m * x_i of codegree d that no rule of ring reduces, for
     each i in turn and each m of basis[d - codeg(x_i)] (if listed) whose
     indices are all at most i.  When each basis[c], c < d, is the
-    irreducible monomials of codegree c in ``ring._mkey`` order, that is
-    those of codegree d in that order, each once: each is m * x_i for its
-    last index i and its divisor m, and ``_mkey`` weighs later indices
-    more, which also puts the m whose indices are at most i first."""
-    out: list[Monomial] = []
+    irreducible monomials of codegree c in key order, that is those of
+    codegree d in that order, each once: each is m * x_i for its last index
+    i and its divisor m, and later indices sit in more significant fields,
+    which also puts the m whose indices are at most i first."""
+    out: list[int] = []
     for i, cd in enumerate(ring.codegrees):
+        x = generator_power(i)
+        past = generator_power(i + 1)  # the least key with an index above i
         for m in basis[d - cd] if 0 <= d - cd < len(basis) else ():
-            if m.support >> i > 1:
+            if m >= past:
                 break
-            mi = _times_last(m, i, 1)
-            if ring._matching_rule(mi) is None:
-                out.append(mi)
+            if ring._matching_rule(m + x) is None:
+                out.append(m + x)
     return out
 
 
-def enumerate_basis(ring: RingContext) -> list[tuple[Monomial, ...]]:
+def enumerate_basis(ring: RingContext) -> list[tuple[int, ...]]:
     """The ring's irreducible monomials of each codegree 0..dimension, in
-    ``ring._mkey`` order, each codegree grown from the ones below it."""
+    key order, each codegree grown from the ones below it."""
     assert ring.dimension is not None
     basis = [(MONOMIAL_ONE,)]
     for d in range(1, ring.dimension + 1):
@@ -602,7 +607,7 @@ def enumerate_basis(ring: RingContext) -> list[tuple[Monomial, ...]]:
     return basis
 
 
-def _truncated_leads(X: ChowPresentation) -> list[Monomial]:
+def _truncated_leads(X: ChowPresentation) -> list[int]:
     """The minimal monomials in X's generators that no rule of X reduces and
     whose codegree exceeds dim X.  X's truncation kills them; a ring of
     higher dimension that copies X's rules needs a rule m -> 0 for each.
@@ -614,15 +619,8 @@ def _truncated_leads(X: ChowPresentation) -> list[Monomial]:
         m
         for d in range(X.dim + 1, X.dim + max(cds, default=0) + 1)
         for m in _grown(X.ring, X.basis, d)
-        if d - min(cds[i] for i, _ in m.exps) <= X.dim
+        if d - min(cds[i] for i, _ in exponents(m)) <= X.dim
     ]
-
-
-def _times_last(m: Monomial, idx: int, k: int) -> Monomial:
-    """m * x_idx^k for k > 0 and an index at least every index of m."""
-    if m.support >> idx:
-        return _monomial(m.exps[:-1] + ((idx, m.exps[-1][1] + k),), m.support)
-    return _monomial(m.exps + ((idx, k),), m.support | 1 << idx)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +637,7 @@ def projective_space(
         ["h"], [1], modulus=modulus, dimension=n,
         rules=[(Monomial([(0, n + 1)]), {})],
     )
-    basis = [(Monomial([(0, d)]) if d else MONOMIAL_ONE,) for d in range(n + 1)]
+    basis = [(generator_power(0, d),) for d in range(n + 1)]
 
     def tangent() -> GradedClass:
         # (1 + h)^(n+1) with h^(n+1) = 0, term by term; binom(n+1, d+1) is
@@ -656,7 +654,7 @@ def projective_space(
         ring=ring,
         roles={"h": ROLE_HYPERPLANE},
         basis=basis,
-        degree_table={Monomial([(0, n)]) if n else MONOMIAL_ONE: 1},
+        degree_table={generator_power(0, n): 1},
         degree_total=True,
         tangent=tangent,
         provenance={"constructor": "projective_space", "n": n, "cellular": True},
@@ -692,23 +690,17 @@ def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None
     codegrees = list(X.ring.codegrees) + list(Y.ring.codegrees)
     shift = len(X.ring.names)
 
-    def lift_mono(m: Monomial, offset: int) -> Monomial:
-        # shifting every index keeps the pairs sorted
-        if not offset:
-            return m
-        return _monomial(tuple([(i + offset, e) for i, e in m.exps]), m.support << offset)
-
     rules = []
     for r in X.ring.rules:
-        rules.append((lift_mono(r.lead, 0), {lift_mono(m, 0): c for m, c in r.replacement}))
+        rules.append((r.lead, dict(r.replacement)))
     for r in Y.ring.rules:
-        rules.append((lift_mono(r.lead, shift), {lift_mono(m, shift): c for m, c in r.replacement}))
-    rules += [(lift_mono(m, 0), {}) for m in _truncated_leads(X)]
-    rules += [(lift_mono(m, shift), {}) for m in _truncated_leads(Y)]
+        rules.append((shifted(r.lead, shift), {shifted(m, shift): c for m, c in r.replacement}))
+    rules += [(m, {}) for m in _truncated_leads(X)]
+    rules += [(shifted(m, shift), {}) for m in _truncated_leads(Y)]
     dim = X.dim + Y.dim
     ring = RingContext(names, codegrees, modulus=X.ring.modulus, dimension=dim, rules=rules)
 
-    basis: list[tuple[Monomial, ...]] = []
+    basis: list[tuple[int, ...]] = []
     for d in range(dim + 1):
         here = []
         for dx in range(0, min(d, X.dim) + 1):
@@ -717,8 +709,8 @@ def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None
                 continue
             for mx in X.basis_of(dx):
                 for my in Y.basis_of(dy):
-                    here.append(lift_mono(mx, 0).mul(lift_mono(my, shift)))
-        basis.append(tuple(sorted(here, key=ring._mkey)))
+                    here.append(mx + shifted(my, shift))
+        basis.append(tuple(sorted(here)))
 
     degree_table = None
     degree_total = False
@@ -726,15 +718,15 @@ def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None
         degree_table = {}
         for mx, vx in X.degree_table.items():
             for my, vy in Y.degree_table.items():
-                degree_table[lift_mono(mx, 0).mul(lift_mono(my, shift))] = vx * vy
+                degree_table[mx + shifted(my, shift)] = vx * vy
         degree_total = X.degree_total and Y.degree_total
 
     # the factors' slots, not the factors: nothing else keeps them alive
     tx_slot, ty_slot = X._tangent, Y._tangent
 
     def tangent() -> GradedClass:
-        tx = ring.from_table({lift_mono(m, 0): c for m, c in _force(tx_slot).table.items()})
-        ty = ring.from_table({lift_mono(m, shift): c for m, c in _force(ty_slot).table.items()})
+        tx = ring.from_table(dict(_force(tx_slot).table))
+        ty = ring.from_table({shifted(m, shift): c for m, c in _force(ty_slot).table.items()})
         return tx * ty
 
     roles = {ra[n]: X.roles.get(n, ROLE_AMBIENT) for n in X.ring.names}
@@ -785,29 +777,30 @@ def projective_bundle(
 
     rules = [(rule.lead, dict(rule.replacement)) for rule in X.ring.rules]
     rules += [(m, {}) for m in _truncated_leads(X)]
-    grothendieck: dict[Monomial, int] = {}
+    grothendieck: dict[int, int] = {}
     chern = elementary_symmetric(root_classes, r)
     for i in range(1, r + 1):
         for m, c in chern[i].table.items():
-            t = m.mul(Monomial([(xi_idx, r - i)]))
+            t = m + generator_power(xi_idx, r - i)
             grothendieck[t] = grothendieck.get(t, 0) - c
     rules.append((Monomial([(xi_idx, r)]), grothendieck))
     ring = RingContext(names, codegrees, modulus=X.ring.modulus, dimension=dim, rules=rules)
 
-    # xi is the last generator, the most significant in ring._mkey, so the
-    # blocks xi^k * X.basis_of(d - k), k = 0, 1, ..., are in order
-    basis: list[list[Monomial]] = []
+    # xi is the last generator, in the most significant field, so the
+    # blocks xi^k * X.basis_of(d - k), k = 0, 1, ..., are in key order
+    basis: list[list[int]] = []
     for d in range(dim + 1):
         here = list(X.basis_of(d))
         for k in range(1, min(r - 1, d) + 1):
-            here += [_times_last(m, xi_idx, k) for m in X.basis_of(d - k)]
+            xk = generator_power(xi_idx, k)
+            here += [m + xk for m in X.basis_of(d - k)]
         basis.append(here)
 
     degree_table = None
     if X.degree_table is not None:
         degree_table = {}
         for m, v in X.degree_table.items():
-            degree_table[_times_last(m, xi_idx, r - 1) if r > 1 else m] = v
+            degree_table[m + generator_power(xi_idx, r - 1)] = v
 
     def tangent() -> GradedClass:
         t = ring.from_table(dict(X.tangent.table))
@@ -868,8 +861,8 @@ def blow_up(
     X's basis is closed under division (see ``ChowPresentation``), so a
     fixed m above dim Z is minimal exactly when codeg(m) - min codeg(x_i),
     i in supp(m), is at most dim Z.  e is the last generator, the most
-    significant in ``ring._mkey``, so X.basis_of(d), e * center[d-1],
-    e^2 * center[d-2], ... is each codegree's basis in order.
+    significant field, so X.basis_of(d), e * center[d-1], e^2 * center[d-2],
+    ... is each codegree's basis in key order.
 
     The blow-up carries no tangent class.
     """
@@ -909,8 +902,9 @@ def blow_up(
                 f"restriction map is not idempotent on generator {gname!r}"
             )
 
-    # mask of the generators the restriction fixes
-    fixed = sum(1 << i for i, g in enumerate(X.ring.names) if res_images[g] == gens[g])
+    # the fields of the generators the restriction moves
+    fixed = [res_images[g] == gens[g] for g in X.ring.names]
+    moved = sum(generator_power(i, MAX_EXPONENT) for i, f in enumerate(fixed) if not f)
 
     while exceptional_gen in X.ring.names:
         exceptional_gen += "'"
@@ -918,37 +912,37 @@ def blow_up(
     codegrees = list(X.ring.codegrees) + [1]
     e_idx = len(X.ring.names)
 
-    rules: list[tuple[Monomial, dict[Monomial, int]]] = [
+    e = generator_power(e_idx)
+    rules: list[tuple[int, dict[int, int]]] = [
         (rule.lead, dict(rule.replacement)) for rule in X.ring.rules
     ]
     # restriction rules
     for gi, gname in enumerate(X.ring.names):
-        if fixed >> gi & 1:
+        if fixed[gi]:
             continue
         img = res_images[gname]
-        lead = Monomial([(gi, 1), (e_idx, 1)])
-        repl = {_times_last(m, e_idx, 1): c for m, c in img.table.items()}
-        rules.append((lead, repl))
+        repl = {m + e: c for m, c in img.table.items()}
+        rules.append((generator_power(gi) + e, repl))
     # dimension-kill rules, minimal ones only: the rest are their multiples
     cds = X.ring.codegrees
     for d in range(dim_z + 1, min(X.dim, dim_z + max(cds, default=0)) + 1):
         for m in X.basis_of(d):
-            if not m.support & ~fixed and d - min(cds[i] for i, _ in m.exps) <= dim_z:
-                rules.append((_times_last(m, e_idx, 1), {}))
+            if not m & moved and d - min(cds[i] for i, _ in exponents(m)) <= dim_z:
+                rules.append((m + e, {}))
     # fold rule for e^r
     restricted_roots = [res(c) for c in center.roots.positive_classes()]
-    fold: dict[Monomial, int] = {}
+    fold: dict[int, int] = {}
     sign_z = 1 if (r - 1) % 2 == 0 else -1
     for m, c in center.fundamental.table.items():
         fold[m] = fold.get(m, 0) + sign_z * c
     chern = elementary_symmetric(restricted_roots, r - 1) if r > 1 else []
     for j in range(1, r):
         sgn = 1 if (j + r - 1) % 2 == 0 else -1
-        ej = Monomial([(e_idx, j)])
+        ej = generator_power(e_idx, j)
         for m, c in chern[r - j].table.items():
-            t = m.mul(ej)
+            t = m + ej
             fold[t] = fold.get(t, 0) + sgn * c
-    rules.append((Monomial([(e_idx, r)]), fold))
+    rules.append((generator_power(e_idx, r), fold))
 
     ring = RingContext(
         names, codegrees, modulus=X.ring.modulus, dimension=X.dim, rules=rules
@@ -957,7 +951,7 @@ def blow_up(
     # Center-side basis: X's basis monomials in the fixed generators, which
     # the restriction leaves as they are, of codegree at most dim Z.
     center_basis = [
-        [m for m in X.basis_of(d) if not m.support & ~fixed] for d in range(dim_z + 1)
+        [m for m in X.basis_of(d) if not m & moved] for d in range(dim_z + 1)
     ]
 
     # No rule reduces an X-basis monomial m or e^k*m, 0 < k < r, m in the
@@ -965,11 +959,12 @@ def blow_up(
     # leads hold no e and m is X-irreducible, a kill lead e*m' has
     # codegree(m') > dim Z, a restriction lead e*g has g not fixed, and the
     # fold lead is e^r.
-    basis: list[list[Monomial]] = []
+    basis: list[list[int]] = []
     for d in range(X.dim + 1):
         here = list(X.basis_of(d))
         for k in range(max(1, d - dim_z), min(r - 1, d) + 1):
-            here += [_times_last(m, e_idx, k) for m in center_basis[d - k]]
+            ek = generator_power(e_idx, k)
+            here += [m + ek for m in center_basis[d - k]]
         basis.append(here)
 
     degree_table = dict(X.degree_table) if X.degree_table is not None else None
@@ -1001,10 +996,10 @@ def blow_up(
 def generic_context(
     generators: Sequence[tuple[str, int]],
     dimension: int,
-    rules: Iterable[tuple[Monomial, Mapping[Monomial, int]]] = (),
+    rules: Iterable[tuple[int, Mapping[int, int]]] = (),
     modulus: int = 0,
-    degrees: Optional[Mapping[Monomial, int]] = None,
-    tangent_table: Optional[Mapping[Monomial, int]] = None,
+    degrees: Optional[Mapping[int, int]] = None,
+    tangent_table: Optional[Mapping[int, int]] = None,
     name: Optional[str] = None,
 ) -> ChowPresentation:
     """A presentation with declared generators and oriented rules, given as

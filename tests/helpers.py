@@ -8,7 +8,7 @@ from chowcalc.rings import (
     GradedClass,
     Monomial,
     RingContext,
-    _monomial,
+    exponents,
     minimal_monomials,
 )
 from chowcalc.varieties import (
@@ -19,6 +19,56 @@ from chowcalc.varieties import (
     projective_bundle,
     projective_space,
 )
+
+
+def reference_mul(a: tuple, b: tuple) -> tuple:
+    """Reference product of two monomials given as sorted (index, exponent)
+    pairs with positive exponents: a merge of the two tuples."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i][0] < b[j][0]:
+            out.append(a[i])
+            i += 1
+        elif b[j][0] < a[i][0]:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((a[i][0], a[i][1] + b[j][1]))
+            i += 1
+            j += 1
+    return tuple(out + list(a[i:]) + list(b[j:]))
+
+
+def reference_divides(k: tuple, m: tuple) -> bool:
+    """Reference divisibility of sorted pairs: a walk of m's pairs for each
+    of k's."""
+    j = 0
+    for i, e in k:
+        while j < len(m) and m[j][0] < i:
+            j += 1
+        if j == len(m) or m[j][0] != i or m[j][1] < e:
+            return False
+        j += 1
+    return True
+
+
+def reference_div(m: tuple, k: tuple) -> tuple:
+    """Reference quotient m / k of sorted pairs; ValueError when k does not
+    divide m."""
+    if not reference_divides(k, m):
+        raise ValueError("negative exponent in monomial")
+    have = dict(k)
+    return tuple((i, e - have.get(i, 0)) for i, e in m if e > have.get(i, 0))
+
+
+def reference_mkey(ring: RingContext, m: int) -> tuple:
+    """Reference monomial order: the exponent vector read from the last
+    generator to the first, compared lexicographically."""
+    v = [0] * len(ring.names)
+    for i, e in exponents(m):
+        v[i] = e
+    return tuple(reversed(v))
 
 
 def kept_under(X, tag: str) -> dict:
@@ -56,8 +106,9 @@ def random_class(
 
 def worklist_nf(ring: RingContext, table, truncate: bool = True) -> dict:
     """Reference normal form by a work loop over the pending terms: the
-    largest term in ``ring._mkey`` order is rewritten by the first rule
-    whose lead divides it, until no term is reducible."""
+    largest term in ``reference_mkey`` order is rewritten by the first rule
+    whose lead divides it, until no term is reducible; products and
+    quotients by the sorted-pair references."""
     dim = ring.dimension if truncate else None
     red = ring._red
     work: dict[Monomial, int] = {}
@@ -67,7 +118,7 @@ def worklist_nf(ring: RingContext, table, truncate: bool = True) -> dict:
             work[m] = red(work.get(m, 0) + c)
     out: dict[Monomial, int] = {}
     while work:
-        m = max(work, key=ring._mkey)
+        m = max(work, key=lambda u: reference_mkey(ring, u))
         c = work.pop(m)
         if c == 0:
             continue
@@ -81,9 +132,9 @@ def worklist_nf(ring: RingContext, table, truncate: bool = True) -> dict:
             elif m in out:
                 del out[m]
             continue
-        q = m.div(rule.lead)
+        q = reference_div(exponents(m), rule.lead.exps)
         for rm, rc in rule.replacement:
-            t = rm.mul(q)
+            t = Monomial(reference_mul(exponents(rm), q))
             v = red(work.get(t, 0) + c * rc)
             if v:
                 work[t] = v
@@ -95,7 +146,7 @@ def worklist_nf(ring: RingContext, table, truncate: bool = True) -> dict:
 def reference_matching_rule(ring: RingContext, m: Monomial):
     """Reference rule matching, a scan of every stored rule in order that
     reads each lead's exponents: the first rule whose lead divides m."""
-    have = dict(m.exps).get
+    have = dict(exponents(m)).get
     for rule in ring.rules:
         for i, e in rule.lead.exps:
             if have(i, 0) < e:
@@ -114,12 +165,12 @@ def reference_minimal_monomials(monomials) -> set:
         return {MONOMIAL_ONE}
     by_first: dict[int, list[Monomial]] = {}
     minimal = set()
-    for m in sorted(distinct, key=Monomial.total_degree):
-        have = dict(m.exps)
+    for m in sorted(distinct, key=lambda u: sum(e for _, e in exponents(u))):
+        have = dict(exponents(m))
         divisible = False
         for i in have:
             for k in by_first.get(i, ()):
-                for j, e in k.exps:
+                for j, e in exponents(k):
                     if have.get(j, 0) < e:
                         break
                 else:
@@ -128,7 +179,7 @@ def reference_minimal_monomials(monomials) -> set:
             if divisible:
                 break
         if not divisible:
-            by_first.setdefault(m.exps[0][0], []).append(m)
+            by_first.setdefault(exponents(m)[0][0], []).append(m)
             minimal.add(m)
     return minimal
 
@@ -155,16 +206,15 @@ def monomials_of_codegree(ring: RingContext, d: int) -> list[Monomial]:
 def reference_irreducible_monomials(ring: RingContext, d: int) -> list[Monomial]:
     """Reference irreducible monomials of codegree d, by a recursion over
     the generators in index order, each exponent from the largest down,
-    that drops a prefix some rule reduces; sorted in ``ring._mkey`` order."""
+    that drops a prefix some rule reduces; sorted in ``reference_mkey``
+    order."""
     out: list[Monomial] = []
     n = len(ring.names)
 
-    def rec(i: int, remaining: int, acc: dict[int, int], support: int):
-        # acc holds positive exponents only, inserted in increasing index
-        # order, so its items are a monomial's sorted pairs; support is the
-        # mask of its keys
+    def rec(i: int, remaining: int, acc: dict[int, int]):
+        # acc holds positive exponents only
         if remaining == 0:
-            m = _monomial(tuple(acc.items()), support)
+            m = Monomial(acc.items())
             if ring._matching_rule(m) is None:
                 out.append(m)
             return
@@ -172,20 +222,18 @@ def reference_irreducible_monomials(ring: RingContext, d: int) -> list[Monomial]
             return
         cd = ring.codegrees[i]
         for e in range(remaining // cd, -1, -1):
-            mask = support
             if e:
                 acc[i] = e
-                mask |= 1 << i
                 # prune: a reducible prefix only gets worse
-                if ring._matching_rule(_monomial(tuple(acc.items()), mask)) is not None:
+                if ring._matching_rule(Monomial(acc.items())) is not None:
                     del acc[i]
                     continue
-            rec(i + 1, remaining - e * cd, acc, mask)
+            rec(i + 1, remaining - e * cd, acc)
             if e:
                 del acc[i]
 
-    rec(0, d, {}, 0)
-    return sorted(out, key=ring._mkey)
+    rec(0, d, {})
+    return sorted(out, key=lambda m: reference_mkey(ring, m))
 
 
 def restriction_fixed(X, center) -> set:
@@ -204,7 +252,7 @@ def reference_kill_leads(X, center) -> list:
     fixed = restriction_fixed(X, center)
     killed = [
         m for d in range(X.dim - center.codim + 1, X.dim + 1) for m in X.basis_of(d)
-        if all(i in fixed for i, _ in m.exps)
+        if all(i in fixed for i, _ in exponents(m))
     ]
     minimal = minimal_monomials(killed)
     return [m for m in killed if m in minimal]
@@ -214,12 +262,12 @@ def reference_truncated_leads(X) -> list:
     """Reference truncated leads of X, by a minimality test over every
     monomial that no rule of X reduces, of codegree dim X + 1 to dim X plus
     the largest generator codegree: those that no other of them divides, by
-    codegree, then in ``ring._mkey`` order."""
+    codegree, then in ``reference_mkey`` order."""
     ring = X.ring
     high = [
         m
         for d in range(X.dim + 1, X.dim + max(ring.codegrees, default=0) + 1)
-        for m in sorted(monomials_of_codegree(ring, d), key=ring._mkey)
+        for m in sorted(monomials_of_codegree(ring, d), key=lambda u: reference_mkey(ring, u))
         if reference_matching_rule(ring, m) is None
     ]
     minimal = minimal_monomials(high)
@@ -238,10 +286,10 @@ def reference_blow_up_basis(X, center, Bl, rules=()) -> tuple:
     dim_z = X.dim - r
     e_idx = len(X.ring.names)
     fixed = restriction_fixed(X, center)
-    e = Monomial([(e_idx, 1)])
     center_basis = [
         [m for m in X.basis_of(d)
-         if all(i in fixed for i, _ in m.exps) and reference_matching_rule(ring, e.mul(m)) is None]
+         if all(i in fixed for i, _ in exponents(m))
+         and reference_matching_rule(ring, Monomial(exponents(m) + ((e_idx, 1),))) is None]
         for d in range(dim_z + 1)
     ]
     basis = []
@@ -249,9 +297,10 @@ def reference_blow_up_basis(X, center, Bl, rules=()) -> tuple:
         here = list(X.basis_of(d))
         for k in range(1, r):
             if 0 <= d - k <= dim_z:
-                here += [m.mul(Monomial([(e_idx, k)])) for m in center_basis[d - k]]
-        here = [m for m in here if not any(lead.divides(m) for lead, _ in rules)]
-        basis.append(tuple(sorted(here, key=ring._mkey)))
+                here += [Monomial(exponents(m) + ((e_idx, k),)) for m in center_basis[d - k]]
+        here = [m for m in here
+                if not any(reference_divides(exponents(lead), exponents(m)) for lead, _ in rules)]
+        basis.append(tuple(sorted(here, key=lambda m: reference_mkey(ring, m))))
     return tuple(basis)
 
 

@@ -19,7 +19,7 @@ import chowcalc
 from chowcalc.cli import main
 from chowcalc.milnor import MAX_GENERATORS, MAX_RHO_HEIGHT
 from chowcalc.report import ERROR, PASS
-from chowcalc.rings import Monomial
+from chowcalc.rings import MAX_EXPONENT, Monomial
 from chowcalc.script import (
     MAX_DEPTH,
     MAX_POW_BITS,
@@ -208,6 +208,31 @@ def test_huge_projective_space_builds_quickly():
         bound_s=2.0,
     )
     assert [r.verdict for r in results] == [PASS, PASS]
+
+
+@pytest.mark.parametrize("n", [MAX_EXPONENT, MAX_EXPONENT // 2 + 1])
+def test_projective_space_past_the_exponent_bound_is_an_error(n):
+    # h^(n+1) = 0 needs an exponent above MAX_EXPONENT, or the ring's
+    # untruncated normal forms would: refused before anything is built
+    results = verdicts(f"(pspace P {n}) (assert-deg (trivial) (pow h {n}) 1)", bound_s=1.0)
+    assert [r.verdict for r in results] == [ERROR, ERROR]
+    assert "MAX_EXPONENT" in results[0].detail
+
+
+def test_bundle_tangent_over_a_product_is_quick():
+    # rank n/2 over Pn x Pn x P4, n = 16: reading the tangent multiplies
+    # the base's 1,445-term tangent by prod (1 + xi + h_1 + h_2 + h), one
+    # product of monomial keys per pair of terms; its degree is
+    # chi(X) * rank
+    n = 16
+    roots = " ".join(["(add h_1 h_2 h)"] * (n // 2))
+    results = verdicts(
+        f"(pspace A {n}) (pspace B {n}) (pspace C 4) (product AB A B) (product X AB C)"
+        f"(pbundle E X xi (roots {roots}))"
+        f"(assert-deg (trivial) (tangent E) {(n + 1) ** 2 * 5 * (n // 2)})",
+        bound_s=2.0,
+    )
+    assert [r.verdict for r in results] == [PASS]
 
 
 @pytest.mark.parametrize("n", [20, 40])

@@ -24,7 +24,7 @@ from chowcalc.numeric import (
 )
 from chowcalc import characteristic
 from chowcalc.characteristic import reduced_power
-from chowcalc.rings import Monomial, confluence_check
+from chowcalc.rings import Monomial, confluence_check, mono_mul
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
@@ -350,7 +350,7 @@ class TestPairingCache:
         n = X.dim
         sizes = [len(X.basis_of(r)) for r in range(n + 1)]
         entries = sum(sizes[r] * sizes[n - r] for r in range(n + 1) if r <= n - r)
-        want = len({b.mul(bd) for r in range(n // 2 + 1)
+        want = len({mono_mul(b, bd) for r in range(n // 2 + 1)
                     for b in X.basis_of(r) for bd in X.basis_of(n - r)})
         assert want < entries
         calls = []

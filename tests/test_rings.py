@@ -1,18 +1,25 @@
+import json
 import random
 import sys
 
 import pytest
 
 from chowcalc.rings import (
+    MAX_EXPONENT,
     MONOMIAL_ONE,
     Monomial,
     ReductionBudgetExceeded,
     RewriteCycle,
     RingContext,
+    RingError,
     confluence_check,
     evaluate,
+    exponents,
     inverse_series,
     minimal_monomials,
+    mono_div,
+    mono_divides,
+    mono_mul,
     normal_form,
 )
 from chowcalc.varieties import enumerate_basis
@@ -20,8 +27,12 @@ from helpers import (
     monomials_of_codegree,
     random_class,
     random_tower,
+    reference_div,
+    reference_divides,
     reference_matching_rule,
     reference_minimal_monomials,
+    reference_mkey,
+    reference_mul,
     symmetric_expand,
     worklist_nf,
 )
@@ -99,28 +110,106 @@ class TestMonomial:
         rng = random.Random(11)
         for _ in range(2000):
             a, b = Monomial(random_pairs(rng)), Monomial(random_pairs(rng))
-            ab = a.mul(b)
+            ab = mono_mul(a, b)
             expected = Monomial(list(a.exps) + list(b.exps))
-            assert ab.exps == expected.exps and hash(ab) == hash(expected) and ab == expected
+            assert exponents(ab) == expected.exps and hash(ab) == hash(expected) and ab == expected
             for num, den in ((ab, a), (ab, b), (a, b)):
-                have = dict(num.exps)
+                have = dict(exponents(num))
                 divides = all(have.get(i, 0) >= e for i, e in den.exps)
-                assert den.divides(num) == divides
+                assert mono_divides(den, num) == divides
                 if divides:
-                    q = num.div(den)
-                    expected = Monomial(list(num.exps) + [(i, -e) for i, e in den.exps])
-                    assert q.exps == expected.exps and hash(q) == hash(expected) and q == expected
+                    q = mono_div(num, den)
+                    expected = Monomial(list(exponents(num)) + [(i, -e) for i, e in den.exps])
+                    assert exponents(q) == expected.exps and hash(q) == hash(expected) and q == expected
                 else:
                     with pytest.raises(ValueError):
-                        num.div(den)
+                        mono_div(num, den)
 
     def test_unit_and_non_divisors(self):
         m = Monomial([(0, 2), (3, 1)])
-        assert m.mul(MONOMIAL_ONE) == m and MONOMIAL_ONE.mul(m) == m
-        assert m.div(MONOMIAL_ONE) == m and m.div(m) == MONOMIAL_ONE
+        assert mono_mul(m, MONOMIAL_ONE) == m and mono_mul(MONOMIAL_ONE, m) == m
+        assert mono_div(m, MONOMIAL_ONE) == m and mono_div(m, m) == MONOMIAL_ONE == 0
         for other in ([(0, 3)], [(1, 1)], [(4, 1)], [(0, 1), (2, 1)]):
             with pytest.raises(ValueError):
-                m.div(Monomial(other))
+                mono_div(m, Monomial(other))
+
+
+def random_key_pairs(rng, ngens=5):
+    """Sorted pairs with positive exponents, small or at the field limit;
+    the unit monomial one time in eight."""
+    if rng.random() < 0.125:
+        return ()
+    pairs = []
+    for i in sorted(rng.sample(range(ngens), rng.randint(1, ngens))):
+        pairs.append((i, rng.choice([1, 2, 3, MAX_EXPONENT // 2, MAX_EXPONENT - 1, MAX_EXPONENT])))
+    return tuple(pairs)
+
+
+class TestKeyReference:
+    """Packed keys against the sorted-pair reference in ``helpers``."""
+
+    def test_product_quotient_and_divisibility(self):
+        rng = random.Random(26)
+        for _ in range(3000):
+            a, b = random_key_pairs(rng), random_key_pairs(rng)
+            ka, kb = Monomial(a), Monomial(b)
+            assert ka.exps == a and exponents(int(ka)) == a
+            ab = reference_mul(a, b)
+            if max((e for _, e in ab), default=0) > MAX_EXPONENT:
+                with pytest.raises(RingError):
+                    mono_mul(ka, kb)
+            else:
+                assert exponents(mono_mul(ka, kb)) == ab
+            for num, den in ((a, b), (b, a), (ab, a), (ab, b), (a, a)):
+                if max((e for _, e in num), default=0) > MAX_EXPONENT:
+                    continue
+                kn, kd = Monomial(num), Monomial(den)
+                assert mono_divides(kd, kn) == reference_divides(den, num)
+                if reference_divides(den, num):
+                    assert exponents(mono_div(kn, kd)) == reference_div(num, den)
+                else:
+                    with pytest.raises(ValueError):
+                        mono_div(kn, kd)
+
+    def test_key_order_is_the_reverse_index_order(self):
+        R = free_ring([f"x{i}" for i in range(5)], 4)
+        rng = random.Random(27)
+        ms = [Monomial(random_key_pairs(rng)) for _ in range(400)] + [MONOMIAL_ONE]
+        assert sorted(ms) == sorted(ms, key=lambda m: reference_mkey(R, m))
+
+    def test_codegree_string_and_json(self):
+        R = RingContext([f"x{i}" for i in range(5)], [1, 2, 1, 3, 2])
+        rng = random.Random(28)
+        for _ in range(500):
+            pairs = random_key_pairs(rng)
+            m = Monomial(pairs)
+            assert R.monomial_codegree(m) == sum(R.codegrees[i] * e for i, e in pairs)
+            text = "*".join(R.names[i] if e == 1 else f"{R.names[i]}^{e}" for i, e in pairs) or "1"
+            assert R.monomial_str(m) == text
+            assert R.monomial_from_str(json.loads(json.dumps(text))) == m
+
+    def test_limits_raise_ring_errors(self):
+        assert Monomial([(3, MAX_EXPONENT)]).exps == ((3, MAX_EXPONENT),)
+        with pytest.raises(RingError):
+            Monomial([(3, MAX_EXPONENT + 1)])
+        with pytest.raises(RingError):
+            Monomial([(3, MAX_EXPONENT), (3, 1)])
+        with pytest.raises(RingError):
+            RingContext(["x"], [1], dimension=MAX_EXPONENT // 2 + 1)
+        R = RingContext(["x", "y"], [1, 1], dimension=MAX_EXPONENT // 2)
+        top = R.from_table({Monomial([(1, MAX_EXPONENT // 2)]): 1})
+        assert str(top * top) == "0" and str(R.gen("x") * top) == "0"
+        # without a dimension, a product past the field raises instead of
+        # carrying into the next generator's field
+        F = RingContext(["x", "y"], [1, 1])
+        big = F.from_table({Monomial([(0, MAX_EXPONENT // 2 + 1)]): 1})
+        with pytest.raises(RingError):
+            big * big
+        assert not any(m & F._guard for m in F._normal_forms)
+        # and so does a rewrite that moves exponents into a full field
+        G = RingContext(["x", "y"], [1, 1], rules=[(Monomial([(0, 1)]), {Monomial([(1, 1)]): 1})])
+        with pytest.raises(RingError):
+            G.from_table({Monomial([(0, 2), (1, MAX_EXPONENT - 1)]): 1})
 
 
 class TestNormalForm:
@@ -215,11 +304,12 @@ class TestMultiplication:
 
 
 def whole_table(a, b):
-    """Reference product: ``_nf`` of the whole raw product table."""
+    """Reference product: ``_nf`` of the whole raw product table, its
+    monomials multiplied by the sorted-pair reference."""
     raw = {}
     for m1, c1 in a.table.items():
         for m2, c2 in b.table.items():
-            t = m1.mul(m2)
+            t = Monomial(reference_mul(exponents(m1), exponents(m2)))
             raw[t] = raw.get(t, 0) + c1 * c2
     return a.ring._nf(raw)
 
@@ -283,11 +373,18 @@ class TestProductMemo:
         rng = random.Random(4)
         for _ in range(100):
             random_class(R, rng) * random_class(R, rng)
-        stored = len(R._products)
-        assert stored == len({(m1.exps, m2.exps) for m1, m2 in R._products})
-        for m1, m2 in list(R._products):
-            R._product(Monomial(m1.exps), Monomial(m2.exps))
-        assert len(R._products) == stored
+        # keyed by the product monomial: a Monomial built from its pairs
+        # finds the entry of a sum of keys
+        stored = len(R._normal_forms)
+        assert stored == len({exponents(m) for m in R._normal_forms})
+        for m in list(R._normal_forms):
+            R._product(Monomial(exponents(m)))
+        assert len(R._normal_forms) == stored
+        # two factorizations of one product share its entry
+        R = free_ring(["x", "y", "z"], 4)
+        x, y, z = (R.gen(n) for n in "xyz")
+        stored = len(R._normal_forms)
+        assert (x * y) * z == x * (y * z) and len(R._normal_forms) == stored + 3
 
     def test_memo_tables_are_not_shared(self):
         R = pspace_ring(3)
@@ -308,11 +405,10 @@ class TestProductMemo:
             step_budget=1000,
         )
         xy, z = R.gen("x") * R.gen("y"), R.gen("z")
-        stored = len(R._products)
         for _ in range(2):
             with pytest.raises(ReductionBudgetExceeded):
                 xy * z
-        assert len(R._products) == stored
+        assert Monomial([(0, 1), (1, 1), (2, 1)]) not in R._normal_forms
 
 
 def random_table(R, rng, terms=4):
@@ -363,7 +459,7 @@ class TestMonomialMemo:
 
     def test_chain_longer_than_the_recursion_limit(self):
         x, y2 = Monomial([(0, 1)]), Monomial([(1, 2)])
-        R = RingContext(["x", "y"], [1, 1], rules=[(y2, {x.mul(Monomial([(1, 1)])): 1})])
+        R = RingContext(["x", "y"], [1, 1], rules=[(y2, {Monomial([(0, 1), (1, 1)]): 1})])
         n = 3000
         assert n > sys.getrecursionlimit()
         c = R.from_table({Monomial([(1, n)]): 1})
@@ -456,7 +552,6 @@ class TestSymmetricExpand:
     def test_stability_in_rank(self):
         a = symmetric_expand(2, 3, 3)
         b = symmetric_expand(2, 5, 3)
-        sa = {m.exps: c for m, c in a.table.items()}
         # compare through generator names, ranks differ
         names_a = {a.ring.monomial_str(m): c for m, c in a.table.items()}
         names_b = {b.ring.monomial_str(m): c for m, c in b.table.items()}
@@ -565,7 +660,8 @@ class TestMinimalLeads:
         # reference: compare every monomial with every other one
         def quadratic(ms):
             ms = set(ms)
-            return {m for m in ms if not any(k != m and k.divides(m) for k in ms)}
+            return {m for m in ms
+                    if not any(k != m and reference_divides(exponents(k), exponents(m)) for k in ms)}
 
         rng = random.Random(29)
         for trial in range(400):
@@ -617,9 +713,9 @@ class TestMinimalLeads:
         x, z, y = Monomial([(0, 1)]), Monomial([(2, 1)]), Monomial([(1, 1)])
         R = RingContext(
             ["x", "y", "z"], [1, 1, 1], dimension=3,
-            rules=[(x, {y: 1}), (x.mul(z), {z.mul(z): 1})],
+            rules=[(x, {y: 1}), (mono_mul(x, z), {mono_mul(z, z): 1})],
         )
-        assert [r.lead for r in R.rules] == [x, x.mul(z)]
+        assert [r.lead for r in R.rules] == [x, mono_mul(x, z)]
         assert not confluence_check(R).passed
 
     def test_catalog_with_redundant_rules_loads(self):
@@ -655,12 +751,12 @@ class TestMinimalLeads:
 
 
 class TestSupport:
-    """Leads are tested by generator support first; the answers are those of
-    the linear scans kept in ``helpers``."""
+    """Leads are tested by one mask test on packed keys; the answers are
+    those of the linear scans kept in ``helpers``."""
 
     @staticmethod
     def mask(m):
-        return sum(1 << i for i, _ in m.exps)
+        return sum(1 << i for i, _ in exponents(m))
 
     def test_matching_rule_is_the_scan(self, monkeypatch):
         rings = registry_rings(monkeypatch) + tower_rings(monkeypatch)
@@ -687,26 +783,30 @@ class TestSupport:
     def test_support_is_kept_by_every_constructor(self, monkeypatch):
         from chowcalc import registry
 
-        # registry rings fill their memos through mul and div; product
-        # towers shift the indices of their factors' monomials
+        # every key a constructor or memo holds is one the public
+        # constructor builds from its pairs, in the ring's fields: registry
+        # rings fill their memos through sums and differences of keys;
+        # product towers shift their factors' keys
         rings = built_rings(monkeypatch, lambda: registry.run_all(seed=0)) + tower_rings(monkeypatch)
         seen = 0
         for R in rings:
             basis = [m for ms in enumerate_basis(R) for m in ms]
             for i in range(len(R.names)):
                 for b in basis:
-                    R._product(Monomial([(i, 1)]), b)
-            monomials = list(R._normal_forms) + [m for m, _ in R._products]
-            for nf in list(R._normal_forms.values()) + list(R._products.values()):
+                    R._product(Monomial([(i, 1)]) + b)
+            monomials = list(R._normal_forms)
+            for nf in R._normal_forms.values():
                 monomials += [m for m, _ in nf]
             monomials += [r.lead for r in R.rules] + basis
             for m in monomials:
-                assert m.support == self.mask(m), m
+                pairs = exponents(m)
+                assert Monomial(pairs) == m and Monomial(pairs).support == self.mask(m), m
+                assert all(i < len(R.names) for i, _ in pairs), (R.names, m)
             seen += len(monomials)
         assert seen > 10_000
         rng = random.Random(43)
         for _ in range(200):
             a, b = Monomial(random_pairs(rng)), Monomial(random_pairs(rng))
-            ab = a.mul(b)
-            for m in (a, b, ab, ab.div(a), ab.div(b), ab.div(ab)):
-                assert m.support == self.mask(m), m
+            ab = mono_mul(a, b)
+            for m in (a, b, ab, mono_div(ab, a), mono_div(ab, b), mono_div(ab, ab)):
+                assert Monomial(exponents(m)).support == self.mask(m), m

@@ -14,7 +14,7 @@ from chowcalc.script import (
     verify_identity,
     verify_numerical,
 )
-from chowcalc.varieties import blow_up, generic_context
+from chowcalc.varieties import ChowPresentation, blow_up, generic_context
 from helpers import kept_under, reference_tokenize
 
 
@@ -246,6 +246,14 @@ class TestEvaluator:
 
 
 J_2X_PLUS_Y = "(declare-ideal J (add (scale 2 x) y))"
+# three assertions modulo one set of declared rules and an ideal
+RULES_THEN_IDEAL = (
+    "(generic X 3 (gens (x 1) (y 1) (z 1)))" + J_2X_PLUS_Y
+    + "(declare-rules R ((mul x y) (mul z z)))"
+    "(assert-numequal (trivial) (mul x y) (mul z z) (modulo R J))"
+    "(assert-numzero (trivial) (mul x z) (modulo R J))"
+    "(assert-numzero (trivial) (mul (add (scale 2 x) y) z) (modulo R J))"
+)
 
 
 class TestVerifyIdentity:
@@ -306,12 +314,9 @@ class TestVerifyNumerical:
          "(assert-numzero (trivial) (scale 4 x) (modulo J))",
          [(PASS, None), (FAIL, "(y^2 - 2*y*z)/4 (pairing against x)"),
           (FAIL, "y^2 (pairing against x)")]),
-        # declared rules build a fresh presentation for each assertion
-        ("(generic X 3 (gens (x 1) (y 1) (z 1)))" + J_2X_PLUS_Y
-         + "(declare-rules R ((mul x y) (mul z z)))"
-         "(assert-numequal (trivial) (mul x y) (mul z z) (modulo R J))"
-         "(assert-numzero (trivial) (mul x z) (modulo R J))"
-         "(assert-numzero (trivial) (mul (add (scale 2 x) y) z) (modulo R J))",
+        # declared rules build one presentation, which every assertion
+        # modulo them reads
+        (RULES_THEN_IDEAL,
          [(PASS, None), (FAIL, "(-z^3)/2 (pairing against x)"), (PASS, None)]),
         # x^2 -> y^2 leaves x*y and y^2 in codegree 2: the dual classes are
         # the copy's basis, never x^2, which the declared rule rewrites
@@ -323,6 +328,26 @@ class TestVerifyNumerical:
     def test_verdicts_and_witnesses(self, src, expected):
         rep = run_scenario(parse_script(src))
         assert [(r.verdict, r.witness) for r in rep.results] == expected
+
+    def test_one_copy_per_declared_rules(self, monkeypatch):
+        calls = []
+        with_rules = ChowPresentation.with_rules
+
+        def counted(self, rules):
+            calls.append(rules)
+            return with_rules(self, rules)
+
+        monkeypatch.setattr(ChowPresentation, "with_rules", counted)
+        rep = run_scenario(parse_script(RULES_THEN_IDEAL))
+        assert len(rep.results) == 3 and len(calls) == 1
+        # the same rules declared again, built apart, find the same copy
+        rep = run_scenario(parse_script(
+            RULES_THEN_IDEAL + "(declare-rules S ((mul x y) (mul z z)))"
+            "(assert-numzero (trivial) (mul x z) (modulo S J))"
+            "(assert-numzero (trivial) (mul x z) (modulo S))"
+        ))
+        assert [r.verdict for r in rep.results] == [PASS, FAIL, PASS, FAIL, FAIL]
+        assert len(calls) == 2
 
     def test_one_span_per_ideal(self):
         from chowcalc.script import _IdealDecl
