@@ -299,11 +299,15 @@ class RingContext:
 
     modulus 0 means integer coefficients; a positive modulus must be prime.
     dimension, when set, truncates every class above that codegree; it is
-    at most ``MAX_EXPONENT // 2`` (see the module docstring).
-    ``rules`` keeps the declared rules in declaration order, minus every
+    at most ``MAX_EXPONENT // 2`` (see the module docstring).  ``rules``
+    keeps the stored rules of ``base`` (a ring whose codegrees are a prefix
+    of these), then the declared rules, in declaration order, minus every
     rule whose lead is a proper multiple of another rule's lead and which
     is a consequence of the kept rules (checked without truncation, so the
-    drop stays valid in rings of higher dimension that copy these rules).
+    drop stays valid in rings of higher dimension built on this one).  A
+    base's rules were checked when it was built, so only their
+    coefficients are reduced, when the modulus differs; they are tested
+    like the others, so a rule kept over Z may be dropped mod p.
 
     ``_guard`` holds the guard bits of the ring's fields and ``_low`` the
     bits below each guard bit, so (m + _low) & _guard, the support of m,
@@ -333,6 +337,7 @@ class RingContext:
         dimension: Optional[int] = None,
         rules: Iterable[tuple[int, Mapping[int, int]]] = (),
         step_budget: int = 10**6,
+        base: Optional["RingContext"] = None,
     ):
         if len(names) != len(set(names)):
             raise ValueError("duplicate generator names")
@@ -344,6 +349,8 @@ class RingContext:
             raise ValueError(f"modulus {modulus} is not prime")
         if dimension is not None and dimension > MAX_EXPONENT // 2:
             raise RingError(f"dimension {dimension} exceeds MAX_EXPONENT // 2 = {MAX_EXPONENT // 2}")
+        if base is not None and tuple(codegrees[: len(base.codegrees)]) != base.codegrees:
+            raise ValueError("the base ring's generator codegrees must be a prefix of the ring's")
         self.names = tuple(names)
         self.codegrees = tuple(codegrees)
         self.modulus = modulus
@@ -353,17 +360,18 @@ class RingContext:
         self._guard = _guards(len(self.names))
         self._low = self._guard - (self._guard >> (FIELD_BITS - 1))
         self.rules: tuple[RewriteRule, ...] = ()
-        self._install_rules(rules)
+        self._install_rules(base, rules)
 
     # -- construction -------------------------------------------------
 
-    def _install_rules(self, raw) -> None:
-        staged = []
+    def _install_rules(self, base: Optional["RingContext"], raw) -> None:
+        staged = [] if base is None else [(r.lead, dict(r.replacement)) for r in base.rules]
+        if base is not None and base.modulus != self.modulus:
+            staged = [(lead, self._reduced(table)) for lead, table in staged]
         for lead, repl in raw:
             if lead == 0:
                 raise InvalidRule("unit monomial cannot be a rule lead")
-            table = {m: self._red(c) for m, c in repl.items()}
-            table = {m: c for m, c in table.items() if c != 0}
+            table = self._reduced(repl)
             lead_cd = self.monomial_codegree(lead)
             for m in table:
                 if self.monomial_codegree(m) != lead_cd:

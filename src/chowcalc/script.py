@@ -67,6 +67,7 @@ from .varieties import (
     BundleRoots,
     CenterData,
     ChowPresentation,
+    _generic_presentation,
     blow_up,
     generic_context,
     product,
@@ -666,11 +667,12 @@ def _eval_context_form(env: Env, form: list) -> None:
             if "tangent" in clauses:
                 t = _as_class(env, eval_expr(env, clauses["tangent"][0][0]))
                 tangent_tbl = dict(t.table)
-        if rules or degrees or tangent_tbl is not None:
-            value = generic_context(
-                gens, dim, modulus=mod, name=name,
-                rules=rules, degrees=degrees or None, tangent_table=tangent_tbl,
-            )
+        # rules are added to the rule-free presentation and its basis, which
+        # is enumerated once
+        if rules:
+            value = value.with_rules(rules)
+        if degrees or tangent_tbl is not None:
+            value = _generic_presentation(value.ring, value.basis, degrees or None, tangent_tbl, name)
     elif head == "milnor":
         _expect(len(args) >= 2 and isinstance(args[1], int), "(milnor NAME M ...)")
         name = args[0]

@@ -436,8 +436,7 @@ class ChowPresentation:
         old = self.ring
         ring = RingContext(
             old.names, old.codegrees, modulus=modulus, dimension=old.dimension,
-            rules=[(r.lead, dict(r.replacement)) for r in old.rules] + rules,
-            step_budget=old.step_budget,
+            rules=rules, step_budget=old.step_budget, base=old,
         )
         new = ChowPresentation(
             self.kind, ring, dict(self.roles), basis,
@@ -610,7 +609,7 @@ def enumerate_basis(ring: RingContext) -> list[tuple[int, ...]]:
 def _truncated_leads(X: ChowPresentation) -> list[int]:
     """The minimal monomials in X's generators that no rule of X reduces and
     whose codegree exceeds dim X.  X's truncation kills them; a ring of
-    higher dimension that copies X's rules needs a rule m -> 0 for each.
+    higher dimension built on X's ring needs a rule m -> 0 for each.
     Irreducible monomials are closed under division, so m is minimal
     exactly when codeg(m) - min codeg(x_i), i in supp(m), is at most dim X;
     then m over its last generator lies in X.basis, which ``_grown`` reads."""
@@ -681,7 +680,8 @@ def _unique_names(a: Sequence[str], b: Sequence[str]) -> tuple[dict, dict]:
 def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None) -> ChowPresentation:
     """X x Y with the monomial product basis and multiplied degree/tangent.
 
-    The rules are those of X and Y, plus m -> 0 for each factor's minimal
+    The ring is built on X's ring (``RingContext(base=)``), with Y's rules
+    shifted past X's generators, plus m -> 0 for each factor's minimal
     irreducible monomials above its dimension (see _truncated_leads)."""
     if X.ring.modulus != Y.ring.modulus:
         raise ContextMismatch("factors have different coefficient rings")
@@ -690,15 +690,12 @@ def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None
     codegrees = list(X.ring.codegrees) + list(Y.ring.codegrees)
     shift = len(X.ring.names)
 
-    rules = []
-    for r in X.ring.rules:
-        rules.append((r.lead, dict(r.replacement)))
-    for r in Y.ring.rules:
-        rules.append((shifted(r.lead, shift), {shifted(m, shift): c for m, c in r.replacement}))
+    rules = [(shifted(r.lead, shift), {shifted(m, shift): c for m, c in r.replacement})
+             for r in Y.ring.rules]
     rules += [(m, {}) for m in _truncated_leads(X)]
     rules += [(shifted(m, shift), {}) for m in _truncated_leads(Y)]
     dim = X.dim + Y.dim
-    ring = RingContext(names, codegrees, modulus=X.ring.modulus, dimension=dim, rules=rules)
+    ring = RingContext(names, codegrees, X.ring.modulus, dim, rules, base=X.ring)
 
     basis: list[tuple[int, ...]] = []
     for d in range(dim + 1):
@@ -756,8 +753,8 @@ def projective_bundle(
 ) -> ChowPresentation:
     """P(E) -> X for E with the given Chern roots (all signs +, rank >= 1).
 
-    The rules are those of X, plus m -> 0 for X's minimal irreducible
-    monomials above dim X (see _truncated_leads), plus the Grothendieck
+    The ring is built on X's ring, with m -> 0 for X's minimal irreducible
+    monomials above dim X (see _truncated_leads) and the Grothendieck
     relation for xi^r."""
     if roots.ring is not X.ring:
         raise ContextMismatch("roots must live on the base presentation")
@@ -775,8 +772,7 @@ def projective_bundle(
     xi_idx = len(X.ring.names)
     dim = X.dim + r - 1
 
-    rules = [(rule.lead, dict(rule.replacement)) for rule in X.ring.rules]
-    rules += [(m, {}) for m in _truncated_leads(X)]
+    rules = [(m, {}) for m in _truncated_leads(X)]
     grothendieck: dict[int, int] = {}
     chern = elementary_symmetric(root_classes, r)
     for i in range(1, r + 1):
@@ -784,7 +780,7 @@ def projective_bundle(
             t = m + generator_power(xi_idx, r - i)
             grothendieck[t] = grothendieck.get(t, 0) - c
     rules.append((Monomial([(xi_idx, r)]), grothendieck))
-    ring = RingContext(names, codegrees, modulus=X.ring.modulus, dimension=dim, rules=rules)
+    ring = RingContext(names, codegrees, X.ring.modulus, dim, rules, base=X.ring)
 
     # xi is the last generator, in the most significant field, so the
     # blocks xi^k * X.basis_of(d - k), k = 0, 1, ..., are in key order
@@ -847,7 +843,7 @@ def blow_up(
 ) -> ChowPresentation:
     """Blow-up of X along a center satisfying the coverage requirement.
 
-    Emits the flattened rewrite system:
+    Builds on X's ring with the flattened rewrite system:
 
     * e*g -> e*res(g) for every generator whose restriction differs from it;
     * e*m -> 0 for the minimal restriction-fixed basis monomials m of
@@ -856,7 +852,9 @@ def blow_up(
     * e^r -> (-1)^{r-1} [Z] + sum_{j=1}^{r-1} (-1)^{j+r-1} c_{r-j}(N) e^j,
       which folds the top fiber power back into the ambient component.
 
-    Rules declared on top of these are added by ``with_rules``.
+    Rules declared on top of these are added by ``with_rules``.  A
+    restriction entry for a name that is not a generator of X raises
+    ``CoverageError``.
 
     X's basis is closed under division (see ``ChowPresentation``), so a
     fixed m above dim Z is minimal exactly when codeg(m) - min codeg(x_i),
@@ -881,6 +879,9 @@ def blow_up(
 
     # Restriction as a ring endomorphism of the ambient presentation.
     gens = {gname: X.gen(gname) for gname in X.ring.names}
+    for gname in center.restriction:
+        if gname not in gens:
+            raise CoverageError(f"restriction names {gname!r}, not a generator of {X.name!r}")
     res_images: dict[str, GradedClass] = {}
     for gname in X.ring.names:
         img = center.restriction.get(gname)
@@ -913,9 +914,7 @@ def blow_up(
     e_idx = len(X.ring.names)
 
     e = generator_power(e_idx)
-    rules: list[tuple[int, dict[int, int]]] = [
-        (rule.lead, dict(rule.replacement)) for rule in X.ring.rules
-    ]
+    rules: list[tuple[int, dict[int, int]]] = []
     # restriction rules
     for gi, gname in enumerate(X.ring.names):
         if fixed[gi]:
@@ -944,9 +943,7 @@ def blow_up(
             fold[t] = fold.get(t, 0) + sgn * c
     rules.append((generator_power(e_idx, r), fold))
 
-    ring = RingContext(
-        names, codegrees, modulus=X.ring.modulus, dimension=X.dim, rules=rules
-    )
+    ring = RingContext(names, codegrees, X.ring.modulus, X.dim, rules, base=X.ring)
 
     # Center-side basis: X's basis monomials in the fixed generators, which
     # the restriction leaves as they are, of codegree at most dim Z.
@@ -1005,26 +1002,22 @@ def generic_context(
     """A presentation with declared generators and oriented rules, given as
     (lead monomial, {monomial: coefficient}) pairs, a partial (or absent)
     degree functional, and truncation above the dimension."""
-    names = [n for n, _ in generators]
-    codegs = [d for _, d in generators]
+    names, codegs = [n for n, _ in generators], [d for _, d in generators]
     ring = RingContext(names, codegs, modulus=modulus, dimension=dimension, rules=rules)
-    basis = enumerate_basis(ring)
-    tangent = None
-    if tangent_table is not None:
-        tangent = ring.from_table(dict(tangent_table))
+    return _generic_presentation(ring, enumerate_basis(ring), degrees, tangent_table, name)
+
+
+def _generic_presentation(ring, basis, degrees, tangent_table, name) -> ChowPresentation:
+    """The ``generic_context`` presentation of a ring, its basis (which must
+    be ``enumerate_basis`` of the ring) and the optional declarations."""
+    tangent = None if tangent_table is None else ring.from_table(dict(tangent_table))
     degree_table = dict(degrees) if degrees is not None else None
     # the declared table is total exactly when it covers the top basis
     degree_total = degree_table is not None and all(
-        m in degree_table for m in basis[dimension]
+        m in degree_table for m in basis[ring.dimension]
     )
     return ChowPresentation(
-        kind="generic",
-        ring=ring,
-        roles={n: ROLE_AMBIENT for n in names},
-        basis=basis,
-        degree_table=degree_table,
-        degree_total=degree_total,
-        tangent=tangent,
-        provenance={"constructor": "generic_context", "cellular": False},
+        "generic", ring, {n: ROLE_AMBIENT for n in ring.names}, basis, degree_table,
+        degree_total, tangent, provenance={"constructor": "generic_context", "cellular": False},
         name=name or "generic",
     )

@@ -810,3 +810,74 @@ class TestSupport:
             ab = mono_mul(a, b)
             for m in (a, b, ab, mono_div(ab, a), mono_div(ab, b), mono_div(ab, ab)):
                 assert Monomial(exponents(m)).support == self.mask(m), m
+
+
+class TestBase:
+    """A ring built on a base ring declares the base's stored rules ahead
+    of its own rules, and stores what that flat declaration stores."""
+
+    def test_every_ring_built_on_a_base_is_the_flat_build(self, monkeypatch):
+        # every ring that the registry and the towers of seeds 0-199 build
+        # on a base, and those that the copies of their presentations mod 2
+        # and mod 3 build (the list of presentations grows while it is walked)
+        from chowcalc import registry
+        from chowcalc.varieties import ChowPresentation
+
+        built, presentations = [], []
+        init, present = RingContext.__init__, ChowPresentation.__init__
+
+        def record(self, names, codegrees, modulus=0, dimension=None, rules=(),
+                   step_budget=10**6, base=None):
+            rules = list(rules)
+            init(self, names, codegrees, modulus, dimension, rules, step_budget, base)
+            if base is not None:
+                built.append((self, base, rules))
+
+        def record_presentation(self, *args, **kwargs):
+            present(self, *args, **kwargs)
+            presentations.append(self)
+
+        monkeypatch.setattr(RingContext, "__init__", record)
+        monkeypatch.setattr(ChowPresentation, "__init__", record_presentation)
+        registry.run_all(seed=0)
+        for seed in range(200):
+            random_tower(random.Random(seed))
+        for X in presentations:
+            X.base
+            if not X.ring.modulus:
+                for p in (2, 3):
+                    X.with_coefficients(p)
+        monkeypatch.undo()
+        assert len(built) > 1000 and {R.modulus for R, _, _ in built} >= {0, 2, 3}
+        for R, base, rules in built:
+            flat = RingContext(
+                R.names, R.codegrees, R.modulus, R.dimension,
+                [(r.lead, dict(r.replacement)) for r in base.rules] + rules, R.step_budget,
+            )
+            assert R.rules == flat.rules, R.names
+
+    def test_a_rule_kept_over_z_may_be_dropped_mod_p(self):
+        # x^3 -> 2*x*y^2 is not implied by x^2 -> 0 over Z or mod 3, so it
+        # is kept; mod 2 its replacement vanishes and it is implied
+        from chowcalc.varieties import generic_context
+
+        x2, x3, xy2 = Monomial([(0, 2)]), Monomial([(0, 3)]), Monomial([(0, 1), (1, 2)])
+        gens, rules = [("x", 1), ("y", 1)], [(x2, {}), (x3, {xy2: 2})]
+        X = generic_context(gens, 4, rules=rules)
+
+        def stored(Y):
+            return [(r.lead, dict(r.replacement), r.index) for r in Y.ring.rules]
+
+        assert stored(X) == [(x2, {}, 0), (x3, {xy2: 2}, 1)]
+        for p, want in ((3, stored(X)), (2, [(x2, {}, 0)])):
+            assert stored(X.with_coefficients(p)) == want
+            assert stored(generic_context(gens, 4, rules=rules, modulus=p)) == want
+
+    def test_base_codegrees_must_be_a_prefix(self):
+        base = RingContext(["x", "y"], [1, 2], rules=[(Monomial([(0, 2)]), {Monomial([(1, 1)]): 1})])
+        for names, codegrees in ((["x", "y", "z"], [1, 1, 2]), (["x"], [1]), (["y", "x"], [2, 1])):
+            with pytest.raises(ValueError, match="prefix"):
+                RingContext(names, codegrees, base=base)
+        # only codegrees are compared: the names may differ
+        R = RingContext(["a", "b", "c"], [1, 2, 1], base=base)
+        assert R.rules == base.rules and R.gen("a") ** 2 == R.gen("b")

@@ -144,6 +144,60 @@ class TestEvaluator:
         ))
         assert rep.ok and len(calls) == 1
 
+    @pytest.mark.parametrize("gen, verdicts", [
+        ("h", [(PASS, "")]),
+        ("hh", [(ERROR, "CoverageError: restriction names 'hh', not a generator of 'P'"),
+                (ERROR, "EvalError: undefined identifier 'e'")]),
+    ])
+    def test_blowup_restriction_of_an_unknown_generator_is_an_error(self, gen, verdicts):
+        rep = run_scenario(parse_script(
+            "(pspace P 3)"
+            f"(blowup B P e (class (mul h h)) (roots h h) (restrict ({gen} 0)))"
+            "(assert-zero (trivial) (mul h e))"
+        ))
+        assert [(r.verdict, r.detail.partition(" in (")[0]) for r in rep.results] == verdicts
+
+    GENERIC = (
+        "(generic X 3 (mod {mod}) (gens (x 1) (y 1) (p 3))"
+        " (rules ((pow x 2) 0) ((mul x y) (scale 2 (pow y 2))))"
+        " (degrees (p 1) ((pow y 3) 1)) (tangent (add 1 (scale 2 y))))"
+    )
+
+    @pytest.mark.parametrize("mod", [0, 3])
+    def test_generic_form_adds_rules_to_its_first_build(self, monkeypatch, mod):
+        # the declared rules are added to the rule-free presentation the
+        # clauses are read on, so one basis is enumerated; the result is
+        # generic_context with every clause
+        from chowcalc import varieties
+        from chowcalc.rings import Monomial
+        from chowcalc.script import _eval_context_form
+
+        calls = []
+        enumerate_basis = varieties.enumerate_basis
+
+        def counted(ring):
+            calls.append(ring)
+            return enumerate_basis(ring)
+
+        monkeypatch.setattr(varieties, "enumerate_basis", counted)
+        env = Env()
+        _eval_context_form(env, parse_script(self.GENERIC.format(mod=mod)).forms[0])
+        X = env.lookup("X")
+        assert len(calls) == 1
+        monkeypatch.undo()
+        y = Monomial([(1, 1)])
+        want = generic_context(
+            [("x", 1), ("y", 1), ("p", 3)], 3, modulus=mod,
+            rules=[(Monomial([(0, 2)]), {}), (Monomial([(0, 1), (1, 1)]), {Monomial([(1, 2)]): 2})],
+            degrees={Monomial([(2, 1)]): 1, Monomial([(1, 3)]): 1}, tangent_table={0: 1, y: 2},
+            name="X",
+        )
+        assert X.ring.rules == want.ring.rules and len(X.ring.rules) == 2
+        assert X.basis == want.basis
+        assert X.degree_table == want.degree_table and X.degree_total == want.degree_total is True
+        assert X.tangent.table == want.tangent.table == {0: 1, y: 2}
+        assert (X.kind, X.name, X.provenance) == (want.kind, want.name, want.provenance)
+
     def test_empty_script(self):
         rep = run_scenario(parse_script(""))
         assert rep.ok

@@ -81,8 +81,14 @@ class TestProduct:
         assert Q.degree(Q.gen("h_1") ** 2) == 1
 
     def test_mixed_top_degree(self):
-        W = product(projective_space(2), projective_space(3))
-        assert W.degree(W.gen("h_1") ** 2 * W.gen("h_2") ** 3) == 1
+        # both factors name their generator h: the product's ring, built on
+        # P2's ring, names them h_1 and h_2 and keeps P2's rule h_1^3 -> 0
+        P2 = projective_space(2)
+        W = product(P2, projective_space(3))
+        assert W.ring.names == ("h_1", "h_2") and W.ring.rules[0] == P2.ring.rules[0]
+        h1, h2 = W.gen("h_1"), W.gen("h_2")
+        assert (h1**3).is_zero() and (h2**4).is_zero()
+        assert W.degree(h1**2 * h2**3) == 1
 
     def test_factor_truncation_survives(self):
         # x*y vanishes on the curve base by truncation alone; the product
@@ -328,6 +334,18 @@ class TestBlowUp:
         )
         Bl = blow_up(Pn, center)
         assert Bl.degree(Bl.gen("e") ** n) == (-1) ** (n - 1)
+
+    def test_restriction_of_an_unknown_generator_is_refused(self):
+        # an entry for "hh" on P3 (generator h) is a slip, not a no-op
+        P3 = projective_space(3)
+        h = P3.gen("h")
+        for restriction in ({"hh": P3.zero()}, {"h": P3.zero(), "e": P3.zero()}):
+            center = CenterData(
+                fundamental=h * h, roots=BundleRoots.plus([h, h]), restriction=restriction
+            )
+            unknown = next(g for g in restriction if g != "h")
+            with pytest.raises(CoverageError, match=f"restriction names '{unknown}'"):
+                blow_up(P3, center)
 
     def test_extra_rules_are_monomial_pairs(self):
         P3 = projective_space(3)
