@@ -30,11 +30,18 @@ ValueError.
 All elimination runs on one sparse echelon kernel (``_echelon``, with
 ``_eliminate`` clearing one column): rows are ``{column: int}`` dicts,
 reduced fraction-free over Z and divided by their content, or made monic
-over F_p.  Ideal membership (``rational_in_rowspan``, ``modp_in_rowspan``,
-or ``rowspan_residuals`` for many vectors against one echelon form) and the
-quotient map ``GammaQuotient.project`` reduce a vector against the pivot
-rows in increasing column order (``_reduce``), so its residual is zero on
-every pivot column; the pivot columns depend only on the row span, so the
+over F_p.  Callers hand rows over in one of two forms, and ``_sparse``
+reads both: a dict row is taken as it is, a dense coordinate list is
+scanned.  The pairing matrices and ``ideal_span_rows`` (which
+``gamma_quotient`` reads) are dense; ``_ideal_rows`` gives the DSL's
+``verify_identity`` and ``verify_numerical`` dicts, read from each
+product's nonzero coordinates.  The two ideal row builders share one
+product loop (``_ideal_products``).  Ideal membership
+(``rational_in_rowspan``, ``modp_in_rowspan``, or ``rowspan_residuals`` for
+many vectors against one echelon form) and the quotient map
+``GammaQuotient.project`` reduce a vector against the pivot rows in
+increasing column order (``_reduce``), so its residual is zero on every
+pivot column; the pivot columns depend only on the row span, so the
 residual is canonical (the same as a reduction against the reduced row
 echelon form would give).  ``modp_rank`` counts the pivot rows,
 ``modp_rref`` back-substitutes them, and ``modp_kernel`` reads its basis off
@@ -48,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .rings import GradedClass, RingError, _is_prime
 from .varieties import ChowPresentation, CoverageError, TangentUnavailable
@@ -59,12 +66,16 @@ from .varieties import ChowPresentation, CoverageError, TangentUnavailable
 # ---------------------------------------------------------------------------
 
 _Row = dict[int, int]
+_Rows = Sequence[Sequence[int] | _Row]   # dense rows or dict rows
 
 
-def _sparse(row: Sequence[int], p: int) -> _Row:
+def _sparse(row: Sequence[int] | _Row, p: int) -> _Row:
+    """A row as a fresh {column: int} dict without zero entries, its values
+    reduced mod p; a dict row is read as it is, only a dense one is scanned."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
     if p:
-        return {j: v % p for j, v in enumerate(row) if v % p}
-    return {j: v for j, v in enumerate(row) if v}
+        return {j: v % p for j, v in items if v % p}
+    return {j: v for j, v in items if v}
 
 
 def _eliminate(r: _Row, piv: _Row, c: int, p: int) -> tuple[_Row, int]:
@@ -86,9 +97,9 @@ def _eliminate(r: _Row, piv: _Row, c: int, p: int) -> tuple[_Row, int]:
     return out, a
 
 
-def _echelon(rows: Sequence[Sequence[int]], p: int) -> dict[int, _Row]:
+def _echelon(rows: _Rows, p: int) -> dict[int, _Row]:
     """Pivot rows of the row span keyed by leading column: primitive with a
-    positive lead over Z, monic over F_p."""
+    positive lead over Z, monic over F_p.  Rows are dense or dicts."""
     pivots: dict[int, _Row] = {}
     for row in rows:
         r = _sparse(row, p)
@@ -154,26 +165,29 @@ def modp_kernel(matrix: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def rowspan_residuals(rows: list[list[int]], p: int) -> Callable[[list[int]], list]:
-    """Echelon rows once, over Q for p = 0 and over F_p otherwise; returns
-    the map from a vector to its residual modulo the row span, as
-    ``rational_in_rowspan`` (Fractions) or ``modp_in_rowspan`` (ints) give it."""
+def rowspan_residuals(rows: _Rows, p: int) -> Callable[[list[int]], list]:
+    """Echelon rows (dense or dicts) once, over Q for p = 0 and over F_p
+    otherwise; returns the map from a vector to its residual modulo the row
+    span, as ``rational_in_rowspan`` (Fractions) or ``modp_in_rowspan``
+    (ints) give it.  Every zero entry of a rational residual is one shared
+    Fraction(0)."""
     pivots = _echelon(rows, p)
+    zero = Fraction(0)
 
     def residual(vec: list[int]) -> list:
         res, scale = _reduce(pivots, vec, p)
-        return res if p else [Fraction(v, scale) for v in res]
+        return res if p else [Fraction(v, scale) if v else zero for v in res]
 
     return residual
 
 
-def modp_in_rowspan(rows: list[list[int]], vec: list[int], p: int) -> tuple[bool, list[int]]:
+def modp_in_rowspan(rows: _Rows, vec: list[int], p: int) -> tuple[bool, list[int]]:
     """Membership of vec in the row span over F_p; returns (ok, residual)."""
     res = rowspan_residuals(rows, p)(vec)
     return not any(res), res
 
 
-def rational_in_rowspan(rows: list[list[int]], vec: list[int]) -> tuple[bool, list[Fraction]]:
+def rational_in_rowspan(rows: _Rows, vec: list[int]) -> tuple[bool, list[Fraction]]:
     """Membership of vec in the rational row span; returns (ok, residual)."""
     res = rowspan_residuals(rows, 0)(vec)
     return not any(res), res
@@ -406,12 +420,12 @@ def kernel_is_ideal(X: ChowPresentation, p: int) -> bool:
 # Ideal quotients (the correspondence-image construction)
 # ---------------------------------------------------------------------------
 
-def ideal_span_rows(
+def _ideal_products(
     X: ChowPresentation, gens: Sequence[GradedClass], d: int
-) -> list[list[int]]:
-    """Coordinate rows spanning the codegree-d piece of the ideal generated
-    by gens (each generator multiplied by every basis monomial)."""
-    rows = []
+) -> Iterator[GradedClass]:
+    """Each generator's parts times every basis monomial, as far as the
+    product lands in codegree d: classes spanning the codegree-d piece of
+    the ideal generated by gens."""
     for g in gens:
         if g.ring is not X.ring:
             raise RingError("quotient generator lives in a different ring")
@@ -420,9 +434,21 @@ def ideal_span_rows(
             if part.is_zero() or gd > d:
                 continue
             for m in X.basis_classes(d - gd):
-                prod = part * m
-                rows.append(X.coordinates(prod, d))
-    return rows
+                yield part * m
+
+
+def ideal_span_rows(
+    X: ChowPresentation, gens: Sequence[GradedClass], d: int
+) -> list[list[int]]:
+    """Coordinate rows spanning the codegree-d piece of the ideal generated
+    by gens (each generator multiplied by every basis monomial)."""
+    return [X.coordinates(prod, d) for prod in _ideal_products(X, gens, d)]
+
+
+def _ideal_rows(X: ChowPresentation, gens: Sequence[GradedClass], d: int) -> list[_Row]:
+    """The rows of ``ideal_span_rows`` as {column: coefficient} dicts, read
+    from each product's nonzero coordinates."""
+    return [dict(X._sparse_coordinates(prod, d)) for prod in _ideal_products(X, gens, d)]
 
 
 @dataclass

@@ -55,7 +55,7 @@ from typing import Callable, Optional
 from . import characteristic as chops
 from . import milnor as miln
 from .numeric import (
-    ideal_span_rows,
+    _ideal_rows,
     modp_in_rowspan,
     numerical_kernel,
     rational_in_rowspan,
@@ -147,10 +147,15 @@ def parse_script(text: str) -> Script:
         if close is None:
             if tok in (")", "}"):
                 raise ParseError(f"unexpected {tok!r}", line, col)
-            try:
-                return int(tok)
-            except ValueError:
-                return tok
+            # int() accepts only atoms that start with a digit, a sign or
+            # whitespace, so every other atom is a name without a try
+            c = tok[0]
+            if c.isdigit() or c in "+-" or c.isspace():
+                try:
+                    return int(tok)
+                except ValueError:
+                    pass
+            return tok
         if depth == MAX_DEPTH:
             raise ParseError(f"brackets nest deeper than {MAX_DEPTH}", line, col)
         items = []
@@ -499,15 +504,21 @@ def verify_identity(
     the difference after the rules, minus its projection to the ideal's
     span in each codegree (over Q, or F_p in a mod-p context), printed as
     a class, or as (den * residual)/den when its coefficients are not
-    integers."""
+    integers.
+
+    The ideal's rows in codegree d, as {column: coefficient} dicts, are
+    built once per presentation, ideal and codegree, and kept as
+    ``("ideal-rows", d, *tables)``, one frozenset of (monomial,
+    coefficient) items per generator of the ideal; each assertion makes
+    one membership test per codegree against them."""
     pres, gens, diff = _reduction(env, lhs, rhs, modulo)
     p = pres.ring.modulus
+    tables = tuple(frozenset(g.table.items()) for g in gens)
     residual: dict[int, Fraction] = {}
     for d in sorted(diff.codegrees()):
         span = None
         if gens:
-            # one vector per codegree, so one membership test each
-            rows = ideal_span_rows(pres, gens, d)
+            rows = pres.kept(("ideal-rows", d, *tables), _ideal_rows, pres, gens, d)
             span = lambda vec, rows=rows: (
                 modp_in_rowspan(rows, vec, p) if p else rational_in_rowspan(rows, vec)
             )[1]
@@ -531,16 +542,16 @@ def verify_numerical(
     This is the right notion for identities claimed only up to numerical
     equivalence below the top codegree.
 
-    The ideal's top-codegree span is echeloned once per presentation and
-    ideal, and kept as ``("ideal-span", *tables)``, one frozenset of
-    (monomial, coefficient) items per generator of the ideal.
+    The ideal's top-codegree span is echeloned from its dict rows once per
+    presentation and ideal, and kept as ``("ideal-span", *tables)``, one
+    frozenset of (monomial, coefficient) items per generator of the ideal.
     """
     pres, gens, diff = _reduction(env, lhs, rhs, modulo)
     n = pres.dim
     span = None
     if gens:
         key = ("ideal-span", *(frozenset(g.table.items()) for g in gens))
-        span = pres.kept(key, lambda: rowspan_residuals(ideal_span_rows(pres, gens, n), pres.ring.modulus))
+        span = pres.kept(key, lambda: rowspan_residuals(_ideal_rows(pres, gens, n), pres.ring.modulus))
     for d in sorted(diff.codegrees()):
         part = diff.homogeneous_part(d)
         for w in pres.basis_classes(n - d):

@@ -76,6 +76,21 @@ def kept_under(X, tag: str) -> dict:
     return {key[1:]: value for key, value in X._derived.items() if key[0] == tag}
 
 
+def counting(monkeypatch, owner, name: str) -> list:
+    """Wrap owner.name (a module function or a class's method) for the rest
+    of the test; returns the list of calls, each its positional arguments
+    as a tuple."""
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def random_class(
     ctx: RingContext,
     rng: random.Random,

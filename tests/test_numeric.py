@@ -6,9 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import kept_under, random_tower
+from helpers import counting, kept_under, random_class, random_tower
 
+from chowcalc import registry, script
 from chowcalc.numeric import (
+    _echelon,
+    _ideal_rows,
+    _sparse,
     ab1_check,
     gamma_quotient,
     ideal_span_rows,
@@ -21,6 +25,7 @@ from chowcalc.numeric import (
     numerical_kernel,
     pairing_report,
     rational_in_rowspan,
+    rowspan_residuals,
 )
 from chowcalc import characteristic
 from chowcalc.characteristic import reduced_power
@@ -168,6 +173,74 @@ class TestMembership:
         # mod 2 the rows are (0 0 0) and (0 1 1)
         assert modp_in_rowspan(rows, [1, 0, 0], 2) == (False, [1, 0, 0])
         assert modp_in_rowspan(rows, [0, 1, 1], 2) == (True, [0, 0, 0])
+
+
+def dict_forms(rows, rng):
+    """The rows as {column: value} dicts: some without their zero entries,
+    some with a few zeros kept, each in a shuffled key order."""
+    out = []
+    for row in rows:
+        items = [(j, v) for j, v in enumerate(row) if v or rng.random() < 0.3]
+        rng.shuffle(items)
+        out.append(dict(items))
+    return out
+
+
+class TestDictRows:
+    # every consumer of rows takes the {column: value} dicts that ideal
+    # membership keeps as well as dense lists, with equal results
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+    def test_dict_rows_match_dense_rows(self, p):
+        rng = random.Random(p)
+        for rows, vec in membership_cases():
+            drows = dict_forms(rows, rng)
+            assert _echelon(drows, p) == _echelon(rows, p), (rows, p)
+            assert rowspan_residuals(drows, p)(vec) == rowspan_residuals(rows, p)(vec)
+            if p:
+                assert modp_in_rowspan(drows, vec, p) == modp_in_rowspan(rows, vec, p)
+            else:
+                assert rational_in_rowspan(drows, vec) == rational_in_rowspan(rows, vec)
+
+    def test_dict_rows_are_not_changed(self):
+        rows = [{2: 3, 0: 0, 1: -6}, {1: 4, 2: 2}]
+        want = [dict(row) for row in rows]
+        for p in (0, 3):
+            _echelon(rows, p)
+            rowspan_residuals(rows, p)([1, 1, 1])
+        assert rows == want
+
+    def test_rational_residual_zeros_are_fractions(self):
+        for rows, vec in membership_cases():
+            for form in (rows, dict_forms(rows, random.Random(1))):
+                ok, res = rational_in_rowspan(form, vec)
+                assert all(type(v) is Fraction for v in res)
+                assert ok == (not any(res))
+
+    @staticmethod
+    def assert_ideal_rows_match(X, gens):
+        for d in range(X.dim + 1):
+            dense = ideal_span_rows(X, gens, d)
+            assert _ideal_rows(X, gens, d) == [_sparse(row, 0) for row in dense], (X.name, d)
+
+    def test_ideal_rows_of_every_registry_ideal(self, monkeypatch):
+        calls = counting(monkeypatch, script, "_ideal_rows")
+        assert registry.run_all(seed=0).ok
+        monkeypatch.undo()
+        # one call per presentation, ideal and codegree asserted against
+        assert len(calls) == 13
+        for X, gens, _ in calls:
+            self.assert_ideal_rows_match(X, gens)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_ideal_rows_of_random_towers(self, seed):
+        rng = random.Random(seed)
+        X = random_tower(rng)
+        p = (0, 2, 3)[seed % 3]
+        if p:
+            X = X.with_coefficients(p)
+        gens = [random_class(X.ring, rng) for _ in range(rng.randint(1, 3))]
+        self.assert_ideal_rows_match(X, gens)
 
 
 class TestPairings:
@@ -353,14 +426,7 @@ class TestPairingCache:
         want = len({mono_mul(b, bd) for r in range(n // 2 + 1)
                     for b in X.basis_of(r) for bd in X.basis_of(n - r)})
         assert want < entries
-        calls = []
-        degree = ChowPresentation.degree
-
-        def counted(self, c):
-            calls.append(self)
-            return degree(self, c)
-
-        monkeypatch.setattr(ChowPresentation, "degree", counted)
+        calls = counting(monkeypatch, ChowPresentation, "degree")
         for p in (2, 3):
             rep = pairing_report(X, p)
             assert all(entry.kernel == [] for entry in rep.codegrees.values())
@@ -448,14 +514,7 @@ class TestEngineeredKernels:
         import chowcalc.numeric as nu
 
         X = self.degenerate_context()
-        calls = []
-        kernel = nu.modp_kernel
-
-        def counted(matrix, p):
-            calls.append(p)
-            return kernel(matrix, p)
-
-        monkeypatch.setattr(nu, "modp_kernel", counted)
+        calls = counting(monkeypatch, nu, "modp_kernel")
         for p in (2, 3):
             first = pairing_report(X, p)
             want = first.dumps()
@@ -472,7 +531,7 @@ class TestEngineeredKernels:
                 assert dim == entry["rank"] == entry["num_dimension"]
                 assert len(classes) == len(entry["kernel"]) == (1 if p == 2 else 0)
             assert ab1_check(X, p).passed
-        assert calls == [2] * (X.dim + 1) + [3] * (X.dim + 1)
+        assert [p for _, p in calls] == [2] * (X.dim + 1) + [3] * (X.dim + 1)
 
 
 def quadric(n):
@@ -607,14 +666,7 @@ class TestKernelMembership:
         # |B_r| = 1, 2, 3, 3, 2, 1: every class below the top codegree has
         # at least one check and pays for one total operation
         X = product(quadric(3), quadric(2))
-        calls = []
-        total = characteristic.steenrod_total
-
-        def counted(X, c):
-            calls.append(c)
-            return total(X, c)
-
-        monkeypatch.setattr(characteristic, "steenrod_total", counted)
+        calls = counting(monkeypatch, characteristic, "steenrod_total")
         assert len(ab1_check(X, 2).checks) == 30
         assert len(calls) == 1 + 2 + 3 + 3 + 2
 

@@ -14,8 +14,8 @@ from chowcalc.script import (
     verify_identity,
     verify_numerical,
 )
-from chowcalc.varieties import ChowPresentation, blow_up, generic_context
-from helpers import kept_under, reference_tokenize
+from chowcalc.varieties import ChowPresentation, generic_context
+from helpers import counting, kept_under, random_class, random_tower, reference_tokenize
 
 
 class TestParser:
@@ -75,6 +75,20 @@ class TestParser:
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
             assert _tokenize(text) == reference_tokenize(text), repr(text)
 
+    # an atom is an integer exactly when int() reads it; the parser tries
+    # int() only on atoms that start with a digit, a sign or whitespace
+    @pytest.mark.parametrize("atom", [
+        "+3", "-0", "1_000", "\u0663", " 7", "x1", "-", "+-1", "1e3", "0x10",
+        "\x0c7", "\u30007", "\u00b2", "_1", "7x",
+    ])
+    def test_integer_atoms_are_what_int_reads(self, atom):
+        try:
+            want = int(atom)
+        except ValueError:
+            want = atom
+        form = parse_script(f"(f {atom})").forms[0]
+        assert form == ["f", want] and type(form[1]) is type(want)
+
 
 def random_form(rng, depth=0):
     heads = ["add", "mul", "sub", "neg", "pow", "scale", "part"]
@@ -130,13 +144,7 @@ class TestEvaluator:
     def test_blowup_rules_are_added_to_one_blow_up(self, monkeypatch):
         from chowcalc import script
 
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return blow_up(*args, **kwargs)
-
-        monkeypatch.setattr(script, "blow_up", counted)
+        calls = counting(monkeypatch, script, "blow_up")
         rep = run_scenario(parse_script(
             "(pspace P 3)"
             "(blowup B P e (class (mul h h)) (roots h h) (rules ((pow h 3) 0)))"
@@ -172,14 +180,7 @@ class TestEvaluator:
         from chowcalc.rings import Monomial
         from chowcalc.script import _eval_context_form
 
-        calls = []
-        enumerate_basis = varieties.enumerate_basis
-
-        def counted(ring):
-            calls.append(ring)
-            return enumerate_basis(ring)
-
-        monkeypatch.setattr(varieties, "enumerate_basis", counted)
+        calls = counting(monkeypatch, varieties, "enumerate_basis")
         env = Env()
         _eval_context_form(env, parse_script(self.GENERIC.format(mod=mod)).forms[0])
         X = env.lookup("X")
@@ -349,6 +350,114 @@ class TestVerifyIdentity:
         rep = run_scenario(parse_script(src))
         assert [(r.verdict, r.witness) for r in rep.results] == [(FAIL, witness)]
 
+    def test_one_ideal_rows_build_per_codegree(self, monkeypatch):
+        # A23-L2-SL1 makes five assertions modulo Snum on one blow-up; the
+        # rows of each codegree are built once and kept on it
+        from chowcalc import registry, script
+
+        verifies = counting(monkeypatch, script, "verify_identity")
+        builds = counting(monkeypatch, script, "_ideal_rows")
+        assert registry.run("A23-L2-SL1").ok
+        assert sum(1 for args in verifies if args[3:] and args[3]) == 5
+        assert [d for _, _, d in builds] == [5]
+        (X, gens, d), = builds
+        assert list(kept_under(X, "ideal-rows")) == [(5, frozenset(gens[0].table.items()))]
+
+    def test_rows_are_kept_on_the_rules_copy(self, monkeypatch):
+        from chowcalc.script import _IdealDecl, _RulesDecl
+
+        X = generic_context([("x", 1), ("y", 1), ("z", 1)], 3)
+        env = Env()
+        env.define("X", X)
+        env.current = X
+        x, y, z = X.gen("x"), X.gen("y"), X.gen("z")
+        J = _IdealDecl([x * 2 + y])
+        R = _RulesDecl([(next(iter((x * y).table)), dict((z * z).table))])
+        builds = counting(monkeypatch, ChowPresentation, "with_rules")
+        assert verify_identity(env, x * y, x * z, [R, J]) == (False, "(y*z + 2*z^2)/2")
+        assert verify_identity(env, (x * 2 + y) * z, X.zero(), [R, J]) == (True, None)
+        assert verify_identity(env, x * y, z * z, [R]) == (True, None)
+        assert len(builds) == 1
+        (copy,) = kept_under(X, "with-rules").values()
+        assert kept_under(X, "ideal-rows") == {}
+        assert [key[0] for key in kept_under(copy, "ideal-rows")] == [2]
+
+    @pytest.mark.parametrize("form", ["assert-zero", "assert-numzero"])
+    def test_ideal_generator_from_another_context(self, form):
+        rep = run_scenario(parse_script(
+            "(pspace P 2)(declare-ideal J (mul h h))"
+            f"(pspace Q 3)({form} (trivial) (mul h h) (modulo J))"
+        ))
+        assert [(r.verdict, r.detail.partition(" in (")[0]) for r in rep.results] == [
+            (ERROR, "EvalError: ideal generators live in a different context")]
+
+    def test_ideal_rows_refuse_a_generator_of_another_ring(self):
+        from chowcalc.numeric import _ideal_rows
+        from chowcalc.rings import RingError
+
+        X = generic_context([("x", 1)], 2)
+        Y = generic_context([("x", 1)], 2)
+        with pytest.raises(RingError, match="different ring"):
+            X.kept(("ideal-rows", 1), _ideal_rows, X, [X.gen("x"), Y.gen("x")], 1)
+        assert kept_under(X, "ideal-rows") == {}
+
+
+def dense_verdicts(env, lhs, rhs, decl):
+    """Reference verdicts of verify_identity and verify_numerical on the
+    dense path: each codegree's ideal rows as coordinate lists, echeloned
+    per membership test."""
+    from chowcalc.numeric import ideal_span_rows, modp_in_rowspan, rational_in_rowspan
+    from chowcalc.script import _witness
+
+    pres, gens, diff = env.presentation_of(lhs), decl.gens, lhs - rhs
+    p, n = pres.ring.modulus, pres.dim
+
+    def residual(c, d):
+        vec = pres.coordinates(c, d)
+        rows = ideal_span_rows(pres, gens, d)
+        res = (modp_in_rowspan(rows, vec, p) if p else rational_in_rowspan(rows, vec))[1]
+        return {m: v for m, v in zip(pres.basis_of(d), res) if v}
+
+    res = {}
+    for d in sorted(diff.codegrees()):
+        res.update(residual(diff, d))
+    identity = (not res, _witness(pres.ring, res) if res else None)
+    numerical = (True, None)
+    for d in sorted(diff.codegrees()):
+        part = diff.homogeneous_part(d)
+        found = next(((w, r) for w in pres.basis_classes(n - d) if (r := residual(part * w, n))), None)
+        if found:
+            numerical = (False, f"{_witness(pres.ring, found[1])} (pairing against {found[0]})")
+            break
+    return identity, numerical
+
+
+class TestKeptRowsMatchDenseRows:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_tower_identities(self, seed):
+        # identities modulo a random ideal, some in it and some not, over Q,
+        # F_2 and F_3: the kept dict rows give the dense path's verdicts
+        from chowcalc.script import _IdealDecl
+
+        rng = random.Random(seed)
+        X = random_tower(rng)
+        p = (0, 2, 3)[seed % 3]
+        if p:
+            X = X.with_coefficients(p)
+        env = Env()
+        env.define("X", X)
+        env.current = X
+        J = _IdealDecl([random_class(X.ring, rng) for _ in range(rng.randint(1, 2))])
+        for _ in range(4):
+            lhs = X.zero()
+            for g in J.gens:
+                lhs = lhs + g * random_class(X.ring, rng)
+            if rng.random() < 0.5:
+                lhs = lhs + random_class(X.ring, rng, terms=1)
+            rhs = random_class(X.ring, rng, terms=1) if rng.random() < 0.3 else X.zero()
+            got = (verify_identity(env, lhs, rhs, [J]), verify_numerical(env, lhs, rhs, [J]))
+            assert got == dense_verdicts(env, lhs, rhs, J)
+
 
 class TestVerifyNumerical:
     """Each presentation echelons the top-codegree span of an ideal once;
@@ -384,14 +493,7 @@ class TestVerifyNumerical:
         assert [(r.verdict, r.witness) for r in rep.results] == expected
 
     def test_one_copy_per_declared_rules(self, monkeypatch):
-        calls = []
-        with_rules = ChowPresentation.with_rules
-
-        def counted(self, rules):
-            calls.append(rules)
-            return with_rules(self, rules)
-
-        monkeypatch.setattr(ChowPresentation, "with_rules", counted)
+        calls = counting(monkeypatch, ChowPresentation, "with_rules")
         rep = run_scenario(parse_script(RULES_THEN_IDEAL))
         assert len(rep.results) == 3 and len(calls) == 1
         # the same rules declared again, built apart, find the same copy
