@@ -5,16 +5,18 @@ stability check for reduced power operations.
 Each presentation pays for its pairing once, and keeps it (``X.kept``):
 
 - ``("pairings",)``, the integer pairing (``_integer_pairings``): the
-  matrix M_r of codegree r for every r <= n - r, filled in one pass.  Every
+  matrix M_r of codegree r for every r in 0..n, filled in one pass.  Every
   product b * bd of basis monomials lies in codegree n, so one
   {monomial: degree} memo serves every codegree and ``X.degree`` runs once
-  per distinct product.  Codegree n - r is the transpose of M_r, since
-  ``b * bd`` and ``bd * b`` are the same monomial.
+  per distinct product.  M_{n-r} is the transpose of M_r, since
+  ``b * bd`` and ``bd * b`` are the same monomial; it is built once, for
+  r < n - r, and every reader takes the kept matrix as it stands.
 - ``("modp-pairing", p)``, the mod-p report (``_modp_pairing``): the rank
-  and the kernel of each codegree.  M_{n-r} is the transpose of M_r, so the
-  rank of codegree n - r is read from codegree r.  ``pairing_report``,
-  ``numerical_kernel``, ``kernel_is_ideal`` and ``ab1_check`` all read it,
-  and take their kernel classes from one walk (``_kernel_classes``).
+  and the kernel of each codegree.  The rank of codegree n - r is read
+  from codegree r; the kernel of codegree r is the right kernel of
+  M_{n-r}.  ``pairing_report``, ``numerical_kernel``, ``kernel_is_ideal``
+  and ``ab1_check`` all read it, and take their kernel classes from one
+  walk (``_kernel_classes``).
 - ``("labels", r)``, the printed basis monomials of codegree r.
 
 All are stored as tuples; every report and every caller gets fresh
@@ -30,13 +32,16 @@ ValueError.
 All elimination runs on one sparse echelon kernel (``_echelon``, with
 ``_eliminate`` clearing one column): rows are ``{column: int}`` dicts,
 reduced fraction-free over Z and divided by their content, or made monic
-over F_p.  Callers hand rows over in one of two forms, and ``_sparse``
-reads both: a dict row is taken as it is, a dense coordinate list is
-scanned.  The pairing matrices and ``ideal_span_rows`` (which
-``gamma_quotient`` reads) are dense; ``_ideal_rows`` gives the DSL's
-``verify_identity`` and ``verify_numerical`` dicts, read from each
-product's nonzero coordinates.  The two ideal row builders share one
-product loop (``_ideal_products``).  Ideal membership
+over F_p; a row whose lead is already 1 is kept as it was built, without
+a copy.  A nonzero modulus that is not prime raises ValueError, checked
+once in ``_echelon``.  Callers hand rows over in one of two forms, and
+``_sparse`` reads both, reducing each entry mod p once: a dict row is
+taken as it is, a dense coordinate list is scanned.  The pairing matrices
+and ``ideal_span_rows`` (which ``gamma_quotient`` reads) are dense;
+``_ideal_rows`` gives the DSL's ``verify_identity`` and
+``verify_numerical`` dicts, read from each product's nonzero
+coordinates.  The two ideal row builders share one product loop
+(``_ideal_products``).  Ideal membership
 (``rational_in_rowspan``, ``modp_in_rowspan``, or ``rowspan_residuals`` for
 many vectors against one echelon form) and the quotient map
 ``GammaQuotient.project`` reduce a vector against the pivot rows in
@@ -44,7 +49,9 @@ increasing column order (``_reduce``), so its residual is zero on every
 pivot column; the pivot columns depend only on the row span, so the
 residual is canonical (the same as a reduction against the reduced row
 echelon form would give).  ``modp_rank`` counts the pivot rows,
-``modp_rref`` back-substitutes them, and ``modp_kernel`` reads its basis off
+``modp_rref`` back-substitutes them (``_back_substitute``), and
+``modp_kernel`` returns [] when every column has a pivot (rank-nullity)
+and back-substitutes only when there is a kernel, reading its basis off
 the reduced rows.  Only the Bareiss determinant keeps its own loop.
 """
 
@@ -74,7 +81,7 @@ def _sparse(row: Sequence[int] | _Row, p: int) -> _Row:
     reduced mod p; a dict row is read as it is, only a dense one is scanned."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
     if p:
-        return {j: v % p for j, v in items if v % p}
+        return {j: w for j, v in items if (w := v % p)}
     return {j: v for j, v in items if v}
 
 
@@ -99,7 +106,11 @@ def _eliminate(r: _Row, piv: _Row, c: int, p: int) -> tuple[_Row, int]:
 
 def _echelon(rows: _Rows, p: int) -> dict[int, _Row]:
     """Pivot rows of the row span keyed by leading column: primitive with a
-    positive lead over Z, monic over F_p.  Rows are dense or dicts."""
+    positive lead over Z, monic over F_p.  Rows are dense or dicts.  A row
+    whose lead is already 1 is kept as it was built.  A nonzero p that is
+    not prime raises ValueError."""
+    if p and not _is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
     pivots: dict[int, _Row] = {}
     for row in rows:
         r = _sparse(row, p)
@@ -107,13 +118,16 @@ def _echelon(rows: _Rows, p: int) -> dict[int, _Row]:
             c = min(r)
             piv = pivots.get(c)
             if piv is None:
-                if p:
-                    inv = pow(r[c], -1, p)
-                    pivots[c] = {j: v * inv % p for j, v in r.items()}
-                else:
-                    g = gcd(*r.values())
-                    g = -g if r[c] < 0 else g
-                    pivots[c] = {j: v // g for j, v in r.items()}
+                lead = r[c]
+                if lead != 1:
+                    if p:
+                        inv = pow(lead, -1, p)
+                        r = {j: v * inv % p for j, v in r.items()}
+                    else:
+                        g = gcd(*r.values())
+                        g = -g if lead < 0 else g
+                        r = {j: v // g for j, v in r.items()}
+                pivots[c] = r
                 break
             r, _ = _eliminate(r, piv, c, p)
     return pivots
@@ -131,10 +145,9 @@ def _reduce(pivots: dict[int, _Row], vec: Sequence[int], p: int) -> tuple[list[i
     return [res.get(j, 0) for j in range(len(vec))], scale
 
 
-def modp_rref(rows: Sequence[Sequence[int]], p: int) -> dict[int, _Row]:
-    """Reduced row echelon form over F_p: {pivot column: monic row that is
-    zero on every other pivot column}."""
-    pivots = _echelon(rows, p)
+def _back_substitute(pivots: dict[int, _Row], p: int) -> dict[int, _Row]:
+    """The echelon pivot rows made zero on every other pivot column, in
+    place: the reduced row echelon form."""
     for c in sorted(pivots, reverse=True):
         r = pivots[c]
         # the pivot rows right of c are already reduced, so clearing one of
@@ -145,14 +158,24 @@ def modp_rref(rows: Sequence[Sequence[int]], p: int) -> dict[int, _Row]:
     return pivots
 
 
+def modp_rref(rows: Sequence[Sequence[int]], p: int) -> dict[int, _Row]:
+    """Reduced row echelon form over F_p: {pivot column: monic row that is
+    zero on every other pivot column}."""
+    return _back_substitute(_echelon(rows, p), p)
+
+
 def modp_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(_echelon(rows, p))
 
 
 def modp_kernel(matrix: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """Right kernel basis of the matrix over F_p (vectors of length ncols)."""
+    """Right kernel basis of the matrix over F_p (vectors of length ncols);
+    back-substitutes only when some column has no pivot."""
     ncols = len(matrix[0]) if matrix else 0
-    rref = modp_rref(matrix, p)
+    pivots = _echelon(matrix, p)
+    if len(pivots) == ncols:
+        return []
+    rref = _back_substitute(pivots, p)
     basis = []
     for fc in range(ncols):
         if fc in rref:
@@ -261,14 +284,14 @@ class PairingReport:
 
 
 def _integer_pairings(X: ChowPresentation) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """The matrices M_s = (X.degree(b * bd)) for b in B_s, bd in B_{n-s} and
-    s <= n - s, kept on the presentation and filled in one pass.
+    """The matrices M_r = (X.degree(b * bd)) for b in B_r, bd in B_{n-r} and
+    every r in 0..n, kept on the presentation and filled in one pass.
 
     Every b * bd lies in codegree n, so its key is the sum b + bd (no
     exponent exceeds n, which fits in a field), and one {monomial: degree}
-    memo serves every s: each distinct product gets its normal form from
-    the ring's memo (``RingContext._f``) and its degree from ``X.degree``,
-    once."""
+    memo serves every r <= n - r: each distinct product gets its normal
+    form from the ring's memo (``RingContext._f``) and its degree from
+    ``X.degree``, once.  M_{n-r} is the transpose of M_r, built once."""
     if X.ring.modulus != 0:
         raise CoverageError("pairing is computed on an integral presentation")
     if X.degree_table is None or not X.degree_total:
@@ -293,18 +316,11 @@ def _fill_pairings(X: ChowPresentation) -> dict[int, tuple[tuple[int, ...], ...]
                 row.append(d)
             rows.append(tuple(row))
         pairings[s] = tuple(rows)
+    for r in range(n // 2 + 1, n + 1):
+        mat = pairings[n - r]
+        # one row per class of B_r, also when B_{n-r} is empty
+        pairings[r] = tuple(zip(*mat)) if mat else ((),) * len(X.basis_of(r))
     return pairings
-
-
-def _integer_pairing(X: ChowPresentation, r: int) -> list[list[int]]:
-    """The |B_r| x |B_{n-r}| matrix of degrees X.degree(b * bd), as fresh
-    lists; codegree n - r > r is the transpose of the kept M_r."""
-    s = min(r, X.dim - r)
-    mat = _integer_pairings(X)[s]
-    if s == r:
-        return [list(row) for row in mat]
-    # one row per class of B_r, also when B_{n-r} is empty
-    return [[row[j] for row in mat] for j in range(len(X.basis_of(r)))]
 
 
 def _left_kernel(cols: Sequence[Sequence[int]], nrows: int, p: int) -> tuple[tuple[int, ...], ...]:
@@ -319,23 +335,20 @@ def _modp_pairing(X: ChowPresentation, p: int) -> tuple[tuple[int, tuple[tuple[i
     """Per codegree r, the rank mod p of the pairing and the basis of its
     left kernel, as tuples; computed once per presentation and prime.
 
-    The kernel of codegree r is the right kernel of M_r^T, and M_{n-r} is
-    M_r^T, so codegree n - r > r takes the kept M_r as it stands, and its
-    rank is the rank of M_r."""
+    The kernel of codegree r is the right kernel of M_r^T, which is the kept
+    M_{n-r}; the rank of codegree n - r > r is the rank of M_r."""
     return X.kept(("modp-pairing", p), _fill_modp_pairing, X, p)
 
 
 def _fill_modp_pairing(X: ChowPresentation, p: int) -> tuple:
-    pairings = _integer_pairings(X)
     if not _is_prime(p):
         raise ValueError(f"pairing modulus {p} is not prime")
-    n = X.dim
+    mats, n = _integer_pairings(X), X.dim
     out: list = [None] * (n + 1)
-    for s, mat in pairings.items():
-        rank = modp_rank(mat, p)
-        out[s] = (rank, _left_kernel(list(zip(*mat)), len(mat), p))
-        if n - s != s:
-            out[n - s] = (rank, _left_kernel(mat, len(X.basis_of(n - s)), p))
+    for s in range(n // 2 + 1):
+        rank = modp_rank(mats[s], p)
+        for r in sorted({s, n - s}):
+            out[r] = (rank, _left_kernel(mats[n - r], len(mats[r]), p))
     return tuple(out)
 
 
@@ -347,12 +360,13 @@ def _basis_labels(X: ChowPresentation, r: int) -> list[str]:
 
 def pairing_report(X: ChowPresentation, p: int) -> PairingReport:
     rep = PairingReport(variety=X.name, prime=p)
-    for r, (rank, kernel) in enumerate(_modp_pairing(X, p)):
+    kept, mats = _modp_pairing(X, p), _integer_pairings(X)
+    for r, (rank, kernel) in enumerate(kept):
         rep.codegrees[r] = CodegreePairing(
             codegree=r,
             basis=_basis_labels(X, r),
             dual_basis=_basis_labels(X, X.dim - r),
-            matrix=_integer_pairing(X, r),
+            matrix=[list(row) for row in mats[r]],
             rank=rank,
             kernel=[list(v) for v in kernel],
             num_dimension=rank,
@@ -374,17 +388,13 @@ def _in_kernel(X: ChowPresentation, c: GradedClass, s: int, p: int) -> bool:
     """Whether the codegree-s part of c, a class of X mod p, pairs to zero
     mod p with every class of codegree n - s: coords(c) . M_s = 0 mod p.
 
-    M_s is the kept M_s, or for s > n - s the transpose of the kept
-    M_{n-s}.  The product is bilinear, so this is the degree test
-    deg(c * bd) = 0 for every dual basis class bd; it reads only the rows of
-    M_s at the nonzero coordinates of c."""
+    The product is bilinear, so this is the degree test deg(c * bd) = 0 for
+    every dual basis class bd; it reads only the rows of the kept M_s at
+    the nonzero coordinates of c."""
     terms = X._sparse_coordinates(c, s)
-    mats, n = _integer_pairings(X), X.dim
-    if s <= n - s:
-        cols = zip(*(mats[s][i] for i, _ in terms))
-    else:
-        cols = ([row[i] for i, _ in terms] for row in mats[n - s])
+    mat = _integer_pairings(X)[s]
     weights = [v for _, v in terms]
+    cols = zip(*(mat[i] for i, _ in terms))
     return not any(sum(map(mul, weights, col)) % p for col in cols)
 
 

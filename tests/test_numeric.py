@@ -8,9 +8,11 @@ import pytest
 
 from helpers import counting, kept_under, random_class, random_tower
 
+from chowcalc import numeric as nu
 from chowcalc import registry, script
 from chowcalc.numeric import (
     _echelon,
+    _integer_pairings,
     _ideal_rows,
     _sparse,
     ab1_check,
@@ -63,6 +65,23 @@ class TestLinearAlgebra:
         assert len(kern) == 1
         v = kern[0]
         assert (m[0][0] * v[0] + m[0][1] * v[1]) % 5 == 0
+
+    @pytest.mark.parametrize("p", [1, 4, 9, -2, -3])
+    def test_non_prime_modulus_rejected(self, p):
+        # one error from every public mod-p function, whatever the leads;
+        # 1 used to give the identity as the kernel of an invertible matrix
+        rows = [[2, 1], [1, 1]]
+        for call in (modp_rank, modp_rref, modp_kernel, rowspan_residuals,
+                     lambda rows, p: modp_in_rowspan(rows, [1, 0], p)):
+            for matrix in (rows, [[1, 0], [0, 1]], []):
+                with pytest.raises(ValueError, match=rf"^modulus {p} is not prime$"):
+                    call(matrix, p)
+
+    def test_zero_modulus_is_rational(self):
+        # rank 1 over Q, where the row would be zero mod 2
+        rows = [[2, 4]]
+        assert modp_rank(rows, 0) == 1
+        assert rowspan_residuals(rows, 0)([1, 0]) == [Fraction(0), Fraction(-2)]
 
     def test_determinant(self):
         assert integer_determinant([[2, 1], [1, 1]]) == 1
@@ -677,6 +696,8 @@ class TestKernelMembership:
                       lambda X, p: numerical_kernel(X, 1, p)):
             with pytest.raises(ValueError, match=f"pairing modulus {p} is not prime"):
                 check(X, p)
+        # the prime is checked before the integer pairing is computed
+        assert kept_under(X, "pairings") == {}
         assert kept_under(X, "modp-pairing") == {}
 
     @pytest.mark.parametrize("build", [
@@ -809,20 +830,59 @@ def matrix_cases():
             coeffs = [rng.randint(-3, 3) for _ in rows]
             rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)])
         cases.append(rows)
+    return cases + full_column_rank_cases(rng) + unit_entry_cases(rng)
+
+
+def full_column_rank_cases(rng):
+    """Matrices whose kernel is empty over every prime: a unit lower
+    triangular block on top, extra rows below, the rows shuffled."""
+    cases = []
+    for _ in range(100):
+        ncols = rng.randrange(1, 7)
+        rows = [[rng.randint(-3, 3) if j < i else int(j == i) for j in range(ncols)]
+                for i in range(ncols + rng.randrange(0, 3))]
+        rng.shuffle(rows)
+        cases.append(rows)
+    return cases
+
+
+def unit_entry_cases(rng):
+    """Matrices of +-1 entries (every lead is a unit, 1 mod 2)."""
+    cases = []
+    for _ in range(100):
+        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
+        cases.append([[rng.choice((1, -1)) for _ in range(ncols)] for _ in range(nrows)])
     return cases
 
 
 class TestModpKernelMatchesDense:
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_rref_rank_kernel(self, p):
         for rows in matrix_cases():
             want_rows, want_pivots = dense_rref(rows, p)
+            pivots = _echelon(rows, p)
+            assert all(row[c] == 1 and all(0 < v < p for v in row.values())
+                       for c, row in pivots.items()), rows
             rref = modp_rref(rows, p)
             ncols = len(rows[0]) if rows else 0
             assert sorted(rref) == want_pivots, rows
             assert [[rref[c].get(j, 0) for j in range(ncols)] for c in sorted(rref)] == want_rows
             assert modp_rank(rows, p) == len(want_pivots)
             assert modp_kernel(rows, p) == dense_kernel(rows, p), rows
+
+    @pytest.mark.parametrize("p", [0, 7])
+    def test_unit_lead_dict_rows_come_back_unchanged(self, p):
+        # every lead is 1 over Z, so each pivot is kept as built: a fresh
+        # dict, never one of the rows passed in
+        rows = [{0: 1, 2: -3, 3: 0}, {1: 1, 2: 2}, {2: 1, 0: 1, 1: 1}, {3: 1, 2: 4}]
+        want = [dict(row) for row in rows]
+        dense = [[row.get(j, 0) for j in range(4)] for row in rows]
+        pivots = _echelon(rows, p)
+        assert all(piv is not row for piv in pivots.values() for row in rows)
+        residual = rowspan_residuals(rows, p)
+        for vec in ([1, 2, 3, 4], [0, 0, 0, 1], [1, -3, 9, 0]):
+            assert residual(vec) == dense_residual(dense, vec, p)
+        assert rows == want
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_gamma_quotient(self, p):
@@ -848,3 +908,60 @@ class TestModpKernelMatchesDense:
                                 f = want[pc]
                                 want = [(a - f * b) % p for a, b in zip(want, rref[r])]
                         assert res == want, (X.name, d, str(c))
+
+
+class TestEliminationWork:
+    # the eliminations behind a pairing report: one rank per s <= n - s,
+    # one kernel per codegree, and a back-substitution only for a kernel
+
+    def test_unimodular_pairings_make_no_back_substitution(self, monkeypatch):
+        backs = counting(monkeypatch, nu, "_back_substitute")
+        ranks = counting(monkeypatch, nu, "modp_rank")
+        kernels = counting(monkeypatch, nu, "modp_kernel")
+        for seed in range(60):
+            X = random_tower(random.Random(seed))
+            n = X.dim
+            del ranks[:], kernels[:]
+            for p in (2, 3):
+                pairing_report(X, p)
+            assert backs == [], seed
+            mats = _integer_pairings(X)
+            assert ranks == [(mats[s], p) for p in (2, 3) for s in range(n // 2 + 1)]
+            # the kernels read the kept matrices, M_{n-r} for codegree r
+            assert all(any(args[0] is mats[r] for r in range(n + 1)) for args in kernels)
+
+    def test_degenerate_kernels_back_substitute_once_per_codegree(self, monkeypatch):
+        # mod 2 every codegree has a one-dimensional kernel, mod 3 none has
+        X = TestEngineeredKernels().degenerate_context()
+        backs = counting(monkeypatch, nu, "_back_substitute")
+        for p, want in ((2, X.dim + 1), (3, 0)):
+            del backs[:]
+            rep = pairing_report(X, p)
+            assert len(backs) == want
+            assert sum(bool(e.kernel) for e in rep.codegrees.values()) == want
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_one_rank_per_pair_of_codegrees(self, seed, monkeypatch):
+        # dimensions 4, 3 and 5; the kernel checks read the kept report
+        X = random_tower(random.Random(seed))
+        n = X.dim
+        ranks = counting(monkeypatch, nu, "modp_rank")
+        kernels = counting(monkeypatch, nu, "modp_kernel")
+        pairing_report(X, 2)
+        kernel_is_ideal(X, 2)
+        numerical_kernel(X, n, 2)
+        below, middle = (n + 1) // 2, int(n % 2 == 0)
+        assert len(ranks) == below + middle
+        assert len(kernels) == 2 * below + middle
+
+    def test_transposes_are_kept_once(self):
+        X = random_tower(random.Random(3))
+        n = X.dim
+        pairing_report(X, 2)
+        pairing_report(X, 3)
+        (mats,) = kept_under(X, "pairings").values()
+        assert sorted(mats) == list(range(n + 1))
+        for r in range(n + 1):
+            assert len(mats[r]) == len(X.basis_of(r))
+            assert all(mats[n - r][j][i] == v
+                       for i, row in enumerate(mats[r]) for j, v in enumerate(row))
