@@ -107,8 +107,9 @@ def _eliminate(r: _Row, piv: _Row, c: int, p: int) -> tuple[_Row, int]:
 def _echelon(rows: _Rows, p: int) -> dict[int, _Row]:
     """Pivot rows of the row span keyed by leading column: primitive with a
     positive lead over Z, monic over F_p.  Rows are dense or dicts.  A row
-    whose lead is already 1 is kept as it was built.  A nonzero p that is
-    not prime raises ValueError."""
+    whose lead is already 1, or whose content is already 1 over Z, is kept
+    as it was built, so echeloning pivot rows again eliminates nothing.  A
+    nonzero p that is not prime raises ValueError."""
     if p and not _is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     pivots: dict[int, _Row] = {}
@@ -126,7 +127,8 @@ def _echelon(rows: _Rows, p: int) -> dict[int, _Row]:
                     else:
                         g = gcd(*r.values())
                         g = -g if lead < 0 else g
-                        r = {j: v // g for j, v in r.items()}
+                        if g != 1:
+                            r = {j: v // g for j, v in r.items()}
                 pivots[c] = r
                 break
             r, _ = _eliminate(r, piv, c, p)
@@ -170,7 +172,10 @@ def modp_rank(rows: Sequence[Sequence[int]], p: int) -> int:
 
 def modp_kernel(matrix: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     """Right kernel basis of the matrix over F_p (vectors of length ncols);
-    back-substitutes only when some column has no pivot."""
+    back-substitutes only when some column has no pivot.  p = 0 raises
+    ValueError, as a nonzero p that is not prime does."""
+    if not p:
+        raise ValueError("modulus 0 is not prime")
     ncols = len(matrix[0]) if matrix else 0
     pivots = _echelon(matrix, p)
     if len(pivots) == ncols:

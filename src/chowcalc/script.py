@@ -40,6 +40,13 @@ Comments run from ';' to end of line.  Parsing is total: it either returns
 a Script or raises ParseError with a line/column position (also for
 brackets nested deeper than ``MAX_DEPTH``), and printing a parsed script
 reparses to an equal Script.
+
+The reader is one regex scan and one loop.  The scan
+(``_TOKEN.findall``) yields the brackets and atoms of the text, and the
+loop builds the forms on an explicit stack of open lists, checking
+``MAX_DEPTH`` as each bracket opens; it neither recurses nor tracks
+positions.  Only when it raises a ParseError does it compute the line and
+column, from the same token of ``_tokenize``, which numbers every token.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from typing import Callable, Optional
 from . import characteristic as chops
 from . import milnor as miln
 from .numeric import (
+    _echelon,
     _ideal_rows,
     modp_in_rowspan,
     numerical_kernel,
@@ -81,9 +89,9 @@ from .varieties import (
 MAX_POW_BITS = 4096
 
 # Brackets nest at most this deep; a deeper one is a ParseError.  The
-# reader, eval_expr and the printer recurse once per level, eval_expr with
-# up to three frames a level, so this depth stays well inside Python's
-# default limit of 1,000 frames.
+# reader keeps its open lists on a stack, but eval_expr and the printer
+# recurse once per level, eval_expr with up to three frames a level, so
+# this depth stays well inside Python's default limit of 1,000 frames.
 MAX_DEPTH = 200
 
 
@@ -102,8 +110,10 @@ class EvalError(Exception):
 # Tokenizer / reader / printer
 # ---------------------------------------------------------------------------
 
-# a newline, a comment, a bracket or an atom; spaces, tabs, '\r' and ',' separate
-_TOKEN = re.compile(r"\n|;[^\n]*|[(){}]|[^ \t\r\n,(){};]+")
+# a newline, a comment, a bracket or an atom; spaces, tabs, '\r' and ','
+# separate.  Only brackets and atoms are captured, so findall gives '' for
+# a newline or a comment.
+_TOKEN = re.compile(r"\n|;[^\n]*|([(){}]|[^ \t\r\n,(){};]+)")
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
@@ -132,51 +142,57 @@ class Script:
 _CLOSING = {"(": ")", "{": "}"}
 
 
-def parse_script(text: str) -> Script:
-    """Total parse: returns a Script or raises ParseError with a position."""
-    tokens = _tokenize(text)
-    end = len(tokens)
-    pos = 0
+def _error(text: str, k: int, message: str) -> ParseError:
+    """A ParseError at the k-th bracket or atom of text."""
+    _, line, col = _tokenize(text)[k]
+    return ParseError(message, line, col)
 
-    def read(depth):
-        # only called with pos < end; depth brackets are open around the token
-        nonlocal pos
-        tok, line, col = tokens[pos]
-        pos += 1
-        close = _CLOSING.get(tok)
-        if close is None:
-            if tok in (")", "}"):
-                raise ParseError(f"unexpected {tok!r}", line, col)
+
+def parse_script(text: str) -> Script:
+    """Total parse: returns a Script or raises ParseError with a position.
+
+    One scan and one loop: the open lists are a stack, and a position is
+    computed only for the error raised."""
+    tokens = list(filter(None, _TOKEN.findall(text)))
+    forms: list = []
+    # the innermost open list, the bracket that closes it and the index of
+    # the token that opened it; the enclosing ones are stacked
+    items, close, start = forms, None, 0
+    stack = []
+    for k, tok in enumerate(tokens):
+        opened = _CLOSING.get(tok)
+        if opened is not None:
+            if len(stack) == MAX_DEPTH:
+                raise _error(text, k, f"brackets nest deeper than {MAX_DEPTH}")
+            stack.append((items, close, start))
+            items, close, start = [], opened, k
+            continue
+        if tok == close:
+            value = items if close == ")" else frozenset(items)
+            k = start
+            items, close, start = stack.pop()
+        elif tok == ")" or tok == "}":
+            raise _error(text, k, f"unexpected {tok!r}")
+        else:
             # int() accepts only atoms that start with a digit, a sign or
             # whitespace, so every other atom is a name without a try
+            value = tok
             c = tok[0]
             if c.isdigit() or c in "+-" or c.isspace():
                 try:
-                    return int(tok)
+                    value = int(tok)
                 except ValueError:
                     pass
-            return tok
-        if depth == MAX_DEPTH:
-            raise ParseError(f"brackets nest deeper than {MAX_DEPTH}", line, col)
-        items = []
-        while True:
-            if pos == end:
-                raise ParseError(f"unbalanced {tok!r}: missing {close!r}", line, col)
-            nxt, nline, ncol = tokens[pos]
-            if nxt == close:
-                pos += 1
-                return items if close == ")" else frozenset(items)
-            v = read(depth + 1)
-            if close == "}" and not isinstance(v, int):
-                raise ParseError("subset literals hold integers", nline, ncol)
-            items.append(v)
-
-    forms = []
-    while pos < end:
-        form = read(0)
-        if not isinstance(form, list):
-            raise ParseError("top-level forms must be parenthesized", 1, 1)
-        forms.append(form)
+        # value is complete and began at the k-th token
+        if close == ")" or (close == "}" and isinstance(value, int)):
+            items.append(value)
+        elif close is None and isinstance(value, list):
+            forms.append(value)
+        else:
+            raise _error(text, k, "subset literals hold integers" if close else
+                         "top-level forms must be parenthesized")
+    if stack:
+        raise _error(text, start, f"unbalanced {tokens[start]!r}: missing {close!r}")
     return Script(forms, source=text)
 
 
@@ -493,6 +509,11 @@ def _witness(ring: RingContext, residual: dict[int, Fraction]) -> str:
     return text if den == 1 else f"({text})/{den}"
 
 
+def _ideal_pivot_rows(pres: ChowPresentation, gens: list[GradedClass], d: int, p: int) -> list[dict]:
+    """The pivot rows of the ideal's codegree-d rows, over Q or F_p."""
+    return list(_echelon(_ideal_rows(pres, gens, d), p).values())
+
+
 def verify_identity(
     env: Env,
     lhs: GradedClass,
@@ -507,10 +528,11 @@ def verify_identity(
     integers.
 
     The ideal's rows in codegree d, as {column: coefficient} dicts, are
-    built once per presentation, ideal and codegree, and kept as
-    ``("ideal-rows", d, *tables)``, one frozenset of (monomial,
-    coefficient) items per generator of the ideal; each assertion makes
-    one membership test per codegree against them."""
+    built and echeloned once per presentation, ideal and codegree, and
+    their pivot rows kept as ``("ideal-rows", d, *tables)``, one frozenset
+    of (monomial, coefficient) items per generator of the ideal; each
+    assertion makes one membership test per codegree against them, which
+    echelons the pivot rows again without an elimination."""
     pres, gens, diff = _reduction(env, lhs, rhs, modulo)
     p = pres.ring.modulus
     tables = tuple(frozenset(g.table.items()) for g in gens)
@@ -518,7 +540,7 @@ def verify_identity(
     for d in sorted(diff.codegrees()):
         span = None
         if gens:
-            rows = pres.kept(("ideal-rows", d, *tables), _ideal_rows, pres, gens, d)
+            rows = pres.kept(("ideal-rows", d, *tables), _ideal_pivot_rows, pres, gens, d, p)
             span = lambda vec, rows=rows: (
                 modp_in_rowspan(rows, vec, p) if p else rational_in_rowspan(rows, vec)
             )[1]

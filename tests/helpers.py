@@ -11,6 +11,7 @@ from chowcalc.rings import (
     exponents,
     minimal_monomials,
 )
+from chowcalc.script import MAX_DEPTH, ParseError
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
@@ -457,3 +458,53 @@ def reference_tokenize(text: str) -> list[tuple[str, int, int]]:
         col += j - i
         i = j
     return tokens
+
+
+def reference_parse(text: str) -> list:
+    """Reference DSL reader, recursive descent over ``reference_tokenize``:
+    the forms of text, or the ParseError the reader raises for it.  A
+    top-level atom or subset literal is reported at its first token."""
+    tokens = reference_tokenize(text)
+    end = len(tokens)
+    pos = 0
+    closing = {"(": ")", "{": "}"}
+
+    def read(depth):
+        # only called with pos < end; depth brackets are open around the token
+        nonlocal pos
+        tok, line, col = tokens[pos]
+        pos += 1
+        close = closing.get(tok)
+        if close is None:
+            if tok in (")", "}"):
+                raise ParseError(f"unexpected {tok!r}", line, col)
+            c = tok[0]
+            if c.isdigit() or c in "+-" or c.isspace():
+                try:
+                    return int(tok)
+                except ValueError:
+                    pass
+            return tok
+        if depth == MAX_DEPTH:
+            raise ParseError(f"brackets nest deeper than {MAX_DEPTH}", line, col)
+        items = []
+        while True:
+            if pos == end:
+                raise ParseError(f"unbalanced {tok!r}: missing {close!r}", line, col)
+            nxt, nline, ncol = tokens[pos]
+            if nxt == close:
+                pos += 1
+                return items if close == ")" else frozenset(items)
+            v = read(depth + 1)
+            if close == "}" and not isinstance(v, int):
+                raise ParseError("subset literals hold integers", nline, ncol)
+            items.append(v)
+
+    forms = []
+    while pos < end:
+        _, line, col = tokens[pos]
+        form = read(0)
+        if not isinstance(form, list):
+            raise ParseError("top-level forms must be parenthesized", line, col)
+        forms.append(form)
+    return forms

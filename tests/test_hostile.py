@@ -67,6 +67,38 @@ def verdicts(text: str, bound_s: float = 2.0) -> list:
     return [SimpleNamespace(**r) for r in out["results"]]
 
 
+# Reads a script on stdin; writes the time of parse_script and the number
+# of forms read, or the ParseError raised, as one JSON object.
+PARSE_CHILD = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))
+from chowcalc.script import ParseError, parse_script
+text = sys.stdin.read()
+start = time.perf_counter()
+try:
+    out = {{"forms": len(parse_script(text).forms)}}
+except ParseError as err:
+    out = {{"error": str(err)}}
+out["seconds"] = time.perf_counter() - start
+print(json.dumps(out))
+"""
+
+
+def parsed(text: str, bound_s: float = 2.0) -> dict:
+    """Parse a script in one child process; its form count or its error,
+    once parse_script has ended within ``bound_s`` seconds."""
+    src = str(Path(chowcalc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", PARSE_CHILD.format(cap=CHILD_ADDRESS_SPACE)],
+        input=text, capture_output=True, text=True, timeout=bound_s + CHILD_TIMEOUT_S,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out.pop("seconds") < bound_s
+    return out
+
+
 def test_huge_exponent():
     results = verdicts(
         "(pspace P 3 (mod 2)) (let h2 (pow h 1000000000)) (assert-zero (trivial) h2)"
@@ -296,3 +328,10 @@ def test_nesting_at_the_bound_evaluates_and_prints():
     script = parse_script(text)
     assert eval_expr(Env(), script.forms[0]) == 1
     assert parse_script(print_script(script)) == script
+
+
+def test_parsing_a_long_flat_script_is_linear():
+    text = "(let u 1) ; a comment\n" * 50_000
+    assert parsed(text) == {"forms": 50_000}
+    # the position of an error is computed once, not per token
+    assert parsed(text + ")") == {"error": "unexpected ')' at line 50001, column 1"}

@@ -83,6 +83,13 @@ class TestLinearAlgebra:
         assert modp_rank(rows, 0) == 1
         assert rowspan_residuals(rows, 0)([1, 0]) == [Fraction(0), Fraction(-2)]
 
+    @pytest.mark.parametrize("rows", [[[2, 4]], [[1, 0], [0, 1]], []])
+    def test_zero_modulus_kernel_rejected(self, rows):
+        # a mod-p kernel has no rational reading: with or without a kernel
+        # (once a ZeroDivisionError, once []), p = 0 is refused
+        with pytest.raises(ValueError, match=r"^modulus 0 is not prime$"):
+            modp_kernel(rows, 0)
+
     def test_determinant(self):
         assert integer_determinant([[2, 1], [1, 1]]) == 1
         assert integer_determinant([[0, 1], [1, 0]]) == -1

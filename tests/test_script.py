@@ -4,6 +4,7 @@ import pytest
 
 from chowcalc.report import ERROR, FAIL, PASS, Report, emit_report
 from chowcalc.script import (
+    MAX_DEPTH,
     Env,
     ParseError,
     Script,
@@ -15,7 +16,24 @@ from chowcalc.script import (
     verify_numerical,
 )
 from chowcalc.varieties import ChowPresentation, generic_context
-from helpers import counting, kept_under, random_class, random_tower, reference_tokenize
+from helpers import (
+    counting,
+    kept_under,
+    random_class,
+    random_tower,
+    reference_parse,
+    reference_tokenize,
+)
+
+
+def parse_outcome(read, text):
+    """The forms read returns for text, or its ParseError as (message,
+    line, column)."""
+    try:
+        forms = read(text)
+    except ParseError as err:
+        return str(err), err.line, err.col
+    return forms.forms if isinstance(forms, Script) else forms
 
 
 class TestParser:
@@ -51,9 +69,24 @@ class TestParser:
         assert err.value.line == 2
         assert err.value.col == 3
 
+    @staticmethod
+    def assert_top_level_error(text, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_script(text)
+        assert str(err.value) == f"top-level forms must be parenthesized at line {line}, column {col}"
+        assert (err.value.line, err.value.col) == (line, col)
+
     def test_top_level_atom_rejected(self):
-        with pytest.raises(ParseError):
-            parse_script("42")
+        # at the atom, wherever it stands
+        self.assert_top_level_error("42", 1, 1)
+        self.assert_top_level_error("(let u 1)\n  42", 2, 3)
+        self.assert_top_level_error("(let u 1) x (let v 2)", 1, 11)
+
+    def test_top_level_subset_literal_rejected(self):
+        # at its '{', once the literal has closed
+        self.assert_top_level_error("{1 2}", 1, 1)
+        self.assert_top_level_error("(let u 1)\n; {\n {1 2}", 3, 2)
+        self.assert_top_level_error("(let u 1)\n\t{3 -4} (let v 2)", 2, 2)
 
     @pytest.mark.parametrize("text, message, line, col", [
         ("{1 x}", "subset literals hold integers", 1, 4),
@@ -67,6 +100,41 @@ class TestParser:
             parse_script(text)
         assert str(err.value) == f"{message} at line {line}, column {col}"
         assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize("text", [
+        "(f {1 (a)})", "(f {1 (a) 2", "(f {1 (a", "{(a) x}", "(f {1 {2}})",
+        "(f {1 (a))", "(f {1 (a}", "(f {1 (g {x})})",
+        "(f {" + "(" * (MAX_DEPTH - 2) + ")" * (MAX_DEPTH - 2) + "})",
+        "(f {" + "(" * (MAX_DEPTH - 1) + ")" * (MAX_DEPTH - 1) + "})",
+        "{" + "(" * (MAX_DEPTH - 1) + ")" * (MAX_DEPTH - 1) + "}",
+        "{" + "(" * MAX_DEPTH + ")" * MAX_DEPTH + "}",
+        "(let u 1) ; a (comment} here\n(let v 2)\n  ; {\n\t(oops",
+        "(let u 1) ; )\n(let v {1 x})",
+        "; only\n\n(a)(b) ; c\n )",
+    ])
+    def test_reader_matches_reference_cases(self, text):
+        assert parse_outcome(parse_script, text) == parse_outcome(reference_parse, text)
+
+    def test_reader_matches_reference(self):
+        # random texts over brackets, digits, signs, letters, separators and
+        # comments, half of them scripts with one character changed: the
+        # same forms, or the same message at the same position
+        rng = random.Random(1)
+        alphabet = "(){}0123456789+-xyz \t\n,;"
+        raised = 0
+        for i in range(12_000):
+            if i % 2:
+                text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
+            else:
+                text = random_script_text(rng)
+                if rng.random() < 0.7:
+                    k = rng.randrange(len(text) + 1)
+                    text = text[:k] + rng.choice(alphabet) + text[k + rng.randint(0, 1):]
+            got = parse_outcome(parse_script, text)
+            assert got == parse_outcome(reference_parse, text), repr(text)
+            raised += isinstance(got, tuple)
+        # both outcomes occur often
+        assert 2000 < raised < 10_000
 
     def test_tokenizer_matches_reference(self):
         rng = random.Random(0)
@@ -102,6 +170,30 @@ def random_form(rng, depth=0):
     head = rng.choice(heads)
     n = {"add": 2, "mul": 3, "sub": 2, "neg": 1, "pow": 2, "scale": 2, "part": 2}[head]
     return [head] + [random_form(rng, depth + 1) for _ in range(n)]
+
+
+def random_script_text(rng):
+    """A few random forms as text, with commas, newlines and comments
+    between their tokens."""
+    seps = [" ", " ", ", ", "\n", "\t", " ; note (}\n"]
+    out = []
+
+    def emit(node):
+        if isinstance(node, list):
+            out.append("(")
+            for x in node:
+                emit(x)
+                out.append(rng.choice(seps))
+            out.append(")")
+        elif isinstance(node, frozenset):
+            out.append("{" + rng.choice(seps).join(map(str, sorted(node))) + "}")
+        else:
+            out.append(str(node))
+
+    for _ in range(rng.randint(1, 3)):
+        emit(["f", random_form(rng, 1), random_form(rng, 1)])
+        out.append(rng.choice(seps))
+    return "".join(out)
 
 
 class TestRoundTrip:
@@ -362,6 +454,36 @@ class TestVerifyIdentity:
         assert [d for _, _, d in builds] == [5]
         (X, gens, d), = builds
         assert list(kept_under(X, "ideal-rows")) == [(5, frozenset(gens[0].table.items()))]
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_kept_ideal_rows_are_pivot_rows(self, monkeypatch, p):
+        # one echelon per codegree: the kept rows have distinct leads and
+        # are primitive with a positive lead (over Q) or monic (over F_p),
+        # so each membership test echelons them again without eliminating
+        from math import gcd
+
+        from chowcalc import numeric
+        from chowcalc.script import _IdealDecl
+
+        X = random_tower(random.Random(7))
+        X = X.with_coefficients(p) if p else X
+        env = Env()
+        env.define("X", X)
+        env.current = X
+        a, b = X.gen(X.ring.names[0]), X.gen(X.ring.names[-1])
+        J = _IdealDecl([a * 2 + b, a * 3])
+        c = random_class(X.ring, random.Random(8))
+        assert verify_identity(env, (a * 2 + b) * c, X.zero(), [J]) == (True, None)
+        kept = kept_under(X, "ideal-rows")
+        assert kept
+        eliminations = counting(monkeypatch, numeric, "_eliminate")
+        for rows in kept.values():
+            leads = [min(r) for r in rows]
+            assert len(set(leads)) == len(rows)
+            for r, lead in zip(rows, leads):
+                assert r[lead] == 1 if p else (r[lead] > 0 and gcd(*r.values()) == 1)
+            assert list(numeric._echelon(rows, p).values()) == rows
+        assert eliminations == []
 
     def test_rows_are_kept_on_the_rules_copy(self, monkeypatch):
         from chowcalc.script import _IdealDecl, _RulesDecl
