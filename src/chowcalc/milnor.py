@@ -2,22 +2,25 @@
 
 Two families of rings are modelled:
 
-* symbol rings ``make_ring(m, ia)``: generators r_0..r_{m-1} over a finite
-  graded coefficient algebra, with r_i^2 = r_{i+1} * rho for i <= m-2 and
-  the top generator eta := r_{m-1} polynomial (free powers); rho is a
-  distinguished degree-1 element of the coefficient algebra (possibly 0);
+* symbol rings ``make_ring(m, ia)``: generators r_0..r_{m-1} over the
+  coefficients F_2[rho]/(rho^h), with r_i^2 = r_{i+1} * rho for i <= m-2
+  and the top generator eta := r_{m-1} polynomial (free powers); h = 1
+  gives rho = 0;
 * ``flexible_cohomology(n)``: the exterior algebra on r_0..r_n over F_2
   (rho = 0, every square vanishes).
 
-Elements are F_2-combinations of basis words eta^k * r_I * s with I a set
-of square-free indices and s a coefficient-algebra basis element.  Every
-word carries a bidegree (a)[b]: r_i sits in (-d_i)[-2d_i - 1] with
-d_i = 2^i - 1, and a coefficient element of weight t sits in (t)[t].
+Elements are F_2-combinations of basis words eta^k * r_I * rho^s with I a
+set of square-free indices and 0 <= s < h.  Every word carries a bidegree
+(a)[b]: r_i sits in (-d_i)[-2d_i - 1] with d_i = 2^i - 1, and rho^s sits
+in (s)[s].
 
 A word keeps its index set I as the binary number 2^I = sum of 2^i over i
-in I, and its ring reads eta^k * r_I * s through the key k * 2^n + 2^I,
-n = n_sq.  A product adds the keys: each carry among the low n bits costs
-one factor rho, and a carry out of them raises the eta power.  The
+in I, and its ring reads eta^k * r_I * rho^s through the key
+k * 2^n + 2^I, n = n_sq.  A product adds the keys and the rho powers: each
+carry among the low n bits costs one more factor rho, and a carry out of
+them raises the eta power.  So the product of two words is one word, or
+zero once its rho power reaches h; and since a - b is the key, which
+fixes k, I and then s, no two basis words share a bidegree.  The
 differentials act by Q_i(r_j) = delta_ij, extended as derivations, so the
 composite Q_I sends key w to w ^ 2^I when w & 2^I == 2^I, and to zero
 otherwise; on eta^k (negative k read in two's complement) that lowers an
@@ -48,8 +51,9 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Sequence
 
 
-# Largest height of truncated_symbol_ia: validating the table of height h
-# takes O(h^3) steps.
+# Largest height of truncated_symbol_ia.  The height comes from outside (the
+# DSL's rho-height), and every basis enumeration lists h coefficients per
+# word, so a script may not ask for an unbounded one.
 MAX_RHO_HEIGHT = 64
 
 # Most generators of a MilnorRing: a word's key is about that many bits wide.
@@ -76,59 +80,27 @@ class BiDegree:
 
 @dataclass(frozen=True)
 class IaAlgebra:
-    """Finite graded F_2-algebra: basis labels, weights, unit, an optional
-    distinguished weight-1 element rho, and a commutative multiplication
-    table (missing entries are zero)."""
+    """The coefficient algebra F_2[rho]/(rho^h), h = len(labels): basis
+    element s is rho^s, of weight s, so ``unit`` is 0 and ``rho`` is 1, or
+    None when h = 1 and rho = 0.  Build it with ``trivial_ia()`` or
+    ``truncated_symbol_ia(h)``."""
 
     labels: tuple[str, ...]
     weights: tuple[int, ...]
     unit: int
     rho: Optional[int]
-    table: tuple[tuple[FrozenSet[int], ...], ...]
-
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.weights) != n or len(self.table) != n:
-            raise MilnorError("inconsistent coefficient-algebra data")
-        if self.weights[self.unit] != 0:
-            raise MilnorError("unit must have weight 0")
-        if self.rho is not None and self.weights[self.rho] != 1:
-            raise MilnorError("rho must have weight 1")
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] != self.table[j][i]:
-                    raise MilnorError("multiplication table is not commutative")
-                for k in self.table[i][j]:
-                    if self.weights[k] != self.weights[i] + self.weights[j]:
-                        raise MilnorError("weights do not add under multiplication")
-                if j == self.unit and self.table[i][j] != frozenset({i}):
-                    raise MilnorError("unit does not act as identity")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    left = self._mul_set(self.table[i][j], k)
-                    right = self._mul_set(self.table[j][k], i)
-                    if left != right:
-                        raise MilnorError("multiplication table is not associative")
-
-    def _mul_set(self, s: FrozenSet[int], j: int) -> FrozenSet[int]:
-        out: set[int] = set()
-        for i in s:
-            out ^= self.table[i][j]
-        return frozenset(out)
 
 
 @functools.cache
 def trivial_ia() -> IaAlgebra:
     """Ia = F_2 in weight 0, rho = 0.  Built once: the value is frozen."""
-    return IaAlgebra(("1",), (0,), 0, None, ((frozenset({0}),),))
+    return IaAlgebra(("1",), (0,), 0, None)
 
 
 @functools.lru_cache(maxsize=16, typed=True)
 def truncated_symbol_ia(height: int) -> IaAlgebra:
-    """F_2[rho]/(rho^height): the smallest coefficient algebras with a
-    nonzero rho, used as truncations in tests.  height=1 gives rho = 0.
-    Each height is built and validated once; rings over it stay distinct."""
+    """F_2[rho]/(rho^height).  height=1 gives rho = 0.  Each height is
+    built once; rings over it stay distinct."""
     if height < 1:
         raise MilnorError("height must be >= 1")
     if height > MAX_RHO_HEIGHT:
@@ -136,15 +108,7 @@ def truncated_symbol_ia(height: int) -> IaAlgebra:
     if height == 1:
         return trivial_ia()
     labels = tuple("1" if k == 0 else f"rho^{k}" if k > 1 else "rho" for k in range(height))
-    weights = tuple(range(height))
-    table = tuple(
-        tuple(
-            frozenset({i + j}) if i + j < height else frozenset()
-            for j in range(height)
-        )
-        for i in range(height)
-    )
-    return IaAlgebra(labels, weights, 0, 1, table)
+    return IaAlgebra(labels, tuple(range(height)), 0, 1)
 
 
 class Word:
@@ -211,7 +175,7 @@ class MilnorRing:
         self.name = name or ("flexible" if not has_eta else f"symbol-ring(m={n_sq+1})")
         self.q_indices = range(n_sq + has_eta)  # generators r_0 .. r_{top_index}
         self._low = (1 << n_sq) - 1  # the bits of 2^I in a key
-        self._coefficients = range(len(ia.labels))  # the valid word coefficients s
+        self._height = len(ia.labels)  # coefficient s is rho^s, zero from s = height on
 
     @property
     def top_index(self) -> int:
@@ -235,7 +199,7 @@ class MilnorRing:
                 f"index {w.mask.bit_length() - 1} out of range: "
                 f"{self.name} has square-free indices 0..{self.n_sq - 1}"
             )
-        if w.s not in self._coefficients:
+        if w.s not in range(self._height):
             raise MilnorError(f"coefficient {w.s!r} out of range for {self.name}")
         if w.k != 0 and not self.has_eta:
             raise MilnorError(f"{self.name} has no eta, but the word has eta^{w.k}")
@@ -281,30 +245,26 @@ class MilnorRing:
     def word_bidegree(self, w: Word) -> BiDegree:
         # r_i sits in (1 - 2^i)[1 - 2^(i+1)] and eta in the same with i = n_sq
         n = w.mask.bit_count() + w.k
-        s = self._key(w)
-        t = self.ia.weights[w.s]
-        return BiDegree(n - s + t, n - 2 * s + t)
+        key = self._key(w)
+        return BiDegree(n - key + w.s, n - 2 * key + w.s)  # rho^s has weight s
 
-    def _mul_keys(self, a: int, s1: int, b: int, s2: int, rhos: int = 0) -> tuple[int, FrozenSet[int]]:
-        """The product of the words with keys a, b and coefficients s1, s2,
-        times rho^rhos: its key a + b and its set of coefficients.  Each
-        carry among the low n_sq bits costs one factor rho; a carry out of
-        them is plain integer addition into the eta power."""
+    def _mul_keys(self, a: int, s1: int, b: int, s2: int, rhos: int = 0) -> Optional[tuple[int, int]]:
+        """The product of the words with keys a, b and coefficients rho^s1,
+        rho^s2, times rho^rhos: its key a + b and its rho power, or None
+        when that power reaches the height.  Each carry among the low n_sq
+        bits costs one factor rho; a carry out of them is plain integer
+        addition into the eta power."""
         a_low, b_low = a & self._low, b & self._low
-        carries = rhos + a_low.bit_count() + b_low.bit_count() - (a_low + b_low).bit_count()
-        ia = self.ia
-        s_set = ia.table[s1][s2]
-        for _ in range(carries):
-            if ia.rho is None:
-                return a + b, frozenset()
-            s_set = ia._mul_set(s_set, ia.rho)
-        return a + b, s_set
+        s = s1 + s2 + rhos + a_low.bit_count() + b_low.bit_count() - (a_low + b_low).bit_count()
+        return (a + b, s) if s < self._height else None
 
-    def _mul_words(self, w1: Word, w2: Word, rhos: int = 0) -> frozenset[Word]:
-        """w1 * w2 * rho^rhos."""
-        key, s_set = self._mul_keys(self._key(w1), w1.s, self._key(w2), w2.s, rhos)
-        k, mask = key >> self.n_sq, key & self._low
-        return frozenset([_word(k, mask, s) for s in s_set])
+    def _mul_words(self, w1: Word, w2: Word) -> Optional[Word]:
+        """w1 * w2, or None when it is zero."""
+        prod = self._mul_keys(self._key(w1), w1.s, self._key(w2), w2.s)
+        if prod is None:
+            return None
+        key, s = prod
+        return _word(key >> self.n_sq, key & self._low, s)
 
     def _q_bit(self, i: int) -> int:
         """2^i, or MilnorError when i is not a Q-index of this ring."""
@@ -335,7 +295,7 @@ class MilnorRing:
                 continue
             for rlen in range(self.n_sq + 1):
                 for I in itertools.combinations(idxs, rlen):
-                    for s in range(len(self.ia.labels)):
+                    for s in range(self._height):
                         out.append(Word(k, frozenset(I), s))
         return out
 
@@ -416,8 +376,27 @@ class MilnorElement:
         acc: set[Word] = set()
         for w1 in self.words:
             for w2 in other.words:
-                acc ^= self.ring._mul_words(w1, w2)
+                w = self.ring._mul_words(w1, w2)
+                if w is not None:
+                    acc ^= {w}
         return MilnorElement(self.ring, frozenset(acc))
+
+    __sub__ = __add__  # over F_2
+
+    def __neg__(self) -> "MilnorElement":
+        return self
+
+    def __pow__(self, n: int) -> "MilnorElement":
+        if n < 0:
+            raise MilnorError("negative power")
+        acc, square = self.ring.one(), self
+        while n:
+            if n & 1:
+                acc = acc * square
+            n >>= 1
+            if n:
+                square = square * square
+        return acc
 
     def __eq__(self, other) -> bool:
         return (
@@ -497,23 +476,24 @@ def comult_check(K: Iterable[int], x: MilnorElement, y: MilnorElement) -> bool:
     sK = sum(ring._q_bit(i) for i in sorted(frozenset(K), reverse=True))
     nK = sK.bit_count()
     q_bits = (1 << len(ring.q_indices)) - 1
-    lhs: set[tuple[int, int]] = set()  # (key, coefficient) pairs
+    lhs: set[tuple[int, int]] = set()  # (key, rho power) pairs
     rhs: set[tuple[int, int]] = set()
     for w1 in x.words:
         a, s1 = ring._key(w1), w1.s
         supp = a & q_bits
         for w2 in y.words:
             b, s2 = ring._key(w2), w2.s
-            key, s_set = ring._mul_keys(a, s1, b, s2)
-            if key & sK == sK:
-                lhs ^= {(key ^ sK, s) for s in s_set}
+            prod = ring._mul_keys(a, s1, b, s2)
+            if prod is not None and prod[0] & sK == sK:
+                lhs ^= {(prod[0] ^ sK, prod[1])}
             sI = 0
             while True:
                 sJ = sK - sI
                 if b & sJ == sJ:
                     rhos = sI.bit_count() + sJ.bit_count() - nK
-                    key, s_set = ring._mul_keys(a ^ sI, s1, b ^ sJ, s2, rhos)
-                    rhs ^= {(key, s) for s in s_set}
+                    prod = ring._mul_keys(a ^ sI, s1, b ^ sJ, s2, rhos)
+                    if prod is not None:
+                        rhs ^= {prod}
                 sI = (sI - supp) & supp  # the next subset of supp
                 if not sI or sI > sK:
                     break

@@ -524,10 +524,6 @@ class KernelStabilityReport:
     def passed(self) -> bool:
         return all(e.in_kernel for e in self.checks)
 
-    @property
-    def vacuous(self) -> bool:
-        return not self.checks
-
 
 def ab1_check(X: ChowPresentation, p: int) -> KernelStabilityReport:
     """For every basis vector u of the mod-p kernel of the degree pairing and

@@ -187,13 +187,6 @@ def mono_divides(k: int, m: int) -> bool:
     return (m | g) - k & g == g
 
 
-def mono_div(m: int, k: int) -> int:
-    """The key of m / k; ``ValueError`` when k does not divide m."""
-    if not mono_divides(k, m):
-        raise ValueError("negative exponent in monomial")
-    return m - k
-
-
 class Monomial(int):
     """The key of a monomial, built from (generator index, exponent) pairs.
 

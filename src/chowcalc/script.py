@@ -305,6 +305,16 @@ def _as_class(env: Env, value) -> GradedClass:
     raise EvalError(f"expected a class, got {type(value).__name__}")
 
 
+def _operands(env: Env, vals: list) -> list:
+    """The operands of add, sub, neg, mul and pow: Milnor elements as they
+    are when one of them is, classes otherwise."""
+    if any(isinstance(v, miln.MilnorElement) for v in vals):
+        for v in vals:
+            _expect(isinstance(v, miln.MilnorElement), f"expected a Milnor element, got {type(v).__name__}")
+        return vals
+    return [_as_class(env, v) for v in vals]
+
+
 def _eval_roots(env: Env, form) -> BundleRoots:
     _expect(isinstance(form, list) and form and form[0] == "roots", "expected (roots ...)")
     cur = env.current
@@ -332,20 +342,21 @@ def eval_expr(env: Env, node):
         _expect(bool(vals), "(add) needs arguments")
         if all(isinstance(v, int) for v in vals):
             return sum(vals)
-        acc = _as_class(env, vals[0])
-        for v in vals[1:]:
-            acc = acc + _as_class(env, v)
+        acc, *rest = _operands(env, vals)
+        for v in rest:
+            acc = acc + v
         return acc
     if head == "sub":
         _expect(len(args) == 2, "(sub a b)")
         a, b = ev(args[0]), ev(args[1])
         if isinstance(a, int) and isinstance(b, int):
             return a - b
-        return _as_class(env, a) - _as_class(env, b)
+        a, b = _operands(env, [a, b])
+        return a - b
     if head == "neg":
         _expect(len(args) == 1, "(neg a)")
         v = ev(args[0])
-        return -v if isinstance(v, int) else -_as_class(env, v)
+        return -v if isinstance(v, int) else -_operands(env, [v])[0]
     if head == "mul":
         vals = [ev(a) for a in args]
         _expect(bool(vals), "(mul) needs arguments")
@@ -354,14 +365,9 @@ def eval_expr(env: Env, node):
             for v in vals:
                 out *= v
             return out
-        if any(isinstance(v, miln.MilnorElement) for v in vals):
-            acc = vals[0]
-            for v in vals[1:]:
-                acc = acc * v
-            return acc
-        acc = _as_class(env, vals[0])
-        for v in vals[1:]:
-            acc = acc * _as_class(env, v)
+        acc, *rest = _operands(env, vals)
+        for v in rest:
+            acc = acc * v
         return acc
     if head == "pow":
         _expect(len(args) == 2 and isinstance(args[1], int), "(pow a n)")
@@ -372,7 +378,7 @@ def eval_expr(env: Env, node):
             if abs(base) > 1 and args[1] * abs(base).bit_length() > MAX_POW_BITS:
                 raise ValueError(f"integer power exceeds {MAX_POW_BITS} bits")
             return base ** args[1]
-        return _as_class(env, base) ** args[1]
+        return _operands(env, [base])[0] ** args[1]
     if head == "scale":
         _expect(len(args) == 2, "(scale k a)")
         k = ev(args[0])
@@ -746,6 +752,7 @@ def _eval_assertion(env: Env, form: list, aid: str) -> AssertionResult:
         mod = _mod_clause(env, rest[1:])
         value = eval_expr(env, rest[0])
         if isinstance(value, miln.MilnorElement):
+            _expect(not mod, "(modulo) does not apply to Milnor elements")
             return done(value.is_zero(), "element does not vanish", str(value))
         c = _as_class(env, value)
         ok, witness = verify_identity(env, c, c.ring.zero(), mod)
@@ -756,6 +763,7 @@ def _eval_assertion(env: Env, form: list, aid: str) -> AssertionResult:
         a = eval_expr(env, rest[0])
         b = eval_expr(env, rest[1])
         if isinstance(a, miln.MilnorElement) or isinstance(b, miln.MilnorElement):
+            _expect(not mod, "(modulo) does not apply to Milnor elements")
             return done(a == b, "elements differ", f"{a} != {b}")
         ok, witness = verify_identity(env, _as_class(env, a), _as_class(env, b), mod)
         return done(ok, "sides differ", witness)

@@ -171,7 +171,7 @@ def test_criterion_07_kernel_stability():
         for X in engineered:
             rep = ab1_check(X, 2)
             assert rep.passed
-            saw_nonvacuous = saw_nonvacuous or not rep.vacuous
+            saw_nonvacuous = saw_nonvacuous or bool(rep.checks)
         assert saw_nonvacuous
 
         # cellular product/bundle towers: pass (vacuously, zero kernel)

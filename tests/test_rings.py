@@ -17,7 +17,6 @@ from chowcalc.rings import (
     exponents,
     inverse_series,
     minimal_monomials,
-    mono_div,
     mono_divides,
     mono_mul,
     normal_form,
@@ -118,20 +117,17 @@ class TestMonomial:
                 divides = all(have.get(i, 0) >= e for i, e in den.exps)
                 assert mono_divides(den, num) == divides
                 if divides:
-                    q = mono_div(num, den)
+                    q = num - den
                     expected = Monomial(list(exponents(num)) + [(i, -e) for i, e in den.exps])
                     assert exponents(q) == expected.exps and hash(q) == hash(expected) and q == expected
-                else:
-                    with pytest.raises(ValueError):
-                        mono_div(num, den)
 
     def test_unit_and_non_divisors(self):
         m = Monomial([(0, 2), (3, 1)])
         assert mono_mul(m, MONOMIAL_ONE) == m and mono_mul(MONOMIAL_ONE, m) == m
-        assert mono_div(m, MONOMIAL_ONE) == m and mono_div(m, m) == MONOMIAL_ONE == 0
+        assert mono_divides(MONOMIAL_ONE, m) and mono_divides(m, m)
+        assert m - MONOMIAL_ONE == m and m - m == MONOMIAL_ONE == 0
         for other in ([(0, 3)], [(1, 1)], [(4, 1)], [(0, 1), (2, 1)]):
-            with pytest.raises(ValueError):
-                mono_div(m, Monomial(other))
+            assert not mono_divides(Monomial(other), m)
 
 
 def random_key_pairs(rng, ngens=5):
@@ -166,10 +162,7 @@ class TestKeyReference:
                 kn, kd = Monomial(num), Monomial(den)
                 assert mono_divides(kd, kn) == reference_divides(den, num)
                 if reference_divides(den, num):
-                    assert exponents(mono_div(kn, kd)) == reference_div(num, den)
-                else:
-                    with pytest.raises(ValueError):
-                        mono_div(kn, kd)
+                    assert exponents(kn - kd) == reference_div(num, den)
 
     def test_key_order_is_the_reverse_index_order(self):
         R = free_ring([f"x{i}" for i in range(5)], 4)
@@ -808,7 +801,7 @@ class TestSupport:
         for _ in range(200):
             a, b = Monomial(random_pairs(rng)), Monomial(random_pairs(rng))
             ab = mono_mul(a, b)
-            for m in (a, b, ab, mono_div(ab, a), mono_div(ab, b), mono_div(ab, ab)):
+            for m in (a, b, ab, ab - a, ab - b, ab - ab):
                 assert Monomial(exponents(m)).support == self.mask(m), m
 
 

@@ -1,9 +1,13 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from chowcalc.report import ERROR, FAIL, PASS, Report, emit_report
 from chowcalc.script import (
+    _ASSERT_HEADS,
+    _CONTEXT_HEADS,
     MAX_DEPTH,
     Env,
     ParseError,
@@ -196,6 +200,19 @@ def random_script_text(rng):
     return "".join(out)
 
 
+def test_readme_lisp_blocks_parse():
+    # every lisp block of the README parses, and names only known form heads
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```lisp\n(.*?)^```", text, re.M | re.S)
+    assert len(blocks) >= 3
+    known = _CONTEXT_HEADS | _ASSERT_HEADS | {
+        "let", "in-context", "declare-ideal", "declare-rules", "report-value",
+    }
+    for block in blocks:
+        forms = parse_script(block).forms
+        assert forms and {f[0] for f in forms} <= known, block
+
+
 class TestRoundTrip:
     def test_round_trip_corpus(self):
         rng = random.Random(0)
@@ -359,6 +376,59 @@ class TestEvaluator:
             "(assert-zero (trivial) (mul r0 r0))"
         ))
         assert rep.ok, emit_report(rep, "human").decode()
+
+    def test_milnor_arithmetic(self):
+        # add, sub, neg, mul and pow take Milnor elements; over F_2 sub is
+        # add and neg is the identity
+        rep = run_scenario(parse_script(
+            "(milnor M 3 (rho-height 2))"
+            "(assert-zero (trivial) (add (mul r0 r0) (mul r1 rho)))"
+            "(assert-equal (trivial) (pow r0 2) (mul r1 rho))"
+            "(assert-zero (trivial) (sub (pow r0 2) (mul r1 rho)))"
+            "(assert-equal (trivial) (neg r0) r0)"
+            "(assert-equal (trivial) (pow eta 3) (mul eta eta eta))"
+            "(assert-zero (trivial) (pow r0 4))"
+            "(assert-equal (trivial) (add r0 r1) r0)"
+            "(assert-zero (trivial) (add r0 h))"
+            "(assert-zero (trivial) (pow r0 -1))"
+        ))
+        assert [(r.verdict, r.detail) for r in rep.results] == [
+            (PASS, ""), (PASS, ""), (PASS, ""), (PASS, ""), (PASS, ""), (PASS, ""),
+            (ERROR, "MilnorError: words of mixed bidegree: ['(-1)[-3]', '(0)[-1]']"),
+            (ERROR, "EvalError: undefined identifier 'h'"),
+            (ERROR, "MilnorError: negative power"),
+        ]
+
+    @pytest.mark.parametrize("assertion", [
+        "(assert-equal (trivial) (mul r0 r0) (mul r1 rho) (modulo I))",
+        "(assert-zero (trivial) (add (mul r0 r0) (mul r1 rho)) (modulo I))",
+    ])
+    def test_modulo_on_milnor_elements_is_an_error(self, assertion):
+        rep = run_scenario(parse_script(
+            f"(pspace P 2) (declare-ideal I (mul h h)) (milnor M 3 (rho-height 2)) {assertion}"
+        ))
+        assert [(r.verdict, r.detail) for r in rep.results] == [
+            (ERROR, "EvalError: (modulo) does not apply to Milnor elements"),
+        ]
+
+    def test_bundle_and_characteristic_forms(self):
+        rep = run_scenario(parse_script(
+            "(pspace X 2) (pbundle B X xi (roots 0 h))"
+            "(let p2 (pushforward B (pow xi 2))) (let p1 (pushforward B xi))"
+            "(in-context X) (let hx h)"
+            "(assert-equal (trivial) p2 (neg h))"
+            "(assert-equal (trivial) p1 1)"
+            "(assert-equal (trivial) p2 h)"
+            "(assert-equal (trivial) (segre-total (roots h h))"
+            "  (add 1 (scale -2 h) (scale 3 (mul h h))))"
+            "(in-context B)"
+            "(assert-equal (trivial) (pullback B hx) h)"
+            "(pspace 3 (mod 2))"  # unnamed: binds P3
+            "(assert-equal (trivial) (embedded-total (mul h h) (roots h h)) (mul h h))"
+            "(in-context P3)"
+            "(assert-deg (trivial) (pow h 3) 1)"
+        ))
+        assert [r.verdict for r in rep.results] == [PASS, PASS, FAIL, PASS, PASS, PASS, PASS]
 
     def test_steenrod_and_pullback_forms(self):
         rep = run_scenario(parse_script(
