@@ -7,8 +7,8 @@ Library layout:
 * varieties: Chow presentations of projective spaces, products, projective
   bundles, blow-ups; pullback/pushforward/degree; JSON catalogs;
 * characteristic: Chern/Segre classes and mod-p reduced power operations;
-* milnor: exterior differential algebras over F_2[rho]/(rho^h), their
-  restriction maps and periodic quotient modules;
+* milnor: exterior differential algebras over F_2[rho]/(rho^h), whose
+  elements are zero or one basis word, and their restriction maps;
 * numeric: degree pairings, numerical-equivalence kernels, ideal quotients;
 * script/report/registry/cli: the scenario DSL, its runner, the built-in
   scenario registry, and the command-line front end.
@@ -56,7 +56,6 @@ from .characteristic import (
 from .milnor import (
     MilnorElement,
     MilnorRing,
-    PeriodicModule,
     comult_check,
     flexible_cohomology,
     make_ring,

@@ -9,8 +9,8 @@ Two families of rings are modelled:
 * ``flexible_cohomology(n)``: the exterior algebra on r_0..r_n over F_2
   (rho = 0, every square vanishes).
 
-Elements are F_2-combinations of basis words eta^k * r_I * rho^s with I a
-set of square-free indices and 0 <= s < h.  Every word carries a bidegree
+The basis words are eta^k * r_I * rho^s with I a set of square-free
+indices and 0 <= s < h.  Every word carries a bidegree
 (a)[b]: r_i sits in (-d_i)[-2d_i - 1] with d_i = 2^i - 1, and rho^s sits
 in (s)[s].
 
@@ -26,21 +26,25 @@ composite Q_I sends key w to w ^ 2^I when w & 2^I == 2^I, and to zero
 otherwise; on eta^k (negative k read in two's complement) that lowers an
 odd k by one.  ``comult_check`` verifies the comultiplication rule with
 rho-correction terms: a term pairs 2^I with 2^J = 2^K - 2^I and carries
-rho^c, c = |I| + |J| - |K| the carry count of that sum.  It walks the word
-pairs of the two elements once, and its work grows with the words'
+rho^c, c = |I| + |J| - |K| the carry count of that sum.  It walks the
+subsets of the one word pair once, and its work grows with the words'
 supports, not with the largest index in K.  Keys are as wide as the ring
 has generators, at most ``MAX_GENERATORS``.
 
+Since no two basis words share a bidegree, an element of one bidegree is
+zero or one word: a ``MilnorElement`` holds one ``word``, None for zero.
 ``MilnorRing.element`` refuses a word that names no basis element of its
 ring: an index past the square-free ones, a coefficient outside the
-algebra, or an eta power in a ring without eta.  An element checks that
-its words share one bidegree only when it has two or more words; the
-coefficient algebras ``trivial_ia()`` and ``truncated_symbol_ia(h)`` are
-frozen values built once per height, while every ring built over them
-stays a distinct object.
+algebra, or an eta power in a ring without eta.  It cancels repeated words
+over F_2, and two words that survive are of mixed bidegree, which it
+refuses too.  The coefficient algebras ``trivial_ia()`` and
+``truncated_symbol_ia(h)`` are frozen values built once per height, while
+every ring built over them stays a distinct object.
 
-The periodic quotient module attaches words with negative eta exponents;
-the ring acts with products landing back in the ring part quotiented away.
+Words with a negative eta power are ordinary ring words: ``element``,
+``q_apply`` and ``q_homology_dimensions``, whose combined model is the
+ring part (k >= 0) together with the periodic part (k < 0), take them as
+they take any other.
 """
 
 from __future__ import annotations
@@ -184,14 +188,16 @@ class MilnorRing:
     # -- elements -----------------------------------------------------
 
     def element(self, words: Iterable[Word]) -> "MilnorElement":
+        """The F_2 sum of words: zero or one word, since two distinct basis
+        words never share a bidegree."""
         acc: set[Word] = set()
         for w in words:
             self._check_word(w)
-            if w in acc:
-                acc.remove(w)
-            else:
-                acc.add(w)
-        return MilnorElement(self, frozenset(acc))
+            acc ^= {w}
+        if len(acc) > 1:
+            degs = {self.word_bidegree(w) for w in acc}
+            raise MilnorError(f"words of mixed bidegree: {sorted(str(d) for d in degs)}")
+        return MilnorElement(self, next(iter(acc), None))
 
     def _check_word(self, w: Word) -> None:
         if w.mask >> self.n_sq:
@@ -205,22 +211,22 @@ class MilnorRing:
             raise MilnorError(f"{self.name} has no eta, but the word has eta^{w.k}")
 
     def zero(self) -> "MilnorElement":
-        return MilnorElement(self, frozenset())
+        return MilnorElement(self, None)
 
     def one(self) -> "MilnorElement":
-        return MilnorElement(self, frozenset({_word(0, 0, self.ia.unit)}))
+        return MilnorElement(self, _word(0, 0, self.ia.unit))
 
     def r(self, i: int) -> "MilnorElement":
         if not (0 <= i <= self.top_index):
             raise MilnorError(f"generator index {i} out of range")
         if self.has_eta and i == self.n_sq:
             return self.eta()
-        return MilnorElement(self, frozenset({_word(0, 1 << i, self.ia.unit)}))
+        return MilnorElement(self, _word(0, 1 << i, self.ia.unit))
 
     def eta(self) -> "MilnorElement":
         if not self.has_eta:
             raise MilnorError("this ring has no polynomial top generator")
-        return MilnorElement(self, frozenset({_word(1, 0, self.ia.unit)}))
+        return MilnorElement(self, _word(1, 0, self.ia.unit))
 
     def r_set(self, I: Iterable[int]) -> "MilnorElement":
         acc = self.one()
@@ -228,13 +234,8 @@ class MilnorRing:
             acc = acc * self.r(i)
         return acc
 
-    def ia_elem(self, idx: int) -> "MilnorElement":
-        return self.element([_word(0, 0, idx)])
-
     def rho_elem(self) -> "MilnorElement":
-        if self.ia.rho is None:
-            return self.zero()
-        return self.ia_elem(self.ia.rho)
+        return MilnorElement(self, None if self.ia.rho is None else _word(0, 0, self.ia.rho))
 
     # -- word algebra ----------------------------------------------------
 
@@ -272,18 +273,14 @@ class MilnorRing:
             raise MilnorError(f"Q-index {i} out of range for {self.name}")
         return 1 << i
 
-    def _q_words(self, bits: int, words: Iterable[Word]) -> frozenset[Word]:
-        """Q_I on a sum of words, for 2^I = bits over valid Q-indices.  Q_I
-        sends the word with key w to the word with key w ^ 2^I when
-        w & 2^I == 2^I, and to zero otherwise; no two words share an image."""
-        n, low = self.n_sq, self._low
-        out = []
-        for w in words:
-            key = self._key(w)
-            if key & bits == bits:
-                key ^= bits
-                out.append(_word(key >> n, key & low, w.s))
-        return frozenset(out)
+    def _q_word(self, bits: int, w: Word) -> Optional[Word]:
+        """Q_I(w) for 2^I = bits over valid Q-indices, or None when it is
+        zero: the word with key w ^ 2^I when w & 2^I == 2^I."""
+        key = self._key(w)
+        if key & bits != bits:
+            return None
+        key ^= bits
+        return _word(key >> self.n_sq, key & self._low, w.s)
 
     # -- enumeration --------------------------------------------------------
 
@@ -326,9 +323,7 @@ class MilnorRing:
             ],
             "q_action": {
                 str(i): {
-                    wname(w): [wname(v) for v in sorted(
-                        img.words, key=lambda v: (v.k, sorted(v.I), v.s),
-                    )]
+                    wname(w): [wname(img.word)]
                     for w in words
                     if not (img := q_apply(i, self.element([w]))).is_zero()
                 }
@@ -342,26 +337,21 @@ class MilnorRing:
 
 
 class MilnorElement:
-    """F_2-combination of basis words, all of one bidegree."""
+    """Zero (``word`` None) or one basis word of ``ring``; build it through
+    the ring, which checks the word."""
 
-    __slots__ = ("ring", "words")
+    __slots__ = ("ring", "word")
 
-    def __init__(self, ring: MilnorRing, words: frozenset[Word]):
+    def __init__(self, ring: MilnorRing, word: Optional[Word]):
         self.ring = ring
-        self.words = words
-        if len(words) > 1:  # fewer words cannot mix bidegrees
-            degs = {ring.word_bidegree(w) for w in words}
-            if len(degs) > 1:
-                raise MilnorError(f"words of mixed bidegree: {sorted(str(d) for d in degs)}")
+        self.word = word
 
     def is_zero(self) -> bool:
-        return not self.words
+        return self.word is None
 
     @property
     def bidegree(self) -> Optional[BiDegree]:
-        for w in self.words:
-            return self.ring.word_bidegree(w)
-        return None
+        return None if self.word is None else self.ring.word_bidegree(self.word)
 
     def _check(self, other: "MilnorElement"):
         if self.ring is not other.ring:
@@ -369,17 +359,18 @@ class MilnorElement:
 
     def __add__(self, other: "MilnorElement") -> "MilnorElement":
         self._check(other)
-        return MilnorElement(self.ring, self.words ^ other.words)
+        if self.word is None:
+            return other
+        if other.word is None:
+            return self
+        return self.ring.element([self.word, other.word])
 
     def __mul__(self, other: "MilnorElement") -> "MilnorElement":
         self._check(other)
-        acc: set[Word] = set()
-        for w1 in self.words:
-            for w2 in other.words:
-                w = self.ring._mul_words(w1, w2)
-                if w is not None:
-                    acc ^= {w}
-        return MilnorElement(self.ring, frozenset(acc))
+        w1, w2 = self.word, other.word
+        if w1 is None or w2 is None:
+            return self.ring.zero()
+        return MilnorElement(self.ring, self.ring._mul_words(w1, w2))
 
     __sub__ = __add__  # over F_2
 
@@ -402,27 +393,25 @@ class MilnorElement:
         return (
             isinstance(other, MilnorElement)
             and self.ring is other.ring
-            and self.words == other.words
+            and self.word == other.word
         )
 
     def __hash__(self):
-        return hash((id(self.ring), self.words))
+        return hash((id(self.ring), self.word))
 
     def __str__(self) -> str:
-        if not self.words:
+        w = self.word
+        if w is None:
             return "0"
-        parts = []
-        for w in sorted(self.words, key=lambda w: (w.k, sorted(w.I), w.s)):
-            bits = []
-            if w.k:
-                bits.append("eta" if w.k == 1 else f"eta^{w.k}")
-            for i in sorted(w.I):
-                bits.append(f"r{i}")
-            lbl = self.ring.ia.labels[w.s]
-            if lbl != "1" or not bits:
-                bits.append(lbl)
-            parts.append("*".join(bits))
-        return " + ".join(parts)
+        bits = []
+        if w.k:
+            bits.append("eta" if w.k == 1 else f"eta^{w.k}")
+        for i in sorted(w.I):
+            bits.append(f"r{i}")
+        lbl = self.ring.ia.labels[w.s]
+        if lbl != "1" or not bits:
+            bits.append(lbl)
+        return "*".join(bits)
 
     __repr__ = __str__
 
@@ -454,7 +443,8 @@ def q_apply(i: int, e: MilnorElement) -> MilnorElement:
     """Q_i: strips r_i from words containing it; on the polynomial generator
     eta^k it acts by k * eta^{k-1} (mod 2), including negative k."""
     ring = e.ring
-    return MilnorElement(ring, ring._q_words(ring._q_bit(i), e.words))
+    bits = ring._q_bit(i)
+    return MilnorElement(ring, None if e.word is None else ring._q_word(bits, e.word))
 
 
 def q_composite(indices: Iterable[int], e: MilnorElement) -> MilnorElement:
@@ -466,37 +456,34 @@ def q_composite(indices: Iterable[int], e: MilnorElement) -> MilnorElement:
 def comult_check(K: Iterable[int], x: MilnorElement, y: MilnorElement) -> bool:
     """Q_K(x*y) = sum over 2^I + 2^J = 2^K of Q_I(x) * Q_J(y) * rho^(|I|+|J|-|K|).
 
-    Each word pair (w1, w2) of x and y adds Q_K(w1*w2) to the left side, and
-    to the right one term for each 2^I <= 2^K among the bits of w1 whose
-    complement 2^J = 2^K - 2^I lies in the bits of w2.  Only the two sums
-    are compared, since words of x*y may cancel."""
+    For the words w1 of x and w2 of y, the left side is Q_K(w1*w2), and the
+    right side has one term for each 2^I <= 2^K among the bits of w1 whose
+    complement 2^J = 2^K - 2^I lies in the bits of w2.  Terms of the right
+    side may cancel, so its sum is compared, as a set of (key, rho power)
+    pairs.  When x or y is zero, both sides are."""
     ring = x.ring
     if y.ring is not ring:
         raise MilnorError("elements of different rings")
     sK = sum(ring._q_bit(i) for i in sorted(frozenset(K), reverse=True))
+    if x.word is None or y.word is None:
+        return True
     nK = sK.bit_count()
-    q_bits = (1 << len(ring.q_indices)) - 1
-    lhs: set[tuple[int, int]] = set()  # (key, rho power) pairs
+    a, s1, b, s2 = ring._key(x.word), x.word.s, ring._key(y.word), y.word.s
+    supp = a & ((1 << len(ring.q_indices)) - 1)
+    prod = ring._mul_keys(a, s1, b, s2)
+    lhs = {(prod[0] ^ sK, prod[1])} if prod is not None and prod[0] & sK == sK else set()
     rhs: set[tuple[int, int]] = set()
-    for w1 in x.words:
-        a, s1 = ring._key(w1), w1.s
-        supp = a & q_bits
-        for w2 in y.words:
-            b, s2 = ring._key(w2), w2.s
-            prod = ring._mul_keys(a, s1, b, s2)
-            if prod is not None and prod[0] & sK == sK:
-                lhs ^= {(prod[0] ^ sK, prod[1])}
-            sI = 0
-            while True:
-                sJ = sK - sI
-                if b & sJ == sJ:
-                    rhos = sI.bit_count() + sJ.bit_count() - nK
-                    prod = ring._mul_keys(a ^ sI, s1, b ^ sJ, s2, rhos)
-                    if prod is not None:
-                        rhs ^= {prod}
-                sI = (sI - supp) & supp  # the next subset of supp
-                if not sI or sI > sK:
-                    break
+    sI = 0
+    while True:
+        sJ = sK - sI
+        if b & sJ == sJ:
+            rhos = sI.bit_count() + sJ.bit_count() - nK
+            prod = ring._mul_keys(a ^ sI, s1, b ^ sJ, s2, rhos)
+            if prod is not None:
+                rhs ^= {prod}
+        sI = (sI - supp) & supp  # the next subset of supp
+        if not sI or sI > sK:
+            break
     return lhs == rhs
 
 
@@ -513,8 +500,8 @@ def restrict_symbol(
     """Restriction from the weight-m symbol ring to the weight-(m+1) ring:
     r_I maps to r_I, the source eta becomes the square-free r_{m-1} of the
     target (higher eta powers reduce through r_{m-1}^2 = eta' * rho'), and
-    coefficients map through the given projection.  Periodic-module words
-    (negative eta powers) are rejected."""
+    coefficients map through the given projection.  Words with a negative
+    eta power are rejected."""
     if not (source.has_eta and target.has_eta):
         raise MilnorError("restriction runs between symbol rings")
     if target.n_sq != source.n_sq + 1:
@@ -523,49 +510,19 @@ def restrict_symbol(
         raise MilnorError("projection table must cover every coefficient basis element")
     if e.ring is not source:
         raise MilnorError("element does not live in the source ring")
-    if any(w.k < 0 for w in e.words):
+    w = e.word
+    if w is None:
+        return target.zero()
+    if w.k < 0:
         raise MilnorError("restriction is defined on ring words, not periodic-module words")
-    out = target.zero()
+    term = target.r_set(w.I)
     r_top = target.r(source.n_sq)  # square-free in the target
-    for w in e.words:
-        term = target.r_set(w.I)
-        for _ in range(w.k):
-            term = term * r_top
-        s_img = target.zero()
-        for s in ia_projection[w.s]:
-            s_img = s_img + target.ia_elem(s)
-        out = out + term * s_img
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The periodic quotient module
-# ---------------------------------------------------------------------------
-
-class PeriodicModule:
-    """Quotient module with basis eta^{-l} * r_I * s for l > 0; the ring acts
-    with any product landing in non-negative eta powers quotiented to zero."""
-
-    def __init__(self, ring: MilnorRing):
-        if not ring.has_eta:
-            raise MilnorError("the periodic module needs a polynomial top generator")
-        self.ring = ring
-
-    def element(self, words: Iterable[Word]) -> MilnorElement:
-        ws = list(words)
-        for w in ws:
-            if w.k >= 0:
-                raise MilnorError("module words need negative eta exponents")
-        return self.ring.element(ws)
-
-    def generator(self, l: int = 1) -> MilnorElement:
-        if l <= 0:
-            raise MilnorError("l must be positive")
-        return self.element([Word(-l, frozenset(), self.ring.ia.unit)])
-
-    def act(self, ring_elem: MilnorElement, mod_elem: MilnorElement) -> MilnorElement:
-        raw = ring_elem * mod_elem
-        return self.ring.element(w for w in raw.words if w.k < 0)
+    for _ in range(w.k):
+        term = term * r_top
+    s_img = target.zero()
+    for s in ia_projection[w.s]:
+        s_img = s_img + target.element([_word(0, 0, s)])
+    return term * s_img
 
 
 def q_homology_dimensions(
@@ -579,7 +536,7 @@ def q_homology_dimensions(
     from .numeric import modp_rank
 
     # the combined object: the ring part (k >= 0) together with the
-    # periodic module part (k < 0), restricted to the k-window
+    # periodic part (k < 0), restricted to the k-window
     words = ring.basis_words(k_max=k_max, k_min=k_min)
     by_deg: dict[BiDegree, list[Word]] = {}
     for w in words:
@@ -594,7 +551,8 @@ def q_homology_dimensions(
         rows = []
         for w in by_deg.get(src, []):
             row = [0] * len(didx)
-            for v in q_apply(i, ring.element([w])).words:
+            v = q_apply(i, ring.element([w])).word
+            if v is not None:
                 if v not in didx:
                     return None
                 row[didx[v]] = 1

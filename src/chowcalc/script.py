@@ -306,13 +306,22 @@ def _as_class(env: Env, value) -> GradedClass:
 
 
 def _operands(env: Env, vals: list) -> list:
-    """The operands of add, sub, neg, mul and pow: Milnor elements as they
-    are when one of them is, classes otherwise."""
-    if any(isinstance(v, miln.MilnorElement) for v in vals):
-        for v in vals:
-            _expect(isinstance(v, miln.MilnorElement), f"expected a Milnor element, got {type(v).__name__}")
-        return vals
-    return [_as_class(env, v) for v in vals]
+    """The operands of add, sub, neg, mul, pow and the sides of assert-equal:
+    classes, unless one of them is a Milnor element.  Then all must be
+    elements of its ring, and an integer n stands for n mod 2 times its
+    unit."""
+    ring = next((v.ring for v in vals if isinstance(v, miln.MilnorElement)), None)
+    if ring is None:
+        return [_as_class(env, v) for v in vals]
+    out = []
+    for v in vals:
+        if isinstance(v, int):
+            v = ring.one() if v % 2 else ring.zero()
+        _expect(isinstance(v, miln.MilnorElement), f"expected a Milnor element, got {type(v).__name__}")
+        if v.ring is not ring:
+            raise miln.MilnorError("elements of different rings")
+        out.append(v)
+    return out
 
 
 def _eval_roots(env: Env, form) -> BundleRoots:
@@ -764,6 +773,7 @@ def _eval_assertion(env: Env, form: list, aid: str) -> AssertionResult:
         b = eval_expr(env, rest[1])
         if isinstance(a, miln.MilnorElement) or isinstance(b, miln.MilnorElement):
             _expect(not mod, "(modulo) does not apply to Milnor elements")
+            a, b = _operands(env, [a, b])
             return done(a == b, "elements differ", f"{a} != {b}")
         ok, witness = verify_identity(env, _as_class(env, a), _as_class(env, b), mod)
         return done(ok, "sides differ", witness)

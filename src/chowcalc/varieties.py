@@ -28,9 +28,10 @@ the center is multiplication by the fundamental class.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 from .rings import (
     MAX_EXPONENT,
@@ -49,6 +50,12 @@ from .rings import (
 )
 
 SCHEMA_VERSION = 1
+
+# enumerate_basis refuses a ring with more irreducible monomials than this
+# over codegrees 0..d, and stops growing codegree d once it has them.
+# Dimension and generators come from outside (a script or a catalog), and
+# g generators of codegree 1 alone span C(dim + g, g) monomials.
+MAX_BASIS = 100_000
 
 T = TypeVar("T")
 # a slot holds its value, None, or a function computing the value
@@ -576,7 +583,7 @@ def load_presentation(path) -> ChowPresentation:
 # Basis enumeration
 # ---------------------------------------------------------------------------
 
-def _grown(ring: RingContext, basis: Sequence[Sequence[int]], d: int) -> list[int]:
+def _grown(ring: RingContext, basis: Sequence[Sequence[int]], d: int) -> Iterator[int]:
     """The monomials m * x_i of codegree d that no rule of ring reduces, for
     each i in turn and each m of basis[d - codeg(x_i)] (if listed) whose
     indices are all at most i.  When each basis[c], c < d, is the
@@ -584,7 +591,6 @@ def _grown(ring: RingContext, basis: Sequence[Sequence[int]], d: int) -> list[in
     codegree d in that order, each once: each is m * x_i for its last index
     i and its divisor m, and later indices sit in more significant fields,
     which also puts the m whose indices are at most i first."""
-    out: list[int] = []
     for i, cd in enumerate(ring.codegrees):
         x = generator_power(i)
         past = generator_power(i + 1)  # the least key with an index above i
@@ -592,17 +598,21 @@ def _grown(ring: RingContext, basis: Sequence[Sequence[int]], d: int) -> list[in
             if m >= past:
                 break
             if ring._matching_rule(m + x) is None:
-                out.append(m + x)
-    return out
+                yield m + x
 
 
 def enumerate_basis(ring: RingContext) -> list[tuple[int, ...]]:
     """The ring's irreducible monomials of each codegree 0..dimension, in
-    key order, each codegree grown from the ones below it."""
+    key order, each codegree grown from the ones below it; RingError once
+    they number more than ``MAX_BASIS``."""
     assert ring.dimension is not None
     basis = [(MONOMIAL_ONE,)]
+    room = MAX_BASIS - 1
     for d in range(1, ring.dimension + 1):
-        basis.append(tuple(_grown(ring, basis, d)))
+        basis.append(tuple(itertools.islice(_grown(ring, basis, d), room + 1)))
+        room -= len(basis[d])
+        if room < 0:
+            raise RingError(f"basis exceeds {MAX_BASIS} monomials by codegree {d}")
     return basis
 
 

@@ -30,11 +30,29 @@ from chowcalc.script import (
     print_script,
     run_scenario,
 )
-from chowcalc.varieties import projective_space
+from chowcalc.varieties import MAX_BASIS, projective_space
 from helpers import bl_point_plane
 
 CHILD_ADDRESS_SPACE = 1 << 30  # bytes
 CHILD_TIMEOUT_S = 30.0  # on top of the bound: interpreter start and import
+
+
+def in_child(program: str, bound_s: float, args=(), text: str = "") -> tuple[dict, str]:
+    """Run ``program`` (formatted with the address-space cap) in one child
+    process, with ``args`` and ``text`` on stdin; the JSON object on the last
+    line of its stdout, whose "seconds" must be under ``bound_s``, and its
+    stderr."""
+    src = str(Path(chowcalc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", program.format(cap=CHILD_ADDRESS_SPACE), *args],
+        input=text, capture_output=True, text=True, timeout=bound_s + CHILD_TIMEOUT_S,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out.pop("seconds") < bound_s
+    return out, done.stderr
+
 
 # Reads the script on stdin; writes the time of run_scenario and each
 # result's verdict, detail and witness as one JSON object.
@@ -55,15 +73,7 @@ print(json.dumps({{"seconds": seconds, "results": [
 def verdicts(text: str, bound_s: float = 2.0) -> list:
     """Run a script in one child process; its results, once run_scenario
     has ended within ``bound_s`` seconds."""
-    src = str(Path(chowcalc.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", CHILD.format(cap=CHILD_ADDRESS_SPACE)],
-        input=text, capture_output=True, text=True, timeout=bound_s + CHILD_TIMEOUT_S,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert done.returncode == 0, done.stderr
-    out = json.loads(done.stdout)
-    assert out["seconds"] < bound_s
+    out, _ = in_child(CHILD, bound_s, text=text)
     return [SimpleNamespace(**r) for r in out["results"]]
 
 
@@ -87,16 +97,26 @@ print(json.dumps(out))
 def parsed(text: str, bound_s: float = 2.0) -> dict:
     """Parse a script in one child process; its form count or its error,
     once parse_script has ended within ``bound_s`` seconds."""
-    src = str(Path(chowcalc.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", PARSE_CHILD.format(cap=CHILD_ADDRESS_SPACE)],
-        input=text, capture_output=True, text=True, timeout=bound_s + CHILD_TIMEOUT_S,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert done.returncode == 0, done.stderr
-    out = json.loads(done.stdout)
-    assert out.pop("seconds") < bound_s
-    return out
+    return in_child(PARSE_CHILD, bound_s, text=text)[0]
+
+
+# Runs the command line on its arguments; writes its exit code and the time
+# main took as one JSON object on the last line of stdout.
+CLI_CHILD = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))
+from chowcalc.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(json.dumps({{"code": code, "seconds": time.perf_counter() - start}}))
+"""
+
+
+def cli_run(args: list, bound_s: float = 2.0) -> tuple[int, str]:
+    """Run ``chowcalc`` in one child process; its exit code and stderr,
+    once main has returned within ``bound_s`` seconds."""
+    out, err = in_child(CLI_CHILD, bound_s, args=args)
+    return out["code"], err
 
 
 def test_huge_exponent():
@@ -164,6 +184,41 @@ def test_malformed_catalog_is_a_load_error(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert main(["eval", "(mul h h)", "--context", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot load context: ")
+
+
+# Four generators of codegree 1 in dimension 200 would list C(204, 4) =
+# 70,058,751 basis monomials; run these only in a capped child process.
+FOUR_GENERATORS = "(gens (a 1) (b 1) (c 1) (d 1))"
+
+
+def test_basis_past_the_bound_is_an_error():
+    # 300 generators of codegree 1 span C(302, 3) = 4,545,100 monomials in
+    # codegree 3 alone: the bound holds within a codegree too
+    wide = " ".join(f"(x{i} 1)" for i in range(300))
+    results = verdicts(
+        f"(generic X 200 {FOUR_GENERATORS}) (generic W 3 (gens {wide}))"
+        f"(generic Y 36 {FOUR_GENERATORS}) (assert-zero (trivial) (pow a 37))",
+        bound_s=2.0,
+    )
+    # C(40, 4) = 91,390 monomials up to codegree 36, C(41, 4) up to 37
+    assert [r.verdict for r in results] == [ERROR, ERROR, PASS]
+    assert f"basis exceeds {MAX_BASIS} monomials by codegree 37" in results[0].detail
+    assert f"basis exceeds {MAX_BASIS} monomials by codegree 3 " in results[1].detail
+
+
+def test_catalog_basis_past_the_bound_is_a_load_error(tmp_path):
+    doc = projective_space(2).to_json()
+    doc.update(
+        dimension=200, degree=None, degree_total=None, tangent=None, rules=[],
+        generators=[{"name": n, "codegree": 1, "role": "ambient"} for n in "abcd"],
+        basis={str(d): [] for d in range(201)},
+    )
+    path = tmp_path / "X.json"
+    path.write_text(json.dumps(doc))
+    code, err = cli_run(["eval", "(mul a b)", "--context", str(path)])
+    assert code == 2
+    assert err.startswith("error: cannot load context: ")
+    assert f"basis exceeds {MAX_BASIS} monomials" in err
 
 
 def test_negative_integer_power_is_an_error():

@@ -12,7 +12,6 @@ from chowcalc.milnor import (
     BiDegree,
     MilnorError,
     MilnorRing,
-    PeriodicModule,
     Word,
     comult_check,
     flexible_cohomology,
@@ -323,9 +322,9 @@ class TestMixedBidegree:
             R.one() + R.eta()
 
     def test_module_element_rejects_two_bidegrees(self):
-        M = PeriodicModule(make_ring(2, trivial_ia()))
+        R = make_ring(2, trivial_ia())
         with pytest.raises(MilnorError, match=re.escape("words of mixed bidegree: ['(1)[3]', '(2)[6]']")):
-            M.element([Word(-1, frozenset(), 0), Word(-2, frozenset(), 0)])
+            R.element([Word(-1, frozenset(), 0), Word(-2, frozenset(), 0)])
 
     def test_zero_and_single_words_construct(self):
         R = make_ring(3, truncated_symbol_ia(3))
@@ -333,7 +332,7 @@ class TestMixedBidegree:
         assert R.element([Word(0, frozenset(), 0), Word(0, frozenset(), 0)]).is_zero()
         for w in R.basis_words(k_max=2, k_min=-2):
             e = R.element([w])
-            assert e.words == {w} and e.bidegree == ref_bidegree(R, w)
+            assert e.word == w and e.bidegree == ref_bidegree(R, w)
 
 
 class TestSharedCoefficientAlgebras:
@@ -389,7 +388,6 @@ class TestWordArithmeticMatchesReference:
     @pytest.mark.parametrize("h", [1, 2, 3])
     def test_symbol_ring_products_and_bidegrees(self, m, h):
         R = make_ring(m, truncated_symbol_ia(h))
-        M = PeriodicModule(R)
         words = R.basis_words(k_max=2)
         module_words = R.basis_words(k_max=-1, k_min=-2)
         for w in words + module_words:
@@ -399,10 +397,6 @@ class TestWordArithmeticMatchesReference:
                 expected = ref_mul_words(R, w1, w2)
                 assert R._mul_words(w1, w2) == expected
                 assert R._mul_words(w2, w1) == expected
-            for w2 in module_words:
-                got = M.act(R.element([w1]), M.element([w2]))
-                w = ref_mul_words(R, w1, w2)
-                assert got.words == ({w} if w is not None and w.k < 0 else set())
 
     @pytest.mark.parametrize("n", range(5))
     def test_flexible_products_and_bidegrees(self, n):
@@ -491,7 +485,7 @@ class TestComultMatchesFullLoop:
             x = R.element([w])
             for sI in range(top + 1):
                 I = [i for i in range(sI.bit_length()) if sI >> i & 1]
-                assert R._q_words(sI, [w]) == q_composite(I, x).words
+                assert R._q_word(sI, w) == q_composite(I, x).word
 
     def test_high_index_needs_no_long_loop(self):
         R = make_ring(64, trivial_ia())
@@ -570,12 +564,10 @@ class TestWordValidation:
 
     def test_periodic_module_words_stay_valid(self):
         R = make_ring(3, truncated_symbol_ia(2))
-        M = PeriodicModule(R)
         w = Word(-2, [0, 1], 1)
-        assert R.element([w]).words == {w}
-        assert M.element([w]).words == {w}
+        assert R.element([w]).word == w
         with pytest.raises(MilnorError, match="coefficient"):
-            M.element([Word(-1, [], 2)])
+            R.element([Word(-1, [], 2)])
 
     def test_projection_outside_the_target_algebra(self):
         S, T = make_ring(2, truncated_symbol_ia(2)), make_ring(3, truncated_symbol_ia(2))
@@ -631,24 +623,21 @@ class TestRestriction:
         S = make_ring(2, trivial_ia())
         T = make_ring(3, trivial_ia())
         proj = self.proj(S, T)
-        M = PeriodicModule(S)
-        for e in (M.generator(1), M.element([Word(-3, frozenset({0}), 0)])):
+        for e in (S.element([Word(-1, [], 0)]), S.element([Word(-3, frozenset({0}), 0)])):
             with pytest.raises(MilnorError, match="periodic-module words"):
                 restrict_symbol(S, T, proj, e)
 
 
 class TestPeriodicModule:
-    def test_quotient_kills_ring_part(self):
-        R = make_ring(3, trivial_ia())
-        M = PeriodicModule(R)
-        assert M.act(R.eta(), M.generator(1)).is_zero()
-        assert M.act(R.eta(), M.generator(2)) == M.generator(1)
+    """The periodic part of the combined model: words with negative eta
+    powers, which are ordinary ring words."""
 
     def test_eta_derivative(self):
         R = make_ring(3, trivial_ia())
-        M = PeriodicModule(R)
-        assert q_apply(R.top_index, M.generator(1)) == M.generator(2)
-        assert q_apply(R.top_index, M.generator(2)).is_zero()
+        def eta_inverse(l):
+            return R.element([Word(-l, [], 0)])
+        assert q_apply(R.top_index, eta_inverse(1)) == eta_inverse(2)
+        assert q_apply(R.top_index, eta_inverse(2)).is_zero()
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_exactness_on_combined_model(self, m):
@@ -657,6 +646,21 @@ class TestPeriodicModule:
             dims = q_homology_dimensions(R, i, -6, 6)
             assert dims, "no interior bidegrees tested"
             assert all(v == 0 for v in dims.values())
+
+    def test_perturbed_differential_is_not_exact(self, monkeypatch):
+        # a negative control: with Q_0(eta * r0) = 0 in place of eta, eta * r0
+        # is a cycle that bounds nothing, and eta a cycle with no preimage
+        R = make_ring(2, trivial_ia())
+        dims = q_homology_dimensions(R, 0, -6, 6)
+        assert len(dims) == 22 and set(dims.values()) == {0}
+        q_word, eta_r0 = MilnorRing._q_word, Word(1, [0], 0)
+        monkeypatch.setattr(
+            MilnorRing, "_q_word",
+            lambda ring, bits, w: None if (bits, w) == (1, eta_r0) else q_word(ring, bits, w),
+        )
+        perturbed = q_homology_dimensions(R, 0, -6, 6)
+        assert perturbed.keys() == dims.keys()
+        assert {str(d): v for d, v in perturbed.items() if v} == {"(-1)[-3]": 1, "(-1)[-4]": 1}
 
 
 class TestJsonDump:

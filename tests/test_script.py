@@ -411,6 +411,47 @@ class TestEvaluator:
             (ERROR, "EvalError: (modulo) does not apply to Milnor elements"),
         ]
 
+    def test_integers_beside_milnor_elements(self):
+        # an integer n beside a Milnor element is n mod 2 times its ring's
+        # unit; integers alone stay integers, which need a class context
+        rep = run_scenario(parse_script(
+            "(milnor M 3 (rho-height 2))"
+            "(assert-equal (trivial) (qapply 0 r0) 1)"
+            "(assert-equal (trivial) (mul 3 r0) r0)"
+            "(assert-equal (trivial) (mul r0 2) 0)"
+            "(assert-equal (trivial) 1 (rset {}))"
+            "(assert-zero (trivial) (add 3 (qapply 0 r0)))"
+            "(assert-zero (trivial) (sub (qapply 0 r0) -1))"
+            "(assert-equal (trivial) (qapply 0 r0) 0)"
+            "(assert-equal (trivial) (add r0 1) r0)"
+            "(assert-equal (trivial) (add 1 2) 3)"
+        ))
+        assert [(r.verdict, r.detail, r.witness) for r in rep.results] == [
+            (PASS, "", None), (PASS, "", None), (PASS, "", None), (PASS, "", None),
+            (PASS, "", None), (PASS, "", None),
+            (FAIL, "elements differ", "1 != 0"),
+            (ERROR, "MilnorError: words of mixed bidegree: ['(0)[-1]', '(0)[0]']", None),
+            (ERROR, "EvalError: integer scalar needs a ring context", None),
+        ]
+
+    def test_milnor_sides_must_share_a_ring(self):
+        rep = run_scenario(parse_script(
+            "(pspace P 2) (let x h)"
+            "(milnor M 3) (let a r0) (milnor N 3)"
+            "(assert-equal (trivial) a r0)"
+            "(assert-equal (trivial) r0 (mul a 1))"
+            "(assert-comult (trivial) {0} a r0)"
+            "(assert-equal (trivial) x r0)"
+            "(assert-equal (trivial) (mul r0 1) r0)"
+        ))
+        assert [(r.verdict, r.detail) for r in rep.results] == [
+            (ERROR, "MilnorError: elements of different rings"),
+            (ERROR, "MilnorError: elements of different rings"),
+            (ERROR, "MilnorError: elements of different rings"),
+            (ERROR, "EvalError: expected a Milnor element, got GradedClass"),
+            (PASS, ""),
+        ]
+
     def test_bundle_and_characteristic_forms(self):
         rep = run_scenario(parse_script(
             "(pspace X 2) (pbundle B X xi (roots 0 h))"
