@@ -1,7 +1,10 @@
-"""Chern and Segre classes from (virtual) root data, and mod-p reduced power
-operations: the total cohomological operation, the operation on embedded
-fundamental classes, the tangential d-class linking cohomological and
-homological operations, and the homological operations themselves.
+"""Mod-p reduced power operations: the total cohomological operation, the
+operation on embedded fundamental classes, the tangential d-class linking
+cohomological and homological operations, and the homological operations
+themselves.  Chern and Segre classes of (virtual) root data are computed in
+``varieties``, beside ``BundleRoots``, where the bundle and blow-up
+constructors read them; ``chern_total``, ``chern_class`` and
+``segre_total`` are re-exported here.
 
 Chern, Segre and d-classes and the embedded operation truncate at their
 ring's dimension, and raise ``ValueError`` on a ring without one.
@@ -22,12 +25,20 @@ from .rings import (
     MONOMIAL_ONE,
     GradedClass,
     RingError,
+    _is_prime,
     evaluate,
     exponents,
     generator_power,
     inverse_series,
 )
-from .varieties import BundleRoots, ChowPresentation
+from .varieties import (
+    BundleRoots,
+    ChowPresentation,
+    _product_over_roots,
+    chern_class,
+    chern_total,
+    segre_total,
+)
 
 D_CLASS_CONVENTION_NOTE = (
     "d-class convention: a line root x contributes 1 + x^(p-1); "
@@ -43,35 +54,6 @@ def _check_total(c: GradedClass, what: str) -> GradedClass:
     if c.constant_term() != 1:
         raise ValueError(f"{what} must have constant term 1")
     return c
-
-
-def _product_over_roots(roots: BundleRoots, power: int) -> GradedClass:
-    ring = roots.ring
-    if ring.dimension is None:
-        raise ValueError("need a truncation bound (ring has no dimension)")
-    acc = ring.one()
-    for sign, c in roots.entries:
-        factor = ring.one() + c**power
-        if sign == 1:
-            acc = acc * factor
-        else:
-            acc = acc * inverse_series(factor)
-    return acc
-
-
-def chern_total(roots: BundleRoots) -> GradedClass:
-    """Total Chern class: prod over + roots of (1+x), divided by the same
-    product over - roots, truncated at the ambient dimension."""
-    return _product_over_roots(roots, 1)
-
-
-def chern_class(roots: BundleRoots, j: int) -> GradedClass:
-    return chern_total(roots).homogeneous_part(j)
-
-
-def segre_total(roots: BundleRoots) -> GradedClass:
-    """Inverse of the total Chern class (chern_total * segre_total = 1)."""
-    return inverse_series(chern_total(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +192,10 @@ def embedded_power(
 # ---------------------------------------------------------------------------
 
 def d_class_from_roots(roots: BundleRoots, p: int) -> GradedClass:
-    """d(T) = prod over roots of (1 + x^{p-1}), truncated."""
+    """d(T) = prod over roots of (1 + x^{p-1}), truncated; ValueError when
+    p is not prime."""
+    if not _is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
     return _product_over_roots(roots, p - 1)
 
 

@@ -297,14 +297,14 @@ def _integer_pairings(X: ChowPresentation) -> dict[int, tuple[tuple[int, ...], .
     memo serves every r <= n - r: each distinct product gets its normal
     form from the ring's memo (``RingContext._f``) and its degree from
     ``X.degree``, once.  M_{n-r} is the transpose of M_r, built once."""
-    if X.ring.modulus != 0:
-        raise CoverageError("pairing is computed on an integral presentation")
-    if X.degree_table is None or not X.degree_total:
-        raise CoverageError("pairing needs a total degree functional")
     return X.kept(("pairings",), _fill_pairings, X)
 
 
 def _fill_pairings(X: ChowPresentation) -> dict[int, tuple[tuple[int, ...], ...]]:
+    if X.ring.modulus != 0:
+        raise CoverageError("pairing is computed on an integral presentation")
+    if not X.degree_total:
+        raise CoverageError("pairing needs a total degree functional")
     ring = X.ring
     f, normal_forms, n = ring._f, ring._normal_forms, X.dim
     degrees: dict[int, int] = {}

@@ -338,6 +338,8 @@ class RingContext:
             raise ValueError("names/codegrees length mismatch")
         if any(d <= 0 for d in codegrees):
             raise ValueError("generator codegrees must be positive")
+        if type(modulus) is not int:
+            raise ValueError(f"modulus {modulus!r} is not an integer")
         if modulus and not _is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not prime")
         if dimension is not None and dimension > MAX_EXPONENT // 2:

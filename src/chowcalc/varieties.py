@@ -13,6 +13,12 @@ callers read (the tangent class, a bundle's Segre classes, the base of a
 mod-p copy) is computed on its first read, so a tower whose pairing is
 all that is asked for pays for none of it.
 
+Chern and Segre classes of root data are computed here, beside
+``BundleRoots``, by one product over the roots (``chern_total``): the
+bundle relation, Segre classes and tangent and the blow-up fold rule all
+read it, and ``characteristic`` re-exports it.  Only ``projective_space``
+writes its tangent (1 + h)^(n+1) out by a binomial recurrence.
+
 Sign conventions are fixed once and for all:
 
 * projective bundle P(E) -> X of rank r carries a codegree-1 generator xi
@@ -117,22 +123,33 @@ class BundleRoots:
             raise ContextMismatch("roots in different rings")
         return BundleRoots(self.ring, self.entries + other.entries)
 
-    def positive_classes(self) -> list[GradedClass]:
-        return [c for s, c in self.entries if s == 1]
+
+def _product_over_roots(roots: BundleRoots, power: int) -> GradedClass:
+    """prod over + roots x of (1 + x^power), divided by the same product over
+    - roots, truncated at the ring's dimension (ValueError without one)."""
+    ring = roots.ring
+    if ring.dimension is None:
+        raise ValueError("need a truncation bound (ring has no dimension)")
+    acc = ring.one()
+    for sign, c in roots.entries:
+        factor = ring.one() + (c if power == 1 else c**power)
+        acc = acc * (factor if sign == 1 else inverse_series(factor))
+    return acc
 
 
-def elementary_symmetric(classes: Sequence[GradedClass], top: int) -> list[GradedClass]:
-    """[e_0, ..., e_top] of the classes, by the recurrence e_t += e_{t-1} * c
-    run once per class: about len(classes) * top products, where the
-    sum over j-subsets takes C(len(classes), j) for each e_j."""
-    if not classes:
-        raise ValueError("need at least one class")
-    ring = classes[0].ring
-    e = [ring.one()] + [ring.zero()] * top
-    for k, c in enumerate(classes, 1):
-        for t in range(min(k, top), 0, -1):
-            e[t] = e[t] + e[t - 1] * c
-    return e
+def chern_total(roots: BundleRoots) -> GradedClass:
+    """Total Chern class: prod over + roots of (1+x), divided by the same
+    product over - roots, truncated at the ambient dimension."""
+    return _product_over_roots(roots, 1)
+
+
+def chern_class(roots: BundleRoots, j: int) -> GradedClass:
+    return chern_total(roots).homogeneous_part(j)
+
+
+def segre_total(roots: BundleRoots) -> GradedClass:
+    """Inverse of the total Chern class (chern_total * segre_total = 1)."""
+    return inverse_series(chern_total(roots))
 
 
 @dataclass
@@ -204,7 +221,6 @@ class ChowPresentation:
         roles: dict[str, str],
         basis: Sequence[Sequence[int]],
         degree_table: Optional[dict[int, int]],
-        degree_total: bool,
         tangent: Lazy[GradedClass],
         base: Lazy["ChowPresentation"] = None,
         center: Optional[CenterData] = None,
@@ -216,7 +232,6 @@ class ChowPresentation:
         self.roles = roles
         self.basis = tuple(tuple(b) for b in basis)
         self.degree_table = degree_table
-        self.degree_total = degree_total
         self._tangent = tangent
         self._base = base
         self._segre: Lazy[list[GradedClass]] = None
@@ -318,6 +333,12 @@ class ChowPresentation:
         return self.tangent
 
     # -- degree -------------------------------------------------------
+
+    @property
+    def degree_total(self) -> bool:
+        """Whether the degree table covers every top-codegree basis monomial."""
+        table = self.degree_table
+        return table is not None and all(m in table for m in self.basis_of(self.dim))
 
     def degree(self, c: GradedClass) -> int:
         """Degree of the top-codegree part of c (other codegrees push to zero)."""
@@ -448,7 +469,7 @@ class ChowPresentation:
         new = ChowPresentation(
             self.kind, ring, dict(self.roles), basis,
             dict(self.degree_table) if self.degree_table is not None else None,
-            self.degree_total, tangent=None, base=base, center=self.center,
+            tangent=None, base=base, center=self.center,
             provenance=dict(self.provenance), name=self.name,
         )
         tangent = self._tangent
@@ -516,7 +537,10 @@ def presentation_from_json(doc: dict) -> ChowPresentation:
 
     A document of the wrong shape (not an object, a field missing or of the
     wrong type, or rules the ring rejects) raises ValueError, and so does a
-    basis that is not ``enumerate_basis`` of the document's ring.
+    basis that is not ``enumerate_basis`` of the document's ring.  The
+    modulus, codegrees, degrees and coefficients must be ``int`` (not bool
+    or float).  ``degree_total`` is derived from the degree table and the
+    basis, never read.
     """
     if not isinstance(doc, dict):
         raise ValueError("a presentation must be a JSON object")
@@ -531,18 +555,24 @@ def presentation_from_json(doc: dict) -> ChowPresentation:
         raise ValueError(f"malformed presentation: {type(exc).__name__}: {exc}") from exc
 
 
+def _integer(v, what: str) -> int:
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, not {v!r}")
+    return v
+
+
 def _presentation_from_doc(doc: dict) -> ChowPresentation:
     names = [g["name"] for g in doc["generators"]]
-    codegrees = [g["codegree"] for g in doc["generators"]]
-    ring = RingContext(names, codegrees, modulus=doc["modulus"], dimension=doc["dimension"])
+    codegrees = [_integer(g["codegree"], f"codegree of {g['name']!r}") for g in doc["generators"]]
+    modulus = _integer(doc["modulus"], "modulus")
+    ring = RingContext(names, codegrees, modulus=modulus, dimension=doc["dimension"])
     rules = []
     for r in doc["rules"]:
         lead = ring.monomial_from_str(r["lead"])
-        repl = {ring.monomial_from_str(m): c for m, c in r["replacement"].items()}
+        repl = {ring.monomial_from_str(m): _integer(c, f"coefficient of {m} in {r['lead']}'s rule")
+                for m, c in r["replacement"].items()}
         rules.append((lead, repl))
-    ring = RingContext(
-        names, codegrees, modulus=doc["modulus"], dimension=doc["dimension"], rules=rules
-    )
+    ring = RingContext(names, codegrees, modulus=modulus, dimension=doc["dimension"], rules=rules)
     basis = [
         tuple(ring.monomial_from_str(s) for s in doc["basis"][str(d)])
         for d in range(doc["dimension"] + 1)
@@ -554,12 +584,13 @@ def _presentation_from_doc(doc: dict) -> ChowPresentation:
     degree_table = None
     if doc["degree"] is not None:
         degree_table = {
-            ring.monomial_from_str(s): v for s, v in doc["degree"].items()
+            ring.monomial_from_str(s): _integer(v, f"degree of {s}") for s, v in doc["degree"].items()
         }
     tangent = None
     if doc["tangent"] is not None:
         tangent = ring.from_table(
-            {ring.monomial_from_str(s): c for s, c in doc["tangent"].items()}
+            {ring.monomial_from_str(s): _integer(c, f"tangent coefficient of {s}")
+             for s, c in doc["tangent"].items()}
         )
     return ChowPresentation(
         kind=doc["kind"],
@@ -567,7 +598,6 @@ def _presentation_from_doc(doc: dict) -> ChowPresentation:
         roles={g["name"]: g["role"] for g in doc["generators"]},
         basis=basis,
         degree_table=degree_table,
-        degree_total=doc["degree_total"],
         tangent=tangent,
         provenance=doc.get("provenance"),
         name=doc.get("name"),
@@ -664,7 +694,6 @@ def projective_space(
         roles={"h": ROLE_HYPERPLANE},
         basis=basis,
         degree_table={generator_power(0, n): 1},
-        degree_total=True,
         tangent=tangent,
         provenance={"constructor": "projective_space", "n": n, "cellular": True},
         name=name or f"P{n}",
@@ -720,13 +749,11 @@ def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None
         basis.append(tuple(sorted(here)))
 
     degree_table = None
-    degree_total = False
     if X.degree_table is not None and Y.degree_table is not None:
         degree_table = {}
         for mx, vx in X.degree_table.items():
             for my, vy in Y.degree_table.items():
                 degree_table[mx + shifted(my, shift)] = vx * vy
-        degree_total = X.degree_total and Y.degree_total
 
     # the factors' slots, not the factors: nothing else keeps them alive
     tx_slot, ty_slot = X._tangent, Y._tangent
@@ -744,7 +771,6 @@ def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None
         roles=roles,
         basis=basis,
         degree_table=degree_table,
-        degree_total=degree_total,
         tangent=tangent if tx_slot is not None and ty_slot is not None else None,
         provenance={
             "constructor": "product",
@@ -773,7 +799,6 @@ def projective_bundle(
     r = roots.rank
     if r < 1:
         raise ValueError("bundle rank must be >= 1")
-    root_classes = roots.positive_classes()
 
     while fiber_gen in X.ring.names:
         fiber_gen += "'"
@@ -782,13 +807,10 @@ def projective_bundle(
     xi_idx = len(X.ring.names)
     dim = X.dim + r - 1
 
+    # xi^r = -sum_{i=1}^{r} c_i(E) xi^{r-i}; c(E) has no part above r
+    chern, cd = chern_total(roots), X.ring.monomial_codegree
+    grothendieck = {m + generator_power(xi_idx, r - cd(m)): -c for m, c in chern.table.items() if m}
     rules = [(m, {}) for m in _truncated_leads(X)]
-    grothendieck: dict[int, int] = {}
-    chern = elementary_symmetric(root_classes, r)
-    for i in range(1, r + 1):
-        for m, c in chern[i].table.items():
-            t = m + generator_power(xi_idx, r - i)
-            grothendieck[t] = grothendieck.get(t, 0) - c
     rules.append((Monomial([(xi_idx, r)]), grothendieck))
     ring = RingContext(names, codegrees, X.ring.modulus, dim, rules, base=X.ring)
 
@@ -809,16 +831,15 @@ def projective_bundle(
             degree_table[m + generator_power(xi_idx, r - 1)] = v
 
     def tangent() -> GradedClass:
-        t = ring.from_table(dict(X.tangent.table))
+        # Euler sequence: c(T_P(E)) = pi^* c(T_X) * prod over roots c of (1 + xi + c)
         xi = ring.gen(fiber_gen)
-        rel = ring.one()
-        for c in root_classes:
-            rel = rel * (ring.one() + xi + ring.from_table(dict(c.table)))
-        return t * rel
+        lifted = BundleRoots(ring, tuple((s, xi + ring.from_table(dict(c.table)))
+                                         for s, c in roots.entries))
+        return ring.from_table(dict(X.tangent.table)) * chern_total(lifted)
 
     def segre() -> list[GradedClass]:
-        # Segre classes of the bundle on the base: s(E) = 1/c(E), c(E) = sum of the e_t
-        sseries = inverse_series(sum(chern[1:], chern[0]))
+        # Segre classes of the bundle on the base: s(E) = 1/c(E)
+        sseries = inverse_series(chern)
         return [sseries.homogeneous_part(k) for k in range(X.dim + 1)]
 
     roles = dict(X.roles)
@@ -829,7 +850,6 @@ def projective_bundle(
         roles=roles,
         basis=basis,
         degree_table=degree_table,
-        degree_total=X.degree_total,
         tangent=tangent if X._tangent is not None else None,
         base=X,
         provenance={
@@ -860,7 +880,8 @@ def blow_up(
       codegree above dim Z (classes of the center vanish above its
       dimension); e*m for any other such m is a multiple of one of these;
     * e^r -> (-1)^{r-1} [Z] + sum_{j=1}^{r-1} (-1)^{j+r-1} c_{r-j}(N) e^j,
-      which folds the top fiber power back into the ambient component.
+      which folds the top fiber power back into the ambient component;
+      c(N) is ``chern_total`` of the restricted normal roots, signs kept.
 
     Rules declared on top of these are added by ``with_rules``.  A
     restriction entry for a name that is not a generator of X raises
@@ -938,19 +959,14 @@ def blow_up(
         for m in X.basis_of(d):
             if not m & moved and d - min(cds[i] for i, _ in exponents(m)) <= dim_z:
                 rules.append((m + e, {}))
-    # fold rule for e^r
-    restricted_roots = [res(c) for c in center.roots.positive_classes()]
-    fold: dict[int, int] = {}
-    sign_z = 1 if (r - 1) % 2 == 0 else -1
-    for m, c in center.fundamental.table.items():
-        fold[m] = fold.get(m, 0) + sign_z * c
-    chern = elementary_symmetric(restricted_roots, r - 1) if r > 1 else []
-    for j in range(1, r):
-        sgn = 1 if (j + r - 1) % 2 == 0 else -1
-        ej = generator_power(e_idx, j)
-        for m, c in chern[r - j].table.items():
-            t = m + ej
-            fold[t] = fold.get(t, 0) + sgn * c
+    # fold rule for e^r: c_k(N) e^{r-k} has sign (-1)^{(r-k)+r-1} = (-1)^{k+1}
+    sign_z = 1 if r % 2 else -1
+    fold = {m: sign_z * c for m, c in center.fundamental.table.items()}
+    normal = BundleRoots(X.ring, tuple((s, res(c)) for s, c in center.roots.entries))
+    for m, c in chern_total(normal).table.items():
+        k = X.ring.monomial_codegree(m)
+        if 0 < k < r:
+            fold[m + generator_power(e_idx, r - k)] = c if k % 2 else -c
     rules.append((generator_power(e_idx, r), fold))
 
     ring = RingContext(names, codegrees, X.ring.modulus, X.dim, rules, base=X.ring)
@@ -984,7 +1000,6 @@ def blow_up(
         roles=roles,
         basis=basis,
         degree_table=degree_table,
-        degree_total=X.degree_total,
         tangent=None,
         base=X,
         center=center,
@@ -1022,12 +1037,8 @@ def _generic_presentation(ring, basis, degrees, tangent_table, name) -> ChowPres
     be ``enumerate_basis`` of the ring) and the optional declarations."""
     tangent = None if tangent_table is None else ring.from_table(dict(tangent_table))
     degree_table = dict(degrees) if degrees is not None else None
-    # the declared table is total exactly when it covers the top basis
-    degree_total = degree_table is not None and all(
-        m in degree_table for m in basis[ring.dimension]
-    )
     return ChowPresentation(
         "generic", ring, {n: ROLE_AMBIENT for n in ring.names}, basis, degree_table,
-        degree_total, tangent, provenance={"constructor": "generic_context", "cellular": False},
+        tangent, provenance={"constructor": "generic_context", "cellular": False},
         name=name or "generic",
     )

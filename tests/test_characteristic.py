@@ -309,6 +309,20 @@ class TestDClass:
         assert d_class(roots, 5) == X.one()
 
     @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_dispatch_on_a_total_class(self, p):
+        X = generic_context([("x", 1), ("y", 1)], 6, modulus=p)
+        roots = BundleRoots.plus([X.gen("x"), X.gen("y")])
+        total = chern_total(roots)
+        assert d_class(total, p) == d_class_from_total(total, p) == d_class(roots, p)
+
+    @pytest.mark.parametrize("p", [4, 1, 0, -3])
+    def test_non_prime_modulus_is_refused(self, p):
+        X = generic_context([("x", 1), ("y", 1)], 4)
+        roots = BundleRoots.plus([X.gen("x"), X.gen("y")])
+        with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+            d_class(roots, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
     def test_dual_route_agreement(self, p):
         X = generic_context([("x", 1), ("y", 1), ("z", 1)], 6, modulus=p)
         rng = random.Random(p + 10)

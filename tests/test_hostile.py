@@ -221,6 +221,34 @@ def test_catalog_basis_past_the_bound_is_a_load_error(tmp_path):
     assert f"basis exceeds {MAX_BASIS} monomials" in err
 
 
+def _blown_up_plane_with_rule_coefficient(c) -> dict:
+    doc = bl_point_plane()[1].to_json()
+    rule = next(r for r in doc["rules"] if r["replacement"])  # e^2 -> -h^2
+    rule["replacement"] = {m: c for m in rule["replacement"]}
+    return doc
+
+
+@pytest.mark.parametrize("doc, field", [
+    (_plane_with(modulus=3.0), "modulus"),
+    (_plane_with(modulus=True), "modulus"),
+    (_plane_with(generators=[{"name": "h", "codegree": 1.0, "role": "ambient"}]), "codegree of 'h'"),
+    (_plane_with(tangent={"1": 1, "h": 0.5, "h^2": 3}), "tangent coefficient of h"),
+    (_plane_with(degree={"h^2": 1.5}), "degree of h^2"),
+    (_plane_with(degree={"h^2": "1"}), "degree of h^2"),
+    (_blown_up_plane_with_rule_coefficient(-1.0), "coefficient of h^2 in e^2's rule"),
+], ids=["modulus-float", "modulus-bool", "codegree-float", "tangent-float", "degree-float",
+        "degree-string", "rule-coefficient-float"])
+def test_non_integer_catalog_field_is_a_load_error(tmp_path, doc, field):
+    # each of these used to load, and then print float coefficients or fail
+    # with a raw TypeError in the pairing
+    path = tmp_path / "X.json"
+    path.write_text(json.dumps(doc))
+    code, err = cli_run(["eval", "(mul h h)", "--context", str(path)])
+    assert code == 2
+    assert err.startswith("error: cannot load context: ")
+    assert f"{field} must be an integer" in err
+
+
 def test_negative_integer_power_is_an_error():
     report = run_scenario(parse_script(
         "(report-value v (pow 2 -1)) (report-value w (pow -3 3)) (report-value z (pow 5 -0))"

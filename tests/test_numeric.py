@@ -102,6 +102,11 @@ class TestLinearAlgebra:
                 integer_determinant(matrix)
             assert str(info.value) == f"determinant needs a square matrix, not rows of lengths {lengths}"
 
+    def test_singular_determinant_is_zero(self):
+        # no nonzero pivot in a column: the elimination stops with 0
+        assert integer_determinant([[0, 1], [0, 2]]) == 0
+        assert integer_determinant([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == 0
+
 
 def dense_residual(rows, vec, p=0):
     """Reference: vec reduced by the dense reduced row echelon form of rows,

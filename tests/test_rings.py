@@ -7,6 +7,7 @@ import pytest
 from chowcalc.rings import (
     MAX_EXPONENT,
     MONOMIAL_ONE,
+    InvalidRule,
     Monomial,
     ReductionBudgetExceeded,
     RewriteCycle,
@@ -874,3 +875,31 @@ class TestBase:
         # only codegrees are compared: the names may differ
         R = RingContext(["a", "b", "c"], [1, 2, 1], base=base)
         assert R.rules == base.rules and R.gen("a") ** 2 == R.gen("b")
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("names, codegrees, kwargs, message", [
+        (["x", "x"], [1, 1], {}, "duplicate generator names"),
+        (["x", "y"], [1], {}, "names/codegrees length mismatch"),
+        (["x", "y"], [1, 0], {}, "generator codegrees must be positive"),
+        (["x"], [-2], {}, "generator codegrees must be positive"),
+        (["x"], [1], {"modulus": 4}, "modulus 4 is not prime"),
+        (["x"], [1], {"modulus": 1}, "modulus 1 is not prime"),
+        (["x"], [1], {"modulus": 2.0}, "modulus 2.0 is not an integer"),
+        (["x"], [1], {"modulus": True}, "modulus True is not an integer"),
+    ], ids=["duplicate-names", "length-mismatch", "zero-codegree", "negative-codegree",
+            "modulus-4", "modulus-1", "modulus-float", "modulus-bool"])
+    def test_constructor_refuses(self, names, codegrees, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            RingContext(names, codegrees, **kwargs)
+        assert str(info.value) == message
+
+    def test_unit_lead_is_refused(self):
+        with pytest.raises(InvalidRule, match="^unit monomial cannot be a rule lead$"):
+            RingContext(["x"], [1], rules=[(MONOMIAL_ONE, {})])
+
+    def test_inhomogeneous_replacement_is_refused(self):
+        x2, y = Monomial([(0, 2)]), Monomial([(1, 1)])
+        with pytest.raises(InvalidRule) as info:
+            RingContext(["x", "y"], [1, 1], rules=[(x2, {y: 1})])
+        assert str(info.value) == "inhomogeneous rule: lead codegree 2, replacement has codegree 1"

@@ -366,6 +366,19 @@ class TestEvaluator:
             (ERROR, f"ValueError: pairing modulus {p} is not prime") for p in (4, 9, 1, 0, -2)
         ] + [(ERROR, f"ValueError: codegree {r} is outside 0..4") for r in (7, -1)]
 
+    def test_d_class_modulus_must_be_prime(self):
+        # (dclass 4 ...) used to give 1 + x^3 + y^3, and (dclass 1 ...) the class 4
+        rep = run_scenario(parse_script(
+            "(generic X 4 (gens (x 1) (y 1)))"
+            "(assert-zero (trivial) (dclass 4 (roots x y)))"
+            "(assert-zero (trivial) (dclass 1 (roots x y)))"
+            "(assert-equal (trivial) (dclass 3 (roots x y))"
+            " (mul (add 1 (pow x 2)) (add 1 (pow y 2))))"
+        ))
+        assert [(r.verdict, r.detail) for r in rep.results] == [
+            (ERROR, f"ValueError: modulus {p} is not prime") for p in (4, 1)
+        ] + [(PASS, "")]
+
     def test_milnor_forms(self):
         rep = run_scenario(parse_script(
             "(milnor R 3 (rho-height 3))"

@@ -14,7 +14,7 @@ from chowcalc.varieties import (
     CoverageError,
     _truncated_leads,
     blow_up,
-    elementary_symmetric,
+    chern_class,
     enumerate_basis,
     generic_context,
     presentation_from_json,
@@ -194,13 +194,10 @@ class TestElementarySymmetric:
                     c = c + rng.randint(-3, 3) * g
                 roots.append(c)
             top = rng.randint(0, len(roots) + 1)
-            e = elementary_symmetric(roots, top)
-            assert len(e) == top + 1
-            assert e == [subset_elementary_symmetric(roots, j) for j in range(top + 1)]
-
-    def test_no_classes_rejected(self):
-        with pytest.raises(ValueError):
-            elementary_symmetric([], 1)
+            plus = BundleRoots.plus(roots)
+            assert [chern_class(plus, j) for j in range(top + 1)] == [
+                subset_elementary_symmetric(roots, j) for j in range(top + 1)
+            ]
 
 
 def assert_basis_irreducible(X):
@@ -346,6 +343,20 @@ class TestBlowUp:
             unknown = next(g for g in restriction if g != "h")
             with pytest.raises(CoverageError, match=f"restriction names '{unknown}'"):
                 blow_up(P3, center)
+
+    def test_normal_roots_keep_their_signs(self):
+        # (+h, +h, +h, -h) is the bundle (+h, +h): c(N) = (1+h)^3 / (1+h) = (1+h)^2
+        P3 = projective_space(3)
+        h = P3.gen("h")
+
+        def blown_up(entries):
+            roots = BundleRoots(P3.ring, entries)
+            return blow_up(P3, CenterData(fundamental=h * h, roots=roots, name="L"))
+
+        virtual = blown_up(((1, h), (1, h), (1, h), (-1, h)))
+        assert virtual.ring.rules == blown_up(((1, h), (1, h))).ring.rules
+        e = virtual.gen("e")
+        assert str(e * e) == "-h^2 + 2*h*e"
 
     def test_extra_rules_are_monomial_pairs(self):
         P3 = projective_space(3)
@@ -586,7 +597,7 @@ class TestGenericContext:
         x, y = X.gen("x"), X.gen("y")
         partial = [X.basis_of(0), [m for m in X.basis_of(1) if X.ring.monomial_str(m) == "x"],
                    X.basis_of(2)]
-        Y = ChowPresentation("generic", X.ring, X.roles, partial, None, False, None)
+        Y = ChowPresentation("generic", X.ring, X.roles, partial, None, None)
         for _ in range(2):
             assert Y.coordinates(3 * x + x * y, 1) == [3]
             assert Y.coordinates(x * y, 2) == X.coordinates(x * y, 2)
@@ -750,7 +761,7 @@ class TestFilledOnFirstRead:
             raise ValueError("no tangent yet")
 
         P1 = projective_space(1)
-        X = ChowPresentation("generic", P1.ring, P1.roles, P1.basis, P1.degree_table, True, tangent)
+        X = ChowPresentation("generic", P1.ring, P1.roles, P1.basis, P1.degree_table, tangent)
         for n in (1, 2):
             with pytest.raises(ValueError, match="no tangent yet"):
                 X.tangent
