@@ -2,7 +2,7 @@
 
 Two families of rings are modelled:
 
-* symbol rings ``make_ring(m, ia)``: generators r_0..r_{m-1} over the
+* symbol rings ``make_ring(m, height)``: generators r_0..r_{m-1} over the
   coefficients F_2[rho]/(rho^h), with r_i^2 = r_{i+1} * rho for i <= m-2
   and the top generator eta := r_{m-1} polynomial (free powers); h = 1
   gives rho = 0;
@@ -37,9 +37,9 @@ zero or one word: a ``MilnorElement`` holds one ``word``, None for zero.
 ring: an index past the square-free ones, a coefficient outside the
 algebra, or an eta power in a ring without eta.  It cancels repeated words
 over F_2, and two words that survive are of mixed bidegree, which it
-refuses too.  The coefficient algebras ``trivial_ia()`` and
-``truncated_symbol_ia(h)`` are frozen values built once per height, while
-every ring built over them stays a distinct object.
+refuses too.  A ring's coefficient algebra is its height h alone:
+``trivial_ia()`` is 1 and ``truncated_symbol_ia(h)`` checks h and returns
+it, and the labels 1, rho, rho^s are read from h by ``_rho_label``.
 
 Words with a negative eta power are ordinary ring words: ``element``,
 ``q_apply`` and ``q_homology_dimensions``, whose combined model is the
@@ -82,37 +82,26 @@ class BiDegree:
         return f"({self.a})[{self.b}]"
 
 
-@dataclass(frozen=True)
-class IaAlgebra:
-    """The coefficient algebra F_2[rho]/(rho^h), h = len(labels): basis
-    element s is rho^s, of weight s, so ``unit`` is 0 and ``rho`` is 1, or
-    None when h = 1 and rho = 0.  Build it with ``trivial_ia()`` or
-    ``truncated_symbol_ia(h)``."""
-
-    labels: tuple[str, ...]
-    weights: tuple[int, ...]
-    unit: int
-    rho: Optional[int]
+def trivial_ia() -> int:
+    """The height of Ia = F_2 in weight 0, rho = 0."""
+    return 1
 
 
-@functools.cache
-def trivial_ia() -> IaAlgebra:
-    """Ia = F_2 in weight 0, rho = 0.  Built once: the value is frozen."""
-    return IaAlgebra(("1",), (0,), 0, None)
-
-
-@functools.lru_cache(maxsize=16, typed=True)
-def truncated_symbol_ia(height: int) -> IaAlgebra:
-    """F_2[rho]/(rho^height).  height=1 gives rho = 0.  Each height is
-    built once; rings over it stay distinct."""
+def truncated_symbol_ia(height: int) -> int:
+    """The height of F_2[rho]/(rho^height), checked: an int in
+    1..MAX_RHO_HEIGHT.  height=1 gives rho = 0."""
+    if type(height) is not int:
+        raise MilnorError(f"height {height!r} is not an int")
     if height < 1:
         raise MilnorError("height must be >= 1")
     if height > MAX_RHO_HEIGHT:
         raise MilnorError(f"height must be <= {MAX_RHO_HEIGHT}")
-    if height == 1:
-        return trivial_ia()
-    labels = tuple("1" if k == 0 else f"rho^{k}" if k > 1 else "rho" for k in range(height))
-    return IaAlgebra(labels, tuple(range(height)), 0, 1)
+    return height
+
+
+def _rho_label(s: int) -> str:
+    """The label of coefficient s, which is rho^s, of weight s."""
+    return "1" if s == 0 else "rho" if s == 1 else f"rho^{s}"
 
 
 class Word:
@@ -164,22 +153,23 @@ def _word(k: int, mask: int, s: int) -> Word:
 
 class MilnorRing:
     """See the module docstring.  ``n_sq`` counts the square-free generators
-    r_0..r_{n_sq-1}; when ``has_eta`` the generator r_{n_sq} is polynomial."""
+    r_0..r_{n_sq-1}; when ``has_eta`` the generator r_{n_sq} is polynomial.
+    Coefficient s of a word is rho^s, zero from s = ``height`` on."""
 
-    def __init__(self, n_sq: int, has_eta: bool, ia: IaAlgebra, name: str = ""):
+    def __init__(self, n_sq: int, has_eta: bool, height: int, name: str = ""):
         if n_sq < 1:
             raise MilnorError("need at least one square-free generator")
-        if not has_eta and ia.rho is not None:
+        truncated_symbol_ia(height)  # an int in 1..MAX_RHO_HEIGHT
+        if not has_eta and height > 1:
             raise MilnorError("without a top polynomial generator rho must be 0")
         if n_sq + has_eta > MAX_GENERATORS:
             raise MilnorError(f"a Milnor ring has at most {MAX_GENERATORS} generators")
         self.n_sq = n_sq
         self.has_eta = has_eta
-        self.ia = ia
+        self.height = height
         self.name = name or ("flexible" if not has_eta else f"symbol-ring(m={n_sq+1})")
         self.q_indices = range(n_sq + has_eta)  # generators r_0 .. r_{top_index}
         self._low = (1 << n_sq) - 1  # the bits of 2^I in a key
-        self._height = len(ia.labels)  # coefficient s is rho^s, zero from s = height on
 
     @property
     def top_index(self) -> int:
@@ -205,7 +195,7 @@ class MilnorRing:
                 f"index {w.mask.bit_length() - 1} out of range: "
                 f"{self.name} has square-free indices 0..{self.n_sq - 1}"
             )
-        if w.s not in range(self._height):
+        if w.s not in range(self.height):
             raise MilnorError(f"coefficient {w.s!r} out of range for {self.name}")
         if w.k != 0 and not self.has_eta:
             raise MilnorError(f"{self.name} has no eta, but the word has eta^{w.k}")
@@ -214,19 +204,19 @@ class MilnorRing:
         return MilnorElement(self, None)
 
     def one(self) -> "MilnorElement":
-        return MilnorElement(self, _word(0, 0, self.ia.unit))
+        return MilnorElement(self, _word(0, 0, 0))
 
     def r(self, i: int) -> "MilnorElement":
         if not (0 <= i <= self.top_index):
             raise MilnorError(f"generator index {i} out of range")
         if self.has_eta and i == self.n_sq:
             return self.eta()
-        return MilnorElement(self, _word(0, 1 << i, self.ia.unit))
+        return MilnorElement(self, _word(0, 1 << i, 0))
 
     def eta(self) -> "MilnorElement":
         if not self.has_eta:
             raise MilnorError("this ring has no polynomial top generator")
-        return MilnorElement(self, _word(1, 0, self.ia.unit))
+        return MilnorElement(self, _word(1, 0, 0))
 
     def r_set(self, I: Iterable[int]) -> "MilnorElement":
         acc = self.one()
@@ -235,7 +225,7 @@ class MilnorRing:
         return acc
 
     def rho_elem(self) -> "MilnorElement":
-        return MilnorElement(self, None if self.ia.rho is None else _word(0, 0, self.ia.rho))
+        return MilnorElement(self, _word(0, 0, 1) if self.height > 1 else None)
 
     # -- word algebra ----------------------------------------------------
 
@@ -257,7 +247,7 @@ class MilnorRing:
         addition into the eta power."""
         a_low, b_low = a & self._low, b & self._low
         s = s1 + s2 + rhos + a_low.bit_count() + b_low.bit_count() - (a_low + b_low).bit_count()
-        return (a + b, s) if s < self._height else None
+        return (a + b, s) if s < self.height else None
 
     def _mul_words(self, w1: Word, w2: Word) -> Optional[Word]:
         """w1 * w2, or None when it is zero."""
@@ -292,7 +282,7 @@ class MilnorRing:
                 continue
             for rlen in range(self.n_sq + 1):
                 for I in itertools.combinations(idxs, rlen):
-                    for s in range(self._height):
+                    for s in range(self.height):
                         out.append(Word(k, frozenset(I), s))
         return out
 
@@ -304,18 +294,17 @@ class MilnorRing:
                 parts.append(f"eta^{w.k}" if w.k != 1 else "eta")
             if w.I:
                 parts.append("r{" + ",".join(str(i) for i in sorted(w.I)) + "}")
-            label = self.ia.labels[w.s]
-            if label != "1" or not parts:
-                parts.append(label)
+            if w.s or not parts:
+                parts.append(_rho_label(w.s))
             return "*".join(parts)
         doc = {
             "ring": self.name,
             "square_free_generators": self.n_sq,
             "polynomial_top": self.has_eta,
             "coefficients": {
-                "labels": list(self.ia.labels),
-                "weights": list(self.ia.weights),
-                "rho": None if self.ia.rho is None else self.ia.labels[self.ia.rho],
+                "labels": [_rho_label(s) for s in range(self.height)],
+                "weights": list(range(self.height)),
+                "rho": _rho_label(1) if self.height > 1 else None,
             },
             "basis": [
                 {"word": wname(w), "bidegree": str(self.word_bidegree(w))}
@@ -408,9 +397,8 @@ class MilnorElement:
             bits.append("eta" if w.k == 1 else f"eta^{w.k}")
         for i in sorted(w.I):
             bits.append(f"r{i}")
-        lbl = self.ring.ia.labels[w.s]
-        if lbl != "1" or not bits:
-            bits.append(lbl)
+        if w.s or not bits:
+            bits.append(_rho_label(w.s))
         return "*".join(bits)
 
     __repr__ = __str__
@@ -420,19 +408,20 @@ class MilnorElement:
 # Ring constructors
 # ---------------------------------------------------------------------------
 
-def make_ring(m: int, ia: IaAlgebra, name: str = "") -> MilnorRing:
-    """The symbol ring for weight m >= 2: square-free r_0..r_{m-2} with
-    r_i^2 = r_{i+1} * rho, and polynomial eta = r_{m-1}."""
+def make_ring(m: int, height: int, name: str = "") -> MilnorRing:
+    """The symbol ring for weight m >= 2 over F_2[rho]/(rho^height):
+    square-free r_0..r_{m-2} with r_i^2 = r_{i+1} * rho, and polynomial
+    eta = r_{m-1}."""
     if m < 2:
         raise MilnorError("m must be >= 2")
-    return MilnorRing(n_sq=m - 1, has_eta=True, ia=ia, name=name or f"symbol-ring(m={m})")
+    return MilnorRing(n_sq=m - 1, has_eta=True, height=height, name=name or f"symbol-ring(m={m})")
 
 
 def flexible_cohomology(n: int) -> MilnorRing:
     """Exterior algebra on r_0..r_n over F_2 (all squares vanish)."""
     if n < 0:
         raise MilnorError("n must be >= 0")
-    return MilnorRing(n_sq=n + 1, has_eta=False, ia=trivial_ia(), name=f"flexible(n={n})")
+    return MilnorRing(n_sq=n + 1, has_eta=False, height=trivial_ia(), name=f"flexible(n={n})")
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +495,7 @@ def restrict_symbol(
         raise MilnorError("restriction runs between symbol rings")
     if target.n_sq != source.n_sq + 1:
         raise MilnorError("target must be the symbol ring of weight m+1")
-    if len(ia_projection) != len(source.ia.labels):
+    if len(ia_projection) != source.height:
         raise MilnorError("projection table must cover every coefficient basis element")
     if e.ring is not source:
         raise MilnorError("element does not live in the source ring")

@@ -291,8 +291,8 @@ class RingContext:
     """Immutable graded polynomial ring with rewrite rules.
 
     modulus 0 means integer coefficients; a positive modulus must be prime.
-    dimension, when set, truncates every class above that codegree; it is
-    at most ``MAX_EXPONENT // 2`` (see the module docstring).  ``rules``
+    dimension, when set, truncates every class above that codegree; it lies
+    in 0..``MAX_EXPONENT // 2`` (see the module docstring).  ``rules``
     keeps the stored rules of ``base`` (a ring whose codegrees are a prefix
     of these), then the declared rules, in declaration order, minus every
     rule whose lead is a proper multiple of another rule's lead and which
@@ -342,6 +342,8 @@ class RingContext:
             raise ValueError(f"modulus {modulus!r} is not an integer")
         if modulus and not _is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not prime")
+        if dimension is not None and dimension < 0:
+            raise ValueError(f"dimension {dimension} is negative")
         if dimension is not None and dimension > MAX_EXPONENT // 2:
             raise RingError(f"dimension {dimension} exceeds MAX_EXPONENT // 2 = {MAX_EXPONENT // 2}")
         if base is not None and tuple(codegrees[: len(base.codegrees)]) != base.codegrees:
@@ -415,7 +417,8 @@ class RingContext:
         """Whether lead -> table follows from the stored rules: both sides
         have the same normal form, computed without dimension truncation."""
         try:
-            return self._nf({lead: 1}, truncate=False) == self._nf(table, truncate=False)
+            memo: dict = {}
+            return self._reduce({lead: 1}, memo, None) == self._reduce(table, memo, None)
         except ReductionBudgetExceeded:
             return False
 
@@ -507,12 +510,8 @@ class RingContext:
             raise _overflow(m)
         return self._f(m, self._normal_forms, self.dimension)
 
-    def _nf(
-        self, table: Mapping[int, int], truncate: bool = True
-    ) -> dict[int, int]:
-        if truncate:
-            return self._reduce(table, self._normal_forms, self.dimension)
-        return self._reduce(table, {}, None)
+    def _nf(self, table: Mapping[int, int]) -> dict[int, int]:
+        return self._reduce(table, self._normal_forms, self.dimension)
 
     def _reduce(self, table: Mapping[int, int], memo: dict, dim: Optional[int]) -> dict[int, int]:
         """The sum of c*f(m) over the table, truncated above dim when set."""

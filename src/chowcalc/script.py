@@ -739,14 +739,31 @@ def _eval_context_form(env: Env, form: list) -> None:
 
 
 _CONTEXT_HEADS = {"pspace", "product", "pbundle", "blowup", "generic", "milnor", "flexible"}
-_ASSERT_HEADS = {
-    "assert-zero", "assert-equal", "assert-numzero", "assert-numequal",
-    "assert-deg", "assert-kernel-dim", "assert-comult",
+_ASSERT_USAGE = {
+    "assert-zero": "(assert-zero TAG expr [(modulo NAME ...)])",
+    "assert-equal": "(assert-equal TAG expr expr [(modulo NAME ...)])",
+    "assert-numzero": "(assert-numzero TAG expr [(modulo NAME ...)])",
+    "assert-numequal": "(assert-numequal TAG expr expr [(modulo NAME ...)])",
+    "assert-deg": "(assert-deg TAG expr INT)",
+    "assert-kernel-dim": "(assert-kernel-dim TAG CTX CODEG PRIME INT)",
+    "assert-comult": "(assert-comult TAG SET x y)",
 }
+_ASSERT_HEADS = set(_ASSERT_USAGE)
+
+
+def _sides(form: list, n: int, usage: str) -> tuple[list, list]:
+    """The n expressions of an identity assertion and the clauses after
+    them; EvalError with the usage when fewer than n operands come ahead
+    of the first (modulo ...) clause."""
+    exprs, clauses = form[2 : 2 + n], form[2 + n :]
+    _expect(len(exprs) == n and not any(isinstance(x, list) and x[:1] == ["modulo"] for x in exprs), usage)
+    return exprs, clauses
 
 
 def _eval_assertion(env: Env, form: list, aid: str) -> AssertionResult:
     head = form[0]
+    usage = _ASSERT_USAGE[head]
+    _expect(len(form) > 1, usage)
     tag = _parse_tag(form[1])
     start = time.perf_counter()
 
@@ -757,9 +774,9 @@ def _eval_assertion(env: Env, form: list, aid: str) -> AssertionResult:
         return AssertionResult(id=aid, verdict=PASS if ok else FAIL, tag=tag, detail=detail, witness=witness, millis=ms)
 
     if head == "assert-zero":
-        rest = form[2:]
-        mod = _mod_clause(env, rest[1:])
-        value = eval_expr(env, rest[0])
+        (expr,), clauses = _sides(form, 1, usage)
+        mod = _mod_clause(env, clauses)
+        value = eval_expr(env, expr)
         if isinstance(value, miln.MilnorElement):
             _expect(not mod, "(modulo) does not apply to Milnor elements")
             return done(value.is_zero(), "element does not vanish", str(value))
@@ -767,10 +784,10 @@ def _eval_assertion(env: Env, form: list, aid: str) -> AssertionResult:
         ok, witness = verify_identity(env, c, c.ring.zero(), mod)
         return done(ok, "class does not vanish", witness)
     if head == "assert-equal":
-        rest = form[2:]
-        mod = _mod_clause(env, rest[2:])
-        a = eval_expr(env, rest[0])
-        b = eval_expr(env, rest[1])
+        (lhs, rhs), clauses = _sides(form, 2, usage)
+        mod = _mod_clause(env, clauses)
+        a = eval_expr(env, lhs)
+        b = eval_expr(env, rhs)
         if isinstance(a, miln.MilnorElement) or isinstance(b, miln.MilnorElement):
             _expect(not mod, "(modulo) does not apply to Milnor elements")
             a, b = _operands(env, [a, b])
@@ -778,29 +795,28 @@ def _eval_assertion(env: Env, form: list, aid: str) -> AssertionResult:
         ok, witness = verify_identity(env, _as_class(env, a), _as_class(env, b), mod)
         return done(ok, "sides differ", witness)
     if head in ("assert-numzero", "assert-numequal"):
-        rest = form[2:]
-        split = 1 if head == "assert-numzero" else 2
-        mod = _mod_clause(env, rest[split:])
-        a = _as_class(env, eval_expr(env, rest[0]))
-        b = a.ring.zero() if head == "assert-numzero" else _as_class(env, eval_expr(env, rest[1]))
+        exprs, clauses = _sides(form, 1 if head == "assert-numzero" else 2, usage)
+        mod = _mod_clause(env, clauses)
+        a = _as_class(env, eval_expr(env, exprs[0]))
+        b = a.ring.zero() if head == "assert-numzero" else _as_class(env, eval_expr(env, exprs[1]))
         ok, witness = verify_numerical(env, a, b, mod)
         return done(ok, "sides differ numerically", witness)
     if head == "assert-deg":
-        _expect(len(form) == 4 and isinstance(form[3], int), "(assert-deg TAG expr INT)")
+        _expect(len(form) == 4 and isinstance(form[3], int), usage)
         c = _as_class(env, eval_expr(env, form[2]))
         pres = env.presentation_of(c)
         got = pres.degree(c)
         want = form[3] % pres.ring.modulus if pres.ring.modulus else form[3]
         return done(got == want, f"degree {got}, wanted {want}", str(got))
     if head == "assert-kernel-dim":
-        _expect(len(form) == 6, "(assert-kernel-dim TAG CTX CODEG PRIME INT)")
+        _expect(len(form) == 6 and all(isinstance(x, int) for x in form[3:]), usage)
         pres = env.lookup(form[2])
         _expect(isinstance(pres, ChowPresentation), "kernel check needs a presentation")
         kernel, _ = numerical_kernel(pres, form[3], form[4])
         return done(len(kernel) == form[5], f"kernel dimension {len(kernel)}, wanted {form[5]}",
                     ", ".join(map(str, kernel)))
     if head == "assert-comult":
-        _expect(len(form) == 5 and isinstance(form[2], frozenset), "(assert-comult TAG SET x y)")
+        _expect(len(form) == 5 and isinstance(form[2], frozenset), usage)
         x = eval_expr(env, form[3])
         y = eval_expr(env, form[4])
         _expect(isinstance(x, miln.MilnorElement) and isinstance(y, miln.MilnorElement),

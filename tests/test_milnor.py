@@ -9,6 +9,7 @@ import pytest
 
 from chowcalc import milnor
 from chowcalc.milnor import (
+    MAX_RHO_HEIGHT,
     BiDegree,
     MilnorError,
     MilnorRing,
@@ -49,7 +50,7 @@ def ref_mul_words(R, w1, w2):
         else:
             I.add(target)
     s = w1.s + w2.s + rho_pow
-    return Word(k, frozenset(I), s) if s < len(R.ia.labels) else None
+    return Word(k, frozenset(I), s) if s < R.height else None
 
 
 def ref_comult_pairs(indices, K):
@@ -110,8 +111,7 @@ def ref_bidegree(R, w):
     d = 2**R.n_sq - 1
     a += w.k * (-d)
     b += w.k * (-2 * d - 1)
-    t = R.ia.weights[w.s]
-    return BiDegree(a + t, b + t)
+    return BiDegree(a + w.s, b + w.s)  # rho^s has weight s
 
 
 # 1 in (0)[0] and eta in (-1)[-3] in make_ring(2, trivial_ia())
@@ -159,7 +159,7 @@ class TestRingStructure:
     @pytest.mark.parametrize("R", [
         *(make_ring(m, truncated_symbol_ia(h)) for m in (2, 3, 4) for h in (1, 2, 3, 4)),
         *(flexible_cohomology(n) for n in range(5)),
-    ], ids=lambda R: f"{R.name}-h{len(R.ia.labels)}")
+    ], ids=lambda R: f"{R.name}-h{R.height}")
     def test_one_word_per_bidegree(self, R):
         # a - b is the key, which fixes k and I, and then a fixes s: so a
         # product of two words is one word or zero, and an element is one
@@ -345,7 +345,7 @@ class TestSharedCoefficientAlgebras:
     @pytest.mark.parametrize("h", [1, 2, 3])
     def test_rings_stay_distinct(self, h):
         R, S = make_ring(3, truncated_symbol_ia(h)), make_ring(3, truncated_symbol_ia(h))
-        assert R is not S and R.ia is S.ia
+        assert R is not S and R.height == S.height
         assert R.r(0) != S.r(0)
         with pytest.raises(MilnorError, match="elements of different rings"):
             R.r(0) * S.r(0)
@@ -381,6 +381,54 @@ class TestSharedCoefficientAlgebras:
         for _ in range(2):
             rep = run_scenario(parse_script(src))
             assert [(r.id, r.verdict, r.detail) for r in rep.results] == expected
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("h", [2.5, "2", True, False, None])
+    def test_height_must_be_an_int(self, h):
+        with pytest.raises(MilnorError, match=re.escape(f"height {h!r} is not an int")):
+            truncated_symbol_ia(h)
+        with pytest.raises(MilnorError, match="is not an int"):
+            make_ring(3, h)
+
+    def test_height_bounds(self):
+        assert truncated_symbol_ia(1) == trivial_ia() == 1
+        assert truncated_symbol_ia(MAX_RHO_HEIGHT) == MAX_RHO_HEIGHT
+        with pytest.raises(MilnorError, match=f"height must be <= {MAX_RHO_HEIGHT}"):
+            truncated_symbol_ia(MAX_RHO_HEIGHT + 1)
+        for h in (0, MAX_RHO_HEIGHT + 1):
+            with pytest.raises(MilnorError, match="height must be"):
+                MilnorRing(2, True, h)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: MilnorRing(0, True, 1), "need at least one square-free generator"),
+        (lambda: MilnorRing(2, False, 2), "without a top polynomial generator rho must be 0"),
+        (lambda: make_ring(1, 1), "m must be >= 2"),
+        (lambda: flexible_cohomology(-1), "n must be >= 0"),
+    ], ids=["no-square-free-generator", "rho-without-eta", "weight-1", "negative-n"])
+    def test_ring_constructors_refuse(self, build, message):
+        with pytest.raises(MilnorError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_dsl_height_that_is_not_an_int(self):
+        rep = run_scenario(parse_script("(milnor M 2 (rho-height x))"))
+        assert [(r.verdict, r.detail) for r in rep.results] == [
+            ("error", "MilnorError: height 'x' is not an int in (milnor M 2 (rho-height x))"),
+        ]
+
+    def test_coefficients_read_from_the_height(self):
+        R = make_ring(2, 4)
+        assert R.to_json(k_max=0)["coefficients"] == {
+            "labels": ["1", "rho", "rho^2", "rho^3"], "weights": [0, 1, 2, 3], "rho": "rho",
+        }
+        assert make_ring(2, 1).to_json(k_max=0)["coefficients"] == {
+            "labels": ["1"], "weights": [0], "rho": None,
+        }
+        assert [str(R.element([Word(1, [0], s)])) for s in range(4)] == [
+            "eta*r0", "eta*r0*rho", "eta*r0*rho^2", "eta*r0*rho^3",
+        ]
+        assert str(R.one()) == "1" and str(R.rho_elem() ** 3) == "rho^3"
+        assert (R.rho_elem() ** 4).is_zero() and make_ring(2, 1).rho_elem().is_zero()
 
 
 class TestWordArithmeticMatchesReference:
@@ -579,8 +627,8 @@ class TestRestriction:
     def proj(self, src, tgt):
         # coefficient projection: rho^k -> rho^k when present in the target
         table = []
-        for k, lbl in enumerate(src.ia.labels):
-            if k < len(tgt.ia.labels):
+        for k in range(src.height):
+            if k < tgt.height:
                 table.append(frozenset({k}))
             else:
                 table.append(frozenset())

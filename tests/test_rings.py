@@ -431,10 +431,12 @@ class TestMonomialMemo:
             table = random_table(R, rng)
             for truncate in (True, False):
                 expected = worklist_nf(R, table, truncate)
-                assert R._nf(table, truncate) == expected
+                # untruncated, as _implied reduces: a fresh memo, no dimension
+                nf = R._nf if truncate else lambda t: R._reduce(t, {}, None)
+                assert nf(table) == expected
                 # again from an empty memo, so every chain is walked afresh
                 R._normal_forms.clear()
-                assert R._nf(table, truncate) == expected
+                assert nf(table) == expected
 
     def test_registry_rings(self, monkeypatch):
         rings = registry_rings(monkeypatch)
@@ -887,8 +889,9 @@ class TestRefusals:
         (["x"], [1], {"modulus": 1}, "modulus 1 is not prime"),
         (["x"], [1], {"modulus": 2.0}, "modulus 2.0 is not an integer"),
         (["x"], [1], {"modulus": True}, "modulus True is not an integer"),
+        (["x"], [1], {"dimension": -1}, "dimension -1 is negative"),
     ], ids=["duplicate-names", "length-mismatch", "zero-codegree", "negative-codegree",
-            "modulus-4", "modulus-1", "modulus-float", "modulus-bool"])
+            "modulus-4", "modulus-1", "modulus-float", "modulus-bool", "negative-dimension"])
     def test_constructor_refuses(self, names, codegrees, kwargs, message):
         with pytest.raises(ValueError) as info:
             RingContext(names, codegrees, **kwargs)

@@ -511,6 +511,35 @@ class TestEvaluator:
         assert [(r.verdict, r.detail) for r in rep.results] == [
             (ERROR, "EvalError: expected (modulo NAME ...)")] * 3
 
+    @pytest.mark.parametrize("assertion, usage", [
+        ("(assert-zero)", "(assert-zero TAG expr [(modulo NAME ...)])"),
+        ("(assert-zero (trivial))", "(assert-zero TAG expr [(modulo NAME ...)])"),
+        ("(assert-zero (trivial) (modulo I))", "(assert-zero TAG expr [(modulo NAME ...)])"),
+        ("(assert-equal (trivial) h)", "(assert-equal TAG expr expr [(modulo NAME ...)])"),
+        ("(assert-equal (trivial) h (modulo I))", "(assert-equal TAG expr expr [(modulo NAME ...)])"),
+        ("(assert-numzero)", "(assert-numzero TAG expr [(modulo NAME ...)])"),
+        ("(assert-numequal (trivial) h)", "(assert-numequal TAG expr expr [(modulo NAME ...)])"),
+        ("(assert-numequal (trivial) h (modulo I) (modulo I))",
+         "(assert-numequal TAG expr expr [(modulo NAME ...)])"),
+        ("(assert-deg)", "(assert-deg TAG expr INT)"),
+        ("(assert-kernel-dim (trivial) P 1 2 x)", "(assert-kernel-dim TAG CTX CODEG PRIME INT)"),
+        ("(assert-kernel-dim (trivial) P x 2 0)", "(assert-kernel-dim TAG CTX CODEG PRIME INT)"),
+        ("(assert-kernel-dim (trivial) P 1 {2} 0)", "(assert-kernel-dim TAG CTX CODEG PRIME INT)"),
+        ("(assert-comult)", "(assert-comult TAG SET x y)"),
+    ])
+    def test_missing_operands_are_usage_errors(self, assertion, usage):
+        # too few expressions ahead of the (modulo ...) clauses, or an
+        # operand of assert-kernel-dim that is not an integer
+        rep = run_scenario(parse_script(f"(pspace P 2) (declare-ideal I (mul h h)) {assertion}"))
+        assert [(r.verdict, r.detail) for r in rep.results] == [(ERROR, f"EvalError: {usage}")]
+
+    def test_negative_generic_dimension_is_an_error(self):
+        rep = run_scenario(parse_script("(generic X -1 (gens (x 1))) (generic Y 0 (gens (x 1)))"))
+        assert [(r.id, r.verdict, r.detail) for r in rep.results] == [
+            ("script#form0", ERROR,
+             "ValueError: dimension -1 is negative in (generic X -1 (gens (x 1)))"),
+        ]
+
     def test_unknown_form_is_error(self):
         rep = run_scenario(parse_script("(frobnicate 1 2)"))
         assert rep.results[0].verdict == ERROR
