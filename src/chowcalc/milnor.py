@@ -35,11 +35,12 @@ Since no two basis words share a bidegree, an element of one bidegree is
 zero or one word: a ``MilnorElement`` holds one ``word``, None for zero.
 ``MilnorRing.element`` refuses a word that names no basis element of its
 ring: an index past the square-free ones, a coefficient outside the
-algebra, or an eta power in a ring without eta.  It cancels repeated words
-over F_2, and two words that survive are of mixed bidegree, which it
-refuses too.  A ring's coefficient algebra is its height h alone:
-``trivial_ia()`` is 1 and ``truncated_symbol_ia(h)`` checks h and returns
-it, and the labels 1, rho, rho^s are read from h by ``_rho_label``.
+algebra, or an eta power in a ring without eta.  It checks each word once
+and cancels repeated words over F_2, so one word costs one check; two words
+that survive are of mixed bidegree, which it refuses too.  A ring's
+coefficient algebra is its height h alone: ``trivial_ia()`` is 1 and
+``truncated_symbol_ia(h)`` checks h and returns it, and the labels 1, rho,
+rho^s are read from h by ``_rho_label``.
 
 Words with a negative eta power are ordinary ring words: ``element``,
 ``q_apply`` and ``q_homology_dimensions``, whose combined model is the
@@ -170,6 +171,8 @@ class MilnorRing:
         self.name = name or ("flexible" if not has_eta else f"symbol-ring(m={n_sq+1})")
         self.q_indices = range(n_sq + has_eta)  # generators r_0 .. r_{top_index}
         self._low = (1 << n_sq) - 1  # the bits of 2^I in a key
+        self._q_mask = (1 << (n_sq + has_eta)) - 1  # the bits of the Q-indices
+        self._coefficients = range(height)  # the s of rho^s
 
     @property
     def top_index(self) -> int:
@@ -178,16 +181,22 @@ class MilnorRing:
     # -- elements -----------------------------------------------------
 
     def element(self, words: Iterable[Word]) -> "MilnorElement":
-        """The F_2 sum of words: zero or one word, since two distinct basis
-        words never share a bidegree."""
-        acc: set[Word] = set()
+        """The F_2 sum of words, each checked once: zero or one word, since
+        two distinct basis words never share a bidegree."""
+        word: Optional[Word] = None
+        rest: set[Word] = set()  # the survivors besides word
         for w in words:
             self._check_word(w)
-            acc ^= {w}
-        if len(acc) > 1:
-            degs = {self.word_bidegree(w) for w in acc}
+            if word is None:
+                word = w
+            elif w == word:  # cancels over F_2
+                word = rest.pop() if rest else None
+            else:
+                rest ^= {w}
+        if rest:
+            degs = {self.word_bidegree(w) for w in rest | {word}}
             raise MilnorError(f"words of mixed bidegree: {sorted(str(d) for d in degs)}")
-        return MilnorElement(self, next(iter(acc), None))
+        return MilnorElement(self, word)
 
     def _check_word(self, w: Word) -> None:
         if w.mask >> self.n_sq:
@@ -195,7 +204,7 @@ class MilnorRing:
                 f"index {w.mask.bit_length() - 1} out of range: "
                 f"{self.name} has square-free indices 0..{self.n_sq - 1}"
             )
-        if w.s not in range(self.height):
+        if w.s not in self._coefficients:
             raise MilnorError(f"coefficient {w.s!r} out of range for {self.name}")
         if w.k != 0 and not self.has_eta:
             raise MilnorError(f"{self.name} has no eta, but the word has eta^{w.k}")
@@ -275,16 +284,10 @@ class MilnorRing:
     # -- enumeration --------------------------------------------------------
 
     def basis_words(self, k_max: int = 0, k_min: int = 0) -> list[Word]:
-        out = []
-        idxs = range(self.n_sq)
-        for k in range(k_min, k_max + 1):
-            if k and not self.has_eta:
-                continue
-            for rlen in range(self.n_sq + 1):
-                for I in itertools.combinations(idxs, rlen):
-                    for s in range(self.height):
-                        out.append(Word(k, frozenset(I), s))
-        return out
+        masks = [sum(1 << i for i in I) for rlen in range(self.n_sq + 1)
+                 for I in itertools.combinations(range(self.n_sq), rlen)]
+        ks = [k for k in range(k_min, k_max + 1) if not k or self.has_eta]
+        return [_word(k, mask, s) for k in ks for mask in masks for s in self._coefficients]
 
     def to_json(self, k_max: int = 2) -> dict:
         words = self.basis_words(k_max=k_max)
@@ -414,14 +417,14 @@ def make_ring(m: int, height: int, name: str = "") -> MilnorRing:
     eta = r_{m-1}."""
     if m < 2:
         raise MilnorError("m must be >= 2")
-    return MilnorRing(n_sq=m - 1, has_eta=True, height=height, name=name or f"symbol-ring(m={m})")
+    return MilnorRing(m - 1, True, height, name or f"symbol-ring(m={m})")
 
 
 def flexible_cohomology(n: int) -> MilnorRing:
     """Exterior algebra on r_0..r_n over F_2 (all squares vanish)."""
     if n < 0:
         raise MilnorError("n must be >= 0")
-    return MilnorRing(n_sq=n + 1, has_eta=False, height=trivial_ia(), name=f"flexible(n={n})")
+    return MilnorRing(n + 1, False, trivial_ia(), f"flexible(n={n})")
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +456,20 @@ def comult_check(K: Iterable[int], x: MilnorElement, y: MilnorElement) -> bool:
     ring = x.ring
     if y.ring is not ring:
         raise MilnorError("elements of different rings")
-    sK = sum(ring._q_bit(i) for i in sorted(frozenset(K), reverse=True))
-    if x.word is None or y.word is None:
+    valid, sK, bad = ring.q_indices, 0, None
+    for i in K:
+        if i in valid:
+            sK |= 1 << i
+        elif bad is None or i > bad:
+            bad = i
+    if bad is not None:
+        ring._q_bit(bad)  # raises, naming the largest index out of range
+    w1, w2 = x.word, y.word
+    if w1 is None or w2 is None:
         return True
-    nK = sK.bit_count()
-    a, s1, b, s2 = ring._key(x.word), x.word.s, ring._key(y.word), y.word.s
-    supp = a & ((1 << len(ring.q_indices)) - 1)
+    nK, n = sK.bit_count(), ring.n_sq
+    a, s1, b, s2 = (w1.k << n) + w1.mask, w1.s, (w2.k << n) + w2.mask, w2.s
+    supp = a & ring._q_mask
     prod = ring._mul_keys(a, s1, b, s2)
     lhs = {(prod[0] ^ sK, prod[1])} if prod is not None and prod[0] & sK == sK else set()
     rhs: set[tuple[int, int]] = set()

@@ -291,6 +291,16 @@ def _clauses(args: list) -> dict[str, list]:
     return out
 
 
+def _single(clauses: dict[str, list], name: str, default, usage: str):
+    """The one value of clause NAME, or default when it is absent;
+    EvalError with the usage when the clause has another number of values
+    or comes twice."""
+    if name not in clauses:
+        return default
+    _expect(len(clauses[name]) == 1 and len(clauses[name][0]) == 1, usage)
+    return clauses[name][0][0]
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -650,7 +660,7 @@ def _eval_context_form(env: Env, form: list) -> None:
             _expect(len(args) >= 2 and isinstance(args[0], str) and isinstance(args[1], int), "(pspace NAME N)")
             name, n, rest = args[0], args[1], args[2:]
         clauses = _clauses(rest)
-        mod = clauses.get("mod", [[0]])[0][0]
+        mod = _single(clauses, "mod", 0, "(pspace [NAME] N [(mod P)])")
         value = projective_space(n, modulus=mod, name=name)
         name = value.name
     elif head == "product":
@@ -691,7 +701,7 @@ def _eval_context_form(env: Env, form: list) -> None:
         _expect(len(args) >= 2 and isinstance(args[0], str) and isinstance(args[1], int), "(generic NAME DIM ...)")
         name, dim = args[0], args[1]
         clauses = _clauses(args[2:])
-        mod = clauses.get("mod", [[0]])[0][0]
+        mod = _single(clauses, "mod", 0, "(generic NAME DIM [(mod P)] (gens (NAME CODEG) ...) ...)")
         _expect("gens" in clauses, "generic needs a (gens ...) clause")
         gens = []
         for g in clauses["gens"][0]:
@@ -725,7 +735,7 @@ def _eval_context_form(env: Env, form: list) -> None:
         _expect(len(args) >= 2 and isinstance(args[1], int), "(milnor NAME M ...)")
         name = args[0]
         clauses = _clauses(args[2:])
-        height = clauses.get("rho-height", [[1]])[0][0]
+        height = _single(clauses, "rho-height", 1, "(milnor NAME M [(rho-height T)])")
         value = miln.make_ring(args[1], miln.truncated_symbol_ia(height), name=name)
     elif head == "flexible":
         _expect(len(args) == 2 and isinstance(args[1], int), "(flexible NAME N)")

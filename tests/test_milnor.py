@@ -335,12 +335,70 @@ class TestMixedBidegree:
             assert e.word == w and e.bidegree == ref_bidegree(R, w)
 
 
+class TestWordPath:
+    """``element`` checks each word once and keeps a lone survivor as it is;
+    ``comult_check`` reads 2^K in one pass over K."""
+
+    def test_repeated_words_cancel(self):
+        R = make_ring(3, truncated_symbol_ia(2))
+        w, v = Word(1, [0], 1), Word(0, [1], 0)
+        assert R.element([w, w]).is_zero()
+        assert R.element([w, w, w]).word == w
+        assert R.element([v, w, v]).word == w
+        assert R.element([w, v, v, w]).is_zero()
+
+    def test_sums_match_a_toggled_set(self):
+        R = make_ring(3, truncated_symbol_ia(2))
+        basis = R.basis_words(k_max=1, k_min=-1)
+        rng = random.Random(7)
+        for _ in range(300):
+            ws = [rng.choice(basis[:4]) for _ in range(rng.randrange(6))]
+            left: set = set()
+            for w in ws:
+                left ^= {w}
+            if len(left) > 1:
+                degs = sorted(str(R.word_bidegree(w)) for w in left)
+                with pytest.raises(MilnorError, match=re.escape(f"words of mixed bidegree: {degs}")):
+                    R.element(ws)
+            else:
+                assert R.element(ws).word == next(iter(left), None)
+
+    def test_any_iterable_of_words(self):
+        R = make_ring(3, truncated_symbol_ia(2))
+        w = Word(0, [0], 1)
+        assert R.element(iter([w])).word == w
+        assert R.element(v for v in [w, w, w]).word == w
+
+    def test_bad_word_is_refused_among_good_ones(self):
+        R = make_ring(3, truncated_symbol_ia(2))
+        w = Word(0, [0], 0)
+        message = "index 5 out of range: symbol-ring(m=3) has square-free indices 0..1"
+        with pytest.raises(MilnorError, match=re.escape(message)):
+            R.element([w, Word(0, [5], 0), w])
+
+    @pytest.mark.parametrize("K", [[-1, 99], [99, -1]])
+    def test_out_of_range_K_names_the_largest_index(self, K):
+        R = make_ring(3, truncated_symbol_ia(2))
+        message = "Q-index 99 out of range for symbol-ring(m=3)"
+        with pytest.raises(MilnorError, match=re.escape(message)):
+            comult_check(K, R.r(0), R.r(1))
+        with pytest.raises(MilnorError, match=re.escape(message)):
+            comult_check(K, R.zero(), R.r(1))
+
+    def test_repeated_K_index_counts_once(self):
+        R = make_ring(3, truncated_symbol_ia(2))
+        elems = [R.element([w]) for w in R.basis_words(k_max=2)]
+        for x in elems:
+            for y in elems:
+                for i in R.q_indices:
+                    assert comult_check([i, i], x, y) == comult_check([i], x, y)
+
+
 class TestSharedCoefficientAlgebras:
-    def test_algebras_are_built_once(self):
-        assert trivial_ia() is trivial_ia()
-        assert truncated_symbol_ia(1) is trivial_ia()
-        for h in (2, 3, 4):
-            assert truncated_symbol_ia(h) is truncated_symbol_ia(h)
+    def test_algebras_are_their_heights(self):
+        assert trivial_ia() == 1
+        for h in (1, 2, 3, 4):
+            assert truncated_symbol_ia(h) == h
 
     @pytest.mark.parametrize("h", [1, 2, 3])
     def test_rings_stay_distinct(self, h):

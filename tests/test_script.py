@@ -533,6 +533,23 @@ class TestEvaluator:
         rep = run_scenario(parse_script(f"(pspace P 2) (declare-ideal I (mul h h)) {assertion}"))
         assert [(r.verdict, r.detail) for r in rep.results] == [(ERROR, f"EvalError: {usage}")]
 
+    PSPACE_USAGE = "(pspace [NAME] N [(mod P)])"
+    GENERIC_USAGE = "(generic NAME DIM [(mod P)] (gens (NAME CODEG) ...) ...)"
+    MILNOR_USAGE = "(milnor NAME M [(rho-height T)])"
+
+    @pytest.mark.parametrize("form, usage", [
+        ("(pspace P 2 (mod))", PSPACE_USAGE),
+        ("(generic X 2 (mod) (gens (x 1)))", GENERIC_USAGE),
+        ("(milnor M 2 (rho-height))", MILNOR_USAGE),
+        ("(pspace P 2 (mod 3 5))", PSPACE_USAGE),
+        ("(milnor M 2 (rho-height 2 3))", MILNOR_USAGE),
+        ("(milnor M 2 (rho-height 2) (rho-height 3))", MILNOR_USAGE),
+    ])
+    def test_single_value_clauses_are_usage_errors(self, form, usage):
+        # (mod P) and (rho-height T) take exactly one value, once
+        rep = run_scenario(parse_script(form))
+        assert [(r.verdict, r.detail) for r in rep.results] == [(ERROR, f"EvalError: {usage} in {form}")]
+
     def test_negative_generic_dimension_is_an_error(self):
         rep = run_scenario(parse_script("(generic X -1 (gens (x 1))) (generic Y 0 (gens (x 1)))"))
         assert [(r.id, r.verdict, r.detail) for r in rep.results] == [
