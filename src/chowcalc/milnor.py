@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Sequence
 
 
@@ -69,12 +68,26 @@ class MilnorError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class BiDegree:
-    """Weight and homological shift, written (a)[b]; adds under products."""
+    """Weight and homological shift, written (a)[b]; adds under products.
+    A value: never changed once built, equal and hashed by (a, b)."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not BiDegree:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"BiDegree(a={self.a!r}, b={self.b!r})"
 
     def __add__(self, other: "BiDegree") -> "BiDegree":
         return BiDegree(self.a + other.a, self.b + other.b)

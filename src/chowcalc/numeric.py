@@ -58,11 +58,10 @@ the reduced rows.  Only the Bareiss determinant keeps its own loop.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .rings import GradedClass, RingError, _is_prime
 from .varieties import ChowPresentation, CoverageError, TangentUnavailable
@@ -250,22 +249,35 @@ def integer_determinant(matrix: list[list[int]]) -> int:
 # Pairing reports
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CodegreePairing:
-    codegree: int
-    basis: list[str]
-    dual_basis: list[str]
-    matrix: list[list[int]]          # exact integer degrees
-    rank: int                        # rank of the matrix mod p
-    kernel: list[list[int]]          # left-kernel basis mod p
-    num_dimension: int               # dim of Ch^r modulo the kernel = rank
+    __slots__ = ("codegree", "basis", "dual_basis", "matrix", "rank", "kernel", "num_dimension")
+
+    def __init__(
+        self,
+        codegree: int,
+        basis: list[str],
+        dual_basis: list[str],
+        matrix: list[list[int]],     # exact integer degrees
+        rank: int,                   # rank of the matrix mod p
+        kernel: list[list[int]],     # left-kernel basis mod p
+        num_dimension: int,          # dim of Ch^r modulo the kernel = rank
+    ):
+        self.codegree = codegree
+        self.basis = basis
+        self.dual_basis = dual_basis
+        self.matrix = matrix
+        self.rank = rank
+        self.kernel = kernel
+        self.num_dimension = num_dimension
 
 
-@dataclass
 class PairingReport:
-    variety: str
-    prime: int
-    codegrees: dict[int, CodegreePairing] = field(default_factory=dict)
+    __slots__ = ("variety", "prime", "codegrees")
+
+    def __init__(self, variety: str, prime: int, codegrees: Optional[dict[int, CodegreePairing]] = None):
+        self.variety = variety
+        self.prime = prime
+        self.codegrees = {} if codegrees is None else codegrees
 
     def to_json(self) -> dict:
         return {
@@ -466,13 +478,22 @@ def _ideal_rows(X: ChowPresentation, gens: Sequence[GradedClass], d: int) -> lis
     return [dict(X._sparse_coordinates(prod, d)) for prod in _ideal_products(X, gens, d)]
 
 
-@dataclass
 class GammaQuotient:
-    variety: str
-    prime: int
-    dimensions: tuple[int, ...]
-    _pivots: list[dict[int, _Row]]
-    _pres: ChowPresentation
+    __slots__ = ("variety", "prime", "dimensions", "_pivots", "_pres")
+
+    def __init__(
+        self,
+        variety: str,
+        prime: int,
+        dimensions: tuple[int, ...],
+        _pivots: list[dict[int, _Row]],
+        _pres: ChowPresentation,
+    ):
+        self.variety = variety
+        self.prime = prime
+        self.dimensions = dimensions
+        self._pivots = _pivots
+        self._pres = _pres
 
     def project(self, c: GradedClass) -> dict[int, list[int]]:
         """Image of a class under the canonical surjection: per codegree, the
@@ -506,19 +527,23 @@ def gamma_quotient(
 # Kernel stability under reduced power operations
 # ---------------------------------------------------------------------------
 
-@dataclass
 class KernelStabilityEntry:
-    codegree: int
-    element: str
-    operation: int
-    in_kernel: bool
+    __slots__ = ("codegree", "element", "operation", "in_kernel")
+
+    def __init__(self, codegree: int, element: str, operation: int, in_kernel: bool):
+        self.codegree = codegree
+        self.element = element
+        self.operation = operation
+        self.in_kernel = in_kernel
 
 
-@dataclass
 class KernelStabilityReport:
-    variety: str
-    prime: int
-    checks: list[KernelStabilityEntry]
+    __slots__ = ("variety", "prime", "checks")
+
+    def __init__(self, variety: str, prime: int, checks: list[KernelStabilityEntry]):
+        self.variety = variety
+        self.prime = prime
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

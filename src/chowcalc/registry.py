@@ -9,18 +9,20 @@ chosen substitution set is documented per script in comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .report import Report
 from .script import parse_script, run_scenario
 
 
-@dataclass(frozen=True)
 class LemmaRecord:
-    id: str
-    statement: str
-    script: str
-    expected: str = "pass"
+    """One registry entry, registered once under its ID."""
+
+    __slots__ = ("id", "statement", "script", "expected")
+
+    def __init__(self, id: str, statement: str, script: str, expected: str = "pass"):
+        self.id = id
+        self.statement = statement
+        self.script = script
+        self.expected = expected
 
 
 _REGISTRY: dict[str, LemmaRecord] = {}

@@ -8,7 +8,6 @@ in that mode since they cannot be reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Optional
 
 PASS = "pass"
@@ -16,21 +15,41 @@ FAIL = "fail"
 ERROR = "error"
 
 
-@dataclass
 class AssertionResult:
-    id: str
-    verdict: str
-    tag: str = ""
-    detail: str = ""
-    witness: Optional[str] = None
-    millis: int = 0
+    __slots__ = ("id", "verdict", "tag", "detail", "witness", "millis")
+
+    def __init__(
+        self,
+        id: str,
+        verdict: str,
+        tag: str = "",
+        detail: str = "",
+        witness: Optional[str] = None,
+        millis: int = 0,
+    ):
+        self.id = id
+        self.verdict = verdict
+        self.tag = tag
+        self.detail = detail
+        self.witness = witness
+        self.millis = millis
 
 
-@dataclass
 class Report:
-    results: list[AssertionResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    values: dict[str, str] = field(default_factory=dict)
+    """Verdicts in order, notes and named values; each report owns fresh
+    containers for those not given."""
+
+    __slots__ = ("results", "notes", "values")
+
+    def __init__(
+        self,
+        results: Optional[list[AssertionResult]] = None,
+        notes: Optional[list[str]] = None,
+        values: Optional[dict[str, str]] = None,
+    ):
+        self.results = [] if results is None else results
+        self.notes = [] if notes is None else notes
+        self.values = {} if values is None else values
 
     def add(self, result: AssertionResult) -> None:
         self.results.append(result)

@@ -78,7 +78,6 @@ No floating point is used anywhere; everything is exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -273,18 +272,35 @@ def minimal_monomials(monomials: Iterable[int]) -> set[int]:
     return minimal
 
 
-@dataclass(frozen=True)
 class RewriteRule:
     """Oriented rule: the leading monomial rewrites to the replacement table.
 
     The leading monomial must not divide any monomial of the replacement,
     and the replacement must be homogeneous of the same codegree.  The
-    replacement lists its (key, coefficient) pairs in key order.
+    replacement lists its (key, coefficient) pairs in key order.  A rule is
+    a value: never changed once built, equal and hashed by its fields.
     """
 
-    lead: Monomial
-    replacement: tuple[tuple[int, int], ...]
-    index: int = 0
+    __slots__ = ("lead", "replacement", "index")
+
+    def __init__(self, lead: Monomial, replacement: tuple[tuple[int, int], ...], index: int = 0):
+        self.lead = lead
+        self.replacement = replacement
+        self.index = index
+
+    def _key(self) -> tuple:
+        return (self.lead, self.replacement, self.index)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RewriteRule:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"RewriteRule(lead={self.lead!r}, replacement={self.replacement!r}, index={self.index!r})"
 
 
 class RingContext:
@@ -796,10 +812,12 @@ def inverse_series(c: GradedClass) -> GradedClass:
 # Confluence certificate
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ConfluenceReport:
-    pairs: int
-    divergences: list
+    __slots__ = ("pairs", "divergences")
+
+    def __init__(self, pairs: int, divergences: list):
+        self.pairs = pairs
+        self.divergences = divergences
 
     @property
     def passed(self) -> bool:

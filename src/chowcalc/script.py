@@ -54,7 +54,6 @@ from __future__ import annotations
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional
@@ -77,6 +76,7 @@ from .varieties import (
     ChowPresentation,
     _generic_presentation,
     blow_up,
+    enumerate_basis,
     generic_context,
     product,
     projective_bundle,
@@ -130,10 +130,14 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
     return tokens
 
 
-@dataclass
 class Script:
-    forms: list
-    source: str = ""
+    """Parsed forms and the text they were read from; equal by forms."""
+
+    __slots__ = ("forms", "source")
+
+    def __init__(self, forms: list, source: str = ""):
+        self.forms = forms
+        self.source = source
 
     def __eq__(self, other):
         return isinstance(other, Script) and self.forms == other.forms
@@ -217,22 +221,34 @@ def print_script(script: Script) -> str:
 # Evaluation environment
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _IdealDecl:
-    gens: list
+    __slots__ = ("gens",)
+
+    def __init__(self, gens: list):
+        self.gens = gens
 
 
-@dataclass
 class _RulesDecl:
-    rules: list  # (lead monomial, replacement table)
+    __slots__ = ("rules",)
+
+    def __init__(self, rules: list):
+        self.rules = rules  # (lead monomial, replacement table)
 
 
-@dataclass
 class Env:
-    bindings: dict = field(default_factory=dict)
-    current: object = None
-    pres_by_ring: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)  # report notes as keys, first seen first
+    __slots__ = ("bindings", "current", "pres_by_ring", "notes")
+
+    def __init__(
+        self,
+        bindings: Optional[dict] = None,
+        current: object = None,
+        pres_by_ring: Optional[dict] = None,
+        notes: Optional[dict] = None,
+    ):
+        self.bindings = {} if bindings is None else bindings
+        self.current = current
+        self.pres_by_ring = {} if pres_by_ring is None else pres_by_ring
+        self.notes = {} if notes is None else notes  # report notes as keys, first seen first
 
     def define(self, name: str, value) -> None:
         self.bindings[name] = value
@@ -707,30 +723,25 @@ def _eval_context_form(env: Env, form: list) -> None:
         for g in clauses["gens"][0]:
             _expect(isinstance(g, list) and len(g) == 2, "(gens (NAME CODEG) ...)")
             gens.append((g[0], g[1]))
-        value = generic_context(gens, dim, modulus=mod, name=name)
-        # the clauses are read on the rule-free presentation, which stays
-        # unbound: a clause that fails leaves the environment as it was
-        with env.within(value):
-            rules = []
-            if "rules" in clauses:
-                rules = _eval_rule_pairs(env, clauses["rules"][0])
-            degrees = {}
-            if "degrees" in clauses:
-                for entry in clauses["degrees"][0]:
+        rules, degrees, tangent_tbl = [], {}, None
+        if clauses.keys() & {"rules", "degrees", "tangent"}:
+            # the clauses are read on a rule-free presentation, which lists
+            # its basis only if a clause reads it, and which stays unbound:
+            # a clause that fails leaves the environment as it was
+            ring = RingContext([n for n, _ in gens], [d for _, d in gens], modulus=mod, dimension=dim)
+            with env.within(_generic_presentation(ring, lambda: enumerate_basis(ring), None, None, name)):
+                if "rules" in clauses:
+                    rules = _eval_rule_pairs(env, clauses["rules"][0])
+                for entry in clauses.get("degrees", [[]])[0]:
                     _expect(isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int), "(degrees (MONO INT) ...)")
                     mono_cls = _as_class(env, eval_expr(env, entry[0]))
                     _expect(len(mono_cls.table) == 1 and set(mono_cls.table.values()) == {1}, "degree entries need monic monomials")
                     degrees[next(iter(mono_cls.table))] = entry[1]
-            tangent_tbl = None
-            if "tangent" in clauses:
-                t = _as_class(env, eval_expr(env, clauses["tangent"][0][0]))
-                tangent_tbl = dict(t.table)
-        # rules are added to the rule-free presentation and its basis, which
-        # is enumerated once
-        if rules:
-            value = value.with_rules(rules)
-        if degrees or tangent_tbl is not None:
-            value = _generic_presentation(value.ring, value.basis, degrees or None, tangent_tbl, name)
+                if "tangent" in clauses:
+                    tangent_tbl = dict(_as_class(env, eval_expr(env, clauses["tangent"][0][0])).table)
+        # the presentation is built once, with its rules, so its basis is
+        # enumerated once
+        value = generic_context(gens, dim, rules, mod, degrees or None, tangent_tbl, name)
     elif head == "milnor":
         _expect(len(args) >= 2 and isinstance(args[1], int), "(milnor NAME M ...)")
         name = args[0]

@@ -34,9 +34,9 @@ the center is multiplication by the fundamental class.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 from .rings import (
@@ -90,21 +90,21 @@ ROLE_EXCEPTIONAL = "exceptional"
 ROLE_HYPERPLANE = "bundle-hyperplane"
 
 
-@dataclass(frozen=True)
 class BundleRoots:
     """A signed multiset of codegree-1 classes (virtual Chern roots)."""
 
-    ring: RingContext
-    entries: tuple[tuple[int, GradedClass], ...]
+    __slots__ = ("ring", "entries")
 
-    def __post_init__(self):
-        for sign, c in self.entries:
+    def __init__(self, ring: RingContext, entries: tuple[tuple[int, GradedClass], ...]):
+        for sign, c in entries:
             if sign not in (1, -1):
                 raise ValueError("root sign must be +-1")
-            if c.ring is not self.ring:
+            if c.ring is not ring:
                 raise ContextMismatch("root lives in a different ring")
             if not c.is_zero() and c.codegree != 1:
                 raise ValueError("bundle roots must be homogeneous of codegree 1")
+        self.ring = ring
+        self.entries = entries
 
     @classmethod
     def plus(cls, classes: Sequence[GradedClass], ring: Optional[RingContext] = None):
@@ -152,7 +152,6 @@ def segre_total(roots: BundleRoots) -> GradedClass:
     return inverse_series(chern_total(roots))
 
 
-@dataclass
 class CenterData:
     """Data of a blow-up center Z inside an ambient presentation.
 
@@ -160,13 +159,23 @@ class CenterData:
     the codegree of the fundamental class, its normal bundle is given by
     restricted ambient root classes, and the restriction map sends each
     ambient generator to an ambient class with the same restriction to Z.
-    Generators absent from ``restriction`` restrict as themselves.
+    Generators absent from ``restriction`` (a fresh dict when not given)
+    restrict as themselves.
     """
 
-    fundamental: GradedClass
-    roots: BundleRoots
-    restriction: dict[str, GradedClass] = field(default_factory=dict)
-    name: str = "Z"
+    __slots__ = ("fundamental", "roots", "restriction", "name")
+
+    def __init__(
+        self,
+        fundamental: GradedClass,
+        roots: BundleRoots,
+        restriction: Optional[dict[str, GradedClass]] = None,
+        name: str = "Z",
+    ):
+        self.fundamental = fundamental
+        self.roots = roots
+        self.restriction = {} if restriction is None else restriction
+        self.name = name
 
     @classmethod
     def complete_intersection(
@@ -202,7 +211,10 @@ class ChowPresentation:
     order, as ``enumerate_basis`` lists them, on whatever the
     constructors, the copies (``with_coefficients``, ``with_rules``) and
     ``presentation_from_json`` build; so it is closed under division, which
-    ``enumerate_basis``, ``_truncated_leads`` and ``blow_up`` rely on.
+    ``enumerate_basis``, ``_truncated_leads`` and ``blow_up`` rely on.  The
+    constructor also takes a zero-argument function for it, called on the
+    first read of ``basis`` (the DSL's ``generic`` form reads its clauses
+    on such a presentation, which lists no basis unless one is read).
 
     A presentation is immutable once built, so whatever is derived from it
     is kept in one map, through ``kept(key, make, *args)``; a computation
@@ -219,7 +231,7 @@ class ChowPresentation:
         kind: str,
         ring: RingContext,
         roles: dict[str, str],
-        basis: Sequence[Sequence[int]],
+        basis: Union[Sequence[Sequence[int]], Callable[[], Sequence[Sequence[int]]]],
         degree_table: Optional[dict[int, int]],
         tangent: Lazy[GradedClass],
         base: Lazy["ChowPresentation"] = None,
@@ -230,7 +242,10 @@ class ChowPresentation:
         self.kind = kind
         self.ring = ring
         self.roles = roles
-        self.basis = tuple(tuple(b) for b in basis)
+        if callable(basis):
+            self._list_basis = basis
+        else:
+            self.basis = tuple(tuple(b) for b in basis)
         self.degree_table = degree_table
         self._tangent = tangent
         self._base = base
@@ -241,6 +256,12 @@ class ChowPresentation:
         self._derived: dict[tuple, object] = {}
 
     # -- derived values and slots filled on first read -------------------
+
+    @functools.cached_property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The basis listed by the function given for it; a basis given as
+        monomials is stored in its place, so reading it costs nothing."""
+        return tuple(tuple(b) for b in self._list_basis())
 
     def kept(self, key: tuple, make: Callable[..., T], *args) -> T:
         """The value kept under key, or else make(*args), kept under key and
@@ -1034,7 +1055,8 @@ def generic_context(
 
 def _generic_presentation(ring, basis, degrees, tangent_table, name) -> ChowPresentation:
     """The ``generic_context`` presentation of a ring, its basis (which must
-    be ``enumerate_basis`` of the ring) and the optional declarations."""
+    be ``enumerate_basis`` of the ring, or a function returning it) and the
+    optional declarations."""
     tangent = None if tangent_table is None else ring.from_table(dict(tangent_table))
     degree_table = dict(degrees) if degrees is not None else None
     return ChowPresentation(

@@ -18,13 +18,14 @@ import pytest
 import chowcalc
 from chowcalc.cli import main
 from chowcalc.milnor import MAX_GENERATORS, MAX_RHO_HEIGHT
-from chowcalc.report import ERROR, PASS
+from chowcalc.report import ERROR, FAIL, PASS
 from chowcalc.rings import MAX_EXPONENT, Monomial
 from chowcalc.script import (
     MAX_DEPTH,
     MAX_POW_BITS,
     Env,
     ParseError,
+    _eval_context_form,
     eval_expr,
     parse_script,
     print_script,
@@ -204,6 +205,27 @@ def test_basis_past_the_bound_is_an_error():
     assert [r.verdict for r in results] == [ERROR, ERROR, PASS]
     assert f"basis exceeds {MAX_BASIS} monomials by codegree 37" in results[0].detail
     assert f"basis exceeds {MAX_BASIS} monomials by codegree 3 " in results[1].detail
+
+
+def test_generic_rules_bound_the_basis_before_it_is_listed():
+    # five generators of codegree 1 in dimension 30 span C(35, 5) = 324,632
+    # monomials without rules; with x_i^2 -> 0 the basis is the 2^5 = 32
+    # square-free monomials, listed once the rules are in the ring
+    gens = " ".join(f"(x{i} 1)" for i in range(5))
+    squares = " ".join(f"((pow x{i} 2) 0)" for i in range(5))
+    form = f"(generic X 30 (gens {gens}) (rules {squares}))"
+    total = "(add x0 x1 x2 x3 x4)"
+    results = verdicts(
+        f"{form} (assert-zero (trivial) (pow {total} 6)) (assert-zero (trivial) (pow {total} 5))",
+        bound_s=1.0,
+    )
+    assert [r.verdict for r in results] == [PASS, FAIL]
+    assert results[1].witness == "120*x0*x1*x2*x3*x4"
+    env = Env()
+    _eval_context_form(env, parse_script(form).forms[0])
+    basis = env.lookup("X").basis
+    assert [len(b) for b in basis] == [1, 5, 10, 10, 5, 1] + [0] * 25
+    assert sum(map(len, basis)) == 32
 
 
 def test_catalog_basis_past_the_bound_is_a_load_error(tmp_path):

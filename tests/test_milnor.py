@@ -189,6 +189,17 @@ class TestFlexible:
         assert F.word_bidegree(Word(0, frozenset({1}), 0)) == BiDegree(-1, -3)
         assert F.word_bidegree(Word(0, frozenset(), 0)) == BiDegree(0, 0)
 
+    def test_bidegree_is_a_value(self):
+        # a BiDegree built afresh finds the key q_homology_dimensions stored;
+        # bidegrees add, hash by (a, b) and print as (a)[b]
+        dims = q_homology_dimensions(make_ring(2, trivial_ia()), 0, -6, 6)
+        assert dims[BiDegree(-1, -3)] == 0 and BiDegree(-1, -4) in dims
+        d = BiDegree(-1, -3) + BiDegree(1, 3)
+        assert d == BiDegree(0, 0) and hash(d) == hash(BiDegree(0, 0)) and d != (0, 0)
+        assert {d: 1}[BiDegree(0, 0)] == 1 and len({d, BiDegree(0, 0), BiDegree(0, 1)}) == 2
+        assert str(BiDegree(-1, -3)) == "(-1)[-3]" and str(d) == "(0)[0]"
+        assert repr(d) == "BiDegree(a=0, b=0)"
+
     def test_exterior_squares(self):
         F = flexible_cohomology(4)
         for i in range(5):

@@ -11,6 +11,7 @@ from chowcalc.rings import (
     Monomial,
     ReductionBudgetExceeded,
     RewriteCycle,
+    RewriteRule,
     RingContext,
     RingError,
     confluence_check,
@@ -877,6 +878,20 @@ class TestBase:
         # only codegrees are compared: the names may differ
         R = RingContext(["a", "b", "c"], [1, 2, 1], base=base)
         assert R.rules == base.rules and R.gen("a") ** 2 == R.gen("b")
+
+    def test_stored_rules_are_values(self):
+        # a ring built on a base stores rules equal to, and hashed as, the
+        # rules of the flat build: a rule compares by lead, replacement and
+        # index, never by identity
+        x2, xy, y2 = Monomial([(0, 2)]), Monomial([(0, 1), (1, 1)]), Monomial([(1, 2)])
+        base = RingContext(["x", "y"], [1, 1], dimension=3, rules=[(x2, {})])
+        R = RingContext(["x", "y", "z"], [1, 1, 1], dimension=3, rules=[(xy, {y2: 2})], base=base)
+        flat = RingContext(["x", "y", "z"], [1, 1, 1], dimension=3, rules=[(x2, {}), (xy, {y2: 2})])
+        assert R.rules == flat.rules and hash(R.rules) == hash(flat.rules)
+        assert len({*R.rules, *flat.rules}) == 2
+        assert flat.rules == (RewriteRule(x2, ()), RewriteRule(xy, ((y2, 2),), 1))
+        assert RewriteRule(x2, ()) != RewriteRule(x2, (), 1) and RewriteRule(x2, ()) != (x2, (), 0)
+        assert repr(flat.rules[0]) == f"RewriteRule(lead={x2!r}, replacement=(), index=0)"
 
 
 class TestRefusals:

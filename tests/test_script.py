@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from chowcalc.report import ERROR, FAIL, PASS, Report, emit_report
+from chowcalc.report import ERROR, FAIL, PASS, AssertionResult, Report, emit_report
 from chowcalc.script import (
     _ASSERT_HEADS,
     _CONTEXT_HEADS,
@@ -282,9 +282,10 @@ class TestEvaluator:
 
     @pytest.mark.parametrize("mod", [0, 3])
     def test_generic_form_adds_rules_to_its_first_build(self, monkeypatch, mod):
-        # the declared rules are added to the rule-free presentation the
-        # clauses are read on, so one basis is enumerated; the result is
-        # generic_context with every clause
+        # the clauses are read on a rule-free ring whose basis is not
+        # enumerated, and the presentation is built once with the declared
+        # rules, so one basis is enumerated; the result is generic_context
+        # with every clause
         from chowcalc import varieties
         from chowcalc.rings import Monomial
         from chowcalc.script import _eval_context_form
@@ -819,6 +820,17 @@ class TestReports:
     def test_empty_report_summary(self):
         out = emit_report(Report(), "json").decode()
         assert out.strip().splitlines()[-1] == '{"errors": 0, "failed": 0, "passed": 0}'
+
+    def test_report_defaults_are_fresh(self):
+        # each report built without results, notes or values owns its own
+        a, b = Report(), Report()
+        a.add(AssertionResult("x", PASS))
+        a.notes.append("n")
+        a.values["k"] = "v"
+        assert (b.results, b.notes, b.values) == ([], [], {})
+        assert a.counts == {"passed": 1, "failed": 0, "errors": 0}
+        r = a.results[0]
+        assert (r.id, r.verdict, r.tag, r.detail, r.witness, r.millis) == ("x", PASS, "", "", None, 0)
 
     def test_d_class_note_once_also_from_a_failed_form(self):
         from chowcalc.characteristic import D_CLASS_CONVENTION_NOTE

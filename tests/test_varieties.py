@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from chowcalc.varieties import (
     BundleRoots,
     CenterData,
     ChowPresentation,
+    ContextMismatch,
     CoverageError,
     _truncated_leads,
     blow_up,
@@ -62,6 +64,42 @@ class TestProjectiveSpace:
     def test_tangent_part(self):
         P2 = projective_space(2)
         assert P2.tangent_class().homogeneous_part(1) == 3 * P2.gen("h")
+
+
+class TestRootsAndCenters:
+    @pytest.mark.parametrize("sign, other, error, message", [
+        (2, False, ValueError, "root sign must be +-1"),
+        (0, True, ValueError, "root sign must be +-1"),
+        (1, True, ContextMismatch, "root lives in a different ring"),
+        (-1, True, ContextMismatch, "root lives in a different ring"),
+    ])
+    def test_roots_refuse_a_bad_sign_and_a_foreign_root(self, sign, other, error, message):
+        P2, P3 = projective_space(2), projective_space(3)
+        root = (P3 if other else P2).gen("h")
+        with pytest.raises(error, match=re.escape(message)) as info:
+            BundleRoots(P2.ring, ((1, P2.gen("h")), (sign, root)))
+        assert info.type is error
+
+    def test_roots_refuse_a_root_of_another_codegree(self):
+        P2 = projective_space(2)
+        h = P2.gen("h")
+        with pytest.raises(ValueError, match="bundle roots must be homogeneous of codegree 1"):
+            BundleRoots(P2.ring, ((1, h * h),))
+        roots = BundleRoots(P2.ring, ((1, h), (-1, P2.zero())))
+        assert roots.rank == 0 and roots.entries == ((1, h), (-1, P2.zero()))
+
+    def test_center_built_by_keyword(self):
+        # as the benchmark's towers build a point center
+        P2, Bl = bl_point_plane()
+        h = P2.gen("h")
+        center = Bl.center
+        assert (center.fundamental, center.restriction, center.name, center.codim) == (
+            h**2, {"h": P2.zero()}, "pt", 2)
+        assert [len(Bl.basis_of(d)) for d in range(3)] == [1, 2, 1]
+        # the defaults: a fresh restriction for each center, and the name Z
+        a, b = CenterData(h, BundleRoots.plus([h])), CenterData(h, BundleRoots.plus([h]))
+        a.restriction["h"] = h
+        assert b.restriction == {} and b.name == "Z" and b.codim == 1
 
 
 class TestProduct:
