@@ -17,7 +17,9 @@ Each presentation pays for its pairing once, and keeps it (``X.kept``):
   M_{n-r}.  ``pairing_report``, ``numerical_kernel``, ``kernel_is_ideal``
   and ``ab1_check`` all read it, and take their kernel classes from one
   walk (``_kernel_classes``).
-- ``("labels", r)``, the printed basis monomials of codegree r.
+- ``("labels", r)``, the printed basis monomials of codegree r, kept on
+  the first read of a report entry's ``basis`` or ``dual_basis``, so a
+  check that reads none prints no monomial.
 
 All are stored as tuples; every report and every caller gets fresh
 lists.  Kernel membership is read from the same matrices (``_in_kernel``):
@@ -41,7 +43,9 @@ and ``ideal_span_rows`` (which ``gamma_quotient`` reads) are dense;
 ``_ideal_rows`` gives the DSL's ``verify_identity`` and
 ``verify_numerical`` dicts, read from each product's nonzero
 coordinates.  The two ideal row builders share one product loop
-(``_ideal_products``).  Ideal membership
+(``_ideal_products``), which reads each product of a generator part and
+a basis monomial straight from the ring's normal-form memo, with no
+basis class and no class product.  Ideal membership
 (``rational_in_rowspan``, ``modp_in_rowspan``, or ``rowspan_residuals`` for
 many vectors against one echelon form) and the quotient map
 ``GammaQuotient.project`` reduce a vector against the pivot rows in
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -220,15 +225,24 @@ def rational_in_rowspan(rows: _Rows, vec: list[int]) -> tuple[bool, list[Fractio
     return not any(res), res
 
 
-def integer_determinant(matrix: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix; any
-    other shape raises ValueError."""
+def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Fraction-free Bareiss determinant of a square matrix given as any
+    sequence of integer rows; any other shape, or an entry that is not an
+    int, raises ValueError.
+
+    Step k makes each row i > k (m_ik' m_kk - m_ik m_kj) / prev, prev the
+    pivot of the step before; a row with m_ik = 0 under a pivot equal to
+    prev comes out as it was, so it is skipped."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError(f"determinant needs a square matrix, not rows of lengths {[len(r) for r in matrix]}")
+    m = [list(row) for row in matrix]
+    for row in m:
+        for v in row:
+            if not isinstance(v, int):
+                raise ValueError(f"determinant needs integer entries, not {v!r}")
     if n == 0:
         return 1
-    m = [row[:] for row in matrix]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -238,10 +252,16 @@ def integer_determinant(matrix: list[list[int]]) -> int:
                 return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        tail = pivot_row[k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
+            row = m[i]
+            a = row[k]
+            if a == 0 and pivot == prev:
+                continue
+            row[k + 1:] = [(v * pivot - a * w) // prev for v, w in zip(row[k + 1:], tail)]
+        prev = pivot
     return sign * m[n - 1][n - 1]
 
 
@@ -250,25 +270,42 @@ def integer_determinant(matrix: list[list[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 class CodegreePairing:
-    __slots__ = ("codegree", "basis", "dual_basis", "matrix", "rank", "kernel", "num_dimension")
+    """One codegree r of a pairing report.  ``basis`` and ``dual_basis``, the
+    printed basis monomials of codegrees r and n - r, are each given as a
+    list or as a zero-argument function, called on the first read and
+    replaced by its list."""
+
+    __slots__ = ("codegree", "_basis", "_dual_basis", "matrix", "rank", "kernel", "num_dimension")
 
     def __init__(
         self,
         codegree: int,
-        basis: list[str],
-        dual_basis: list[str],
+        basis: list[str] | Callable[[], list[str]],
+        dual_basis: list[str] | Callable[[], list[str]],
         matrix: list[list[int]],     # exact integer degrees
         rank: int,                   # rank of the matrix mod p
         kernel: list[list[int]],     # left-kernel basis mod p
         num_dimension: int,          # dim of Ch^r modulo the kernel = rank
     ):
         self.codegree = codegree
-        self.basis = basis
-        self.dual_basis = dual_basis
+        self._basis = basis
+        self._dual_basis = dual_basis
         self.matrix = matrix
         self.rank = rank
         self.kernel = kernel
         self.num_dimension = num_dimension
+
+    @property
+    def basis(self) -> list[str]:
+        if callable(self._basis):
+            self._basis = self._basis()
+        return self._basis
+
+    @property
+    def dual_basis(self) -> list[str]:
+        if callable(self._dual_basis):
+            self._dual_basis = self._dual_basis()
+        return self._dual_basis
 
 
 class PairingReport:
@@ -376,13 +413,15 @@ def _basis_labels(X: ChowPresentation, r: int) -> list[str]:
 
 
 def pairing_report(X: ChowPresentation, p: int) -> PairingReport:
+    """The pairing of every codegree mod p; each entry's labels are read
+    from ``_basis_labels`` only when its ``basis`` or ``dual_basis`` is."""
     rep = PairingReport(variety=X.name, prime=p)
-    kept, mats = _modp_pairing(X, p), _integer_pairings(X)
+    kept, mats, n = _modp_pairing(X, p), _integer_pairings(X), X.dim
     for r, (rank, kernel) in enumerate(kept):
         rep.codegrees[r] = CodegreePairing(
             codegree=r,
-            basis=_basis_labels(X, r),
-            dual_basis=_basis_labels(X, X.dim - r),
+            basis=partial(_basis_labels, X, r),
+            dual_basis=partial(_basis_labels, X, n - r),
             matrix=[list(row) for row in mats[r]],
             rank=rank,
             kernel=[list(v) for v in kernel],
@@ -452,16 +491,28 @@ def _ideal_products(
 ) -> Iterator[GradedClass]:
     """Each generator's parts times every basis monomial, as far as the
     product lands in codegree d: classes spanning the codegree-d piece of
-    the ideal generated by gens."""
+    the ideal generated by gens.  A product part * b is the sum of c * k
+    over the terms (m, c) of the part and (u, k) of nf(m + b), read from the
+    ring's memo (``RingContext._product`` on a miss), so no basis class is
+    built and no class product called."""
+    ring = X.ring
+    memo, product, reduced = ring._normal_forms, ring._product, ring._reduced
     for g in gens:
-        if g.ring is not X.ring:
+        if g.ring is not ring:
             raise RingError("quotient generator lives in a different ring")
         for gd in sorted(g.codegrees()):
-            part = g.homogeneous_part(gd)
-            if part.is_zero() or gd > d:
+            if gd > d:
                 continue
-            for m in X.basis_classes(d - gd):
-                yield part * m
+            terms = g.homogeneous_part(gd).table.items()
+            for b in X.basis_of(d - gd):
+                acc: dict[int, int] = {}
+                for m, c in terms:
+                    nf = memo.get(m + b)
+                    if nf is None:
+                        nf = product(m + b)
+                    for u, k in nf:
+                        acc[u] = acc.get(u, 0) + c * k
+                yield GradedClass(ring, reduced(acc))
 
 
 def ideal_span_rows(

@@ -316,7 +316,14 @@ class RingContext:
     drop stays valid in rings of higher dimension built on this one).  A
     base's rules were checked when it was built, so only their
     coefficients are reduced, when the modulus differs; they are tested
-    like the others, so a rule kept over Z may be dropped mod p.
+    like the others, so a rule kept over Z may be dropped mod p.  A ring
+    records in ``_all_minimal`` whether every rule it stores was kept as
+    minimal, none only because the kept rules do not imply it.  A copy
+    that declares no rules, with the base's dimension, of a base with
+    ``_all_minimal`` stores the base's rules in order, coefficients
+    reduced, and skips the tests: the leads are minimal among themselves
+    and each replacement is irreducible and truncated under them, so the
+    tests would keep and store every rule as it is.
 
     ``_guard`` holds the guard bits of the ring's fields and ``_low`` the
     bits below each guard bit, so (m + _low) & _guard, the support of m,
@@ -378,6 +385,12 @@ class RingContext:
     # -- construction -------------------------------------------------
 
     def _install_rules(self, base: Optional["RingContext"], raw) -> None:
+        if base is not None and base._all_minimal and base.dimension == self.dimension and not raw:
+            # a copy: the tests below would store the base's rules as they are
+            self._store([(k, r.lead, self._reduced(dict(r.replacement)))
+                         for k, r in enumerate(base.rules)])
+            self._all_minimal = True
+            return
         staged = [] if base is None else [(r.lead, dict(r.replacement)) for r in base.rules]
         if base is not None and base.modulus != self.modulus:
             staged = [(lead, self._reduced(table)) for lead, table in staged]
@@ -395,6 +408,7 @@ class RingContext:
             staged.append((lead, table))
         minimal = minimal_monomials(lead for lead, _ in staged)
         keep = [lead in minimal for lead, _ in staged]
+        self._all_minimal = True
         while True:
             self._interreduce(
                 [(k, lead, table) for k, (lead, table) in enumerate(staged) if keep[k]]
@@ -407,6 +421,7 @@ class RingContext:
             ]
             if not missing:
                 break
+            self._all_minimal = False
             for k in missing:
                 keep[k] = True
 

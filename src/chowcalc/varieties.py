@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 from .rings import (
@@ -652,11 +653,38 @@ def _grown(ring: RingContext, basis: Sequence[Sequence[int]], d: int) -> Iterato
                 yield m + x
 
 
+def _free_overflow(codegrees: Sequence[int], dim: int) -> Optional[int]:
+    """The least codegree d <= dim by which a ring with no rules, whose
+    every monomial is irreducible, has more than ``MAX_BASIS`` monomials,
+    or None.  The monomials of codegree d are counted by a DP over the
+    generators: C(d + g - 1, g - 1) when all g have codegree 1.  Counts
+    over a prefix of the generators are lower bounds, so the table is cut
+    after the first codegree past the bound as soon as a prefix reaches it.
+    No count is needed when C(dim + g, g), the total with every codegree
+    1, is within the bound."""
+    if comb(dim + len(codegrees), dim) <= MAX_BASIS:
+        return None
+    counts = [1] + [0] * dim
+    for c in codegrees:
+        for d in range(c, len(counts)):
+            counts[d] += counts[d - c]
+        for d, total in enumerate(itertools.accumulate(counts)):
+            if total > MAX_BASIS:
+                del counts[d + 1:]
+                break
+    return len(counts) - 1 if sum(counts) > MAX_BASIS else None
+
+
 def enumerate_basis(ring: RingContext) -> list[tuple[int, ...]]:
     """The ring's irreducible monomials of each codegree 0..dimension, in
     key order, each codegree grown from the ones below it; RingError once
-    they number more than ``MAX_BASIS``."""
+    they number more than ``MAX_BASIS``, raised before any is listed when
+    the ring has no rules."""
     assert ring.dimension is not None
+    if not ring.rules:
+        d = _free_overflow(ring.codegrees, ring.dimension)
+        if d is not None:
+            raise RingError(f"basis exceeds {MAX_BASIS} monomials by codegree {d}")
     basis = [(MONOMIAL_ONE,)]
     room = MAX_BASIS - 1
     for d in range(1, ring.dimension + 1):

@@ -77,6 +77,18 @@ def kept_under(X, tag: str) -> dict:
     return {key[1:]: value for key, value in X._derived.items() if key[0] == tag}
 
 
+def reference_ideal_rows(X, gens, d: int) -> list[list[int]]:
+    """Coordinate rows of each generator's parts times every basis class,
+    as far as the product lands in codegree d, by class products."""
+    rows = []
+    for g in gens:
+        for gd in sorted(g.codegrees()):
+            if gd <= d:
+                part = g.homogeneous_part(gd)
+                rows += [X.coordinates(part * b, d) for b in X.basis_classes(d - gd)]
+    return rows
+
+
 def counting(monkeypatch, owner, name: str) -> list:
     """Wrap owner.name (a module function or a class's method) for the rest
     of the test; returns the list of calls, each its positional arguments

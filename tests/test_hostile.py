@@ -19,7 +19,7 @@ import chowcalc
 from chowcalc.cli import main
 from chowcalc.milnor import MAX_GENERATORS, MAX_RHO_HEIGHT
 from chowcalc.report import ERROR, FAIL, PASS
-from chowcalc.rings import MAX_EXPONENT, Monomial
+from chowcalc.rings import MAX_EXPONENT, Monomial, RingError
 from chowcalc.script import (
     MAX_DEPTH,
     MAX_POW_BITS,
@@ -32,7 +32,7 @@ from chowcalc.script import (
     run_scenario,
 )
 from chowcalc.varieties import MAX_BASIS, projective_space
-from helpers import bl_point_plane
+from helpers import bl_point_plane, counting
 
 CHILD_ADDRESS_SPACE = 1 << 30  # bytes
 CHILD_TIMEOUT_S = 30.0  # on top of the bound: interpreter start and import
@@ -205,6 +205,23 @@ def test_basis_past_the_bound_is_an_error():
     assert [r.verdict for r in results] == [ERROR, ERROR, PASS]
     assert f"basis exceeds {MAX_BASIS} monomials by codegree 37" in results[0].detail
     assert f"basis exceeds {MAX_BASIS} monomials by codegree 3 " in results[1].detail
+
+
+def test_free_basis_past_the_bound_is_refused_before_any_monomial_is_listed(monkeypatch):
+    # the rule-free rings of the test above: counted, not listed
+    from chowcalc import varieties
+
+    grown = counting(monkeypatch, varieties, "_grown")
+    wide = [(f"x{i}", 1) for i in range(300)]
+    for gens, dim, d in ((list(zip("abcd", [1] * 4)), 200, 37), (wide, 3, 3)):
+        with pytest.raises(RingError, match=rf"^basis exceeds {MAX_BASIS} monomials by codegree {d}$"):
+            varieties.generic_context(gens, dim)
+    assert grown == []
+    # a ring with rules is still listed, and refused as it grows past the bound
+    x2 = Monomial([(0, 2)])
+    with pytest.raises(RingError, match=rf"^basis exceeds {MAX_BASIS} monomials by codegree 32$"):
+        varieties.generic_context(list(zip("abcde", [1] * 5)), 200, rules=[(x2, {})])
+    assert grown
 
 
 def test_generic_rules_bound_the_basis_before_it_is_listed():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import counting, kept_under, random_class, random_tower
+from helpers import counting, kept_under, random_class, random_tower, reference_ideal_rows
 
 from chowcalc import numeric as nu
 from chowcalc import registry, script
@@ -31,7 +32,7 @@ from chowcalc.numeric import (
 )
 from chowcalc import characteristic
 from chowcalc.characteristic import reduced_power
-from chowcalc.rings import Monomial, confluence_check, mono_mul
+from chowcalc.rings import Monomial, RingError, confluence_check, mono_mul
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
@@ -106,6 +107,69 @@ class TestLinearAlgebra:
         # no nonzero pivot in a column: the elimination stops with 0
         assert integer_determinant([[0, 1], [0, 2]]) == 0
         assert integer_determinant([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == 0
+
+    def test_determinant_reads_any_integer_rows(self):
+        # the kept pairings are tuples of tuples
+        assert integer_determinant(((2, 1), (1, 1))) == 1
+        assert integer_determinant([(0, 1), [1, 0]]) == -1
+        rows = ((0, 2, 1), (1, 0, 0), (3, 1, 1))
+        assert integer_determinant(rows) == leibniz(rows)
+        assert rows == ((0, 2, 1), (1, 0, 0), (3, 1, 1))
+
+    @pytest.mark.parametrize("matrix", [[[1.5, 2], [3, 4]], [[1, 2], [3, 4.0]],
+                                        [[Fraction(1, 2)]], [["1"]], [[None]]])
+    def test_determinant_refuses_non_integer_entries(self, matrix):
+        with pytest.raises(ValueError, match=r"^determinant needs integer entries, not "):
+            integer_determinant(matrix)
+
+    def test_determinant_matches_leibniz(self):
+        rng = random.Random(0)
+        fixed = [
+            [[0, 1, 2], [3, 0, 1], [1, 1, 0]],           # zero leading pivot: a swap
+            [[0, 0, 1], [0, 2, 0], [3, 0, 0]],           # two swaps
+            [[2, 0, 0], [0, 3, 0], [0, 0, 5]],           # zero rows below pivots != prev
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],           # every row skipped
+            [[1, 0, 2], [0, 1, 3], [4, 0, 1]],           # skipped rows among updated ones
+            [[2, 1, 0, 0], [0, 0, 3, 1], [1, 0, 0, 2], [0, 4, 1, 0]],
+            [[0, 0], [0, 0]],                            # no pivot at all
+            [[1, 2, 3], [0, 0, 0], [4, 5, 6]],           # a zero row
+            [[1, 2, 0], [2, 4, 0], [0, 0, 7]],           # singular after a step
+        ]
+        cases = fixed + [random_sparse_matrix(rng, n) for n in range(7) for _ in range(40)]
+        for m in cases:
+            assert integer_determinant(m) == leibniz(m), m
+        values = [leibniz(m) for m in cases]
+        assert sum(v == 0 for v in values) > 10 and sum(abs(v) > 1 for v in values) > 10
+        # a swap: a zero leading pivot over a nonzero entry below it
+        assert sum(m[0][0] == 0 and any(r[0] for r in m) and leibniz(m) != 0 for m in cases if m) > 10
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_tower_pairings_are_unimodular(self, seed):
+        X = random_tower(random.Random(seed))
+        pairing_report(X, 2)
+        for r, mat in _integer_pairings(X).items():
+            assert integer_determinant(mat) in (1, -1), (X.name, r)
+
+
+def leibniz(m) -> int:
+    """The determinant as the signed sum over permutations."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def random_sparse_matrix(rng, n):
+    """An n x n integer matrix, mostly zeros; sometimes a repeated row."""
+    m = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.2:
+        m[rng.randrange(n)] = list(m[rng.randrange(n)])
+    return m
 
 
 def dense_residual(rows, vec, p=0):
@@ -253,6 +317,38 @@ class TestDictRows:
         for d in range(X.dim + 1):
             dense = ideal_span_rows(X, gens, d)
             assert _ideal_rows(X, gens, d) == [_sparse(row, 0) for row in dense], (X.name, d)
+
+    def test_ideal_rows_are_the_class_products(self):
+        # multi-term and inhomogeneous generators, parts above d, over Z and
+        # mod p: every row is a generator part times a basis class
+        for seed in range(30):
+            rng = random.Random(seed)
+            X = random_tower(rng)
+            p = (0, 2, 3, 5)[seed % 4]
+            if p:
+                X = X.with_coefficients(p)
+            gens = [random_class(X.ring, rng, terms=rng.randint(1, 5)) for _ in range(3)]
+            gens.append(X.gen(X.ring.names[-1]) + X.one())
+            assert any(g.codegree is None for g in gens)
+            for d in range(X.dim + 1):
+                want = reference_ideal_rows(X, gens, d)
+                assert ideal_span_rows(X, gens, d) == want, (X.name, d)
+                assert _ideal_rows(X, gens, d) == [_sparse(row, 0) for row in want], (X.name, d)
+
+    def test_a_part_above_d_adds_no_row(self):
+        X = projective_space(3)
+        h = X.gen("h")
+        gens = [h ** 2 + h ** 3]
+        assert ideal_span_rows(X, gens, 0) == ideal_span_rows(X, gens, 1) == []
+        assert ideal_span_rows(X, gens, 2) == [[1]]
+        assert ideal_span_rows(X, gens, 3) == [[1], [1]]
+        assert _ideal_rows(X, gens, 1) == []
+
+    def test_generator_from_another_ring_is_refused(self):
+        X, Y = projective_space(2), projective_space(2)
+        for rows in (ideal_span_rows, _ideal_rows):
+            with pytest.raises(RingError, match="^quotient generator lives in a different ring$"):
+                rows(X, [X.gen("h"), Y.gen("h")], 2)
 
     def test_ideal_rows_of_every_registry_ideal(self, monkeypatch):
         calls = counting(monkeypatch, script, "_ideal_rows")
@@ -423,6 +519,25 @@ class TestPairingCache:
         for Y in (X, gap_context(), TestEngineeredKernels().degenerate_context()):
             for r, entry in pairing_report(Y, 2).codegrees.items():
                 assert len(entry.kernel) + entry.num_dimension == len(entry.basis), (Y.name, r)
+
+    def test_labels_are_read_on_first_read(self):
+        X = random_tower(random.Random(3))
+        reports = [pairing_report(X, p) for p in (2, 3)]
+        assert kept_under(X, "labels") == {}
+        n = X.dim
+        for rep in reports:
+            for r, entry in rep.codegrees.items():
+                assert entry.basis == [X.ring.monomial_str(m) for m in X.basis_of(r)]
+                assert entry.dual_basis == [X.ring.monomial_str(m) for m in X.basis_of(n - r)]
+                assert entry.basis is entry.basis
+        assert sorted(kept_under(X, "labels")) == [(r,) for r in range(n + 1)]
+        # every report reads fresh lists
+        first = reports[0].codegrees[1]
+        first.basis.append("junk")
+        first.dual_basis.clear()
+        again = pairing_report(X, 2).codegrees[1]
+        assert again.basis == [X.ring.monomial_str(m) for m in X.basis_of(1)]
+        assert again.dual_basis == [X.ring.monomial_str(m) for m in X.basis_of(n - 1)]
 
     def test_mutated_report_does_not_leak(self):
         X = random_tower(random.Random(0))

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from chowcalc import rings as rings_module
 from chowcalc.rings import (
     MAX_EXPONENT,
     MONOMIAL_ONE,
@@ -25,6 +26,7 @@ from chowcalc.rings import (
 )
 from chowcalc.varieties import enumerate_basis
 from helpers import (
+    counting,
     monomials_of_codegree,
     random_class,
     random_tower,
@@ -852,6 +854,66 @@ class TestBase:
                 [(r.lead, dict(r.replacement)) for r in base.rules] + rules, R.step_budget,
             )
             assert R.rules == flat.rules, R.names
+
+    def test_a_copy_mod_p_is_the_flat_build(self, monkeypatch):
+        # every ring the registry and the towers of seeds 0-59 build, copied
+        # mod 2, 3 and 5 with no rules of its own, stores what declaring its
+        # rules mod p stores; most copies skip minimality and interreduction
+        from chowcalc import registry
+
+        rings = []
+        init = RingContext.__init__
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            rings.append(self)
+
+        monkeypatch.setattr(RingContext, "__init__", record)
+        registry.run_all(seed=0)
+        for seed in range(60):
+            random_tower(random.Random(seed))
+        monkeypatch.undo()
+        assert len(rings) > 200
+        scans = counting(monkeypatch, rings_module, "minimal_monomials")
+        copies = [(R, p, RingContext(R.names, R.codegrees, p, R.dimension, step_budget=R.step_budget, base=R))
+                  for R in rings for p in (2, 3, 5)]
+        assert len(scans) < len(copies) // 10
+        for R, p, copy in copies:
+            flat = RingContext(
+                R.names, R.codegrees, p, R.dimension,
+                [(r.lead, {m: c % p for m, c in r.replacement}) for r in R.rules], R.step_budget,
+            )
+            assert copy.rules == flat.rules, (R.names, p)
+
+    def test_a_copy_of_a_rule_kept_only_as_not_implied_is_built_in_full(self):
+        # a^2 -> 2b, a^3 -> 0 (codegrees 1 and 2): over Z and mod 3, a^3 is
+        # 2ab under a^2 -> 2b, so the non-minimal a^3 -> 0 is kept; mod 2
+        # both sides are 0, so the copy drops it as the flat build does
+        a2, a3, b = Monomial([(0, 2)]), Monomial([(0, 3)]), Monomial([(1, 1)])
+        declared = [(a2, {b: 2}), (a3, {})]
+        R = RingContext(["a", "b"], [1, 2], dimension=4, rules=declared)
+
+        def stored(S):
+            return [(r.lead, dict(r.replacement), r.index) for r in S.rules]
+
+        assert stored(R) == [(a2, {b: 2}, 0), (a3, {}, 1)]
+        for p, want in ((2, [(a2, {}, 0)]), (3, [(a2, {b: 2}, 0), (a3, {}, 1)])):
+            copy = RingContext(["a", "b"], [1, 2], p, 4, base=R)
+            assert stored(copy) == want
+            assert stored(RingContext(["a", "b"], [1, 2], p, 4, rules=declared)) == want
+            # a copy of the copy stores the same
+            assert stored(RingContext(["a", "b"], [1, 2], p, 4, base=copy)) == want
+
+    def test_a_copy_in_another_dimension_is_built_in_full(self):
+        # x^2 -> y (codegrees 1 and 2) in dimension 2 keeps its replacement;
+        # a copy in dimension 1 or 0 truncates it, as the flat build does
+        x2, y = Monomial([(0, 2)]), Monomial([(1, 1)])
+        R = RingContext(["x", "y"], [1, 2], dimension=2, rules=[(x2, {y: 1})])
+        for dim, want in ((0, {}), (1, {}), (2, {y: 1}), (3, {y: 1}), (None, {y: 1})):
+            copy = RingContext(["x", "y"], [1, 2], 3, dim, base=R)
+            flat = RingContext(["x", "y"], [1, 2], 3, dim, rules=[(x2, {y: 1})])
+            assert [dict(r.replacement) for r in copy.rules] == [want]
+            assert copy.rules == flat.rules
 
     def test_a_rule_kept_over_z_may_be_dropped_mod_p(self):
         # x^3 -> 2*x*y^2 is not implied by x^2 -> 0 over Z or mod 3, so it

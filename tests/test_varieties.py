@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from chowcalc.numeric import gamma_quotient, kernel_is_ideal, pairing_report
-from chowcalc.rings import Monomial, exponents
+from chowcalc.rings import Monomial, RingContext, RingError, exponents
 from chowcalc.varieties import (
     BundleRoots,
     CenterData,
@@ -320,6 +320,30 @@ def test_every_basis_is_the_irreducible_monomials_in_order(monkeypatch):
     for X in built:
         want = [tuple(reference_irreducible_monomials(X.ring, d)) for d in range(X.dim + 1)]
         assert [tuple(b) for b in X.basis] == enumerate_basis(X.ring) == want, X.name
+
+
+def test_free_basis_bound_is_the_count_of_the_listing(monkeypatch):
+    # rule-free rings on up to five generators of codegree 1-4 under a small
+    # bound: the codegree that the count refuses at is the first whose
+    # listed monomials, counted from codegree 0, exceed the bound
+    from chowcalc import varieties
+
+    monkeypatch.setattr(varieties, "MAX_BASIS", 60)
+    rng = random.Random(5)
+    refused = 0
+    for _ in range(200):
+        dim = rng.randint(0, 14)
+        codegrees = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+        ring = RingContext([f"x{i}" for i in range(len(codegrees))], codegrees, dimension=dim)
+        listed = itertools.accumulate(len(reference_irreducible_monomials(ring, d)) for d in range(dim + 1))
+        want = next((d for d, total in enumerate(listed) if total > 60), None)
+        if want is None:
+            assert sum(map(len, enumerate_basis(ring))) <= 60
+        else:
+            refused += 1
+            with pytest.raises(RingError, match=rf"^basis exceeds 60 monomials by codegree {want}$"):
+                enumerate_basis(ring)
+    assert 30 < refused < 170
 
 
 def test_enumerate_basis_is_the_recursive_enumeration():
