@@ -559,9 +559,14 @@ def gamma_quotient(
     X: ChowPresentation, p: int, gens: Sequence[GradedClass]
 ) -> GammaQuotient:
     """Per-codegree dimensions of Ch*(X)/<gens> over F_p, with the canonical
-    surjection evaluable on any class."""
+    surjection evaluable on any class.  Each generator is a class of X or of
+    X mod p; one of any other ring raises ``RingError``."""
     Xp = X.with_coefficients(p)
-    gens_p = [Xp.ring.from_table(dict(g.table)) for g in gens]
+    gens_p = []
+    for g in gens:
+        if g.ring is not X.ring and g.ring is not Xp.ring:
+            raise RingError("quotient generator lives in a different ring")
+        gens_p.append(Xp.ring.from_table(g.table))
     dims = []
     pivots = []
     for d in range(Xp.dim + 1):

@@ -60,7 +60,23 @@ a ring's fields:
 * later generators sit in more significant fields, so keys compare as
   integers in reverse-index lexicographic order (the last generator's
   exponent first), the order in which constructor rules decrease and
-  bases are listed.
+  bases are listed;
+* 2^FIELD_BITS is 1 mod 2^FIELD_BITS - 1, so a key is congruent mod
+  2^FIELD_BITS - 1 to the sum of its exponents, and taken mod it gives
+  that sum whenever the sum is smaller.  In a ring of n generators that
+  holds for every m that names no generator past them and has every
+  exponent below 2^t, t = FIELD_BITS - bit_length(n), since n * (2^t - 1)
+  < 2^FIELD_BITS - 1.  The codegree of such a key is then the sum over
+  the distinct codegrees c of c * ((m & mask_c) mod (2^FIELD_BITS - 1)),
+  mask_c the fields of the generators of codegree c; any other key walks
+  its fields;
+* 2^FIELD_BITS is 2 mod 2^FIELD_BITS - 2, so (m + L) & G, L the bits
+  below each guard bit, holds the guard bits of m's nonzero fields, and
+  shifted down to the low bit of each field and taken mod 2^FIELD_BITS - 2
+  it gives the support of m, bit i set when x_i divides m, whenever m has
+  at most 16 fields (their 2^i sum below 2^FIELD_BITS - 2); a longer key
+  is folded one block of 16 fields at a time.  Supports are then small
+  ints, and a lead can divide m only if its support lies inside m's.
 
 A ring refuses a dimension above ``MAX_EXPONENT // 2``, so the product of
 two monomials at or below the dimension, and every monomial on the
@@ -123,6 +139,11 @@ def _is_prime(n: int) -> bool:
 FIELD_BITS = 17
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
+# supports fold mod _SUPPORT_MOD, _BLOCK fields at a time (see the module
+# docstring)
+_SUPPORT_MOD = (1 << FIELD_BITS) - 2
+_BLOCK = 16
+_BLOCK_MASK = (1 << (FIELD_BITS * _BLOCK)) - 1
 
 
 def _guards(n: int) -> int:
@@ -133,6 +154,21 @@ def _guards(n: int) -> int:
 def _fields(m: int) -> int:
     """The number of fields up to m's last nonzero one."""
     return -(-m.bit_length() // FIELD_BITS)
+
+
+def _compact(s: int) -> int:
+    """The generator bitmask, bit i for field i, of s, a sum of guard bits:
+    each moved to the low bit of its field and folded mod ``_SUPPORT_MOD``,
+    one block of 16 fields at a time (see the module docstring)."""
+    s >>= FIELD_BITS - 1
+    if s <= _BLOCK_MASK:
+        return s % _SUPPORT_MOD
+    out = i = 0
+    while s:
+        out |= (s & _BLOCK_MASK) % _SUPPORT_MOD << i
+        s >>= FIELD_BITS * _BLOCK
+        i += _BLOCK
+    return out
 
 
 def _overflow(m: int) -> RingError:
@@ -240,20 +276,20 @@ def minimal_monomials(monomials: Iterable[int]) -> set[int]:
     A proper divisor of m is a smaller key, so it suffices to test each
     monomial, in key order, against the minimal ones found so far; and only
     against those whose support lies inside its own, since a divisor's
-    generators all are.  The minimal ones are grouped by support, held as
-    the guard bits of their nonzero fields, so one mask test passes or
-    skips a whole group.  The unit monomial 0 divides every monomial, so
-    it is then the only minimal one.
+    generators all are.  The minimal ones are grouped by support, a
+    generator bitmask (see the module docstring), so one mask test passes
+    or skips a whole group.  A lone monomial is minimal, and the unit
+    monomial 0 divides every monomial, so it is then the only minimal one.
     """
     distinct = sorted(set(monomials))
-    if not distinct or distinct[0] == 0:
+    if len(distinct) < 2 or distinct[0] == 0:
         return set(distinct[:1])
     g = _guards(_fields(distinct[-1]))
     low = g - (g >> (FIELD_BITS - 1))
     by_support: dict[int, list[int]] = {}
     minimal: set[int] = set()
     for m in distinct:
-        s = (m + low) & g
+        s = _compact((m + low) & g)
         outside = ~s
         mg = m | g
         divisible = False
@@ -326,18 +362,23 @@ class RingContext:
     tests would keep and store every rule as it is.
 
     ``_guard`` holds the guard bits of the ring's fields and ``_low`` the
-    bits below each guard bit, so (m + _low) & _guard, the support of m,
-    holds the guard bits of m's nonzero fields.  ``_leads`` lists each
-    stored rule's lead support, its lead as a plain int, and the rule, in
-    the order of ``rules``; ``_leads_within`` memoises, for each support
-    met, the (lead, rule) pairs of the rules whose lead support lies inside
-    it, in that order, for ``_matching_rule``.
+    bits below each guard bit, so (m + _low) & _guard holds the guard bits
+    of m's nonzero fields, and ``_compact`` of it is m's support as a
+    generator bitmask.  ``_leads`` lists each stored rule's lead support,
+    its lead as a plain int, and the rule, in the order of ``rules``;
+    ``_leads_within`` memoises, for each guard-bit support met, the (lead,
+    rule) pairs of the rules whose lead support lies inside it, in that
+    order, for ``_matching_rule``.  ``_summable`` holds the low t bits of
+    each field and ``_codegree_masks`` the (codegree, fields) pairs that
+    ``monomial_codegree`` sums (see the module docstring).
     ``_normal_forms`` memoises the normal form of each monomial met,
     truncated above the dimension, as a tuple of (monomial, coefficient)
     pairs; it is emptied whenever the stored rules change.  ``gen``,
     ``from_table``, class products and the degree pairing read it, and its
     size is ``len(ring._normal_forms)``.  ``monomial_codegree`` is computed
-    on each miss, not memoised.  The memo needs no confluence (see the
+    on each miss, not memoised; an irreducible monomial is stored as
+    ((m, 1),) and one that a rule with an empty replacement kills as (),
+    each without a stack frame.  The memo needs no confluence (see the
     module docstring).  Rules that cycle raise ``RewriteCycle``; a fill of
     ``_normal_forms`` that takes more than ``step_budget`` rewriting steps
     raises ``ReductionBudgetExceeded``, and a product whose exponents
@@ -377,8 +418,22 @@ class RingContext:
         self.dimension = dimension
         self.step_budget = step_budget
         self._index = {n: i for i, n in enumerate(self.names)}
-        self._guard = _guards(len(self.names))
-        self._low = self._guard - (self._guard >> (FIELD_BITS - 1))
+        n = len(self.names)
+        self._guard = _guards(n)
+        ones = self._guard >> (FIELD_BITS - 1)
+        self._low = self._guard - ones
+        # exponents below 2^t, t = FIELD_BITS - bit_length(n), sum below
+        # _FIELD_MASK over any n fields (see the module docstring)
+        self._summable = ones * ((1 << (FIELD_BITS - n.bit_length())) - 1)
+        if len(set(self.codegrees)) == 1:  # one mask, built without a loop
+            self._codegree_masks = ((self.codegrees[0], ones * _FIELD_MASK),)
+        else:
+            masks: dict[int, int] = {}
+            field = _FIELD_MASK
+            for c in self.codegrees:
+                masks[c] = masks.get(c, 0) | field
+                field <<= FIELD_BITS
+            self._codegree_masks = tuple(masks.items())
         self.rules: tuple[RewriteRule, ...] = ()
         self._install_rules(base, rules)
 
@@ -440,7 +495,8 @@ class RingContext:
         self.rules = tuple(
             RewriteRule(_as_monomial(lead), tuple(sorted(t.items())), k) for k, lead, t in rules
         )
-        self._leads = tuple(((r.lead + self._low) & self._guard, int(r.lead), r) for r in self.rules)
+        low, g = self._low, self._guard
+        self._leads = tuple((_compact((r.lead + low) & g), int(r.lead), r) for r in self.rules)
         self._leads_within: dict[int, list[tuple[int, RewriteRule]]] = {}
         self._normal_forms: dict[int, tuple[tuple[int, int], ...]] = {}
 
@@ -465,7 +521,15 @@ class RingContext:
             raise KeyError(f"unknown generator {name!r}") from None
 
     def monomial_codegree(self, m: int) -> int:
-        # not memoised: most monomials asked about are fresh products
+        # not memoised: most monomials asked about are fresh products.  A
+        # key within _summable sums the fields of each codegree mod
+        # _FIELD_MASK (see the module docstring); any other key walks its
+        # fields, and one that names a generator past the ring raises.
+        if m & self._summable == m:
+            d = 0
+            for c, mask in self._codegree_masks:
+                d += c * ((m & mask) % _FIELD_MASK)
+            return d
         d = 0
         for c in self.codegrees:
             if not m:
@@ -525,7 +589,7 @@ class RingContext:
         s = (m + self._low) & g
         leads = self._leads_within.get(s)
         if leads is None:
-            outside = ~s
+            outside = ~_compact(s)
             leads = self._leads_within[s] = [(k, r) for t, k, r in self._leads if not t & outside]
         mg = m | g
         for k, rule in leads:
@@ -555,12 +619,19 @@ class RingContext:
         return self._reduced(acc)
 
     def _reduced(self, acc: dict[int, int]) -> dict[int, int]:
-        red = self._red
+        # one loop per modulus: most tables here hold 0-3 terms, where a
+        # loop beats a comprehension's frame
+        p = self.modulus
         out = {}
-        for u, c in acc.items():
-            c = red(c)
-            if c:
-                out[u] = c
+        if p:
+            for u, c in acc.items():
+                c %= p
+                if c:
+                    out[u] = c
+        else:
+            for u, c in acc.items():
+                if c:
+                    out[u] = c
         return out
 
     def _f(self, m: int, memo: dict, dim: Optional[int]) -> tuple[tuple[int, int], ...]:
@@ -571,7 +642,10 @@ class RingContext:
 
         A frame of the stack holds a monomial being rewritten, its
         coefficient in the frame below, the terms of its rewrite not yet
-        visited, and the sum of c*f(t) over the terms visited.  Every
+        visited, and the sum of c*f(t) over the terms visited.  A monomial
+        that no rule rewrites, or that a rule with an empty replacement
+        kills (one step of the budget), takes no frame, and an irreducible
+        m is stored before any stack is built.  Every
         monomial on the chain has m's codegree, so below a dimension no
         exponent can leave its field; without one, each rewritten term is
         checked.
@@ -583,30 +657,39 @@ class RingContext:
             nf = memo[m] = ()
             return nf
         match = self._matching_rule
+        rule = match(m)
+        if rule is None:
+            nf = memo[m] = ((m, 1),)
+            return nf
+        budget = self.step_budget
         steps = 0
         on_stack: set[int] = set()
         frames: list = []
         t, c = m, 1
         while True:
-            # t is missing from memo and enters the top frame with coefficient c
-            rule = match(t)
+            # t is missing from memo, enters the top frame with coefficient
+            # c, and is rewritten by rule; an irreducible or killed t takes
+            # no frame
             if rule is None:
                 nf = memo[t] = ((t, 1),)
             else:
                 steps += 1
-                if steps > self.step_budget:
+                if steps > budget:
                     raise ReductionBudgetExceeded(
-                        f"reduction exceeded {self.step_budget} steps; rule set may not terminate"
+                        f"reduction exceeded {budget} steps; rule set may not terminate"
                     )
-                q = t - rule.lead
-                terms = [(rm + q, rc) for rm, rc in rule.replacement]
-                if dim is None:
-                    for u, _ in terms:
-                        if u & self._guard:
-                            raise _overflow(u)
-                on_stack.add(t)
-                frames.append((t, c, iter(terms), {}))
-                nf = ()
+                if rule.replacement:
+                    q = t - rule.lead
+                    terms = [(rm + q, rc) for rm, rc in rule.replacement]
+                    if dim is None:
+                        for u, _ in terms:
+                            if u & self._guard:
+                                raise _overflow(u)
+                    on_stack.add(t)
+                    frames.append((t, c, iter(terms), {}))
+                    nf = ()
+                else:
+                    nf = memo[t] = ()
             # credit c*nf to the top frame and take its next term, until a
             # term is missing from memo or f(m) is complete
             while frames:
@@ -625,6 +708,7 @@ class RingContext:
                 if nf is None:
                     if t in on_stack:
                         raise RewriteCycle(self.monomial_str(t))
+                    rule = match(t)
                     break
             else:
                 return nf

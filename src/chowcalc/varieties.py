@@ -8,10 +8,11 @@ Chern class, and provenance.  Constructors flatten the ring into rewrite
 rules at build time, so towers of constructions compose and equality of
 classes is decidable.  Each basis grows from one already built: a
 codegree from the ones below it, a bundle's or blow-up's from its base's,
-and ``with_rules`` drops what the added leads divide.  Data that only some
-callers read (the tangent class, a bundle's Segre classes, the base of a
-mod-p copy) is computed on its first read, so a tower whose pairing is
-all that is asked for pays for none of it.
+and ``with_rules`` keeps what its ring leaves irreducible.  Data that only
+some callers read (the tangent class, a bundle's Segre classes, the base
+of a mod-p copy, the basis of a ``with_rules`` copy) is computed on its
+first read, so a tower whose pairing is all that is asked for pays for
+none of it.
 
 Chern and Segre classes of root data are computed here, beside
 ``BundleRoots``, by one product over the roots (``chern_total``): the
@@ -451,7 +452,7 @@ class ChowPresentation:
         # presentation itself: its map of derived values holds the copy
         segre, base = self._segre, self.base
         lazy_base = None if base is None else lambda: base.with_coefficients(p)
-        new = self._copy(p, [], self.basis, lazy_base)
+        new = self._copy(self._ring_copy(p, []), self.basis, lazy_base)
         if segre is not None:
             new._segre = lambda: [
                 base.with_coefficients(p).ring.from_table(s.table) for s in _force(segre)
@@ -463,31 +464,29 @@ class ChowPresentation:
     ) -> "ChowPresentation":
         """This presentation with rules, (lead monomial, {monomial:
         coefficient}) pairs as ``generic_context(rules=)`` takes them,
-        declared after its ring's stored rules.  The copy's basis is this
-        basis minus every monomial that a given lead divides, which is
-        ``enumerate_basis`` of its ring; its base, center, Segre classes and
-        degree table are this presentation's."""
-        rules = list(rules)
-        g = self.ring._guard
-        leads = [lead for lead, _ in rules]
-        basis = [
-            [m for m in b if not any((m | g) - lead & g == g for lead in leads)] for b in self.basis
-        ]
-        new = self._copy(self.ring.modulus, rules, basis, self._base)
+        declared after its ring's stored rules.  The copy's basis, listed on
+        its first read, is the monomials of this basis that no rule of its
+        ring reduces, which is ``enumerate_basis`` of its ring (the added
+        leads only remove monomials); it holds this basis, not this
+        presentation.  Its base, center, Segre classes and degree table are
+        this presentation's."""
+        ring = self._ring_copy(self.ring.modulus, list(rules))
+        new = self._copy(ring, functools.partial(_irreducible, ring, self.basis), self._base)
         new._segre = self._segre
         return new
 
-    def _copy(
-        self, modulus: int, rules: list, basis, base: Lazy["ChowPresentation"]
-    ) -> "ChowPresentation":
-        """This presentation, with the given basis and base, over a ring mod
-        modulus whose rules are this ring's stored rules followed by rules;
-        the tangent is copied into that ring on its first read."""
+    def _ring_copy(self, modulus: int, rules: list) -> RingContext:
+        """A ring mod modulus whose rules are this ring's stored rules
+        followed by rules."""
         old = self.ring
-        ring = RingContext(
+        return RingContext(
             old.names, old.codegrees, modulus=modulus, dimension=old.dimension,
             rules=rules, step_budget=old.step_budget, base=old,
         )
+
+    def _copy(self, ring: RingContext, basis, base: Lazy["ChowPresentation"]) -> "ChowPresentation":
+        """This presentation, with the given ring, basis and base; the
+        tangent is copied into that ring on its first read."""
         new = ChowPresentation(
             self.kind, ring, dict(self.roles), basis,
             dict(self.degree_table) if self.degree_table is not None else None,
@@ -651,6 +650,12 @@ def _grown(ring: RingContext, basis: Sequence[Sequence[int]], d: int) -> Iterato
                 break
             if ring._matching_rule(m + x) is None:
                 yield m + x
+
+
+def _irreducible(ring: RingContext, basis: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The monomials of each basis[d] that no rule of ring reduces."""
+    match = ring._matching_rule
+    return [[m for m in b if match(m) is None] for b in basis]
 
 
 def _free_overflow(codegrees: Sequence[int], dim: int) -> Optional[int]:

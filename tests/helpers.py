@@ -135,8 +135,9 @@ def random_class(
 def worklist_nf(ring: RingContext, table, truncate: bool = True) -> dict:
     """Reference normal form by a work loop over the pending terms: the
     largest term in ``reference_mkey`` order is rewritten by the first rule
-    whose lead divides it, until no term is reducible; products and
-    quotients by the sorted-pair references."""
+    whose lead divides it (``reference_matching_rule``), until no term is
+    reducible; products and quotients by the sorted-pair references,
+    codegrees from the decoded exponents."""
     dim = ring.dimension if truncate else None
     red = ring._red
     work: dict[Monomial, int] = {}
@@ -150,9 +151,9 @@ def worklist_nf(ring: RingContext, table, truncate: bool = True) -> dict:
         c = work.pop(m)
         if c == 0:
             continue
-        if dim is not None and ring.monomial_codegree(m) > dim:
+        if dim is not None and sum(ring.codegrees[i] * e for i, e in exponents(m)) > dim:
             continue
-        rule = ring._matching_rule(m)
+        rule = reference_matching_rule(ring, m)
         if rule is None:
             v = red(out.get(m, 0) + c)
             if v:

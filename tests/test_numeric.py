@@ -859,6 +859,20 @@ class TestGammaQuotient:
         gq = gamma_quotient(P1, 2, [P1.gen("h")])
         assert gq.dimensions == (1, 0)
 
+    def test_generators_of_another_ring_are_refused(self):
+        P2 = projective_space(2)
+        x = generic_context([("x", 1), ("y", 1)], 2).gen("x")
+        with pytest.raises(RingError, match="^quotient generator lives in a different ring$"):
+            gamma_quotient(P2, 2, [x])
+        # another copy of P2, mod 3 or built again, is another ring too
+        for other in (P2.with_coefficients(3).gen("h"), projective_space(2).gen("h")):
+            with pytest.raises(RingError, match="different ring"):
+                gamma_quotient(P2, 2, [other])
+        # a class of X and the same class of X mod p give one quotient
+        h, hp = P2.gen("h"), P2.with_coefficients(2).gen("h")
+        assert gamma_quotient(P2, 2, [h]).dimensions == gamma_quotient(P2, 2, [hp]).dimensions == (1, 0, 0)
+        assert gamma_quotient(P2, 2, [h * h]).dimensions == (1, 1, 0)
+
     def test_projection_map(self):
         P1 = projective_space(1)
         gq = gamma_quotient(P1, 2, [P1.gen("h")])

@@ -6,6 +6,7 @@ import pytest
 
 from chowcalc import rings as rings_module
 from chowcalc.rings import (
+    FIELD_BITS,
     MAX_EXPONENT,
     MONOMIAL_ONE,
     InvalidRule,
@@ -185,6 +186,33 @@ class TestKeyReference:
             assert R.monomial_str(m) == text
             assert R.monomial_from_str(json.loads(json.dumps(text))) == m
 
+    def test_codegree_sums_fields_as_the_walk(self):
+        # keys within _summable take the field sums, every other key the
+        # walk: exponents at 2^t - 1 are summed, at 2^t and MAX_EXPONENT walked
+        rng = random.Random(38)
+        summed = walked = 0
+        for n in range(1, 21):
+            R = RingContext([f"x{i}" for i in range(n)], [rng.randint(1, 4) for _ in range(n)])
+            t = FIELD_BITS - n.bit_length()
+            edges = [(1 << t) - 1, min(1 << t, MAX_EXPONENT), MAX_EXPONENT]
+            keys = [Monomial([(i, e) for i in range(n)]) for e in edges]
+            for _ in range(60):
+                keys.append(Monomial([
+                    (i, rng.choice(edges) if rng.random() < 0.3 else rng.randint(1, 5))
+                    for i in rng.sample(range(n), rng.randint(0, n))
+                ]))
+            for m in keys:
+                assert R.monomial_codegree(m) == sum(R.codegrees[i] * e for i, e in exponents(m)), (n, m)
+                if m & R._summable == m:
+                    summed += 1
+                else:
+                    walked += 1
+            for m in (Monomial([(n, 1)]), Monomial([(0, 1), (n + 3, 2)])):
+                with pytest.raises(RingError, match="past the ring"):
+                    R.monomial_codegree(m)
+        assert summed > 200 and walked > 200
+        assert RingContext([], []).monomial_codegree(0) == 0
+
     def test_limits_raise_ring_errors(self):
         assert Monomial([(3, MAX_EXPONENT)]).exps == ((3, MAX_EXPONENT),)
         with pytest.raises(RingError):
@@ -245,6 +273,26 @@ class TestNormalForm:
         x, y = R.gen("x"), R.gen("y")
         assert ((x**3) * (y**3)).is_zero()
         assert not ((x**2) * (y**3)).is_zero()
+
+    def test_step_budget_counts_kills(self):
+        # x -> y and y*z -> 0: x*z is rewritten to y*z, which is killed
+        # without a stack frame, and that second step still counts
+        x, y, z = (Monomial([(i, 1)]) for i in range(3))
+
+        def ring(budget):
+            return RingContext(["x", "y", "z"], [1, 1, 1], dimension=3,
+                               rules=[(x, {y: 1}), (y + z, {})], step_budget=budget)
+
+        with pytest.raises(ReductionBudgetExceeded):
+            ring(1).from_table({x + z: 1})
+        R = ring(2)
+        assert R.from_table({x + z: 1}).is_zero()
+        assert R._normal_forms[x + z] == R._normal_forms[y + z] == ()
+        assert R.gen("y").table == {y: 1} and R._normal_forms[y] == ((y, 1),)
+        # a monomial killed at once takes one step
+        with pytest.raises(ReductionBudgetExceeded):
+            RingContext(["x"], [1], rules=[(x, {})], step_budget=0).gen("x")
+        assert RingContext(["x"], [1], rules=[(x, {})], step_budget=1).gen("x").is_zero()
 
     def test_step_budget_guard(self):
         with pytest.raises(ReductionBudgetExceeded):
@@ -766,6 +814,35 @@ class TestSupport:
             probes = basis + [r.lead for r in R.rules] + monomials_of_codegree(R, R.dimension + 1)
             for m in probes:
                 assert R._matching_rule(m) is reference_matching_rule(R, m), (R.names, m)
+            assert [t for t, _, _ in R._leads] == [self.mask(r.lead) for r in R.rules]
+
+    def test_compact_support_is_the_generator_mask(self):
+        rng = random.Random(40)
+        for n in range(1, 41):
+            R = free_ring([f"x{i}" for i in range(n)], 4)
+            keys = [Monomial([(i, 1) for i in range(n)]), Monomial([(n - 1, MAX_EXPONENT)])]
+            for _ in range(40):
+                keys.append(Monomial([
+                    (i, rng.choice([1, 2, MAX_EXPONENT])) for i in rng.sample(range(n), rng.randint(0, n))
+                ]))
+            for m in keys:
+                assert rings_module._compact((m + R._low) & R._guard) == self.mask(m), (n, m)
+
+    def test_wide_rings_match_by_the_scan(self):
+        # past 16 generators a support folds in blocks of 16 fields
+        rng = random.Random(42)
+        for n in (17, 32, 33, 40):
+            leads = {Monomial([(i, rng.randint(1, 2)) for i in rng.sample(range(n), rng.randint(1, 3))])
+                     for _ in range(30)}
+            R = RingContext([f"x{i}" for i in range(n)], [1] * n, rules=[(m, {}) for m in sorted(leads)])
+            assert [t for t, _, _ in R._leads] == [self.mask(r.lead) for r in R.rules]
+            matched = 0
+            for _ in range(300):
+                m = Monomial([(i, rng.randint(0, 2)) for i in rng.sample(range(n), n // 4)])
+                rule = R._matching_rule(m)
+                assert rule is reference_matching_rule(R, m), (n, m)
+                matched += rule is not None
+            assert 30 < matched < 270
 
     def test_minimal_monomials_are_the_scan(self):
         rng = random.Random(41)

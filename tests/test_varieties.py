@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import random
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -464,6 +466,30 @@ class TestBlowUp:
         assert [X.name for X in declared] == ["Xt", "Xt"]
         for X in copies + declared:
             assert [tuple(b) for b in X.basis] == enumerate_basis(X.ring), X.name
+
+    def test_with_rules_copy_lists_its_basis_without_its_parent(self):
+        # the copy holds its parent's basis, not its parent, and lists its
+        # own basis on the first read
+        def bundle():
+            P2 = projective_space(2)
+            return projective_bundle(P2, BundleRoots.plus([P2.zero(), P2.gen("h")]))
+
+        def blown_up_line():
+            P3 = projective_space(3)
+            return blow_up(P3, CenterData.complete_intersection([P3.gen("h")] * 2, name="line"))
+
+        hx = Monomial([(0, 1), (1, 1)])
+        for build in (bundle, blown_up_line):
+            X = build()
+            assert hx in X.basis_of(2)
+            copy = X.with_rules([(hx, {})])
+            assert "basis" not in vars(copy)
+            ref = weakref.ref(X)
+            del X
+            gc.collect()
+            assert ref() is None, build.__name__
+            assert [tuple(b) for b in copy.basis] == enumerate_basis(copy.ring)
+            assert hx not in copy.basis_of(2)
 
     def test_kill_rules_are_the_minimal_fixed_monomials(self, monkeypatch):
         # declared in order: X's rules, one e*g -> e*res(g) per generator
