@@ -36,23 +36,26 @@ All elimination runs on one sparse echelon kernel (``_echelon``, with
 reduced fraction-free over Z and divided by their content, or made monic
 over F_p; a row whose lead is already 1 is kept as it was built, without
 a copy.  A nonzero modulus that is not prime raises ValueError, checked
-once in ``_echelon``.  Callers hand rows over in one of two forms, and
-``_sparse`` reads both, reducing each entry mod p once: a dict row is
-taken as it is, a dense coordinate list is scanned.  The pairing matrices
-and ``ideal_span_rows`` (which ``gamma_quotient`` reads) are dense;
-``_ideal_rows`` gives the DSL's ``verify_identity`` and
+once in ``_echelon``.  Callers hand rows and vectors over in one of two
+forms, and ``_sparse`` reads both, reducing each entry mod p once: a dict
+row is taken as it is, a dense coordinate list is scanned.  The pairing
+matrices and ``ideal_span_rows`` (which ``gamma_quotient`` reads) are
+dense; ``_ideal_rows`` gives the DSL's ``verify_identity`` and
 ``verify_numerical`` dicts, read from each product's nonzero
-coordinates.  The two ideal row builders share one product loop
-(``_ideal_products``), which reads each product of a generator part and
-a basis monomial straight from the ring's normal-form memo, with no
-basis class and no class product.  Ideal membership
-(``rational_in_rowspan``, ``modp_in_rowspan``, or ``rowspan_residuals`` for
-many vectors against one echelon form) and the quotient map
-``GammaQuotient.project`` reduce a vector against the pivot rows in
-increasing column order (``_reduce``), so its residual is zero on every
-pivot column; the pivot columns depend only on the row span, so the
-residual is canonical (the same as a reduction against the reduced row
-echelon form would give).  ``modp_rank`` counts the pivot rows,
+coordinates.  One product loop (``_ideal_products``) serves both ideal
+row builders and the DSL's numerical check: it reads each product of a
+class part and a basis monomial straight from the ring's normal-form
+memo, with no basis class and no class product.  One reduction
+(``_reduce``) serves ideal membership (``rational_in_rowspan``,
+``modp_in_rowspan``, or ``rowspan_residuals`` for many vectors against
+one echelon form), the quotient map ``GammaQuotient.project`` and the
+numerical check: it reduces a vector against the pivot rows in
+increasing column order and returns the nonzero entries of the residual
+as a dict, so the residual is zero on every pivot column; the pivot
+columns depend only on the row span, so the residual is canonical (the
+same as a reduction against the reduced row echelon form would give).
+Membership is read off that integer residual, and a Fraction is built
+only for a nonzero entry of it.  ``modp_rank`` counts the pivot rows,
 ``modp_rref`` back-substitutes them (``_back_substitute``), and
 ``modp_kernel`` returns [] when every column has a pivot (rank-nullity)
 and back-substitutes only when there is a kernel, reading its basis off
@@ -68,7 +71,7 @@ from math import gcd
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .rings import GradedClass, RingError, _is_prime
+from .rings import GradedClass, RingContext, RingError, _is_prime
 from .varieties import ChowPresentation, CoverageError, TangentUnavailable
 
 
@@ -139,16 +142,25 @@ def _echelon(rows: _Rows, p: int) -> dict[int, _Row]:
     return pivots
 
 
-def _reduce(pivots: dict[int, _Row], vec: Sequence[int], p: int) -> tuple[list[int], int]:
+def _reduce(pivots: dict[int, _Row], vec: Sequence[int] | _Row, p: int) -> tuple[_Row, int]:
     """(res, scale): res / scale is vec minus a row-span element, zero on
-    every pivot column, as a dense list of len(vec) integers."""
+    every pivot column.  vec is a dense list or a dict row, read as
+    ``_sparse`` reads it; res holds only the nonzero entries."""
     res = _sparse(vec, p)
     scale = 1
     for c in sorted(pivots):
         if res.get(c):
             res, a = _eliminate(res, pivots[c], c, p)
             scale *= a
-    return [res.get(j, 0) for j in range(len(vec))], scale
+    return res, scale
+
+
+def _dense(res: _Row, n: int, fill=0) -> list:
+    """The row as a list of n entries, fill at every column it leaves out."""
+    out = [fill] * n
+    for j, v in res.items():
+        out[j] = v
+    return out
 
 
 def _back_substitute(pivots: dict[int, _Row], p: int) -> dict[int, _Row]:
@@ -197,32 +209,36 @@ def modp_kernel(matrix: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     return basis
 
 
+_ZERO = Fraction(0)
+
+
+def _membership(pivots: dict[int, _Row], vec: Sequence[int], p: int) -> tuple[bool, list]:
+    """(ok, residual) of vec modulo the pivots' row span: ints over F_p,
+    Fractions over Q with every zero entry the one shared ``_ZERO``.  ok is
+    read off the integer residual, before any Fraction is built."""
+    res, scale = _reduce(pivots, vec, p)
+    if not p and res:
+        res = {j: Fraction(v, scale) for j, v in res.items()}
+    return not res, _dense(res, len(vec), 0 if p else _ZERO)
+
+
 def rowspan_residuals(rows: _Rows, p: int) -> Callable[[list[int]], list]:
     """Echelon rows (dense or dicts) once, over Q for p = 0 and over F_p
     otherwise; returns the map from a vector to its residual modulo the row
     span, as ``rational_in_rowspan`` (Fractions) or ``modp_in_rowspan``
-    (ints) give it.  Every zero entry of a rational residual is one shared
-    Fraction(0)."""
+    (ints) give it."""
     pivots = _echelon(rows, p)
-    zero = Fraction(0)
-
-    def residual(vec: list[int]) -> list:
-        res, scale = _reduce(pivots, vec, p)
-        return res if p else [Fraction(v, scale) if v else zero for v in res]
-
-    return residual
+    return lambda vec: _membership(pivots, vec, p)[1]
 
 
 def modp_in_rowspan(rows: _Rows, vec: list[int], p: int) -> tuple[bool, list[int]]:
     """Membership of vec in the row span over F_p; returns (ok, residual)."""
-    res = rowspan_residuals(rows, p)(vec)
-    return not any(res), res
+    return _membership(_echelon(rows, p), vec, p)
 
 
 def rational_in_rowspan(rows: _Rows, vec: list[int]) -> tuple[bool, list[Fraction]]:
     """Membership of vec in the rational row span; returns (ok, residual)."""
-    res = rowspan_residuals(rows, 0)(vec)
-    return not any(res), res
+    return _membership(_echelon(rows, 0), vec, 0)
 
 
 def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -488,13 +504,13 @@ def kernel_is_ideal(X: ChowPresentation, p: int) -> bool:
 
 def _ideal_products(
     X: ChowPresentation, gens: Sequence[GradedClass], d: int
-) -> Iterator[GradedClass]:
-    """Each generator's parts times every basis monomial, as far as the
-    product lands in codegree d: classes spanning the codegree-d piece of
-    the ideal generated by gens.  A product part * b is the sum of c * k
-    over the terms (m, c) of the part and (u, k) of nf(m + b), read from the
-    ring's memo (``RingContext._product`` on a miss), so no basis class is
-    built and no class product called."""
+) -> Iterator[tuple[int, GradedClass]]:
+    """(b, part * b) for each generator's parts and every basis monomial b,
+    as far as the product lands in codegree d: classes spanning the
+    codegree-d piece of the ideal generated by gens.  A product part * b is
+    the sum of c * k over the terms (m, c) of the part and (u, k) of
+    nf(m + b), read from the ring's memo (``RingContext._product`` on a
+    miss), so no basis class is built and no class product called."""
     ring = X.ring
     memo, product, reduced = ring._normal_forms, ring._product, ring._reduced
     for g in gens:
@@ -512,7 +528,7 @@ def _ideal_products(
                         nf = product(m + b)
                     for u, k in nf:
                         acc[u] = acc.get(u, 0) + c * k
-                yield GradedClass(ring, reduced(acc))
+                yield b, GradedClass(ring, reduced(acc))
 
 
 def ideal_span_rows(
@@ -520,17 +536,21 @@ def ideal_span_rows(
 ) -> list[list[int]]:
     """Coordinate rows spanning the codegree-d piece of the ideal generated
     by gens (each generator multiplied by every basis monomial)."""
-    return [X.coordinates(prod, d) for prod in _ideal_products(X, gens, d)]
+    return [X.coordinates(prod, d) for _, prod in _ideal_products(X, gens, d)]
 
 
 def _ideal_rows(X: ChowPresentation, gens: Sequence[GradedClass], d: int) -> list[_Row]:
     """The rows of ``ideal_span_rows`` as {column: coefficient} dicts, read
     from each product's nonzero coordinates."""
-    return [dict(X._sparse_coordinates(prod, d)) for prod in _ideal_products(X, gens, d)]
+    return [dict(X._sparse_coordinates(prod, d)) for _, prod in _ideal_products(X, gens, d)]
 
 
 class GammaQuotient:
-    __slots__ = ("variety", "prime", "dimensions", "_pivots", "_pres")
+    """The quotient of gamma_quotient(X, p, gens): its dimensions, the
+    reduced pivot rows of each codegree of the ideal mod p, X mod p, and
+    X's ring (not X, which the quotient does not keep alive)."""
+
+    __slots__ = ("variety", "prime", "dimensions", "_pivots", "_pres", "_ring")
 
     def __init__(
         self,
@@ -539,19 +559,26 @@ class GammaQuotient:
         dimensions: tuple[int, ...],
         _pivots: list[dict[int, _Row]],
         _pres: ChowPresentation,
+        _ring: RingContext,
     ):
         self.variety = variety
         self.prime = prime
         self.dimensions = dimensions
         self._pivots = _pivots
         self._pres = _pres
+        self._ring = _ring
 
     def project(self, c: GradedClass) -> dict[int, list[int]]:
-        """Image of a class under the canonical surjection: per codegree, the
-        residual coordinates after reduction modulo the ideal."""
+        """Image of a class of X or of X mod p under the canonical
+        surjection: per codegree, the residual coordinates after reduction
+        modulo the ideal.  A class of any other ring raises ``RingError``."""
+        Xp = self._pres
+        if c.ring is not self._ring and c.ring is not Xp.ring:
+            raise RingError("projected class lives in a different ring")
         out = {}
         for d in sorted(c.codegrees()):
-            out[d], _ = _reduce(self._pivots[d], self._pres.coordinates(c, d), self.prime)
+            res, _ = _reduce(self._pivots[d], dict(Xp._sparse_coordinates(c, d)), self.prime)
+            out[d] = _dense(res, len(Xp.basis_of(d)))
         return out
 
 
@@ -575,7 +602,7 @@ def gamma_quotient(
         dims.append(len(Xp.basis_of(d)) - len(rref))
         pivots.append(rref)
     return GammaQuotient(
-        variety=X.name, prime=p, dimensions=tuple(dims), _pivots=pivots, _pres=Xp
+        variety=X.name, prime=p, dimensions=tuple(dims), _pivots=pivots, _pres=Xp, _ring=X.ring
     )
 
 

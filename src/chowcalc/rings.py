@@ -484,12 +484,21 @@ class RingContext:
         """Store the (declaration index, lead, table) rules, with every
         replacement in normal form under all of them.  One pass suffices:
         a normal form is irreducible under every lead, and reducing the
-        replacements leaves the leads as they are.  A replacement that holds
-        its own lead raises RewriteCycle."""
+        replacements leaves the leads as they are, so only the rules whose
+        replacement changed are built again, and ``_leads`` keeps each lead
+        support.  A replacement that holds its own lead raises RewriteCycle."""
         self._store(rules)
-        reduced = [(k, lead, self._nf(table)) for k, lead, table in rules]
-        if reduced != rules:
-            self._store(reduced)
+        changed = {i: t for i, (_, _, table) in enumerate(rules) if (t := self._nf(table)) != table}
+        if not changed:
+            return
+        stored = list(self.rules)
+        for i, t in changed.items():
+            r = stored[i]
+            stored[i] = RewriteRule(r.lead, tuple(sorted(t.items())), r.index)
+        self.rules = tuple(stored)
+        self._leads = tuple((s, lead, r) for (s, lead, _), r in zip(self._leads, self.rules))
+        self._leads_within = {}
+        self._normal_forms = {}
 
     def _store(self, rules: list[tuple[int, int, dict]]) -> None:
         self.rules = tuple(
@@ -873,7 +882,7 @@ def evaluate(
             img = images.get(name)
             if img is None:
                 img = target.gen(name)
-            term = term * (img**e)
+            term = term * (img if e == 1 else img**e)
         out = out + term
     return out
 

@@ -62,11 +62,12 @@ from . import characteristic as chops
 from . import milnor as miln
 from .numeric import (
     _echelon,
+    _ideal_products,
     _ideal_rows,
+    _reduce,
     modp_in_rowspan,
     numerical_kernel,
     rational_in_rowspan,
-    rowspan_residuals,
 )
 from .report import ERROR, FAIL, PASS, AssertionResult, Report
 from .rings import GradedClass, RingContext
@@ -530,16 +531,21 @@ def _reduction(
 
 
 def _residual(
-    pres: ChowPresentation, span: Optional[Callable[[list[int]], list]], c: GradedClass, d: int
+    pres: ChowPresentation,
+    member: Optional[Callable[[list[int]], tuple[bool, list]]],
+    c: GradedClass,
+    d: int,
 ) -> dict[int, Fraction]:
     """The codegree-d part of c minus its projection to the ideal's span, as
     an exact {basis monomial: coefficient} table; empty iff the part lies in
-    the span.  span maps coordinates to their residual (None: no ideal)."""
+    the span.  member maps coordinates to (in the span, residual), as
+    ``rational_in_rowspan`` gives them (None: no ideal); a part in the span
+    gives {} without a scan of its residual."""
     part = c.homogeneous_part(d)
-    if span is None or part.is_zero():
+    if member is None or part.is_zero():
         return dict(part.table)
-    res = span(pres.coordinates(part, d))
-    return {m: v for m, v in zip(pres.basis_of(d), res) if v}
+    ok, res = member(pres.coordinates(part, d))
+    return {} if ok else {m: v for m, v in zip(pres.basis_of(d), res) if v}
 
 
 def _witness(ring: RingContext, residual: dict[int, Fraction]) -> str:
@@ -579,13 +585,13 @@ def verify_identity(
     tables = tuple(frozenset(g.table.items()) for g in gens)
     residual: dict[int, Fraction] = {}
     for d in sorted(diff.codegrees()):
-        span = None
+        member = None
         if gens:
             rows = pres.kept(("ideal-rows", d, *tables), _ideal_pivot_rows, pres, gens, d, p)
-            span = lambda vec, rows=rows: (
+            member = lambda vec, rows=rows: (
                 modp_in_rowspan(rows, vec, p) if p else rational_in_rowspan(rows, vec)
-            )[1]
-        residual.update(_residual(pres, span, diff, d))
+            )
+        residual.update(_residual(pres, member, diff, d))
     return not residual, _witness(pres.ring, residual) if residual else None
 
 
@@ -605,22 +611,31 @@ def verify_numerical(
     This is the right notion for identities claimed only up to numerical
     equivalence below the top codegree.
 
-    The ideal's top-codegree span is echeloned from its dict rows once per
-    presentation and ideal, and kept as ``("ideal-span", *tables)``, one
-    frozenset of (monomial, coefficient) items per generator of the ideal.
+    Each product of a part of lhs - rhs and a basis monomial w is read
+    from the ring's normal-form memo (``numeric._ideal_products``), with no
+    class product.  The ideal's top-codegree rows are echeloned from their
+    dict rows once per presentation and ideal, and the pivot rows kept as
+    ``("ideal-span", *tables)``, one frozenset of (monomial, coefficient)
+    items per generator of the ideal.  A product's nonzero top-codegree
+    coordinates are reduced against them in column order
+    (``numeric._reduce``), and a Fraction is built only for a nonzero
+    residual entry.
     """
     pres, gens, diff = _reduction(env, lhs, rhs, modulo)
-    n = pres.dim
-    span = None
+    ring, n, p = pres.ring, pres.dim, pres.ring.modulus
+    pivots = None
     if gens:
         key = ("ideal-span", *(frozenset(g.table.items()) for g in gens))
-        span = pres.kept(key, lambda: rowspan_residuals(_ideal_rows(pres, gens, n), pres.ring.modulus))
-    for d in sorted(diff.codegrees()):
-        part = diff.homogeneous_part(d)
-        for w in pres.basis_classes(n - d):
-            residual = _residual(pres, span, part * w, n)
-            if residual:
-                return False, f"{_witness(pres.ring, residual)} (pairing against {w})"
+        pivots = pres.kept(key, lambda: _echelon(_ideal_rows(pres, gens, n), p))
+    top = pres.basis_of(n)
+    for b, prod in _ideal_products(pres, [diff], n):
+        if pivots is None:
+            residual = prod.table
+        else:
+            res, scale = _reduce(pivots, dict(pres._sparse_coordinates(prod, n)), p)
+            residual = {top[j]: v if p else Fraction(v, scale) for j, v in res.items()}
+        if residual:
+            return False, f"{_witness(ring, residual)} (pairing against {GradedClass(ring, {b: 1})})"
     return True, None
 
 

@@ -641,14 +641,16 @@ def _grown(ring: RingContext, basis: Sequence[Sequence[int]], d: int) -> Iterato
     irreducible monomials of codegree c in key order, that is those of
     codegree d in that order, each once: each is m * x_i for its last index
     i and its divisor m, and later indices sit in more significant fields,
-    which also puts the m whose indices are at most i first."""
+    which also puts the m whose indices are at most i first.  A ring with
+    no rules reduces no monomial, so none is matched against its rules."""
+    match = ring._matching_rule if ring.rules else None
     for i, cd in enumerate(ring.codegrees):
         x = generator_power(i)
         past = generator_power(i + 1)  # the least key with an index above i
         for m in basis[d - cd] if 0 <= d - cd < len(basis) else ():
             if m >= past:
                 break
-            if ring._matching_rule(m + x) is None:
+            if match is None or match(m + x) is None:
                 yield m + x
 
 
@@ -982,8 +984,11 @@ def blow_up(
     def res(c: GradedClass) -> GradedClass:
         return evaluate(c, res_images, X.ring)
 
-    for gname, img in res_images.items():
-        if res(img) != img:
+    # a generator the restriction does not name maps to itself, and so does
+    # its image; only the named ones can break idempotence
+    for gname in X.ring.names:
+        img = res_images[gname]
+        if gname in center.restriction and res(img) != img:
             raise CoverageError(
                 f"restriction map is not idempotent on generator {gname!r}"
             )

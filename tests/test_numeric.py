@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import random
+import weakref
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -872,6 +874,29 @@ class TestGammaQuotient:
         h, hp = P2.gen("h"), P2.with_coefficients(2).gen("h")
         assert gamma_quotient(P2, 2, [h]).dimensions == gamma_quotient(P2, 2, [hp]).dimensions == (1, 0, 0)
         assert gamma_quotient(P2, 2, [h * h]).dimensions == (1, 1, 0)
+
+    def test_projection_refuses_a_class_of_another_ring(self):
+        P2 = projective_space(2)
+        h, hp = P2.gen("h"), P2.with_coefficients(2).gen("h")
+        gq = gamma_quotient(P2, 2, [h * h])
+        x = generic_context([("x", 1), ("y", 1)], 2).gen("x")
+        with pytest.raises(RingError, match="^projected class lives in a different ring$"):
+            gq.project(x)
+        for other in (P2.with_coefficients(3).gen("h"), projective_space(2).gen("h")):
+            with pytest.raises(RingError, match="different ring"):
+                gq.project(other)
+        # a class of X and the same class of X mod p project alike
+        assert gq.project(h + P2.scalar(3)) == gq.project(hp + P2.with_coefficients(2).scalar(1))
+        assert gq.project(h + P2.scalar(3)) == {0: [1], 1: [1]}
+
+    def test_quotient_does_not_keep_its_variety_alive(self):
+        X = projective_space(2)
+        gq = gamma_quotient(X, 2, [X.gen("h")])
+        ref = weakref.ref(X)
+        del X
+        gc.collect()
+        assert ref() is None
+        assert gq.dimensions == (1, 0, 0)
 
     def test_projection_map(self):
         P1 = projective_space(1)

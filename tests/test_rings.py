@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -357,6 +358,31 @@ def whole_table(a, b):
             t = Monomial(reference_mul(exponents(m1), exponents(m2)))
             raw[t] = raw.get(t, 0) + c1 * c2
     return a.ring._nf(raw)
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("modulus", [0, 3])
+    def test_exponents_one_to_three_are_the_term_by_term_products(self, modulus):
+        # a^i b^j c^k with exponents 0-3 sent to a ring with a rule: the
+        # image of each monomial, and of their sum, multiplies the images
+        # in one factor at a time
+        S = free_ring(["a", "b", "c"], 12, modulus=modulus)
+        v2, u2 = Monomial([(1, 2)]), Monomial([(0, 2)])
+        T = RingContext(["u", "v", "w"], [1, 1, 2], modulus, 6, rules=[(v2, {u2: 1})])
+        u, v, w = T.gen("u"), T.gen("v"), T.gen("w")
+        images = {"a": u - 2 * v, "b": 3 * v + u, "c": w + u * v}
+        total, want_total = S.zero(), T.zero()
+        for exps in itertools.product(range(4), repeat=3):
+            m = Monomial((i, e) for i, e in enumerate(exps) if e)
+            want = T.scalar(2)
+            for name, e in zip("abc", exps):
+                for _ in range(e):
+                    want = want * images[name]
+            c = S.from_table({m: 2})
+            assert evaluate(c, images, T) == want, exps
+            total, want_total = total + c, want_total + want
+        assert evaluate(total, images, T) == want_total
+        assert not want_total.is_zero()
 
 
 class TestProductMemo:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from chowcalc.report import ERROR, FAIL, PASS, AssertionResult, Report, emit_report
+from chowcalc.rings import RingError
 from chowcalc.script import (
     _ASSERT_HEADS,
     _CONTEXT_HEADS,
@@ -695,21 +696,31 @@ class TestVerifyIdentity:
         assert kept_under(X, "ideal-rows") == {}
 
 
-def dense_verdicts(env, lhs, rhs, decl):
+def dense_verdicts(env, lhs, rhs, modulo):
     """Reference verdicts of verify_identity and verify_numerical on the
     dense path: each codegree's ideal rows as coordinate lists, echeloned
-    per membership test."""
+    per membership test, and each numerical product a class product with a
+    basis class.  Declared rules reduce in a copy built here, apart from
+    the one the assertions keep; with no ideal the residual is the part's
+    coordinates."""
     from chowcalc.numeric import ideal_span_rows, modp_in_rowspan, rational_in_rowspan
-    from chowcalc.script import _witness
+    from chowcalc.script import _IdealDecl, _witness
 
-    pres, gens, diff = env.presentation_of(lhs), decl.gens, lhs - rhs
+    gens = [g for decl in modulo if isinstance(decl, _IdealDecl) for g in decl.gens]
+    rules = [rule for decl in modulo if not isinstance(decl, _IdealDecl) for rule in decl.rules]
+    pres, diff = env.presentation_of(lhs), lhs - rhs
+    if rules:
+        pres = pres.with_rules(rules)
+        diff = pres.ring.from_table(diff.table)
+        gens = [pres.ring.from_table(g.table) for g in gens]
     p, n = pres.ring.modulus, pres.dim
 
     def residual(c, d):
         vec = pres.coordinates(c, d)
-        rows = ideal_span_rows(pres, gens, d)
-        res = (modp_in_rowspan(rows, vec, p) if p else rational_in_rowspan(rows, vec))[1]
-        return {m: v for m, v in zip(pres.basis_of(d), res) if v}
+        if gens:
+            rows = ideal_span_rows(pres, gens, d)
+            vec = (modp_in_rowspan(rows, vec, p) if p else rational_in_rowspan(rows, vec))[1]
+        return {m: v for m, v in zip(pres.basis_of(d), vec) if v}
 
     res = {}
     for d in sorted(diff.codegrees()):
@@ -725,11 +736,43 @@ def dense_verdicts(env, lhs, rhs, decl):
     return identity, numerical
 
 
+def random_identities(X, J, rng):
+    """Four (lhs, rhs) pairs: a combination of J's generators, half the
+    time plus a stray term, against zero or a random monomial class."""
+    for _ in range(4):
+        lhs = X.zero()
+        for g in J.gens:
+            lhs = lhs + g * random_class(X.ring, rng)
+        if rng.random() < 0.5:
+            lhs = lhs + random_class(X.ring, rng, terms=1)
+        rhs = random_class(X.ring, rng, terms=1) if rng.random() < 0.3 else X.zero()
+        yield lhs, rhs
+
+
+def random_rule(X, rng):
+    """A rule on X's basis monomials: a random one of codegree at least 1
+    killed, or sent to a multiple of a monomial before it in key order,
+    unless that copy cannot be built."""
+    lead_codegrees = [d for d in range(1, X.dim + 1) if X.basis_of(d)]
+    d = rng.choice(lead_codegrees)
+    k = rng.randrange(len(X.basis_of(d)))
+    lead = X.basis_of(d)[k]
+    if k and rng.random() < 0.5:
+        rule = (lead, {X.basis_of(d)[rng.randrange(k)]: rng.choice([-2, -1, 1, 3])})
+        try:
+            X.with_rules([rule])
+            return rule
+        except RingError:
+            pass
+    return lead, {}
+
+
 class TestKeptRowsMatchDenseRows:
     @pytest.mark.parametrize("seed", range(60))
     def test_random_tower_identities(self, seed):
         # identities modulo a random ideal, some in it and some not, over Q,
-        # F_2 and F_3: the kept dict rows give the dense path's verdicts
+        # F_2 and F_3: the kept dict rows give the dense path's verdicts,
+        # and so do the checks with no (modulo ...) clause
         from chowcalc.script import _IdealDecl
 
         rng = random.Random(seed)
@@ -741,15 +784,32 @@ class TestKeptRowsMatchDenseRows:
         env.define("X", X)
         env.current = X
         J = _IdealDecl([random_class(X.ring, rng) for _ in range(rng.randint(1, 2))])
-        for _ in range(4):
-            lhs = X.zero()
-            for g in J.gens:
-                lhs = lhs + g * random_class(X.ring, rng)
-            if rng.random() < 0.5:
-                lhs = lhs + random_class(X.ring, rng, terms=1)
-            rhs = random_class(X.ring, rng, terms=1) if rng.random() < 0.3 else X.zero()
-            got = (verify_identity(env, lhs, rhs, [J]), verify_numerical(env, lhs, rhs, [J]))
-            assert got == dense_verdicts(env, lhs, rhs, J)
+        for lhs, rhs in random_identities(X, J, rng):
+            for modulo in ([J], []):
+                got = (verify_identity(env, lhs, rhs, modulo), verify_numerical(env, lhs, rhs, modulo))
+                assert got == dense_verdicts(env, lhs, rhs, modulo)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_declared_rules_copy(self, seed):
+        # the same checks modulo a random declared rule, alone and with a
+        # random ideal, read in the copy that the assertions keep
+        from chowcalc.script import _IdealDecl, _RulesDecl
+
+        rng = random.Random(1000 + seed)
+        X = random_tower(rng)
+        p = (0, 2, 3)[seed % 3]
+        if p:
+            X = X.with_coefficients(p)
+        env = Env()
+        env.define("X", X)
+        env.current = X
+        R = _RulesDecl([random_rule(X, rng)])
+        J = _IdealDecl([random_class(X.ring, rng) for _ in range(rng.randint(1, 2))])
+        for lhs, rhs in random_identities(X, J, rng):
+            for modulo in ([R, J], [R]):
+                got = (verify_identity(env, lhs, rhs, modulo), verify_numerical(env, lhs, rhs, modulo))
+                assert got == dense_verdicts(env, lhs, rhs, modulo)
+        assert len(kept_under(X, "with-rules")) == 1
 
 
 class TestVerifyNumerical:

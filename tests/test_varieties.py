@@ -27,6 +27,7 @@ from chowcalc.varieties import (
     projective_space,
 )
 from helpers import (
+    counting,
     kept_under,
     random_class,
     random_tower,
@@ -375,6 +376,24 @@ def test_enumerate_basis_is_the_recursive_enumeration():
     assert above_dim >= 20
 
 
+@pytest.mark.parametrize("codegrees", [(1, 1, 1), (1, 2), (2, 3)])
+def test_rule_free_basis_is_the_listing_by_codegree(monkeypatch, codegrees):
+    # every monomial of a ring with no rules is irreducible: the basis is
+    # each multiset of generators listed by its codegree, in key order, and
+    # no monomial is matched against the (absent) rules
+    dim = 7
+    want = [[] for _ in range(dim + 1)]
+    for k in range(dim + 1):
+        for combo in itertools.combinations_with_replacement(range(len(codegrees)), k):
+            d = sum(codegrees[i] for i in combo)
+            if d <= dim:
+                want[d].append(Monomial((i, combo.count(i)) for i in sorted(set(combo))))
+    ring = RingContext([f"x{i}" for i in range(len(codegrees))], codegrees, dimension=dim)
+    matched = counting(monkeypatch, RingContext, "_matching_rule")
+    assert enumerate_basis(ring) == [tuple(sorted(b)) for b in want]
+    assert matched == []
+
+
 class TestBlowUp:
     def test_plane_at_point(self):
         P2, Bl = bl_point_plane()
@@ -583,6 +602,22 @@ class TestBlowUp:
         h = P3.gen("h")
         with pytest.raises(CoverageError):
             blow_up(P3, CenterData(fundamental=h * h, roots=BundleRoots.plus([h, h, h])))
+
+    def test_restriction_to_itself_builds_and_a_swap_is_refused(self):
+        # a point of a surface with x, y of codegree 1: x -> x names a
+        # generator that stays put, which builds the blow-up that leaving x
+        # out builds; x <-> y is not idempotent
+        X = generic_context([("x", 1), ("y", 1)], 2)
+        x, y = X.gen("x"), X.gen("y")
+
+        def center(restriction):
+            return CenterData(fundamental=x * y, roots=BundleRoots.plus([x, y]), restriction=restriction)
+
+        Bl = blow_up(X, center({"x": x, "y": X.zero()}))
+        assert Bl.ring.rules == blow_up(X, center({"y": X.zero()})).ring.rules
+        assert Bl.basis == blow_up(X, center({"y": X.zero()})).basis
+        with pytest.raises(CoverageError, match="not idempotent on generator 'x'"):
+            blow_up(X, center({"x": y, "y": x}))
 
     def test_non_idempotent_restriction_rejected(self):
         P2 = projective_space(2)
