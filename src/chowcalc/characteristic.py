@@ -218,6 +218,9 @@ def d_class_from_total(total: GradedClass, p: int) -> GradedClass:
         return total
     if ring.modulus != p:
         raise RingError(f"d-class for p = {p} needs a total with F_{p} coefficients")
+    if p - 1 > ring.dimension:
+        # d(T) lives in the codegrees k(p - 1), so only its 1 survives
+        return ring.one()
     cd = ring.monomial_codegree
     P = total
     for a in range(2, p):
@@ -247,7 +250,8 @@ def homological_power(X: ChowPresentation, c: GradedClass, i: int) -> GradedClas
     d_minus_T = X.kept(("d-minus-tangent",),
                        lambda: inverse_series(d_class_from_total(X.tangent_class(), p)))
     out = X.zero()
-    for m in range(0, i + 1):
+    # d_m(-T_X) lies in codegree m(p - 1), so it vanishes past the dimension
+    for m in range(min(i, X.dim // (p - 1)) + 1):
         dm = d_minus_T.homogeneous_part(m * (p - 1))
         if dm.is_zero():
             continue

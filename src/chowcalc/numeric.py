@@ -20,6 +20,12 @@ Each presentation pays for its pairing once, and keeps it (``X.kept``):
 - ``("labels", r)``, the printed basis monomials of codegree r, kept on
   the first read of a report entry's ``basis`` or ``dual_basis``, so a
   check that reads none prints no monomial.
+- ``("ideal", d, *tables)``, the pivot rows of the codegree-d piece of an
+  ideal (``_ideal_pivots``), one frozenset of (monomial, coefficient)
+  items per generator: the one echelon the DSL's ``(modulo I)`` checks
+  read.  ``ideal_residual`` gives a class part minus its projection to
+  that span; ``pairing_residuals`` gives the same for each top-codegree
+  product of a class and a basis monomial.
 
 All are stored as tuples; every report and every caller gets fresh
 lists.  Kernel membership is read from the same matrices (``_in_kernel``):
@@ -27,7 +33,8 @@ a class c of codegree s is in the mod-p kernel exactly when
 coords(c) . M_s = 0 mod p, which reads only the rows of M_s at the nonzero
 coordinates of c.  ``kernel_is_ideal`` tests u * b and
 ``ab1_check`` tests P^i(u) this way, so neither calls ``X.degree`` once
-the pairing is kept, and neither can disagree with the kernel it tests.
+the pairing is kept, and neither can disagree with the kernel it tests;
+``kernel_is_ideal`` reads each u * b from ``_ideal_products``.
 A modulus that is not prime, or a codegree outside 0..dim, raises
 ValueError.
 
@@ -40,16 +47,16 @@ once in ``_echelon``.  Callers hand rows and vectors over in one of two
 forms, and ``_sparse`` reads both, reducing each entry mod p once: a dict
 row is taken as it is, a dense coordinate list is scanned.  The pairing
 matrices and ``ideal_span_rows`` (which ``gamma_quotient`` reads) are
-dense; ``_ideal_rows`` gives the DSL's ``verify_identity`` and
-``verify_numerical`` dicts, read from each product's nonzero
-coordinates.  One product loop (``_ideal_products``) serves both ideal
-row builders and the DSL's numerical check: it reads each product of a
+dense; ``_ideal_rows`` gives the DSL's ideal rows as dicts, read from
+each product's nonzero coordinates.  One product loop
+(``_ideal_products``) serves both ideal row builders,
+``pairing_residuals`` and ``kernel_is_ideal``: it reads each product of a
 class part and a basis monomial straight from the ring's normal-form
 memo, with no basis class and no class product.  One reduction
 (``_reduce``) serves ideal membership (``rational_in_rowspan``,
 ``modp_in_rowspan``, or ``rowspan_residuals`` for many vectors against
-one echelon form), the quotient map ``GammaQuotient.project`` and the
-numerical check: it reduces a vector against the pivot rows in
+one echelon form), the quotient map ``GammaQuotient.project`` and
+``pairing_residuals``: it reduces a vector against the pivot rows in
 increasing column order and returns the nonzero entries of the residual
 as a dict, so the residual is zero on every pivot column; the pivot
 columns depend only on the row span, so the residual is canonical (the
@@ -491,10 +498,10 @@ def kernel_is_ideal(X: ChowPresentation, p: int) -> bool:
     n = X.dim
     Xp, kernel = _kernel_classes(X, p, range(n + 1))
     return all(
-        _in_kernel(X, u * b, r + d, p)
+        _in_kernel(X, prod, s, p)
         for r, u in kernel
-        for d in range(n - r + 1)
-        for b in Xp.basis_classes(d)
+        for s in range(r, n + 1)
+        for _, prod in _ideal_products(Xp, [u], s)
     )
 
 
@@ -543,6 +550,48 @@ def _ideal_rows(X: ChowPresentation, gens: Sequence[GradedClass], d: int) -> lis
     """The rows of ``ideal_span_rows`` as {column: coefficient} dicts, read
     from each product's nonzero coordinates."""
     return [dict(X._sparse_coordinates(prod, d)) for _, prod in _ideal_products(X, gens, d)]
+
+
+def _ideal_pivots(X: ChowPresentation, gens: Sequence[GradedClass], d: int) -> dict[int, _Row]:
+    """The pivot rows of the codegree-d piece of the ideal gens generate,
+    over X's coefficients; kept on X as ``("ideal", d, *tables)``, one
+    frozenset of (monomial, coefficient) items per generator."""
+    key = ("ideal", d, *(frozenset(g.table.items()) for g in gens))
+    return X.kept(key, lambda: _echelon(_ideal_rows(X, gens, d), X.ring.modulus))
+
+
+def ideal_residual(
+    X: ChowPresentation, gens: Sequence[GradedClass], c: GradedClass, d: int
+) -> dict[int, Fraction | int]:
+    """The codegree-d part of c minus its projection to the span of the
+    ideal gens generate, as an exact {basis monomial: coefficient} table
+    (Fractions over Q, ints over F_p, the part itself with no gens); {}
+    when the part lies in the span."""
+    part = c.homogeneous_part(d)
+    if not gens or part.is_zero():
+        return dict(part.table)
+    p = X.ring.modulus
+    rows, vec = list(_ideal_pivots(X, gens, d).values()), X.coordinates(part, d)
+    ok, res = modp_in_rowspan(rows, vec, p) if p else rational_in_rowspan(rows, vec)
+    return {} if ok else {m: v for m, v in zip(X.basis_of(d), res) if v}
+
+
+def pairing_residuals(
+    X: ChowPresentation, gens: Sequence[GradedClass], c: GradedClass
+) -> Iterator[tuple[int, dict[int, Fraction | int]]]:
+    """(b, residual) for each basis monomial b and each part of c whose
+    product with b lands in the top codegree: the product minus its
+    projection to the span of the ideal gens generate, as ``ideal_residual``
+    gives it.  A Fraction is built only for a nonzero residual entry."""
+    n, p = X.dim, X.ring.modulus
+    pivots = _ideal_pivots(X, gens, n) if gens else None
+    top = X.basis_of(n)
+    for b, prod in _ideal_products(X, [c], n):
+        if pivots is None:
+            yield b, prod.table
+        else:
+            res, scale = _reduce(pivots, dict(X._sparse_coordinates(prod, n)), p)
+            yield b, {top[j]: v if p else Fraction(v, scale) for j, v in res.items()}
 
 
 class GammaQuotient:

@@ -121,18 +121,27 @@ class InvalidRule(RingError):
     """A rewrite rule violates a structural invariant."""
 
 
+# Miller-Rabin with these bases decides primality exactly below the bound
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_CERTIFIED_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+    """Deterministic Miller-Rabin.  A composite is found at any size; a
+    number at or above ``_CERTIFIED_BELOW`` that no base proves composite
+    raises ValueError, since the bases do not certify it."""
     if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+        return n > 1
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for a in _PRIME_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
             return False
-        f += 2
+    if n >= _CERTIFIED_BELOW:
+        raise ValueError(f"modulus {n} is at least {_CERTIFIED_BELOW}, above which primality is not certified")
     return True
 
 

@@ -56,19 +56,11 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional
+from typing import Optional
 
 from . import characteristic as chops
 from . import milnor as miln
-from .numeric import (
-    _echelon,
-    _ideal_products,
-    _ideal_rows,
-    _reduce,
-    modp_in_rowspan,
-    numerical_kernel,
-    rational_in_rowspan,
-)
+from .numeric import ideal_residual, numerical_kernel, pairing_residuals
 from .report import ERROR, FAIL, PASS, AssertionResult, Report
 from .rings import GradedClass, RingContext
 from .varieties import (
@@ -530,35 +522,12 @@ def _reduction(
     return pres, [ring.from_table(g.table) for g in gens], ring.from_table((lhs - rhs).table)
 
 
-def _residual(
-    pres: ChowPresentation,
-    member: Optional[Callable[[list[int]], tuple[bool, list]]],
-    c: GradedClass,
-    d: int,
-) -> dict[int, Fraction]:
-    """The codegree-d part of c minus its projection to the ideal's span, as
-    an exact {basis monomial: coefficient} table; empty iff the part lies in
-    the span.  member maps coordinates to (in the span, residual), as
-    ``rational_in_rowspan`` gives them (None: no ideal); a part in the span
-    gives {} without a scan of its residual."""
-    part = c.homogeneous_part(d)
-    if member is None or part.is_zero():
-        return dict(part.table)
-    ok, res = member(pres.coordinates(part, d))
-    return {} if ok else {m: v for m, v in zip(pres.basis_of(d), res) if v}
-
-
 def _witness(ring: RingContext, residual: dict[int, Fraction]) -> str:
     """An integral residual as its class, a fractional one as
     (den * residual)/den with den the least common denominator."""
     den = lcm(*(Fraction(v).denominator for v in residual.values()))
     text = str(GradedClass(ring, {m: int(v * den) for m, v in residual.items()}))
     return text if den == 1 else f"({text})/{den}"
-
-
-def _ideal_pivot_rows(pres: ChowPresentation, gens: list[GradedClass], d: int, p: int) -> list[dict]:
-    """The pivot rows of the ideal's codegree-d rows, over Q or F_p."""
-    return list(_echelon(_ideal_rows(pres, gens, d), p).values())
 
 
 def verify_identity(
@@ -572,26 +541,11 @@ def verify_identity(
     the difference after the rules, minus its projection to the ideal's
     span in each codegree (over Q, or F_p in a mod-p context), printed as
     a class, or as (den * residual)/den when its coefficients are not
-    integers.
-
-    The ideal's rows in codegree d, as {column: coefficient} dicts, are
-    built and echeloned once per presentation, ideal and codegree, and
-    their pivot rows kept as ``("ideal-rows", d, *tables)``, one frozenset
-    of (monomial, coefficient) items per generator of the ideal; each
-    assertion makes one membership test per codegree against them, which
-    echelons the pivot rows again without an elimination."""
+    integers.  Each codegree's residual is ``numeric.ideal_residual``."""
     pres, gens, diff = _reduction(env, lhs, rhs, modulo)
-    p = pres.ring.modulus
-    tables = tuple(frozenset(g.table.items()) for g in gens)
-    residual: dict[int, Fraction] = {}
+    residual = {}
     for d in sorted(diff.codegrees()):
-        member = None
-        if gens:
-            rows = pres.kept(("ideal-rows", d, *tables), _ideal_pivot_rows, pres, gens, d, p)
-            member = lambda vec, rows=rows: (
-                modp_in_rowspan(rows, vec, p) if p else rational_in_rowspan(rows, vec)
-            )
-        residual.update(_residual(pres, member, diff, d))
+        residual.update(ideal_residual(pres, gens, diff, d))
     return not residual, _witness(pres.ring, residual) if residual else None
 
 
@@ -609,31 +563,12 @@ def verify_numerical(
     "(pairing against w)".
 
     This is the right notion for identities claimed only up to numerical
-    equivalence below the top codegree.
-
-    Each product of a part of lhs - rhs and a basis monomial w is read
-    from the ring's normal-form memo (``numeric._ideal_products``), with no
-    class product.  The ideal's top-codegree rows are echeloned from their
-    dict rows once per presentation and ideal, and the pivot rows kept as
-    ``("ideal-span", *tables)``, one frozenset of (monomial, coefficient)
-    items per generator of the ideal.  A product's nonzero top-codegree
-    coordinates are reduced against them in column order
-    (``numeric._reduce``), and a Fraction is built only for a nonzero
-    residual entry.
+    equivalence below the top codegree.  The products and their residuals
+    are ``numeric.pairing_residuals``.
     """
     pres, gens, diff = _reduction(env, lhs, rhs, modulo)
-    ring, n, p = pres.ring, pres.dim, pres.ring.modulus
-    pivots = None
-    if gens:
-        key = ("ideal-span", *(frozenset(g.table.items()) for g in gens))
-        pivots = pres.kept(key, lambda: _echelon(_ideal_rows(pres, gens, n), p))
-    top = pres.basis_of(n)
-    for b, prod in _ideal_products(pres, [diff], n):
-        if pivots is None:
-            residual = prod.table
-        else:
-            res, scale = _reduce(pivots, dict(pres._sparse_coordinates(prod, n)), p)
-            residual = {top[j]: v if p else Fraction(v, scale) for j, v in res.items()}
+    ring = pres.ring
+    for b, residual in pairing_residuals(pres, gens, diff):
         if residual:
             return False, f"{_witness(ring, residual)} (pairing against {GradedClass(ring, {b: 1})})"
     return True, None

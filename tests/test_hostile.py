@@ -19,7 +19,7 @@ import chowcalc
 from chowcalc.cli import main
 from chowcalc.milnor import MAX_GENERATORS, MAX_RHO_HEIGHT
 from chowcalc.report import ERROR, FAIL, PASS
-from chowcalc.rings import MAX_EXPONENT, Monomial, RingError
+from chowcalc.rings import MAX_EXPONENT, Monomial, RingError, _is_prime
 from chowcalc.script import (
     MAX_DEPTH,
     MAX_POW_BITS,
@@ -418,6 +418,50 @@ def test_homological_power_mod_odd_prime_is_quick(n, p, k):
         bound_s=2.0,
     )
     assert [r.verdict for r in results] == [PASS, PASS]
+
+
+def test_homological_power_of_a_huge_index_is_quick():
+    # only d_m(-T) with m(p - 1) at most the dimension can be nonzero, so
+    # the index bounds no loop; P_i(h^3) = 0 on P^2 for i >= 1
+    results = verdicts(
+        "(pspace P 2 (mod 2)) (assert-zero (trivial) (homological 100000000 h))",
+        bound_s=2.0,
+    )
+    assert [r.verdict for r in results] == [PASS]
+
+
+def test_huge_prime_modulus_is_quick():
+    # 10^18 + 3 is prime; primality is decided by Miller-Rabin, not by
+    # trial division up to its square root, and d(-T) is 1 without p - 2
+    # products, since p - 1 exceeds the dimension
+    results = verdicts(
+        "(pspace P 2 (mod 1000000000000000003)) (assert-zero (trivial) (pow h 3))"
+        "(assert-equal (trivial) (homological 0 h) h)"
+        "(assert-zero (trivial) (homological 3 h))",
+        bound_s=2.0,
+    )
+    assert [r.verdict for r in results] == [PASS, PASS, PASS]
+
+
+def test_primality_agrees_with_trial_division():
+    def by_trial_division(n):
+        return n > 1 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(10 ** 5) if _is_prime(n) != by_trial_division(n)] == []
+    assert _is_prime(2 ** 61 - 1)
+    assert not _is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+    # strong pseudoprimes to every prime base up to 23 and up to 37
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+
+
+def test_modulus_past_the_certified_bound_is_refused():
+    # 2^89 - 1 is prime, but above the bound the bases do not certify it
+    with pytest.raises(ValueError, match="primality is not certified"):
+        _is_prime(2 ** 89 - 1)
+    results = verdicts(f"(pspace P 2 (mod {2 ** 89 - 1}))")
+    assert [r.verdict for r in results] == [ERROR]
+    assert "primality is not certified" in results[0].detail
 
 
 def test_report_value_keeps_evaluation_errors():

@@ -12,7 +12,7 @@ import pytest
 from helpers import counting, kept_under, random_class, random_tower, reference_ideal_rows
 
 from chowcalc import numeric as nu
-from chowcalc import registry, script
+from chowcalc import registry
 from chowcalc.numeric import (
     _echelon,
     _integer_pairings,
@@ -353,7 +353,7 @@ class TestDictRows:
                 rows(X, [X.gen("h"), Y.gen("h")], 2)
 
     def test_ideal_rows_of_every_registry_ideal(self, monkeypatch):
-        calls = counting(monkeypatch, script, "_ideal_rows")
+        calls = counting(monkeypatch, nu, "_ideal_rows")
         assert registry.run_all(seed=0).ok
         monkeypatch.undo()
         # one call per presentation, ideal and codegree asserted against

@@ -617,15 +617,15 @@ class TestVerifyIdentity:
     def test_one_ideal_rows_build_per_codegree(self, monkeypatch):
         # A23-L2-SL1 makes five assertions modulo Snum on one blow-up; the
         # rows of each codegree are built once and kept on it
-        from chowcalc import registry, script
+        from chowcalc import numeric, registry, script
 
         verifies = counting(monkeypatch, script, "verify_identity")
-        builds = counting(monkeypatch, script, "_ideal_rows")
+        builds = counting(monkeypatch, numeric, "_ideal_rows")
         assert registry.run("A23-L2-SL1").ok
         assert sum(1 for args in verifies if args[3:] and args[3]) == 5
         assert [d for _, _, d in builds] == [5]
         (X, gens, d), = builds
-        assert list(kept_under(X, "ideal-rows")) == [(5, frozenset(gens[0].table.items()))]
+        assert list(kept_under(X, "ideal")) == [(5, frozenset(gens[0].table.items()))]
 
     @pytest.mark.parametrize("p", [0, 2, 3])
     def test_kept_ideal_rows_are_pivot_rows(self, monkeypatch, p):
@@ -646,11 +646,13 @@ class TestVerifyIdentity:
         J = _IdealDecl([a * 2 + b, a * 3])
         c = random_class(X.ring, random.Random(8))
         assert verify_identity(env, (a * 2 + b) * c, X.zero(), [J]) == (True, None)
-        kept = kept_under(X, "ideal-rows")
+        kept = kept_under(X, "ideal")
         assert kept
         eliminations = counting(monkeypatch, numeric, "_eliminate")
-        for rows in kept.values():
+        for pivots in kept.values():
+            rows = list(pivots.values())
             leads = [min(r) for r in rows]
+            assert leads == list(pivots)
             assert len(set(leads)) == len(rows)
             for r, lead in zip(rows, leads):
                 assert r[lead] == 1 if p else (r[lead] > 0 and gcd(*r.values()) == 1)
@@ -673,8 +675,8 @@ class TestVerifyIdentity:
         assert verify_identity(env, x * y, z * z, [R]) == (True, None)
         assert len(builds) == 1
         (copy,) = kept_under(X, "with-rules").values()
-        assert kept_under(X, "ideal-rows") == {}
-        assert [key[0] for key in kept_under(copy, "ideal-rows")] == [2]
+        assert kept_under(X, "ideal") == {}
+        assert [key[0] for key in kept_under(copy, "ideal")] == [2]
 
     @pytest.mark.parametrize("form", ["assert-zero", "assert-numzero"])
     def test_ideal_generator_from_another_context(self, form):
@@ -686,14 +688,14 @@ class TestVerifyIdentity:
             (ERROR, "EvalError: ideal generators live in a different context")]
 
     def test_ideal_rows_refuse_a_generator_of_another_ring(self):
-        from chowcalc.numeric import _ideal_rows
+        from chowcalc.numeric import _ideal_pivots
         from chowcalc.rings import RingError
 
         X = generic_context([("x", 1)], 2)
         Y = generic_context([("x", 1)], 2)
         with pytest.raises(RingError, match="different ring"):
-            X.kept(("ideal-rows", 1), _ideal_rows, X, [X.gen("x"), Y.gen("x")], 1)
-        assert kept_under(X, "ideal-rows") == {}
+            _ideal_pivots(X, [X.gen("x"), Y.gen("x")], 1)
+        assert kept_under(X, "ideal") == {}
 
 
 def dense_verdicts(env, lhs, rhs, modulo):
@@ -858,6 +860,24 @@ class TestVerifyNumerical:
         assert [r.verdict for r in rep.results] == [PASS, FAIL, PASS, FAIL, FAIL]
         assert len(calls) == 2
 
+    def test_identity_and_numerical_checks_share_one_echelon(self, monkeypatch):
+        # an identity check whose difference has a top-codegree part keeps
+        # the echelon a numerical check modulo the same ideal reads
+        from chowcalc import numeric
+
+        builds = counting(monkeypatch, numeric, "_ideal_rows")
+        rep = run_scenario(parse_script(
+            "(generic X 2 (gens (x 1) (y 1)))(declare-ideal J (mul x y))"
+            "(assert-equal (trivial) (add x (mul x y)) x (modulo J))"
+            "(assert-numzero (trivial) (mul y x) (modulo J))"
+            "(assert-numzero (trivial) (sub x y) (modulo J))"
+        ))
+        assert [(r.verdict, r.witness) for r in rep.results] == [
+            (PASS, None), (PASS, None), (FAIL, "x^2 (pairing against x)")]
+        assert [d for _, _, d in builds] == [2]
+        (X, gens, _), = builds
+        assert list(kept_under(X, "ideal")) == [(2, frozenset(gens[0].table.items()))]
+
     def test_one_span_per_ideal(self):
         from chowcalc.script import _IdealDecl
 
@@ -871,9 +891,9 @@ class TestVerifyNumerical:
         assert verify_numerical(env, x, X.zero(), [J]) == (False, "x^2 (pairing against x)")
         # the same generators, built again, find the same span
         assert verify_numerical(env, y * x, X.zero(), [_IdealDecl([y * x])]) == (True, None)
-        assert len(kept_under(X, "ideal-span")) == 1
+        assert len(kept_under(X, "ideal")) == 1
         assert verify_numerical(env, x, X.zero(), [_IdealDecl([x * x])]) == (False, "x*y (pairing against y)")
-        assert len(kept_under(X, "ideal-span")) == 2
+        assert len(kept_under(X, "ideal")) == 2
 
 
 class TestReports:
