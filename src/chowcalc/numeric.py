@@ -53,9 +53,8 @@ each product's nonzero coordinates.  One product loop
 ``pairing_residuals`` and ``kernel_is_ideal``: it reads each product of a
 class part and a basis monomial straight from the ring's normal-form
 memo, with no basis class and no class product.  One reduction
-(``_reduce``) serves ideal membership (``rational_in_rowspan``,
-``modp_in_rowspan``, or ``rowspan_residuals`` for many vectors against
-one echelon form), the quotient map ``GammaQuotient.project`` and
+(``_reduce``) serves ideal membership (``rational_in_rowspan`` and
+``modp_in_rowspan``), the quotient map ``GammaQuotient.project`` and
 ``pairing_residuals``: it reduces a vector against the pivot rows in
 increasing column order and returns the nonzero entries of the residual
 as a dict, so the residual is zero on every pivot column; the pivot
@@ -76,7 +75,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 from operator import mul
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .rings import GradedClass, RingContext, RingError, _is_prime
 from .varieties import ChowPresentation, CoverageError, TangentUnavailable
@@ -229,15 +228,6 @@ def _membership(pivots: dict[int, _Row], vec: Sequence[int], p: int) -> tuple[bo
     return not res, _dense(res, len(vec), 0 if p else _ZERO)
 
 
-def rowspan_residuals(rows: _Rows, p: int) -> Callable[[list[int]], list]:
-    """Echelon rows (dense or dicts) once, over Q for p = 0 and over F_p
-    otherwise; returns the map from a vector to its residual modulo the row
-    span, as ``rational_in_rowspan`` (Fractions) or ``modp_in_rowspan``
-    (ints) give it."""
-    pivots = _echelon(rows, p)
-    return lambda vec: _membership(pivots, vec, p)[1]
-
-
 def modp_in_rowspan(rows: _Rows, vec: list[int], p: int) -> tuple[bool, list[int]]:
     """Membership of vec in the row span over F_p; returns (ok, residual)."""
     return _membership(_echelon(rows, p), vec, p)
@@ -334,10 +324,10 @@ class CodegreePairing:
 class PairingReport:
     __slots__ = ("variety", "prime", "codegrees")
 
-    def __init__(self, variety: str, prime: int, codegrees: Optional[dict[int, CodegreePairing]] = None):
+    def __init__(self, variety: str, prime: int):
         self.variety = variety
         self.prime = prime
-        self.codegrees = {} if codegrees is None else codegrees
+        self.codegrees: dict[int, CodegreePairing] = {}
 
     def to_json(self) -> dict:
         return {

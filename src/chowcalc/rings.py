@@ -225,12 +225,6 @@ def mono_mul(a: int, b: int) -> int:
     return m
 
 
-def mono_divides(k: int, m: int) -> bool:
-    """Whether k divides m: every exponent of m is at least k's."""
-    g = _guards(_fields(k))
-    return (m | g) - k & g == g
-
-
 class Monomial(int):
     """The key of a monomial, built from (generator index, exponent) pairs.
 
@@ -239,9 +233,8 @@ class Monomial(int):
     ``ValueError`` and an exponent above ``MAX_EXPONENT`` with
     ``RingError``, and returns the key (see the module docstring) as this
     int subclass, whose ``exps`` (the pairs with positive exponents, by
-    index) and ``support`` (the sum of 2^i over them) decode it.  It keeps
-    int's hash and equality, so a plain int key finds its entries; sums and
-    differences of keys are plain ints.
+    index) decodes it.  It keeps int's hash and equality, so a plain int
+    key finds its entries; sums and differences of keys are plain ints.
     """
 
     __slots__ = ()
@@ -262,10 +255,6 @@ class Monomial(int):
     @property
     def exps(self) -> tuple[tuple[int, int], ...]:
         return exponents(self)
-
-    @property
-    def support(self) -> int:
-        return sum(1 << i for i, _ in exponents(self))
 
     def __repr__(self) -> str:
         return f"Monomial({self.exps!r})"

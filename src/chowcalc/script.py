@@ -28,6 +28,12 @@ Grammar (informal):
                  e.g. the matrix ((20 -2) (5 1)), reported as written
     TAG       := (lemma ID) | (trivial) | (derived)
 
+    A context form's clauses come in any order, each at most once.  A
+    clause the form does not take, a repeated GEN or MONO, an operand of
+    another shape, or a NAME, XI, E or GEN that is not an identifier is an
+    error verdict whose detail is the form's usage line; X, Y, BASE and
+    CTX must name presentations.
+
     The num- variants check the identity against every basis class of
     complementary codegree, the right notion for claims that hold only up
     to numerical equivalence below the top codegree.  Expression heads:
@@ -231,17 +237,11 @@ class _RulesDecl:
 class Env:
     __slots__ = ("bindings", "current", "pres_by_ring", "notes")
 
-    def __init__(
-        self,
-        bindings: Optional[dict] = None,
-        current: object = None,
-        pres_by_ring: Optional[dict] = None,
-        notes: Optional[dict] = None,
-    ):
-        self.bindings = {} if bindings is None else bindings
-        self.current = current
-        self.pres_by_ring = {} if pres_by_ring is None else pres_by_ring
-        self.notes = {} if notes is None else notes  # report notes as keys, first seen first
+    def __init__(self):
+        self.bindings: dict = {}
+        self.current = None
+        self.pres_by_ring: dict = {}
+        self.notes: dict = {}  # report notes as keys, first seen first
 
     def define(self, name: str, value) -> None:
         self.bindings[name] = value
@@ -292,22 +292,39 @@ def _head(form) -> str:
     return form[0]
 
 
-def _clauses(args: list) -> dict[str, list]:
-    out: dict[str, list] = {}
-    for a in args:
-        _expect(isinstance(a, list) and a and isinstance(a[0], str), "expected a clause")
-        out.setdefault(a[0], []).append(a[1:])
-    return out
+def _read_form(args: list, kinds: tuple, names: tuple, usage: str, required: tuple = ()) -> tuple[list, dict]:
+    """The operands of a context form, one of each type in kinds, and its
+    clauses by name, each as its list of values; EvalError with the usage
+    when an operand is missing or of another type, or a clause is not
+    (NAME ...) with NAME in names, comes twice or, if required, is
+    absent."""
+    ops = args[: len(kinds)]
+    _expect(len(ops) == len(kinds) and all(map(isinstance, ops, kinds)), usage)
+    clauses: dict[str, list] = {}
+    for a in args[len(kinds) :]:
+        _expect(isinstance(a, list) and a and a[0] in names and a[0] not in clauses, usage)
+        clauses[a[0]] = a[1:]
+    _expect(all(r in clauses for r in required), usage)
+    return ops, clauses
 
 
 def _single(clauses: dict[str, list], name: str, default, usage: str):
     """The one value of clause NAME, or default when it is absent;
-    EvalError with the usage when the clause has another number of values
-    or comes twice."""
+    EvalError with the usage when the clause has another number of
+    values."""
     if name not in clauses:
         return default
-    _expect(len(clauses[name]) == 1 and len(clauses[name][0]) == 1, usage)
-    return clauses[name][0][0]
+    _expect(len(clauses[name]) == 1, usage)
+    return clauses[name][0]
+
+
+def _presentation(env: Env, name, usage: str) -> ChowPresentation:
+    """The presentation bound to name; EvalError with the usage when name
+    is not an identifier or is bound to something else."""
+    _expect(isinstance(name, str), usage)
+    pres = env.lookup(name)
+    _expect(isinstance(pres, ChowPresentation), usage)
+    return pres
 
 
 # ---------------------------------------------------------------------------
@@ -454,25 +471,19 @@ def eval_expr(env: Env, node):
         c = _as_class(env, ev(args[1]))
         return chops.homological_power(env.presentation_of(c), c, args[0])
     if head == "tangent":
-        _expect(len(args) == 1 and isinstance(args[0], str), "(tangent CTX)")
-        pres = env.lookup(args[0])
-        _expect(isinstance(pres, ChowPresentation), "tangent needs a presentation")
-        return pres.tangent_class()
+        _expect(len(args) == 1, "(tangent CTX)")
+        return _presentation(env, args[0], "(tangent CTX)").tangent_class()
     if head == "inv-total":
         _expect(len(args) == 1, "(inv-total a)")
         from .rings import inverse_series
 
         return inverse_series(_as_class(env, ev(args[0])))
     if head == "pullback":
-        _expect(len(args) == 2 and isinstance(args[0], str), "(pullback CTX a)")
-        pres = env.lookup(args[0])
-        _expect(isinstance(pres, ChowPresentation), "pullback target must be a presentation")
-        return pres.pullback(_as_class(env, ev(args[1])))
+        _expect(len(args) == 2, "(pullback CTX a)")
+        return _presentation(env, args[0], "(pullback CTX a)").pullback(_as_class(env, ev(args[1])))
     if head == "pushforward":
-        _expect(len(args) == 2 and isinstance(args[0], str), "(pushforward CTX a)")
-        pres = env.lookup(args[0])
-        _expect(isinstance(pres, ChowPresentation), "pushforward source must be a presentation")
-        return pres.pushforward(_as_class(env, ev(args[1])))
+        _expect(len(args) == 2, "(pushforward CTX a)")
+        return _presentation(env, args[0], "(pushforward CTX a)").pushforward(_as_class(env, ev(args[1])))
     if head == "qapply":
         _expect(len(args) == 2 and isinstance(args[0], int), "(qapply i x)")
         x = ev(args[1])
@@ -614,46 +625,48 @@ def _eval_rule_pairs(env: Env, pairs):
     return rules
 
 
+_CONTEXT_USAGE = {
+    "pspace": "(pspace [NAME] N [(mod P)])",
+    "product": "(product NAME X Y)",
+    "pbundle": "(pbundle NAME BASE XI (roots expr ...))",
+    "blowup": "(blowup NAME BASE E (class expr) (roots expr ...) ...)",
+    "generic": "(generic NAME DIM [(mod P)] (gens (NAME CODEG) ...) ...)",
+    "milnor": "(milnor NAME M [(rho-height T)])",
+    "flexible": "(flexible NAME N)",
+}
+_CONTEXT_HEADS = set(_CONTEXT_USAGE)
+
+
 def _eval_context_form(env: Env, form: list) -> None:
     head = _head(form)
+    _expect(head in _CONTEXT_USAGE, f"unknown context form {head!r}")
+    usage = _CONTEXT_USAGE[head]
     args = form[1:]
     if head == "pspace":
-        if args and isinstance(args[0], int):
-            name = None
-            n = args[0]
-            rest = args[1:]
-        else:
-            _expect(len(args) >= 2 and isinstance(args[0], str) and isinstance(args[1], int), "(pspace NAME N)")
-            name, n, rest = args[0], args[1], args[2:]
-        clauses = _clauses(rest)
-        mod = _single(clauses, "mod", 0, "(pspace [NAME] N [(mod P)])")
-        value = projective_space(n, modulus=mod, name=name)
+        unnamed = bool(args) and isinstance(args[0], int)
+        ops, clauses = _read_form(args, (int,) if unnamed else (str, int), ("mod",), usage)
+        value = projective_space(ops[-1], modulus=_single(clauses, "mod", 0, usage), name=None if unnamed else ops[0])
         name = value.name
     elif head == "product":
-        _expect(len(args) == 3, "(product NAME X Y)")
-        name = args[0]
-        X = env.lookup(args[1])
-        Y = env.lookup(args[2])
-        value = product(X, Y, name=name)
+        (name, x, y), _ = _read_form(args, (str, str, str), (), usage)
+        value = product(_presentation(env, x, usage), _presentation(env, y, usage), name=name)
     elif head == "pbundle":
-        _expect(len(args) >= 4, "(pbundle NAME BASE XI (roots ...))")
-        name, base_name, xi = args[0], args[1], args[2]
-        base = env.lookup(base_name)
+        (name, base, xi), clauses = _read_form(args, (str, str, str), ("roots",), usage, ("roots",))
+        base = _presentation(env, base, usage)
         with env.within(base):
-            roots = _eval_roots(env, args[3])
+            roots = _eval_roots(env, ["roots", *clauses["roots"]])
         value = projective_bundle(base, roots, fiber_gen=xi, name=name)
     elif head == "blowup":
-        _expect(len(args) >= 5, "(blowup NAME BASE E (class ...) (roots ...) ...)")
-        name, base_name, egen = args[0], args[1], args[2]
-        base = env.lookup(base_name)
+        (name, base, egen), clauses = _read_form(
+            args, (str, str, str), ("class", "roots", "restrict", "rules"), usage, ("class", "roots"))
+        base = _presentation(env, base, usage)
         with env.within(base):
-            clauses = _clauses(args[3:])
-            _expect("class" in clauses and "roots" in clauses, "blowup needs (class ...) and (roots ...)")
-            fundamental = _as_class(env, eval_expr(env, clauses["class"][0][0]))
-            roots = _eval_roots(env, ["roots", *clauses["roots"][0]])
+            fundamental = _as_class(env, eval_expr(env, _single(clauses, "class", None, usage)))
+            roots = _eval_roots(env, ["roots", *clauses["roots"]])
             restriction = {}
-            for entry in clauses.get("restrict", [[]])[0]:
-                _expect(isinstance(entry, list) and len(entry) == 2, "(restrict (GEN expr) ...)")
+            for entry in clauses.get("restrict", ()):
+                _expect(isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                        and entry[0] not in restriction, usage)
                 restriction[entry[0]] = _as_class(env, eval_expr(env, entry[1]))
         center = CenterData(fundamental=fundamental, roots=roots, restriction=restriction, name=f"Z({name})")
         value = blow_up(base, center, exceptional_gen=egen, name=name)
@@ -661,18 +674,15 @@ def _eval_context_form(env: Env, form: list) -> None:
             # declared rules mention the new exceptional generator, so they are
             # evaluated on the freshly built presentation and added to it
             with env.within(value):
-                extra = _eval_rule_pairs(env, clauses["rules"][0])
+                extra = _eval_rule_pairs(env, clauses["rules"])
             value = value.with_rules(extra)
     elif head == "generic":
-        _expect(len(args) >= 2 and isinstance(args[0], str) and isinstance(args[1], int), "(generic NAME DIM ...)")
-        name, dim = args[0], args[1]
-        clauses = _clauses(args[2:])
-        mod = _single(clauses, "mod", 0, "(generic NAME DIM [(mod P)] (gens (NAME CODEG) ...) ...)")
-        _expect("gens" in clauses, "generic needs a (gens ...) clause")
-        gens = []
-        for g in clauses["gens"][0]:
-            _expect(isinstance(g, list) and len(g) == 2, "(gens (NAME CODEG) ...)")
-            gens.append((g[0], g[1]))
+        (name, dim), clauses = _read_form(
+            args, (str, int), ("mod", "gens", "rules", "degrees", "tangent"), usage, ("gens",))
+        mod = _single(clauses, "mod", 0, usage)
+        gens = clauses["gens"]
+        _expect(all(isinstance(g, list) and len(g) == 2 and isinstance(g[0], str) and isinstance(g[1], int)
+                    for g in gens), usage)
         rules, degrees, tangent_tbl = [], {}, None
         if clauses.keys() & {"rules", "degrees", "tangent"}:
             # the clauses are read on a rule-free presentation, which lists
@@ -680,36 +690,31 @@ def _eval_context_form(env: Env, form: list) -> None:
             # a clause that fails leaves the environment as it was
             ring = RingContext([n for n, _ in gens], [d for _, d in gens], modulus=mod, dimension=dim)
             with env.within(_generic_presentation(ring, lambda: enumerate_basis(ring), None, None, name)):
-                if "rules" in clauses:
-                    rules = _eval_rule_pairs(env, clauses["rules"][0])
-                for entry in clauses.get("degrees", [[]])[0]:
-                    _expect(isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int), "(degrees (MONO INT) ...)")
+                rules = _eval_rule_pairs(env, clauses.get("rules", ()))
+                for entry in clauses.get("degrees", ()):
+                    _expect(isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int), usage)
                     mono_cls = _as_class(env, eval_expr(env, entry[0]))
-                    _expect(len(mono_cls.table) == 1 and set(mono_cls.table.values()) == {1}, "degree entries need monic monomials")
-                    degrees[next(iter(mono_cls.table))] = entry[1]
+                    _expect(len(mono_cls.table) == 1 and set(mono_cls.table.values()) == {1},
+                            "degree entries need monic monomials")
+                    mono = next(iter(mono_cls.table))
+                    _expect(mono not in degrees, usage)
+                    degrees[mono] = entry[1]
                 if "tangent" in clauses:
-                    tangent_tbl = dict(_as_class(env, eval_expr(env, clauses["tangent"][0][0])).table)
+                    tangent_tbl = dict(_as_class(env, eval_expr(env, _single(clauses, "tangent", None, usage))).table)
         # the presentation is built once, with its rules, so its basis is
         # enumerated once
         value = generic_context(gens, dim, rules, mod, degrees or None, tangent_tbl, name)
     elif head == "milnor":
-        _expect(len(args) >= 2 and isinstance(args[1], int), "(milnor NAME M ...)")
-        name = args[0]
-        clauses = _clauses(args[2:])
-        height = _single(clauses, "rho-height", 1, "(milnor NAME M [(rho-height T)])")
-        value = miln.make_ring(args[1], miln.truncated_symbol_ia(height), name=name)
-    elif head == "flexible":
-        _expect(len(args) == 2 and isinstance(args[1], int), "(flexible NAME N)")
-        name = args[0]
-        value = miln.flexible_cohomology(args[1])
-        value.name = name
+        (name, m), clauses = _read_form(args, (str, int), ("rho-height",), usage)
+        value = miln.make_ring(m, miln.truncated_symbol_ia(_single(clauses, "rho-height", 1, usage)), name=name)
     else:
-        raise EvalError(f"unknown context form {head!r}")
+        (name, n), _ = _read_form(args, (str, int), (), usage)
+        value = miln.flexible_cohomology(n)
+        value.name = name
     env.define(name, value)
     env.current = value
 
 
-_CONTEXT_HEADS = {"pspace", "product", "pbundle", "blowup", "generic", "milnor", "flexible"}
 _ASSERT_USAGE = {
     "assert-zero": "(assert-zero TAG expr [(modulo NAME ...)])",
     "assert-equal": "(assert-equal TAG expr expr [(modulo NAME ...)])",
@@ -781,9 +786,7 @@ def _eval_assertion(env: Env, form: list, aid: str) -> AssertionResult:
         return done(got == want, f"degree {got}, wanted {want}", str(got))
     if head == "assert-kernel-dim":
         _expect(len(form) == 6 and all(isinstance(x, int) for x in form[3:]), usage)
-        pres = env.lookup(form[2])
-        _expect(isinstance(pres, ChowPresentation), "kernel check needs a presentation")
-        kernel, _ = numerical_kernel(pres, form[3], form[4])
+        kernel, _ = numerical_kernel(_presentation(env, form[2], usage), form[3], form[4])
         return done(len(kernel) == form[5], f"kernel dimension {len(kernel)}, wanted {form[5]}",
                     ", ".join(map(str, kernel)))
     if head == "assert-comult":

@@ -120,11 +120,6 @@ class BundleRoots:
     def rank(self) -> int:
         return sum(s for s, _ in self.entries)
 
-    def union(self, other: "BundleRoots") -> "BundleRoots":
-        if other.ring is not self.ring:
-            raise ContextMismatch("roots in different rings")
-        return BundleRoots(self.ring, self.entries + other.entries)
-
 
 def _product_over_roots(roots: BundleRoots, power: int) -> GradedClass:
     """prod over + roots x of (1 + x^power), divided by the same product over
@@ -321,9 +316,6 @@ class ChowPresentation:
         if d < 0 or d > self.dim:
             return ()
         return self.basis[d]
-
-    def basis_classes(self, d: int) -> list[GradedClass]:
-        return [GradedClass(self.ring, {m: 1}) for m in self.basis_of(d)]
 
     def coordinates(self, c: GradedClass, d: int) -> list[int]:
         """Coordinates of the codegree-d part of c in the stored basis."""

@@ -77,6 +77,11 @@ def kept_under(X, tag: str) -> dict:
     return {key[1:]: value for key, value in X._derived.items() if key[0] == tag}
 
 
+def basis_classes(X, d: int) -> list[GradedClass]:
+    """The basis monomials of X in codegree d, each as a class."""
+    return [GradedClass(X.ring, {m: 1}) for m in X.basis_of(d)]
+
+
 def reference_ideal_rows(X, gens, d: int) -> list[list[int]]:
     """Coordinate rows of each generator's parts times every basis class,
     as far as the product lands in codegree d, by class products."""
@@ -85,7 +90,7 @@ def reference_ideal_rows(X, gens, d: int) -> list[list[int]]:
         for gd in sorted(g.codegrees()):
             if gd <= d:
                 part = g.homogeneous_part(gd)
-                rows += [X.coordinates(part * b, d) for b in X.basis_classes(d - gd)]
+                rows += [X.coordinates(part * b, d) for b in basis_classes(X, d - gd)]
     return rows
 
 

@@ -22,6 +22,7 @@ from chowcalc.script import (
 )
 from chowcalc.varieties import ChowPresentation, generic_context
 from helpers import (
+    basis_classes,
     counting,
     kept_under,
     random_class,
@@ -552,6 +553,70 @@ class TestEvaluator:
         rep = run_scenario(parse_script(form))
         assert [(r.verdict, r.detail) for r in rep.results] == [(ERROR, f"EvalError: {usage} in {form}")]
 
+    PBUNDLE_USAGE = "(pbundle NAME BASE XI (roots expr ...))"
+    BLOWUP_USAGE = "(blowup NAME BASE E (class expr) (roots expr ...) ...)"
+    BLOWUP = "(blowup B P e (class (mul h h)) (roots h h)"
+
+    @pytest.mark.parametrize("form, usage", [
+        # a clause given twice, or one the form does not take
+        ("(generic X 2 (gens (x 1)) (gens (y 1)))", GENERIC_USAGE),
+        ("(generic X 2 (gens (x 1)) (rules ((mul x x) 0)) (rules ((pow x 3) 0)))", GENERIC_USAGE),
+        ("(generic X 2 (gens (x 1)) (degrees ((pow x 2) 1)) (degrees ((pow x 2) 2)))", GENERIC_USAGE),
+        ("(generic X 2 (gens (x 1)) (degrees ((pow x 2) 1) ((pow x 2) 2)))", GENERIC_USAGE),
+        ("(generic X 2 (gens (x 1)) (tangent 1) (tangent x))", GENERIC_USAGE),
+        ("(generic X 2 (gens (x 1)) (foo 1))", GENERIC_USAGE),
+        (f"{BLOWUP} (class h))", BLOWUP_USAGE),
+        (f"{BLOWUP} (roots h h))", BLOWUP_USAGE),
+        (f"{BLOWUP} (restrict (h 0)) (restrict (h h)))", BLOWUP_USAGE),
+        (f"{BLOWUP} (restrict (h 0) (h h)))", BLOWUP_USAGE),
+        (f"{BLOWUP} (rules ((pow e 3) 0)) (rules ((pow e 4) 0)))", BLOWUP_USAGE),
+        (f"{BLOWUP} junk)", BLOWUP_USAGE),
+        ("(pbundle E P xi (roots h) (roots h h))", PBUNDLE_USAGE),
+        ("(milnor M 2 (foo 1))", MILNOR_USAGE),
+        # a clause entry or an operand of the wrong shape
+        ("(generic X 2 (gens (x a)))", GENERIC_USAGE),
+        ("(generic X 2 (gens ((a) 1)))", GENERIC_USAGE),
+        ("(generic X 2 (gens (x 1)) (tangent))", GENERIC_USAGE),
+        ("(blowup B P e (class) (roots h h))", BLOWUP_USAGE),
+        (f"{BLOWUP} (restrict ((h) 0)))", BLOWUP_USAGE),
+        ("(product Q P a)", "(product NAME X Y)"),
+        ("(product (Q) P P)", "(product NAME X Y)"),
+        ("(pspace P 2 3)", PSPACE_USAGE),
+        # an integer, or a list, where a name belongs
+        ("(generic X 2 (gens (1 1)))", GENERIC_USAGE),
+        ("(pbundle E P 3 (roots h h))", PBUNDLE_USAGE),
+        ("(blowup B P (e) (class (mul h h)) (roots h h))", BLOWUP_USAGE),
+        ("(milnor 3 3)", MILNOR_USAGE),
+    ])
+    def test_context_forms_refuse_what_they_would_drop(self, form, usage):
+        # each clause is read once, by the one reader that refuses a repeat,
+        # so no clause is dropped and no Python error escapes
+        rep = run_scenario(parse_script(f"(pspace P 2) (let a h) {form}"))
+        assert [(r.verdict, r.detail) for r in rep.results] == [(ERROR, f"EvalError: {usage} in {form}")]
+
+    def test_a_repeated_rules_clause_is_not_ignored(self):
+        # the second (rules ...) used to be dropped, so x^2 failed to vanish
+        rep = run_scenario(parse_script(
+            "(generic X 2 (gens (x 1) (y 1)) (rules ((mul x y) 0)) (rules ((pow x 2) 0)))"
+            "(assert-zero (trivial) (pow x 2))"
+        ))
+        assert [r.verdict for r in rep.results] == [ERROR, ERROR]
+        assert rep.results[0].detail.startswith(f"EvalError: {self.GENERIC_USAGE} in ")
+
+    @pytest.mark.parametrize("expr, usage", [
+        ("(tangent a)", "(tangent CTX)"),
+        ("(tangent 3)", "(tangent CTX)"),
+        ("(pullback a h)", "(pullback CTX a)"),
+        ("(pushforward M h)", "(pushforward CTX a)"),
+    ])
+    def test_presentation_operands_are_usage_errors(self, expr, usage):
+        rep = run_scenario(parse_script(
+            f"(milnor M 2) (pspace P 2) (let a h) (assert-zero (trivial) {expr})"
+            "(assert-kernel-dim (trivial) a 1 2 0)"
+        ))
+        assert [(r.verdict, r.detail) for r in rep.results] == [
+            (ERROR, f"EvalError: {usage}"), (ERROR, "EvalError: (assert-kernel-dim TAG CTX CODEG PRIME INT)")]
+
     def test_negative_generic_dimension_is_an_error(self):
         rep = run_scenario(parse_script("(generic X -1 (gens (x 1))) (generic Y 0 (gens (x 1)))"))
         assert [(r.id, r.verdict, r.detail) for r in rep.results] == [
@@ -731,7 +796,7 @@ def dense_verdicts(env, lhs, rhs, modulo):
     numerical = (True, None)
     for d in sorted(diff.codegrees()):
         part = diff.homogeneous_part(d)
-        found = next(((w, r) for w in pres.basis_classes(n - d) if (r := residual(part * w, n))), None)
+        found = next(((w, r) for w in basis_classes(pres, n - d) if (r := residual(part * w, n))), None)
         if found:
             numerical = (False, f"{_witness(pres.ring, found[1])} (pairing against {found[0]})")
             break

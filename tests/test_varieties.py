@@ -27,6 +27,7 @@ from chowcalc.varieties import (
     projective_space,
 )
 from helpers import (
+    basis_classes,
     counting,
     kept_under,
     random_class,
@@ -640,9 +641,9 @@ def projection_formula_failures(F) -> int:
     Y = F.base
     failures = 0
     for d in range(F.dim + 1):
-        for u in F.basis_classes(d):
+        for u in basis_classes(F, d):
             pushed = F.pushforward(u)
-            for w in Y.basis_classes(F.dim - d):
+            for w in basis_classes(Y, F.dim - d):
                 failures += F.degree(u * F.pullback(w)) != Y.degree(pushed * w)
     return failures
 
