@@ -94,7 +94,8 @@ No floating point is used anywhere; everything is exact.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
 class RingError(Exception):
@@ -288,22 +289,33 @@ def minimal_monomials(monomials: Iterable[int]) -> set[int]:
     minimal: set[int] = set()
     for m in distinct:
         s = _compact((m + low) & g)
-        outside = ~s
-        mg = m | g
-        divisible = False
-        for t, group in by_support.items():
-            if t & outside:
-                continue
-            for k in group:
-                if (mg - k) & g == g:
-                    divisible = True
-                    break
-            if divisible:
-                break
-        if not divisible:
+        if not _properly_divided(s, m, by_support, g):
             by_support.setdefault(s, []).append(m)
             minimal.add(m)
     return minimal
+
+
+def _by_support(leads: Iterable[tuple]) -> dict[int, list[int]]:
+    """The leads of (support, lead, ...) tuples, grouped by support."""
+    groups: dict[int, list[int]] = {}
+    for entry in leads:
+        groups.setdefault(entry[0], []).append(entry[1])
+    return groups
+
+
+def _properly_divided(s: int, m: int, groups: dict[int, list[int]], g: int) -> bool:
+    """Whether a key other than m of groups, keys grouped by support,
+    divides m, whose support is s, all within the guard bits g.  Only the
+    groups whose support lies inside s are scanned, since a divisor's
+    generators all are: one mask test passes or skips a whole group."""
+    outside = ~s
+    mg = m | g
+    for t, group in groups.items():
+        if not t & outside:
+            for k in group:
+                if (mg - k) & g == g and k != m:
+                    return True
+    return False
 
 
 class RewriteRule:
@@ -352,12 +364,20 @@ class RingContext:
     coefficients are reduced, when the modulus differs; they are tested
     like the others, so a rule kept over Z may be dropped mod p.  A ring
     records in ``_all_minimal`` whether every rule it stores was kept as
-    minimal, none only because the kept rules do not imply it.  A copy
-    that declares no rules, with the base's dimension, of a base with
-    ``_all_minimal`` stores the base's rules in order, coefficients
-    reduced, and skips the tests: the leads are minimal among themselves
-    and each replacement is irreducible and truncated under them, so the
-    tests would keep and store every rule as it is.
+    minimal, none only because the kept rules do not imply it.
+
+    A base with ``_all_minimal`` and the ring's dimension is trusted: its
+    leads are minimal among themselves, and each of its replacements is
+    irreducible under them and truncated.  So a base lead is tested for
+    minimality only against the declared leads and a declared lead
+    against all leads, and a base replacement is reduced again only when
+    a kept declared lead divides one of its monomials; the base's rules
+    and ``_leads`` entries are reused when the modulus is the same.  A
+    copy that declares no rules is the case with no declared leads: it
+    stores the base's rules in order, coefficients reduced, untested.
+    Each step stores what the flat declaration (the base's rules, then
+    the declared ones, with no base) stores; any other base runs every
+    test over all the rules, as the flat declaration does.
 
     ``_guard`` holds the guard bits of the ring's fields and ``_low`` the
     bits below each guard bit, so (m + _low) & _guard holds the guard bits
@@ -438,15 +458,7 @@ class RingContext:
     # -- construction -------------------------------------------------
 
     def _install_rules(self, base: Optional["RingContext"], raw) -> None:
-        if base is not None and base._all_minimal and base.dimension == self.dimension and not raw:
-            # a copy: the tests below would store the base's rules as they are
-            self._store([(k, r.lead, self._reduced(dict(r.replacement)))
-                         for k, r in enumerate(base.rules)])
-            self._all_minimal = True
-            return
-        staged = [] if base is None else [(r.lead, dict(r.replacement)) for r in base.rules]
-        if base is not None and base.modulus != self.modulus:
-            staged = [(lead, self._reduced(table)) for lead, table in staged]
+        declared = []
         for lead, repl in raw:
             if lead == 0:
                 raise InvalidRule("unit monomial cannot be a rule lead")
@@ -458,52 +470,135 @@ class RingContext:
                         f"inhomogeneous rule: lead codegree {lead_cd}, "
                         f"replacement has codegree {self.monomial_codegree(m)}"
                     )
-            staged.append((lead, table))
+            declared.append((lead, table))
+        if base is not None and base._all_minimal and base.dimension == self.dimension:
+            self._extend(base, declared)
+            return
+        staged = declared
+        if base is not None:
+            staged = [(r.lead, dict(r.replacement)) for r in base.rules]
+            if base.modulus != self.modulus:
+                staged = [(lead, self._reduced(table)) for lead, table in staged]
+            staged += declared
         minimal = minimal_monomials(lead for lead, _ in staged)
         keep = [lead in minimal for lead, _ in staged]
+        self._settle([], staged, keep)
+
+    def _extend(self, base: "RingContext", declared: list[tuple[int, dict]]) -> None:
+        """Store what the flat declaration of base's rules, then the
+        declared (lead, table) pairs, stores, for a trusted base (see the
+        class docstring)."""
+        p = self.modulus
+        leads = []
+        for k, entry in enumerate(base._leads):
+            s, lead, r = entry
+            if p != base.modulus:
+                repl = tuple((m, c % p) for m, c in r.replacement if c % p) if p else r.replacement
+                entry = (s, lead, RewriteRule(r.lead, repl, k))
+            elif r.index != k:
+                entry = (s, lead, RewriteRule(r.lead, r.replacement, k))
+            leads.append(entry)
+        if not declared:
+            self._all_minimal = True
+            self._store(leads)
+            return
+        g, low = self._guard, self._low
+        new = [(_compact((lead + low) & g), lead) for lead, _ in declared]
+        # a base lead can only be properly divided by a declared lead
+        divided = self._divided_by([lead for _, lead in new])
+        added = _by_support(new)
+        keep = [not (divided(lead) and _properly_divided(s, lead, added, g)) for s, lead, _ in leads]
+        groups = _by_support(leads + new)
+        keep += [not _properly_divided(s, lead, groups, g) for s, lead in new]
+        self._settle(leads, declared, keep)
+
+    def _settle(self, trusted: list, declared: list[tuple[int, dict]], keep: list[bool]) -> None:
+        """Store the rules whose keep flag is set, of the ``_leads``
+        entries of trusted, then of the declared (lead, table) pairs, whose
+        tables are put in normal form under the stored rules; then set the
+        flag of every other one whose rule they do not imply and store
+        again, until none is left.  The entries of trusted come from a
+        trusted base: a replacement of theirs is put in normal form again
+        only when a kept declared lead divides one of its monomials.  A
+        non-minimal rule that the kept rules do not imply is kept, so a
+        non-confluent input reduces (and is reported) as declared."""
+        nb = len(trusted)
         self._all_minimal = True
         while True:
-            self._interreduce(
-                [(k, lead, table) for k, (lead, table) in enumerate(staged) if keep[k]]
-            )
-            # A non-minimal rule that the kept rules do not imply is kept too,
-            # so a non-confluent input reduces (and is reported) as declared.
+            stored, redo = [], []
+            if trusted:
+                divided = self._divided_by([lead for (lead, _), kept in zip(declared, keep[nb:]) if kept])
+                for entry, kept in zip(trusted, keep):
+                    if kept:
+                        if any(divided(m) for m, _ in entry[2].replacement):
+                            redo.append((len(stored), dict(entry[2].replacement)))
+                        stored.append(entry)
+            for k, (lead, table) in enumerate(declared, nb):
+                if keep[k]:
+                    redo.append((len(stored), table))
+                    stored.append(self._entry(k, lead, table))
+            self._interreduce(stored, redo)
             missing = [
-                k for k, (lead, table) in enumerate(staged)
-                if not keep[k] and not self._implied(lead, table)
+                k for k, kept in enumerate(keep)
+                if not kept and not (
+                    self._implied(*declared[k - nb]) if k >= nb
+                    else self._implied(trusted[k][1], dict(trusted[k][2].replacement)))
             ]
             if not missing:
-                break
+                return
             self._all_minimal = False
             for k in missing:
                 keep[k] = True
 
-    def _interreduce(self, rules: list[tuple[int, int, dict]]) -> None:
-        """Store the (declaration index, lead, table) rules, with every
-        replacement in normal form under all of them.  One pass suffices:
-        a normal form is irreducible under every lead, and reducing the
-        replacements leaves the leads as they are, so only the rules whose
-        replacement changed are built again, and ``_leads`` keeps each lead
-        support.  A replacement that holds its own lead raises RewriteCycle."""
-        self._store(rules)
-        changed = {i: t for i, (_, _, table) in enumerate(rules) if (t := self._nf(table)) != table}
+    def _divided_by(self, leads: Sequence[int]) -> Callable[[int], bool]:
+        """The test of whether a key of leads divides a key.  A key that
+        lacks a generator every lead holds fails it in one step, which
+        passes most keys at once when the leads share a generator, as a
+        blow-up's leads share the exceptional divisor."""
+        g = self._guard
+        common = g
+        for k in leads:
+            common &= k + self._low
+        common >>= FIELD_BITS - 1
+
+        def divided(m: int) -> bool:
+            mg = m | g
+            if (mg - common) & g != g:
+                return False
+            for k in leads:
+                if (mg - k) & g == g:
+                    return True
+            return False
+
+        return divided
+
+    def _entry(self, k: int, lead: int, table: dict) -> tuple[int, int, RewriteRule]:
+        """The ``_leads`` entry of the rule lead -> table at position k."""
+        rule = RewriteRule(_as_monomial(lead), tuple(sorted(table.items())), k)
+        return _compact((rule.lead + self._low) & self._guard), int(rule.lead), rule
+
+    def _interreduce(self, leads: list, tables: list[tuple[int, dict]]) -> None:
+        """Store the rules of leads, ``_leads`` entries in order, with the
+        replacement of each rule i of the (i, table) pairs of tables put in
+        normal form under all of them; every other replacement must be in
+        normal form already.  One pass suffices: a normal form is
+        irreducible under every lead, and reducing the replacements leaves
+        the leads as they are, so only the rules whose replacement changed
+        are built again, each with its lead support.  A replacement that
+        holds its own lead raises RewriteCycle."""
+        self._store(leads)
+        changed = [(i, t) for i, table in tables if (t := self._nf(table)) != table]
         if not changed:
             return
-        stored = list(self.rules)
-        for i, t in changed.items():
-            r = stored[i]
-            stored[i] = RewriteRule(r.lead, tuple(sorted(t.items())), r.index)
-        self.rules = tuple(stored)
-        self._leads = tuple((s, lead, r) for (s, lead, _), r in zip(self._leads, self.rules))
-        self._leads_within = {}
-        self._normal_forms = {}
+        leads = list(leads)
+        for i, t in changed:
+            s, lead, r = leads[i]
+            leads[i] = (s, lead, RewriteRule(r.lead, tuple(sorted(t.items())), r.index))
+        self._store(leads)
 
-    def _store(self, rules: list[tuple[int, int, dict]]) -> None:
-        self.rules = tuple(
-            RewriteRule(_as_monomial(lead), tuple(sorted(t.items())), k) for k, lead, t in rules
-        )
-        low, g = self._low, self._guard
-        self._leads = tuple((_compact((r.lead + low) & g), int(r.lead), r) for r in self.rules)
+    def _store(self, leads: list) -> None:
+        self._leads = tuple(leads)
+        self.rules = tuple(map(itemgetter(2), leads))
         self._leads_within: dict[int, list[tuple[int, RewriteRule]]] = {}
         self._normal_forms: dict[int, tuple[tuple[int, int], ...]] = {}
 
@@ -887,7 +982,13 @@ def evaluate(
 
 def inverse_series(c: GradedClass) -> GradedClass:
     """Multiplicative inverse of a class with constant term 1 (or -1),
-    truncated at the context dimension."""
+    truncated at the context dimension.
+
+    Rules are homogeneous, so c * inv = 1 holds codegree by codegree: with
+    c_j the codegree-j part of c, the parts of the inverse are inv_0 =
+    c_0^-1 and inv_k = -c_0^-1 * sum_{j=1..k} c_j * inv_{k-j}, about k
+    products of parts each.  Once as many parts in a row as c's top
+    codegree vanish, every later one does."""
     ring = c.ring
     bound = ring.dimension
     if bound is None:
@@ -903,15 +1004,29 @@ def inverse_series(c: GradedClass) -> GradedClass:
         c0_inv = pow(c0, -1, ring.modulus)
     else:
         c0_inv = c0
-    tail = c - ring.scalar(c0)
-    acc = ring.zero()
-    powt = ring.one()
-    for _ in range(bound + 1):
-        acc = acc + powt
-        powt = powt * (tail.scale(-c0_inv))
-        if powt.is_zero():
+    tables: dict[int, dict[int, int]] = {}
+    for m, k in c.table.items():
+        if m:
+            tables.setdefault(ring.monomial_codegree(m), {})[m] = k
+    parts = [(j, GradedClass(ring, t)) for j, t in sorted(tables.items())]
+    top = parts[-1][0] if parts else 0
+    inv = [ring.scalar(c0_inv)]
+    acc = dict(inv[0].table)
+    zeros = 0
+    for k in range(1, bound + 1):
+        if zeros >= top:
             break
-    return acc.scale(c0_inv)
+        part = ring.zero()
+        for j, cj in parts:
+            if j > k:
+                break
+            if inv[k - j].table:
+                part = part + cj * inv[k - j]
+        part = part.scale(-c0_inv)
+        inv.append(part)
+        zeros = 0 if part.table else zeros + 1
+        acc.update(part.table)
+    return GradedClass(ring, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ Grammar (informal):
     clause the form does not take, a repeated GEN or MONO, an operand of
     another shape, or a NAME, XI, E or GEN that is not an identifier is an
     error verdict whose detail is the form's usage line; X, Y, BASE and
-    CTX must name presentations.
+    CTX must name presentations, and the NAME of in-context a presentation
+    or a Milnor ring.
 
     The num- variants check the identity against every basis class of
     complementary codegree, the right notion for claims that hold only up
@@ -830,7 +831,9 @@ def run_scenario(script: Script, script_id: str = "script", seed: Optional[int] 
                 env.define(form[1], eval_expr(env, form[2]))
             elif head == "in-context":
                 _expect(len(form) == 2 and isinstance(form[1], str), "(in-context NAME)")
-                env.current = env.lookup(form[1])
+                context = env.lookup(form[1])
+                _expect(isinstance(context, (ChowPresentation, miln.MilnorRing)), "(in-context NAME)")
+                env.current = context
             elif head == "declare-ideal":
                 _expect(len(form) >= 3 and isinstance(form[1], str), "(declare-ideal NAME expr ...)")
                 gens = [_as_class(env, eval_expr(env, a)) for a in form[2:]]

@@ -457,13 +457,15 @@ class ChowPresentation:
         """This presentation with rules, (lead monomial, {monomial:
         coefficient}) pairs as ``generic_context(rules=)`` takes them,
         declared after its ring's stored rules.  The copy's basis, listed on
-        its first read, is the monomials of this basis that no rule of its
-        ring reduces, which is ``enumerate_basis`` of its ring (the added
-        leads only remove monomials); it holds this basis, not this
-        presentation.  Its base, center, Segre classes and degree table are
-        this presentation's."""
+        its first read, is the monomials of this basis that no added lead
+        the copy keeps divides, which is ``enumerate_basis`` of its ring:
+        this basis is irreducible under this ring's leads, and a dropped
+        lead is a multiple of a kept one.  It holds the copy's ring, this
+        basis and the added leads, not this presentation.  Its base,
+        center, Segre classes and degree table are this presentation's."""
         ring = self._ring_copy(self.ring.modulus, list(rules))
-        new = self._copy(ring, functools.partial(_irreducible, ring, self.basis), self._base)
+        added = [r.lead for r in ring.rules if r.index >= len(self.ring.rules)]
+        new = self._copy(ring, functools.partial(_undivided, ring, added, self.basis), self._base)
         new._segre = self._segre
         return new
 
@@ -646,10 +648,10 @@ def _grown(ring: RingContext, basis: Sequence[Sequence[int]], d: int) -> Iterato
                 yield m + x
 
 
-def _irreducible(ring: RingContext, basis: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The monomials of each basis[d] that no rule of ring reduces."""
-    match = ring._matching_rule
-    return [[m for m in b if match(m) is None] for b in basis]
+def _undivided(ring: RingContext, leads: Sequence[int], basis: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The monomials of each basis[d] that no key of leads divides."""
+    divided = ring._divided_by(leads)
+    return [[m for m in b if not divided(m)] for b in basis]
 
 
 def _free_overflow(codegrees: Sequence[int], dim: int) -> Optional[int]:
@@ -706,8 +708,15 @@ def _truncated_leads(X: ChowPresentation) -> list[int]:
         m
         for d in range(X.dim + 1, X.dim + max(cds, default=0) + 1)
         for m in _grown(X.ring, X.basis, d)
-        if d - min(cds[i] for i, _ in exponents(m)) <= X.dim
+        if d - _least_codegree(X.ring, m) <= X.dim
     ]
+
+
+def _least_codegree(ring: RingContext, m: int) -> int:
+    """The least codegree of a generator dividing m, not the unit: of the
+    codegrees whose fields (``ring._codegree_masks``) m meets, so no
+    exponent is decoded."""
+    return min(c for c, mask in ring._codegree_masks if m & mask)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,7 +1017,7 @@ def blow_up(
     cds = X.ring.codegrees
     for d in range(dim_z + 1, min(X.dim, dim_z + max(cds, default=0)) + 1):
         for m in X.basis_of(d):
-            if not m & moved and d - min(cds[i] for i, _ in exponents(m)) <= dim_z:
+            if not m & moved and d - _least_codegree(X.ring, m) <= dim_z:
                 rules.append((m + e, {}))
     # fold rule for e^r: c_k(N) e^{r-k} has sign (-1)^{(r-k)+r-1} = (-1)^{k+1}
     sign_z = 1 if r % 2 else -1

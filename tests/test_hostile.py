@@ -364,6 +364,38 @@ def test_huge_projective_space_builds_quickly():
     assert [r.verdict for r in results] == [PASS, PASS]
 
 
+def test_inverse_of_a_long_series_is_quick():
+    # inverse_series takes each codegree from the ones below it, about n^2
+    # products of parts, not a class product per codegree; on P^n,
+    # c(T)^-1 = (1 + h)^-(n + 1), whose codegree-1 part is -(n + 1) h
+    results = verdicts(
+        "(pspace C 300) (assert-zero (trivial) (add (part 1 (inv-total (tangent C))) (scale 301 h)))",
+        bound_s=2.0,
+    )
+    assert [r.verdict for r in results] == [PASS]
+
+
+# Builds a ring on a rule-free base of 40 generators that declares their
+# product as a lead; writes the time of the build and the rules stored.
+WIDE_LEAD_CHILD = """
+import json, resource, time
+resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))
+from chowcalc.rings import Monomial, RingContext
+names = [f"x{{i}}" for i in range(40)]
+base = RingContext(names, [1] * 40)
+start = time.perf_counter()
+ring = RingContext(names, [1] * 40, rules=[(Monomial((i, 1) for i in range(40)), {{}})], base=base)
+print(json.dumps({{"seconds": time.perf_counter() - start, "rules": len(ring.rules)}}))
+"""
+
+
+def test_a_declared_lead_over_many_generators_builds_quickly():
+    # a declared lead is tested against the leads whose support lies inside
+    # its own, each group of them once, not each of the 2^40 subsets
+    out, _ = in_child(WIDE_LEAD_CHILD, 1.0)
+    assert out == {"rules": 1}
+
+
 @pytest.mark.parametrize("n", [MAX_EXPONENT, MAX_EXPONENT // 2 + 1])
 def test_projective_space_past_the_exponent_bound_is_an_error(n):
     # h^(n+1) = 0 needs an exponent above MAX_EXPONENT, or the ring's

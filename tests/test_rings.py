@@ -1044,6 +1044,68 @@ class TestBase:
             assert stored(X.with_coefficients(p)) == want
             assert stored(generic_context(gens, 4, rules=rules, modulus=p)) == want
 
+    X2, X2Y, XY = Monomial([(0, 2)]), Monomial([(0, 2), (1, 1)]), Monomial([(0, 1), (1, 1)])
+    Y2, Z2, Z3 = Monomial([(1, 2)]), Monomial([(2, 2)]), Monomial([(2, 3)])
+
+    def built_on(self, monkeypatch, base, declared, trusted=True):
+        """The ring in x, y, z (codegree 1), in base's dimension and
+        modulus, that declares declared on base, checked against the flat
+        declaration of base's rules and declared: the same rules and
+        ``_all_minimal``, and ``minimal_monomials`` run only off the
+        trusted path."""
+        scans = counting(monkeypatch, rings_module, "minimal_monomials")
+        R = RingContext(["x", "y", "z"], [1] * 3, base.modulus, base.dimension, declared, base=base)
+        assert (not scans) is trusted
+        flat = RingContext(["x", "y", "z"], [1] * 3, base.modulus, base.dimension,
+                           [(r.lead, dict(r.replacement)) for r in base.rules] + declared)
+        assert R.rules == flat.rules and R._all_minimal is flat._all_minimal
+        return [(r.lead, dict(r.replacement), r.index) for r in R.rules], R._all_minimal
+
+    def test_a_declared_lead_below_an_implied_base_lead_drops_its_rule(self, monkeypatch):
+        # x^2 -> 0 implies x^2*y -> 0
+        base = RingContext(["x", "y", "z"], [1] * 3, dimension=3, rules=[(self.X2Y, {})])
+        assert self.built_on(monkeypatch, base, [(self.X2, {})]) == ([(self.X2, {}, 1)], True)
+
+    def test_a_declared_lead_below_a_base_lead_not_implied_keeps_its_rule(self, monkeypatch):
+        # under x^2 -> 0, x^2*y is 0 but z^3 is irreducible
+        base = RingContext(["x", "y", "z"], [1] * 3, dimension=3, rules=[(self.X2Y, {self.Z3: 1})])
+        assert self.built_on(monkeypatch, base, [(self.X2, {})]) == (
+            [(self.X2Y, {self.Z3: 1}, 0), (self.X2, {}, 1)], False)
+
+    def test_a_declared_lead_dividing_a_base_replacement_reduces_it_again(self, monkeypatch):
+        base = RingContext(["x", "y", "z"], [1] * 3, dimension=3, rules=[(self.XY, {self.Z2: 2})])
+        assert self.built_on(monkeypatch, base, [(self.Z2, {self.Y2: 3})]) == (
+            [(self.XY, {self.Y2: 6}, 0), (self.Z2, {self.Y2: 3}, 1)], True)
+
+    def test_a_declared_lead_equal_to_a_base_lead_keeps_both(self, monkeypatch):
+        base = RingContext(["x", "y", "z"], [1] * 3, dimension=3, rules=[(self.X2, {self.Y2: 1})])
+        assert self.built_on(monkeypatch, base, [(self.X2, {self.Z2: 1})]) == (
+            [(self.X2, {self.Y2: 1}, 0), (self.X2, {self.Z2: 1}, 1)], True)
+
+    def test_a_base_with_a_rule_kept_only_as_not_implied_is_built_in_full(self, monkeypatch):
+        base = RingContext(["x", "y", "z"], [1] * 3, dimension=3, rules=[(self.X2Y, {self.Z3: 1}), (self.X2, {})])
+        assert not base._all_minimal
+        # under z^2 -> 0, z^3 is 0 too, so x^2*y -> z^3 is now implied
+        assert self.built_on(monkeypatch, base, [(self.Z2, {})], trusted=False) == (
+            [(self.X2, {}, 1), (self.Z2, {}, 2)], True)
+
+    def test_a_mod_p_base_with_declared_rules_is_the_flat_build(self, monkeypatch):
+        # mod 3, 2 * 2 = 1, so x*y -> 2z^2 becomes x*y -> y^2 under z^2 -> 2y^2;
+        # x^2*z -> 0 is dropped below x^2 -> 0
+        x2z = Monomial([(0, 2), (2, 1)])
+        base = RingContext(["x", "y", "z"], [1] * 3, 3, 3, [(self.XY, {self.Z2: 2}), (x2z, {})])
+        assert self.built_on(monkeypatch, base, [(self.Z2, {self.Y2: 2}), (self.X2, {})]) == (
+            [(self.XY, {self.Y2: 1}, 0), (self.Z2, {self.Y2: 2}, 2), (self.X2, {}, 3)], True)
+
+    def test_declared_rules_on_a_base_mod_another_modulus_are_the_flat_build(self):
+        # over Z, x*y -> 2z^2 keeps its coefficient; mod 2 it becomes x*y -> 0
+        base = RingContext(["x", "y", "z"], [1] * 3, dimension=3, rules=[(self.XY, {self.Z2: 2})])
+        for p in (2, 3):
+            R = RingContext(["x", "y", "z"], [1] * 3, p, 3, [(self.Z2, {self.Y2: 1})], base=base)
+            flat = RingContext(["x", "y", "z"], [1] * 3, p, 3, [(self.XY, {self.Z2: 2}), (self.Z2, {self.Y2: 1})])
+            assert R.rules == flat.rules and R._all_minimal is flat._all_minimal
+        assert dict(R.rules[0].replacement) == {self.Y2: 2}
+
     def test_base_codegrees_must_be_a_prefix(self):
         base = RingContext(["x", "y"], [1, 2], rules=[(Monomial([(0, 2)]), {Monomial([(1, 1)]): 1})])
         for names, codegrees in ((["x", "y", "z"], [1, 1, 2]), (["x"], [1]), (["y", "x"], [2, 1])):

@@ -617,6 +617,16 @@ class TestEvaluator:
         assert [(r.verdict, r.detail) for r in rep.results] == [
             (ERROR, f"EvalError: {usage}"), (ERROR, "EvalError: (assert-kernel-dim TAG CTX CODEG PRIME INT)")]
 
+    def test_in_context_refuses_what_is_no_context(self):
+        # a class was made current, so h was then undefined at the assertion
+        rep = run_scenario(parse_script("(pspace P 2) (let a h) (in-context a) (assert-zero (trivial) h)"))
+        assert [(r.id, r.verdict) for r in rep.results] == [("script#form2", ERROR), ("script#1", FAIL)]
+        assert rep.results[0].detail == "EvalError: (in-context NAME) in (in-context a)"
+        rep = run_scenario(parse_script(
+            "(milnor M 2) (pspace P 2) (in-context M) (assert-comult (trivial) {1} r0 r0)"
+            "(in-context P) (assert-zero (trivial) (pow h 3))"))
+        assert [r.verdict for r in rep.results] == [PASS, PASS]
+
     def test_negative_generic_dimension_is_an_error(self):
         rep = run_scenario(parse_script("(generic X -1 (gens (x 1))) (generic Y 0 (gens (x 1)))"))
         assert [(r.id, r.verdict, r.detail) for r in rep.results] == [
