@@ -269,32 +269,6 @@ def _as_monomial(m: int) -> Monomial:
 MONOMIAL_ONE = Monomial()
 
 
-def minimal_monomials(monomials: Iterable[int]) -> set[int]:
-    """The monomials that no other monomial of the input properly divides.
-
-    A proper divisor of m is a smaller key, so it suffices to test each
-    monomial, in key order, against the minimal ones found so far; and only
-    against those whose support lies inside its own, since a divisor's
-    generators all are.  The minimal ones are grouped by support, a
-    generator bitmask (see the module docstring), so one mask test passes
-    or skips a whole group.  A lone monomial is minimal, and the unit
-    monomial 0 divides every monomial, so it is then the only minimal one.
-    """
-    distinct = sorted(set(monomials))
-    if len(distinct) < 2 or distinct[0] == 0:
-        return set(distinct[:1])
-    g = _guards(_fields(distinct[-1]))
-    low = g - (g >> (FIELD_BITS - 1))
-    by_support: dict[int, list[int]] = {}
-    minimal: set[int] = set()
-    for m in distinct:
-        s = _compact((m + low) & g)
-        if not _properly_divided(s, m, by_support, g):
-            by_support.setdefault(s, []).append(m)
-            minimal.add(m)
-    return minimal
-
-
 def _by_support(leads: Iterable[tuple]) -> dict[int, list[int]]:
     """The leads of (support, lead, ...) tuples, grouped by support."""
     groups: dict[int, list[int]] = {}
@@ -305,9 +279,10 @@ def _by_support(leads: Iterable[tuple]) -> dict[int, list[int]]:
 
 def _properly_divided(s: int, m: int, groups: dict[int, list[int]], g: int) -> bool:
     """Whether a key other than m of groups, keys grouped by support,
-    divides m, whose support is s, all within the guard bits g.  Only the
-    groups whose support lies inside s are scanned, since a divisor's
-    generators all are: one mask test passes or skips a whole group."""
+    divides m, whose support is s, all within the guard bits g: a rule
+    lead so divided is not minimal.  Only the groups whose support lies
+    inside s are scanned, since a divisor's generators all are: one mask
+    test passes or skips a whole group."""
     outside = ~s
     mg = m | g
     for t, group in groups.items():
@@ -366,18 +341,21 @@ class RingContext:
     records in ``_all_minimal`` whether every rule it stores was kept as
     minimal, none only because the kept rules do not imply it.
 
-    A base with ``_all_minimal`` and the ring's dimension is trusted: its
-    leads are minimal among themselves, and each of its replacements is
-    irreducible under them and truncated.  So a base lead is tested for
-    minimality only against the declared leads and a declared lead
-    against all leads, and a base replacement is reduced again only when
-    a kept declared lead divides one of its monomials; the base's rules
-    and ``_leads`` entries are reused when the modulus is the same.  A
-    copy that declares no rules is the case with no declared leads: it
-    stores the base's rules in order, coefficients reduced, untested.
-    Each step stores what the flat declaration (the base's rules, then
-    the declared ones, with no base) stores; any other base runs every
-    test over all the rules, as the flat declaration does.
+    Every ring is built one way, on a trusted prefix of rules, which is
+    empty without a base.  A base with ``_all_minimal`` and a dimension at
+    most the ring's (no dimension counting as unbounded) gives its
+    ``_leads`` entries: its leads are minimal among themselves, and each of
+    its replacements is irreducible under them, and truncated only if its
+    lead lies above the base's dimension, where it is already ().  Any
+    other base gives none, and its stored rules are declared ahead of the
+    ring's own.  A trusted lead is tested for minimality only against the
+    declared leads and a declared lead against all leads, and a trusted
+    replacement is reduced again only when a kept declared lead divides
+    one of its monomials; the base's rules and ``_leads`` entries are
+    reused when the modulus is the same.  A copy that declares no rules
+    on a trusted base stores the base's rules in order, coefficients
+    reduced, untested.  Each way stores what the flat declaration (the
+    base's rules, then the declared ones, with no base) stores.
 
     ``_guard`` holds the guard bits of the ring's fields and ``_low`` the
     bits below each guard bit, so (m + _low) & _guard holds the guard bits
@@ -471,59 +449,39 @@ class RingContext:
                         f"replacement has codegree {self.monomial_codegree(m)}"
                     )
             declared.append((lead, table))
-        if base is not None and base._all_minimal and base.dimension == self.dimension:
-            self._extend(base, declared)
-            return
-        staged = declared
-        if base is not None:
-            staged = [(r.lead, dict(r.replacement)) for r in base.rules]
-            if base.modulus != self.modulus:
-                staged = [(lead, self._reduced(table)) for lead, table in staged]
-            staged += declared
-        minimal = minimal_monomials(lead for lead, _ in staged)
-        keep = [lead in minimal for lead, _ in staged]
-        self._settle([], staged, keep)
-
-    def _extend(self, base: "RingContext", declared: list[tuple[int, dict]]) -> None:
-        """Store what the flat declaration of base's rules, then the
-        declared (lead, table) pairs, stores, for a trusted base (see the
-        class docstring)."""
-        p = self.modulus
-        leads = []
-        for k, entry in enumerate(base._leads):
-            s, lead, r = entry
-            if p != base.modulus:
-                repl = tuple((m, c % p) for m, c in r.replacement if c % p) if p else r.replacement
-                entry = (s, lead, RewriteRule(r.lead, repl, k))
-            elif r.index != k:
-                entry = (s, lead, RewriteRule(r.lead, r.replacement, k))
-            leads.append(entry)
-        if not declared:
-            self._all_minimal = True
-            self._store(leads)
-            return
-        g, low = self._guard, self._low
-        new = [(_compact((lead + low) & g), lead) for lead, _ in declared]
-        # a base lead can only be properly divided by a declared lead
-        divided = self._divided_by([lead for _, lead in new])
-        added = _by_support(new)
-        keep = [not (divided(lead) and _properly_divided(s, lead, added, g)) for s, lead, _ in leads]
-        groups = _by_support(leads + new)
-        keep += [not _properly_divided(s, lead, groups, g) for s, lead in new]
-        self._settle(leads, declared, keep)
-
-    def _settle(self, trusted: list, declared: list[tuple[int, dict]], keep: list[bool]) -> None:
-        """Store the rules whose keep flag is set, of the ``_leads``
-        entries of trusted, then of the declared (lead, table) pairs, whose
-        tables are put in normal form under the stored rules; then set the
-        flag of every other one whose rule they do not imply and store
-        again, until none is left.  The entries of trusted come from a
-        trusted base: a replacement of theirs is put in normal form again
-        only when a kept declared lead divides one of its monomials.  A
-        non-minimal rule that the kept rules do not imply is kept, so a
-        non-confluent input reduces (and is reported) as declared."""
-        nb = len(trusted)
+        p, dim = self.modulus, self.dimension
+        trusted = []
+        if base is not None and base._all_minimal and (
+                dim is None or base.dimension is not None and base.dimension <= dim):
+            for k, entry in enumerate(base._leads):
+                s, lead, r = entry
+                if p != base.modulus:
+                    repl = tuple((m, c % p) for m, c in r.replacement if c % p) if p else r.replacement
+                    entry = (s, lead, RewriteRule(r.lead, repl, k))
+                elif r.index != k:
+                    entry = (s, lead, RewriteRule(r.lead, r.replacement, k))
+                trusted.append(entry)
+        elif base is not None:
+            declared = [(r.lead, self._reduced(dict(r.replacement))) for r in base.rules] + declared
         self._all_minimal = True
+        if not declared:
+            self._store(trusted)
+            return
+        g = self._guard
+        new = [(_compact((lead + self._low) & g), lead) for lead, _ in declared]
+        keep = []
+        if trusted:
+            # a trusted lead can only be properly divided by a declared lead
+            divided = self._divided_by([lead for _, lead in new])
+            added = _by_support(new)
+            keep = [not (divided(lead) and _properly_divided(s, lead, added, g)) for s, lead, _ in trusted]
+        groups = _by_support(trusted + new)
+        keep += [not _properly_divided(s, lead, groups, g) for s, lead in new]
+        # store the kept rules, each declared table in normal form and a
+        # trusted one where a kept declared lead divides it; then keep every
+        # other rule that they do not imply, so a non-confluent input
+        # reduces (and is reported) as declared, and store again
+        nb = len(trusted)
         while True:
             stored, redo = [], []
             if trusted:

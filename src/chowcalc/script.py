@@ -229,9 +229,10 @@ class _IdealDecl:
 
 
 class _RulesDecl:
-    __slots__ = ("rules",)
+    __slots__ = ("ring", "rules")
 
-    def __init__(self, rules: list):
+    def __init__(self, ring: RingContext, rules: list):
+        self.ring = ring  # the ring whose keys the rules are
         self.rules = rules  # (lead monomial, replacement table)
 
 
@@ -520,6 +521,7 @@ def _reduction(
         if isinstance(decl, _IdealDecl):
             gens.extend(decl.gens)
         elif isinstance(decl, _RulesDecl):
+            _expect(decl.ring is ctx, "declared rules live in a different context")
             extra.extend(decl.rules)
         else:
             raise EvalError("modulo clause names must refer to declared sets")
@@ -612,8 +614,11 @@ def _mod_clause(env: Env, clauses: list) -> list:
     return decls
 
 
-def _eval_rule_pairs(env: Env, pairs):
-    rules = []
+def _eval_rule_pairs(env: Env, pairs) -> tuple[Optional[RingContext], list]:
+    """The ring of the rule pairs' sides (None with no pairs), which must
+    all live in one ring, and the pairs as (lead key, replacement table):
+    a key reads right only in the ring that made it."""
+    ring, rules = None, []
     for pair in pairs:
         _expect(isinstance(pair, list) and len(pair) == 2, "rule clause entries are (LEAD REPL)")
         lead_c = _as_class(env, eval_expr(env, pair[0]))
@@ -622,8 +627,10 @@ def _eval_rule_pairs(env: Env, pairs):
             len(lead_c.table) == 1 and set(lead_c.table.values()) == {1},
             "rule lead must be a single monic monomial",
         )
+        ring = ring or lead_c.ring
+        _expect(lead_c.ring is ring is repl_c.ring, "rule sides live in different contexts")
         rules.append((next(iter(lead_c.table)), dict(repl_c.table)))
-    return rules
+    return ring, rules
 
 
 _CONTEXT_USAGE = {
@@ -675,7 +682,8 @@ def _eval_context_form(env: Env, form: list) -> None:
             # declared rules mention the new exceptional generator, so they are
             # evaluated on the freshly built presentation and added to it
             with env.within(value):
-                extra = _eval_rule_pairs(env, clauses["rules"])
+                ring, extra = _eval_rule_pairs(env, clauses["rules"])
+            _expect(ring is value.ring, "declared rules live in a different context")
             value = value.with_rules(extra)
     elif head == "generic":
         (name, dim), clauses = _read_form(
@@ -691,7 +699,8 @@ def _eval_context_form(env: Env, form: list) -> None:
             # a clause that fails leaves the environment as it was
             ring = RingContext([n for n, _ in gens], [d for _, d in gens], modulus=mod, dimension=dim)
             with env.within(_generic_presentation(ring, lambda: enumerate_basis(ring), None, None, name)):
-                rules = _eval_rule_pairs(env, clauses.get("rules", ()))
+                rules_ring, rules = _eval_rule_pairs(env, clauses.get("rules", ()))
+                _expect(rules_ring in (None, ring), "declared rules live in a different context")
                 for entry in clauses.get("degrees", ()):
                     _expect(isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int), usage)
                     mono_cls = _as_class(env, eval_expr(env, entry[0]))
@@ -840,7 +849,7 @@ def run_scenario(script: Script, script_id: str = "script", seed: Optional[int] 
                 env.define(form[1], _IdealDecl(gens))
             elif head == "declare-rules":
                 _expect(len(form) >= 3 and isinstance(form[1], str), "(declare-rules NAME (LEAD REPL) ...)")
-                env.define(form[1], _RulesDecl(_eval_rule_pairs(env, form[2:])))
+                env.define(form[1], _RulesDecl(*_eval_rule_pairs(env, form[2:])))
             elif head == "report-value":
                 _expect(len(form) == 3 and isinstance(form[1], str), "(report-value NAME expr)")
                 if _is_literal(form[2]):

@@ -9,7 +9,6 @@ from chowcalc.rings import (
     Monomial,
     RingContext,
     exponents,
-    minimal_monomials,
 )
 from chowcalc.script import MAX_DEPTH, ParseError
 from chowcalc.varieties import (
@@ -288,7 +287,7 @@ def reference_kill_leads(X, center) -> list:
         m for d in range(X.dim - center.codim + 1, X.dim + 1) for m in X.basis_of(d)
         if all(i in fixed for i, _ in exponents(m))
     ]
-    minimal = minimal_monomials(killed)
+    minimal = reference_minimal_monomials(killed)
     return [m for m in killed if m in minimal]
 
 
@@ -304,7 +303,7 @@ def reference_truncated_leads(X) -> list:
         for m in sorted(monomials_of_codegree(ring, d), key=lambda u: reference_mkey(ring, u))
         if reference_matching_rule(ring, m) is None
     ]
-    minimal = minimal_monomials(high)
+    minimal = reference_minimal_monomials(high)
     return [m for m in high if m in minimal]
 
 

@@ -21,13 +21,11 @@ from chowcalc.rings import (
     evaluate,
     exponents,
     inverse_series,
-    minimal_monomials,
     mono_mul,
     normal_form,
 )
 from chowcalc.varieties import enumerate_basis
 from helpers import (
-    counting,
     monomials_of_codegree,
     random_class,
     random_tower,
@@ -43,9 +41,9 @@ from helpers import (
 
 
 def mono_divides(k, m):
-    """Divisibility of packed keys as rule matching and
-    ``minimal_monomials`` test it: ((m | G) - k) & G == G, with G the guard
-    bits of k's fields."""
+    """Divisibility of packed keys as rule matching and the minimality of
+    leads test it: ((m | G) - k) & G == G, with G the guard bits of k's
+    fields."""
     g = rings_module._guards(rings_module._fields(k))
     return (m | g) - k & g == g
 
@@ -735,23 +733,31 @@ class TestConfluenceSmoke:
         assert "exceeded 0 steps" in rep.divergences[0]["got"]
 
 
+def stored_leads(ms, ngens):
+    """The leads that a ring in ngens generators of codegree 1, with no
+    dimension, stores when it declares m -> 0 for each m of ms but the unit
+    monomial, which no rule may have as its lead."""
+    names = [f"x{i}" for i in range(ngens)]
+    return [r.lead for r in RingContext(names, [1] * ngens, rules=[(m, {}) for m in ms if m]).rules]
+
+
 class TestMinimalLeads:
-    def test_minimal_monomials_match_all_pairs(self):
-        # reference: compare every monomial with every other one
+    def test_stored_leads_match_all_pairs(self):
+        # reference: compare every monomial with every other one; a ring
+        # keeps every copy of a repeated minimal lead
         def quadratic(ms):
             ms = set(ms)
             return {m for m in ms
                     if not any(k != m and reference_divides(exponents(k), exponents(m)) for k in ms)}
 
         rng = random.Random(29)
-        for trial in range(400):
+        for _ in range(400):
             ms = [Monomial(random_pairs(rng, ngens=5)) for _ in range(rng.randint(0, 12))]
             ms += rng.sample(ms, min(len(ms), 3))  # duplicates
-            if trial % 10 == 0:
-                ms.append(MONOMIAL_ONE)
-            assert minimal_monomials(iter(ms)) == quadratic(ms), ms
-        assert minimal_monomials([Monomial([(2, 1)]), MONOMIAL_ONE, MONOMIAL_ONE]) == {MONOMIAL_ONE}
-        assert minimal_monomials([]) == set()
+            leads = [m for m in ms if m]
+            minimal = quadratic(leads)
+            assert stored_leads(ms, 5) == [m for m in leads if m in minimal], ms
+        assert stored_leads([], 5) == []
 
     @staticmethod
     def redundant_ring():
@@ -877,17 +883,17 @@ class TestSupport:
                 matched += rule is not None
             assert 30 < matched < 270
 
-    def test_minimal_monomials_are_the_scan(self):
+    def test_stored_leads_are_the_scan(self):
         rng = random.Random(41)
-        for trial in range(400):
+        for _ in range(400):
             # few generators, so that many monomials share a support
             ms = [Monomial(random_pairs(rng, ngens=3)) for _ in range(rng.randint(0, 12))]
             ms += rng.sample(ms, min(len(ms), 3))  # repeats
-            if trial % 10 == 0:
-                ms.append(MONOMIAL_ONE)
-            assert minimal_monomials(ms) == reference_minimal_monomials(ms), ms
+            leads = [m for m in ms if m]
+            minimal = reference_minimal_monomials(leads)
+            assert stored_leads(ms, 3) == [m for m in leads if m in minimal], ms
         x2y, xy2, x2y2, xy3 = (Monomial([(0, a), (1, b)]) for a, b in [(2, 1), (1, 2), (2, 2), (1, 3)])
-        assert minimal_monomials([x2y2, xy3, x2y, xy2]) == {x2y, xy2}
+        assert stored_leads([x2y2, xy3, x2y, xy2], 2) == [x2y, xy2]
 
     def test_support_is_kept_by_every_constructor(self, monkeypatch):
         from chowcalc import registry
@@ -923,9 +929,18 @@ class TestSupport:
                 assert rings_module._compact((m + R._low) & R._guard) == self.mask(m), m
 
 
+def reused(R, base) -> list[bool]:
+    """For each rule that R stores equal to the base's rule at its index,
+    whether R holds the base's rule object itself."""
+    return [r is base.rules[r.index] for r in R.rules
+            if r.index < len(base.rules) and r == base.rules[r.index]]
+
+
 class TestBase:
     """A ring built on a base ring declares the base's stored rules ahead
-    of its own rules, and stores what that flat declaration stores."""
+    of its own rules, and stores what that flat declaration stores.  A
+    base with ``_all_minimal`` and a dimension at most the ring's is
+    trusted, and its rules that stay as they are are reused."""
 
     def test_every_ring_built_on_a_base_is_the_flat_build(self, monkeypatch):
         # every ring that the registry and the towers of seeds 0-199 build
@@ -965,12 +980,14 @@ class TestBase:
                 R.names, R.codegrees, R.modulus, R.dimension,
                 [(r.lead, dict(r.replacement)) for r in base.rules] + rules, R.step_budget,
             )
-            assert R.rules == flat.rules, R.names
+            assert R.rules == flat.rules and R._all_minimal is flat._all_minimal, R.names
 
     def test_a_copy_mod_p_is_the_flat_build(self, monkeypatch):
         # every ring the registry and the towers of seeds 0-59 build, copied
-        # mod 2, 3 and 5 with no rules of its own, stores what declaring its
-        # rules mod p stores; most copies skip minimality and interreduction
+        # with no rules of its own mod 2, 3, 5 and its own modulus, stores
+        # what declaring its rules mod p stores; a copy under the same
+        # modulus reuses every rule of a base with _all_minimal that keeps
+        # its index
         from chowcalc import registry
 
         rings = []
@@ -986,16 +1003,19 @@ class TestBase:
             random_tower(random.Random(seed))
         monkeypatch.undo()
         assert len(rings) > 200
-        scans = counting(monkeypatch, rings_module, "minimal_monomials")
         copies = [(R, p, RingContext(R.names, R.codegrees, p, R.dimension, step_budget=R.step_budget, base=R))
-                  for R in rings for p in (2, 3, 5)]
-        assert len(scans) < len(copies) // 10
+                  for R in rings for p in {2, 3, 5, R.modulus}]
+        shared = 0
         for R, p, copy in copies:
             flat = RingContext(
                 R.names, R.codegrees, p, R.dimension,
-                [(r.lead, {m: c % p for m, c in r.replacement}) for r in R.rules], R.step_budget,
+                [(r.lead, {m: c % p if p else c for m, c in r.replacement}) for r in R.rules], R.step_budget,
             )
-            assert copy.rules == flat.rules, (R.names, p)
+            assert copy.rules == flat.rules and copy._all_minimal is flat._all_minimal, (R.names, p)
+            if p == R.modulus:
+                assert all(same is R._all_minimal for same in reused(copy, R)), R.names
+                shared += sum(reused(copy, R))
+        assert shared > 500
 
     def test_a_copy_of_a_rule_kept_only_as_not_implied_is_built_in_full(self):
         # a^2 -> 2b, a^3 -> 0 (codegrees 1 and 2): over Z and mod 3, a^3 is
@@ -1026,6 +1046,39 @@ class TestBase:
             flat = RingContext(["x", "y"], [1, 2], 3, dim, rules=[(x2, {y: 1})])
             assert [dict(r.replacement) for r in copy.rules] == [want]
             assert copy.rules == flat.rules
+        # x^2 -> y on a base of dimension 0 to 3 or none, under a ring in x,
+        # y, z (codegrees 1, 2, 1) of dimension 0 to 3 or none that declares
+        # z^2 -> x^2 (which the base rule rewrites), x*z -> 0 and x^2*z ->
+        # y*z, a multiple of x*z that x^2 -> y implies and x^2 -> 0, its
+        # truncation below dimension 2 in either ring, does not; a base of
+        # dimension at most the ring's, none counting as unbounded, is
+        # trusted, and its rule is reused
+        z2, xz = Monomial([(2, 2)]), Monomial([(0, 1), (2, 1)])
+        x2z, yz = Monomial([(0, 2), (2, 1)]), Monomial([(1, 1), (2, 1)])
+        declared = [(z2, {x2: 1}), (xz, {}), (x2z, {yz: 1})]
+        dims = (0, 1, 2, 3, None)
+        for base_dim, dim in itertools.product(dims, dims):
+            base = RingContext(["x", "y"], [1, 2], dimension=base_dim, rules=[(x2, {y: 1})])
+            R = RingContext(["x", "y", "z"], [1, 2, 1], 0, dim, declared, base=base)
+            flat = RingContext(["x", "y", "z"], [1, 2, 1], 0, dim,
+                               [(r.lead, dict(r.replacement)) for r in base.rules] + declared)
+            assert R.rules == flat.rules and R._all_minimal is flat._all_minimal, (base_dim, dim)
+            trusted = dim is None or base_dim is not None and base_dim <= dim
+            assert reused(R, base) == [True] if trusted else not any(reused(R, base)), (base_dim, dim)
+            implied = all(d is None or d >= 2 for d in (base_dim, dim))
+            assert (len(R.rules), R._all_minimal) == ((3, True) if implied else (4, False)), (base_dim, dim)
+
+    def test_products_and_bundles_reuse_their_base_rules(self):
+        # both rings are built on X's ring, of lower dimension
+        from chowcalc.varieties import BundleRoots, product, projective_bundle, projective_space
+
+        for X in (projective_space(2), projective_space(2, modulus=3),
+                  product(projective_space(1), projective_space(2))):
+            h = X.gen(X.ring.names[0])
+            line = projective_space(1, modulus=X.ring.modulus)
+            for Y in (product(X, line), projective_bundle(X, BundleRoots.plus([h, 0 * h]))):
+                assert Y.dim > X.dim and X.ring._all_minimal
+                assert reused(Y.ring, X.ring) == [True] * len(X.ring.rules), Y.ring.names
 
     def test_a_rule_kept_over_z_may_be_dropped_mod_p(self):
         # x^3 -> 2*x*y^2 is not implied by x^2 -> 0 over Z or mod 3, so it
@@ -1047,54 +1100,53 @@ class TestBase:
     X2, X2Y, XY = Monomial([(0, 2)]), Monomial([(0, 2), (1, 1)]), Monomial([(0, 1), (1, 1)])
     Y2, Z2, Z3 = Monomial([(1, 2)]), Monomial([(2, 2)]), Monomial([(2, 3)])
 
-    def built_on(self, monkeypatch, base, declared, trusted=True):
+    def built_on(self, base, declared, trusted=True):
         """The ring in x, y, z (codegree 1), in base's dimension and
         modulus, that declares declared on base, checked against the flat
         declaration of base's rules and declared: the same rules and
-        ``_all_minimal``, and ``minimal_monomials`` run only off the
-        trusted path."""
-        scans = counting(monkeypatch, rings_module, "minimal_monomials")
+        ``_all_minimal``, and each base rule it keeps as it was reused
+        exactly when the base is trusted."""
         R = RingContext(["x", "y", "z"], [1] * 3, base.modulus, base.dimension, declared, base=base)
-        assert (not scans) is trusted
+        assert all(same is trusted for same in reused(R, base))
         flat = RingContext(["x", "y", "z"], [1] * 3, base.modulus, base.dimension,
                            [(r.lead, dict(r.replacement)) for r in base.rules] + declared)
         assert R.rules == flat.rules and R._all_minimal is flat._all_minimal
         return [(r.lead, dict(r.replacement), r.index) for r in R.rules], R._all_minimal
 
-    def test_a_declared_lead_below_an_implied_base_lead_drops_its_rule(self, monkeypatch):
+    def test_a_declared_lead_below_an_implied_base_lead_drops_its_rule(self):
         # x^2 -> 0 implies x^2*y -> 0
         base = RingContext(["x", "y", "z"], [1] * 3, dimension=3, rules=[(self.X2Y, {})])
-        assert self.built_on(monkeypatch, base, [(self.X2, {})]) == ([(self.X2, {}, 1)], True)
+        assert self.built_on(base, [(self.X2, {})]) == ([(self.X2, {}, 1)], True)
 
-    def test_a_declared_lead_below_a_base_lead_not_implied_keeps_its_rule(self, monkeypatch):
+    def test_a_declared_lead_below_a_base_lead_not_implied_keeps_its_rule(self):
         # under x^2 -> 0, x^2*y is 0 but z^3 is irreducible
         base = RingContext(["x", "y", "z"], [1] * 3, dimension=3, rules=[(self.X2Y, {self.Z3: 1})])
-        assert self.built_on(monkeypatch, base, [(self.X2, {})]) == (
+        assert self.built_on(base, [(self.X2, {})]) == (
             [(self.X2Y, {self.Z3: 1}, 0), (self.X2, {}, 1)], False)
 
-    def test_a_declared_lead_dividing_a_base_replacement_reduces_it_again(self, monkeypatch):
+    def test_a_declared_lead_dividing_a_base_replacement_reduces_it_again(self):
         base = RingContext(["x", "y", "z"], [1] * 3, dimension=3, rules=[(self.XY, {self.Z2: 2})])
-        assert self.built_on(monkeypatch, base, [(self.Z2, {self.Y2: 3})]) == (
+        assert self.built_on(base, [(self.Z2, {self.Y2: 3})]) == (
             [(self.XY, {self.Y2: 6}, 0), (self.Z2, {self.Y2: 3}, 1)], True)
 
-    def test_a_declared_lead_equal_to_a_base_lead_keeps_both(self, monkeypatch):
+    def test_a_declared_lead_equal_to_a_base_lead_keeps_both(self):
         base = RingContext(["x", "y", "z"], [1] * 3, dimension=3, rules=[(self.X2, {self.Y2: 1})])
-        assert self.built_on(monkeypatch, base, [(self.X2, {self.Z2: 1})]) == (
+        assert self.built_on(base, [(self.X2, {self.Z2: 1})]) == (
             [(self.X2, {self.Y2: 1}, 0), (self.X2, {self.Z2: 1}, 1)], True)
 
-    def test_a_base_with_a_rule_kept_only_as_not_implied_is_built_in_full(self, monkeypatch):
+    def test_a_base_with_a_rule_kept_only_as_not_implied_is_built_in_full(self):
         base = RingContext(["x", "y", "z"], [1] * 3, dimension=3, rules=[(self.X2Y, {self.Z3: 1}), (self.X2, {})])
         assert not base._all_minimal
         # under z^2 -> 0, z^3 is 0 too, so x^2*y -> z^3 is now implied
-        assert self.built_on(monkeypatch, base, [(self.Z2, {})], trusted=False) == (
+        assert self.built_on(base, [(self.Z2, {})], trusted=False) == (
             [(self.X2, {}, 1), (self.Z2, {}, 2)], True)
 
-    def test_a_mod_p_base_with_declared_rules_is_the_flat_build(self, monkeypatch):
+    def test_a_mod_p_base_with_declared_rules_is_the_flat_build(self):
         # mod 3, 2 * 2 = 1, so x*y -> 2z^2 becomes x*y -> y^2 under z^2 -> 2y^2;
         # x^2*z -> 0 is dropped below x^2 -> 0
         x2z = Monomial([(0, 2), (2, 1)])
         base = RingContext(["x", "y", "z"], [1] * 3, 3, 3, [(self.XY, {self.Z2: 2}), (x2z, {})])
-        assert self.built_on(monkeypatch, base, [(self.Z2, {self.Y2: 2}), (self.X2, {})]) == (
+        assert self.built_on(base, [(self.Z2, {self.Y2: 2}), (self.X2, {})]) == (
             [(self.XY, {self.Y2: 1}, 0), (self.Z2, {self.Y2: 2}, 2), (self.X2, {}, 3)], True)
 
     def test_declared_rules_on_a_base_mod_another_modulus_are_the_flat_build(self):

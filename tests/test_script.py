@@ -743,7 +743,7 @@ class TestVerifyIdentity:
         env.current = X
         x, y, z = X.gen("x"), X.gen("y"), X.gen("z")
         J = _IdealDecl([x * 2 + y])
-        R = _RulesDecl([(next(iter((x * y).table)), dict((z * z).table))])
+        R = _RulesDecl(X.ring, [(next(iter((x * y).table)), dict((z * z).table))])
         builds = counting(monkeypatch, ChowPresentation, "with_rules")
         assert verify_identity(env, x * y, x * z, [R, J]) == (False, "(y*z + 2*z^2)/2")
         assert verify_identity(env, (x * 2 + y) * z, X.zero(), [R, J]) == (True, None)
@@ -761,6 +761,31 @@ class TestVerifyIdentity:
         ))
         assert [(r.verdict, r.detail.partition(" in (")[0]) for r in rep.results] == [
             (ERROR, "EvalError: ideal generators live in a different context")]
+
+    @pytest.mark.parametrize("form", ["assert-zero", "assert-numzero"])
+    def test_rules_from_another_context(self, form):
+        # R's key for b^2 is Y's key for d^2: read in Y, R would say d^2 -> 0
+        rep = run_scenario(parse_script(
+            "(generic X 4 (gens (a 1) (b 2)) (degrees ((pow b 2) 1)))(declare-rules R ((pow b 2) 0))"
+            f"(generic Y 4 (gens (c 2) (d 1)) (degrees ((pow c 2) 1)))({form} (trivial) (pow d 2) (modulo R))"
+        ))
+        assert [(r.verdict, r.detail.partition(" in (")[0]) for r in rep.results] == [
+            (ERROR, "EvalError: declared rules live in a different context")]
+
+    def test_rule_sides_from_another_context(self):
+        # rule pairs are read as keys of one ring: the declaration's, or the
+        # context form's that they are declared in
+        rep = run_scenario(parse_script(
+            "(generic Y 4 (gens (c 2) (d 1)))(let u (pow c 2))(let v (pow d 4))"
+            "(pspace P 2)(declare-rules S ((pow h 2) u))"
+            "(generic Z 4 (gens (c 2) (d 1)) (rules (u v)))"
+            "(blowup B P e (class (mul h h)) (roots h h) (rules (u v)))"
+        ))
+        assert [(r.verdict, r.detail.partition(" in (")[0]) for r in rep.results] == [
+            (ERROR, "EvalError: rule sides live in different contexts"),
+            (ERROR, "EvalError: declared rules live in a different context"),
+            (ERROR, "EvalError: declared rules live in a different context"),
+        ]
 
     def test_ideal_rows_refuse_a_generator_of_another_ring(self):
         from chowcalc.numeric import _ideal_pivots
@@ -880,7 +905,7 @@ class TestKeptRowsMatchDenseRows:
         env = Env()
         env.define("X", X)
         env.current = X
-        R = _RulesDecl([random_rule(X, rng)])
+        R = _RulesDecl(X.ring, [random_rule(X, rng)])
         J = _IdealDecl([random_class(X.ring, rng) for _ in range(rng.randint(1, 2))])
         for lhs, rhs in random_identities(X, J, rng):
             for modulo in ([R, J], [R]):
