@@ -82,13 +82,8 @@ def _steenrod_images(X: ChowPresentation) -> dict[str, GradedClass]:
 def _verify_closure(X: ChowPresentation, images) -> None:
     ring = X.ring
     for rule in ring.rules:
-        # build the image of the raw lead monomial: from_table would rewrite
-        # the lead away before the endomorphism is applied
-        lead_img = ring.one()
-        for i, e in exponents(rule.lead):
-            lead_img = lead_img * (images[ring.names[i]] ** e)
-        repl = ring.from_table(dict(rule.replacement))
-        diff = lead_img - evaluate(repl, images, ring)
+        # the raw rule: from_table would rewrite its lead away
+        diff = evaluate(GradedClass(ring, {rule.lead: 1, **{m: -c for m, c in rule.replacement}}), images, ring)
         if not diff.is_zero():
             raise NotSteenrodClosed(
                 f"rule {ring.monomial_str(rule.lead)} is not Steenrod-closed "

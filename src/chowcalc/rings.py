@@ -85,8 +85,8 @@ field.  A product whose lookup misses the memo is checked all the same,
 and so is every rewriting step without a dimension.
 ``Monomial(pairs)`` is the public constructor, from (generator index,
 exponent) pairs in any order; it returns an int subclass whose ``exps``
-and ``support`` decode the key.  Tables and memos hold plain ints, which
-find the same entries, and ``exponents`` decodes any key.
+decodes the key.  Tables and memos hold plain ints, which find the same
+entries, and ``exponents`` decodes any key.
 
 No floating point is used anywhere; everything is exact.
 """

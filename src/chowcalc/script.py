@@ -33,14 +33,18 @@ Grammar (informal):
     another shape, or a NAME, XI, E or GEN that is not an identifier is an
     error verdict whose detail is the form's usage line; X, Y, BASE and
     CTX must name presentations, and the NAME of in-context a presentation
-    or a Milnor ring.
+    or a Milnor ring.  Clauses are read in the context their form builds
+    on (BASE, the blow-up for its rules, generic's rule-free presentation,
+    the current one for declare-rules), and a rule side, degree monomial
+    or tangent of another context is an error verdict.
 
     The num- variants check the identity against every basis class of
     complementary codegree, the right notion for claims that hold only up
     to numerical equivalence below the top codegree.  Expression heads:
-    add sub neg mul pow scale part, roots, chern chern-total segre-total,
+    add sub neg mul pow scale part, chern chern-total segre-total,
     steenrod ppow embedded embedded-total dclass homological, pullback
-    pushforward tangent inv-total, qapply rset.
+    pushforward tangent inv-total, qapply rset.  report-value records
+    integers, literals, classes and Milnor elements only.
 
 Atoms are integers, identifiers, and subset literals like {0 1 2}.
 Comments run from ';' to end of line.  Parsing is total: it either returns
@@ -60,7 +64,6 @@ from __future__ import annotations
 
 import re
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -69,7 +72,7 @@ from . import characteristic as chops
 from . import milnor as miln
 from .numeric import ideal_residual, numerical_kernel, pairing_residuals
 from .report import ERROR, FAIL, PASS, AssertionResult, Report
-from .rings import GradedClass, RingContext
+from .rings import GradedClass, RingContext, inverse_series
 from .varieties import (
     BundleRoots,
     CenterData,
@@ -131,13 +134,12 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
 
 
 class Script:
-    """Parsed forms and the text they were read from; equal by forms."""
+    """Parsed forms; equal by forms."""
 
-    __slots__ = ("forms", "source")
+    __slots__ = ("forms",)
 
-    def __init__(self, forms: list, source: str = ""):
+    def __init__(self, forms: list):
         self.forms = forms
-        self.source = source
 
     def __eq__(self, other):
         return isinstance(other, Script) and self.forms == other.forms
@@ -197,7 +199,7 @@ def parse_script(text: str) -> Script:
                          "top-level forms must be parenthesized")
     if stack:
         raise _error(text, start, f"unbalanced {tokens[start]!r}: missing {close!r}")
-    return Script(forms, source=text)
+    return Script(forms)
 
 
 def _print_node(node) -> str:
@@ -264,16 +266,6 @@ class Env:
             if name.startswith("r") and name[1:].isdigit():
                 return cur.r(int(name[1:]))
         raise EvalError(f"undefined identifier {name!r}")
-
-    @contextmanager
-    def within(self, context):
-        """Evaluate with context as the current one, restored afterwards."""
-        saved = self.current
-        self.current = context
-        try:
-            yield
-        finally:
-            self.current = saved
 
     def presentation_of(self, c: GradedClass) -> ChowPresentation:
         pres = self.pres_by_ring.get(id(c.ring))
@@ -434,8 +426,6 @@ def eval_expr(env: Env, node):
     if head == "part":
         _expect(len(args) == 2 and isinstance(args[0], int), "(part d a)")
         return _as_class(env, ev(args[1])).homogeneous_part(args[0])
-    if head == "roots":
-        return _eval_roots(env, node)
     if head == "chern-total":
         _expect(len(args) == 1, "(chern-total (roots ...))")
         return chops.chern_total(_eval_roots(env, args[0]))
@@ -477,8 +467,6 @@ def eval_expr(env: Env, node):
         return _presentation(env, args[0], "(tangent CTX)").tangent_class()
     if head == "inv-total":
         _expect(len(args) == 1, "(inv-total a)")
-        from .rings import inverse_series
-
         return inverse_series(_as_class(env, ev(args[0])))
     if head == "pullback":
         _expect(len(args) == 2, "(pullback CTX a)")
@@ -614,23 +602,37 @@ def _mod_clause(env: Env, clauses: list) -> list:
     return decls
 
 
-def _eval_rule_pairs(env: Env, pairs) -> tuple[Optional[RingContext], list]:
-    """The ring of the rule pairs' sides (None with no pairs), which must
-    all live in one ring, and the pairs as (lead key, replacement table):
-    a key reads right only in the ring that made it."""
-    ring, rules = None, []
-    for pair in pairs:
-        _expect(isinstance(pair, list) and len(pair) == 2, "rule clause entries are (LEAD REPL)")
-        lead_c = _as_class(env, eval_expr(env, pair[0]))
-        repl_c = _as_class(env, eval_expr(env, pair[1]))
-        _expect(
-            len(lead_c.table) == 1 and set(lead_c.table.values()) == {1},
-            "rule lead must be a single monic monomial",
-        )
-        ring = ring or lead_c.ring
-        _expect(lead_c.ring is ring is repl_c.ring, "rule sides live in different contexts")
-        rules.append((next(iter(lead_c.table)), dict(repl_c.table)))
-    return ring, rules
+def _read_classes(env: Env, context, exprs, refusal: Optional[str] = None) -> list[GradedClass]:
+    """The classes of a form's operands, evaluated with context, the one
+    the form builds on, current.  With a refusal the form keeps them as
+    keys, which read right only in the ring that made them, so a class of
+    another ring, or any when context is no presentation, is refused."""
+    saved, env.current = env.current, context
+    try:
+        classes = [_as_class(env, eval_expr(env, x)) for x in exprs]
+    finally:
+        env.current = saved
+    if refusal is not None:
+        _expect(isinstance(context, ChowPresentation) and all(c.ring is context.ring for c in classes), refusal)
+    return classes
+
+
+def _monomial(c: GradedClass, refusal: str) -> int:
+    """The key of c, which must be a single monic monomial."""
+    _expect(len(c.table) == 1 and set(c.table.values()) == {1}, refusal)
+    return next(iter(c.table))
+
+
+def _rule_sides(pairs) -> list:
+    """The expressions of rule clause entries (LEAD REPL), lead first."""
+    _expect(all(isinstance(pair, list) and len(pair) == 2 for pair in pairs), "rule clause entries are (LEAD REPL)")
+    return [side for pair in pairs for side in pair]
+
+
+def _eval_rule_pairs(sides: list[GradedClass]) -> list:
+    """The (lead key, replacement table) rules of sides ``_rule_sides`` read."""
+    return [(_monomial(lead, "rule lead must be a single monic monomial"), dict(repl.table))
+            for lead, repl in zip(sides[::2], sides[1::2])]
 
 
 _CONTEXT_USAGE = {
@@ -661,30 +663,26 @@ def _eval_context_form(env: Env, form: list) -> None:
     elif head == "pbundle":
         (name, base, xi), clauses = _read_form(args, (str, str, str), ("roots",), usage, ("roots",))
         base = _presentation(env, base, usage)
-        with env.within(base):
-            roots = _eval_roots(env, ["roots", *clauses["roots"]])
+        roots = BundleRoots.plus(_read_classes(env, base, clauses["roots"]), ring=base.ring)
         value = projective_bundle(base, roots, fiber_gen=xi, name=name)
     elif head == "blowup":
         (name, base, egen), clauses = _read_form(
             args, (str, str, str), ("class", "roots", "restrict", "rules"), usage, ("class", "roots"))
         base = _presentation(env, base, usage)
-        with env.within(base):
-            fundamental = _as_class(env, eval_expr(env, _single(clauses, "class", None, usage)))
-            roots = _eval_roots(env, ["roots", *clauses["roots"]])
-            restriction = {}
-            for entry in clauses.get("restrict", ()):
-                _expect(isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-                        and entry[0] not in restriction, usage)
-                restriction[entry[0]] = _as_class(env, eval_expr(env, entry[1]))
+        restrict, rank = clauses.get("restrict", ()), len(clauses["roots"])
+        _expect(all(isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) for e in restrict)
+                and len({e[0] for e in restrict}) == len(restrict), usage)
+        fundamental, *classes = _read_classes(
+            env, base, [_single(clauses, "class", None, usage), *clauses["roots"], *(e[1] for e in restrict)])
+        roots = BundleRoots.plus(classes[:rank], ring=base.ring)
+        restriction = {e[0]: c for e, c in zip(restrict, classes[rank:])}
         center = CenterData(fundamental=fundamental, roots=roots, restriction=restriction, name=f"Z({name})")
         value = blow_up(base, center, exceptional_gen=egen, name=name)
         if clauses.get("rules"):
             # declared rules mention the new exceptional generator, so they are
-            # evaluated on the freshly built presentation and added to it
-            with env.within(value):
-                ring, extra = _eval_rule_pairs(env, clauses["rules"])
-            _expect(ring is value.ring, "declared rules live in a different context")
-            value = value.with_rules(extra)
+            # read on the freshly built presentation and added to it
+            sides = _read_classes(env, value, _rule_sides(clauses["rules"]), "declared rules live in a different context")
+            value = value.with_rules(_eval_rule_pairs(sides))
     elif head == "generic":
         (name, dim), clauses = _read_form(
             args, (str, int), ("mod", "gens", "rules", "degrees", "tangent"), usage, ("gens",))
@@ -692,25 +690,24 @@ def _eval_context_form(env: Env, form: list) -> None:
         gens = clauses["gens"]
         _expect(all(isinstance(g, list) and len(g) == 2 and isinstance(g[0], str) and isinstance(g[1], int)
                     for g in gens), usage)
+        sides, entries = _rule_sides(clauses.get("rules", ())), clauses.get("degrees", ())
+        _expect(all(isinstance(e, list) and len(e) == 2 and isinstance(e[1], int) for e in entries), usage)
+        tangent = [_single(clauses, "tangent", None, usage)] if "tangent" in clauses else []
         rules, degrees, tangent_tbl = [], {}, None
-        if clauses.keys() & {"rules", "degrees", "tangent"}:
+        if sides or entries or tangent:
             # the clauses are read on a rule-free presentation, which lists
             # its basis only if a clause reads it, and which stays unbound:
             # a clause that fails leaves the environment as it was
             ring = RingContext([n for n, _ in gens], [d for _, d in gens], modulus=mod, dimension=dim)
-            with env.within(_generic_presentation(ring, lambda: enumerate_basis(ring), None, None, name)):
-                rules_ring, rules = _eval_rule_pairs(env, clauses.get("rules", ()))
-                _expect(rules_ring in (None, ring), "declared rules live in a different context")
-                for entry in clauses.get("degrees", ()):
-                    _expect(isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int), usage)
-                    mono_cls = _as_class(env, eval_expr(env, entry[0]))
-                    _expect(len(mono_cls.table) == 1 and set(mono_cls.table.values()) == {1},
-                            "degree entries need monic monomials")
-                    mono = next(iter(mono_cls.table))
-                    _expect(mono not in degrees, usage)
-                    degrees[mono] = entry[1]
-                if "tangent" in clauses:
-                    tangent_tbl = dict(_as_class(env, eval_expr(env, _single(clauses, "tangent", None, usage))).table)
+            clause_pres = _generic_presentation(ring, lambda: enumerate_basis(ring), None, None, name)
+            classes = _read_classes(env, clause_pres, [*sides, *(e[0] for e in entries), *tangent],
+                                    "declared rules live in a different context")
+            rules = _eval_rule_pairs(classes[: len(sides)])
+            for entry, c in zip(entries, classes[len(sides) :]):
+                mono = _monomial(c, "degree entries need monic monomials")
+                _expect(mono not in degrees, usage)
+                degrees[mono] = entry[1]
+            tangent_tbl = dict(classes[-1].table) if tangent else None
         # the presentation is built once, with its rules, so its basis is
         # enumerated once
         value = generic_context(gens, dim, rules, mod, degrees or None, tangent_tbl, name)
@@ -849,13 +846,15 @@ def run_scenario(script: Script, script_id: str = "script", seed: Optional[int] 
                 env.define(form[1], _IdealDecl(gens))
             elif head == "declare-rules":
                 _expect(len(form) >= 3 and isinstance(form[1], str), "(declare-rules NAME (LEAD REPL) ...)")
-                env.define(form[1], _RulesDecl(*_eval_rule_pairs(env, form[2:])))
+                sides = _read_classes(env, env.current, _rule_sides(form[2:]), "rule sides live in different contexts")
+                env.define(form[1], _RulesDecl(env.current.ring, _eval_rule_pairs(sides)))
             elif head == "report-value":
-                _expect(len(form) == 3 and isinstance(form[1], str), "(report-value NAME expr)")
-                if _is_literal(form[2]):
-                    report.values[form[1]] = _print_node(form[2])
-                else:
-                    report.values[form[1]] = str(eval_expr(env, form[2]))
+                usage = "(report-value NAME expr)"
+                _expect(len(form) == 3 and isinstance(form[1], str), usage)
+                value = form[2] if _is_literal(form[2]) else eval_expr(env, form[2])
+                # a declared set or a context would print as an object, some by memory address
+                _expect(isinstance(value, (int, list, frozenset, GradedClass, miln.MilnorElement)), usage)
+                report.values[form[1]] = _print_node(value)
             else:
                 raise EvalError(f"unknown form head {head!r}")
         except Exception as exc:

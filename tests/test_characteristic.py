@@ -160,6 +160,35 @@ class TestSteenrodTotal:
                 steenrod_total(bad, bad.gen("x"))
         assert kept_under(bad, "steenrod") == {}
 
+    def test_top_codegree_generator_maps_to_itself(self):
+        # no room above the top codegree for pt + pt^2
+        X = generic_context([("x", 1), ("pt", 2)], 2, modulus=2)
+        x, pt = X.gen("x"), X.gen("pt")
+        assert _steenrod_images(X) == {"x": x + x * x, "pt": pt}
+        assert steenrod_total(X, x + pt) == x + x * x + pt
+
+    def test_intermediate_codegree_generator_is_refused(self):
+        X = generic_context([("x", 1), ("y", 2)], 3, modulus=2)
+        for _ in range(2):
+            with pytest.raises(NotSteenrodClosed, match="generator 'y' has codegree 2"):
+                steenrod_total(X, X.gen("x"))
+        assert kept_under(X, "steenrod") == {}
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_inhomogeneous_class_is_the_sum_over_its_parts(self, p):
+        X = generic_context([("x", 1), ("y", 1)], 5, modulus=p)
+        x, y = X.gen("x"), X.gen("y")
+        # P^1 raises codegree by p - 1: P^1(x) = x^p, P^1(xy) = x^p y + x y^p
+        assert reduced_power(X, x + x * y, 1) == x**p + x**p * y + x * y**p
+        assert reduced_power(X, X.one() + x + x * y, 0) == X.one() + x + x * y
+        rng = random.Random(p)
+        classes = [random_class(X.ring, rng, terms=4) for _ in range(20)]
+        assert any(c.codegree is None and c.codegrees() for c in classes)
+        for c in classes:
+            for i in range(3):
+                parts = [reduced_power(X, c.homogeneous_part(d), i) for d in sorted(c.codegrees())]
+                assert reduced_power(X, c, i) == sum(parts, X.zero())
+
     def test_blowup_rules_are_closed(self):
         P2 = projective_space(2)
         center = CenterData(

@@ -594,6 +594,21 @@ class TestEvaluator:
         rep = run_scenario(parse_script(f"(pspace P 2) (let a h) {form}"))
         assert [(r.verdict, r.detail) for r in rep.results] == [(ERROR, f"EvalError: {usage} in {form}")]
 
+    @pytest.mark.parametrize("form, detail", [
+        ("(generic X 2 (gens (a 1)) (rules ((scale 2 (pow a 2)) 0)))", "rule lead must be a single monic monomial"),
+        (f"{BLOWUP} (rules ((add e e) 0)))", "rule lead must be a single monic monomial"),
+        ("(declare-rules R ((add h h) 0))", "rule lead must be a single monic monomial"),
+        ("(generic X 2 (gens (a 1)) (degrees ((scale 2 (pow a 2)) 1)))", "degree entries need monic monomials"),
+        ("(generic X 2 (gens (a 1) (b 1)) (degrees ((add a b) 1)))", "degree entries need monic monomials"),
+        ("(let c (chern 1 h))", "expected (roots ...)"),
+        ("(let r (roots h h))", "unknown form head 'roots'"),
+    ])
+    def test_keys_and_roots_are_refused_as_before(self, form, detail):
+        # rule leads and degree entries share one monomial check, and
+        # (roots ...) is an operand of the forms that take it, not a value
+        rep = run_scenario(parse_script(f"(pspace P 2) {form}"))
+        assert [(r.verdict, r.detail) for r in rep.results] == [(ERROR, f"EvalError: {detail} in {form}")]
+
     def test_a_repeated_rules_clause_is_not_ignored(self):
         # the second (rules ...) used to be dropped, so x^2 failed to vanish
         rep = run_scenario(parse_script(
@@ -785,6 +800,39 @@ class TestVerifyIdentity:
             (ERROR, "EvalError: rule sides live in different contexts"),
             (ERROR, "EvalError: declared rules live in a different context"),
             (ERROR, "EvalError: declared rules live in a different context"),
+        ]
+
+    # Y's c and W's a have one key, so read by its keys Y's 1 + c was W's
+    # tangent 1 + a, and Y's c^2 gave deg a^2 = 1: both scripts passed
+    FOUND_GENERIC = (
+        "(generic Y 2 (gens (c 1) (d 1))) (let t (add 1 c))"
+        "(generic W 2 (gens (a 1) (b 1)) (degrees ((pow a 2) 1)) (tangent t))"
+        "(assert-equal (trivial) (tangent W) (add 1 a))"
+    )
+
+    @pytest.mark.parametrize("text, verdicts", [
+        (FOUND_GENERIC, [("script#form2", ERROR), ("script#1", ERROR)]),
+        (FOUND_GENERIC + "(in-context Y) (let u (pow c 2))"
+         "(generic Z 2 (gens (a 1) (b 1)) (degrees (u 1))) (assert-deg (trivial) (pow a 2) 1)",
+         [("script#form2", ERROR), ("script#1", ERROR), ("script#form6", ERROR), ("script#2", ERROR)]),
+    ], ids=["tangent", "degrees"])
+    def test_generic_clauses_refuse_classes_of_another_context(self, text, verdicts):
+        rep = run_scenario(parse_script(text))
+        assert [(r.id, r.verdict) for r in rep.results] == verdicts
+        refused = [r.detail.partition(" in (")[0] for r in rep.results if "#form" in r.id]
+        assert set(refused) == {"EvalError: declared rules live in a different context"}
+
+    @pytest.mark.parametrize("context", ["(pspace P 2)", "(milnor M 2)"])
+    def test_declared_rules_are_read_in_the_current_context(self, context):
+        # S's sides both live in Y, so they made rules of Y while P or M was
+        # current; the declaration is now refused and S stays unbound
+        rep = run_scenario(parse_script(
+            "(generic Y 4 (gens (c 2) (d 1))) (let u (pow c 2)) (let v (pow d 4))"
+            f"{context} (declare-rules S (u v)) (in-context Y) (assert-equal (trivial) u v (modulo S))"
+        ))
+        assert [(r.verdict, r.detail.partition(" in (")[0]) for r in rep.results] == [
+            (ERROR, "EvalError: rule sides live in different contexts"),
+            (ERROR, "EvalError: undefined identifier 'S'"),
         ]
 
     def test_ideal_rows_refuse_a_generator_of_another_ring(self):
@@ -1022,6 +1070,23 @@ class TestReports:
         ))
         assert [r.verdict for r in rep.results] == [ERROR]
         assert rep.notes == [D_CLASS_CONVENTION_NOTE]
+
+    def test_report_value_records_only_what_prints_as_written(self):
+        # declared sets, contexts and roots printed as Python objects, some
+        # by memory address, so the report's bytes changed from run to run
+        refused = ["(report-value a J)", "(report-value b R)", "(report-value c P)", "(report-value m M)"]
+        rep = run_scenario(parse_script(
+            "(pspace P 2) (declare-ideal J h) (declare-rules R ((pow h 2) 0))"
+            f"{''.join(refused[:3])} (report-value d (roots h h))"
+            "(report-value e (add h 1)) (report-value f (add 2 3)) (report-value g {2 0 1})"
+            f"(report-value k ((1 2) (3))) (milnor M 3) {refused[3]} (report-value n (mul r0 r1))"
+        ))
+        assert [r.detail for r in rep.results] == [
+            f"EvalError: (report-value NAME expr) in {form}" for form in refused[:3]
+        ] + ["EvalError: unknown form head 'roots' in (report-value d (roots h h))",
+             f"EvalError: (report-value NAME expr) in {refused[3]}"]
+        assert rep.values == {"e": "1 + h", "f": "5", "g": "{0 1 2}", "k": "((1 2) (3))", "n": "r0*r1"}
+        assert b"0x" not in emit_report(rep, "json", stable=True)
 
     def test_json_single_pass(self):
         rep = run_scenario(parse_script("(pspace P 1)(assert-deg (trivial) h 1)"))
