@@ -34,9 +34,11 @@ Grammar (informal):
     error verdict whose detail is the form's usage line; X, Y, BASE and
     CTX must name presentations, and the NAME of in-context a presentation
     or a Milnor ring.  Clauses are read in the context their form builds
-    on (BASE, the blow-up for its rules, generic's rule-free presentation,
-    the current one for declare-rules), and a rule side, degree monomial
-    or tangent of another context is an error verdict.
+    on: BASE; for generic's clauses and blowup's rules, a rule-free
+    presentation in the generators of the ring the form builds (BASE's,
+    then E, primed while it names one of them), so they are read as
+    written; the current one for declare-rules.  A rule side, degree
+    monomial or tangent of another context is an error verdict.
 
     The num- variants check the identity against every basis class of
     complementary codegree, the right notion for claims that hold only up
@@ -77,6 +79,7 @@ from .varieties import (
     BundleRoots,
     CenterData,
     ChowPresentation,
+    _exceptional_name,
     _generic_presentation,
     blow_up,
     enumerate_basis,
@@ -635,6 +638,15 @@ def _eval_rule_pairs(sides: list[GradedClass]) -> list:
             for lead, repl in zip(sides[::2], sides[1::2])]
 
 
+def _clause_presentation(names, codegrees, modulus: int, dim: int, name: str) -> ChowPresentation:
+    """The rule-free presentation on which a context form's clauses are
+    read as written, before the form's ring is built.  It lists its basis
+    only if a clause reads it, and it stays unbound: a clause that fails
+    leaves the environment as it was."""
+    ring = RingContext(names, codegrees, modulus=modulus, dimension=dim)
+    return _generic_presentation(ring, lambda: enumerate_basis(ring), None, None, name)
+
+
 _CONTEXT_USAGE = {
     "pspace": "(pspace [NAME] N [(mod P)])",
     "product": "(product NAME X Y)",
@@ -677,12 +689,15 @@ def _eval_context_form(env: Env, form: list) -> None:
         roots = BundleRoots.plus(classes[:rank], ring=base.ring)
         restriction = {e[0]: c for e, c in zip(restrict, classes[rank:])}
         center = CenterData(fundamental=fundamental, roots=roots, restriction=restriction, name=f"Z({name})")
-        value = blow_up(base, center, exceptional_gen=egen, name=name)
-        if clauses.get("rules"):
-            # declared rules mention the new exceptional generator, so they are
-            # read on the freshly built presentation and added to it
-            sides = _read_classes(env, value, _rule_sides(clauses["rules"]), "declared rules live in a different context")
-            value = value.with_rules(_eval_rule_pairs(sides))
+        sides, rules = _rule_sides(clauses.get("rules", ())), []
+        if sides:
+            # the rules name the exceptional generator, so they are read on a
+            # rule-free presentation in the blow-up's generators
+            ring = base.ring
+            clause_pres = _clause_presentation(
+                [*ring.names, _exceptional_name(base, egen)], [*ring.codegrees, 1], ring.modulus, base.dim, name)
+            rules = _eval_rule_pairs(_read_classes(env, clause_pres, sides, "declared rules live in a different context"))
+        value = blow_up(base, center, exceptional_gen=egen, name=name, rules=rules)
     elif head == "generic":
         (name, dim), clauses = _read_form(
             args, (str, int), ("mod", "gens", "rules", "degrees", "tangent"), usage, ("gens",))
@@ -695,11 +710,7 @@ def _eval_context_form(env: Env, form: list) -> None:
         tangent = [_single(clauses, "tangent", None, usage)] if "tangent" in clauses else []
         rules, degrees, tangent_tbl = [], {}, None
         if sides or entries or tangent:
-            # the clauses are read on a rule-free presentation, which lists
-            # its basis only if a clause reads it, and which stays unbound:
-            # a clause that fails leaves the environment as it was
-            ring = RingContext([n for n, _ in gens], [d for _, d in gens], modulus=mod, dimension=dim)
-            clause_pres = _generic_presentation(ring, lambda: enumerate_basis(ring), None, None, name)
+            clause_pres = _clause_presentation([n for n, _ in gens], [d for _, d in gens], mod, dim, name)
             classes = _read_classes(env, clause_pres, [*sides, *(e[0] for e in entries), *tangent],
                                     "declared rules live in a different context")
             rules = _eval_rule_pairs(classes[: len(sides)])

@@ -210,8 +210,9 @@ class ChowPresentation:
     ``presentation_from_json`` build; so it is closed under division, which
     ``enumerate_basis``, ``_truncated_leads`` and ``blow_up`` rely on.  The
     constructor also takes a zero-argument function for it, called on the
-    first read of ``basis`` (the DSL's ``generic`` form reads its clauses
-    on such a presentation, which lists no basis unless one is read).
+    first read of ``basis`` (the DSL reads a ``generic`` form's clauses and
+    a ``blowup`` form's rules on such a presentation, which lists no basis
+    unless one is read).
 
     A presentation is immutable once built, so whatever is derived from it
     is kept in one map, through ``kept(key, make, *args)``; a computation
@@ -922,11 +923,21 @@ def projective_bundle(
     return pres
 
 
+def _exceptional_name(X: ChowPresentation, exceptional_gen: str) -> str:
+    """The name ``blow_up`` gives the exceptional generator asked for as
+    exceptional_gen: it, with a prime appended while it names a generator
+    of X."""
+    while exceptional_gen in X.ring.names:
+        exceptional_gen += "'"
+    return exceptional_gen
+
+
 def blow_up(
     X: ChowPresentation,
     center: CenterData,
     exceptional_gen: str = "e",
     name: Optional[str] = None,
+    rules: Iterable[tuple[int, Mapping[int, int]]] = (),
 ) -> ChowPresentation:
     """Blow-up of X along a center satisfying the coverage requirement.
 
@@ -940,15 +951,21 @@ def blow_up(
       which folds the top fiber power back into the ambient component;
       c(N) is ``chern_total`` of the restricted normal roots, signs kept.
 
-    Rules declared on top of these are added by ``with_rules``.  A
-    restriction entry for a name that is not a generator of X raises
+    ``rules``, (lead monomial, {monomial: coefficient}) pairs as
+    ``generic_context(rules=)`` takes them, are declared after these in
+    the one ring build, as ``with_rules`` would add them to the blow-up
+    built without them.  Their keys are in the blow-up's generators: X's,
+    then e, renamed by ``_exceptional_name`` on a clash.  A restriction
+    entry for a name that is not a generator of X raises
     ``CoverageError``.
 
     X's basis is closed under division (see ``ChowPresentation``), so a
     fixed m above dim Z is minimal exactly when codeg(m) - min codeg(x_i),
     i in supp(m), is at most dim Z.  e is the last generator, the most
     significant field, so X.basis_of(d), e * center[d-1], e^2 * center[d-2],
-    ... is each codegree's basis in key order.
+    ... is each codegree's basis in key order.  With rules, the basis is
+    that one minus the monomials that a kept declared lead divides, as
+    ``with_rules`` lists it.
 
     The blow-up carries no tangent class.
     """
@@ -998,27 +1015,26 @@ def blow_up(
     fixed = [res_images[g] == gens[g] for g in X.ring.names]
     moved = sum(generator_power(i, MAX_EXPONENT) for i, f in enumerate(fixed) if not f)
 
-    while exceptional_gen in X.ring.names:
-        exceptional_gen += "'"
+    exceptional_gen = _exceptional_name(X, exceptional_gen)
     names = list(X.ring.names) + [exceptional_gen]
     codegrees = list(X.ring.codegrees) + [1]
     e_idx = len(X.ring.names)
 
     e = generator_power(e_idx)
-    rules: list[tuple[int, dict[int, int]]] = []
+    own: list[tuple[int, dict[int, int]]] = []
     # restriction rules
     for gi, gname in enumerate(X.ring.names):
         if fixed[gi]:
             continue
         img = res_images[gname]
         repl = {m + e: c for m, c in img.table.items()}
-        rules.append((generator_power(gi) + e, repl))
+        own.append((generator_power(gi) + e, repl))
     # dimension-kill rules, minimal ones only: the rest are their multiples
     cds = X.ring.codegrees
     for d in range(dim_z + 1, min(X.dim, dim_z + max(cds, default=0)) + 1):
         for m in X.basis_of(d):
             if not m & moved and d - _least_codegree(X.ring, m) <= dim_z:
-                rules.append((m + e, {}))
+                own.append((m + e, {}))
     # fold rule for e^r: c_k(N) e^{r-k} has sign (-1)^{(r-k)+r-1} = (-1)^{k+1}
     sign_z = 1 if r % 2 else -1
     fold = {m: sign_z * c for m, c in center.fundamental.table.items()}
@@ -1027,9 +1043,11 @@ def blow_up(
         k = X.ring.monomial_codegree(m)
         if 0 < k < r:
             fold[m + generator_power(e_idx, r - k)] = c if k % 2 else -c
-    rules.append((generator_power(e_idx, r), fold))
+    own.append((generator_power(e_idx, r), fold))
+    declared = len(X.ring.rules) + len(own)  # the index of the first of rules
+    rules = list(rules)
 
-    ring = RingContext(names, codegrees, X.ring.modulus, X.dim, rules, base=X.ring)
+    ring = RingContext(names, codegrees, X.ring.modulus, X.dim, own + rules, base=X.ring)
 
     # Center-side basis: X's basis monomials in the fixed generators, which
     # the restriction leaves as they are, of codegree at most dim Z.
@@ -1049,6 +1067,8 @@ def blow_up(
             ek = generator_power(e_idx, k)
             here += [m + ek for m in center_basis[d - k]]
         basis.append(here)
+    if rules:
+        basis = _undivided(ring, [r.lead for r in ring.rules if r.index >= declared], basis)
 
     degree_table = dict(X.degree_table) if X.degree_table is not None else None
 

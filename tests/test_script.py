@@ -247,21 +247,36 @@ class TestEvaluator:
             "(generic X 3 (mod 2) (gens (x 1)) (tangent (steenrod x)))"
             "(assert-equal (trivial) (tangent X) (add x (mul x x)))"
             "(pspace P 3 (mod 2))"
-            "(blowup B P e (class (mul h h)) (roots 0 h) (rules ((mul e (steenrod h)) 0)))"
+            "(blowup B P e (class (mul h h)) (roots 0 h) (rules ((mul e (part 1 (steenrod h))) 0)))"
             "(assert-zero (trivial) (mul e h))"
         ))
         assert rep.ok, [(r.verdict, r.detail) for r in rep.results]
+
+    @pytest.mark.parametrize("text, verdicts", [
+        # the README example: read in the built blow-up, the restriction
+        # rule e*h -> 0 would rewrite the declared lead to 0
+        ("(pspace X 3)(blowup Y X e (class (mul h h)) (roots 0 0) (restrict (h 0)) (rules ((mul e h) 0)))"
+         "(assert-zero (trivial) (mul e h))", [(PASS, "")]),
+        # e*Sq(h) = e*h + e*h^2 is a monomial only after the blow-up's kill
+        # rule e*h^2 -> 0
+        ("(pspace P 3 (mod 2))(blowup B P e (class (mul h h)) (roots 0 h) (rules ((mul e (steenrod h)) 0)))",
+         [(ERROR, "EvalError: rule lead must be a single monic monomial")]),
+    ])
+    def test_blowup_rules_are_read_as_written(self, text, verdicts):
+        rep = run_scenario(parse_script(text))
+        assert [(r.verdict, r.detail.partition(" in (")[0]) for r in rep.results] == verdicts
 
     def test_blowup_rules_are_added_to_one_blow_up(self, monkeypatch):
         from chowcalc import script
 
         calls = counting(monkeypatch, script, "blow_up")
+        copies = counting(monkeypatch, ChowPresentation, "with_rules")
         rep = run_scenario(parse_script(
             "(pspace P 3)"
             "(blowup B P e (class (mul h h)) (roots h h) (rules ((pow h 3) 0)))"
             "(assert-zero (trivial) (pow h 3))"
         ))
-        assert rep.ok and len(calls) == 1
+        assert rep.ok and len(calls) == 1 and not copies
 
     @pytest.mark.parametrize("gen, verdicts", [
         ("h", [(PASS, "")]),

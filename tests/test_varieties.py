@@ -250,38 +250,38 @@ def assert_basis_irreducible(X):
 
 def recorded_blow_ups(monkeypatch) -> list:
     """(X, center, declared rules, blow-up) for every blow-up that the
-    registry makes, with no rules, and for each copy ``with_rules`` makes of
-    one, with the rules it adds; then for every blow-up that
-    ``random_tower`` makes on seeds 0-59."""
+    registry makes, each one made with rules preceded by the blow-up of X
+    along center without them; then for every blow-up that ``random_tower``
+    makes on seeds 0-59."""
     import helpers
     from chowcalc import registry, script
 
     built = []
-    with_rules = ChowPresentation.with_rules
 
-    def record(X, center, exceptional_gen="e", name=None):
-        built.append((X, center, [], blow_up(X, center, exceptional_gen, name)))
+    def record(X, center, exceptional_gen="e", name=None, rules=()):
+        rules = list(rules)
+        if rules:
+            built.append((X, center, [], blow_up(X, center, exceptional_gen, name)))
+        built.append((X, center, rules, blow_up(X, center, exceptional_gen, name, rules)))
         return built[-1][-1]
 
-    def record_rules(self, rules):
-        rules = list(rules)
-        copy = with_rules(self, rules)
-        for X, center, _, Bl in built:
-            if Bl is self:
-                built.append((X, center, rules, copy))
-                break
-        return copy
-
     monkeypatch.setattr(script, "blow_up", record)
-    monkeypatch.setattr(ChowPresentation, "with_rules", record_rules)
     registry.run_all(seed=0)
     registry_count = len(built)
-    assert registry_count > 0
+    assert any(rules for _, _, rules, _ in built)
     monkeypatch.setattr(helpers, "blow_up", record)
     for seed in range(60):
         random_tower(random.Random(seed))
     assert len(built) > registry_count
     return built
+
+
+def stored(X: ChowPresentation) -> tuple:
+    """What a presentation stores: its ring's rules with their indices, in
+    order, whether all of them are minimal, its basis, degree table, roles
+    and provenance."""
+    rules = [(r.lead, r.replacement, r.index) for r in X.ring.rules]
+    return (X.ring.names, rules, X.ring._all_minimal, X.basis, X.degree_table, X.roles, X.provenance)
 
 
 def built_by(monkeypatch, run) -> list:
@@ -482,7 +482,7 @@ class TestBlowUp:
             assert (copy.base, copy.center, copy.roles, copy.degree_table, copy.name) == (
                 Bl.base, Bl.center, Bl.roles, Bl.degree_table, Bl.name)
         # the two registry blow-ups that declare rules, both named Xt
-        declared = [copy for _, _, rules, copy in recorded_blow_ups(monkeypatch) if rules]
+        declared = [Bl for _, _, rules, Bl in recorded_blow_ups(monkeypatch) if rules]
         assert [X.name for X in declared] == ["Xt", "Xt"]
         for X in copies + declared:
             assert [tuple(b) for b in X.basis] == enumerate_basis(X.ring), X.name
@@ -514,8 +514,8 @@ class TestBlowUp:
     def test_kill_rules_are_the_minimal_fixed_monomials(self, monkeypatch):
         # declared in order: X's rules, one e*g -> e*res(g) per generator
         # that the restriction moves, the kill rules, the fold e^r, then the
-        # rules with_rules adds; its ring may drop a kill rule that an added
-        # rule implies
+        # declared rules; its ring may drop a kill rule that a declared rule
+        # implies
         for X, center, extra, Bl in recorded_blow_ups(monkeypatch):
             e_idx = len(X.ring.names)
             start = len(X.ring.rules) + len(X.ring.names) - len(restriction_fixed(X, center))
@@ -531,6 +531,29 @@ class TestBlowUp:
             ]
             fold = [r.lead for r in Bl.ring.rules if r.index == end]
             assert got == want and fold == [Monomial([(e_idx, center.codim)])], Bl.name
+
+    def test_declared_rules_store_what_with_rules_stores(self, monkeypatch):
+        # blow_up(rules=) against with_rules on the blow-up without them: on
+        # each registry blow-up that declares rules, and on each random tower
+        # blow-up with one extra zero rule, a basis monomial of codegree >= 1
+        # or e times a generator (a restriction lead, when that one moves)
+        rng = random.Random(0)
+        declared = []
+        for X, center, rules, Bl in recorded_blow_ups(monkeypatch):
+            e = Bl.provenance["exceptional_generator"]
+            if rules:
+                extras = [rules]
+            else:
+                monomials = [m for b in Bl.basis[1:] for m in b]
+                extras = [[(rng.choice(monomials), {})]] if monomials else []
+                g = rng.randrange(len(X.ring.names))
+                extras.append([(Monomial([(g, 1), (len(X.ring.names), 1)]), {})])
+            for extra in extras:
+                want = blow_up(X, center, e, Bl.name).with_rules(extra)
+                got = blow_up(X, center, e, Bl.name, rules=extra)
+                assert stored(got) == stored(want), (Bl.name, extra)
+                declared.append(bool(rules))
+        assert declared.count(True) == 2 and declared.count(False) > 50
 
     def test_truncated_leads_are_the_minimal_irreducible_monomials(self, monkeypatch):
         for X, _, _, Bl in recorded_blow_ups(monkeypatch):
