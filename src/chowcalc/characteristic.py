@@ -1,13 +1,13 @@
 """Mod-p reduced power operations: the total cohomological operation, the
 operation on embedded fundamental classes, the tangential d-class linking
 cohomological and homological operations, and the homological operations
-themselves.  Chern and Segre classes of (virtual) root data are computed in
+themselves.  Chern and Segre classes of root data are computed in
 ``varieties``, beside ``BundleRoots``, where the bundle and blow-up
 constructors read them; ``chern_total``, ``chern_class`` and
 ``segre_total`` are re-exported here.
 
 Chern, Segre and d-classes and the embedded operation truncate at their
-ring's dimension, and raise ``ValueError`` on a ring without one.
+ring's dimension.
 
 Convention: the d-class of a line root x is 1 + x^{p-1}, so that the total
 d-class of a bundle is the total Chern class when p = 2 and the degree
@@ -207,8 +207,6 @@ def d_class_from_total(total: GradedClass, p: int) -> GradedClass:
     (``RingError`` otherwise).  For p = 2, d(T) is T itself, on any ring."""
     _check_total(total, "total Chern class")
     ring = total.ring
-    if ring.dimension is None:
-        raise ValueError("need a truncation bound")
     if p == 2:
         return total
     if ring.modulus != p:

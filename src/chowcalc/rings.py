@@ -3,8 +3,9 @@ oriented rewrite rules.
 
 A ring context fixes a list of named generators with positive codegrees,
 a coefficient ring (arbitrary-precision integers, or residues mod a prime
-p), an optional dimension above which all classes vanish, and a priority-
-ordered list of rewrite rules.  Classes are sparse monomial tables kept in
+p), a dimension above which all classes vanish (every ring is the Chow
+ring of a variety, truncated at its dimension), and a priority-ordered
+list of rewrite rules.  Classes are sparse monomial tables kept in
 normal form: no stored monomial is divisible by any rule's leading
 monomial, no zero coefficients are stored, and two classes are equal iff
 their tables coincide.
@@ -32,10 +33,10 @@ codegrees are positive, so the chain of m stays among the finitely many
 monomials of its codegree: the strategy fails to terminate on m exactly
 when the walk reaches a monomial still on its stack, which raises
 ``RewriteCycle`` naming that monomial.  For the same reason a monomial at
-or below the dimension never meets truncation on its chain.  A step
-budget bounds the rewriting steps of each fill of the memo.  Reduction
-without truncation, which only tests whether a declared rule is implied,
-walks into a fresh memo each time.
+or below the dimension never meets truncation on its chain.  The step
+budget ``STEP_BUDGET`` bounds the rewriting steps of each fill of the
+memo.  Reduction without truncation, which only tests whether a declared
+rule is implied, walks into a fresh memo each time.
 
 A product of classes adds up c1*c2 times the memo's entry for each
 product monomial m1*m2, so the memo is sound for every terminating rule
@@ -82,7 +83,7 @@ A ring refuses a dimension above ``MAX_EXPONENT // 2``, so the product of
 two monomials at or below the dimension, and every monomial on the
 rewrite chain of a monomial at or below it, keeps each exponent in its
 field.  A product whose lookup misses the memo is checked all the same,
-and so is every rewriting step without a dimension.
+and so is every rewriting step of the untruncated reduction.
 ``Monomial(pairs)`` is the public constructor, from (generator index,
 exponent) pairs in any order; it returns an int subclass whose ``exps``
 decodes the key.  Tables and memos hold plain ints, which find the same
@@ -145,6 +146,9 @@ def _is_prime(n: int) -> bool:
         raise ValueError(f"modulus {n} is at least {_CERTIFIED_BELOW}, above which primality is not certified")
     return True
 
+
+# the rewriting steps each fill of a ring's normal-form memo may take
+STEP_BUDGET = 10**6
 
 FIELD_BITS = 17
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
@@ -328,8 +332,8 @@ class RingContext:
     """Immutable graded polynomial ring with rewrite rules.
 
     modulus 0 means integer coefficients; a positive modulus must be prime.
-    dimension, when set, truncates every class above that codegree; it lies
-    in 0..``MAX_EXPONENT // 2`` (see the module docstring).  ``rules``
+    dimension truncates every class above that codegree; it lies in
+    0..``MAX_EXPONENT // 2`` (see the module docstring).  ``rules``
     keeps the stored rules of ``base`` (a ring whose codegrees are a prefix
     of these), then the declared rules, in declaration order, minus every
     rule whose lead is a proper multiple of another rule's lead and which
@@ -343,19 +347,19 @@ class RingContext:
 
     Every ring is built one way, on a trusted prefix of rules, which is
     empty without a base.  A base with ``_all_minimal`` and a dimension at
-    most the ring's (no dimension counting as unbounded) gives its
-    ``_leads`` entries: its leads are minimal among themselves, and each of
-    its replacements is irreducible under them, and truncated only if its
-    lead lies above the base's dimension, where it is already ().  Any
-    other base gives none, and its stored rules are declared ahead of the
-    ring's own.  A trusted lead is tested for minimality only against the
-    declared leads and a declared lead against all leads, and a trusted
-    replacement is reduced again only when a kept declared lead divides
-    one of its monomials; the base's rules and ``_leads`` entries are
-    reused when the modulus is the same.  A copy that declares no rules
-    on a trusted base stores the base's rules in order, coefficients
-    reduced, untested.  Each way stores what the flat declaration (the
-    base's rules, then the declared ones, with no base) stores.
+    most the ring's gives its ``_leads`` entries: its leads are minimal
+    among themselves, and each of its replacements is irreducible under
+    them, and truncated only if its lead lies above the base's dimension,
+    where it is already ().  Any other base gives none, and its stored
+    rules are declared ahead of the ring's own.  A trusted lead is tested
+    for minimality only against the declared leads and a declared lead
+    against all leads, and a trusted replacement is reduced again only
+    when a kept declared lead divides one of its monomials; the base's
+    rules and ``_leads`` entries are reused when the modulus is the same.
+    A copy that declares no rules on a trusted base stores the base's
+    rules in order, coefficients reduced, untested.  Each way stores what
+    the flat declaration (the base's rules, then the declared ones, with
+    no base) stores.
 
     ``_guard`` holds the guard bits of the ring's fields and ``_low`` the
     bits below each guard bit, so (m + _low) & _guard holds the guard bits
@@ -376,7 +380,7 @@ class RingContext:
     ((m, 1),) and one that a rule with an empty replacement kills as (),
     each without a stack frame.  The memo needs no confluence (see the
     module docstring).  Rules that cycle raise ``RewriteCycle``; a fill of
-    ``_normal_forms`` that takes more than ``step_budget`` rewriting steps
+    ``_normal_forms`` that takes more than ``STEP_BUDGET`` rewriting steps
     raises ``ReductionBudgetExceeded``, and a product whose exponents
     leave their fields raises ``RingError``; either stores nothing for the
     monomial asked about.
@@ -387,9 +391,9 @@ class RingContext:
         names: Sequence[str],
         codegrees: Sequence[int],
         modulus: int = 0,
-        dimension: Optional[int] = None,
+        *,
+        dimension: int,
         rules: Iterable[tuple[int, Mapping[int, int]]] = (),
-        step_budget: int = 10**6,
         base: Optional["RingContext"] = None,
     ):
         if len(names) != len(set(names)):
@@ -402,9 +406,9 @@ class RingContext:
             raise ValueError(f"modulus {modulus!r} is not an integer")
         if modulus and not _is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not prime")
-        if dimension is not None and dimension < 0:
+        if dimension < 0:
             raise ValueError(f"dimension {dimension} is negative")
-        if dimension is not None and dimension > MAX_EXPONENT // 2:
+        if dimension > MAX_EXPONENT // 2:
             raise RingError(f"dimension {dimension} exceeds MAX_EXPONENT // 2 = {MAX_EXPONENT // 2}")
         if base is not None and tuple(codegrees[: len(base.codegrees)]) != base.codegrees:
             raise ValueError("the base ring's generator codegrees must be a prefix of the ring's")
@@ -412,7 +416,6 @@ class RingContext:
         self.codegrees = tuple(codegrees)
         self.modulus = modulus
         self.dimension = dimension
-        self.step_budget = step_budget
         self._index = {n: i for i, n in enumerate(self.names)}
         n = len(self.names)
         self._guard = _guards(n)
@@ -451,8 +454,7 @@ class RingContext:
             declared.append((lead, table))
         p, dim = self.modulus, self.dimension
         trusted = []
-        if base is not None and base._all_minimal and (
-                dim is None or base.dimension is not None and base.dimension <= dim):
+        if base is not None and base._all_minimal and base.dimension <= dim:
             for k, entry in enumerate(base._leads):
                 s, lead, r = entry
                 if p != base.modulus:
@@ -695,20 +697,19 @@ class RingContext:
         return out
 
     def _f(self, m: int, memo: dict, dim: Optional[int]) -> tuple[tuple[int, int], ...]:
-        """The normal form of m, truncated above dim when set, from memo;
-        on a miss, () above dim, else f(m), computed with every monomial
-        its rewrite chain reaches into memo.  Every caller of one memo
-        passes one dim.
+        """The normal form of m, truncated above dim unless dim is None
+        (``_implied``'s reduction), from memo; on a miss, () above dim, else
+        f(m), computed with every monomial its rewrite chain reaches into
+        memo.  Every caller of one memo passes one dim.
 
         A frame of the stack holds a monomial being rewritten, its
         coefficient in the frame below, the terms of its rewrite not yet
         visited, and the sum of c*f(t) over the terms visited.  A monomial
         that no rule rewrites, or that a rule with an empty replacement
-        kills (one step of the budget), takes no frame, and an irreducible
-        m is stored before any stack is built.  Every
-        monomial on the chain has m's codegree, so below a dimension no
-        exponent can leave its field; without one, each rewritten term is
-        checked.
+        kills (one step of ``STEP_BUDGET``), takes no frame, and an
+        irreducible m is stored before any stack is built.  Every monomial
+        on the chain has m's codegree, so below a dimension no exponent can
+        leave its field; without one, each rewritten term is checked.
         """
         nf = memo.get(m)
         if nf is not None:
@@ -721,7 +722,7 @@ class RingContext:
         if rule is None:
             nf = memo[m] = ((m, 1),)
             return nf
-        budget = self.step_budget
+        budget = STEP_BUDGET
         steps = 0
         on_stack: set[int] = set()
         frames: list = []
@@ -865,8 +866,7 @@ class GradedClass:
     def __pow__(self, k: int) -> "GradedClass":
         if k < 0:
             raise ValueError("negative power")
-        dim = self.ring.dimension
-        if dim is not None and k > max(dim, 0) and not self.constant_term():
+        if k > self.ring.dimension and not self.constant_term():
             # every term has codegree >= 1, so the power lies above the dimension
             return self.ring.zero()
         acc = self.ring.one()
@@ -948,9 +948,6 @@ def inverse_series(c: GradedClass) -> GradedClass:
     products of parts each.  Once as many parts in a row as c's top
     codegree vanish, every later one does."""
     ring = c.ring
-    bound = ring.dimension
-    if bound is None:
-        raise ValueError("need a truncation bound to invert a series")
     c0 = c.constant_term()
     if ring.modulus:
         unit = c0 != 0
@@ -971,7 +968,7 @@ def inverse_series(c: GradedClass) -> GradedClass:
     inv = [ring.scalar(c0_inv)]
     acc = dict(inv[0].table)
     zeros = 0
-    for k in range(1, bound + 1):
+    for k in range(1, ring.dimension + 1):
         if zeros >= top:
             break
         part = ring.zero()
@@ -1023,7 +1020,7 @@ def confluence_check(ctx: RingContext) -> ConfluenceReport:
         if not e1.keys() & e2.keys():
             continue
         lcm = sum(generator_power(i, max(e1.get(i, 0), e2.get(i, 0))) for i in e1.keys() | e2.keys())
-        if ctx.dimension is not None and ctx.monomial_codegree(lcm) > ctx.dimension:
+        if ctx.monomial_codegree(lcm) > ctx.dimension:
             continue
         pairs += 1
         try:

@@ -621,7 +621,12 @@ def _read_classes(env: Env, context, exprs, refusal: Optional[str] = None) -> li
 
 
 def _monomial(c: GradedClass, refusal: str) -> int:
-    """The key of c, which must be a single monic monomial."""
+    """The key of c, which must be a single monic monomial.  A monomial
+    above the dimension of the presentation it is read on reads as 0, so
+    the refusal of 0 names that dimension."""
+    d = c.ring.dimension
+    _expect(bool(c.table), f"{refusal}: this one reads as 0 on the presentation of dimension {d} "
+                           f"it is read on, where every monomial above codegree {d} is 0")
     _expect(len(c.table) == 1 and set(c.table.values()) == {1}, refusal)
     return next(iter(c.table))
 

@@ -93,14 +93,14 @@ ROLE_HYPERPLANE = "bundle-hyperplane"
 
 
 class BundleRoots:
-    """A signed multiset of codegree-1 classes (virtual Chern roots)."""
+    """The Chern roots of a bundle: a multiset of classes of ring, each 0 or
+    homogeneous of codegree 1, held in ``entries``; the rank is their
+    number."""
 
     __slots__ = ("ring", "entries")
 
-    def __init__(self, ring: RingContext, entries: tuple[tuple[int, GradedClass], ...]):
-        for sign, c in entries:
-            if sign not in (1, -1):
-                raise ValueError("root sign must be +-1")
+    def __init__(self, ring: RingContext, entries: tuple[GradedClass, ...]):
+        for c in entries:
             if c.ring is not ring:
                 raise ContextMismatch("root lives in a different ring")
             if not c.is_zero() and c.codegree != 1:
@@ -114,29 +114,26 @@ class BundleRoots:
             if not classes:
                 raise ValueError("empty roots need an explicit ring")
             ring = classes[0].ring
-        return cls(ring, tuple((1, c) for c in classes))
+        return cls(ring, tuple(classes))
 
     @property
     def rank(self) -> int:
-        return sum(s for s, _ in self.entries)
+        return len(self.entries)
 
 
 def _product_over_roots(roots: BundleRoots, power: int) -> GradedClass:
-    """prod over + roots x of (1 + x^power), divided by the same product over
-    - roots, truncated at the ring's dimension (ValueError without one)."""
+    """prod over roots x of (1 + x^power), truncated at the ring's
+    dimension."""
     ring = roots.ring
-    if ring.dimension is None:
-        raise ValueError("need a truncation bound (ring has no dimension)")
     acc = ring.one()
-    for sign, c in roots.entries:
-        factor = ring.one() + (c if power == 1 else c**power)
-        acc = acc * (factor if sign == 1 else inverse_series(factor))
+    for c in roots.entries:
+        acc = acc * (ring.one() + (c if power == 1 else c**power))
     return acc
 
 
 def chern_total(roots: BundleRoots) -> GradedClass:
-    """Total Chern class: prod over + roots of (1+x), divided by the same
-    product over - roots, truncated at the ambient dimension."""
+    """Total Chern class: prod over roots of (1+x), truncated at the
+    ambient dimension."""
     return _product_over_roots(roots, 1)
 
 
@@ -298,7 +295,6 @@ class ChowPresentation:
 
     @property
     def dim(self) -> int:
-        assert self.ring.dimension is not None
         return self.ring.dimension
 
     def gen(self, name: str) -> GradedClass:
@@ -445,7 +441,9 @@ class ChowPresentation:
         # presentation itself: its map of derived values holds the copy
         segre, base = self._segre, self.base
         lazy_base = None if base is None else lambda: base.with_coefficients(p)
-        new = self._copy(self._ring_copy(p, []), self.basis, lazy_base)
+        old = self.ring
+        ring = RingContext(old.names, old.codegrees, p, dimension=old.dimension, base=old)
+        new = self._copy(ring, self.basis, lazy_base)
         if segre is not None:
             new._segre = lambda: [
                 base.with_coefficients(p).ring.from_table(s.table) for s in _force(segre)
@@ -464,20 +462,13 @@ class ChowPresentation:
         lead is a multiple of a kept one.  It holds the copy's ring, this
         basis and the added leads, not this presentation.  Its base,
         center, Segre classes and degree table are this presentation's."""
-        ring = self._ring_copy(self.ring.modulus, list(rules))
-        added = [r.lead for r in ring.rules if r.index >= len(self.ring.rules)]
+        old = self.ring
+        ring = RingContext(
+            old.names, old.codegrees, old.modulus, dimension=old.dimension, rules=rules, base=old)
+        added = [r.lead for r in ring.rules if r.index >= len(old.rules)]
         new = self._copy(ring, functools.partial(_undivided, ring, added, self.basis), self._base)
         new._segre = self._segre
         return new
-
-    def _ring_copy(self, modulus: int, rules: list) -> RingContext:
-        """A ring mod modulus whose rules are this ring's stored rules
-        followed by rules."""
-        old = self.ring
-        return RingContext(
-            old.names, old.codegrees, modulus=modulus, dimension=old.dimension,
-            rules=rules, step_budget=old.step_budget, base=old,
-        )
 
     def _copy(self, ring: RingContext, basis, base: Lazy["ChowPresentation"]) -> "ChowPresentation":
         """This presentation, with the given ring, basis and base; the
@@ -682,7 +673,6 @@ def enumerate_basis(ring: RingContext) -> list[tuple[int, ...]]:
     key order, each codegree grown from the ones below it; RingError once
     they number more than ``MAX_BASIS``, raised before any is listed when
     the ring has no rules."""
-    assert ring.dimension is not None
     if not ring.rules:
         d = _free_overflow(ring.codegrees, ring.dimension)
         if d is not None:
@@ -792,7 +782,7 @@ def product(X: ChowPresentation, Y: ChowPresentation, name: Optional[str] = None
     rules += [(m, {}) for m in _truncated_leads(X)]
     rules += [(shifted(m, shift), {}) for m in _truncated_leads(Y)]
     dim = X.dim + Y.dim
-    ring = RingContext(names, codegrees, X.ring.modulus, dim, rules, base=X.ring)
+    ring = RingContext(names, codegrees, X.ring.modulus, dimension=dim, rules=rules, base=X.ring)
 
     basis: list[tuple[int, ...]] = []
     for d in range(dim + 1):
@@ -845,15 +835,13 @@ def projective_bundle(
     fiber_gen: str = "xi",
     name: Optional[str] = None,
 ) -> ChowPresentation:
-    """P(E) -> X for E with the given Chern roots (all signs +, rank >= 1).
+    """P(E) -> X for E with the given Chern roots (rank >= 1).
 
     The ring is built on X's ring, with m -> 0 for X's minimal irreducible
     monomials above dim X (see _truncated_leads) and the Grothendieck
     relation for xi^r."""
     if roots.ring is not X.ring:
         raise ContextMismatch("roots must live on the base presentation")
-    if any(s != 1 for s, _ in roots.entries):
-        raise ValueError("projective bundle needs honest (all +) roots")
     r = roots.rank
     if r < 1:
         raise ValueError("bundle rank must be >= 1")
@@ -870,7 +858,7 @@ def projective_bundle(
     grothendieck = {m + generator_power(xi_idx, r - cd(m)): -c for m, c in chern.table.items() if m}
     rules = [(m, {}) for m in _truncated_leads(X)]
     rules.append((Monomial([(xi_idx, r)]), grothendieck))
-    ring = RingContext(names, codegrees, X.ring.modulus, dim, rules, base=X.ring)
+    ring = RingContext(names, codegrees, X.ring.modulus, dimension=dim, rules=rules, base=X.ring)
 
     # xi is the last generator, in the most significant field, so the
     # blocks xi^k * X.basis_of(d - k), k = 0, 1, ..., are in key order
@@ -891,8 +879,7 @@ def projective_bundle(
     def tangent() -> GradedClass:
         # Euler sequence: c(T_P(E)) = pi^* c(T_X) * prod over roots c of (1 + xi + c)
         xi = ring.gen(fiber_gen)
-        lifted = BundleRoots(ring, tuple((s, xi + ring.from_table(dict(c.table)))
-                                         for s, c in roots.entries))
+        lifted = BundleRoots(ring, tuple(xi + ring.from_table(dict(c.table)) for c in roots.entries))
         return ring.from_table(dict(X.tangent.table)) * chern_total(lifted)
 
     def segre() -> list[GradedClass]:
@@ -949,7 +936,7 @@ def blow_up(
       dimension); e*m for any other such m is a multiple of one of these;
     * e^r -> (-1)^{r-1} [Z] + sum_{j=1}^{r-1} (-1)^{j+r-1} c_{r-j}(N) e^j,
       which folds the top fiber power back into the ambient component;
-      c(N) is ``chern_total`` of the restricted normal roots, signs kept.
+      c(N) is ``chern_total`` of the restricted normal roots.
 
     ``rules``, (lead monomial, {monomial: coefficient}) pairs as
     ``generic_context(rules=)`` takes them, are declared after these in
@@ -1038,7 +1025,7 @@ def blow_up(
     # fold rule for e^r: c_k(N) e^{r-k} has sign (-1)^{(r-k)+r-1} = (-1)^{k+1}
     sign_z = 1 if r % 2 else -1
     fold = {m: sign_z * c for m, c in center.fundamental.table.items()}
-    normal = BundleRoots(X.ring, tuple((s, res(c)) for s, c in center.roots.entries))
+    normal = BundleRoots(X.ring, tuple(res(c) for c in center.roots.entries))
     for m, c in chern_total(normal).table.items():
         k = X.ring.monomial_codegree(m)
         if 0 < k < r:
@@ -1047,7 +1034,7 @@ def blow_up(
     declared = len(X.ring.rules) + len(own)  # the index of the first of rules
     rules = list(rules)
 
-    ring = RingContext(names, codegrees, X.ring.modulus, X.dim, own + rules, base=X.ring)
+    ring = RingContext(names, codegrees, X.ring.modulus, dimension=X.dim, rules=own + rules, base=X.ring)
 
     # Center-side basis: X's basis monomials in the fixed generators, which
     # the restriction leaves as they are, of codegree at most dim Z.

@@ -116,9 +116,7 @@ def random_class(
     coeff_range: int = 5,
 ) -> GradedClass:
     """Random sparse class, for property tests."""
-    hi = max_codegree
-    if hi is None:
-        hi = ctx.dimension if ctx.dimension is not None else 4
+    hi = ctx.dimension if max_codegree is None else max_codegree
     table: dict[Monomial, int] = {}
     for _ in range(terms):
         budget = rng.randint(0, hi)

@@ -382,9 +382,9 @@ import json, resource, time
 resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))
 from chowcalc.rings import Monomial, RingContext
 names = [f"x{{i}}" for i in range(40)]
-base = RingContext(names, [1] * 40)
+base = RingContext(names, [1] * 40, dimension=40)
 start = time.perf_counter()
-ring = RingContext(names, [1] * 40, rules=[(Monomial((i, 1) for i in range(40)), {{}})], base=base)
+ring = RingContext(names, [1] * 40, dimension=40, rules=[(Monomial((i, 1) for i in range(40)), {{}})], base=base)
 print(json.dumps({{"seconds": time.perf_counter() - start, "rules": len(ring.rules)}}))
 """
 

@@ -10,6 +10,7 @@ from chowcalc.rings import (
     FIELD_BITS,
     MAX_EXPONENT,
     MONOMIAL_ONE,
+    GradedClass,
     InvalidRule,
     Monomial,
     ReductionBudgetExceeded,
@@ -182,7 +183,7 @@ class TestKeyReference:
         assert sorted(ms) == sorted(ms, key=lambda m: reference_mkey(R, m))
 
     def test_codegree_string_and_json(self):
-        R = RingContext([f"x{i}" for i in range(5)], [1, 2, 1, 3, 2])
+        R = RingContext([f"x{i}" for i in range(5)], [1, 2, 1, 3, 2], dimension=4)
         rng = random.Random(28)
         for _ in range(500):
             pairs = random_key_pairs(rng)
@@ -198,7 +199,7 @@ class TestKeyReference:
         rng = random.Random(38)
         summed = walked = 0
         for n in range(1, 21):
-            R = RingContext([f"x{i}" for i in range(n)], [rng.randint(1, 4) for _ in range(n)])
+            R = RingContext([f"x{i}" for i in range(n)], [rng.randint(1, 4) for _ in range(n)], dimension=4)
             t = FIELD_BITS - n.bit_length()
             edges = [(1 << t) - 1, min(1 << t, MAX_EXPONENT), MAX_EXPONENT]
             keys = [Monomial([(i, e) for i in range(n)]) for e in edges]
@@ -217,7 +218,7 @@ class TestKeyReference:
                 with pytest.raises(RingError, match="past the ring"):
                     R.monomial_codegree(m)
         assert summed > 200 and walked > 200
-        assert RingContext([], []).monomial_codegree(0) == 0
+        assert RingContext([], [], dimension=0).monomial_codegree(0) == 0
 
     def test_limits_raise_ring_errors(self):
         assert Monomial([(3, MAX_EXPONENT)]).exps == ((3, MAX_EXPONENT),)
@@ -230,17 +231,19 @@ class TestKeyReference:
         R = RingContext(["x", "y"], [1, 1], dimension=MAX_EXPONENT // 2)
         top = R.from_table({Monomial([(1, MAX_EXPONENT // 2)]): 1})
         assert str(top * top) == "0" and str(R.gen("x") * top) == "0"
-        # without a dimension, a product past the field raises instead of
-        # carrying into the next generator's field
-        F = RingContext(["x", "y"], [1, 1])
-        big = F.from_table({Monomial([(0, MAX_EXPONENT // 2 + 1)]): 1})
-        with pytest.raises(RingError):
+        # a product past the field, of a class built directly from a key
+        # above the dimension, raises instead of carrying into the next
+        # generator's field
+        big = GradedClass(R, {Monomial([(0, MAX_EXPONENT // 2 + 1)]): 1})
+        with pytest.raises(RingError, match="above MAX_EXPONENT"):
             big * big
-        assert not any(m & F._guard for m in F._normal_forms)
-        # and so does a rewrite that moves exponents into a full field
-        G = RingContext(["x", "y"], [1, 1], rules=[(Monomial([(0, 1)]), {Monomial([(1, 1)]): 1})])
-        with pytest.raises(RingError):
-            G.from_table({Monomial([(0, 2), (1, MAX_EXPONENT - 1)]): 1})
+        assert not any(m & R._guard for m in R._normal_forms)
+        # and so does a rewrite that moves exponents into a full field, met
+        # by the untruncated reduction that tests whether a rule is implied
+        x, y = Monomial([(0, 1)]), Monomial([(1, 1)])
+        with pytest.raises(RingError, match="above MAX_EXPONENT"):
+            RingContext(["x", "y"], [1, 1], dimension=2,
+                        rules=[(x, {y: 1}), (Monomial([(0, 2), (1, MAX_EXPONENT - 1)]), {})])
 
 
 class TestNormalForm:
@@ -280,14 +283,14 @@ class TestNormalForm:
         assert ((x**3) * (y**3)).is_zero()
         assert not ((x**2) * (y**3)).is_zero()
 
-    def test_step_budget_counts_kills(self):
+    def test_step_budget_counts_kills(self, monkeypatch):
         # x -> y and y*z -> 0: x*z is rewritten to y*z, which is killed
         # without a stack frame, and that second step still counts
         x, y, z = (Monomial([(i, 1)]) for i in range(3))
 
         def ring(budget):
-            return RingContext(["x", "y", "z"], [1, 1, 1], dimension=3,
-                               rules=[(x, {y: 1}), (y + z, {})], step_budget=budget)
+            monkeypatch.setattr(rings_module, "STEP_BUDGET", budget)
+            return RingContext(["x", "y", "z"], [1, 1, 1], dimension=3, rules=[(x, {y: 1}), (y + z, {})])
 
         with pytest.raises(ReductionBudgetExceeded):
             ring(1).from_table({x + z: 1})
@@ -296,11 +299,14 @@ class TestNormalForm:
         assert R._normal_forms[x + z] == R._normal_forms[y + z] == ()
         assert R.gen("y").table == {y: 1} and R._normal_forms[y] == ((y, 1),)
         # a monomial killed at once takes one step
+        monkeypatch.setattr(rings_module, "STEP_BUDGET", 0)
         with pytest.raises(ReductionBudgetExceeded):
-            RingContext(["x"], [1], rules=[(x, {})], step_budget=0).gen("x")
-        assert RingContext(["x"], [1], rules=[(x, {})], step_budget=1).gen("x").is_zero()
+            RingContext(["x"], [1], dimension=1, rules=[(x, {})]).gen("x")
+        monkeypatch.setattr(rings_module, "STEP_BUDGET", 1)
+        assert RingContext(["x"], [1], dimension=1, rules=[(x, {})]).gen("x").is_zero()
 
-    def test_step_budget_guard(self):
+    def test_step_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(rings_module, "STEP_BUDGET", 500)
         with pytest.raises(ReductionBudgetExceeded):
             RingContext(
                 ["x", "y"], [1, 1], dimension=3,
@@ -308,7 +314,6 @@ class TestNormalForm:
                     (Monomial([(0, 1)]), {Monomial([(1, 1)]): 1}),
                     (Monomial([(1, 1)]), {Monomial([(0, 1)]): 1}),
                 ],
-                step_budget=500,
             )
 
 
@@ -373,7 +378,7 @@ class TestEvaluate:
         # in one factor at a time
         S = free_ring(["a", "b", "c"], 12, modulus=modulus)
         v2, u2 = Monomial([(1, 2)]), Monomial([(0, 2)])
-        T = RingContext(["u", "v", "w"], [1, 1, 2], modulus, 6, rules=[(v2, {u2: 1})])
+        T = RingContext(["u", "v", "w"], [1, 1, 2], modulus, dimension=6, rules=[(v2, {u2: 1})])
         u, v, w = T.gen("u"), T.gen("v"), T.gen("w")
         images = {"a": u - 2 * v, "b": 3 * v + u, "c": w + u * v}
         total, want_total = S.zero(), T.zero()
@@ -436,9 +441,8 @@ class TestProductMemo:
         )
         self.assert_random_products(R, seed=modulus, count=200)
 
-    def test_rule_free_ring_without_dimension(self):
-        R = RingContext(["x", "y"], [1, 2])
-        assert R.dimension is None
+    def test_rule_free_ring_of_high_dimension(self):
+        R = RingContext(["x", "y"], [1, 2], dimension=MAX_EXPONENT // 2)
         self.assert_random_products(R, seed=5, count=100, max_codegree=6)
         x = R.gen("x")
         assert str(x**10) == "x^10"
@@ -471,14 +475,14 @@ class TestProductMemo:
         assert str(h * h) == "h^2"
         assert str(R.gen("h")) == "h"
 
-    def test_cycling_rules_raise_every_time(self):
+    def test_cycling_rules_raise_every_time(self, monkeypatch):
         # x*z -> y*z and y^2 -> x*y are each irreducible under the other,
         # so the ring builds, but x*y*z rewrites to y^2*z and back forever
+        monkeypatch.setattr(rings_module, "STEP_BUDGET", 1000)
         xz, y2 = Monomial([(0, 1), (2, 1)]), Monomial([(1, 2)])
         R = RingContext(
             ["x", "y", "z"], [1, 1, 1], dimension=3,
             rules=[(xz, {Monomial([(1, 1), (2, 1)]): 1}), (y2, {Monomial([(0, 1), (1, 1)]): 1})],
-            step_budget=1000,
         )
         xy, z = R.gen("x") * R.gen("y"), R.gen("z")
         for _ in range(2):
@@ -490,7 +494,7 @@ class TestProductMemo:
 def random_table(R, rng, terms=4):
     """Random monomials up to one codegree above the dimension, with
     coefficients that may vanish mod p."""
-    top = (R.dimension if R.dimension is not None else 4) + 1
+    top = R.dimension + 1
     table = {}
     for _ in range(terms):
         exps, budget = {}, rng.randint(0, top)
@@ -537,8 +541,8 @@ class TestMonomialMemo:
 
     def test_chain_longer_than_the_recursion_limit(self):
         x, y2 = Monomial([(0, 1)]), Monomial([(1, 2)])
-        R = RingContext(["x", "y"], [1, 1], rules=[(y2, {Monomial([(0, 1), (1, 1)]): 1})])
         n = 3000
+        R = RingContext(["x", "y"], [1, 1], dimension=n, rules=[(y2, {Monomial([(0, 1), (1, 1)]): 1})])
         assert n > sys.getrecursionlimit()
         c = R.from_table({Monomial([(1, n)]): 1})
         assert c.table == {Monomial([(0, n - 1), (1, 1)]): 1}
@@ -560,7 +564,7 @@ class TestMonomialMemo:
         # x -> x + y and x -> 2x over Z: reducing the replacement rewrites x forever
         gens = [Monomial([(0, 1)]), Monomial([(1, 1)])]
         with pytest.raises(RewriteCycle):
-            RingContext(["x", "y"], [1, 1], rules=[(gens[0], {gens[i]: c for i, c in repl})])
+            RingContext(["x", "y"], [1, 1], dimension=1, rules=[(gens[0], {gens[i]: c for i, c in repl})])
 
     def test_replacements_reduced_in_one_pass(self):
         # x0 -> x1 -> x2 -> x3, declared in both orders: every stored
@@ -568,7 +572,7 @@ class TestMonomialMemo:
         x = [Monomial([(i, 1)]) for i in range(4)]
         chain = [(x[i], {x[i + 1]: 1}) for i in range(3)]
         for rules in (chain, chain[::-1]):
-            R = RingContext(["x0", "x1", "x2", "x3"], [1] * 4, rules=rules)
+            R = RingContext(["x0", "x1", "x2", "x3"], [1] * 4, dimension=1, rules=rules)
             assert [r.replacement for r in R.rules] == [((x[3], 1),)] * 3
 
 
@@ -643,11 +647,6 @@ class TestInverseSeries:
         inv = inverse_series(R.one() + t)
         assert inv == R.one() - t + t**2 - t**3 + t**4
 
-    def test_dimensionless_ring_raises(self):
-        R = RingContext(["t"], [1])
-        with pytest.raises(ValueError, match="truncation bound"):
-            inverse_series(R.one() + R.gen("t"))
-
     def test_random_units(self):
         R = free_ring(["x", "y"], 4)
         rng = random.Random(11)
@@ -721,12 +720,12 @@ class TestConfluenceSmoke:
         ]
         assert len(rings) > len(divergent)
 
-    def test_step_budget_reported(self):
+    def test_step_budget_reported(self, monkeypatch):
         # the pair x*y, y^2 joins at x^3, but x^2*y needs a second step
         x2, xy, y2 = Monomial([(0, 2)]), Monomial([(0, 1), (1, 1)]), Monomial([(1, 2)])
         R = RingContext(["x", "y"], [1, 1], dimension=3, rules=[(xy, {x2: 1}), (y2, {x2: 1})])
         assert confluence_check(R).passed
-        R.step_budget = 0
+        monkeypatch.setattr(rings_module, "STEP_BUDGET", 0)
         rep = confluence_check(R)
         assert not rep.passed
         assert rep.divergences[0]["input"] == "x*y^2"
@@ -734,11 +733,12 @@ class TestConfluenceSmoke:
 
 
 def stored_leads(ms, ngens):
-    """The leads that a ring in ngens generators of codegree 1, with no
-    dimension, stores when it declares m -> 0 for each m of ms but the unit
-    monomial, which no rule may have as its lead."""
+    """The leads that a ring in ngens generators of codegree 1 stores when it
+    declares m -> 0 for each m of ms but the unit monomial, which no rule
+    may have as its lead.  Its dimension is 0: the leads it keeps do not
+    depend on it."""
     names = [f"x{i}" for i in range(ngens)]
-    return [r.lead for r in RingContext(names, [1] * ngens, rules=[(m, {}) for m in ms if m]).rules]
+    return [r.lead for r in RingContext(names, [1] * ngens, dimension=0, rules=[(m, {}) for m in ms if m]).rules]
 
 
 class TestMinimalLeads:
@@ -873,7 +873,7 @@ class TestSupport:
         for n in (17, 32, 33, 40):
             leads = {Monomial([(i, rng.randint(1, 2)) for i in rng.sample(range(n), rng.randint(1, 3))])
                      for _ in range(30)}
-            R = RingContext([f"x{i}" for i in range(n)], [1] * n, rules=[(m, {}) for m in sorted(leads)])
+            R = RingContext([f"x{i}" for i in range(n)], [1] * n, dimension=4, rules=[(m, {}) for m in sorted(leads)])
             assert [t for t, _, _ in R._leads] == [self.mask(r.lead) for r in R.rules]
             matched = 0
             for _ in range(300):
@@ -952,10 +952,9 @@ class TestBase:
         built, presentations = [], []
         init, present = RingContext.__init__, ChowPresentation.__init__
 
-        def record(self, names, codegrees, modulus=0, dimension=None, rules=(),
-                   step_budget=10**6, base=None):
+        def record(self, names, codegrees, modulus=0, *, dimension, rules=(), base=None):
             rules = list(rules)
-            init(self, names, codegrees, modulus, dimension, rules, step_budget, base)
+            init(self, names, codegrees, modulus, dimension=dimension, rules=rules, base=base)
             if base is not None:
                 built.append((self, base, rules))
 
@@ -977,8 +976,8 @@ class TestBase:
         assert len(built) > 1000 and {R.modulus for R, _, _ in built} >= {0, 2, 3}
         for R, base, rules in built:
             flat = RingContext(
-                R.names, R.codegrees, R.modulus, R.dimension,
-                [(r.lead, dict(r.replacement)) for r in base.rules] + rules, R.step_budget,
+                R.names, R.codegrees, R.modulus, dimension=R.dimension,
+                rules=[(r.lead, dict(r.replacement)) for r in base.rules] + rules,
             )
             assert R.rules == flat.rules and R._all_minimal is flat._all_minimal, R.names
 
@@ -1003,13 +1002,13 @@ class TestBase:
             random_tower(random.Random(seed))
         monkeypatch.undo()
         assert len(rings) > 200
-        copies = [(R, p, RingContext(R.names, R.codegrees, p, R.dimension, step_budget=R.step_budget, base=R))
+        copies = [(R, p, RingContext(R.names, R.codegrees, p, dimension=R.dimension, base=R))
                   for R in rings for p in {2, 3, 5, R.modulus}]
         shared = 0
         for R, p, copy in copies:
             flat = RingContext(
-                R.names, R.codegrees, p, R.dimension,
-                [(r.lead, {m: c % p if p else c for m, c in r.replacement}) for r in R.rules], R.step_budget,
+                R.names, R.codegrees, p, dimension=R.dimension,
+                rules=[(r.lead, {m: c % p if p else c for m, c in r.replacement}) for r in R.rules],
             )
             assert copy.rules == flat.rules and copy._all_minimal is flat._all_minimal, (R.names, p)
             if p == R.modulus:
@@ -1030,42 +1029,41 @@ class TestBase:
 
         assert stored(R) == [(a2, {b: 2}, 0), (a3, {}, 1)]
         for p, want in ((2, [(a2, {}, 0)]), (3, [(a2, {b: 2}, 0), (a3, {}, 1)])):
-            copy = RingContext(["a", "b"], [1, 2], p, 4, base=R)
+            copy = RingContext(["a", "b"], [1, 2], p, dimension=4, base=R)
             assert stored(copy) == want
-            assert stored(RingContext(["a", "b"], [1, 2], p, 4, rules=declared)) == want
+            assert stored(RingContext(["a", "b"], [1, 2], p, dimension=4, rules=declared)) == want
             # a copy of the copy stores the same
-            assert stored(RingContext(["a", "b"], [1, 2], p, 4, base=copy)) == want
+            assert stored(RingContext(["a", "b"], [1, 2], p, dimension=4, base=copy)) == want
 
     def test_a_copy_in_another_dimension_is_built_in_full(self):
         # x^2 -> y (codegrees 1 and 2) in dimension 2 keeps its replacement;
         # a copy in dimension 1 or 0 truncates it, as the flat build does
         x2, y = Monomial([(0, 2)]), Monomial([(1, 1)])
         R = RingContext(["x", "y"], [1, 2], dimension=2, rules=[(x2, {y: 1})])
-        for dim, want in ((0, {}), (1, {}), (2, {y: 1}), (3, {y: 1}), (None, {y: 1})):
-            copy = RingContext(["x", "y"], [1, 2], 3, dim, base=R)
-            flat = RingContext(["x", "y"], [1, 2], 3, dim, rules=[(x2, {y: 1})])
+        for dim, want in ((0, {}), (1, {}), (2, {y: 1}), (3, {y: 1})):
+            copy = RingContext(["x", "y"], [1, 2], 3, dimension=dim, base=R)
+            flat = RingContext(["x", "y"], [1, 2], 3, dimension=dim, rules=[(x2, {y: 1})])
             assert [dict(r.replacement) for r in copy.rules] == [want]
             assert copy.rules == flat.rules
-        # x^2 -> y on a base of dimension 0 to 3 or none, under a ring in x,
-        # y, z (codegrees 1, 2, 1) of dimension 0 to 3 or none that declares
-        # z^2 -> x^2 (which the base rule rewrites), x*z -> 0 and x^2*z ->
-        # y*z, a multiple of x*z that x^2 -> y implies and x^2 -> 0, its
-        # truncation below dimension 2 in either ring, does not; a base of
-        # dimension at most the ring's, none counting as unbounded, is
-        # trusted, and its rule is reused
+        # x^2 -> y on a base of dimension 0 to 3, under a ring in x, y, z
+        # (codegrees 1, 2, 1) of dimension 0 to 3 that declares z^2 -> x^2
+        # (which the base rule rewrites), x*z -> 0 and x^2*z -> y*z, a
+        # multiple of x*z that x^2 -> y implies and x^2 -> 0, its truncation
+        # below dimension 2 in either ring, does not; a base of dimension at
+        # most the ring's is trusted, and its rule is reused
         z2, xz = Monomial([(2, 2)]), Monomial([(0, 1), (2, 1)])
         x2z, yz = Monomial([(0, 2), (2, 1)]), Monomial([(1, 1), (2, 1)])
         declared = [(z2, {x2: 1}), (xz, {}), (x2z, {yz: 1})]
-        dims = (0, 1, 2, 3, None)
+        dims = (0, 1, 2, 3)
         for base_dim, dim in itertools.product(dims, dims):
             base = RingContext(["x", "y"], [1, 2], dimension=base_dim, rules=[(x2, {y: 1})])
-            R = RingContext(["x", "y", "z"], [1, 2, 1], 0, dim, declared, base=base)
-            flat = RingContext(["x", "y", "z"], [1, 2, 1], 0, dim,
-                               [(r.lead, dict(r.replacement)) for r in base.rules] + declared)
+            R = RingContext(["x", "y", "z"], [1, 2, 1], 0, dimension=dim, rules=declared, base=base)
+            flat = RingContext(["x", "y", "z"], [1, 2, 1], 0, dimension=dim,
+                               rules=[(r.lead, dict(r.replacement)) for r in base.rules] + declared)
             assert R.rules == flat.rules and R._all_minimal is flat._all_minimal, (base_dim, dim)
-            trusted = dim is None or base_dim is not None and base_dim <= dim
+            trusted = base_dim <= dim
             assert reused(R, base) == [True] if trusted else not any(reused(R, base)), (base_dim, dim)
-            implied = all(d is None or d >= 2 for d in (base_dim, dim))
+            implied = base_dim >= 2 and dim >= 2
             assert (len(R.rules), R._all_minimal) == ((3, True) if implied else (4, False)), (base_dim, dim)
 
     def test_products_and_bundles_reuse_their_base_rules(self):
@@ -1106,10 +1104,10 @@ class TestBase:
         declaration of base's rules and declared: the same rules and
         ``_all_minimal``, and each base rule it keeps as it was reused
         exactly when the base is trusted."""
-        R = RingContext(["x", "y", "z"], [1] * 3, base.modulus, base.dimension, declared, base=base)
+        R = RingContext(["x", "y", "z"], [1] * 3, base.modulus, dimension=base.dimension, rules=declared, base=base)
         assert all(same is trusted for same in reused(R, base))
-        flat = RingContext(["x", "y", "z"], [1] * 3, base.modulus, base.dimension,
-                           [(r.lead, dict(r.replacement)) for r in base.rules] + declared)
+        flat = RingContext(["x", "y", "z"], [1] * 3, base.modulus, dimension=base.dimension,
+                           rules=[(r.lead, dict(r.replacement)) for r in base.rules] + declared)
         assert R.rules == flat.rules and R._all_minimal is flat._all_minimal
         return [(r.lead, dict(r.replacement), r.index) for r in R.rules], R._all_minimal
 
@@ -1145,7 +1143,7 @@ class TestBase:
         # mod 3, 2 * 2 = 1, so x*y -> 2z^2 becomes x*y -> y^2 under z^2 -> 2y^2;
         # x^2*z -> 0 is dropped below x^2 -> 0
         x2z = Monomial([(0, 2), (2, 1)])
-        base = RingContext(["x", "y", "z"], [1] * 3, 3, 3, [(self.XY, {self.Z2: 2}), (x2z, {})])
+        base = RingContext(["x", "y", "z"], [1] * 3, 3, dimension=3, rules=[(self.XY, {self.Z2: 2}), (x2z, {})])
         assert self.built_on(base, [(self.Z2, {self.Y2: 2}), (self.X2, {})]) == (
             [(self.XY, {self.Y2: 1}, 0), (self.Z2, {self.Y2: 2}, 2), (self.X2, {}, 3)], True)
 
@@ -1153,18 +1151,19 @@ class TestBase:
         # over Z, x*y -> 2z^2 keeps its coefficient; mod 2 it becomes x*y -> 0
         base = RingContext(["x", "y", "z"], [1] * 3, dimension=3, rules=[(self.XY, {self.Z2: 2})])
         for p in (2, 3):
-            R = RingContext(["x", "y", "z"], [1] * 3, p, 3, [(self.Z2, {self.Y2: 1})], base=base)
-            flat = RingContext(["x", "y", "z"], [1] * 3, p, 3, [(self.XY, {self.Z2: 2}), (self.Z2, {self.Y2: 1})])
+            R = RingContext(["x", "y", "z"], [1] * 3, p, dimension=3, rules=[(self.Z2, {self.Y2: 1})], base=base)
+            flat = RingContext(["x", "y", "z"], [1] * 3, p, dimension=3,
+                               rules=[(self.XY, {self.Z2: 2}), (self.Z2, {self.Y2: 1})])
             assert R.rules == flat.rules and R._all_minimal is flat._all_minimal
         assert dict(R.rules[0].replacement) == {self.Y2: 2}
 
     def test_base_codegrees_must_be_a_prefix(self):
-        base = RingContext(["x", "y"], [1, 2], rules=[(Monomial([(0, 2)]), {Monomial([(1, 1)]): 1})])
+        base = RingContext(["x", "y"], [1, 2], dimension=2, rules=[(Monomial([(0, 2)]), {Monomial([(1, 1)]): 1})])
         for names, codegrees in ((["x", "y", "z"], [1, 1, 2]), (["x"], [1]), (["y", "x"], [2, 1])):
             with pytest.raises(ValueError, match="prefix"):
-                RingContext(names, codegrees, base=base)
+                RingContext(names, codegrees, dimension=2, base=base)
         # only codegrees are compared: the names may differ
-        R = RingContext(["a", "b", "c"], [1, 2, 1], base=base)
+        R = RingContext(["a", "b", "c"], [1, 2, 1], dimension=2, base=base)
         assert R.rules == base.rules and R.gen("a") ** 2 == R.gen("b")
 
     def test_stored_rules_are_values(self):
@@ -1197,15 +1196,15 @@ class TestRefusals:
             "modulus-4", "modulus-1", "modulus-float", "modulus-bool", "negative-dimension"])
     def test_constructor_refuses(self, names, codegrees, kwargs, message):
         with pytest.raises(ValueError) as info:
-            RingContext(names, codegrees, **kwargs)
+            RingContext(names, codegrees, **{"dimension": 1, **kwargs})
         assert str(info.value) == message
 
     def test_unit_lead_is_refused(self):
         with pytest.raises(InvalidRule, match="^unit monomial cannot be a rule lead$"):
-            RingContext(["x"], [1], rules=[(MONOMIAL_ONE, {})])
+            RingContext(["x"], [1], dimension=1, rules=[(MONOMIAL_ONE, {})])
 
     def test_inhomogeneous_replacement_is_refused(self):
         x2, y = Monomial([(0, 2)]), Monomial([(1, 1)])
         with pytest.raises(InvalidRule) as info:
-            RingContext(["x", "y"], [1, 1], rules=[(x2, {y: 1})])
+            RingContext(["x", "y"], [1, 1], dimension=2, rules=[(x2, {y: 1})])
         assert str(info.value) == "inhomogeneous rule: lead codegree 2, replacement has codegree 1"

@@ -624,6 +624,21 @@ class TestEvaluator:
         rep = run_scenario(parse_script(f"(pspace P 2) {form}"))
         assert [(r.verdict, r.detail) for r in rep.results] == [(ERROR, f"EvalError: {detail} in {form}")]
 
+    @pytest.mark.parametrize("form, detail, dim", [
+        ("(generic X 2 (gens (x 1) (y 1)) (rules ((pow x 3) 0)))", "rule lead must be a single monic monomial", 2),
+        ("(generic Y 2 (gens (x 1)) (degrees ((pow x 3) 1)))", "degree entries need monic monomials", 2),
+        ("(generic Y 3 (gens (x 1)) (degrees ((pow x 4) 1)))", "degree entries need monic monomials", 3),
+        (f"{BLOWUP} (rules ((pow e 3) 0)))", "rule lead must be a single monic monomial", 2),
+        ("(declare-rules R ((pow h 3) 0))", "rule lead must be a single monic monomial", 2),
+    ])
+    def test_a_key_above_the_dimension_is_refused_naming_it(self, form, detail, dim):
+        # a monomial above the dimension of the presentation a clause is
+        # read on is 0 there, so the refusal of 0 names that dimension
+        rep = run_scenario(parse_script(f"(pspace P 2) {form}"))
+        assert [(r.verdict, r.detail) for r in rep.results] == [(ERROR, (
+            f"EvalError: {detail}: this one reads as 0 on the presentation of dimension {dim} it is read on, "
+            f"where every monomial above codegree {dim} is 0 in {form}"))]
+
     def test_a_repeated_rules_clause_is_not_ignored(self):
         # the second (rules ...) used to be dropped, so x^2 failed to vanish
         rep = run_scenario(parse_script(
