@@ -57,6 +57,15 @@ class TestChernSegre:
         roots = BundleRoots(G.ring, (-r, G.zero(), r))
         assert chern_class(roots, 2) == -(r * r)
 
+    def test_opposite_roots(self):
+        # c(L + L^-1) = (1 + x)(1 - x) = 1 - x^2, and its inverse truncated
+        # at dimension 3 is 1 + x^2
+        G = generic_context([("x", 1)], 3)
+        x = G.gen("x")
+        roots = BundleRoots.plus([x, -x])
+        assert chern_total(roots) == G.one() - x * x
+        assert segre_total(roots) == G.one() + x * x
+
     def test_repeated_root(self):
         P3 = projective_space(3)
         h = P3.gen("h")

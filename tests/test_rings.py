@@ -1199,6 +1199,15 @@ class TestRefusals:
             RingContext(names, codegrees, **{"dimension": 1, **kwargs})
         assert str(info.value) == message
 
+    def test_dimension_is_required(self):
+        # every ring is a Chow ring truncated at its dimension, which is
+        # given by keyword only
+        with pytest.raises(TypeError, match="dimension"):
+            RingContext(["x"], [1])
+        with pytest.raises(TypeError):
+            RingContext(["x"], [1], 0, 1)
+        assert RingContext(["x"], [1], 0, dimension=1).dimension == 1
+
     def test_unit_lead_is_refused(self):
         with pytest.raises(InvalidRule, match="^unit monomial cannot be a rule lead$"):
             RingContext(["x"], [1], dimension=1, rules=[(MONOMIAL_ONE, {})])

@@ -154,6 +154,17 @@ class TestProjectiveBundle:
         assert xi * xi == -(xi * B.gen("h"))
         assert B.degree(xi**2) == -1
 
+    def test_bundle_with_a_negative_root(self):
+        # P(O + O(-1)) over P^1: c(E) = 1 - h, so xi^2 = h*xi, and pushing
+        # xi^2 down gives the first Segre class h
+        P1 = projective_space(1)
+        h = P1.gen("h")
+        B = projective_bundle(P1, BundleRoots.plus([P1.zero(), -h]))
+        xi = B.gen("xi")
+        assert xi * xi == xi * B.gen("h")
+        assert B.pushforward(xi**2) == h
+        assert B.degree(xi**2) == 1
+
     def test_pushforward_segre(self):
         P2 = projective_space(2)
         h = P2.gen("h")
