@@ -26,17 +26,19 @@ and truncation and reduction mod p are linear too).  Whether f depends on
 the rule order is decided on demand by ``confluence_check``, which joins
 every critical pair of the rules (Buchberger's criterion).
 
-Each ring keeps, in one memo, the truncated normal form of every
-monomial it has met: () above the dimension, else f(m), filled by walking
-the rewrite chain of m with an explicit stack.  Rules are homogeneous and
-codegrees are positive, so the chain of m stays among the finitely many
-monomials of its codegree: the strategy fails to terminate on m exactly
-when the walk reaches a monomial still on its stack, which raises
-``RewriteCycle`` naming that monomial.  For the same reason a monomial at
-or below the dimension never meets truncation on its chain.  The step
-budget ``STEP_BUDGET`` bounds the rewriting steps of each fill of the
-memo.  Reduction without truncation, which only tests whether a declared
-rule is implied, walks into a fresh memo each time.
+Each ring keeps, in one memo, the truncated normal form of every monomial
+it has met: () above the dimension, else f(m), filled by walking the
+rewrite chain of m with an explicit stack.  A presentation's listed basis
+monomials are irreducible, so ``varieties`` stores each as itself when
+the basis is stored, and their first lookups scan no rule lead.  Rules
+are homogeneous and codegrees are positive, so the chain of m stays among
+the finitely many monomials of its codegree: the strategy fails to
+terminate on m exactly when the walk reaches a monomial still on its
+stack, which raises ``RewriteCycle`` naming that monomial.  For the same
+reason a monomial at or below the dimension never meets truncation on its
+chain.  The step budget ``STEP_BUDGET`` bounds the rewriting steps of
+each fill of the memo.  Reduction without truncation, which only tests
+whether a declared rule is implied, walks into a fresh memo each time.
 
 A product of classes adds up c1*c2 times the memo's entry for each
 product monomial m1*m2, so the memo is sound for every terminating rule
@@ -374,16 +376,18 @@ class RingContext:
     ``_normal_forms`` memoises the normal form of each monomial met,
     truncated above the dimension, as a tuple of (monomial, coefficient)
     pairs; it is emptied whenever the stored rules change.  ``gen``,
-    ``from_table``, class products and the degree pairing read it, and its
-    size is ``len(ring._normal_forms)``.  ``monomial_codegree`` is computed
-    on each miss, not memoised; an irreducible monomial is stored as
-    ((m, 1),) and one that a rule with an empty replacement kills as (),
-    each without a stack frame.  The memo needs no confluence (see the
-    module docstring).  Rules that cycle raise ``RewriteCycle``; a fill of
-    ``_normal_forms`` that takes more than ``STEP_BUDGET`` rewriting steps
-    raises ``ReductionBudgetExceeded``, and a product whose exponents
-    leave their fields raises ``RingError``; either stores nothing for the
-    monomial asked about.
+    ``from_table``, class products and the degree pairing read it, and a
+    ``ChowPresentation`` fills it with its listed basis monomials, each as
+    ((m, 1),), when it stores its basis, so its size,
+    ``len(ring._normal_forms)``, counts them too.  ``monomial_codegree``
+    is computed on each miss, not memoised; an irreducible monomial is
+    stored as ((m, 1),) and one that a rule with an empty replacement
+    kills as (), each without a stack frame.  The memo needs no confluence
+    (see the module docstring).  Rules that cycle raise ``RewriteCycle``;
+    a fill of ``_normal_forms`` that takes more than ``STEP_BUDGET``
+    rewriting steps raises ``ReductionBudgetExceeded``, and a product
+    whose exponents leave their fields raises ``RingError``; either stores
+    nothing for the monomial asked about.
     """
 
     def __init__(

@@ -54,12 +54,15 @@ a Script or raises ParseError with a line/column position (also for
 brackets nested deeper than ``MAX_DEPTH``), and printing a parsed script
 reparses to an equal Script.
 
-The reader is one regex scan and one loop.  The scan
-(``_TOKEN.findall``) yields the brackets and atoms of the text, and the
-loop builds the forms on an explicit stack of open lists, checking
-``MAX_DEPTH`` as each bracket opens; it neither recurses nor tracks
-positions.  Only when it raises a ParseError does it compute the line and
-column, from the same token of ``_tokenize``, which numbers every token.
+The reader splits the text with string methods and builds the forms in
+one loop.  It drops comments (one regex substitution, made only when the
+text holds a ';'), turns the other separators into spaces, pads each
+bracket with spaces and splits on single spaces, which yields the
+brackets and atoms of the text; the loop builds the forms on an explicit
+stack of open lists, checking ``MAX_DEPTH`` as each bracket opens, and
+neither recurses nor tracks positions.  Only when it raises a ParseError
+does it compute the line and column, from the same token of the original
+text as ``_tokenize``, a regex scan that numbers every token, reads it.
 """
 
 from __future__ import annotations
@@ -96,8 +99,9 @@ MAX_POW_BITS = 4096
 
 # Brackets nest at most this deep; a deeper one is a ParseError.  The
 # reader keeps its open lists on a stack, but eval_expr and the printer
-# recurse once per level, eval_expr with up to three frames a level, so
-# this depth stays well inside Python's default limit of 1,000 frames.
+# recurse once per level, eval_expr with up to two frames a level (its
+# list comprehension's, before Python 3.12, and its own), so this depth
+# stays well inside Python's default limit of 1,000 frames.
 MAX_DEPTH = 200
 
 
@@ -117,9 +121,12 @@ class EvalError(Exception):
 # ---------------------------------------------------------------------------
 
 # a newline, a comment, a bracket or an atom; spaces, tabs, '\r' and ','
-# separate.  Only brackets and atoms are captured, so findall gives '' for
-# a newline or a comment.
+# separate, and no other character does (not '\x0c' or '\u00a0'), so the
+# reader splits on single spaces, never with str.split().  Only
+# ``_tokenize`` scans with it, to number the tokens of a ParseError.
 _TOKEN = re.compile(r"\n|;[^\n]*|([(){}]|[^ \t\r\n,(){};]+)")
+_COMMENT = re.compile(r";[^\n]*")
+_SEPARATORS = str.maketrans(",\t\r\n", "    ")
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
@@ -160,9 +167,11 @@ def _error(text: str, k: int, message: str) -> ParseError:
 def parse_script(text: str) -> Script:
     """Total parse: returns a Script or raises ParseError with a position.
 
-    One scan and one loop: the open lists are a stack, and a position is
-    computed only for the error raised."""
-    tokens = list(filter(None, _TOKEN.findall(text)))
+    One split and one loop: the open lists are a stack, and a position is
+    computed only for the error raised, from the original text."""
+    spaced = _COMMENT.sub("", text) if ";" in text else text
+    spaced = spaced.translate(_SEPARATORS).replace("(", " ( ").replace(")", " ) ")
+    tokens = list(filter(None, spaced.replace("{", " { ").replace("}", " } ").split(" ")))
     forms: list = []
     # the innermost open list, the bracket that closes it and the index of
     # the token that opened it; the enclosing ones are stacked
@@ -343,8 +352,11 @@ def _operands(env: Env, vals: list) -> list:
     classes, unless one of them is a Milnor element.  Then all must be
     elements of its ring, and an integer n stands for n mod 2 times its
     unit."""
-    ring = next((v.ring for v in vals if isinstance(v, miln.MilnorElement)), None)
-    if ring is None:
+    for v in vals:
+        if isinstance(v, miln.MilnorElement):
+            ring = v.ring
+            break
+    else:
         return [_as_class(env, v) for v in vals]
     out = []
     for v in vals:
@@ -366,23 +378,23 @@ def _eval_roots(env: Env, form) -> BundleRoots:
 
 
 def eval_expr(env: Env, node):
-    if isinstance(node, int):
-        return node
-    if isinstance(node, frozenset):
-        return node
+    # names are the most common nodes, so they are tested first; the
+    # all-integer tests are loops and operands are evaluated by direct
+    # calls, so a node allocates no closure or generator
     if isinstance(node, str):
         return env.lookup(node)
+    if isinstance(node, (int, frozenset)):
+        return node
     _expect(isinstance(node, list) and node, "empty expression")
     head = node[0]
     args = node[1:]
-
-    def ev(x):
-        return eval_expr(env, x)
-
     if head == "add":
-        vals = [ev(a) for a in args]
+        vals = [eval_expr(env, a) for a in args]
         _expect(bool(vals), "(add) needs arguments")
-        if all(isinstance(v, int) for v in vals):
+        for v in vals:
+            if not isinstance(v, int):
+                break
+        else:
             return sum(vals)
         acc, *rest = _operands(env, vals)
         for v in rest:
@@ -390,22 +402,24 @@ def eval_expr(env: Env, node):
         return acc
     if head == "sub":
         _expect(len(args) == 2, "(sub a b)")
-        a, b = ev(args[0]), ev(args[1])
+        a, b = eval_expr(env, args[0]), eval_expr(env, args[1])
         if isinstance(a, int) and isinstance(b, int):
             return a - b
         a, b = _operands(env, [a, b])
         return a - b
     if head == "neg":
         _expect(len(args) == 1, "(neg a)")
-        v = ev(args[0])
+        v = eval_expr(env, args[0])
         return -v if isinstance(v, int) else -_operands(env, [v])[0]
     if head == "mul":
-        vals = [ev(a) for a in args]
+        vals = [eval_expr(env, a) for a in args]
         _expect(bool(vals), "(mul) needs arguments")
-        if all(isinstance(v, int) for v in vals):
-            out = 1
-            for v in vals:
-                out *= v
+        out = 1
+        for v in vals:
+            if not isinstance(v, int):
+                break
+            out *= v
+        else:
             return out
         acc, *rest = _operands(env, vals)
         for v in rest:
@@ -413,7 +427,7 @@ def eval_expr(env: Env, node):
         return acc
     if head == "pow":
         _expect(len(args) == 2 and isinstance(args[1], int), "(pow a n)")
-        base = ev(args[0])
+        base = eval_expr(env, args[0])
         if isinstance(base, int):
             if args[1] < 0:
                 raise ValueError("negative power")
@@ -423,12 +437,12 @@ def eval_expr(env: Env, node):
         return _operands(env, [base])[0] ** args[1]
     if head == "scale":
         _expect(len(args) == 2, "(scale k a)")
-        k = ev(args[0])
+        k = eval_expr(env, args[0])
         _expect(isinstance(k, int), "(scale k a) needs integer k")
-        return _as_class(env, ev(args[1])).scale(k)
+        return _as_class(env, eval_expr(env, args[1])).scale(k)
     if head == "part":
         _expect(len(args) == 2 and isinstance(args[0], int), "(part d a)")
-        return _as_class(env, ev(args[1])).homogeneous_part(args[0])
+        return _as_class(env, eval_expr(env, args[1])).homogeneous_part(args[0])
     if head == "chern-total":
         _expect(len(args) == 1, "(chern-total (roots ...))")
         return chops.chern_total(_eval_roots(env, args[0]))
@@ -440,20 +454,20 @@ def eval_expr(env: Env, node):
         return chops.segre_total(_eval_roots(env, args[0]))
     if head == "steenrod":
         _expect(len(args) == 1, "(steenrod a)")
-        c = _as_class(env, ev(args[0]))
+        c = _as_class(env, eval_expr(env, args[0]))
         return chops.steenrod_total(env.presentation_of(c), c)
     if head == "ppow":
         _expect(len(args) == 2 and isinstance(args[0], int), "(ppow i a)")
-        c = _as_class(env, ev(args[1]))
+        c = _as_class(env, eval_expr(env, args[1]))
         return chops.reduced_power(env.presentation_of(c), c, args[0])
     if head == "embedded":
         _expect(len(args) == 3 and isinstance(args[0], int), "(embedded i S (roots ...))")
-        s = _as_class(env, ev(args[1]))
+        s = _as_class(env, eval_expr(env, args[1]))
         roots = _eval_roots(env, args[2])
         return chops.embedded_power(env.presentation_of(s), s, roots, args[0])
     if head == "embedded-total":
         _expect(len(args) == 2, "(embedded-total S (roots ...))")
-        s = _as_class(env, ev(args[0]))
+        s = _as_class(env, eval_expr(env, args[0]))
         roots = _eval_roots(env, args[1])
         return chops.steenrod_embedded(env.presentation_of(s), s, roots)
     if head == "dclass":
@@ -463,23 +477,23 @@ def eval_expr(env: Env, node):
     if head == "homological":
         _expect(len(args) == 2 and isinstance(args[0], int), "(homological i a)")
         env.notes[chops.D_CLASS_CONVENTION_NOTE] = None
-        c = _as_class(env, ev(args[1]))
+        c = _as_class(env, eval_expr(env, args[1]))
         return chops.homological_power(env.presentation_of(c), c, args[0])
     if head == "tangent":
         _expect(len(args) == 1, "(tangent CTX)")
         return _presentation(env, args[0], "(tangent CTX)").tangent_class()
     if head == "inv-total":
         _expect(len(args) == 1, "(inv-total a)")
-        return inverse_series(_as_class(env, ev(args[0])))
+        return inverse_series(_as_class(env, eval_expr(env, args[0])))
     if head == "pullback":
         _expect(len(args) == 2, "(pullback CTX a)")
-        return _presentation(env, args[0], "(pullback CTX a)").pullback(_as_class(env, ev(args[1])))
+        return _presentation(env, args[0], "(pullback CTX a)").pullback(_as_class(env, eval_expr(env, args[1])))
     if head == "pushforward":
         _expect(len(args) == 2, "(pushforward CTX a)")
-        return _presentation(env, args[0], "(pushforward CTX a)").pushforward(_as_class(env, ev(args[1])))
+        return _presentation(env, args[0], "(pushforward CTX a)").pushforward(_as_class(env, eval_expr(env, args[1])))
     if head == "qapply":
         _expect(len(args) == 2 and isinstance(args[0], int), "(qapply i x)")
-        x = ev(args[1])
+        x = eval_expr(env, args[1])
         _expect(isinstance(x, miln.MilnorElement), "(qapply) needs a Milnor element")
         return miln.q_apply(args[0], x)
     if head == "rset":

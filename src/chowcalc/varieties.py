@@ -75,6 +75,20 @@ def _force(v: Lazy[T]) -> Optional[T]:
     return v() if callable(v) else v
 
 
+def _seeded(ring: RingContext, basis: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """basis as tuples, each of its monomials that ring's normal-form memo
+    lacks stored there as ((m, 1),): a presentation lists only irreducible
+    monomials (see ``ChowPresentation``), so that is the normal form, and a
+    first lookup of a basis monomial scans no rule lead."""
+    basis = tuple(tuple(b) for b in basis)
+    memo = ring._normal_forms
+    for b in basis:
+        for m in b:
+            if m not in memo:
+                memo[m] = ((m, 1),)
+    return basis
+
+
 def _positions(monomials: Sequence[int]) -> dict[int, int]:
     return {m: i for i, m in enumerate(monomials)}
 
@@ -209,7 +223,9 @@ class ChowPresentation:
     constructor also takes a zero-argument function for it, called on the
     first read of ``basis`` (the DSL reads a ``generic`` form's clauses and
     a ``blowup`` form's rules on such a presentation, which lists no basis
-    unless one is read).
+    unless one is read).  Each listed monomial m is irreducible, so when
+    the basis is stored (in the constructor, or on that first read) m
+    enters the ring's normal-form memo as ((m, 1),), unless it is there.
 
     A presentation is immutable once built, so whatever is derived from it
     is kept in one map, through ``kept(key, make, *args)``; a computation
@@ -240,7 +256,7 @@ class ChowPresentation:
         if callable(basis):
             self._list_basis = basis
         else:
-            self.basis = tuple(tuple(b) for b in basis)
+            self.basis = _seeded(ring, basis)
         self.degree_table = degree_table
         self._tangent = tangent
         self._base = base
@@ -256,7 +272,7 @@ class ChowPresentation:
     def basis(self) -> tuple[tuple[int, ...], ...]:
         """The basis listed by the function given for it; a basis given as
         monomials is stored in its place, so reading it costs nothing."""
-        return tuple(tuple(b) for b in self._list_basis())
+        return _seeded(self.ring, self._list_basis())
 
     def kept(self, key: tuple, make: Callable[..., T], *args) -> T:
         """The value kept under key, or else make(*args), kept under key and

@@ -122,11 +122,12 @@ class TestParser:
         assert parse_outcome(parse_script, text) == parse_outcome(reference_parse, text)
 
     def test_reader_matches_reference(self):
-        # random texts over brackets, digits, signs, letters, separators and
-        # comments, half of them scripts with one character changed: the
-        # same forms, or the same message at the same position
+        # random texts over brackets, digits, signs, letters, separators,
+        # comments and whitespace that does not separate ('\x0c', '\u00a0'),
+        # half of them scripts with one character changed: the same forms,
+        # or the same message at the same position
         rng = random.Random(1)
-        alphabet = "(){}0123456789+-xyz \t\n,;"
+        alphabet = "(){}0123456789+-xyz \t\n,;\r\x0b\x0c\u00a0\u3000"
         raised = 0
         for i in range(12_000):
             if i % 2:
@@ -144,7 +145,7 @@ class TestParser:
 
     def test_tokenizer_matches_reference(self):
         rng = random.Random(0)
-        alphabet = "(){} \t\r\n,;\x0bxyz019-"
+        alphabet = "(){} \t\r\n,;\x0b\x0c\u00a0\u3000xyz019-"
         for _ in range(10_000):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
             assert _tokenize(text) == reference_tokenize(text), repr(text)

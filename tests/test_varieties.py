@@ -305,11 +305,10 @@ def build_towers():
         random_tower(random.Random(seed))
 
 
-def test_every_basis_is_the_irreducible_monomials_in_order(monkeypatch):
-    # the invariant that blow_up, projective_bundle and _truncated_leads
-    # read their kill leads and bases by: every presentation the registry
-    # and the towers build, the presentations below each and the copies of
-    # each mod 2 and mod 3 (the list grows while it is walked)
+def built_with_copies(monkeypatch) -> list:
+    """Every presentation the registry and the towers build, the
+    presentations below each and the copies of each mod 2 and mod 3 (the
+    list grows while it is walked)."""
     from chowcalc import registry
 
     def run():
@@ -323,9 +322,37 @@ def test_every_basis_is_the_irreducible_monomials_in_order(monkeypatch):
             for p in (2, 3):
                 X.with_coefficients(p)
     assert {0, 2, 3} <= {X.ring.modulus for X in built}
+    return built
+
+
+def test_every_basis_is_the_irreducible_monomials_in_order(monkeypatch):
+    # the invariant that blow_up, projective_bundle and _truncated_leads
+    # read their kill leads and bases by, and that lets a basis start its
+    # ring's memo
+    built = built_with_copies(monkeypatch)
     for X in built:
         want = [tuple(reference_irreducible_monomials(X.ring, d)) for d in range(X.dim + 1)]
         assert [tuple(b) for b in X.basis] == enumerate_basis(X.ring) == want, X.name
+
+
+def seeded_as_normal_forms(X: ChowPresentation) -> bool:
+    """Whether, once X's basis is read, its ring's memo holds ((m, 1),) for
+    each basis monomial m, and that is m's normal form on a fresh memo."""
+    ring = X.ring
+    return all(ring._normal_forms.get(m) == ((m, 1),) == tuple(ring._reduce({m: 1}, {}, X.dim).items())
+               for b in X.basis for m in b)
+
+
+def test_listed_basis_monomials_start_in_the_memo_as_their_normal_forms(monkeypatch):
+    for X in built_with_copies(monkeypatch):
+        assert seeded_as_normal_forms(X), X.name
+    # a listed basis that holds x^2 under x^2 -> y^2 starts a wrong entry
+    x2, y2 = Monomial([(0, 2)]), Monomial([(1, 2)])
+    ring = RingContext(["x", "y"], [1, 1], dimension=2, rules=[(x2, {y2: 1})])
+    basis = enumerate_basis(ring)
+    assert x2 not in basis[2]
+    X = ChowPresentation("generic", ring, {}, [*basis[:2], (x2, *basis[2])], None, None)
+    assert ring._normal_forms[x2] == ((x2, 1),) and not seeded_as_normal_forms(X)
 
 
 def test_free_basis_bound_is_the_count_of_the_listing(monkeypatch):
